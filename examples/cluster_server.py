@@ -2,9 +2,10 @@
 
 The whole stack in one file: build a FITing-Tree-backed engine, promote it
 to one worker process per range shard (``ClusterEngine.from_engine``), and
-serve concurrent async clients through the micro-batching front-end — with
-``shard_concurrency`` set so each flush's shard sub-batches are answered
-by different processes *at the same time*.
+serve concurrent async clients through the micro-batching front-end — each
+flush's batch is split per owning worker and every worker gets its
+sub-batch before any reply is read, so the shards compute *at the same
+time*.
 
 Run: ``PYTHONPATH=src python examples/cluster_server.py``
 """
@@ -48,7 +49,7 @@ async def main():
             keys[rng.integers(0, N_KEYS, REQUESTS_PER_CLIENT)]
             for _ in range(N_CLIENTS)
         ]
-        async with Server(engine, shard_concurrency=N_SHARDS) as server:
+        async with Server(engine) as server:
             await server.warm()
 
             # Writes are fenced: the insert is applied in its owning
@@ -69,8 +70,7 @@ async def main():
                   f"({total / elapsed:,.0f} ops/s), all hits: "
                   f"{sum(hits) == total}")
             print(f"get batches: {batcher['batches']['get']}, "
-                  f"largest: {batcher['max_batch_observed']}, "
-                  f"per-shard dispatches: {batcher['shard_dispatches']}")
+                  f"largest: {batcher['max_batch_observed']}")
     finally:
         engine.close()
     print("workers joined; shared memory released")

@@ -45,7 +45,6 @@ from repro.api import (
     BatchEngine,
     EngineConfig,
     EngineProtocol,
-    ShardDispatchEngine,
     open_engine,
     open_server,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "NetClient",
     "NetServer",
     "Router",
-    "ShardDispatchEngine",
     "ShardedEngine",
     "SecondaryFITingTree",
     "Segment",

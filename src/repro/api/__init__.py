@@ -9,7 +9,7 @@ caller needs:
   ``range_batch`` / ``insert_batch`` / ``delete_batch``, scalar mirrors,
   ``version``, ``stats()``, ``warm()``, ``validate()``);
   :class:`BatchEngine` is the minimal subset the serving layer dispatches
-  on; :class:`ShardDispatchEngine` adds safe concurrent per-shard reads.
+  on.
 * :mod:`repro.api.factory` — declarative construction.
   :class:`EngineConfig` names an executor (``single`` / ``sharded`` /
   ``cluster``), an index kind and the serve knobs; :func:`open_engine` /
@@ -27,13 +27,12 @@ backend opened here answers the same scenario bit-identically.
 """
 
 from repro.api.factory import EngineConfig, open_engine, open_server
-from repro.api.protocol import BatchEngine, EngineProtocol, ShardDispatchEngine
+from repro.api.protocol import BatchEngine, EngineProtocol
 
 __all__ = [
     "BatchEngine",
     "EngineConfig",
     "EngineProtocol",
-    "ShardDispatchEngine",
     "open_engine",
     "open_server",
 ]

@@ -123,7 +123,7 @@ class EngineConfig:
     snapshot_interval_bytes:
         WAL bytes between automatic snapshots (``"wal+snapshot"`` only).
     max_batch, max_delay, eager_flush, max_pending, overload,
-    serve_executor, shard_concurrency, latency_window:
+    latency_window:
         Serve-layer knobs applied by :func:`open_server`; see
         :class:`~repro.serve.Server`.
     telemetry:
@@ -178,8 +178,6 @@ class EngineConfig:
     eager_flush: bool = True
     max_pending: Optional[int] = None
     overload: str = "wait"
-    serve_executor: Any = None
-    shard_concurrency: int = 0
     latency_window: int = 100_000
     # -- observability --
     telemetry: Any = "off"
@@ -244,21 +242,19 @@ class EngineConfig:
         Raises
         ------
         InvalidParameterError
-            When an opaque runtime object was set on ``mp_context`` or
-            ``serve_executor`` (only ``None`` or string settings of those
-            fields serialize).
+            When an opaque runtime object was set on ``mp_context`` (only
+            ``None`` or a start-method string serializes).
         """
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["index_kwargs"] = dict(self.index_kwargs)
         if isinstance(out["telemetry"], Telemetry):
             out["telemetry"] = out["telemetry"].mode
-        for name in ("mp_context", "serve_executor"):
-            value = out[name]
-            if value is not None and not isinstance(value, str):
-                raise InvalidParameterError(
-                    f"{name}={value!r} is a runtime object and does not "
-                    "serialize; set it on the config after from_json()"
-                )
+        value = out["mp_context"]
+        if value is not None and not isinstance(value, str):
+            raise InvalidParameterError(
+                f"mp_context={value!r} is a runtime object and does not "
+                "serialize; set it on the config after from_json()"
+            )
         return out
 
     @classmethod
@@ -565,8 +561,6 @@ def open_server(keys=None, values=None, *, config: Optional[EngineConfig] = None
         eager_flush=config.eager_flush,
         max_pending=config.max_pending,
         overload=config.overload,
-        executor=config.serve_executor,
-        shard_concurrency=config.shard_concurrency,
         latency_window=config.latency_window,
         admin_port=config.admin_port,
         sla_target_p99_us=config.sla_target_p99_us,

@@ -11,7 +11,7 @@ through :func:`repro.api.open_engine` — are interchangeable behind the
 same verbs, and the serving layer (:mod:`repro.serve`) dispatches on the
 protocol rather than on a concrete class.
 
-Three protocols, smallest first:
+Two protocols, smaller first:
 
 * :class:`BatchEngine` — what the serving layer strictly requires: the
   scalar verbs (per-request fallback paths), the batch read/write verbs
@@ -20,16 +20,10 @@ Three protocols, smallest first:
 * :class:`EngineProtocol` — the complete CRUD surface: everything above
   plus ``delete`` / ``delete_batch``, ``stats()``, ``warm()`` and
   ``validate()``. Both shipped engines satisfy it; new backends should
-  target it;
-* :class:`ShardDispatchEngine` — a :class:`BatchEngine` whose shards can
-  answer reads concurrently (``route_shards`` / ``get_batch_shard``),
-  letting the batcher overlap per-shard sub-batches in time.
+  target it.
 
-``warm()`` and per-shard dispatch remain feature-detected by the serve
-layer, so a minimal :class:`BatchEngine` still serves.
-
-This module was promoted from ``repro.serve.protocol`` (which re-exports
-it with a :class:`DeprecationWarning` for one release).
+``warm()`` remains feature-detected by the serve layer, so a minimal
+:class:`BatchEngine` still serves.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-__all__ = ["BatchEngine", "EngineProtocol", "ShardDispatchEngine"]
+__all__ = ["BatchEngine", "EngineProtocol"]
 
 
 @runtime_checkable
@@ -161,39 +155,4 @@ class EngineProtocol(BatchEngine, Protocol):
 
     def validate(self) -> None:
         """Check every structural invariant; raise on violation."""
-        ...
-
-
-@runtime_checkable
-class ShardDispatchEngine(BatchEngine, Protocol):
-    """A :class:`BatchEngine` whose shards answer reads independently.
-
-    ``shard_dispatch_safe`` being True asserts that concurrent
-    ``get_batch_shard`` calls for *different* shards are safe (each shard
-    has its own state/transport) — the property that lets
-    :class:`~repro.serve.batcher.RequestBatcher` overlap shards in time.
-    """
-
-    #: Whether concurrent per-shard reads are safe (see class docstring).
-    shard_dispatch_safe: bool
-
-    def route_shards(self, queries) -> np.ndarray:
-        """Owning shard id per query key."""
-        ...
-
-    def get_batch_shard(self, sid: int, queries, default: Any = None) -> np.ndarray:
-        """Answer one shard's sub-batch (all queries must route to ``sid``).
-
-        Parameters
-        ----------
-        sid:
-            Shard id; ``queries`` is that shard's key sub-batch and
-            ``default`` fills miss slots.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query, as :meth:`BatchEngine.get_batch` would
-            fill those slots.
-        """
         ...

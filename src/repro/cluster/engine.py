@@ -69,10 +69,17 @@ from repro.cluster.shm import (
 from repro.cluster.snapshot import engine_to_states
 from repro.cluster.worker import shard_worker_main
 from repro.core.errors import InvalidParameterError, KeyNotFoundError
-from repro.core.page import aligned_value_array
+from repro.core.page import _object_array, aligned_value_array
 from repro.core.serialize import _registry
 from repro.engine.engine import ShardedEngine
-from repro.engine.partition import route, shard_bounds
+from repro.engine.scatter import (
+    gather_points,
+    resolve_values,
+    split_points,
+    split_ranges,
+    split_sorted,
+    stitch_ranges,
+)
 from repro.wal.format import OP_DELETE, OP_INSERT
 
 __all__ = ["ClusterEngine"]
@@ -91,9 +98,8 @@ class _WorkerHandle:
         self.lock = threading.Lock()
         self.lo = lo
         self.hi = hi
-        #: Transport counters; only ever mutated under ``lock``, so
-        #: concurrent shard-dispatch threads cannot lose increments
-        #: (engine stats sum across workers).
+        #: Transport counters; only ever mutated under ``lock`` (engine
+        #: stats sum across workers).
         self.ipc = {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0}
 
 
@@ -135,11 +141,6 @@ class ClusterEngine:
     ...     bool((engine.get_batch(keys[:512]) == np.arange(512)).all())
     True
     """
-
-    #: Per-shard reads are safe to issue from concurrent threads (each
-    #: worker has its own pipe, lanes and lock) — the serve layer's
-    #: shard-dispatch path keys off this.
-    shard_dispatch_safe = True
 
     def __init__(
         self,
@@ -892,11 +893,6 @@ class ClusterEngine:
     # Reads
     # ------------------------------------------------------------------
 
-    def route_shards(self, queries) -> np.ndarray:
-        """Owning shard id per query key (vectorized; the dispatch split
-        the serve layer's per-shard tasks use)."""
-        return route(self.cuts, np.asarray(queries, dtype=np.float64))
-
     def get(self, key: float, default: Any = None) -> Any:
         """Scalar point lookup (a one-key batch through the owning worker)."""
         out = self.get_batch(np.asarray([key], dtype=np.float64), default)
@@ -961,12 +957,7 @@ class ClusterEngine:
             # Matches the in-process engine's warm combined-view path: an
             # empty batch over a populated engine keeps the values dtype.
             return np.empty(0, dtype=self._values_dtype if self._n else object)
-        sid = route(self.cuts, q)
-        groups: List[Tuple[int, np.ndarray]] = []
-        for i in range(self.n_shards):
-            idx = np.flatnonzero(sid == i)
-            if idx.size:
-                groups.append((i, idx))
+        groups = split_points(self.cuts, q)
         ctx = trace[1] if trace is not None else None
         self._acquire_all()
         try:
@@ -985,75 +976,18 @@ class ClusterEngine:
                         tracer.ingest(reply[3])
                 with tracer.span("cluster.gather", shards=len(groups)):
                     parts = [
-                        (idx, self._decode_get(i, replies[i][2]))
+                        (idx, *self._decode_get(i, replies[i][2]))
                         for i, idx in groups
                     ]
-                    return self._scatter(q.size, parts, default)
+                    return gather_points(q.size, parts, default)
             parts = [
-                (idx, self._decode_get(i, replies[i][2])) for i, idx in groups
+                (idx, *self._decode_get(i, replies[i][2])) for i, idx in groups
             ]
-            # Scatter while the locks pin the response lanes (the parts
+            # Gather while the locks pin the response lanes (the parts
             # hold zero-copy lane views).
-            return self._scatter(q.size, parts, default)
+            return gather_points(q.size, parts, default)
         finally:
             self._release_all()
-
-    def get_batch_shard(self, sid: int, queries, default: Any = None) -> np.ndarray:
-        """One shard's sub-batch, answered through its worker alone.
-
-        Safe to call from concurrent threads for *different* shards (the
-        serve layer's per-shard dispatch tasks); calls for the same shard
-        serialize on that worker's lock.
-
-        Parameters
-        ----------
-        sid:
-            Shard id (``0 <= sid < n_shards``); every query must route
-            here for results to be meaningful.
-        queries:
-            This shard's key sub-batch.
-        default:
-            Miss filler, as in :meth:`get_batch`.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query, exactly as :meth:`get_batch` would fill
-            those slots.
-        """
-        self._check_open()
-        q = np.ascontiguousarray(queries, dtype=np.float64)
-        if q.size == 0:
-            return np.empty(0, dtype=object)
-        tel = self._telemetry
-        # Ambient trace context, when any: present on the inline serve
-        # dispatch path; executor threads carry an empty context, so the
-        # threaded path stays traced only down to its dispatch span.
-        ctx = tel.ctx() if tel is not None else None
-        worker = self._workers[sid]
-        with worker.lock:
-            try:
-                self._send_get(sid, q, ctx)
-                reply = self._recv(sid)
-            except ClusterError:
-                if self._wal is None:
-                    raise
-                # Reads are idempotent: restore the worker and re-ask.
-                self._restore_worker(sid)
-                self._send_get(sid, q, ctx)
-                reply = self._recv(sid)
-            if ctx is not None and len(reply) > 3 and reply[3]:
-                tel.tracer.ingest(reply[3])
-            if (
-                self._workload is not None
-                and len(reply) > 4
-                and reply[4] is not None
-            ):
-                self._workload.merge_delta(sid, reply[4])
-            values, found = self._decode_get(sid, reply[2])
-            return self._scatter(
-                q.size, [(np.arange(q.size), (values, found))], default
-            )
 
     def _send_get(
         self, sid: int, q: np.ndarray, trace_ctx: Optional[Tuple] = None
@@ -1072,9 +1006,11 @@ class ClusterEngine:
             frame = frame + (trace_ctx,)
         self._send(sid, frame)
 
-    def _decode_get(self, sid: int, payload: Tuple) -> Tuple[Any, Optional[np.ndarray]]:
+    def _decode_get(
+        self, sid: int, payload: Tuple
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         # Returned arrays are zero-copy views of the response lane; the
-        # scatter into the caller's output array is the one copy they get
+        # gather into the caller's output array is the one copy they get
         # and happens before the lane is ever reused (ops are strict
         # request/reply rounds under the worker's lock).
         worker = self._workers[sid]
@@ -1087,33 +1023,7 @@ class ClusterEngine:
             return values, found
         _, values_list, found = payload  # pickle fallback (object payloads)
         worker.ipc["pickle_fallbacks"] += 1
-        return values_list, found
-
-    def _scatter(
-        self, n: int, parts: List[Tuple[np.ndarray, Tuple[Any, Any]]], default: Any
-    ) -> np.ndarray:
-        all_found = all(found is None for _, (_, found) in parts)
-        if all_found:
-            dtypes = {np.asarray(values).dtype for _, (values, _) in parts}
-            dtype = dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
-            out = np.empty(n, dtype=dtype)
-            for idx, (values, _) in parts:
-                out[idx] = values
-            return out
-        out = np.empty(n, dtype=object)
-        out[:] = default
-        for idx, (values, found) in parts:
-            if found is None:
-                out[idx] = values
-            else:
-                hit = idx[np.asarray(found)]
-                if isinstance(values, list):  # pickle fallback payload
-                    vals = [v for v, f in zip(values, found) if f]
-                    for slot, v in zip(hit, vals):
-                        out[slot] = v
-                else:
-                    out[hit] = values[np.asarray(found)]
-        return out
+        return _object_array(values_list), found
 
     # ------------------------------------------------------------------
     # Range scans
@@ -1175,19 +1085,10 @@ class ClusterEngine:
             in key order.
         """
         self._check_open()
-        bounds = np.asarray(bounds, dtype=np.float64)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise InvalidParameterError("bounds must be an (n, 2) array")
+        bounds, jobs = split_ranges(self.cuts, bounds)
         n_bounds = bounds.shape[0]
         if n_bounds == 0:
             return []
-        first = route(self.cuts, bounds[:, 0])
-        last = route(self.cuts, bounds[:, 1])
-        jobs: List[Tuple[int, np.ndarray]] = []
-        for sid in range(self.n_shards):
-            idx = np.flatnonzero((first <= sid) & (sid <= last))
-            if idx.size:
-                jobs.append((sid, idx))
         self._acquire_all()
         try:
             raw = self._round_durable(
@@ -1201,36 +1102,13 @@ class ClusterEngine:
                 }
             )
             self._merge_deltas(raw)
-            replies = [
-                (sid, idx, self._decode_ranges(sid, raw[sid][2]))
+            parts = [
+                (idx, self._decode_ranges(sid, raw[sid][2]))
                 for sid, idx in jobs
             ]
         finally:
             self._release_all()
-        parts: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-            [] for _ in range(n_bounds)
-        ]
-        for _sid, idx, results in replies:  # shard order == key order
-            for bound_pos, (k, v) in zip(idx, results):
-                parts[bound_pos].append((k, v))
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for contributions in parts:
-            if not contributions:
-                out.append(
-                    (
-                        np.empty(0, dtype=np.float64),
-                        np.empty(0, dtype=self._values_dtype),
-                    )
-                )
-            elif len(contributions) == 1:
-                out.append(contributions[0])
-            else:
-                out.append(
-                    (
-                        np.concatenate([k for k, _ in contributions]),
-                        np.concatenate([v for _, v in contributions]),
-                    )
-                )
+        out = stitch_ranges(n_bounds, parts, self._values_dtype)
         if self._telemetry is not None:
             self._obs_count("range_batch", n_bounds)
         return out
@@ -1291,20 +1169,6 @@ class ClusterEngine:
     # Writes
     # ------------------------------------------------------------------
 
-    def _resolve_batch_values(self, keys: np.ndarray, values) -> np.ndarray:
-        if values is None:
-            if not self._auto_rowid:
-                raise InvalidParameterError(
-                    "this engine stores explicit values; insert_batch "
-                    "requires aligned values"
-                )
-            out = np.arange(
-                self._next_rowid, self._next_rowid + keys.size, dtype=np.int64
-            )
-            self._next_rowid += keys.size
-            return out
-        return aligned_value_array(keys.size, values)
-
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values)."""
         if value is None:
@@ -1315,10 +1179,10 @@ class ClusterEngine:
                 )
             value = self._next_rowid
             self._next_rowid += 1
-        self._insert_sorted(
-            np.asarray([float(key)], dtype=np.float64),
-            aligned_value_array(1, [value]),
+        _, keys, jobs = split_sorted(
+            self.cuts, np.asarray([float(key)], dtype=np.float64)
         )
+        self._insert_sorted(keys, aligned_value_array(1, [value]), jobs)
 
     def insert_batch(self, keys, values=None) -> None:
         """Bulk batch insert: route once, apply per worker under one fence.
@@ -1346,19 +1210,19 @@ class ClusterEngine:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
-        values = self._resolve_batch_values(keys, values)
-        order = np.argsort(keys, kind="stable")
-        self._insert_sorted(keys[order], values[order])
+        values, self._next_rowid = resolve_values(
+            keys.size, values, self._auto_rowid, self._next_rowid
+        )
+        order, skeys, jobs = split_sorted(self.cuts, keys)
+        self._insert_sorted(skeys, values[order], jobs)
         if self._telemetry is not None:
             self._obs_count("insert_batch", int(keys.size))
 
-    def _insert_sorted(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def _insert_sorted(
+        self, keys: np.ndarray, values: np.ndarray, jobs: List[Tuple[int, int, int]]
+    ) -> None:
+        """Log, dispatch and fence one :func:`split_sorted` write plan."""
         self._check_open()
-        jobs = [
-            (sid, a, b)
-            for sid, (a, b) in enumerate(shard_bounds(keys, self.cuts))
-            if a < b
-        ]
         wal = self._wal
         if wal is not None:
             # Log + group-commit every chunk BEFORE dispatch: once the
@@ -1494,13 +1358,7 @@ class ClusterEngine:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return np.empty(0, dtype=object)
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        jobs = [
-            (sid, a, b)
-            for sid, (a, b) in enumerate(shard_bounds(skeys, self.cuts))
-            if a < b
-        ]
+        order, skeys, jobs = split_sorted(self.cuts, keys)
         wal = self._wal
         lsns: Dict[int, int] = {}
         if wal is not None:
@@ -1573,19 +1431,15 @@ class ClusterEngine:
                     )
             self._merge_deltas(replies)
             parts = [
-                (order[a:b], self._decode_get(sid, replies[sid][2]))
+                (order[a:b], *self._decode_get(sid, replies[sid][2]))
                 for sid, a, b in jobs
             ]
-            # Scatter and count hits while the locks pin the response
+            # Gather and count hits while the locks pin the response
             # lanes (the parts hold zero-copy lane views).
-            out = self._scatter(keys.size, parts, default)
+            out = gather_points(keys.size, parts, default)
             hits = {
-                sid: (
-                    idx.size
-                    if found is None
-                    else int(np.asarray(found).sum())
-                )
-                for (sid, _a, _b), (idx, (_values, found)) in zip(jobs, parts)
+                sid: idx.size if found is None else int(found.sum())
+                for (sid, _a, _b), (idx, _values, found) in zip(jobs, parts)
             }
         finally:
             self._release_all()

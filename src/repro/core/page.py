@@ -99,9 +99,10 @@ def exact_typed_array(items, dtype) -> Optional[np.ndarray]:
 def aligned_value_array(n_keys: int, values) -> np.ndarray:
     """Explicit batch payloads as a 1-D array aligned with ``n_keys`` keys.
 
-    The shared explicit-values half of every batch resolver (index- and
-    engine-level ``_resolve_batch_values``); the auto-rowid policies stay
-    with their owners.
+    The shared explicit-values half of every batch resolver (the
+    index's ``_resolve_batch_values`` and the engines'
+    ``repro.engine.scatter.resolve_values``); the auto-rowid policies
+    stay with their owners.
     """
     values = as_value_array(values)
     if len(values) != n_keys:

@@ -36,9 +36,16 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
-from repro.core.page import aligned_value_array
 from repro.engine.batch import FlatView, flat_view
 from repro.engine.partition import partition_cuts, route, shard_bounds
+from repro.engine.scatter import (
+    gather_points,
+    resolve_values,
+    split_points,
+    split_ranges,
+    split_sorted,
+    stitch_ranges,
+)
 
 __all__ = ["ShardedEngine"]
 
@@ -147,10 +154,6 @@ class ShardedEngine:
         }
         self._combined: Optional[FlatView] = None
         self._combined_versions: Optional[Tuple[int, ...]] = None
-        #: Page count per shard at the last combined assembly — the
-        #: geometry the incremental patch path needs to locate one
-        #: shard's slice inside the combined arrays.
-        self._combined_shard_pages: Optional[List[int]] = None
         self._stale_reads = 0
         self.telemetry = telemetry
         self._telemetry = telemetry
@@ -419,43 +422,9 @@ class ShardedEngine:
     # Routing
     # ------------------------------------------------------------------
 
-    #: Per-shard reads share this engine's caches and stats dicts, so
-    #: concurrent threads must not dispatch them in parallel here (the
-    #: multi-process :class:`repro.cluster.ClusterEngine` flips this on).
-    shard_dispatch_safe = False
-
     def shard_for(self, key: float) -> Any:
         """The shard index owning ``key``."""
         return self._shards[int(route(self.cuts, [key])[0])]
-
-    def route_shards(self, queries) -> np.ndarray:
-        """Owning shard id per query key (vectorized; the split the serve
-        layer's per-shard dispatch tasks use)."""
-        return route(self.cuts, np.asarray(queries, dtype=np.float64))
-
-    def get_batch_shard(self, sid: int, queries, default: Any = None) -> np.ndarray:
-        """One shard's sub-batch, answered through that shard's view alone.
-
-        Parameters
-        ----------
-        sid:
-            Shard id (``0 <= sid < n_shards``); every query must route
-            here for results to be meaningful.
-        queries:
-            This shard's key sub-batch (float64-coercible).
-        default:
-            Miss filler, as in :meth:`get_batch`.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query, exactly as :meth:`get_batch` would fill
-            those slots.
-        """
-        q = np.ascontiguousarray(queries, dtype=np.float64)
-        if q.size == 0:
-            return np.empty(0, dtype=object)
-        return self._view(sid).get_batch(q, default, counter=self._counter)
 
     def warm(self) -> None:
         """Best-effort pre-build of the cached read-path snapshots.
@@ -463,9 +432,8 @@ class ShardedEngine:
         Builds every shard's flat view and (when shard configs are
         homogeneous) the combined engine-wide view, so the first real
         batch does not pay the O(total data) flatten/concat cost.
-        ``repro.serve.Server.warm`` runs this through its worker-thread
-        executor at startup so the event loop never blocks on it; calling
-        it again after writes is safe (it rebuilds only what is stale,
+        ``repro.serve.Server.warm`` runs this at startup; calling it
+        again after writes is safe (it rebuilds only what is stale,
         subject to the same amortization grace the read path uses).
         """
         self._combined_view()
@@ -477,19 +445,17 @@ class ShardedEngine:
         """Engine-wide FlatView spanning every shard's pages, or ``None``
         when shard configs are heterogeneous (mixed error bounds/dtypes).
 
-        Maintenance is incremental: when exactly one shard mutated since
-        the last assembly, only that shard's slice of the combined arrays
-        is re-spliced (:meth:`_patch_combined`, a three-way memcpy —
-        prefix from the old combined, the dirty shard's fresh view, the
-        suffix shifted); every other shard's data, routing keys and
-        offsets are reused untouched. Multi-shard mutations (or the first
-        build) fall back to the full per-shard concatenation. Both paths
-        are counted (``view_patches`` / ``view_full_rebuilds`` in
-        :meth:`stats`) and produce identical views — pinned by the
-        incremental-view regression suite. Once assembled, every shard's
-        cached view is re-pointed at a zero-copy slice of the combined
-        arrays (``FlatView.slice_pages``), so steady-state residency is
-        pages + one combined copy (~2x); see :meth:`residency_report`.
+        There is one assembly path (:meth:`_assemble_combined`): the
+        concatenation of every shard's cached view. Once assembled, every
+        shard's cached view is re-pointed at a zero-copy slice of the
+        combined arrays (``FlatView.slice_pages``), so steady-state
+        residency is pages + one combined copy (~2x; see
+        :meth:`residency_report`) and a reassembly after a write only
+        re-flattens the shards that mutated — the clean ones contribute
+        their windows of the old combined arrays. Assemblies are counted
+        as ``view_patches`` (exactly one shard was dirty) or
+        ``view_full_rebuilds`` (first build, several dirty) in
+        :meth:`stats`.
         Shard ranges are disjoint and ordered, so the concatenated page
         starts and data stay globally sorted and one view answers a whole
         batch without per-shard grouping.
@@ -512,26 +478,29 @@ class ShardedEngine:
             self._stale_reads += 1
             return None
         self._stale_reads = 0
-        combined = self._patch_combined(versions)
-        if combined is None:
-            combined = self._assemble_combined(versions)
+        combined = self._assemble_combined(versions)
         self._combined = combined
         self._combined_versions = versions
         return combined
 
     def _assemble_combined(self, versions: Tuple[int, ...]) -> Optional[FlatView]:
-        """Full combined-view assembly: concatenate every shard's view."""
+        """Combined-view assembly: concatenate every shard's view."""
         views = [self._view(i) for i in range(len(self._shards))]
         if (
             len({v.search_error for v in views}) > 1
             or len({v.values.dtype for v in views}) > 1
         ):
-            self._combined_shard_pages = None
             return None
         if len(views) == 1:
-            self._combined_shard_pages = [views[0].n_pages]
             return views[0]
-        self._view_stats["view_full_rebuilds"] += 1
+        n_dirty = (
+            sum(a != b for a, b in zip(self._combined_versions, versions))
+            if self._combined is not None
+            else 0
+        )
+        self._view_stats[
+            "view_patches" if n_dirty == 1 else "view_full_rebuilds"
+        ] += 1
         data_total = 0
         buf_total = 0
         offset_parts = []
@@ -570,125 +539,16 @@ class ShardedEngine:
                 "buf_values": np.concatenate([v.buf_values for v in views]),
             }
         )
-        self._combined_shard_pages = [v.n_pages for v in views]
         # Collapse per-shard residency: each shard's cached view becomes
-        # a window into the combined arrays. The fresh copies flat_view()
-        # just built for dirty shards are dropped here, so only pages +
-        # combined stay resident (~2x).
-        self._repoint_shard_caches(combined, versions)
-        return combined
-
-    def _patch_combined(self, versions: Tuple[int, ...]) -> Optional[FlatView]:
-        """Incremental assembly: splice one dirty shard into the combined.
-
-        Applicable when a combined view exists and exactly one shard's
-        version moved since it was assembled (the common write pattern —
-        the serve layer's insert batches land on one shard far more often
-        than on several). The clean shards' slices are copied straight
-        from the old combined arrays (two memcpys bracketing the dirty
-        shard's fresh view) instead of re-walking every shard's cached
-        view, re-lowering its routing keys and re-rebasing its offsets.
-        Returns ``None`` when not applicable (first build, multiple dirty
-        shards, heterogeneous configs) — the caller falls back to
-        :meth:`_assemble_combined`.
-        """
-        old = self._combined
-        if (
-            old is None
-            or self._combined_versions is None
-            or self._combined_shard_pages is None
-            or len(self._shards) <= 1
-            or len(self._combined_versions) != len(versions)
-        ):
-            return None
-        dirty = [
-            i
-            for i, (was, now) in enumerate(zip(self._combined_versions, versions))
-            if was != now
-        ]
-        if len(dirty) != 1:
-            return None
-        i = dirty[0]
-        new = self._view(i)
-        if (
-            new.search_error != old.search_error
-            or new.values.dtype != old.values.dtype
-        ):
-            return None
-        pages = self._combined_shard_pages
-        p0 = sum(pages[:i])
-        p1 = p0 + pages[i]
-        d0, d1 = int(old.offsets[p0]), int(old.offsets[p1])
-        b0, b1 = int(old.buf_offsets[p0]), int(old.buf_offsets[p1])
-        rs = new.route_starts
-        if i > 0 and rs.size:
-            rs = rs.copy()
-            rs[0] = self.cuts[i - 1]  # same cut lowering as the full path
-        d_shift = new.keys.size - (d1 - d0)
-        b_shift = new.buf_keys.size - (b1 - b0)
-        combined = FlatView(
-            {
-                "version": -1,
-                "search_error": old.search_error,
-                "heights": np.concatenate(
-                    (old.heights[:p0], new.heights, old.heights[p1:])
-                ),
-                "starts": np.concatenate(
-                    (old.starts[:p0], new.starts, old.starts[p1:])
-                ),
-                "route_starts": np.concatenate(
-                    (old.route_starts[:p0], rs, old.route_starts[p1:])
-                ),
-                "slopes": np.concatenate(
-                    (old.slopes[:p0], new.slopes, old.slopes[p1:])
-                ),
-                "deletions": np.concatenate(
-                    (old.deletions[:p0], new.deletions, old.deletions[p1:])
-                ),
-                "offsets": np.concatenate(
-                    (
-                        old.offsets[: p0 + 1],
-                        new.offsets[1:] + d0,
-                        old.offsets[p1 + 1 :] + d_shift,
-                    )
-                ),
-                "keys": np.concatenate((old.keys[:d0], new.keys, old.keys[d1:])),
-                "values": np.concatenate(
-                    (old.values[:d0], new.values, old.values[d1:])
-                ),
-                "buf_offsets": np.concatenate(
-                    (
-                        old.buf_offsets[: p0 + 1],
-                        new.buf_offsets[1:] + b0,
-                        old.buf_offsets[p1 + 1 :] + b_shift,
-                    )
-                ),
-                "buf_keys": np.concatenate(
-                    (old.buf_keys[:b0], new.buf_keys, old.buf_keys[b1:])
-                ),
-                "buf_values": np.concatenate(
-                    (old.buf_values[:b0], new.buf_values, old.buf_values[b1:])
-                ),
-            }
-        )
-        self._combined_shard_pages = list(pages)
-        self._combined_shard_pages[i] = new.n_pages
-        self._view_stats["view_patches"] += 1
-        self._repoint_shard_caches(combined, versions)
-        return combined
-
-    def _repoint_shard_caches(
-        self, combined: FlatView, versions: Tuple[int, ...]
-    ) -> None:
-        """Re-point every shard's cached view at its slice of ``combined``
-        (so nothing keeps the pre-assembly array copies alive)."""
+        # a window into the combined arrays (so nothing keeps the
+        # pre-assembly copies flat_view() just built for dirty shards
+        # alive); only pages + combined stay resident (~2x).
         p0 = 0
-        for shard, n_pages, version in zip(
-            self._shards, self._combined_shard_pages, versions
-        ):
-            p1 = p0 + n_pages
+        for shard, view, version in zip(self._shards, views, versions):
+            p1 = p0 + view.n_pages
             shard._flat_view_cache = combined.slice_pages(p0, p1, version)
             p0 = p1
+        return combined
 
     def residency_report(self) -> Dict[str, Any]:
         """Bytes resident per storage tier of the read path.
@@ -785,24 +645,21 @@ class ShardedEngine:
             return combined.get_batch(q, default, counter=self._counter)
         # Heterogeneous shard configs: group queries per shard and answer
         # each group through that shard's own view.
-        sid = route(self.cuts, q)
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for i in range(self.n_shards):
-            idx = np.flatnonzero(sid == i)
-            if idx.size == 0:
-                continue
-            res = self._view(i).get_batch(q[idx], default, counter=self._counter)
-            parts.append((idx, res))
-        if not parts:  # empty batch
-            return np.empty(0, dtype=object)
         # Shards may disagree on value dtype (that is why this fallback
-        # path exists); anything non-uniform scatters losslessly as object.
-        dtypes = {res.dtype for _, res in parts}
-        dtype = dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
-        out = np.empty(q.size, dtype=dtype)
-        for idx, res in parts:
-            out[idx] = res
-        return out
+        # path exists); anything non-uniform gathers losslessly as object.
+        return gather_points(
+            q.size,
+            [
+                (
+                    idx,
+                    self._view(i).get_batch(
+                        q[idx], default, counter=self._counter
+                    ),
+                    None,
+                )
+                for i, idx in split_points(self.cuts, q)
+            ],
+        )
 
     def range_items(
         self,
@@ -824,22 +681,28 @@ class ShardedEngine:
         include_hi: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One range query, answered as ``(keys, values)`` arrays."""
-        first = 0 if lo is None else int(route(self.cuts, [lo])[0])
-        last = self.n_shards - 1 if hi is None else int(route(self.cuts, [hi])[0])
-        ks: List[np.ndarray] = []
-        vs: List[np.ndarray] = []
-        for i in range(first, last + 1):
-            k, v = self._view(i).range_arrays(lo, hi, include_lo, include_hi)
-            ks.append(k)
-            vs.append(v)
-        if not ks:
-            return np.empty(0, dtype=np.float64), np.empty(0, dtype=object)
-        if len({v.dtype for v in vs}) > 1:
-            # Mixed per-shard value dtypes: concatenate losslessly as
-            # object instead of letting NumPy promote (int64+float64
-            # promotion corrupts large ints).
-            vs = [v.astype(object) for v in vs]
-        return np.concatenate(ks), np.concatenate(vs)
+        _, jobs = split_ranges(
+            self.cuts,
+            [[-np.inf if lo is None else lo, np.inf if hi is None else hi]],
+        )
+        parts = self._scan(jobs, [(lo, hi)], include_lo, include_hi)
+        return stitch_ranges(1, parts, object)[0]
+
+    def _scan(
+        self, jobs, spans, include_lo: bool, include_hi: bool
+    ) -> List[Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]]:
+        """Run a ``split_ranges`` plan: each shard's rows of ``spans``
+        answered from its flat view, copied out (the view hands back
+        slices of its own arrays) — the parts ``stitch_ranges`` takes."""
+        parts = []
+        for i, rows in jobs:
+            pairs = []
+            for row in rows.tolist():
+                lo, hi = spans[row]
+                k, v = self._view(i).range_arrays(lo, hi, include_lo, include_hi)
+                pairs.append((k.copy(), v.copy()))
+            parts.append((rows, pairs))
+        return parts
 
     def range_batch(
         self,
@@ -867,13 +730,9 @@ class ShardedEngine:
             For each bounds row, the matching ``(keys, values)`` arrays in
             key order (exactly the order ``range_items`` yields).
         """
-        bounds = np.asarray(bounds, dtype=np.float64)
-        if bounds.ndim != 2 or bounds.shape[1] != 2:
-            raise InvalidParameterError("bounds must be an (n, 2) array")
-        out = [
-            self.range_arrays(lo, hi, include_lo, include_hi)
-            for lo, hi in bounds
-        ]
+        bounds, jobs = split_ranges(self.cuts, bounds)
+        parts = self._scan(jobs, bounds, include_lo, include_hi)
+        out = stitch_ranges(bounds.shape[0], parts, object)
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["range_batch"]
             c_ops.inc()
@@ -885,20 +744,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-
-    def _resolve_batch_values(self, keys: np.ndarray, values) -> np.ndarray:
-        if values is None:
-            if not self._auto_rowid:
-                raise InvalidParameterError(
-                    "this engine stores explicit values; insert_batch "
-                    "requires aligned values"
-                )
-            out = np.arange(
-                self._next_rowid, self._next_rowid + keys.size, dtype=np.int64
-            )
-            self._next_rowid += keys.size
-            return out
-        return aligned_value_array(keys.size, values)
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values)."""
@@ -957,13 +802,13 @@ class ShardedEngine:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
-        values = self._resolve_batch_values(keys, values)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        values, self._next_rowid = resolve_values(
+            keys.size, values, self._auto_rowid, self._next_rowid
+        )
+        order, keys, slices = split_sorted(self.cuts, keys)
         values = values[order]
-        for sid, (a, b) in enumerate(shard_bounds(keys, self.cuts)):
-            if a < b:
-                self._shards[sid].insert_batch(keys[a:b], values[a:b])
+        for sid, a, b in slices:
+            self._shards[sid].insert_batch(keys[a:b], values[a:b])
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["insert_batch"]
             c_ops.inc()
@@ -1040,20 +885,20 @@ class ShardedEngine:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return np.empty(0, dtype=object)
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        for sid, (a, b) in enumerate(shard_bounds(skeys, self.cuts)):
-            if a < b:
-                res = self._shards[sid].delete_batch(
-                    skeys[a:b], missing=missing, default=default
+        order, skeys, slices = split_sorted(self.cuts, keys)
+        out = gather_points(
+            keys.size,
+            [
+                (
+                    order[a:b],
+                    self._shards[sid].delete_batch(
+                        skeys[a:b], missing=missing, default=default
+                    ),
+                    None,
                 )
-                parts.append((order[a:b], res))
-        dtypes = {res.dtype for _, res in parts}
-        dtype = dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
-        out = np.empty(keys.size, dtype=dtype)
-        for idx, res in parts:
-            out[idx] = res
+                for sid, a, b in slices
+            ],
+        )
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["delete_batch"]
             c_ops.inc()

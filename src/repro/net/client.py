@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.engine.scatter import check_bounds
 from repro.net import frame as wire
 from repro.net.errors import (
     ConnectionLostError,
@@ -372,7 +373,7 @@ class AsyncNetClient:
         list of (numpy.ndarray, numpy.ndarray)
             One ``(keys, values)`` pair per row.
         """
-        arr = np.ascontiguousarray(bounds, dtype=np.float64)
+        arr = check_bounds(bounds)
         return await self._roundtrip(
             wire.OP_RANGE_BATCH, {}, [arr.ravel()], idempotent=True
         )

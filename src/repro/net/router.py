@@ -3,21 +3,19 @@
 The same geometry that shards an engine shards a fleet: the router holds
 ``len(backends) - 1`` strictly increasing *cut keys* (typically from
 :func:`repro.engine.partition.partition_cuts` over the build dataset) and
-backend ``i`` owns keys in ``[cuts[i-1], cuts[i])`` — the exact
-``searchsorted`` routing rule of
-:func:`repro.engine.partition.route`, so a key lands on the same shard
-whether the shard is an in-process index or a TCP server.
+backend ``i`` owns keys in ``[cuts[i-1], cuts[i])``. Ownership, the
+gather dtype rule and the range stitch all come from the shared kernel
+(:mod:`repro.engine.scatter`), so a key lands on the same shard whether
+the shard is an in-process index or a TCP server; the router itself is
+only the transport — one concurrent client leg per owning backend.
 
 Verbs:
 
 * point ops (``get``/``insert``/``delete``) route to the owning backend;
-* batch ops split the batch per backend with one ``searchsorted`` and
-  scatter the sub-batches concurrently, gathering results back into the
-  caller's original order;
+* batch ops split the batch per backend, scatter the sub-batches
+  concurrently and gather results back into the caller's original order;
 * range ops scatter to every backend whose range overlaps and stitch the
-  per-backend pieces in key order (backends are range-ordered, so
-  concatenation in backend order is already sorted) — the scatter/gather
-  that makes ``range_batch`` fan out.
+  per-backend pieces in key order.
 
 Health: a background probe pings every backend each ``health_interval``;
 a failed probe (or an in-flight transport failure) *ejects* the backend —
@@ -35,6 +33,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.engine.partition import route
+from repro.engine.scatter import (
+    gather_points,
+    split_points,
+    split_ranges,
+    stitch_ranges,
+)
 from repro.net.client import AsyncNetClient
 from repro.net.errors import (
     BackendDownError,
@@ -180,16 +185,8 @@ class Router:
             self._counters["ejections"] += 1
 
     # ------------------------------------------------------------------
-    # Routing geometry
+    # Transport
     # ------------------------------------------------------------------
-
-    def _owner(self, key: float) -> int:
-        return int(np.searchsorted(self._cuts, float(key), side="right"))
-
-    def _overlapping(self, lo: float, hi: float) -> range:
-        first = int(np.searchsorted(self._cuts, float(lo), side="right"))
-        last = int(np.searchsorted(self._cuts, float(hi), side="right"))
-        return range(first, last + 1)
 
     async def _leg(self, idx: int, factory) -> Any:
         """Run one backend call with typed down-conversion."""
@@ -223,7 +220,7 @@ class Router:
     async def get(self, key: float, default: Any = None) -> Any:
         """Point lookup on the backend owning ``key``'s range."""
         self._counters["requests"] += 1
-        idx = self._owner(key)
+        idx = int(route(self._cuts, key))
         return await self._leg(
             idx, lambda: self._clients[idx].get(key, default)
         )
@@ -231,7 +228,7 @@ class Router:
     async def insert(self, key: float, value: Any = None) -> Any:
         """Insert on the backend owning ``key``'s range."""
         self._counters["requests"] += 1
-        idx = self._owner(key)
+        idx = int(route(self._cuts, key))
         return await self._leg(
             idx, lambda: self._clients[idx].insert(key, value)
         )
@@ -239,54 +236,24 @@ class Router:
     async def delete(self, key: float) -> Any:
         """Delete on the backend owning ``key``'s range."""
         self._counters["requests"] += 1
-        idx = self._owner(key)
+        idx = int(route(self._cuts, key))
         return await self._leg(idx, lambda: self._clients[idx].delete(key))
 
     async def range(self, lo: float, hi: float):
         """Range scan stitched across every overlapping backend."""
         self._counters["requests"] += 1
-        idxs = list(self._overlapping(lo, hi))
+        _, jobs = split_ranges(self._cuts, [[lo, hi]])
         pieces = await asyncio.gather(*[
             self._leg(i, lambda i=i: self._clients[i].range(lo, hi))
-            for i in idxs
+            for i, _ in jobs
         ])
-        if len(pieces) == 1:
-            return pieces[0]
-        return (
-            np.concatenate([k for k, _ in pieces]),
-            np.concatenate([v for _, v in pieces]),
-        )
+        return stitch_ranges(
+            1, [(rows, [p]) for (_, rows), p in zip(jobs, pieces)], object
+        )[0]
 
     # ------------------------------------------------------------------
     # Batch verbs (scatter/gather)
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _gather(n: int, fills) -> np.ndarray:
-        """Reassemble per-backend results into caller order.
-
-        ``fills`` is ``[(positions, values), ...]``; the output dtype is
-        the common sub-result dtype when they agree (the numeric fast
-        path) and ``object`` otherwise.
-        """
-        dtypes = {np.asarray(v).dtype for _, v in fills if len(v)}
-        if len(dtypes) == 1 and np.dtype(object) not in dtypes:
-            out = np.empty(n, dtype=dtypes.pop())
-        else:
-            out = np.empty(n, dtype=object)
-        for positions, values in fills:
-            out[positions] = np.asarray(values)
-        return out
-
-    def _split(self, keys) -> List[Tuple[int, np.ndarray]]:
-        """``(backend, positions)`` for each non-empty sub-batch."""
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        owners = np.searchsorted(self._cuts, keys, side="right")
-        return [
-            (idx, np.flatnonzero(owners == idx))
-            for idx in range(len(self._backends))
-            if np.any(owners == idx)
-        ]
 
     async def get_batch(self, queries, default: Any = None):
         """Scatter a lookup batch per owning backend; gather in order.
@@ -306,7 +273,7 @@ class Router:
         """
         self._counters["requests"] += 1
         queries = np.ascontiguousarray(queries, dtype=np.float64)
-        parts = self._split(queries)
+        parts = split_points(self._cuts, queries)
         results = await asyncio.gather(*[
             self._leg(
                 idx,
@@ -316,8 +283,9 @@ class Router:
             )
             for idx, pos in parts
         ])
-        return self._gather(
-            queries.size, [(pos, r) for (_, pos), r in zip(parts, results)]
+        return gather_points(
+            queries.size,
+            [(pos, r, None) for (_, pos), r in zip(parts, results)],
         )
 
     async def range_batch(self, bounds):
@@ -335,13 +303,7 @@ class Router:
             backends in key order.
         """
         self._counters["requests"] += 1
-        bounds = np.ascontiguousarray(bounds, dtype=np.float64).reshape(-1, 2)
-        # Rows each backend overlaps, preserving row identity.
-        per_backend: Dict[int, List[int]] = {}
-        for row, (lo, hi) in enumerate(bounds):
-            for idx in self._overlapping(lo, hi):
-                per_backend.setdefault(idx, []).append(row)
-        items = sorted(per_backend.items())
+        bounds, jobs = split_ranges(self._cuts, bounds)
         results = await asyncio.gather(*[
             self._leg(
                 idx,
@@ -349,25 +311,13 @@ class Router:
                     bounds[rows]
                 ),
             )
-            for idx, rows in items
+            for idx, rows in jobs
         ])
-        pieces: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
-            row: [] for row in range(bounds.shape[0])
-        }
-        for (idx, rows), pairs in zip(items, results):
-            for row, pair in zip(rows, pairs):
-                pieces[row].append(pair)  # backend order == key order
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for row in range(bounds.shape[0]):
-            parts = pieces[row]
-            if len(parts) == 1:
-                out.append(parts[0])
-            else:
-                out.append((
-                    np.concatenate([k for k, _ in parts]),
-                    np.concatenate([v for _, v in parts]),
-                ))
-        return out
+        return stitch_ranges(
+            bounds.shape[0],
+            [(rows, pairs) for (_, rows), pairs in zip(jobs, results)],
+            object,
+        )
 
     async def insert_batch(self, keys, values=None) -> None:
         """Scatter a bulk insert per owning backend.
@@ -384,7 +334,7 @@ class Router:
         vals = (
             None if values is None else np.ascontiguousarray(values)
         )
-        parts = self._split(keys)
+        parts = split_points(self._cuts, keys)
         await asyncio.gather(*[
             self._leg(
                 idx,
@@ -410,7 +360,7 @@ class Router:
         """
         self._counters["requests"] += 1
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        parts = self._split(keys)
+        parts = split_points(self._cuts, keys)
         results = await asyncio.gather(*[
             self._leg(
                 idx,
@@ -420,8 +370,8 @@ class Router:
             )
             for idx, pos in parts
         ])
-        return self._gather(
-            keys.size, [(pos, r) for (_, pos), r in zip(parts, results)]
+        return gather_points(
+            keys.size, [(pos, r, None) for (_, pos), r in zip(parts, results)]
         )
 
     # ------------------------------------------------------------------

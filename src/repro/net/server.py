@@ -41,6 +41,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.engine.scatter import check_bounds
 from repro.net import frame as wire
 from repro.net.errors import FrameCorruptError, FrameError
 from repro.obs.trace import span_record
@@ -329,7 +330,12 @@ class NetServer:
         if kind == wire.OP_GET_BATCH:
             return await srv.get_batch(arrays[0], meta.get("default"))
         if kind == wire.OP_RANGE_BATCH:
-            return await srv.range_batch(arrays[0].reshape(-1, 2))
+            # Rows travel flattened; an odd-length payload cannot be
+            # re-paired and fails the shared bounds check as it stands.
+            flat = arrays[0]
+            return await srv.range_batch(
+                check_bounds(flat if flat.size % 2 else flat.reshape(-1, 2))
+            )
         if kind == wire.OP_INSERT_BATCH:
             # Writable copies: wire views are read-only and the engine's
             # bulk-write paths are free to sort in place.

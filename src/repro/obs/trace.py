@@ -2,7 +2,7 @@
 
 One serve-layer request spends its life in five places: the batcher's
 pending queue (submit → fence wait), the flush cycle (with a reason:
-size, timer, idle or drain), per-shard dispatch, worker compute — which
+size, timer, idle or drain), the engine dispatch, worker compute — which
 for :class:`~repro.cluster.engine.ClusterEngine` happens in a *different
 process* on the far side of the shm lane protocol — and the gather that
 scatters results back. :class:`Tracer` records each stage as a
@@ -15,9 +15,7 @@ Mechanics:
   :class:`contextvars.ContextVar`, so nested ``with tracer.span(...)``
   blocks parent themselves without any plumbing — including across
   ``await`` points inside one asyncio task. It does *not* survive
-  ``loop.run_in_executor`` (executor threads get an empty context), which
-  is why the serve layer's threaded shard-dispatch path is traced at the
-  dispatch span and not below it.
+  ``loop.run_in_executor`` (executor threads get an empty context).
 * **Crossing processes.** A worker has no :class:`Tracer`. The parent
   serializes ``(trace_id, parent_span_id)`` into the control frame, the
   worker times its compute and returns plain span *dicts*

@@ -179,9 +179,9 @@ class WorkloadProfiler:
     the warm-loop microbenchmark figure per binned batch.
     ``total_keys`` stays exact — every call adds the true batch size.
 
-    Thread-safe: the serve layer dispatches per-shard sub-batches from
-    executor threads, so the mutating entry points take a lock (one
-    uncontended acquire per *batch*, noise next to the bincount).
+    Thread-safe: the mutating entry points take a lock (one uncontended
+    acquire per *batch*, noise next to the bincount), so engines driven
+    from more than one thread can share a profiler.
     """
 
     def __init__(

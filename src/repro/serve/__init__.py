@@ -11,9 +11,8 @@ requests* back into the batched workloads layer 2 is fast at:
   ``get_batch``/``range_batch``/``insert_batch``, and fans results back
   out per caller, with read-your-writes ordering across an insert fence;
 * :class:`~repro.serve.server.Server` — the application-facing facade:
-  admission control/backpressure, per-op latency percentiles, lifecycle
-  (drain on close), and an optional worker-thread executor so heavy merges
-  never block the event loop.
+  admission control/backpressure, per-op latency percentiles and
+  lifecycle (drain on close).
 
 Quickstart::
 
@@ -25,7 +24,7 @@ Quickstart::
 awaits vs batched serving) and writes ``BENCH_serve.json``.
 """
 
-from repro.api.protocol import BatchEngine, ShardDispatchEngine
+from repro.api.protocol import BatchEngine
 from repro.serve.batcher import RequestBatcher
 from repro.serve.errors import ServerClosedError, ServerOverloadedError
 from repro.serve.server import Server
@@ -38,5 +37,4 @@ __all__ = [
     "Server",
     "ServerClosedError",
     "ServerOverloadedError",
-    "ShardDispatchEngine",
 ]

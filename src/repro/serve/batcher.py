@@ -41,10 +41,9 @@ batches the fallback is attempted only when the engine's version stamp
 proves nothing was applied; otherwise the whole batch fails loudly rather
 than risk double-applying a prefix.
 
-Blocking: dispatch runs inline on the event loop by default (fast, and a
-flush never yields mid-cycle), or on a caller-supplied single-worker
-executor so a large page merge cannot stall the loop (the engine is not
-thread-safe, hence single-worker; the flush lock already serializes entry).
+Blocking: dispatch runs inline on the event loop, so a flush never yields
+mid-cycle and the engine (which is not thread-safe) only ever sees one
+caller.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,8 +75,8 @@ def _each(fn: Callable[..., Any], argss: List[Tuple]) -> List[Tuple[bool, Any]]:
     """Apply ``fn`` to each args tuple, isolating per-item exceptions.
 
     Returns one ``(ok, result_or_exception)`` pair per item. Used as the
-    scalar fallback when a vectorized dispatch fails: run in a single
-    executor hop, but keep failures contained to their own request.
+    scalar fallback when a vectorized dispatch fails: failures stay
+    contained to their own request.
     """
     out: List[Tuple[bool, Any]] = []
     for args in argss:
@@ -117,24 +115,6 @@ class RequestBatcher:
     eager_flush:
         Also flush when the event loop goes idle (see module doc). Disable
         to get strict size-or-delay semantics, e.g. to test the timer.
-    executor:
-        Optional ``concurrent.futures.Executor`` the dispatch calls run on
-        (``None`` = inline on the event loop). Must be single-worker: the
-        engine is not thread-safe.
-    shard_executor:
-        Optional *multi-worker* executor for per-shard read dispatch.
-        When set — and the engine advertises
-        ``shard_dispatch_safe = True`` with ``route_shards`` /
-        ``get_batch_shard`` (see
-        :class:`~repro.api.protocol.ShardDispatchEngine`) — a get
-        flush splits its batch by owning shard and answers the shards as
-        independent event-loop tasks gathered under the same fence:
-        sub-batches overlap in time (real parallelism over a
-        :class:`~repro.cluster.ClusterEngine`, whose workers compute in
-        separate processes), while the flush-cycle ordering — reads,
-        then inserts, then barriered reads — is untouched. Reads are
-        idempotent, so any failure on this path falls back to the
-        ordinary whole-batch dispatch.
     observer:
         Optional ``f(kind, latencies)`` called at each dispatch's fan-out
         with the list of end-to-end latencies (seconds) of the requests
@@ -159,8 +139,6 @@ class RequestBatcher:
         max_batch: int = 1024,
         max_delay: float = 0.002,
         eager_flush: bool = True,
-        executor: Any = None,
-        shard_executor: Any = None,
         observer: Optional[Callable[[str, List[float]], None]] = None,
         telemetry: Any = None,
     ) -> None:
@@ -176,14 +154,6 @@ class RequestBatcher:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
         self.eager_flush = bool(eager_flush)
-        self._executor = executor
-        self._shard_executor = shard_executor
-        self._shard_dispatch = bool(
-            shard_executor is not None
-            and getattr(engine, "shard_dispatch_safe", False)
-            and hasattr(engine, "route_shards")
-            and hasattr(engine, "get_batch_shard")
-        )
         self._observer = observer
         self._telemetry = telemetry
         #: Slow-op log (mode "full" only): fed per fan-out, finalized at
@@ -239,7 +209,6 @@ class RequestBatcher:
             "flush_reasons": {"size": 0, "timer": 0, "idle": 0, "drain": 0},
             "max_batch_observed": 0,
             "scalar_fallbacks": 0,
-            "shard_dispatches": 0,
             "barrier_held": 0,
             "barrier_version": None,
         }
@@ -292,7 +261,6 @@ class RequestBatcher:
             "flushes": s["flushes"],
             "max_batch_observed": s["max_batch_observed"],
             "scalar_fallbacks": s["scalar_fallbacks"],
-            "shard_dispatches": s["shard_dispatches"],
             "barrier_held": s["barrier_held"],
             "pending": self._n_pending,
         }
@@ -411,9 +379,8 @@ class RequestBatcher:
 
         Tasks are created in submission order and each runs its scalar
         dispatch to completion on first step (inline execution never
-        yields; a single-worker executor serializes FIFO), so ordering —
-        including read-your-writes — matches submission order without the
-        fence machinery.
+        yields), so ordering — including read-your-writes — matches
+        submission order without the fence machinery.
         """
         task = loop.create_task(dispatch([op]))
         self._solo_tasks.add(task)
@@ -579,23 +546,6 @@ class RequestBatcher:
         await self._dispatch_gets(held_gets)
         await self._dispatch_ranges(held_ranges)
 
-    async def _run(self, fn: Callable[..., Any], *args: Any) -> Any:
-        if self._executor is None:
-            return fn(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
-    async def offload(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run ``fn(*args)`` the way a dispatch would.
-
-        Inline on the event loop when no executor is configured, else on
-        the dispatch executor — e.g. ``Server.warm`` offloads
-        ``engine.warm`` this way so a large snapshot build cannot stall
-        the loop.
-        """
-        return await self._run(fn, *args)
-
     def _resolve(self, op: Tuple, kind: str, value: Any) -> None:
         fut = op[2]
         if not fut.done():
@@ -670,57 +620,6 @@ class RequestBatcher:
                 keys=[op[0] for op in chunk],
             )
 
-    async def _dispatch_gets_sharded(self, chunk: List[Tuple]) -> bool:
-        """Answer one get chunk as concurrent per-shard tasks.
-
-        Splits the chunk by owning shard (``engine.route_shards``) and
-        runs one ``engine.get_batch_shard`` per shard on the multi-worker
-        shard executor, gathered before the flush cycle moves on — the
-        sub-batches overlap in time but stay inside this cycle's fence.
-        Returns False (without resolving anything) when the chunk cannot
-        take this path — unroutable keys, or any dispatch failure; reads
-        are idempotent, so the caller just falls through to the ordinary
-        whole-batch dispatch.
-        """
-        engine = self.engine
-        try:
-            q = np.asarray([op[0] for op in chunk], dtype=np.float64)
-            sid = engine.route_shards(q)
-        except Exception:
-            return False
-        loop = asyncio.get_running_loop()
-        groups: List[np.ndarray] = []
-        futures = []
-        for s in np.unique(sid):
-            idx = np.flatnonzero(sid == s)
-            groups.append(idx)
-            futures.append(
-                loop.run_in_executor(
-                    self._shard_executor,
-                    engine.get_batch_shard,
-                    int(s),
-                    q[idx],
-                    _MISS,
-                )
-            )
-        try:
-            results = await asyncio.gather(*futures)
-        except Exception:
-            await asyncio.gather(*futures, return_exceptions=True)
-            return False
-        values: List[Any] = [None] * len(chunk)
-        for idx, res in zip(groups, results):
-            if res.dtype == object:
-                for pos, slot in enumerate(idx.tolist()):
-                    v = res[pos]
-                    values[slot] = chunk[slot][1] if v is _MISS else v
-            else:
-                for pos, slot in enumerate(idx.tolist()):
-                    values[slot] = res[pos]
-        self._stats["shard_dispatches"] += 1
-        self._fan_out(chunk, "get", values)
-        return True
-
     async def _dispatch_gets(self, ops: List[Tuple]) -> None:
         tel = self._telemetry
         tracer = tel.tracer if tel is not None else None
@@ -733,27 +632,23 @@ class RequestBatcher:
                     await self._dispatch_get_chunk(chunk)
 
     async def _dispatch_get_chunk(self, chunk: List[Tuple]) -> None:
-        """Answer one get chunk: scalar, sharded, batch, or fallback path."""
+        """Answer one get chunk: scalar, batch, or fallback path."""
         engine = self.engine
         if len(chunk) == 1:
             (key, default, _fut, _t0), = chunk
             try:
-                value = await self._run(engine.get, key, default)
+                value = engine.get(key, default)
             except Exception as exc:
                 self._reject(chunk[0], "get", exc)
             else:
                 self._resolve(chunk[0], "get", value)
             return
-        if self._shard_dispatch and await self._dispatch_gets_sharded(chunk):
-            return
         try:
             q = np.asarray([op[0] for op in chunk], dtype=np.float64)
-            results = await self._run(engine.get_batch, q, _MISS)
+            results = engine.get_batch(q, _MISS)
         except Exception:
             self._stats["scalar_fallbacks"] += 1
-            outcomes = await self._run(
-                _each, engine.get, [(op[0], op[1]) for op in chunk]
-            )
+            outcomes = _each(engine.get, [(op[0], op[1]) for op in chunk])
             for op, (ok, res) in zip(chunk, outcomes):
                 (self._resolve if ok else self._reject)(op, "get", res)
             return
@@ -773,16 +668,16 @@ class RequestBatcher:
             try:
                 if len(chunk) == 1:
                     (lo, hi, _fut, _t0), = chunk
-                    results = [await self._run(engine.range_arrays, lo, hi)]
+                    results = [engine.range_arrays(lo, hi)]
                 else:
                     bounds = np.asarray(
                         [[op[0], op[1]] for op in chunk], dtype=np.float64
                     )
-                    results = await self._run(engine.range_batch, bounds)
+                    results = engine.range_batch(bounds)
             except Exception:
                 self._stats["scalar_fallbacks"] += 1
-                outcomes = await self._run(
-                    _each, engine.range_arrays, [(op[0], op[1]) for op in chunk]
+                outcomes = _each(
+                    engine.range_arrays, [(op[0], op[1]) for op in chunk]
                 )
                 for op, (ok, res) in zip(chunk, outcomes):
                     (self._resolve if ok else self._reject)(op, "range", res)
@@ -800,22 +695,17 @@ class RequestBatcher:
             exc: Optional[BaseException] = None
             try:
                 if len(chunk) == 1:
-                    await self._run(engine.insert, keys[0], values[0])
+                    engine.insert(keys[0], values[0])
                 elif 0 < n_none < len(values):
                     # Mixed auto-rowid and explicit payloads cannot go
                     # through one insert_batch call without changing what
                     # the engine would store; apply per item instead.
                     raise _MixedBatch()
                 elif n_none == len(values):
-                    await self._run(
-                        engine.insert_batch,
-                        np.asarray(keys, dtype=np.float64),
-                    )
+                    engine.insert_batch(np.asarray(keys, dtype=np.float64))
                 else:
-                    await self._run(
-                        engine.insert_batch,
-                        np.asarray(keys, dtype=np.float64),
-                        values,
+                    engine.insert_batch(
+                        np.asarray(keys, dtype=np.float64), values
                     )
             except Exception as caught:
                 exc = caught
@@ -826,9 +716,7 @@ class RequestBatcher:
                 # safe to retry per item so one bad request cannot poison
                 # its batch-mates.
                 self._stats["scalar_fallbacks"] += 1
-                outcomes = await self._run(
-                    _each, engine.insert, list(zip(keys, values))
-                )
+                outcomes = _each(engine.insert, list(zip(keys, values)))
                 for op, (ok, res) in zip(chunk, outcomes):
                     if ok:
                         self._resolve(op, "insert", None)
@@ -860,7 +748,7 @@ class RequestBatcher:
                 # Already per-request isolated: dispatch the scalar verb
                 # and reject this one future on any failure.
                 try:
-                    value = await self._run(engine.delete, keys[0])
+                    value = engine.delete(keys[0])
                 except Exception as exc:
                     self._reject(chunk[0], "delete", exc)
                 else:
@@ -873,13 +761,10 @@ class RequestBatcher:
             exc: Optional[BaseException] = None
             results = None
             try:
-                results = await self._run(
-                    partial(
-                        engine.delete_batch,
-                        np.asarray(keys, dtype=np.float64),
-                        missing="ignore",
-                        default=_MISS,
-                    )
+                results = engine.delete_batch(
+                    np.asarray(keys, dtype=np.float64),
+                    missing="ignore",
+                    default=_MISS,
                 )
             except Exception as caught:
                 exc = caught
@@ -892,9 +777,7 @@ class RequestBatcher:
             elif pre is None or getattr(engine, "version", None) == pre:
                 # Nothing applied: safe to retry per key in isolation.
                 self._stats["scalar_fallbacks"] += 1
-                outcomes = await self._run(
-                    _each, engine.delete, [(k,) for k in keys]
-                )
+                outcomes = _each(engine.delete, [(k,) for k in keys])
                 for op, (ok, res) in zip(chunk, outcomes):
                     (self._resolve if ok else self._reject)(op, "delete", res)
             else:

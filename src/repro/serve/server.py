@@ -16,17 +16,16 @@ On top of the batcher the server adds:
   operation kind, see :meth:`Server.stats`;
 * **lifecycle** — ``async with Server(engine) as s:`` or an explicit
   :meth:`close`, which drains pending requests (in-flight work completes,
-  new submissions raise :class:`~repro.serve.errors.ServerClosedError`);
-* **executor escape hatch** — ``executor="thread"`` moves every engine
-  dispatch onto a dedicated single worker thread so a large page merge or
-  combined-view rebuild cannot stall the event loop.
+  new submissions raise :class:`~repro.serve.errors.ServerClosedError`).
+
+Every engine call runs inline on the event loop: there is one dispatch
+path, and the engine only ever sees one caller.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -65,19 +64,6 @@ class Server:
         What a full queue does to a new request: ``"wait"`` (default)
         suspends the caller until capacity frees, ``"reject"`` raises
         :class:`ServerOverloadedError` immediately.
-    executor:
-        ``None`` (dispatch inline on the event loop), ``"thread"`` (the
-        server owns a single worker thread and shuts it down on close), or
-        a caller-supplied single-worker ``concurrent.futures.Executor``.
-    shard_concurrency:
-        When > 0 and the engine supports safe per-shard dispatch
-        (``shard_dispatch_safe``, e.g. a
-        :class:`~repro.cluster.ClusterEngine` whose shards live in
-        separate processes), the server owns a thread pool of this many
-        workers and the batcher answers each get flush's shards as
-        concurrent tasks under the same fence — shard sub-batches overlap
-        in time. ``0`` (default) keeps whole-batch dispatch. Engines
-        without shard dispatch ignore the setting.
     latency_window:
         Samples retained per operation kind for the percentile stats;
         ``0`` disables server-side latency sampling entirely (the
@@ -121,8 +107,6 @@ class Server:
         eager_flush: bool = True,
         max_pending: Optional[int] = None,
         overload: str = "wait",
-        executor: Any = None,
-        shard_concurrency: int = 0,
         latency_window: int = 100_000,
         telemetry: Any = None,
         admin_port: Optional[int] = None,
@@ -139,28 +123,6 @@ class Server:
                 f"max_pending must be >= 1 or None, got {max_pending}"
             )
         self.engine = engine
-        self._owns_executor = False
-        if executor == "thread":
-            executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve"
-            )
-            self._owns_executor = True
-        elif executor is not None and not isinstance(executor, Executor):
-            raise InvalidParameterError(
-                "executor must be None, 'thread', or a concurrent.futures "
-                f"Executor, got {executor!r}"
-            )
-        self._executor = executor
-        if shard_concurrency < 0:
-            raise InvalidParameterError(
-                f"shard_concurrency must be >= 0, got {shard_concurrency}"
-            )
-        self._shard_executor: Optional[Executor] = None
-        if shard_concurrency > 0:
-            self._shard_executor = ThreadPoolExecutor(
-                max_workers=shard_concurrency,
-                thread_name_prefix="repro-serve-shard",
-            )
         if telemetry is None:
             # Adopt the engine's bundle so open_server() shares one
             # registry across the serve and engine layers.
@@ -189,8 +151,6 @@ class Server:
             max_batch=max_batch,
             max_delay=max_delay,
             eager_flush=eager_flush,
-            executor=executor,
-            shard_executor=self._shard_executor,
             observer=(
                 self._observe
                 if latency_window > 0
@@ -243,8 +203,7 @@ class Server:
 
         Idempotent. Requests already admitted complete normally (their
         futures resolve during the drain); submissions after this call
-        raise :class:`ServerClosedError`. An owned ``"thread"`` executor
-        is shut down once the drain finishes.
+        raise :class:`ServerClosedError`.
         """
         if self._closed:
             return
@@ -255,10 +214,6 @@ class Server:
             await self.admin.close()
             self.admin = None
         await self._batcher.drain()
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
-        if self._shard_executor is not None:
-            self._shard_executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "Server":
         await self.start_admin()
@@ -403,11 +358,10 @@ class Server:
     # These exist for callers that already hold a whole batch — the TCP
     # tier's batch frames, the router's scatter legs — where coalescing
     # through the scalar submit path would only deconstruct and rebuild
-    # it. They dispatch through the batcher's executor (so an
-    # ``executor="thread"`` server keeps its loop responsive) but do NOT
-    # pass the read-your-writes fence: a batch verb is ordered against
-    # scalar traffic only by its own await — submit it after the writes
-    # it must observe have resolved.
+    # it. They call the engine inline and do NOT pass the
+    # read-your-writes fence: a batch verb is ordered against scalar
+    # traffic only by its own await — submit it after the writes it must
+    # observe have resolved.
 
     async def get_batch(self, queries, default: Any = None):
         """Vectorized point lookups for a pre-assembled query batch.
@@ -427,9 +381,7 @@ class Server:
         """
         if self._closed:
             raise ServerClosedError("server is closed")
-        return await self._batcher.offload(
-            self.engine.get_batch, queries, default
-        )
+        return self.engine.get_batch(queries, default)
 
     async def range_batch(self, bounds):
         """Batched range scans over ``[lo, hi]`` bound rows.
@@ -446,7 +398,7 @@ class Server:
         """
         if self._closed:
             raise ServerClosedError("server is closed")
-        return await self._batcher.offload(self.engine.range_batch, bounds)
+        return self.engine.range_batch(bounds)
 
     async def insert_batch(self, keys, values=None) -> None:
         """Bulk insert of a pre-assembled key (and optional value) batch.
@@ -461,9 +413,7 @@ class Server:
         """
         if self._closed:
             raise ServerClosedError("server is closed")
-        return await self._batcher.offload(
-            self.engine.insert_batch, keys, values
-        )
+        return self.engine.insert_batch(keys, values)
 
     async def delete_batch(self, keys):
         """Bulk delete of a pre-assembled key batch (``missing="raise"``).
@@ -480,18 +430,16 @@ class Server:
         """
         if self._closed:
             raise ServerClosedError("server is closed")
-        return await self._batcher.offload(self.engine.delete_batch, keys)
+        return self.engine.delete_batch(keys)
 
     async def warm(self) -> None:
         """Pre-build the engine's read-path snapshots before taking traffic.
 
-        Delegates to ``engine.warm()`` (a no-op for engines without one)
-        through the dispatch executor, so with ``executor="thread"`` the
-        event loop stays responsive while the flat views are assembled.
+        Delegates to ``engine.warm()`` (a no-op for engines without one).
         """
         fn = getattr(self.engine, "warm", None)
         if fn is not None:
-            await self._batcher.offload(fn)
+            fn()
 
     # ------------------------------------------------------------------
     # Stats

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import EngineConfig, EngineProtocol, open_engine, open_server
-from repro.core.errors import KeyNotFoundError
+from repro.core.errors import InvalidParameterError, KeyNotFoundError
 
 N = 3_000
 RNG = np.random.default_rng(42)
@@ -33,6 +33,26 @@ BOUNDS = np.asarray(
         [5e5, 5e5 + 2e4],
     ]
 )
+# Inputs straddling the two-shard backends' only cut (the build median):
+# the keys either side of it, the cut key itself, an absent key a hair
+# below it, and ranges that cross it or sit exactly on it.
+CUT = N // 2
+STRADDLE_KEYS = np.asarray(
+    [
+        BUILD_KEYS[CUT + 1],
+        np.nextafter(BUILD_KEYS[CUT], 0.0),
+        BUILD_KEYS[CUT],
+        BUILD_KEYS[CUT - 1],
+    ]
+)
+STRADDLE_BOUNDS = np.asarray(
+    [
+        [BUILD_KEYS[CUT - 6], BUILD_KEYS[CUT + 6]],
+        [BUILD_KEYS[CUT], BUILD_KEYS[CUT]],
+        [BUILD_KEYS[CUT + 3], BUILD_KEYS[CUT - 3]],
+    ]
+)
+MALFORMED_BOUNDS = [np.zeros((2, 3)), np.zeros(4), []]
 
 BASE = EngineConfig(n_shards=2, error=64.0, buffer_capacity=16, max_batch=256)
 
@@ -63,6 +83,9 @@ class EngineAdapter:
         return [
             (norm(k), norm(v)) for k, v in self.engine.range_batch(bounds)
         ]
+
+    async def range_batch(self, bounds):
+        return self.engine.range_batch(bounds)
 
     async def get(self, key, default=None):
         return self.engine.get(key, default)
@@ -115,6 +138,9 @@ class ServerAdapter(EngineAdapter):
         )
         return [(norm(k), norm(v)) for k, v in results]
 
+    async def range_batch(self, bounds):
+        return await self.server.range_batch(bounds)
+
     async def get(self, key, default=None):
         return await self.server.get(key, default)
 
@@ -153,6 +179,15 @@ async def scenario(api) -> list:
         )
     )
     trace.append(("ranges_post_delete", await api.ranges(BOUNDS)))
+    trace.append(("straddle_probes", await api.get_many(STRADDLE_KEYS, -1.0)))
+    trace.append(("straddle_ranges", await api.ranges(STRADDLE_BOUNDS)))
+    trace.append(
+        ("straddle_deleted", await api.delete_many(STRADDLE_KEYS[[0, 2, 3]]))
+    )
+    trace.append(("straddle_gone", await api.get_many(STRADDLE_KEYS, -1.0)))
+    for bad in MALFORMED_BOUNDS:
+        with pytest.raises(InvalidParameterError, match="bounds"):
+            await api.range_batch(bad)
     # Scalar verbs + absent-key behavior.
     with pytest.raises(KeyNotFoundError):
         await api.delete(ABSENT)

@@ -238,21 +238,6 @@ class TestRangeEquivalence:
             )
 
 
-class TestShardDispatchVerbs:
-    def test_get_batch_shard_matches_get_batch(self):
-        keys = np.sort(np.random.default_rng(10).uniform(0, 1e6, 8_000))
-        with cluster(keys, n_shards=4, error=64) as eng:
-            q = keys[np.random.default_rng(11).integers(0, len(keys), 512)]
-            whole = eng.get_batch(q, default=-1)
-            sid = eng.route_shards(q)
-            out = np.empty(len(q), dtype=object)
-            for s in np.unique(sid):
-                idx = np.flatnonzero(sid == s)
-                out[idx] = eng.get_batch_shard(int(s), q[idx], default=-1)
-            for got, want in zip(out, whole):
-                assert got == want
-
-
 class TestFailureAndLifecycle:
     def test_crashed_worker_raises_typed_error(self):
         keys = np.arange(2_000, dtype=np.float64)

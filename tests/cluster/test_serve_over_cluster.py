@@ -57,21 +57,6 @@ class TestServerOverCluster:
         with cluster(keys, n_shards=3, error=64, buffer_capacity=16) as engine:
             run(scenario(engine))
 
-    def test_shard_concurrency_dispatch(self, keys):
-        async def main(engine):
-            async with Server(engine, shard_concurrency=4) as server:
-                await server.warm()
-                values = await asyncio.gather(
-                    *[server.get(k) for k in keys[:400]]
-                )
-                assert values == list(range(400))
-                stats = server.stats()["batcher"]
-                assert stats["shard_dispatches"] >= 1
-                assert stats["scalar_fallbacks"] == 0
-
-        with cluster(keys, n_shards=4, error=64) as engine:
-            run(main(engine))
-
     def test_failure_isolation_per_request(self, keys):
         """A poisoned batch-mate (uncoercible key) fails alone; the rest
         of the batch still answers from the worker processes."""

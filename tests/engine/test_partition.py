@@ -1,4 +1,5 @@
-"""Range partitioning: cut selection, shard slices, and the router."""
+"""Range partitioning: cut selection, shard slices, the router, and the
+scatter/gather kernel every sharded tier splits and reassembles with."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,24 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.engine.partition import partition_cuts, route, shard_bounds
+from repro.engine.scatter import (
+    gather_points,
+    split_points,
+    split_ranges,
+    split_sorted,
+    stitch_ranges,
+)
 
 key_st = st.integers(min_value=0, max_value=200).map(float)
 build_st = st.lists(key_st, max_size=120).map(sorted)
+# Cuts on the key grid, batches reaching past both ends of it: duplicates,
+# keys equal to a cut, below the first and above the last cut all occur.
+cuts_st = st.lists(key_st, unique=True, max_size=6).map(
+    lambda c: np.asarray(sorted(c), dtype=np.float64)
+)
+batch_st = st.lists(
+    st.integers(min_value=-20, max_value=220).map(float), max_size=60
+).map(lambda k: np.asarray(k, dtype=np.float64))
 
 
 class TestPartitionCuts:
@@ -98,3 +114,97 @@ class TestShardBounds:
         for pos, sid in enumerate(sids):
             a, b = bounds[sid]
             assert a <= pos < b
+
+
+class TestScatterKernel:
+    @given(cuts=cuts_st, keys=batch_st)
+    @settings(max_examples=200, deadline=None)
+    def test_points_roundtrip_is_identity(self, cuts, keys):
+        """Split, "look up" each key as itself, gather: the batch again."""
+        groups = split_points(cuts, keys)
+        for sid, pos in groups:
+            assert pos.size and np.all(route(cuts, keys[pos]) == sid)
+        assert [sid for sid, _ in groups] == sorted({*route(cuts, keys).tolist()})
+        out = gather_points(
+            keys.size, [(pos, keys[pos], None) for _, pos in groups]
+        )
+        assert out.tolist() == keys.tolist()
+        assert out.dtype == (np.float64 if keys.size else object)
+
+    @given(cuts=cuts_st, keys=batch_st)
+    @settings(max_examples=200, deadline=None)
+    def test_points_found_masks_fill_default(self, cuts, keys):
+        """Slots a found-mask marks as missed get ``default``, as object."""
+        parts = [
+            (pos, keys[pos], keys[pos] >= 100.0)
+            for _, pos in split_points(cuts, keys)
+        ]
+        out = gather_points(keys.size, parts, "MISS")
+        assert out.dtype == object
+        assert out.tolist() == [k if k >= 100.0 else "MISS" for k in keys]
+
+    @given(cuts=cuts_st, keys=batch_st)
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_slices_concatenate_to_stable_sort(self, cuts, keys):
+        order, skeys, slices = split_sorted(cuts, keys)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        assert skeys.tolist() == keys[order].tolist()
+        assert [b for _, _, b in slices[:-1]] == [a for _, a, _ in slices[1:]]
+        joined = [k for _, a, b in slices for k in skeys[a:b].tolist()]
+        assert joined == skeys.tolist()
+        for sid, a, b in slices:
+            assert a < b and np.all(route(cuts, skeys[a:b]) == sid)
+
+    @given(
+        cuts=cuts_st,
+        bounds=st.lists(
+            st.tuples(
+                st.integers(min_value=-20, max_value=220).map(float),
+                st.integers(min_value=-20, max_value=220).map(float),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ranges_match_per_row_loop(self, cuts, bounds):
+        """The vectorised overlap equals the per-row, per-shard loop."""
+        arr = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
+        want = {}
+        for row, (lo, hi) in enumerate(arr):
+            first = int(np.sum(cuts <= lo))
+            last = int(np.sum(cuts <= hi))
+            for sid in range(first, last + 1):
+                want.setdefault(sid, []).append(row)
+        checked, jobs = split_ranges(cuts, arr)
+        assert checked.shape == arr.shape
+        assert [(sid, rows.tolist()) for sid, rows in jobs] == sorted(
+            want.items()
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [np.zeros((2, 3)), np.zeros(4), np.zeros((1, 2, 2)), []]
+    )
+    def test_malformed_bounds_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match=r"\(n, 2\)"):
+            split_ranges(np.asarray([10.0]), bad)
+
+    @pytest.mark.parametrize("sibling", [np.float64, object])
+    def test_stitch_keeps_large_int64_exact(self, sibling):
+        big = (1 << 62) + 1  # not representable as float64
+        rows = np.asarray([0])
+        left = (np.asarray([1.0]), np.asarray([big], dtype=np.int64))
+        right = (np.asarray([2.0]), np.asarray([0.5], dtype=sibling))
+        ((keys, values),) = stitch_ranges(
+            1, [(rows, [left]), (rows, [right])], np.int64
+        )
+        assert keys.tolist() == [1.0, 2.0]
+        assert values.dtype == object and values.tolist() == [big, 0.5]
+
+    def test_stitch_single_and_empty_rows(self):
+        pair = (np.asarray([1.0]), np.asarray([7], dtype=np.int64))
+        lone, empty = stitch_ranges(
+            2, [(np.asarray([0]), [pair])], np.int32
+        )
+        assert lone is pair  # a single contribution comes back as-is
+        assert empty[0].dtype == np.float64 and empty[1].dtype == np.int32
+        assert empty[0].size == empty[1].size == 0

@@ -7,7 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.errors import KeyNotFoundError
+from repro.core.errors import InvalidParameterError, KeyNotFoundError
 from repro.net import AsyncNetClient, NetClient, serve_tcp
 
 KEYS = np.sort(np.random.default_rng(11).uniform(0, 1e9, 20_000))
@@ -132,6 +132,8 @@ def test_sync_client_from_plain_code():
                 sc.insert(0.25, 5)
                 assert sc.delete(0.25) == 5
                 assert list(sc.get_batch(KEYS[:4])) == list(VALUES[:4])
+                with pytest.raises(InvalidParameterError, match="bounds"):
+                    sc.range_batch(np.zeros((2, 3)))
 
         await asyncio.get_running_loop().run_in_executor(None, probe)
         await net.close()

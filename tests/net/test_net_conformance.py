@@ -11,9 +11,12 @@ must be invisible to correctness.
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.api import open_engine
+from repro.core.errors import InvalidParameterError
 from repro.net import AsyncNetClient, TcpCluster, serve_tcp
+from repro.net import frame as wire
 from repro.serve.server import Server
 
 RNG = np.random.default_rng(42)
@@ -26,6 +29,26 @@ INS_KEYS = np.sort(RNG.uniform(0.0, 1e6, 200))
 INS_VALUES = RNG.integers(0, 1 << 40, 200).astype(np.int64)
 DEL_KEYS = RNG.permutation(BUILD_KEYS)[:150]
 BOUNDS = np.sort(RNG.uniform(0.0, 1e6, (4, 2)), axis=1)
+# Inputs straddling the one cut every tier here shares (the build median,
+# which DEL_KEYS happens to remove): the cut key itself and its two float
+# neighbours, and ranges that cross the cut, sit on it, or cross inverted.
+CUT = N // 2
+STRADDLE_KEYS = np.asarray(
+    [
+        np.nextafter(BUILD_KEYS[CUT], np.inf),
+        np.nextafter(BUILD_KEYS[CUT], 0.0),
+        BUILD_KEYS[CUT],
+    ]
+)
+STRADDLE_VALUES = np.asarray([7, 8, 9], dtype=np.int64)
+STRADDLE_BOUNDS = np.asarray(
+    [
+        [BUILD_KEYS[CUT - 6], BUILD_KEYS[CUT + 6]],
+        [BUILD_KEYS[CUT], BUILD_KEYS[CUT]],
+        [BUILD_KEYS[CUT + 3], BUILD_KEYS[CUT - 3]],
+    ]
+)
+MALFORMED_BOUNDS = [np.zeros((2, 3)), np.zeros(4), []]
 
 
 async def _scenario(api):
@@ -43,6 +66,22 @@ async def _scenario(api):
     k, v = await api.range(float(BOUNDS[0, 0]), float(BOUNDS[0, 1]))
     out.append(np.asarray(k))
     out.append(np.asarray(v))
+    await api.insert_batch(STRADDLE_KEYS, STRADDLE_VALUES)
+    out.append(np.asarray(await api.get_batch(STRADDLE_KEYS, -1)))
+    for k, v in await api.range_batch(STRADDLE_BOUNDS[:2]):
+        out.append(np.asarray(k))
+        out.append(np.asarray(v))
+    # An inverted range across the cut overlaps no shard: empty on every
+    # tier (the values dtype of "nothing" is each tier's own).
+    ((k, v),) = await api.range_batch(STRADDLE_BOUNDS[2:])
+    assert k.size == v.size == 0
+    k, v = await api.range(*STRADDLE_BOUNDS[2].tolist())
+    assert k.size == v.size == 0
+    out.append(np.asarray(await api.delete_batch(STRADDLE_KEYS)))
+    out.append(np.asarray(await api.get_batch(STRADDLE_KEYS, -1)))
+    for bad in MALFORMED_BOUNDS:
+        with pytest.raises(InvalidParameterError, match="bounds"):
+            await api.range_batch(bad)
     return out
 
 
@@ -70,6 +109,12 @@ def _tcp_single():
         c = AsyncNetClient(*net.address)
         await c.connect()
         try:
+            # The server does its own check: an odd-length payload that
+            # bypassed the client's comes back as the typed error.
+            with pytest.raises(InvalidParameterError, match="bounds"):
+                await c._roundtrip(
+                    wire.OP_RANGE_BATCH, {}, [np.zeros(3)], idempotent=True
+                )
             return await _scenario(c)
         finally:
             await c.close()

@@ -192,14 +192,3 @@ class TestSoloMode:
             return [f.result() for f in futs]
 
         assert run(main()) == expected
-
-
-class TestOffload:
-    def test_offload_runs_inline_without_executor(self):
-        engine, _ = build_engine()
-
-        async def main():
-            batcher = RequestBatcher(engine)
-            return await batcher.offload(lambda: 41 + 1)
-
-        assert run(main()) == 42

@@ -189,7 +189,7 @@ class TestShutdown:
         engine, _keys = build_engine()
 
         async def main():
-            server = Server(engine, executor="thread")
+            server = Server(engine)
             await server.close()
             await server.close()
             assert server.closed

@@ -244,7 +244,7 @@ class TestStatsAndKnobs:
         engine, _keys = build_engine(buffer_capacity=0)
 
         async def main():
-            async with Server(engine, executor="thread") as server:
+            async with Server(engine) as server:
                 await server.warm()
                 return engine.stats()["view_builds"]
 
@@ -256,21 +256,3 @@ class TestStatsAndKnobs:
             Server(engine, overload="bogus")
         with pytest.raises(InvalidParameterError):
             Server(engine, max_pending=0)
-        with pytest.raises(InvalidParameterError):
-            Server(engine, executor="process")
-
-    def test_executor_mode_equivalent(self):
-        engine, keys = build_engine()
-        queries = uniform_lookups(keys, 512, seed=7)
-        expected = [engine.get(k) for k in queries]
-
-        async def main():
-            async with Server(engine, executor="thread") as server:
-                got = await asyncio.gather(*(server.get(k) for k in queries))
-                await server.insert(77.75, 11)
-                val = await server.get(77.75)
-                return list(got), val
-
-        got, val = run(main())
-        assert got == expected
-        assert val == 11

@@ -49,7 +49,6 @@ TARGETS = (
 #: are defined in the target files.
 REQUIRED_SECTIONS = {
     "get_batch": ("Parameters", "Returns"),
-    "get_batch_shard": ("Parameters", "Returns"),
     "range_batch": ("Parameters", "Returns"),
     "insert_batch": ("Parameters",),
     "delete_batch": ("Parameters", "Returns"),
@@ -59,6 +58,10 @@ REQUIRED_SECTIONS = {
     "residency_report": ("Returns",),
     "to_state": ("Returns",),
     "from_state": ("Parameters", "Returns"),
+    "split_sorted": ("Returns",),
+    "split_ranges": ("Returns",),
+    "gather_points": ("Parameters", "Returns"),
+    "stitch_ranges": ("Parameters", "Returns"),
 }
 
 #: Terminal punctuation accepted at the end of a summary paragraph.

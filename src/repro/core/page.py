@@ -112,6 +112,11 @@ def aligned_value_array(n_keys: int, values) -> np.ndarray:
     return values
 
 
+#: The key half of every empty buffer export (shared, hence read-only).
+_NO_KEYS = np.empty(0, dtype=np.float64)
+_NO_KEYS.setflags(write=False)
+
+
 class SegmentPage:
     """One variable-sized table page: sorted data + sorted insert buffer."""
 
@@ -123,6 +128,7 @@ class SegmentPage:
         "buf_keys",
         "buf_values",
         "deletions",
+        "touched",
     )
 
     def __init__(
@@ -142,6 +148,10 @@ class SegmentPage:
         #: one can shift later elements one slot from their predicted
         #: position, so the search window is widened accordingly.
         self.deletions = 0
+        #: Set by every mutator below; read and cleared only by
+        #: :func:`repro.engine.batch.flat_view`, which re-exports just the
+        #: touched pages when it refreshes the index's cached snapshot.
+        self.touched = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -371,6 +381,7 @@ class SegmentPage:
             counter.data_move(len(self.buf_keys) - i)
         self.buf_keys.insert(i, key)
         self.buf_values.insert(i, value)
+        self.touched = True
 
     def bulk_insert(self, keys, values, counter: Any = None) -> None:
         """Sort-merge a whole sorted batch into the buffer in one pass.
@@ -388,6 +399,7 @@ class SegmentPage:
         n_new = keys.size
         if n_new == 0:
             return
+        self.touched = True
         # Per-element index within its run of equal keys, and the
         # permutation reversing each run (the bisect_left tie order).
         idx = np.arange(n_new, dtype=np.int64)
@@ -454,6 +466,7 @@ class SegmentPage:
         self.keys = np.delete(self.keys, i)
         self.values = np.delete(self.values, i)
         self.deletions += 1
+        self.touched = True
         return value
 
     def delete_at_buffer(self, i: int, counter: Any = None) -> Any:
@@ -463,6 +476,7 @@ class SegmentPage:
             counter.data_move(len(self.buf_keys) - i - 1)
         del self.buf_keys[i]
         del self.buf_values[i]
+        self.touched = True
         return value
 
     def bulk_delete(
@@ -557,6 +571,7 @@ class SegmentPage:
                 n_applied = int(over[0]) + 1
         if n_applied == 0:
             return 0, [], 0
+        self.touched = True
 
         is_buf = is_buf[:n_applied]
         is_data = is_data[:n_applied]
@@ -623,6 +638,9 @@ class SegmentPage:
         back to an object array — never silently coerced.
         """
         dtype = self.values.dtype if values_dtype is None else values_dtype
+        if not self.buf_keys:
+            # Most pages, most of the time: skip the list conversions.
+            return _NO_KEYS, np.empty(0, dtype=dtype)
         keys = np.asarray(self.buf_keys, dtype=np.float64)
         if dtype == np.dtype(object):
             return keys, _object_array(self.buf_values)

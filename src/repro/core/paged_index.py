@@ -319,11 +319,14 @@ class PagedIndexBase:
         is globally sorted and ``offsets[i]:offsets[i+1]`` is page ``i``'s
         slice of it. Buffers are concatenated the same way under
         ``buf_offsets`` (each page's buffer slice is sorted; the whole
-        buffer array need not be). Consumers must treat the result as an
-        immutable snapshot of :attr:`version` — see
-        :mod:`repro.engine.batch` for the vectorized read path built on it.
+        buffer array need not be). ``pages`` is the directory's page list
+        the arrays were cut from, position for position. Consumers must
+        treat the result as an immutable snapshot of :attr:`version` — see
+        :mod:`repro.engine.batch` for the vectorized read path built on it
+        (and for how a later snapshot is derived from this one by
+        re-exporting only the pages written to since).
         """
-        starts: List[float] = []
+        starts, pages = self._get_directory()
         slopes: List[float] = []
         deletions: List[float] = []
         key_parts: List[np.ndarray] = []
@@ -332,8 +335,7 @@ class PagedIndexBase:
         buf_value_parts: List[np.ndarray] = []
         lengths: List[int] = []
         buf_lengths: List[int] = []
-        for page in self.pages():
-            starts.append(page.start_key)
+        for page in pages:
             slopes.append(page.slope)
             deletions.append(float(page.deletions))
             key_parts.append(page.keys)
@@ -343,7 +345,7 @@ class PagedIndexBase:
             buf_key_parts.append(bk)
             buf_value_parts.append(bv)
             buf_lengths.append(len(bk))
-        n_pages = len(starts)
+        n_pages = len(pages)
         offsets = np.zeros(n_pages + 1, dtype=np.int64)
         buf_offsets = np.zeros(n_pages + 1, dtype=np.int64)
         if n_pages:
@@ -354,8 +356,9 @@ class PagedIndexBase:
         return {
             "version": self._version,
             "search_error": float(self.page_search_error),
+            "pages": pages,
             "heights": np.full(n_pages, self._tree.height, dtype=np.int64),
-            "starts": np.asarray(starts, dtype=np.float64),
+            "starts": starts,
             "slopes": np.asarray(slopes, dtype=np.float64),
             "deletions": np.asarray(deletions, dtype=np.float64),
             "offsets": offsets,

@@ -23,16 +23,28 @@ finite query — the pinned equivalence tests cover duplicates, misses,
 buffered inserts and deletion-widened windows. Non-finite queries (NaN,
 ±inf), which the scalar path cannot evaluate at all (it raises inside
 ``SegmentPage.window``), are answered as clean misses with no probes
-charged. Views are snapshots: they are cached on the index
-and invalidated by its monotonic ``version`` counter (see
-:func:`flat_view`), so any insert/delete transparently triggers a rebuild
-on the next batch.
+charged.
+
+Views are immutable snapshots, cached on the index and keyed by its
+monotonic ``version`` counter (see :func:`flat_view`). A write does not
+throw the cached view away: every ``SegmentPage`` mutator marks its page
+``touched``, and as long as the page directory is the one the view was cut
+from, the next read derives the new view from the old one — untouched page
+runs are windows of the old arrays, only touched pages are re-exported. A
+buffer-only write (inserts, buffered deletes: the paper's delta-insert
+case) shares ``keys``/``values``/``offsets`` and the per-page model arrays
+with the previous view by identity and re-splices just the small buffer
+arrays, so a read after a write costs the pages written, not the shard.
+Only a directory change (page rebuild, split or removal) pays the full
+``flat_arrays`` export. Every array a view exposes is read-only, because
+consecutive snapshots share them: a held view keeps answering the state it
+was taken at.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,12 +76,28 @@ def _bounded_leftmost(
     return lo
 
 
+_ARRAY_FIELDS = (
+    "heights",
+    "starts",
+    "route_starts",
+    "slopes",
+    "deletions",
+    "offsets",
+    "keys",
+    "values",
+    "buf_offsets",
+    "buf_keys",
+    "buf_values",
+)
+
+
 class FlatView:
     """Immutable flattened snapshot of one paged index (see module doc)."""
 
     __slots__ = (
         "version",
         "search_error",
+        "pages",
         "heights",
         "starts",
         "route_starts",
@@ -88,6 +116,10 @@ class FlatView:
     def __init__(self, arrays: Dict[str, Any]) -> None:
         self.version = arrays["version"]
         self.search_error = arrays["search_error"]
+        #: The index's directory page list these arrays were cut from
+        #: (``None`` on a multi-shard combined view): what lets
+        #: :func:`flat_view` derive the next snapshot from this one.
+        self.pages = arrays.get("pages")
         #: Owning tree's height per page, so modeled tree-descent charges
         #: stay per-shard-exact in multi-shard combined views.
         self.heights = arrays["heights"]
@@ -107,10 +139,16 @@ class FlatView:
         self.buf_values = arrays["buf_values"]
         self._data_page_idx: Optional[np.ndarray] = None
         self._buf_page_idx: Optional[np.ndarray] = None
+        # Snapshots share arrays with their successors and with windows
+        # cut from them, so an in-place write must raise, not leak.
+        for name in _ARRAY_FIELDS:
+            getattr(self, name).flags.writeable = False
 
     # ------------------------------------------------------------------
 
-    def slice_pages(self, p0: int, p1: int, version: Any) -> "FlatView":
+    def slice_pages(
+        self, p0: int, p1: int, version: Any, pages: Optional[List[Any]] = None
+    ) -> "FlatView":
         """A view over pages ``[p0, p1)`` sharing this view's memory.
 
         Every data-bearing array of the result is a NumPy slice of this
@@ -130,6 +168,10 @@ class FlatView:
             Version stamp the sliced view is keyed by — the owning
             shard's ``index.version`` at assembly time, so the cache
             invalidates exactly when that shard mutates.
+        pages:
+            The owning shard's page list behind ``[p0, p1)``, so the
+            slice can stand in for the shard view it replaces when
+            :func:`flat_view` next refreshes it.
 
         Returns
         -------
@@ -143,6 +185,7 @@ class FlatView:
             {
                 "version": version,
                 "search_error": self.search_error,
+                "pages": pages,
                 "heights": self.heights[p0:p1],
                 # route_starts intentionally omitted: the slice routes by
                 # its own page starts (combined-view cut lowering must not
@@ -412,21 +455,118 @@ class FlatView:
         return keys_all[order], values_all[order]
 
 
+def _splice(
+    old: np.ndarray,
+    offsets: np.ndarray,
+    touched: Sequence[int],
+    parts: Sequence[np.ndarray],
+) -> np.ndarray:
+    """``old`` with each touched page's window replaced by its new part;
+    the runs of untouched pages in between are windows of ``old``."""
+    pieces = []
+    prev = 0
+    for i, part in zip(touched, parts):
+        pieces.append(old[offsets[prev] : offsets[i]])
+        pieces.append(part)
+        prev = i + 1
+    pieces.append(old[offsets[prev] :])
+    return np.concatenate(pieces)
+
+
+def _reoffset(
+    offsets: np.ndarray, touched: Sequence[int], lengths: Sequence[int]
+) -> np.ndarray:
+    """``offsets`` after the touched pages changed to ``lengths``."""
+    sizes = np.diff(offsets)
+    sizes[touched] = lengths
+    out = np.zeros(offsets.size, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _refreshed(old: FlatView, index: Any) -> Tuple[FlatView, int]:
+    """The view of ``index`` now, derived from its stale view ``old``.
+
+    Valid only while the page directory is the one ``old`` was cut from;
+    bit-identical to ``FlatView(index.flat_arrays())`` (dtype, shape and
+    content of every field). Returns the view and how many pages it
+    re-exported.
+    """
+    pages = old.pages
+    touched = [i for i, page in enumerate(pages) if page.touched]
+    arrays = {name: getattr(old, name) for name in _ARRAY_FIELDS}
+    arrays["version"] = index.version
+    arrays["search_error"] = old.search_error
+    arrays["pages"] = pages
+    bufs = []
+    for i in touched:
+        bufs.append(pages[i].buffer_arrays(index._values_dtype))
+        pages[i].touched = False
+    if touched:
+        arrays["buf_keys"] = _splice(
+            old.buf_keys, old.buf_offsets, touched, [k for k, _ in bufs]
+        )
+        arrays["buf_values"] = _splice(
+            old.buf_values, old.buf_offsets, touched, [v for _, v in bufs]
+        )
+        arrays["buf_offsets"] = _reoffset(
+            old.buf_offsets, touched, [k.size for k, _ in bufs]
+        )
+    # Only a physical data delete changes a page's data arrays under an
+    # unchanged directory, and each one bumps ``deletions``.
+    data = [i for i in touched if pages[i].deletions != old.deletions[i]]
+    if data:
+        arrays["keys"] = _splice(
+            old.keys, old.offsets, data, [pages[i].keys for i in data]
+        )
+        arrays["values"] = _splice(
+            old.values, old.offsets, data, [pages[i].values for i in data]
+        )
+        arrays["offsets"] = _reoffset(
+            old.offsets, data, [pages[i].n_data for i in data]
+        )
+        arrays["deletions"] = old.deletions.copy()
+        arrays["deletions"][data] = [pages[i].deletions for i in data]
+    view = FlatView(arrays)
+    if not data:
+        view._data_page_idx = old._data_page_idx  # same offsets, same map
+    return view, len(touched)
+
+
 def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
-    """The index's cached :class:`FlatView`, rebuilt when stale.
+    """The index's cached :class:`FlatView`, brought up to date when stale.
 
     The cache key is the index's monotonic ``version`` counter, so buffered
-    inserts, deletes and page rebuilds all invalidate it. ``stats`` (a dict
-    with ``"view_hits"``/``"view_builds"``) lets callers — the engine's
-    cache-hit-rate stat — observe reuse without a second API.
+    inserts, deletes and page rebuilds all invalidate it. A stale view
+    whose page directory still stands is refreshed from the pages written
+    to since (:func:`_refreshed`); a changed directory, or the rare view
+    whose buffers hold a payload the values dtype cannot (whether an
+    untouched page still needs the object fallback is not knowable without
+    re-exporting it), takes the full ``flat_arrays`` export. ``stats`` (a
+    dict with ``"view_hits"``/``"view_builds"``) lets callers — the
+    engine's cache-hit-rate stat — observe reuse without a second API; a
+    caller that also keeps a ``"view_pages_exported"`` entry gets the pages
+    re-exported per build summed into it (read-cache write amplification).
     """
     cached = getattr(index, "_flat_view_cache", None)
     if cached is not None and cached.version == index.version:
         if stats is not None:
             stats["view_hits"] = stats.get("view_hits", 0) + 1
         return cached
-    view = FlatView(index.flat_arrays())
+    if (
+        cached is not None
+        and cached.pages is index._get_directory()[1]
+        and cached.buf_values.dtype == index._values_dtype
+    ):
+        view, n_exported = _refreshed(cached, index)
+    else:
+        view = FlatView(index.flat_arrays())
+        for page in view.pages:
+            page.touched = False
+        n_exported = view.n_pages
     index._flat_view_cache = view
     if stats is not None:
         stats["view_builds"] = stats.get("view_builds", 0) + 1
+        if "view_pages_exported" in stats:
+            stats["view_pages_exported"] += n_exported
     return view

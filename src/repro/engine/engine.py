@@ -149,6 +149,7 @@ class ShardedEngine:
         self._view_stats: Dict[str, int] = {
             "view_hits": 0,
             "view_builds": 0,
+            "view_pages_exported": 0,
             "view_patches": 0,
             "view_full_rebuilds": 0,
         }
@@ -272,7 +273,8 @@ class ShardedEngine:
         self._workload = ensure(self.cuts) if ensure is not None else None
         reg.register_callback(
             "repro_engine_view_events", lambda: dict(self._view_stats),
-            "Flat-view cache events (hits/builds/patches/full rebuilds).",
+            "Flat-view cache events (hits/builds/pages re-exported by "
+            "builds/patches/full rebuilds).",
             labels=("event",),
         )
         reg.register_callback(
@@ -443,7 +445,7 @@ class ShardedEngine:
 
     def _combined_view(self) -> Optional[FlatView]:
         """Engine-wide FlatView spanning every shard's pages, or ``None``
-        when shard configs are heterogeneous (mixed error bounds/dtypes).
+        when shard views are heterogeneous (mixed error bounds/dtypes).
 
         There is one assembly path (:meth:`_assemble_combined`): the
         concatenation of every shard's cached view. Once assembled, every
@@ -489,6 +491,10 @@ class ShardedEngine:
         if (
             len({v.search_error for v in views}) > 1
             or len({v.values.dtype for v in views}) > 1
+            # A shard buffering a payload its values dtype cannot hold
+            # exports an object buffer; windows cut from a combined object
+            # buffer would hand that dtype to every other shard.
+            or len({v.buf_values.dtype for v in views}) > 1
         ):
             return None
         if len(views) == 1:
@@ -546,7 +552,9 @@ class ShardedEngine:
         p0 = 0
         for shard, view, version in zip(self._shards, views, versions):
             p1 = p0 + view.n_pages
-            shard._flat_view_cache = combined.slice_pages(p0, p1, version)
+            shard._flat_view_cache = combined.slice_pages(
+                p0, p1, version, view.pages
+            )
             p0 = p1
         return combined
 

@@ -1,10 +1,13 @@
-"""Incremental combined-view maintenance: patch one shard, not the world.
+"""Combined-view assembly accounting: one dirty shard, or several.
 
-Regression contract for the engine's read-path cache: when exactly one
-shard mutates, reassembly splices that shard's slice into the existing
-combined arrays (``view_patches`` counter) instead of re-concatenating
-every shard (``view_full_rebuilds`` counter) — and both paths produce
-views whose answers are bit-identical to a freshly built engine's.
+Regression contract for the engine's read-path cache. There is one
+assembly path (``ShardedEngine._assemble_combined``: concatenate every
+shard's cached view); what it counts is how many shards were dirty —
+exactly one is a ``view_patches``, the first build or several a
+``view_full_rebuilds`` — and either way the assembled view's answers are
+bit-identical to a freshly built engine's. How a dirty shard's own view
+is brought up to date (re-exporting only the pages written to) is pinned
+by ``test_view_refresh.py``.
 """
 
 import numpy as np

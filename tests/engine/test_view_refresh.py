@@ -1,0 +1,399 @@
+"""Write-proportional FlatView refresh: identity, proportionality, snapshots.
+
+``flat_view`` derives a stale index's next snapshot from the cached one by
+re-exporting only the pages written to since. Three contracts are pinned
+here, none of them by timing:
+
+* **bit-identity** — after any op sequence (page rebuilds, splits, emptied
+  pages, first-page seeding, int64 and object payloads, a buffered value the
+  values dtype cannot hold) every field of the refreshed view equals
+  ``FlatView(index.flat_arrays())`` in dtype, shape and content, on a bare
+  ``FITingTree`` and on a 4-shard ``ShardedEngine`` (shard views, and the
+  combined view before and after the stale-read grace);
+* **proportionality** — counted in ``SegmentPage.buffer_arrays`` calls and
+  array identity: a one-key write re-exports one page;
+* **snapshot safety** — a view held across writes keeps answering the state
+  it was taken at, and its arrays refuse in-place writes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro import FITingTree
+from repro.core.page import SegmentPage
+from repro.engine import FlatView, ShardedEngine, flat_view
+from repro.engine.engine import _STALE_READS_BEFORE_REBUILD
+from repro.obs import Telemetry
+
+FIELDS = (
+    "heights", "starts", "route_starts", "slopes", "deletions", "offsets",
+    "keys", "values", "buf_offsets", "buf_keys", "buf_values",
+)
+SHARED_BY_A_BUFFER_WRITE = (
+    "heights", "starts", "route_starts", "slopes", "deletions", "offsets",
+    "keys", "values",
+)
+
+
+def assert_same_view(got, want):
+    assert got.search_error == want.search_error
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, (name, a.dtype, b.dtype)
+        assert a.shape == b.shape, (name, a.shape, b.shape)
+        if a.dtype == object:
+            for x, y in zip(a, b):
+                assert type(x) is type(y) and x == y, (name, x, y)
+        else:
+            assert np.array_equal(a, b), name
+
+
+def full_export(index):
+    return FlatView(index.flat_arrays())
+
+
+def reference_combined(engine):
+    """From-scratch combined view: the assembly rules restated over fresh
+    per-shard exports (the reference the engine's cached one must equal)."""
+    views = [full_export(s) for s in engine.shards]
+    route = [v.starts.copy() for v in views]
+    for i, rs in enumerate(route):
+        if i > 0 and rs.size:
+            rs[0] = engine.cuts[i - 1]
+
+    def stacked(name):
+        ends = np.cumsum([0] + [int(getattr(v, name)[-1]) for v in views])
+        parts = [getattr(v, name)[:-1] + e for v, e in zip(views, ends)]
+        return np.concatenate(parts + [ends[-1:]])
+
+    arrays = {
+        name: np.concatenate([getattr(v, name) for v in views])
+        for name in FIELDS
+        if name not in ("route_starts", "offsets", "buf_offsets")
+    }
+    arrays.update(
+        version=-1,
+        search_error=views[0].search_error,
+        route_starts=np.concatenate(route),
+        offsets=stacked("offsets"),
+        buf_offsets=stacked("buf_offsets"),
+    )
+    return FlatView(arrays)
+
+
+# ----------------------------------------------------------------------
+# Bit-identity under generated op sequences
+# ----------------------------------------------------------------------
+
+KEYS = st.integers(min_value=0, max_value=120).map(float)
+BATCHES = st.lists(KEYS, min_size=1, max_size=12)
+
+
+class RefreshMachine(RuleBasedStateMachine):
+    """A tiny ``buffer_capacity`` makes rebuilds, splits, emptied-page
+    removal and seq renumbering routine; an empty build seeds the first
+    page through an insert."""
+
+    @initialize(
+        build=st.lists(KEYS, max_size=60).map(sorted),
+        kind=st.sampled_from(["tree", "engine"]),
+        payloads=st.sampled_from(["int64", "object"]),
+        error=st.integers(min_value=6, max_value=12),
+        capacity=st.integers(min_value=2, max_value=5),
+    )
+    def build(self, build, kind, payloads, error, capacity):
+        keys = np.asarray(build, dtype=np.float64)
+        values = None
+        if payloads == "object" and build:  # an empty build is int64
+            values = np.empty(keys.size, dtype=object)
+            values[:] = [("row", i) for i in range(keys.size)]
+        self.typed = values is None
+        self.serial = keys.size
+        if kind == "tree":
+            self.target = FITingTree(
+                keys, values, error=error, buffer_capacity=capacity
+            )
+            self.indexes = [self.target]
+        else:
+            self.target = ShardedEngine(
+                keys, values, n_shards=4, error=error, buffer_capacity=capacity
+            )
+            self.indexes = self.target.shards
+        self.live = list(build)
+
+    def payload(self):
+        self.serial += 1
+        return self.serial if self.typed else ("row", self.serial)
+
+    @rule(key=KEYS)
+    def insert(self, key):
+        self.target.insert(key, self.payload())
+        self.live.append(key)
+
+    @rule(key=KEYS)
+    def insert_unholdable_value(self, key):
+        """A float into an int64 index: the buffer export falls back to an
+        object array until the value is merged or deleted."""
+        self.target.insert(key, 7.5 if self.typed else self.payload())
+        self.live.append(key)
+
+    @rule(batch=BATCHES)
+    def insert_batch(self, batch):
+        values = np.empty(len(batch), dtype=np.int64 if self.typed else object)
+        values[:] = [self.payload() for _ in batch]
+        self.target.insert_batch(np.asarray(batch), values)
+        self.live.extend(batch)
+
+    @rule(data=st.data())
+    def delete(self, data):
+        if self.live:
+            i = data.draw(st.integers(0, len(self.live) - 1))
+            self.target.delete(self.live.pop(i))
+
+    @rule(data=st.data())
+    def delete_batch(self, data):
+        if self.live:
+            picks = data.draw(
+                st.lists(st.integers(0, len(self.live) - 1), min_size=1,
+                         max_size=8, unique=True)
+            )
+            doomed = [self.live[i] for i in picks]
+            for i in sorted(picks, reverse=True):
+                self.live.pop(i)
+            self.target.delete_batch(np.asarray(doomed))
+
+    @rule(batch=BATCHES)
+    def read(self, batch):
+        self.target.get_batch(np.asarray(batch))
+
+    @rule()
+    def drain_grace(self):
+        if isinstance(self.target, ShardedEngine):
+            for _ in range(_STALE_READS_BEFORE_REBUILD + 1):
+                self.target.get_batch(np.asarray([0.0]))
+            assert (
+                self.target._combined_versions == self.target.shard_versions()
+            )
+            if self.target._combined is None:
+                # Only while some shard buffers a value its dtype cannot
+                # hold: the engine then answers through the shard views.
+                dtypes = {flat_view(s).buf_values.dtype for s in self.indexes}
+                assert len(dtypes) > 1
+
+    @invariant()
+    def refreshed_views_equal_full_exports(self):
+        for index in self.indexes:
+            assert_same_view(flat_view(index), full_export(index))
+        engine = self.target
+        if (
+            isinstance(engine, ShardedEngine)
+            and engine._combined is not None
+            and engine._combined_versions == engine.shard_versions()
+        ):
+            assert_same_view(engine._combined, reference_combined(engine))
+
+
+RefreshMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestRefreshMachine = RefreshMachine.TestCase
+
+
+@pytest.mark.parametrize("odd", ["tag", 2**70, 7.5])
+def test_unholdable_buffered_value_round_trip(odd):
+    tree = FITingTree(np.arange(200.0) ** 2, error=8, buffer_capacity=4)
+    flat_view(tree)
+    tree.insert(10.5, odd)  # np.arange(200)**2: many small pages
+    assert flat_view(tree).buf_values.dtype == object
+    assert_same_view(flat_view(tree), full_export(tree))
+    tree.insert(30_000.5)  # another page, while the odd value stays buffered
+    assert_same_view(flat_view(tree), full_export(tree))
+    tree.delete(10.5)
+    assert flat_view(tree).buf_values.dtype == np.int64
+    assert_same_view(flat_view(tree), full_export(tree))
+
+
+def test_unholdable_value_in_one_shard_keeps_other_windows_typed():
+    keys = np.sort(np.random.default_rng(4).uniform(0, 1e6, 4_000))
+    engine = ShardedEngine(keys, n_shards=2, error=16, buffer_capacity=8)
+    engine.warm()
+    engine.insert(1.5, "tag")  # shard 0's buffer export turns object
+    for _ in range(_STALE_READS_BEFORE_REBUILD + 1):
+        got = engine.get_batch([1.5, keys[-1]])
+    assert got.tolist() == ["tag", keys.size - 1]
+    assert engine._combined is None  # no object buffer handed to shard 1
+    for shard in engine.shards:
+        assert_same_view(flat_view(shard), full_export(shard))
+    engine.delete(1.5)
+    engine.get_batch(keys[:4])
+    assert engine._combined is not None
+    assert_same_view(engine._combined, reference_combined(engine))
+
+
+# ----------------------------------------------------------------------
+# Proportionality: counts and identity, never timing
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def exports(monkeypatch):
+    """Counts ``SegmentPage.buffer_arrays`` calls: one per page exported."""
+    calls = []
+    original = SegmentPage.buffer_arrays
+
+    def counting(self, values_dtype=None):
+        calls.append(self)
+        return original(self, values_dtype)
+
+    monkeypatch.setattr(SegmentPage, "buffer_arrays", counting)
+    return calls
+
+
+@pytest.fixture
+def tree():
+    keys = np.sort(np.random.default_rng(8).uniform(0, 1e6, 40_000))
+    tree = FITingTree(keys, error=16, buffer_capacity=8)
+    assert tree.n_pages >= 100
+    return tree
+
+
+class TestProportionality:
+    def test_first_build_exports_every_page(self, tree, exports):
+        flat_view(tree)
+        assert len(exports) == tree.n_pages
+
+    def test_one_key_insert_reexports_one_page(self, tree, exports):
+        old = flat_view(tree)
+        del exports[:]
+        tree.insert(500_000.25)
+        new = flat_view(tree)
+        assert len(exports) == 1
+        for name in SHARED_BY_A_BUFFER_WRITE:
+            assert getattr(new, name) is getattr(old, name), name
+        assert new.buf_keys.tolist() == [500_000.25]
+        assert_same_view(new, full_export(tree))
+
+    def test_buffered_delete_shares_the_data_arrays(self, tree, exports):
+        tree.insert(500_000.25)
+        old = flat_view(tree)
+        del exports[:]
+        tree.delete(500_000.25)
+        new = flat_view(tree)
+        assert len(exports) == 1
+        assert new.keys is old.keys and new.offsets is old.offsets
+        assert new.buf_keys.size == 0 and old.buf_keys.size == 1
+
+    def test_one_key_data_delete_reexports_one_page(self, tree, exports):
+        old = flat_view(tree)
+        doomed = float(old.keys[12_345])
+        del exports[:]
+        tree.delete(doomed)
+        new = flat_view(tree)
+        assert len(exports) == 1
+        assert new.keys is not old.keys
+        assert new.keys.size == old.keys.size - 1
+        for name in ("heights", "starts", "route_starts", "slopes"):
+            assert getattr(new, name) is getattr(old, name), name
+        assert_same_view(new, full_export(tree))
+
+    def test_buffer_overflow_rebuild_takes_the_full_export(self, tree, exports):
+        old = flat_view(tree)
+        base = float(old.keys[20_000])
+        rebuilds = tree.page_rebuilds
+        for i in range(tree.buffer_capacity):
+            tree.insert(base + 1e-3 * (i + 1))
+        assert tree.page_rebuilds == rebuilds + 1
+        del exports[:]
+        new = flat_view(tree)
+        assert len(exports) == tree.n_pages
+        assert new.pages is not old.pages
+        assert_same_view(new, full_export(tree))
+
+    def test_writes_between_reads_accumulate(self, tree, exports):
+        old = flat_view(tree)
+        del exports[:]
+        tree.insert_batch(np.asarray([10.5, 400_000.5, 999_000.5]))
+        tree.delete(float(old.keys[7]))
+        new = flat_view(tree)
+        assert 1 <= len(exports) <= 4
+        assert len(exports) == len({id(p) for p in exports})
+        assert_same_view(new, full_export(tree))
+
+    def test_shard_refresh_survives_a_combined_assembly(self, exports):
+        keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 40_000))
+        engine = ShardedEngine(keys, n_shards=4, error=16, buffer_capacity=8)
+        engine.warm()  # shard caches are now windows of the combined arrays
+        shard = engine.shards[2]
+        window = shard._flat_view_cache
+        assert np.shares_memory(window.keys, engine._combined.keys)
+        exported = engine._view_stats["view_pages_exported"]
+        assert exported == engine.stats()["n_pages"]
+        del exports[:]
+        engine.insert(float(engine.cuts[1]) + 1.0)
+        engine.get_batch(keys[::997])  # stale: grouped per-shard path
+        assert len(exports) == 1
+        assert engine._view_stats["view_pages_exported"] == exported + 1
+        assert shard._flat_view_cache.keys is window.keys
+        assert_same_view(shard._flat_view_cache, full_export(shard))
+
+    def test_pages_exported_reaches_the_registry_not_stats(self):
+        tel = Telemetry(mode="metrics")
+        keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 5_000))
+        engine = ShardedEngine(keys, n_shards=2, telemetry=tel)
+        engine.warm()
+        n_pages = engine.stats()["n_pages"]
+        line = f'repro_engine_view_events{{event="view_pages_exported"}} {n_pages}'
+        assert line in tel.prometheus().splitlines()
+        assert "view_pages_exported" not in engine.stats()
+
+
+# ----------------------------------------------------------------------
+# Snapshot safety
+# ----------------------------------------------------------------------
+
+
+class TestSnapshots:
+    def test_held_view_answers_the_pre_write_state(self, tree):
+        held = flat_view(tree)
+        before = {name: getattr(held, name).copy() for name in FIELDS}
+        present = float(held.keys[3_000])
+        absent = present + 1e-4
+        rowid = held.get_batch([present])[0]
+
+        tree.insert(absent)
+        flat_view(tree)  # buffer-only refresh, shares arrays with `held`
+        tree.delete(present)
+        flat_view(tree)  # data refresh
+        for i in range(tree.buffer_capacity):  # overflow: directory changes
+            tree.insert(absent + 1e-5 * (i + 1))
+        now = flat_view(tree)
+
+        assert held.get_batch([present, absent], default=-1).tolist() == [rowid, -1]
+        got = now.get_batch([present, absent], default=-1).tolist()
+        assert got[0] == -1 and got[1] != -1
+        for name in FIELDS:
+            assert np.array_equal(getattr(held, name), before[name]), name
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_view_arrays_are_read_only(self, tree, name):
+        tree.insert(123.5)
+        arr = getattr(flat_view(tree), name)
+        assert arr.size
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+    def test_combined_and_window_arrays_are_read_only(self):
+        keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 5_000))
+        engine = ShardedEngine(keys, n_shards=2)
+        engine.warm()
+        for view in (engine._combined, engine.shards[1]._flat_view_cache):
+            for name in FIELDS:
+                assert not getattr(view, name).flags.writeable, name

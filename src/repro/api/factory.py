@@ -415,21 +415,21 @@ def open_engine(keys=None, values=None, *, config: Optional[EngineConfig] = None
     telemetry = Telemetry.from_mode(config.telemetry)
     if config.durability != "off":
         return _open_durable(keys, values, config, n_shards, telemetry)
-    if config.executor == "cluster":
-        return _open_cluster(keys, values, config, n_shards, telemetry)
-    from repro.engine import ShardedEngine
-
-    return ShardedEngine(
-        keys,
-        values,
-        n_shards=n_shards,
-        index_factory=config.index_factory(),
-        telemetry=telemetry,
-    )
+    return _build_engine(keys, values, config, n_shards, telemetry)
 
 
-def _open_cluster(keys, values, config, n_shards, telemetry):
-    """The plain (non-durable) cluster branch of :func:`open_engine`."""
+def _build_engine(keys, values, config, n_shards, telemetry):
+    """Build the configured executor over ``keys``/``values`` (no store)."""
+    if config.executor != "cluster":
+        from repro.engine import ShardedEngine
+
+        return ShardedEngine(
+            keys,
+            values,
+            n_shards=n_shards,
+            index_factory=config.index_factory(),
+            telemetry=telemetry,
+        )
     from repro.cluster import ClusterEngine
     from repro.cluster.shm import DEFAULT_LANE_CAPACITY
 
@@ -490,35 +490,21 @@ def _open_durable(keys, values, config, n_shards, telemetry):
                     "dataset)"
                 )
             rec = store.recover()
-            if config.executor == "cluster":
-                # Replay the tail into an in-process twin first: workers
-                # boot from fully-recovered states, and the store's
-                # retained tail stays aligned with what they hold.
-                proto = ShardedEngine.from_states(rec.states)
-                replay_ops(proto, rec.ops)
-                proto._next_rowid = rec.next_rowid
-                engine = _cluster_from_states(proto.to_states(), config,
+            cluster = config.executor == "cluster"
+            # The tail replays in-process either way: cluster workers
+            # then boot from fully-recovered states, and the store's
+            # retained tail stays aligned with what they hold.
+            engine = ShardedEngine.from_states(
+                rec.states, telemetry=None if cluster else telemetry
+            )
+            replay_ops(engine, rec.ops)
+            engine._next_rowid = rec.next_rowid
+            if cluster:
+                engine = _cluster_from_states(engine.to_states(), config,
                                               telemetry)
-            else:
-                engine = ShardedEngine.from_states(
-                    rec.states, telemetry=telemetry
-                )
-                replay_ops(engine, rec.ops)
-                engine._next_rowid = rec.next_rowid
         else:
-            if config.executor == "cluster":
-                engine = _open_cluster(keys, values, config, n_shards,
-                                       telemetry)
-                store.initialize(engine._pull_states())
-            else:
-                engine = ShardedEngine(
-                    keys,
-                    values,
-                    n_shards=n_shards,
-                    index_factory=config.index_factory(),
-                    telemetry=telemetry,
-                )
-                store.initialize(engine.to_states())
+            engine = _build_engine(keys, values, config, n_shards, telemetry)
+            store.initialize(engine.to_states())
         engine.attach_wal(store)
         return engine
     except BaseException:

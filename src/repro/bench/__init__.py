@@ -25,7 +25,6 @@ from repro.bench import exp_net as _exp_net  # noqa: F401
 from repro.bench import exp_obs as _exp_obs  # noqa: F401
 from repro.bench import exp_serve as _exp_serve  # noqa: F401
 from repro.bench import exp_table1 as _exp_table1  # noqa: F401
-from repro.bench import exp_wal as _exp_wal  # noqa: F401
 from repro.bench.harness import (
     ExperimentResult,
     build_all_indexes,

@@ -8,7 +8,7 @@ machine:
 
 * :mod:`~repro.cluster.snapshot` — ship a shard: class-dispatching
   rebuild of :meth:`~repro.core.paged_index.PagedIndexBase.to_state`
-  snapshots (no re-segmentation), plus whole-engine snapshot extraction;
+  snapshots (no re-segmentation);
 * :mod:`~repro.cluster.shm` — the zero-copy transport: named
   shared-memory lanes batch keys and numeric results cross process
   boundaries through (pickle fallback for object payloads);
@@ -49,11 +49,7 @@ from repro.cluster.errors import (
     WorkerRecoveredError,
 )
 from repro.cluster.shm import ShmLane, attach_lane, teardown_errors
-from repro.cluster.snapshot import (
-    engine_to_states,
-    index_from_state,
-    register_index_class,
-)
+from repro.cluster.snapshot import index_from_state, register_index_class
 
 __all__ = [
     "ClusterEngine",
@@ -62,7 +58,6 @@ __all__ = [
     "WorkerCrashedError",
     "WorkerRecoveredError",
     "attach_lane",
-    "engine_to_states",
     "index_from_state",
     "register_index_class",
     "teardown_errors",

@@ -66,10 +66,9 @@ from repro.cluster.shm import (
     note_teardown_error,
     teardown_errors,
 )
-from repro.cluster.snapshot import engine_to_states
 from repro.cluster.worker import shard_worker_main
 from repro.core.errors import InvalidParameterError, KeyNotFoundError
-from repro.core.page import _object_array, aligned_value_array
+from repro.core.page import _object_array
 from repro.core.serialize import _registry
 from repro.engine.engine import ShardedEngine
 from repro.engine.scatter import (
@@ -81,6 +80,7 @@ from repro.engine.scatter import (
     stitch_ranges,
 )
 from repro.wal.format import OP_DELETE, OP_INSERT
+from repro.wal.store import log_chunks
 
 __all__ = ["ClusterEngine"]
 
@@ -167,7 +167,7 @@ class ClusterEngine:
             **index_kwargs,
         )
         self._boot(
-            engine_to_states(proto),
+            proto.to_states(),
             mp_context=mp_context,
             lane_capacity=lane_capacity,
             op_timeout=op_timeout,
@@ -202,15 +202,13 @@ class ClusterEngine:
         ClusterEngine
             A cluster whose workers hold bit-identical shard states.
         """
-        obj = cls.__new__(cls)
-        obj._boot(
-            engine_to_states(engine),
+        return cls.from_states(
+            engine.to_states(),
             mp_context=mp_context,
             lane_capacity=lane_capacity,
             op_timeout=op_timeout,
             telemetry=telemetry,
         )
-        return obj
 
     @classmethod
     def from_states(
@@ -232,11 +230,9 @@ class ClusterEngine:
         Parameters
         ----------
         states:
-            A whole-engine snapshot as produced by
-            :func:`repro.cluster.engine_to_states` /
-            :meth:`repro.engine.ShardedEngine.to_states` — ``cuts``,
-            ``auto_rowid``, ``next_rowid`` and one ``to_state`` dict per
-            shard.
+            A whole-engine snapshot as produced by either engine's
+            ``to_states`` — ``cuts``, ``auto_rowid``, ``next_rowid`` and
+            one ``to_state`` dict per shard.
         mp_context, lane_capacity, op_timeout, telemetry:
             As for the constructor.
 
@@ -298,6 +294,11 @@ class ClusterEngine:
         #: full all-shards round (which a single dead worker would veto).
         self._shard_ns: List[int] = [int(s["n"]) for s in shard_states]
         self._n = sum(self._shard_ns)
+        #: Shards built read-only (``buffer_capacity=0``): a write they
+        #: own is refused before it is logged, as the worker would after.
+        self._read_only: List[bool] = [
+            s["params"].get("buffer_capacity") == 0 for s in shard_states
+        ]
         self._op_timeout = float(op_timeout)
         self._closed = False
         #: Shards whose reply stream can no longer be trusted (a timed-out
@@ -378,11 +379,11 @@ class ClusterEngine:
         """Attach a :class:`repro.wal.WalStore`; upgrade to restart-on-crash.
 
         Every write chunk is logged per shard and group-committed *before*
-        dispatch, and the store retains the committed tail in memory so a
-        crashed worker can be respawned from its snapshot state plus a
-        replay of its tail records. Periodic snapshots are taken at safe
-        points (after a verb completes, no locks held) by pulling
-        ``to_state`` from every worker.
+        dispatch (``docs/ARCHITECTURE.md``, the write protocol), and the
+        store retains the committed tail in memory so a crashed worker
+        can be respawned from its snapshot state plus a replay of its
+        tail records. Periodic snapshots are taken at safe points (after
+        a verb completes, no locks held) through :meth:`to_states`.
 
         Parameters
         ----------
@@ -396,18 +397,18 @@ class ClusterEngine:
                 "payloads have no WAL encoding"
             )
         store.set_retain_tail(True)
-        store.bind(self._pull_states)
+        store.bind(self.to_states)
         self._wal = store
 
-    def _pull_states(self) -> Dict[str, Any]:
-        """Whole-engine snapshot pulled live from the workers (the
-        state provider a bound ``WalStore`` snapshots from)."""
-        shard_states = self._broadcast(("to_state",))
+    def to_states(self) -> Dict[str, Any]:
+        """Whole-engine snapshot pulled live from the workers: the shape
+        :meth:`ShardedEngine.to_states` returns and both ``from_states``
+        constructors (and a bound ``WalStore``) take."""
         return {
             "cuts": self.cuts.copy(),
             "auto_rowid": self._auto_rowid,
             "next_rowid": self._next_rowid,
-            "shards": shard_states,
+            "shards": self._broadcast(("to_state",)),
         }
 
     def _maybe_snapshot(self) -> None:
@@ -681,8 +682,8 @@ class ClusterEngine:
         worse than an exception, it acknowledges fences that did not
         happen). All pipes are drained, then the first failure re-raises —
         unless ``errors`` is given, in which case failures are recorded
-        per shard there and nothing raises (the durable-round path, which
-        recovers failed shards instead of propagating).
+        per shard there and nothing raises (write rounds and durable
+        reads, which settle failed shards themselves).
         """
         replies: Dict[int, Tuple] = {}
         first_exc: Optional[BaseException] = None
@@ -1171,18 +1172,14 @@ class ClusterEngine:
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values)."""
-        if value is None:
-            if not self._auto_rowid:
-                raise InvalidParameterError(
-                    "this engine stores typed values; insert(key, value) "
-                    "requires an explicit value"
-                )
-            value = self._next_rowid
-            self._next_rowid += 1
+        values, self._next_rowid = resolve_values(
+            1, None if value is None else [value],
+            self._auto_rowid, self._next_rowid,
+        )
         _, keys, jobs = split_sorted(
             self.cuts, np.asarray([float(key)], dtype=np.float64)
         )
-        self._insert_sorted(keys, aligned_value_array(1, [value]), jobs)
+        self._insert_sorted(keys, values, jobs)
 
     def insert_batch(self, keys, values=None) -> None:
         """Bulk batch insert: route once, apply per worker under one fence.
@@ -1223,14 +1220,7 @@ class ClusterEngine:
     ) -> None:
         """Log, dispatch and fence one :func:`split_sorted` write plan."""
         self._check_open()
-        wal = self._wal
-        if wal is not None:
-            # Log + group-commit every chunk BEFORE dispatch: once the
-            # fsync returns, a worker crash anywhere below replays the
-            # chunk from the tail instead of losing it.
-            for sid, a, b in jobs:
-                wal.log_insert(sid, keys[a:b], values[a:b])
-            wal.commit(self._next_rowid)
+        self._commit(keys, jobs, values)
         thunks = {
             sid: (
                 lambda sid=sid, a=a, b=b: self._send_insert(
@@ -1244,45 +1234,45 @@ class ClusterEngine:
             # The fence: every owning worker has replied (i.e. applied its
             # chunk) before this returns — and every reply is drained even
             # on failure, so the pipes never fall a round behind.
-            if wal is None:
-                try:
-                    self._merge_deltas(self._round(sorted(thunks.items())))
-                except BaseException:
-                    # Some chunks may have applied before the failure;
-                    # resync the cached element count from the live
-                    # workers (ShardedEngine counts partial applies too —
-                    # len() must agree).
-                    self._resync_len()
-                    raise
+            errors: Dict[int, BaseException] = {}
+            self._merge_deltas(self._round(sorted(thunks.items()), errors))
+            if errors:
+                first: Optional[BaseException] = None
+                for sid in sorted(errors):
+                    exc = errors[sid]
+                    if self._wal is not None and isinstance(exc, ClusterError):
+                        # The restore replays the full committed tail —
+                        # including this round's chunk, so the insert is
+                        # applied, not lost.
+                        self._restore_worker(sid)
+                    elif first is None:
+                        first = exc
+                # Other chunks applied around the failure (ShardedEngine
+                # counts partial applies too — len() must agree).
+                self._resync_len()
+                if first is not None:
+                    raise first
+            else:
                 for sid, a, b in jobs:
                     self._shard_ns[sid] += b - a
                 self._n = sum(self._shard_ns)
-            else:
-                errors: Dict[int, BaseException] = {}
-                self._merge_deltas(
-                    self._round(sorted(thunks.items()), errors)
-                )
-                if errors:
-                    app_exc: Optional[BaseException] = None
-                    for sid in sorted(errors):
-                        exc = errors[sid]
-                        if isinstance(exc, ClusterError):
-                            # The restore replays the full committed tail
-                            # — including this round's chunk, so the
-                            # insert is applied, not lost.
-                            self._restore_worker(sid)
-                        elif app_exc is None:
-                            app_exc = exc
-                    self._resync_len()
-                    if app_exc is not None:
-                        raise app_exc
-                else:
-                    for sid, a, b in jobs:
-                        self._shard_ns[sid] += b - a
-                    self._n = sum(self._shard_ns)
         finally:
             self._release_all()
         self._maybe_snapshot()
+
+    def _commit(self, keys, jobs, values=None, missing="raise") -> Dict[int, int]:
+        """Refuse a write plan that lands on a read-only shard, else log
+        every chunk under one group commit — BEFORE dispatch: once the
+        fsync returns, a worker crash anywhere below replays the chunk
+        from the tail instead of losing it. Returns ``{shard: lsn}``."""
+        for sid, _a, _b in jobs:
+            if self._read_only[sid]:
+                raise InvalidParameterError(
+                    "index built with buffer_capacity=0 is read-only"
+                )
+        return log_chunks(
+            self._wal, self._next_rowid, keys, jobs, values, missing
+        )
 
     def _resync_len(self) -> None:
         """Recount ``_n`` from every *live* worker (caller holds every
@@ -1339,10 +1329,10 @@ class ClusterEngine:
             Keys to delete, any order, any array-like coercible to
             float64; each element removes one occurrence.
         missing:
-            ``"raise"`` (default) re-raises the owning worker's
-            :class:`~repro.core.errors.KeyNotFoundError` (removals
-            already applied — including by other workers in the same
-            round — stay applied); ``"ignore"`` records misses.
+            ``"raise"`` (default): every owning worker applies its chunk
+            (each stops at its own first absent request), then the first
+            failing shard's :class:`~repro.core.errors.KeyNotFoundError`
+            re-raises; ``"ignore"`` records misses.
         default:
             Value filling the miss slots under ``missing="ignore"``
             (parent-side only — it never crosses the process boundary).
@@ -1359,14 +1349,7 @@ class ClusterEngine:
         if keys.size == 0:
             return np.empty(0, dtype=object)
         order, skeys, jobs = split_sorted(self.cuts, keys)
-        wal = self._wal
-        lsns: Dict[int, int] = {}
-        if wal is not None:
-            # Log + group-commit before dispatch, exactly as for inserts.
-            for sid, a, b in jobs:
-                lsns[sid] = wal.log_delete(sid, skeys[a:b], missing)
-            wal.commit(self._next_rowid)
-        chunk = {sid: (a, b) for sid, a, b in jobs}
+        lsns = self._commit(skeys, jobs, missing=missing)
         thunks = {
             sid: (
                 lambda sid=sid, a=a, b=b: self._send_delete(
@@ -1375,60 +1358,45 @@ class ClusterEngine:
             )
             for sid, a, b in jobs
         }
-        resynced = False
+        errors: Dict[int, BaseException] = {}
         self._acquire_all()
         try:
-            if wal is None:
-                try:
-                    replies = self._round(sorted(thunks.items()))
-                except BaseException:
-                    # Some chunks may have applied before the failure
-                    # (their replies were drained); recount from the
-                    # live workers.
-                    self._resync_len()
-                    raise
-            else:
-                errors: Dict[int, BaseException] = {}
-                replies = self._round(sorted(thunks.items()), errors)
-                app_exc: Optional[BaseException] = None
-                lost: List[int] = []
-                for sid in sorted(errors):
-                    exc = errors[sid]
-                    if not isinstance(exc, ClusterError):
-                        if app_exc is None:
-                            app_exc = exc
-                        continue
+            replies = self._round(sorted(thunks.items()), errors)
+            first: Optional[BaseException] = None
+            for sid in sorted(errors):
+                exc = errors[sid]
+                if self._wal is not None and isinstance(exc, ClusterError):
                     # The crashed worker took the reply payload (the
                     # deleted values) with it. Restore it *without*
                     # replaying this round's record, then re-send the
                     # chunk live to recover the values too.
                     try:
                         self._restore_worker(sid, skip_lsn=lsns[sid])
-                        a, b = chunk[sid]
-                        self._send_delete(sid, skeys[a:b], missing)
+                        thunks[sid]()
                         replies[sid] = self._recv(sid)
+                        continue
                     except ClusterError:
                         # Crashed again mid-retry: restore with the full
                         # tail (the deletion is durably applied) and
                         # report the lost payload as a typed,
                         # non-retryable error.
                         self._restore_worker(sid)
-                        lost.append(sid)
-                    except BaseException as exc2:
-                        if app_exc is None:
-                            app_exc = exc2
-                if errors:
-                    self._resync_len()
-                    resynced = True
-                if app_exc is not None:
-                    raise app_exc
-                if lost:
-                    raise WorkerRecoveredError(
-                        lost[0],
-                        detail="deleted values lost in crash; the "
-                        "deletions themselves are durably applied — "
-                        "do not retry",
-                    )
+                        exc = WorkerRecoveredError(
+                            sid,
+                            detail="deleted values lost in crash; the "
+                            "deletions themselves are durably applied — "
+                            "do not retry",
+                        )
+                    except BaseException as retry_exc:
+                        exc = retry_exc
+                if first is None:
+                    first = exc
+            if errors:
+                # Chunks applied around the failures (their replies were
+                # drained); recount from the live workers.
+                self._resync_len()
+                if first is not None:
+                    raise first
             self._merge_deltas(replies)
             parts = [
                 (order[a:b], *self._decode_get(sid, replies[sid][2]))
@@ -1443,7 +1411,7 @@ class ClusterEngine:
             }
         finally:
             self._release_all()
-        if not resynced:
+        if not errors:
             for sid, n_hits in hits.items():
                 self._shard_ns[sid] -= n_hits
             self._n = sum(self._shard_ns)

@@ -7,13 +7,10 @@ rebuilds it with one bulk pass (no re-segmentation) — and the
 class-dispatch registry is shared with the on-disk format in
 :mod:`repro.core.serialize` (:func:`index_from_state` /
 :func:`register_index_class` are re-exported from there, so a class
-registered once both persists and clusters). This module adds the one
-piece only a *cluster* needs:
-
-* :func:`engine_to_states` — snapshot every shard of a live
-  :class:`~repro.engine.ShardedEngine` along with the routing cuts and
-  row-id counter, i.e. everything :class:`~repro.cluster.ClusterEngine`
-  needs to spawn one worker per shard and then drop the in-process copy.
+registered once both persists and clusters). The whole-engine snapshot —
+every shard's state plus the routing cuts and row-id counter, i.e. what
+:class:`~repro.cluster.ClusterEngine` needs to spawn one worker per shard
+— is either engine's ``to_states()``.
 
 Snapshots are value copies: once a worker rebuilds from one, parent and
 worker states evolve independently (the cluster keeps them consistent by
@@ -22,32 +19,6 @@ routing every mutation through the workers).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
-
 from repro.core.serialize import index_from_state, register_index_class
 
-__all__ = ["index_from_state", "engine_to_states", "register_index_class"]
-
-
-def engine_to_states(engine: Any) -> Dict[str, Any]:
-    """Snapshot a whole :class:`~repro.engine.ShardedEngine` for clustering.
-
-    Captures per-shard states plus the engine-level routing and write
-    bookkeeping (cuts, auto-rowid flag, next row id), which is exactly
-    what the parent side of a :class:`~repro.cluster.ClusterEngine` keeps
-    after the shards themselves move into worker processes.
-
-    Returns
-    -------
-    dict
-        ``{"cuts", "auto_rowid", "next_rowid", "shards": [state, ...]}``.
-    """
-    shard_states: List[Dict[str, Any]] = [
-        shard.to_state() for shard in engine.shards
-    ]
-    return {
-        "cuts": engine.cuts.copy(),
-        "auto_rowid": engine._auto_rowid,
-        "next_rowid": engine._next_rowid,
-        "shards": shard_states,
-    }
+__all__ = ["index_from_state", "register_index_class"]

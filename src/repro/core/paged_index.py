@@ -68,14 +68,6 @@ class PagedIndexBase:
     #: (paper Section 4.1.2). Subclasses may override before super().__init__.
     search_mode: str = "binary"
 
-    #: Optional durability sink (a ``repro.wal`` per-shard facade, set by
-    #: an engine's ``attach_wal``). When non-None every mutation verb logs
-    #: its resolved request through it *before* applying, so replaying the
-    #: committed WAL reproduces the same final state — including
-    #: deterministic partial failures such as a strict delete raising
-    #: midway.
-    wal_sink: Any = None
-
     def __init__(
         self,
         keys=None,
@@ -626,15 +618,10 @@ class PagedIndexBase:
         self._check_writable()
         key = float(key)
         value = self._resolve_value(value)
-        sink = self.wal_sink
-        if sink is not None:
-            logged = np.empty(1, dtype=self._values_dtype)
-            logged[0] = value
-            sink.log_insert(np.asarray([key], dtype=np.float64), logged)
         self._insert_resolved(key, value)
 
     def _insert_resolved(self, key: float, value: Any) -> None:
-        """Apply one resolved insert (no validation, no WAL emission)."""
+        """Apply one resolved insert (no validation)."""
         self._version += 1
         if self.counter is not None:
             self.counter.op()
@@ -714,9 +701,6 @@ class PagedIndexBase:
         if n == 0:
             return
         values = self._resolve_batch_values(keys, values)
-        sink = self.wal_sink
-        if sink is not None:
-            sink.log_insert(keys, values)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         values = values[order]
@@ -725,8 +709,8 @@ class PagedIndexBase:
         while i < n:
             if len(self._tree) == 0:
                 # Seed the first page exactly like a scalar insert would
-                # (the resolved body: the batch was already validated,
-                # resolved and WAL-logged above).
+                # (the resolved body: the batch was already validated
+                # and resolved above).
                 self._insert_resolved(float(keys[i]), values[i])
                 i += 1
                 continue
@@ -857,9 +841,6 @@ class PagedIndexBase:
         """
         self._check_writable()
         key = float(key)
-        sink = self.wal_sink
-        if sink is not None:
-            sink.log_delete(np.asarray([key], dtype=np.float64), "raise")
         value = self._delete_one(key)
         if value is self._DELETE_MISS:
             raise KeyNotFoundError(key)
@@ -915,9 +896,6 @@ class PagedIndexBase:
         n = keys.size
         if n == 0:
             return np.empty(0, dtype=self._values_dtype)
-        sink = self.wal_sink
-        if sink is not None:
-            sink.log_delete(keys, missing)
         order = np.argsort(keys, kind="stable")
         skeys = keys[order]
         values: List[Any] = [default] * n
@@ -1001,9 +979,6 @@ class PagedIndexBase:
         """
         self._check_writable()
         key = float(key)
-        sink = self.wal_sink
-        if sink is not None:
-            sink.log_delete_value(key, value)
         if self.counter is not None:
             self.counter.op()
         for tree_key, page in self._pages_possibly_containing(key):

@@ -135,9 +135,9 @@ def save_state(state: Dict[str, Any], path: str, *, sync: bool = False) -> None:
     """Write a ``to_state`` snapshot dict to ``path`` as ``.npz``.
 
     The disk layout is exactly :func:`save_index`'s (that function is now
-    a ``to_state`` + ``save_state`` composition); the WAL snapshot path
-    uses this entry point directly since cluster workers ship state dicts,
-    not live index objects.
+    a ``to_state`` + ``save_state`` composition); callers that hold state
+    dicts rather than live index objects (cluster workers ship dicts) use
+    this entry point directly.
 
     Parameters
     ----------

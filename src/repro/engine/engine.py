@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
+from repro.core.page import aligned_value_array
 from repro.engine.batch import FlatView, flat_view
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.engine.scatter import (
@@ -46,6 +47,7 @@ from repro.engine.scatter import (
     split_sorted,
     stitch_ranges,
 )
+from repro.wal.store import log_chunks
 
 __all__ = ["ShardedEngine"]
 
@@ -168,7 +170,7 @@ class ShardedEngine:
     def from_states(
         cls, states: Dict[str, Any], *, telemetry: Any = None
     ) -> "ShardedEngine":
-        """Rebuild an engine from an ``engine_to_states``-shaped snapshot.
+        """Rebuild an engine from a :meth:`to_states` snapshot.
 
         Parameters
         ----------
@@ -195,7 +197,7 @@ class ShardedEngine:
         return eng
 
     def to_states(self) -> Dict[str, Any]:
-        """Snapshot the whole engine as an ``engine_to_states`` dict.
+        """Snapshot the whole engine: routing, row-id state, every shard.
 
         Returns
         -------
@@ -214,10 +216,10 @@ class ShardedEngine:
     def attach_wal(self, store: Any) -> None:
         """Attach a :class:`repro.wal.WalStore`: log every mutation.
 
-        Sets each shard's ``wal_sink`` so mutations are logged before
-        they apply, binds :meth:`to_states` as the store's snapshot
-        provider, and makes every batch verb group-commit on completion.
-        Rejects object-dtype payload shards (no portable encoding).
+        Every write verb then logs its routed chunks and group-commits
+        them before any shard applies (``docs/ARCHITECTURE.md``, the
+        write protocol), and :meth:`to_states` feeds the store's
+        snapshots. Rejects object-dtype payloads (no portable encoding).
         """
         for shard in self._shards:
             if shard._values_dtype == np.dtype(object):
@@ -227,19 +229,15 @@ class ShardedEngine:
                 )
         store.set_retain_tail(False)
         store.bind(self.to_states)
-        for sid, shard in enumerate(self._shards):
-            shard.wal_sink = store.sink(sid)
         self._wal = store
 
     def close(self) -> None:
         """Release durability resources; a no-op without an attached WAL.
 
-        Uncommitted WAL records are discarded — but engine verbs commit
-        before returning, so none exist outside a mid-crash window.
+        Uncommitted WAL records are discarded — but write verbs commit
+        before they apply, so none exist outside a mid-crash window.
         """
         if self._wal is not None:
-            for shard in self._shards:
-                shard.wal_sink = None
             self._wal.close()
             self._wal = None
 
@@ -753,20 +751,44 @@ class ShardedEngine:
     # Writes
     # ------------------------------------------------------------------
 
+    def _commit(self, keys, slices, values=None, missing="raise") -> None:
+        """Refuse a routed write an owning shard cannot take, else log
+        every chunk under one group commit — before any shard applies."""
+        for sid, _a, _b in slices:
+            self._shards[sid]._check_writable()
+        log_chunks(self._wal, self._next_rowid, keys, slices, values, missing)
+
+    def _apply(self, slices, fn: Callable[[int, int, int], Any]) -> List[Any]:
+        """Run ``fn(shard, a, b)`` on *every* owning shard, then re-raise
+        the first failure in shard order: every chunk is already
+        committed, so replay applies them all and the live state must."""
+        results: List[Any] = []
+        errors: List[Exception] = []
+        for sid, a, b in slices:
+            try:
+                results.append(fn(sid, a, b))
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        return results
+
+    def _maybe_snapshot(self) -> None:
+        """Rotate a snapshot generation if the attached log is due."""
+        if self._wal is not None:
+            self._wal.maybe_snapshot()
+
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values)."""
         if value is None and self._auto_rowid:
             value = self._next_rowid
             self._next_rowid += 1
-        wal = self._wal
-        if wal is None:
-            self.shard_for(key).insert(key, value)
-            return
-        try:
-            self.shard_for(key).insert(key, value)
-        finally:
-            wal.commit(self._next_rowid)
-        wal.maybe_snapshot()
+        keys = np.asarray([key], dtype=np.float64)
+        sid = int(route(self.cuts, keys)[0])
+        if self._wal is not None:
+            self._commit(keys, [(sid, 0, 1)], aligned_value_array(1, [value]))
+        self._shards[sid].insert(key, value)
+        self._maybe_snapshot()
 
     def insert_batch(self, keys, values=None) -> None:
         """Bulk batch insert: route once, bulk-merge per shard and page.
@@ -781,6 +803,9 @@ class ShardedEngine:
         no-op: no shard state is touched, no versions bumped, no row ids
         consumed. Cost for K inserts: one O(K log K) sort, one routing
         pass over the cuts, then O(K + touched-page data) merge work.
+        A batch rejected up front touches neither log nor shards; past
+        that, every owning shard applies its chunk and the first failing
+        shard's exception re-raises (``docs/ARCHITECTURE.md``).
 
         Parameters
         ----------
@@ -791,22 +816,6 @@ class ShardedEngine:
             Aligned payloads; ``None`` assigns engine-wide auto row ids in
             request order (only on engines built without explicit values).
         """
-        wal = self._wal
-        if wal is None:
-            self._insert_batch_impl(keys, values)
-            return
-        try:
-            self._insert_batch_impl(keys, values)
-        finally:
-            # Group commit: the whole batch (every per-shard record the
-            # sinks emitted) becomes durable with one write + fsync,
-            # even when a shard's apply raised after its emission —
-            # replay reproduces that same deterministic partial state.
-            wal.commit(self._next_rowid)
-        wal.maybe_snapshot()
-
-    def _insert_batch_impl(self, keys, values=None) -> None:
-        """The batch-insert body (no durability commit around it)."""
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
@@ -815,8 +824,14 @@ class ShardedEngine:
         )
         order, keys, slices = split_sorted(self.cuts, keys)
         values = values[order]
-        for sid, a, b in slices:
-            self._shards[sid].insert_batch(keys[a:b], values[a:b])
+        self._commit(keys, slices, values)
+        self._apply(
+            slices,
+            lambda sid, a, b: self._shards[sid].insert_batch(
+                keys[a:b], values[a:b]
+            ),
+        )
+        self._maybe_snapshot()
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["insert_batch"]
             c_ops.inc()
@@ -830,14 +845,11 @@ class ShardedEngine:
         Routes to the owning shard's ``delete``; raises
         :class:`~repro.core.errors.KeyNotFoundError` when absent.
         """
-        wal = self._wal
-        if wal is None:
-            return self.shard_for(key).delete(key)
-        try:
-            value = self.shard_for(key).delete(key)
-        finally:
-            wal.commit(self._next_rowid)
-        wal.maybe_snapshot()
+        keys = np.asarray([key], dtype=np.float64)
+        sid = int(route(self.cuts, keys)[0])
+        self._commit(keys, [(sid, 0, 1)])
+        value = self._shards[sid].delete(key)
+        self._maybe_snapshot()
         return value
 
     def delete_batch(
@@ -861,11 +873,11 @@ class ShardedEngine:
             Keys to delete, any order, any array-like coercible to
             float64; each element removes one occurrence.
         missing:
-            ``"raise"`` (default) raises
-            :class:`~repro.core.errors.KeyNotFoundError` at the first
-            absent request (prior removals stay applied, exactly as the
-            scalar loop would leave them); ``"ignore"`` records a miss
-            and continues.
+            ``"raise"`` (default): a shard stops at its first absent
+            request (prior removals stay applied, as the scalar loop
+            leaves them), every other owning shard still applies its
+            chunk, then the first failing shard's ``KeyNotFoundError``
+            re-raises; ``"ignore"`` records a miss and continues.
         default:
             Value filling the miss slots under ``missing="ignore"``.
 
@@ -876,37 +888,25 @@ class ShardedEngine:
             dtype when every request hit, else an object array with
             ``default`` in the miss slots.
         """
-        wal = self._wal
-        if wal is None:
-            return self._delete_batch_impl(keys, missing=missing, default=default)
-        try:
-            out = self._delete_batch_impl(keys, missing=missing, default=default)
-        finally:
-            wal.commit(self._next_rowid)
-        wal.maybe_snapshot()
-        return out
-
-    def _delete_batch_impl(
-        self, keys, *, missing: str = "raise", default: Any = None
-    ) -> np.ndarray:
-        """The batch-delete body (no durability commit around it)."""
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return np.empty(0, dtype=object)
         order, skeys, slices = split_sorted(self.cuts, keys)
+        self._commit(skeys, slices, missing=missing)
         out = gather_points(
             keys.size,
-            [
-                (
+            self._apply(
+                slices,
+                lambda sid, a, b: (
                     order[a:b],
                     self._shards[sid].delete_batch(
                         skeys[a:b], missing=missing, default=default
                     ),
                     None,
-                )
-                for sid, a, b in slices
-            ],
+                ),
+            ),
         )
+        self._maybe_snapshot()
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["delete_batch"]
             c_ops.inc()

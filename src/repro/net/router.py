@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.core.page import aligned_value_array
 from repro.engine.partition import route
 from repro.engine.scatter import (
     gather_points,
@@ -203,6 +204,16 @@ class Router:
                 idx, self._backends[idx], f"request failed: {exc}"
             ) from exc
 
+    async def _write_legs(self, legs) -> List[Any]:
+        """Run every write leg to completion, then raise the first failure
+        in backend order — the engines' partial-failure rule, one tier up
+        (a failed leg never leaves its siblings applying unobserved)."""
+        results = await asyncio.gather(*legs, return_exceptions=True)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
+
     # ------------------------------------------------------------------
     # Scalar verbs
     # ------------------------------------------------------------------
@@ -322,6 +333,11 @@ class Router:
     async def insert_batch(self, keys, values=None) -> None:
         """Scatter a bulk insert per owning backend.
 
+        Every leg runs to completion first. On a raise (the first
+        failing backend's exception, in backend order) every *other*
+        owning backend has applied its chunk: no atomicity across
+        backends, nothing is rolled back.
+
         Parameters
         ----------
         keys:
@@ -331,11 +347,14 @@ class Router:
         """
         self._counters["requests"] += 1
         keys = np.ascontiguousarray(keys, dtype=np.float64)
+        # Validated before routing, like the engines do: a misaligned
+        # batch must fail whole, not after its first legs applied.
         vals = (
-            None if values is None else np.ascontiguousarray(values)
+            None if values is None
+            else aligned_value_array(keys.size, np.ascontiguousarray(values))
         )
         parts = split_points(self._cuts, keys)
-        await asyncio.gather(*[
+        await self._write_legs([
             self._leg(
                 idx,
                 lambda idx=idx, pos=pos: self._clients[idx].insert_batch(
@@ -347,6 +366,11 @@ class Router:
 
     async def delete_batch(self, keys):
         """Scatter a bulk delete per owning backend; gather the values.
+
+        Strict: a backend stops at its first absent key. Every leg runs
+        to completion first, so on a raise (the first failing backend's
+        exception, in backend order) every other owning backend has
+        applied its chunk — no atomicity across backends.
 
         Parameters
         ----------
@@ -361,7 +385,7 @@ class Router:
         self._counters["requests"] += 1
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         parts = split_points(self._cuts, keys)
-        results = await asyncio.gather(*[
+        results = await self._write_legs([
             self._leg(
                 idx,
                 lambda idx=idx, pos=pos: self._clients[idx].delete_batch(

@@ -16,7 +16,6 @@ Engines opt in via ``EngineConfig(durability=..., data_dir=...)`` /
 from repro.wal.format import (
     OP_COMMIT,
     OP_DELETE,
-    OP_DELETE_VALUE,
     OP_INSERT,
     WalRecord,
 )
@@ -27,6 +26,7 @@ from repro.wal.store import (
     DURABILITY_MODES,
     RecoveredState,
     WalStore,
+    log_chunks,
     replay_ops,
 )
 
@@ -35,13 +35,13 @@ __all__ = [
     "DURABILITY_MODES",
     "OP_COMMIT",
     "OP_DELETE",
-    "OP_DELETE_VALUE",
     "OP_INSERT",
     "RecoveredState",
     "WalRecord",
     "WalStore",
     "WalWriter",
     "load_manifest",
+    "log_chunks",
     "manifest_path",
     "read_committed",
     "replay_ops",

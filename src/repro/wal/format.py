@@ -21,8 +21,6 @@ Payload schemas per op:
   values:dtype[n]``
 * ``OP_DELETE`` — ``n:u32  keys:f64[n]`` with header flag bit 0 set when
   ``missing="ignore"``
-* ``OP_DELETE_VALUE`` — ``dlen:u8  dtype:ascii[dlen]  key:f64
-  value:dtype[1]``
 * ``OP_COMMIT`` — ``next_rowid:i64``; a commit seals every record that
   precedes it since the previous commit (the group-commit boundary).
 
@@ -58,7 +56,9 @@ RECORD_HEADER = struct.Struct("<IIQBBh")
 
 OP_INSERT = 1
 OP_DELETE = 2
-OP_DELETE_VALUE = 3
+#: Code 3 (a retired per-value delete no engine verb could emit) is never
+#: reassigned: an old log holding it must fail to decode, not replay as
+#: something else.
 OP_COMMIT = 4
 
 #: Header flag bit set on ``OP_DELETE`` records when ``missing="ignore"``.
@@ -67,7 +67,6 @@ FLAG_MISSING_IGNORE = 0x01
 _U32 = struct.Struct("<I")
 _U8 = struct.Struct("<B")
 _I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 
 @dataclass
@@ -92,7 +91,7 @@ class WalRecord:
     next_rowid: Optional[int] = None
 
 
-def _coerce_values(values: Any) -> np.ndarray:
+def check_values(values: Any) -> np.ndarray:
     """Validate and contiguify a value payload (numeric/bool dtypes only)."""
     arr = np.ascontiguousarray(values)
     if arr.dtype == object or arr.dtype.hasobject:
@@ -112,7 +111,7 @@ def _pack(op: int, shard: int, lsn: int, payload: bytes, flags: int = 0) -> byte
 def encode_insert(lsn: int, shard: int, keys: np.ndarray, values: Any) -> bytes:
     """Encode an ``OP_INSERT`` record for ``(keys, values)`` on ``shard``."""
     k = np.ascontiguousarray(keys, dtype=np.float64)
-    v = _coerce_values(values)
+    v = check_values(values)
     dt = v.dtype.str.encode("ascii")
     payload = (
         _U32.pack(k.size) + _U8.pack(len(dt)) + dt + k.tobytes() + v.tobytes()
@@ -126,14 +125,6 @@ def encode_delete(lsn: int, shard: int, keys: np.ndarray, missing: str) -> bytes
     flags = FLAG_MISSING_IGNORE if missing == "ignore" else 0
     payload = _U32.pack(k.size) + k.tobytes()
     return _pack(OP_DELETE, shard, lsn, payload, flags=flags)
-
-
-def encode_delete_value(lsn: int, shard: int, key: float, value: Any) -> bytes:
-    """Encode an ``OP_DELETE_VALUE`` record for one ``(key, value)`` pair."""
-    v = _coerce_values(np.asarray([value]))
-    dt = v.dtype.str.encode("ascii")
-    payload = _U8.pack(len(dt)) + dt + _F64.pack(float(key)) + v.tobytes()
-    return _pack(OP_DELETE_VALUE, shard, lsn, payload)
 
 
 def encode_commit(lsn: int, next_rowid: int) -> bytes:
@@ -158,15 +149,6 @@ def decode_record(header: bytes, payload: bytes) -> WalRecord:
         keys = np.frombuffer(payload, dtype=np.float64, count=n, offset=4)
         missing = "ignore" if flags & FLAG_MISSING_IGNORE else "raise"
         return WalRecord(lsn, op, shard, keys=keys.copy(), missing=missing)
-    if op == OP_DELETE_VALUE:
-        (dlen,) = _U8.unpack_from(payload, 0)
-        dtype = np.dtype(payload[1 : 1 + dlen].decode("ascii"))
-        off = 1 + dlen
-        (key,) = _F64.unpack_from(payload, off)
-        values = np.frombuffer(payload, dtype=dtype, count=1, offset=off + 8)
-        return WalRecord(
-            lsn, op, shard, keys=np.asarray([key]), values=values.copy()
-        )
     if op == OP_COMMIT:
         (next_rowid,) = _I64.unpack(payload)
         return WalRecord(lsn, op, shard, next_rowid=next_rowid)

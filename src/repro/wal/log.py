@@ -80,17 +80,12 @@ class WalWriter:
         """Buffer a delete record; returns its LSN."""
         return self._append(wf.encode_delete(self._lsn, shard, keys, missing))
 
-    def append_delete_value(self, shard: int, key: float, value: Any) -> int:
-        """Buffer a delete-value record; returns its LSN."""
-        return self._append(wf.encode_delete_value(self._lsn, shard, key, value))
-
     def commit(self, next_rowid: int) -> bool:
         """Seal and persist every buffered record (group commit).
 
         Writes the buffered records plus one ``OP_COMMIT`` with a single
         ``write`` call, then ``flush`` + ``fsync`` (when ``sync``). A
-        no-op returning False when nothing is buffered, so callers may
-        commit unconditionally in a ``finally`` block.
+        no-op returning False when nothing is buffered.
 
         Parameters
         ----------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class RecoveredState:
     -------
     RecoveredState
         ``states`` is the snapshot-generation engine state (the
-        ``engine_to_states`` shape: cuts, auto_rowid, next_rowid, one
+        ``to_states`` shape: cuts, auto_rowid, next_rowid, one
         ``to_state`` dict per shard); ``ops`` is the committed WAL tail
         to replay on top; ``next_rowid`` is the post-replay rowid
         watermark from the last commit record (or the manifest when the
@@ -94,28 +94,6 @@ class _SnapshotJob:
         self.snaps: List[str] = []
         self.thread: Optional[threading.Thread] = None
         self.error: Optional[BaseException] = None
-
-
-class _ShardSink:
-    """Per-shard logging facade handed to ``PagedIndexBase.wal_sink``."""
-
-    __slots__ = ("_store", "_sid")
-
-    def __init__(self, store: "WalStore", sid: int):
-        self._store = store
-        self._sid = sid
-
-    def log_insert(self, keys: np.ndarray, values: Any) -> int:
-        """Log an insert against this sink's shard; returns the LSN."""
-        return self._store.log_insert(self._sid, keys, values)
-
-    def log_delete(self, keys: np.ndarray, missing: str) -> int:
-        """Log a delete against this sink's shard; returns the LSN."""
-        return self._store.log_delete(self._sid, keys, missing)
-
-    def log_delete_value(self, key: float, value: Any) -> int:
-        """Log a delete-value against this sink's shard; returns the LSN."""
-        return self._store.log_delete_value(self._sid, key, value)
 
 
 class WalStore:
@@ -202,7 +180,7 @@ class WalStore:
         Parameters
         ----------
         states:
-            Engine state in the ``engine_to_states`` shape.
+            Engine state in the engines' ``to_states`` shape.
         """
         if self.exists:
             raise InvalidParameterError(
@@ -264,10 +242,6 @@ class WalStore:
         self._retain_tail = bool(flag)
         if not flag:
             self._tail = []
-
-    def sink(self, sid: int) -> _ShardSink:
-        """A per-shard logging facade bound to shard ``sid``."""
-        return _ShardSink(self, sid)
 
     def close(self) -> None:
         """Close the WAL writer (discarding any uncommitted records).
@@ -336,27 +310,10 @@ class WalStore:
             )
         return lsn
 
-    def log_delete_value(self, sid: int, key: float, value: Any) -> int:
-        """Buffer a delete-value record for shard ``sid``; returns its LSN."""
-        writer = self._require_writer()
-        lsn = writer.append_delete_value(sid, key, value)
-        if self._retain_tail:
-            self._pending_records.append(
-                WalRecord(
-                    lsn,
-                    wf.OP_DELETE_VALUE,
-                    sid,
-                    keys=np.asarray([float(key)]),
-                    values=np.asarray([value]),
-                )
-            )
-        return lsn
-
     def commit(self, next_rowid: int) -> bool:
         """Group-commit all buffered records with one write + fsync.
 
-        No-op (returns False) when nothing is buffered, so engines call
-        it unconditionally in a ``finally`` block.
+        No-op (returns False) when nothing is buffered.
         """
         writer = self._require_writer()
         wrote = writer.commit(int(next_rowid))
@@ -650,36 +607,63 @@ class WalStore:
         }
 
 
+def log_chunks(
+    store: Optional[WalStore], next_rowid: int, keys: np.ndarray,
+    slices: List[Tuple[int, int, int]],
+    values: Optional[np.ndarray] = None, missing: str = "raise",
+) -> Dict[int, int]:
+    """Log one routed write, chunk by chunk, under one group commit.
+
+    Steps 3-4 of the write protocol (``docs/ARCHITECTURE.md``), shared
+    by every engine: ``keys``/``slices`` are a ``split_sorted`` plan, one
+    record per ``(shard, a, b)`` — an insert of ``values[a:b]`` when
+    ``values`` is given, else a delete carrying ``missing`` — sealed by
+    one commit holding ``next_rowid``. On return every chunk is on disk
+    and no shard has applied anything. What the log cannot encode is
+    refused before the first record is buffered, so a raise leaves the
+    log as it was. ``store=None`` (durability off) is a no-op.
+
+    Returns
+    -------
+    dict
+        ``{shard: lsn}`` of the records written (empty without a store).
+    """
+    if store is None:
+        return {}
+    if values is not None:
+        values = wf.check_values(values)
+    elif missing not in ("raise", "ignore"):
+        raise InvalidParameterError(
+            f"missing must be 'raise' or 'ignore', got {missing!r}"
+        )
+    lsns = {}
+    for sid, a, b in slices:
+        if values is None:
+            lsns[sid] = store.log_delete(sid, keys[a:b], missing)
+        else:
+            lsns[sid] = store.log_insert(sid, keys[a:b], values[a:b])
+    store.commit(next_rowid)
+    return lsns
+
+
 def replay_ops(engine: Any, ops: List[WalRecord]) -> None:
     """Replay committed WAL records into a freshly rebuilt engine.
 
     Applies each record directly to its target shard (routing was fixed
-    when the record was logged), with all shard WAL sinks masked so the
-    replay does not re-log itself. Deletes that miss are swallowed —
-    a committed delete record may legitimately have failed partway when
-    originally applied (``missing="raise"``), and replay reproduces that
+    when the record was logged). Deletes that miss are swallowed — a
+    committed strict delete (``missing="raise"``) may legitimately have
+    failed partway when originally applied, and replay reproduces that
     same partial application.
     """
     shards = engine.shards
-    saved = [s.wal_sink for s in shards]
-    for s in shards:
-        s.wal_sink = None
-    try:
-        for rec in ops:
-            shard = shards[rec.shard]
-            if rec.op == wf.OP_INSERT:
-                shard.insert_batch(rec.keys, rec.values)
-            elif rec.op == wf.OP_DELETE:
-                try:
-                    shard.delete_batch(rec.keys, missing=rec.missing)
-                except KeyNotFoundError:
-                    pass  # replaying a partially-applied strict delete
-            elif rec.op == wf.OP_DELETE_VALUE:
-                shard.delete_value(float(rec.keys[0]), rec.values[0])
-            else:
-                raise InvalidParameterError(
-                    f"cannot replay WAL op {rec.op}"
-                )
-    finally:
-        for s, sink in zip(shards, saved):
-            s.wal_sink = sink
+    for rec in ops:
+        shard = shards[rec.shard]
+        if rec.op == wf.OP_INSERT:
+            shard.insert_batch(rec.keys, rec.values)
+        elif rec.op == wf.OP_DELETE:
+            try:
+                shard.delete_batch(rec.keys, missing=rec.missing)
+            except KeyNotFoundError:
+                pass  # replaying a partially-applied strict delete
+        else:
+            raise InvalidParameterError(f"cannot replay WAL op {rec.op}")

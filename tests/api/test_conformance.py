@@ -53,6 +53,17 @@ STRADDLE_BOUNDS = np.asarray(
     ]
 )
 MALFORMED_BOUNDS = [np.zeros((2, 3)), np.zeros(4), []]
+# Inputs for the write protocol's partial-failure rule: a strict delete
+# whose shard-0 chunk misses while its shard-1 chunk hits, its mirror
+# image, and a straddling insert whose values run out in the second
+# chunk. The absent keys sit a hair above a build key.
+MISS_LOW = float(np.nextafter(BUILD_KEYS[10], np.inf))
+HIT_HIGH = float(BUILD_KEYS[-10])
+HIT_LOW = float(BUILD_KEYS[11])
+MISS_HIGH = float(np.nextafter(BUILD_KEYS[-11], np.inf))
+RULE_PROBES = np.asarray(
+    [BUILD_KEYS[10], MISS_LOW, HIT_LOW, BUILD_KEYS[-11], MISS_HIGH, HIT_HIGH]
+)
 
 BASE = EngineConfig(n_shards=2, error=64.0, buffer_capacity=16, max_batch=256)
 
@@ -78,6 +89,12 @@ class EngineAdapter:
 
     async def delete_many(self, keys):
         return norm(self.engine.delete_batch(keys))
+
+    async def delete_batch(self, keys):
+        return self.engine.delete_batch(keys)
+
+    async def insert_batch(self, keys, values):
+        self.engine.insert_batch(keys, values)
 
     async def ranges(self, bounds):
         return [
@@ -131,6 +148,12 @@ class ServerAdapter(EngineAdapter):
         return list(
             await asyncio.gather(*[self.server.delete(k) for k in keys])
         )
+
+    async def delete_batch(self, keys):
+        return await self.server.delete_batch(keys)
+
+    async def insert_batch(self, keys, values):
+        await self.server.insert_batch(keys, values)
 
     async def ranges(self, bounds):
         results = await asyncio.gather(
@@ -202,8 +225,28 @@ async def scenario(api) -> list:
     return trace
 
 
-def run_backend(name: str) -> list:
-    """Open one backend through the factory and run the scenario on it."""
+async def partial_failure(api) -> list:
+    """What a caller sees when a routed write fails in one shard only:
+    the exception, then ``len`` and the survivors around every key."""
+    trace = []
+    for label, keys in (
+        ("miss_low_hit_high", [MISS_LOW, HIT_HIGH]),
+        ("hit_low_miss_high", [HIT_LOW, MISS_HIGH]),
+    ):
+        with pytest.raises(KeyNotFoundError) as err:
+            await api.delete_batch(np.asarray(keys))
+        trace.append((label, err.value.args, api.length(),
+                      await api.get_many(RULE_PROBES, -1.0)))
+    with pytest.raises(InvalidParameterError, match="values length"):
+        await api.insert_batch(STRADDLE_KEYS, np.arange(3))
+    trace.append(("short_insert", api.length(),
+                  await api.get_many(STRADDLE_KEYS, -1.0)))
+    api.finish()
+    return trace
+
+
+def run_backend(name: str, scenario=scenario) -> list:
+    """Open one backend through the factory and run ``scenario`` on it."""
     if name == "sharded":
         engine = open_engine(BUILD_KEYS, config=BASE)
     elif name == "single":
@@ -241,6 +284,42 @@ def run_backend(name: str) -> list:
 @pytest.fixture(scope="module")
 def reference_trace():
     return run_backend("sharded")
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["sharded", "fixed-page", "cluster", "server-sharded", "server-cluster"],
+)
+def test_partial_failure_rule_on_every_two_shard_backend(backend):
+    """Every owning shard applies its chunk, then the first failing
+    shard's exception re-raises — whichever shard that is, and whether
+    shards are objects, processes or sit behind a server."""
+    low, high, short = run_backend(backend, partial_failure)
+    # Shard 0 misses: shard 1 still removes HIT_HIGH.
+    assert low == (
+        "miss_low_hit_high", (MISS_LOW,), N - 1,
+        [10, -1.0, 11, N - 11, -1.0, -1.0],
+    ), backend
+    # Shard 1 misses: shard 0 removed HIT_LOW before it raised.
+    assert high == (
+        "hit_low_miss_high", (MISS_HIGH,), N - 2,
+        [10, -1.0, -1.0, N - 11, -1.0, -1.0],
+    ), backend
+    # A batch rejected before routing applies nowhere.
+    build = dict(zip(BUILD_KEYS.tolist(), range(N)))
+    assert short == (
+        "short_insert", N - 2,
+        [build.get(k, -1.0) for k in STRADDLE_KEYS.tolist()],
+    ), backend
+
+
+def test_single_shard_is_one_chunk():
+    """With one shard the rule degenerates to the scalar loop's: a strict
+    delete stops at its first absent key in key order, so a miss *below*
+    a hit shields it (two shards would have removed HIT_HIGH)."""
+    low, high, _short = run_backend("single", partial_failure)
+    assert low[1:3] == ((MISS_LOW,), N) and low[3][-1] == N - 10
+    assert high[1:3] == ((MISS_HIGH,), N - 1)
 
 
 @pytest.mark.parametrize(

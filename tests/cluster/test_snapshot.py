@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import FixedPageIndex
-from repro.cluster import engine_to_states, index_from_state
+from repro.cluster import index_from_state
 from repro.cluster.snapshot import register_index_class
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
@@ -155,9 +155,9 @@ class TestSpawnRegistry:
 
 
 class TestEngineStates:
-    def test_engine_to_states_shape(self, uniform_keys):
+    def test_to_states_shape(self, uniform_keys):
         engine = ShardedEngine(uniform_keys, n_shards=3, error=64)
-        states = engine_to_states(engine)
+        states = engine.to_states()
         assert states["cuts"].tolist() == engine.cuts.tolist()
         assert states["next_rowid"] == len(uniform_keys)
         assert states["auto_rowid"] is True
@@ -167,7 +167,7 @@ class TestEngineStates:
     def test_states_are_value_copies(self, uniform_keys):
         engine = ShardedEngine(uniform_keys, n_shards=2, error=64,
                                buffer_capacity=8)
-        states = engine_to_states(engine)
+        states = engine.to_states()
         engine.insert(3.25)
         rebuilt = [index_from_state(s) for s in states["shards"]]
         assert sum(len(s) for s in rebuilt) == len(uniform_keys)  # pre-insert

@@ -218,3 +218,44 @@ def test_scatter_gather_correct_across_the_cut():
                 assert [p[0].size for p in pairs] == [31, 41]
 
         run(scenario())
+
+
+def test_router_write_waits_for_every_leg_then_raises_in_backend_order():
+    """The partial-failure rule one tier up: no leg is left applying
+    unobserved, and *which* failure the caller sees does not depend on
+    which backend happened to answer first."""
+    from repro.core.errors import InvalidParameterError, KeyNotFoundError
+    from repro.net import Router
+
+    class Leg:
+        def __init__(self, delay, exc=None):
+            self.delay, self.exc, self.finished = delay, exc, 0
+
+        async def _run(self, keys):
+            await asyncio.sleep(self.delay)
+            self.finished += 1
+            if self.exc is not None:
+                raise self.exc
+            return np.zeros(len(keys), dtype=np.int64)
+
+        async def insert_batch(self, keys, values):
+            await self._run(keys)
+
+        async def delete_batch(self, keys):
+            return await self._run(keys)
+
+    router = Router([("h", 1), ("h", 2), ("h", 3)], [10.0, 20.0],
+                    health_interval=0)
+    legs = [
+        Leg(0.05),  # the slowest leg succeeds
+        Leg(0.02, KeyNotFoundError(15.0)),  # first failure in backend order
+        Leg(0.0, InvalidParameterError("first failure in time")),
+    ]
+    router._clients = legs
+    keys = np.asarray([25.0, 5.0, 15.0])
+    with pytest.raises(KeyNotFoundError):
+        run(router.insert_batch(keys, np.arange(3)))
+    assert [leg.finished for leg in legs] == [1, 1, 1]
+    with pytest.raises(KeyNotFoundError):
+        run(router.delete_batch(keys))
+    assert [leg.finished for leg in legs] == [2, 2, 2]

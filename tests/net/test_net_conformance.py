@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import open_engine
-from repro.core.errors import InvalidParameterError
+from repro.core.errors import InvalidParameterError, KeyNotFoundError
 from repro.net import AsyncNetClient, TcpCluster, serve_tcp
 from repro.net import frame as wire
 from repro.serve.server import Server
@@ -49,6 +49,13 @@ STRADDLE_BOUNDS = np.asarray(
     ]
 )
 MALFORMED_BOUNDS = [np.zeros((2, 3)), np.zeros(4), []]
+# The write protocol's partial-failure rule, seen through a socket: a
+# strict delete whose low chunk misses (a hair above a live key) while
+# its high chunk hits, and a straddling insert one value short.
+ALIVE = np.setdiff1d(BUILD_KEYS, DEL_KEYS)
+MISS_LOW = float(np.nextafter(ALIVE[10], np.inf))
+HIT_HIGH = float(ALIVE[-10])
+RULE_PROBES = np.asarray([ALIVE[10], MISS_LOW, ALIVE[-11], HIT_HIGH])
 
 
 async def _scenario(api):
@@ -82,6 +89,18 @@ async def _scenario(api):
     for bad in MALFORMED_BOUNDS:
         with pytest.raises(InvalidParameterError, match="bounds"):
             await api.range_batch(bad)
+    # Every owning shard/backend applies its chunk, then the first
+    # failure re-raises: same exception, same survivors, same length.
+    with pytest.raises(KeyNotFoundError) as err:
+        await api.delete_batch(np.asarray([MISS_LOW, HIT_HIGH]))
+    assert err.value.args == (MISS_LOW,)
+    out.append(np.asarray(await api.get_batch(RULE_PROBES, -1)))
+    # Rejected before routing: no tier applies the chunk it could have.
+    with pytest.raises(InvalidParameterError, match="values length"):
+        await api.insert_batch(STRADDLE_KEYS, STRADDLE_VALUES[:2])
+    out.append(np.asarray(await api.get_batch(STRADDLE_KEYS, -1)))
+    k, _ = await api.range(0.0, 2e6)
+    assert k.size == N + INS_KEYS.size - DEL_KEYS.size - 1
     return out
 
 

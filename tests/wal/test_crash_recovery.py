@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import open_engine
 from repro.cluster import ClusterEngine
+from repro.core.errors import KeyNotFoundError
 from repro.engine import ShardedEngine
 from repro.wal import WalStore, load_manifest
 
@@ -44,7 +45,7 @@ def _kill_worker(engine, sid):
 def _durable_cluster(tmp, **kw):
     engine = ClusterEngine(BASE, n_shards=2, error=64.0)
     store = WalStore(str(tmp), **kw)
-    store.initialize(engine._pull_states())
+    store.initialize(engine.to_states())
     engine.attach_wal(store)
     return engine
 
@@ -66,7 +67,7 @@ def test_worker_sigkill_mid_insert_recovers_bit_identical(tmp_path):
             twin.insert_batch(keys, values)
             assert len(engine) == len(twin)
         engine.validate()
-        _assert_states_match(engine._pull_states(), twin.to_states())
+        _assert_states_match(engine.to_states(), twin.to_states())
     finally:
         engine.close()
 
@@ -81,9 +82,38 @@ def test_worker_sigkill_mid_delete_recovers_values_or_types(tmp_path):
         want = twin.delete_batch(doomed)
         assert list(got) == list(want)
         assert len(engine) == len(twin)
-        _assert_states_match(engine._pull_states(), twin.to_states())
+        _assert_states_match(engine.to_states(), twin.to_states())
     finally:
         engine.close()
+
+
+def test_strict_delete_failing_in_one_shard_replays_to_live_state(tmp_path):
+    engine = _durable_cluster(tmp_path, durability="wal")
+    twin = ShardedEngine(BASE, n_shards=2, error=64.0)
+    # Shard 0's chunk misses (a hair above a live key), shard 1's hits.
+    keys = np.asarray([np.nextafter(BASE[5], np.inf), BASE[-5]])
+    try:
+        for eng in (engine, twin):
+            with pytest.raises(KeyNotFoundError):
+                eng.delete_batch(keys)
+        assert len(engine) == len(twin) == BASE.size - 1
+        # Both workers die: each restarts from snapshot + its committed
+        # tail, so shard 0's record replays to the same miss and shard
+        # 1's to the same removal.
+        _kill_worker(engine, 0)
+        _kill_worker(engine, 1)
+        assert list(engine.get_batch(keys, -1)) == [-1, -1]
+        _assert_states_match(engine.to_states(), twin.to_states())
+    finally:
+        engine.close()
+    reopened = open_engine(
+        executor="sharded", n_shards=2, error=64.0,
+        durability="wal", data_dir=str(tmp_path),
+    )
+    try:
+        _assert_states_match(reopened.to_states(), twin.to_states())
+    finally:
+        reopened.close()
 
 
 def test_worker_sigkill_mid_snapshot_keeps_old_generation(tmp_path):
@@ -92,7 +122,7 @@ def test_worker_sigkill_mid_snapshot_keeps_old_generation(tmp_path):
     )
     twin = ShardedEngine(BASE, n_shards=2, error=64.0)
     store = engine._wal
-    real_provider = engine._pull_states
+    real_provider = engine.to_states
 
     def dying_provider():
         # The snapshot pull finds a freshly-killed worker: the pull
@@ -115,7 +145,7 @@ def test_worker_sigkill_mid_snapshot_keeps_old_generation(tmp_path):
     engine.insert_batch(np.array([789.5]), np.array([3]))
     twin.insert_batch(np.array([789.5]), np.array([3]))
     assert store.generation > 1
-    _assert_states_match(engine._pull_states(), twin.to_states())
+    _assert_states_match(engine.to_states(), twin.to_states())
     engine.close()
 
     # And recovery from the post-crash generation matches the twin too.

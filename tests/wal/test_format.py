@@ -1,21 +1,22 @@
 """WAL record codec: round-trips, CRC detection, torn-tail tolerance."""
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError
+from repro.engine import ShardedEngine
+from repro.wal import WalStore, load_manifest
 from repro.wal.format import (
     FILE_HEADER,
     OP_COMMIT,
     OP_DELETE,
-    OP_DELETE_VALUE,
     OP_INSERT,
     check_file_header,
     encode_commit,
     encode_delete,
-    encode_delete_value,
     encode_insert,
     file_header,
     scan_records,
@@ -60,12 +61,24 @@ def test_delete_round_trip_both_missing_modes():
         assert np.array_equal(rec.keys, keys)
 
 
-def test_delete_value_round_trip():
-    buf = _log(encode_delete_value(4, 1, 3.25, np.int64(42)))
-    (rec,), _ = scan_records(buf)
-    assert rec.op == OP_DELETE_VALUE
-    assert rec.keys[0] == 3.25
-    assert rec.values[0] == 42
+def test_retired_op_code_stops_recovery_loudly(tmp_path):
+    """An old log holding op code 3 (the retired per-value delete) must
+    fail recovery with a typed error naming the op — a silent skip would
+    recover a state that never existed."""
+    keys = np.arange(8.0)
+    store = WalStore(str(tmp_path), sync=False)
+    store.initialize(ShardedEngine(keys, n_shards=1).to_states())
+    store.close()
+    wal_path = tmp_path / load_manifest(str(tmp_path))["wal"]
+    # Hand-packed: the encoder for this op no longer exists.
+    payload = b"\x03<i8" + struct.pack("<dq", 3.0, 3)
+    tail = struct.pack("<IQBBh", len(payload), 0, 3, 0, 0)
+    crc = zlib.crc32(tail + payload) & 0xFFFFFFFF
+    with open(wal_path, "ab") as fh:
+        fh.write(struct.pack("<I", crc) + tail + payload)
+        fh.write(encode_commit(1, 8))
+    with pytest.raises(InvalidParameterError, match="op 3"):
+        WalStore(str(tmp_path), sync=False).recover()
 
 
 def test_commit_round_trip():

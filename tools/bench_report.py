@@ -2,7 +2,7 @@
 """Aggregate committed ``BENCH_*.json`` artifacts into one trajectory table.
 
 Each engine-track benchmark (``python -m repro.bench engine|serve|
-cluster|obs|wal``) commits a JSON artifact at the repo root so the perf
+cluster|obs|net``) commits a JSON artifact at the repo root so the perf
 trajectory accumulates across PRs. This tool folds all of them into one
 markdown table — experiment, last-commit date (from git), and a headline
 number with context — and splices it into ``docs/BENCHMARKS.md`` between
@@ -89,27 +89,6 @@ def _headline_obs(doc: Dict[str, Any]) -> Tuple[str, str]:
     return f"off {off:+.1f}% (guard <= {limit:.0f}%)", detail
 
 
-def _headline_wal(doc: Dict[str, Any]) -> Tuple[str, str]:
-    thr = {
-        r["mode"]: r for r in doc["rows"]
-        if r.get("kind") == "insert_throughput"
-    }
-    rec = [r for r in doc["rows"] if r.get("kind") == "recovery"]
-    head = "n/a"
-    if "off" in thr:
-        head = f"off {thr['off']['overhead_pct']:+.1f}%"
-    if "wal" in thr:
-        head += f", wal {thr['wal']['overhead_pct']:+.1f}%"
-    detail = ""
-    if rec:
-        big = max(rec, key=lambda r: r["n"])
-        detail = (
-            f"recovery {big['keys_per_second'] / 1e6:.1f}M keys/s "
-            f"@ n={big['n']}"
-        )
-    return head, detail
-
-
 def _headline_net(doc: Dict[str, Any]) -> Tuple[str, str]:
     rows = doc["rows"]
     scalar = [
@@ -137,7 +116,6 @@ _HEADLINES = {
     "serve": _headline_serve,
     "cluster": _headline_cluster,
     "obs": _headline_obs,
-    "wal": _headline_wal,
     "net": _headline_net,
 }
 

@@ -48,6 +48,7 @@ process is killed and restored instead of being permanently fenced off.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing as mp
 import threading
@@ -55,6 +56,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro import codec
 from repro.cluster.errors import (
     ClusterError,
     WorkerCrashedError,
@@ -364,12 +366,11 @@ class ClusterEngine:
 
     def _await_ready(self, sid: int) -> None:
         """Block until shard ``sid``'s worker reports ready."""
-        reply = self._recv(sid)
-        if reply[0] != "ready":
+        meta, _ = self._recv(sid)
+        if not meta.get("ready"):
             raise ClusterError(
-                f"shard {sid} worker failed to start: {reply!r}"
+                f"shard {sid} worker failed to start: {meta!r}"
             )
-        self._versions[sid] = int(reply[1])
 
     # ------------------------------------------------------------------
     # Durability
@@ -408,7 +409,7 @@ class ClusterEngine:
             "cuts": self.cuts.copy(),
             "auto_rowid": self._auto_rowid,
             "next_rowid": self._next_rowid,
-            "shards": self._broadcast(("to_state",)),
+            "shards": self._broadcast("to_state"),
         }
 
     def _maybe_snapshot(self) -> None:
@@ -479,20 +480,25 @@ class ClusterEngine:
         self._await_ready(sid)
         for rec in self._wal.tail_ops(sid, skip_lsn=skip_lsn):
             self._replay_record(sid, rec)
-        self._send(sid, ("stats",))
-        reply = self._recv(sid)
-        self._shard_ns[sid] = int(reply[2]["n"])
+        self._send(sid, ("stats", {}, ()))
+        self._shard_ns[sid] = int(self._recv(sid)[0]["result"]["n"])
         self._n = sum(self._shard_ns)
 
     def _replay_record(self, sid: int, rec: Any) -> None:
         """Re-apply one committed tail record to a restored worker."""
+        # Replays must not profile: the original dispatch already
+        # recorded this batch, and a crash-restore would double it.
         if rec.op == OP_INSERT:
-            # Replays must not profile: the original dispatch already
-            # recorded this batch, and a crash-restore would double it.
-            self._send_insert(sid, rec.keys, rec.values, profile=False)
+            self._post(
+                sid, "insert_batch", {"profile": False}, [rec.keys, rec.values]
+            )
             self._recv(sid)
         elif rec.op == OP_DELETE:
-            self._send_delete(sid, rec.keys, rec.missing, profile=False)
+            self._post(
+                sid, "delete_batch",
+                {"missing": rec.missing, "profile": False},
+                [rec.keys], self._points_bytes(rec.keys.size),
+            )
             try:
                 self._recv(sid)
             except KeyNotFoundError:
@@ -558,18 +564,15 @@ class ClusterEngine:
         c_keys.inc(n_keys)
 
     def _merge_deltas(self, replies: Dict[int, Tuple]) -> None:
-        """Fold the workers' workload-sketch deltas out of a round's replies.
-
-        Profiled replies are 5-tuples whose last slot is either ``None``
-        or a compact delta dict (see
-        :meth:`repro.obs.ShardWorkloadProfiler.record`); unprofiled and
-        trace-only replies are shorter and skipped untouched.
-        """
+        """Fold the workers' workload-sketch deltas out of a round's replies
+        (``meta["delta"]``, see
+        :meth:`repro.obs.ShardWorkloadProfiler.record`; only profiled
+        requests are answered with one)."""
         if self._workload is None:
             return
-        for sid, reply in replies.items():
-            if len(reply) > 4 and reply[4] is not None:
-                self._workload.merge_delta(sid, reply[4])
+        for sid, (meta, _) in replies.items():
+            if "delta" in meta:
+                self._workload.merge_delta(sid, meta["delta"])
 
     @property
     def closed(self) -> bool:
@@ -590,7 +593,7 @@ class ClusterEngine:
         self._closed = True
         for worker in self._workers:
             try:
-                worker.conn.send(("shutdown",))
+                worker.conn.send(("shutdown", {}, ()))
             except (BrokenPipeError, OSError):
                 # Expected for already-dead workers; recorded, not silent.
                 note_teardown_error()
@@ -634,23 +637,24 @@ class ClusterEngine:
         process = self._workers[sid].process
         return WorkerCrashedError(sid, process.exitcode, detail)
 
-    def _send(self, sid: int, frame: Tuple) -> None:
+    def _check_in_step(self, sid: int) -> None:
         if sid in self._poisoned:
             raise ClusterError(
                 f"shard {sid} worker is in an unknown state after an "
                 "earlier timeout; the request/reply protocol cannot resync"
             )
+
+    def _send(self, sid: int, frame: Tuple) -> None:
+        self._check_in_step(sid)
         try:
             self._workers[sid].conn.send(frame)
         except (BrokenPipeError, EOFError, OSError) as exc:
             raise self._crash(sid, str(exc)) from exc
 
     def _recv(self, sid: int) -> Tuple:
-        if sid in self._poisoned:
-            raise ClusterError(
-                f"shard {sid} worker is in an unknown state after an "
-                "earlier timeout; the request/reply protocol cannot resync"
-            )
+        """One reply from shard ``sid`` as ``(meta, descriptors)``; its
+        version stamp is recorded and an ``"err"`` reply re-raised here."""
+        self._check_in_step(sid)
         conn = self._workers[sid].conn
         try:
             if not conn.poll(self._op_timeout):
@@ -665,12 +669,12 @@ class ClusterEngine:
             reply = conn.recv()
         except (BrokenPipeError, EOFError, OSError) as exc:
             raise self._crash(sid, str(exc)) from exc
-        if reply[0] == "err":
-            self._versions[sid] = max(self._versions[sid], int(reply[1]))
-            raise reply[2]
-        if reply[0] == "ok":
-            self._versions[sid] = int(reply[1])
-        return reply
+        status, version, meta, descriptors = reply
+        if status == "err":
+            self._versions[sid] = max(self._versions[sid], int(version))
+            raise meta["error"]
+        self._versions[sid] = int(version)
+        return meta, descriptors
 
     def _gather(
         self, sids, errors: Optional[Dict[int, BaseException]] = None
@@ -766,12 +770,29 @@ class ClusterEngine:
         replies.update(self._round([(sid, thunks[sid]) for sid in retry]))
         return replies
 
-    def _ensure_lanes(self, sid: int, req_bytes: int, resp_bytes: int) -> None:
+    def _post(
+        self, sid: int, verb: str, meta: Dict[str, Any], arrays,
+        resp_bytes: int = 0,
+    ) -> None:
+        """Send one batch request: ``arrays`` into the request lane (both
+        lanes grown first when too small), ``(verb, meta, descriptors)``
+        down the pipe with the lane names added to ``meta``."""
         worker = self._workers[sid]
-        if worker.req.ensure(req_bytes):
+        if worker.req.ensure(codec.packed_size(arrays)):
             worker.ipc["lane_growths"] += 1
         if worker.resp.ensure(resp_bytes):
             worker.ipc["lane_growths"] += 1
+        descriptors = worker.req.write(arrays)
+        worker.ipc["batches"] += 1
+        meta = {"req": worker.req.name, "resp": worker.resp.name, **meta}
+        if self._workload is not None:
+            meta.setdefault("profile", True)
+        self._send(sid, (verb, meta, descriptors))
+
+    def _points_bytes(self, n: int) -> int:
+        """Response-lane bytes a get/delete answer for ``n`` keys can need
+        (values + one mask byte each + alignment slack)."""
+        return n * (self._values_dtype.itemsize + 1) + 64
 
     # ------------------------------------------------------------------
     # Introspection
@@ -821,7 +842,7 @@ class ClusterEngine:
         from repro.obs import stats_sections
 
         workload, slow_ops = stats_sections(self._telemetry)
-        per_shard = self._broadcast(("stats",))
+        per_shard = self._broadcast("stats")
         self._shard_ns = [int(s["n"]) for s in per_shard]
         self._n = sum(self._shard_ns)
         return {
@@ -844,13 +865,7 @@ class ClusterEngine:
                 {"pid": w.process.pid, "alive": w.process.is_alive()}
                 for w in self._workers
             ],
-            "ipc": {
-                **{
-                    key: sum(w.ipc[key] for w in self._workers)
-                    for key in ("batches", "pickle_fallbacks", "lane_growths")
-                },
-                "teardown_errors": teardown_errors(),
-            },
+            "ipc": self._collect_ipc(),
             "wal": None if self._wal is None else self._wal.stats(),
             "workload": workload,
             "slow_ops": slow_ops,
@@ -859,25 +874,28 @@ class ClusterEngine:
     def warm(self) -> None:
         """Pre-build every worker's flattened read snapshot."""
         self._check_open()
-        self._broadcast(("warm",))
+        self._broadcast("warm")
 
     def validate(self) -> None:
         """Validate every shard in its worker, plus the routing invariant
         (each worker checks its keys stay inside its cut range)."""
         self._check_open()
-        self._broadcast(("validate",))
+        self._broadcast("validate")
 
-    def _broadcast(self, frame: Tuple) -> List[Any]:
-        """Send one frame to every worker; gather payloads in shard order."""
+    def _broadcast(self, verb: str) -> List[Any]:
+        """Send one control verb to every worker; gather each reply's
+        ``meta["result"]`` (``None`` for warm/validate) in shard order."""
         self._acquire_all()
         try:
             replies = self._round(
                 [
-                    (sid, lambda sid=sid: self._send(sid, frame))
+                    (sid, lambda sid=sid: self._send(sid, (verb, {}, ())))
                     for sid in range(self.n_shards)
                 ]
             )
-            return [replies[sid][2] for sid in range(self.n_shards)]
+            return [
+                replies[sid][0].get("result") for sid in range(self.n_shards)
+            ]
         finally:
             self._release_all()
 
@@ -948,83 +966,64 @@ class ClusterEngine:
     ) -> np.ndarray:
         """The fenced dispatch round behind :meth:`get_batch`.
 
-        ``trace`` is ``None`` (untraced — wire format unchanged) or
+        ``trace`` is ``None`` (untraced) or
         ``(tracer, (trace_id, parent_span_id))``: the context rides each
-        ``get_batch`` frame, worker replies carry back their
-        ``worker.compute`` spans for stitching, and the parent-side
-        decode/scatter is recorded as a ``cluster.gather`` child span.
+        request's ``meta["trace"]``, worker replies carry back their
+        ``worker.compute`` spans in ``meta["spans"]`` for stitching, and
+        the parent-side decode/scatter is recorded as a
+        ``cluster.gather`` child span.
         """
         if q.size == 0:
             # Matches the in-process engine's warm combined-view path: an
             # empty batch over a populated engine keeps the values dtype.
             return np.empty(0, dtype=self._values_dtype if self._n else object)
         groups = split_points(self.cuts, q)
-        ctx = trace[1] if trace is not None else None
+        meta = {} if trace is None else {"trace": trace[1]}
         self._acquire_all()
         try:
             replies = self._round_durable(
                 {
-                    i: (lambda i=i, idx=idx: self._send_get(i, q[idx], ctx))
+                    i: (
+                        lambda i=i, idx=idx: self._post(
+                            i, "get_batch", meta, [q[idx]],
+                            self._points_bytes(idx.size),
+                        )
+                    )
                     for i, idx in groups
                 }
             )
             self._merge_deltas(replies)
+            gather_span = contextlib.nullcontext()
             if trace is not None:
-                tracer = trace[0]
                 for i, _idx in groups:
-                    reply = replies[i]
-                    if len(reply) > 3 and reply[3]:
-                        tracer.ingest(reply[3])
-                with tracer.span("cluster.gather", shards=len(groups)):
-                    parts = [
-                        (idx, *self._decode_get(i, replies[i][2]))
-                        for i, idx in groups
-                    ]
-                    return gather_points(q.size, parts, default)
-            parts = [
-                (idx, *self._decode_get(i, replies[i][2])) for i, idx in groups
-            ]
+                    trace[0].ingest(replies[i][0].get("spans", ()))
+                gather_span = trace[0].span("cluster.gather", shards=len(groups))
             # Gather while the locks pin the response lanes (the parts
             # hold zero-copy lane views).
-            return gather_points(q.size, parts, default)
+            with gather_span:
+                parts = [
+                    (idx, *self._read_points(i, replies[i])) for i, idx in groups
+                ]
+                return gather_points(q.size, parts, default)
         finally:
             self._release_all()
 
-    def _send_get(
-        self, sid: int, q: np.ndarray, trace_ctx: Optional[Tuple] = None
-    ) -> None:
-        worker = self._workers[sid]
-        resp_bytes = q.size * (self._values_dtype.itemsize + 1) + 64
-        self._ensure_lanes(sid, q.nbytes, resp_bytes)
-        descr = worker.req.write([q])[0]
-        worker.ipc["batches"] += 1
-        frame: Tuple = ("get_batch", (worker.req.name, worker.resp.name), descr)
-        if self._workload is not None:
-            # Profiled frames always carry the trace slot (None when
-            # untraced) so the workload flag sits at a fixed index.
-            frame = frame + (trace_ctx, True)
-        elif trace_ctx is not None:
-            frame = frame + (trace_ctx,)
-        self._send(sid, frame)
-
-    def _decode_get(
-        self, sid: int, payload: Tuple
+    def _read_points(
+        self, sid: int, reply: Tuple
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(values, found)`` of one get/delete reply (``found`` is
+        ``None`` when every key hit)."""
         # Returned arrays are zero-copy views of the response lane; the
         # gather into the caller's output array is the one copy they get
         # and happens before the lane is ever reused (ops are strict
         # request/reply rounds under the worker's lock).
+        meta, descriptors = reply
         worker = self._workers[sid]
-        if payload[0] == "shm":
-            _, value_descrs, mask_descr = payload
-            values = worker.resp.read(value_descrs)[0]
-            if mask_descr is None:
-                return values, None
-            found = worker.resp.read([mask_descr])[0].view(np.bool_)
-            return values, found
-        _, values_list, found = payload  # pickle fallback (object payloads)
-        worker.ipc["pickle_fallbacks"] += 1
-        return _object_array(values_list), found
+        if meta["via"] == "shm":
+            values, *mask = worker.resp.read(descriptors)
+            return values, (mask[0].view(np.bool_) if mask else None)
+        worker.ipc["pickle_fallbacks"] += 1  # object payloads
+        return _object_array(meta["values"]), meta["found"]
 
     # ------------------------------------------------------------------
     # Range scans
@@ -1090,13 +1089,15 @@ class ClusterEngine:
         n_bounds = bounds.shape[0]
         if n_bounds == 0:
             return []
+        meta = {"include_lo": include_lo, "include_hi": include_hi}
         self._acquire_all()
         try:
             raw = self._round_durable(
                 {
                     sid: (
-                        lambda sid=sid, idx=idx: self._send_ranges(
-                            sid, bounds[idx], include_lo, include_hi
+                        lambda sid=sid, idx=idx: self._post(
+                            sid, "range_batch", meta,
+                            [bounds[idx, 0], bounds[idx, 1]],
                         )
                     )
                     for sid, idx in jobs
@@ -1104,8 +1105,7 @@ class ClusterEngine:
             )
             self._merge_deltas(raw)
             parts = [
-                (idx, self._decode_ranges(sid, raw[sid][2]))
-                for sid, idx in jobs
+                (idx, self._read_ranges(sid, raw[sid])) for sid, idx in jobs
             ]
         finally:
             self._release_all()
@@ -1114,57 +1114,25 @@ class ClusterEngine:
             self._obs_count("range_batch", n_bounds)
         return out
 
-    def _send_ranges(
-        self, sid: int, sub_bounds: np.ndarray, include_lo: bool, include_hi: bool
-    ) -> None:
-        worker = self._workers[sid]
-        los = np.ascontiguousarray(sub_bounds[:, 0])
-        his = np.ascontiguousarray(sub_bounds[:, 1])
-        self._ensure_lanes(sid, los.nbytes + his.nbytes + 64, 0)
-        descr = worker.req.write([los, his])
-        worker.ipc["batches"] += 1
-        frame: Tuple = (
-            "range_batch",
-            (worker.req.name, worker.resp.name),
-            descr,
-            include_lo,
-            include_hi,
-        )
-        if self._workload is not None:
-            frame = frame + (True,)
-        self._send(sid, frame)
-
-    def _decode_ranges(
-        self, sid: int, payload: Tuple
+    def _read_ranges(
+        self, sid: int, reply: Tuple
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The per-bound ``(keys, values)`` rows of one range reply."""
+        meta, descriptors = reply
         worker = self._workers[sid]
-        if payload[0] == "pickle":
-            worker.ipc["pickle_fallbacks"] += 1
-            results = payload[1]
-            # The worker fell back because the reply outgrew the response
-            # lane (or carried object values). Numeric overflows are the
-            # common case for wide scans: grow the lane now so the next
-            # comparable reply takes the zero-copy path (the worker
-            # re-attaches by name from the next frame).
-            needed = 64 + 24 * len(results) + sum(
-                k.nbytes + v.nbytes
-                for k, v in results
-                if v.dtype != np.dtype(object)
+        if meta["via"] == "shm":
+            # Copied once out of the lane: the rows outlive the round.
+            return codec.split_pairs(
+                *(np.array(a) for a in worker.resp.read(descriptors))
             )
-            has_object = any(
-                v.dtype == np.dtype(object) for _, v in results
-            )
-            if not has_object and worker.resp.ensure(needed):
-                worker.ipc["lane_growths"] += 1
-            return results
-        _, descrs, _values_dtype = payload
-        counts, all_keys, all_values = worker.resp.read(descrs)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        out = []
-        for i in range(counts.size):
-            a, b = int(offsets[i]), int(offsets[i + 1])
-            out.append((np.array(all_keys[a:b]), np.array(all_values[a:b])))
-        return out
+        worker.ipc["pickle_fallbacks"] += 1
+        # The worker fell back because the reply carried object values or
+        # outgrew the response lane — the common case for wide scans, and
+        # then ``need`` is what would have fit: grow now (the worker
+        # re-attaches by name from the next request).
+        if meta["need"] is not None and worker.resp.ensure(meta["need"]):
+            worker.ipc["lane_growths"] += 1
+        return meta["pairs"]
 
     # ------------------------------------------------------------------
     # Writes
@@ -1223,7 +1191,7 @@ class ClusterEngine:
         self._commit(keys, jobs, values)
         thunks = {
             sid: (
-                lambda sid=sid, a=a, b=b: self._send_insert(
+                lambda sid=sid, a=a, b=b: self._post_insert(
                     sid, keys[a:b], values[a:b]
                 )
             )
@@ -1288,15 +1256,15 @@ class ClusterEngine:
         errors: Dict[int, BaseException] = {}
         replies = self._round(
             [
-                (sid, lambda sid=sid: self._send(sid, ("stats",)))
+                (sid, lambda sid=sid: self._send(sid, ("stats", {}, ())))
                 for sid in range(self.n_shards)
                 if sid not in self._poisoned
                 and self._workers[sid].process.is_alive()
             ],
             errors,
         )
-        for sid, reply in replies.items():
-            self._shard_ns[sid] = int(reply[2]["n"])
+        for sid, (meta, _) in replies.items():
+            self._shard_ns[sid] = int(meta["result"]["n"])
         self._n = sum(self._shard_ns)
 
     def delete(self, key: float) -> Any:
@@ -1352,8 +1320,9 @@ class ClusterEngine:
         lsns = self._commit(skeys, jobs, missing=missing)
         thunks = {
             sid: (
-                lambda sid=sid, a=a, b=b: self._send_delete(
-                    sid, skeys[a:b], missing
+                lambda sid=sid, a=a, b=b: self._post(
+                    sid, "delete_batch", {"missing": missing},
+                    [skeys[a:b]], self._points_bytes(b - a),
                 )
             )
             for sid, a, b in jobs
@@ -1399,7 +1368,7 @@ class ClusterEngine:
                     raise first
             self._merge_deltas(replies)
             parts = [
-                (order[a:b], *self._decode_get(sid, replies[sid][2]))
+                (order[a:b], *self._read_points(sid, replies[sid]))
                 for sid, a, b in jobs
             ]
             # Gather and count hits while the locks pin the response
@@ -1420,58 +1389,15 @@ class ClusterEngine:
         self._maybe_snapshot()
         return out
 
-    def _send_delete(
-        self, sid: int, keys: np.ndarray, missing: str,
-        profile: bool = True,
-    ) -> None:
-        worker = self._workers[sid]
-        resp_bytes = keys.size * (self._values_dtype.itemsize + 1) + 64
-        self._ensure_lanes(sid, keys.nbytes, resp_bytes)
-        descr = worker.req.write([keys])[0]
-        worker.ipc["batches"] += 1
-        frame: Tuple = (
-            "delete_batch",
-            (worker.req.name, worker.resp.name),
-            descr,
-            missing,
-        )
-        if profile and self._workload is not None:
-            frame = frame + (True,)
-        self._send(sid, frame)
-
-    def _send_insert(
-        self, sid: int, keys: np.ndarray, values: np.ndarray,
-        profile: bool = True,
-    ) -> None:
-        worker = self._workers[sid]
-        worker.ipc["batches"] += 1
+    def _post_insert(self, sid: int, keys: np.ndarray, values: np.ndarray) -> None:
         if values.dtype == np.dtype(object):
-            worker.ipc["pickle_fallbacks"] += 1
-            self._ensure_lanes(sid, keys.nbytes + 64, 0)
-            keys_descr = worker.req.write([keys])[0]
-            frame: Tuple = (
-                "insert_batch",
-                (worker.req.name, worker.resp.name),
-                keys_descr,
-                None,
-                # The object ndarray itself, NOT a list: a list would be
-                # re-coerced worker-side (e.g. to a unicode dtype),
-                # changing what gets stored vs the in-process engine.
-                values,
-            )
+            # No lane form: the object ndarray itself rides the pipe, NOT a
+            # list — a list would be re-coerced worker-side (e.g. to a
+            # unicode dtype), changing what gets stored vs in-process.
+            self._workers[sid].ipc["pickle_fallbacks"] += 1
+            self._post(sid, "insert_batch", {"values": values}, [keys])
         else:
-            self._ensure_lanes(sid, keys.nbytes + values.nbytes + 64, 0)
-            keys_descr, values_descr = worker.req.write([keys, values])
-            frame = (
-                "insert_batch",
-                (worker.req.name, worker.resp.name),
-                keys_descr,
-                values_descr,
-                None,
-            )
-        if profile and self._workload is not None:
-            frame = frame + (True,)
-        self._send(sid, frame)
+            self._post(sid, "insert_batch", {}, [keys, values])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

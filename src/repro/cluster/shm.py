@@ -9,7 +9,7 @@ values — crosses the process boundary as one ``memcpy`` in, zero copies
 across, and one gather out.
 
 :class:`ShmLane` is one direction of that channel: a named shared-memory
-arena the owning side writes arrays into back-to-back (16-byte aligned)
+arena the owning side packs arrays into (the :mod:`repro.codec` layout)
 and the peer reads as NumPy views. Lanes are single-flight by protocol —
 the writer never reuses a lane until the peer's reply frame arrives — so
 no ring indices or locks are needed; "ring" behavior falls out of the
@@ -30,13 +30,14 @@ attaching — only the creating side may unlink.
 from __future__ import annotations
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
+from repro import codec
+
 __all__ = [
     "ShmLane",
-    "aligned_offset",
     "attach_lane",
     "DEFAULT_LANE_CAPACITY",
     "note_teardown_error",
@@ -45,27 +46,6 @@ __all__ = [
 
 #: Default lane size: comfortably holds a 64k-key float64 batch plus masks.
 DEFAULT_LANE_CAPACITY = 1 << 20
-
-#: Array start alignment inside a lane (bytes).
-_ALIGN = 16
-
-#: Layout descriptor for one array in a lane: (dtype.str, length, offset).
-Descriptor = Tuple[str, int, int]
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def aligned_offset(offset: int) -> int:
-    """The next 16-byte-aligned offset at or after ``offset``.
-
-    This is the lane layout rule — arrays pack back-to-back at aligned
-    starts — exported so the wire codec in :mod:`repro.net.frame` lays
-    batch payloads out exactly like a lane does.
-    """
-    return _aligned(offset)
-
 
 class ShmLane:
     """One direction of the zero-copy channel: a named shared-memory arena.
@@ -99,14 +79,6 @@ class ShmLane:
         """Usable bytes in the current block."""
         return self._shm.size
 
-    @staticmethod
-    def required_bytes(arrays: Sequence[np.ndarray]) -> int:
-        """Bytes :meth:`write` needs for ``arrays`` (alignment included)."""
-        total = 0
-        for arr in arrays:
-            total = _aligned(total) + arr.nbytes
-        return total
-
     def ensure(self, nbytes: int) -> bool:
         """Grow the lane to hold ``nbytes`` (owner side only).
 
@@ -133,54 +105,24 @@ class ShmLane:
 
     # ------------------------------------------------------------------
 
-    def write(self, arrays: Sequence[np.ndarray]) -> List[Descriptor]:
-        """Copy ``arrays`` into the lane back-to-back; return the layout.
+    def write(self, arrays: Sequence[np.ndarray]) -> List[codec.Descriptor]:
+        """Pack ``arrays`` from the start of the lane; return the layout.
 
-        Each input must be 1-D with a non-object dtype. The returned
-        descriptors — ``(dtype.str, length, offset)`` triples — are what
-        the control frame carries so :meth:`read` on the other side can
-        reconstruct zero-copy views. Raises ``ValueError`` when the lane
-        is too small (callers :meth:`ensure` first, or fall back to
-        pickling).
+        The descriptors are what the control frame carries so :meth:`read`
+        on the other side can rebuild zero-copy views. Raises
+        ``ValueError`` for an array :mod:`repro.codec` cannot pack or when
+        the lane is too small (callers :meth:`ensure` first, or fall back
+        to pickling).
         """
-        offset = 0
-        descriptors: List[Descriptor] = []
-        buf = self._shm.buf
-        for arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype == np.dtype(object):
-                raise ValueError("object dtype has no shm representation")
-            offset = _aligned(offset)
-            end = offset + arr.nbytes
-            if end > self.capacity:
-                raise ValueError(
-                    f"lane overflow: need {end} bytes, have {self.capacity}"
-                )
-            view = np.frombuffer(
-                buf, dtype=arr.dtype, count=arr.size, offset=offset
-            )
-            view[:] = arr
-            descriptors.append((arr.dtype.str, int(arr.size), offset))
-            offset = end
-        return descriptors
+        return codec.pack_into(self._shm.buf, arrays)
 
-    def read(self, descriptors: Sequence[Descriptor]) -> List[np.ndarray]:
+    def read(self, descriptors: Sequence[codec.Descriptor]) -> List[np.ndarray]:
         """Zero-copy NumPy views over arrays previously :meth:`write`-ten.
 
         The views alias shared memory owned by the peer's current batch:
         consume them before sending the reply frame (or copy), never after.
         """
-        out: List[np.ndarray] = []
-        for dtype_str, length, offset in descriptors:
-            out.append(
-                np.frombuffer(
-                    self._shm.buf,
-                    dtype=np.dtype(dtype_str),
-                    count=length,
-                    offset=offset,
-                )
-            )
-        return out
+        return codec.unpack(self._shm.buf, descriptors)
 
     # ------------------------------------------------------------------
 

@@ -7,34 +7,33 @@ loop over a ``multiprocessing`` pipe. Bulk payloads travel through the
 parent-owned shared-memory lanes (:mod:`repro.cluster.shm`); the pipe
 carries only control frames.
 
-Protocol (parent → worker), one reply per frame:
+Protocol: a request is ``(verb, meta, descriptors)`` and its one reply
+``("ok" | "err", version, meta, descriptors)`` — the message shape of the
+socket tier's ``Frame(kind, meta, arrays)``, with the arrays left in a
+lane and their :mod:`repro.codec` descriptors sent in their place.
+``meta`` is a dict on both sides; ``docs/ARCHITECTURE.md`` ("In-flight
+encoding") lists its keys per verb.
 
 ==============  ====================================================
-``get_batch``   answer a key batch; replies values + found mask.
-                A traced frame appends ``(trace_id, parent_span_id)``
-                and its reply appends recorded span dicts
-                (:func:`repro.obs.trace.span_record`) — untraced
-                frames and replies keep their original 3-tuple shape
-``range_batch`` answer ``[lo, hi]`` scans; replies concatenated rows
+``get_batch``   answer a key batch: values, plus a found mask as a
+                second array unless every key hit
+``range_batch`` answer ``[lo, hi]`` scans: ``codec.join_pairs`` rows
 ``insert_batch``  apply a sorted per-shard chunk (the write fence:
                 the reply is not sent until the mutation is applied)
 ``delete_batch``  remove a sorted per-shard chunk under the same fence;
-                replies deleted values + found mask (get_batch encoding)
-``stats``       the shard index's ``stats()`` dict
+                replies deleted values (+ found mask) like ``get_batch``
+``stats``       the shard index's ``stats()`` dict (``meta["result"]``)
+``to_state``    the shard's ``to_state`` snapshot (``meta["result"]``)
 ``warm``        pre-build the shard's flattened read snapshot
 ``validate``    full shard validation + routing-range check
-``shutdown``    clean exit (replies ``("bye",)`` first)
+``shutdown``    clean exit (replies ``("bye", ...)`` first)
 ==============  ====================================================
 
-Workload profiling extends every batch verb the same way tracing
-extends ``get_batch``: the parent appends a truthy flag as one extra
-frame element (after the trace slot for ``get_batch``, after the verb's
-base elements otherwise), the worker folds the batch through its
-:class:`~repro.obs.workload.ShardWorkloadProfiler`, and the reply
-widens to ``("ok", version, payload, spans_or_None, delta_or_None)`` —
-the compact sketch delta rides the pipe exactly like span dicts do.
-Unflagged frames and their replies keep their original shapes, so the
-telemetry-off wire format stays byte-identical.
+Telemetry rides the same dicts: a request with ``meta["trace"]`` gets
+``meta["spans"]`` back (:func:`repro.obs.trace.span_record` dicts), one
+with ``meta["profile"]`` gets ``meta["delta"]``, the shard's
+:class:`~repro.obs.workload.ShardWorkloadProfiler` sketch delta. A
+request with neither gets neither key.
 
 Every reply carries the shard's monotonic ``version`` stamp, so the
 parent-side engine can maintain the engine-wide version barrier the serve
@@ -52,6 +51,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro import codec
 from repro.cluster.shm import ShmLane, attach_lane
 from repro.cluster.snapshot import index_from_state
 from repro.core.errors import InvalidParameterError
@@ -63,6 +63,14 @@ __all__ = ["shard_worker_main"]
 
 #: Worker-local miss sentinel for ``get_batch`` (never crosses the pipe).
 _MISS = object()
+
+#: The batch verbs, with the name each is profiled under.
+_BATCH_VERBS = {
+    "get_batch": "get",
+    "range_batch": "range",
+    "delete_batch": "delete",
+    "insert_batch": "insert",
+}
 
 
 class _ShardServer:
@@ -120,39 +128,20 @@ class _ShardServer:
 
     # -- verbs ---------------------------------------------------------
 
-    def get_batch(self, q: np.ndarray):
-        """Values + found mask for one key batch.
+    def encode_get_reply(self, resp: ShmLane, result: np.ndarray):
+        """Encode a ``_MISS``-defaulted get/delete result as the reply's
+        ``(meta, descriptors)``.
 
-        Parameters
-        ----------
-        q:
-            This shard's float64 key sub-batch (may alias the request
-            lane; reads never mutate).
-
-        Returns
-        -------
-        tuple
-            ``(values, found)`` — ``found`` is ``None`` when every query
-            hit (the all-numeric fast shape), else a bool mask.
+        Numeric results go through the response lane (values, then the
+        found mask as ``uint8`` unless every key hit); anything the
+        shard's dtype cannot hold — buffered object payloads — falls back
+        to pickled ``values`` / ``found`` meta keys.
         """
-        result = self.index.get_batch(q, _MISS)
-        if result.dtype != np.dtype(object):
-            return result, None
+        if result.dtype != np.dtype(object):  # every key hit
+            return {"via": "shm"}, resp.write([result])
         found = np.fromiter(
             (v is not _MISS for v in result), dtype=bool, count=result.size
         )
-        return result, found
-
-    def encode_get_reply(self, resp: ShmLane, result, found):
-        """Encode a get_batch answer into the response lane.
-
-        Numeric results go through shared memory (values array + packed
-        mask); anything the shard's dtype cannot hold — buffered object
-        payloads — falls back to a pickled ``(values_list, mask)`` pair.
-        """
-        if found is None:
-            descr = resp.write([result])
-            return ("shm", descr, None)
         values = np.zeros(result.size, dtype=self.values_dtype)
         hits = result[found] if found.any() else result[:0]
         # Shared exactness rule (exact_typed_array): the cast must be
@@ -162,11 +151,10 @@ class _ShardServer:
         cast = exact_typed_array(hits, self.values_dtype)
         if cast is None:
             payload = [v if f else None for v, f in zip(result, found)]
-            return ("pickle", payload, found)
+            return {"via": "pickle", "values": payload, "found": found}, ()
         if hits.size:
             values[found] = cast
-        descr = resp.write([values, found.view(np.uint8)])
-        return ("shm", descr[:1], descr[1])
+        return {"via": "shm"}, resp.write([values, found.view(np.uint8)])
 
     def range_batch(self, los, his, include_lo: bool, include_hi: bool):
         """Per-bound (keys, values) contributions from this shard.
@@ -189,27 +177,6 @@ class _ShardServer:
         for lo, hi in zip(los, his):
             out.append(view.range_arrays(float(lo), float(hi), include_lo, include_hi))
         return out
-
-    def encode_range_reply(self, resp: ShmLane, results):
-        """Encode range results: concatenated keys/values + per-bound counts.
-
-        Falls back to pickled per-bound arrays when the payload outgrows
-        the response lane or the values are object-dtyped.
-        """
-        counts = np.asarray([k.size for k, _ in results], dtype=np.int64)
-        if results:
-            all_keys = np.concatenate([k for k, _ in results])
-            all_values = np.concatenate([v for _, v in results])
-        else:
-            all_keys = np.empty(0, dtype=np.float64)
-            all_values = np.empty(0, dtype=self.values_dtype)
-        arrays = [counts, all_keys, all_values]
-        if (
-            all_values.dtype != np.dtype(object)
-            and ShmLane.required_bytes(arrays) <= resp.capacity
-        ):
-            return ("shm", resp.write(arrays), str(all_values.dtype.str))
-        return ("pickle", results, None)
 
     def validate(self) -> None:
         """Shard validation plus the engine routing invariant, vectorized."""
@@ -269,11 +236,11 @@ def shard_worker_main(
         server = _ShardServer(state, lo, hi, shard_id)
     except BaseException as exc:  # surface rebuild failures to the parent
         try:
-            conn.send(("err", 0, exc))
+            conn.send(("err", 0, {"error": exc}, ()))
         finally:
             conn.close()
         return
-    conn.send(("ready", server.index.version))
+    conn.send(("ok", server.index.version, {"ready": True}, ()))
     try:
         while True:
             try:
@@ -282,125 +249,80 @@ def shard_worker_main(
                 break
             verb = frame[0]
             if verb == "shutdown":
-                conn.send(("bye",))
+                conn.send(("bye", server.index.version, {}, ()))
                 break
             try:
                 reply = _dispatch(server, frame)
             except BaseException as exc:
-                reply = ("err", server.index.version, exc)
+                reply = ("err", server.index.version, {"error": exc}, ())
             try:
                 conn.send(reply)
             except Exception:  # unpicklable reply payload
-                conn.send(("err", server.index.version,
-                           RuntimeError(f"unpicklable {verb} reply")))
+                exc = RuntimeError(f"unpicklable {verb} reply")
+                conn.send(("err", server.index.version, {"error": exc}, ()))
     finally:
         server.close_lanes()
         conn.close()
 
 
 def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
-    """Execute one control frame; return the reply tuple."""
-    verb = frame[0]
+    """Execute one ``(verb, meta, descriptors)`` request; return the reply."""
+    verb, meta, descriptors = frame
+    out: Dict[str, Any] = {}
+    reply_descriptors: Any = ()  # only get/range/delete answer with arrays
+    if verb not in _BATCH_VERBS:
+        if verb in ("stats", "to_state"):
+            # A ``to_state`` snapshot for the durability layer rides the
+            # pipe whole (pickle) — snapshots are rare, size over speed.
+            out["result"] = getattr(server.index, verb)()
+        elif verb in ("warm", "validate"):
+            getattr(server, verb)()
+        else:
+            raise ValueError(f"unknown verb {verb!r}")
+        return ("ok", server.index.version, out, reply_descriptors)
+    arrays = server.lane("req", meta["req"]).read(descriptors)
+    resp = server.lane("resp", meta["resp"])
+    keys = arrays[0]
     if verb == "get_batch":
-        _, (req_name, resp_name), q_descr = frame[:3]
-        # A traced frame carries (trace_id, parent_span_id) as a fourth
-        # element; untraced frames keep the original 3-tuple shape so the
-        # telemetry-off wire format is byte-identical to before. A fifth
-        # element flags workload profiling (the trace slot is then
-        # explicitly None when untraced).
-        trace_ctx = frame[3] if len(frame) > 3 else None
-        profile = len(frame) > 4 and frame[4]
-        req = server.lane("req", req_name)
-        resp = server.lane("resp", resp_name)
-        (q,) = req.read([q_descr])
-        if trace_ctx is None and not profile:
-            result, found = server.get_batch(q)
-            payload = server.encode_get_reply(resp, result, found)
-            return ("ok", server.index.version, payload)
         t0 = time.perf_counter()
-        result, found = server.get_batch(q)
+        result = server.index.get_batch(keys, _MISS)
         compute_s = time.perf_counter() - t0
-        payload = server.encode_get_reply(resp, result, found)
-        delta = server.workload_delta("get", q) if profile else None
-        spans = None
-        if trace_ctx is not None:
-            spans = [
+        out, reply_descriptors = server.encode_get_reply(resp, result)
+        if meta.get("trace") is not None:
+            out["spans"] = [
                 span_record(
                     "worker.compute",
-                    trace_ctx,
+                    meta["trace"],
                     t0,
                     compute_s,
                     shard=server.shard_id,
                     pid=os.getpid(),
-                    n=int(q.size),
+                    n=int(keys.size),
                 )
             ]
-        if delta is None:
-            return ("ok", server.index.version, payload, spans)
-        return ("ok", server.index.version, payload, spans, delta)
-    if verb == "range_batch":
-        _, (req_name, resp_name), bounds_descr, include_lo, include_hi = (
-            frame[:5]
+    elif verb == "range_batch":
+        pairs = server.range_batch(
+            keys, arrays[1], meta["include_lo"], meta["include_hi"]
         )
-        profile = len(frame) > 5 and frame[5]
-        req = server.lane("req", req_name)
-        resp = server.lane("resp", resp_name)
-        los, his = req.read(bounds_descr)
-        results = server.range_batch(los, his, include_lo, include_hi)
-        payload = server.encode_range_reply(resp, results)
-        if not profile:
-            return ("ok", server.index.version, payload)
-        delta = server.workload_delta("range", los)
-        return ("ok", server.index.version, payload, None, delta)
-    if verb == "delete_batch":
-        _, (req_name, resp_name), keys_descr, miss_mode = frame[:4]
-        profile = len(frame) > 4 and frame[4]
-        req = server.lane("req", req_name)
-        resp = server.lane("resp", resp_name)
-        (keys_view,) = req.read([keys_descr])
-        keys = np.array(keys_view)  # own the memory before mutating state
-        result = server.index.delete_batch(
-            keys, missing=miss_mode, default=_MISS
-        )
-        if result.dtype != np.dtype(object):
-            found = None
+        packed = codec.join_pairs(pairs)  # None: object or mixed dtypes
+        need = None if packed is None else codec.packed_size(packed)
+        if need is not None and need <= resp.capacity:
+            out, reply_descriptors = {"via": "shm"}, resp.write(packed)
         else:
-            found = np.fromiter(
-                (v is not _MISS for v in result), dtype=bool, count=result.size
+            # ``need`` tells the parent what would have fit, so it grows
+            # the lane and the next comparable reply goes zero-copy.
+            out = {"via": "pickle", "pairs": pairs, "need": need}
+    else:
+        keys = np.array(keys)  # own the memory before mutating state
+        if verb == "delete_batch":
+            result = server.index.delete_batch(
+                keys, missing=meta["missing"], default=_MISS
             )
-        payload = server.encode_get_reply(resp, result, found)
-        if not profile:
-            return ("ok", server.index.version, payload)
-        delta = server.workload_delta("delete", keys)
-        return ("ok", server.index.version, payload, None, delta)
-    if verb == "insert_batch":
-        _, (req_name, _resp_name), keys_descr, values_descr, pickled = (
-            frame[:5]
-        )
-        profile = len(frame) > 5 and frame[5]
-        req = server.lane("req", req_name)
-        (keys_view,) = req.read([keys_descr])
-        keys = np.array(keys_view)  # own the memory before mutating state
-        if values_descr is not None:
-            (values_view,) = req.read([values_descr])
-            values = np.array(values_view)
-        else:
-            values = pickled
-        server.index.insert_batch(keys, values)
-        if not profile:
-            return ("ok", server.index.version, None)
-        delta = server.workload_delta("insert", keys)
-        return ("ok", server.index.version, None, None, delta)
-    if verb == "stats":
-        return ("ok", server.index.version, server.index.stats())
-    if verb == "to_state":
-        # Snapshot for the durability layer: the full ``to_state`` dict
-        # rides the pipe (pickle) — snapshots are rare, size over speed.
-        return ("ok", server.index.version, server.index.to_state())
-    if verb == "warm":
-        server.warm()
-        return ("ok", server.index.version, None)
-    if verb == "validate":
-        server.validate()
-        return ("ok", server.index.version, None)
-    raise ValueError(f"unknown verb {verb!r}")
+            out, reply_descriptors = server.encode_get_reply(resp, result)
+        elif len(arrays) == 2:
+            server.index.insert_batch(keys, np.array(arrays[1]))
+        else:  # an object-dtype payload has no lane form
+            server.index.insert_batch(keys, meta["values"])
+    if meta.get("profile"):
+        out["delta"] = server.workload_delta(_BATCH_VERBS[verb], keys)
+    return ("ok", server.index.version, out, reply_descriptors)

@@ -7,8 +7,13 @@ One frame on the wire is::
     |  u16  |   u32    |   u32   |  (body_len bytes, crc32 of these)  |
     +-------+----------+---------+------------------------------------+
 
-    body := | version u8 | kind u8 | codec u8 | flags u8 | request_id u64 |
+    body := | version u8 | kind u8 | codec u8 | zero u8 | request_id u64 |
             | payload ... |
+
+    CODEC_ARRAYS payload :=
+            | meta_len u32 | meta JSON, space-padded | n_arrays u16 |
+            | n_arrays x ( dtype_len u8 | count u64 | offset u64 | dtype.str ) |
+            | data region: the arrays, as repro.codec packs them |
 
 The 10-byte prefix is framing only; everything semantic — including the
 version byte, so the protocol can evolve without touching the prefix —
@@ -21,13 +26,14 @@ synchronized because the length prefix still framed it.
 Payload codecs:
 
 * ``CODEC_ARRAYS`` — the batch fast path. A small JSON ``meta`` dict (op
-  parameters, trace context) followed by a descriptor table and the raw
-  array bytes, packed back-to-back at 16-byte-aligned offsets — the exact
-  layout rule of the shm lanes (:func:`repro.cluster.shm.aligned_offset`),
-  with the same ``(dtype.str, length, offset)`` descriptors, so a batch of
-  query keys crosses the socket the way it already crosses the process
-  boundary: no pickling, decoded as zero-copy (read-only) NumPy views
-  over the received buffer.
+  parameters, trace context), a descriptor table, and a data region that
+  :func:`repro.codec.pack_into` fills exactly as it fills an shm lane —
+  byte for byte, with the same ``(dtype.str, count, offset)`` descriptors
+  (offsets relative to the region's start). The encoder pads the meta
+  JSON with trailing spaces so the region starts on a 16-byte boundary
+  *of the body*: a ``bytes`` body is itself 16-byte aligned, so every
+  array decodes as an aligned zero-copy (read-only) NumPy view over the
+  received buffer. No pickling on either side.
 * ``CODEC_JSON`` — meta only, for scalar ops and control frames.
 * ``CODEC_PICKLE`` — the fallback for payloads with no flat numeric form
   (object values, arbitrary defaults). Slower, never wrong. Frames are
@@ -39,6 +45,9 @@ Errors cross the wire as ``REPLY_ERR`` frames carrying the exception's
 class name, message, and salient attributes; :func:`decode_error` rebuilds
 the same typed exception client-side from a registry of known classes
 (unknown names degrade to :class:`~repro.net.errors.RemoteError`).
+
+Both ends of a link ship together: mixed-version peers are unsupported
+(the version byte only guards against talking to something else).
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from repro.cluster.errors import (
     WorkerCrashedError,
     WorkerRecoveredError,
 )
-from repro.cluster.shm import aligned_offset
+from repro import codec
 from repro.core import errors as core_errors
 from repro.net.errors import FrameCorruptError, FrameError, RemoteError
 from repro.serve.errors import ServerClosedError, ServerOverloadedError
@@ -145,7 +154,6 @@ class Frame:
     request_id: int
     meta: Dict[str, Any] = field(default_factory=dict)
     arrays: List[np.ndarray] = field(default_factory=list)
-    flags: int = 0
     codec: int = CODEC_JSON
     #: On-wire size (prefix + body); set by :func:`read_frame`, 0 for
     #: frames built locally.
@@ -162,41 +170,48 @@ class Frame:
 # ----------------------------------------------------------------------
 
 
-def _encode_arrays_payload(
-    meta: Dict[str, Any], arrays: Sequence[np.ndarray]
-) -> bytes:
-    """The ``CODEC_ARRAYS`` payload: JSON meta + lane-style packed arrays.
+def _encode_payload(kind: int, request_id: int, codec_id: int, payload: bytes) -> bytes:
+    body = _BODY_HEADER.pack(
+        PROTOCOL_VERSION, kind, codec_id, 0, request_id
+    ) + payload
+    return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
 
-    Raises ``ValueError``/``TypeError`` when an array has an object dtype
-    or the meta is not JSON-able — callers fall back to pickle.
+
+def _encode_arrays(
+    kind: int, request_id: int, meta: Dict[str, Any], arrays: List[np.ndarray]
+) -> bytes:
+    """One complete ``CODEC_ARRAYS`` frame, built in place in one buffer.
+
+    Raises ``ValueError``/``TypeError`` when an array has no packed form
+    or the meta is not JSON-able — the caller falls back to pickle.
     """
     meta_b = json.dumps(meta, separators=(",", ":")).encode()
-    flat: List[np.ndarray] = []
-    descs: List[Tuple[bytes, int, int]] = []
-    offset = 0
-    for arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype == np.dtype(object):
-            raise ValueError("object dtype has no wire representation")
-        if arr.ndim != 1:
-            arr = arr.ravel()
-        dtype_b = arr.dtype.str.encode("ascii")
-        offset = aligned_offset(offset)
-        descs.append((dtype_b, arr.size, offset))
-        offset += arr.nbytes
-        flat.append(arr)
-    out = bytearray()
-    out += struct.pack("<I", len(meta_b))
-    out += meta_b
-    out += struct.pack("<H", len(flat))
-    for dtype_b, count, off in descs:
-        out += _DESC.pack(len(dtype_b), count, off)
-        out += dtype_b
-    data_base = len(out)
-    out += bytes(offset)  # zeroed data region (padding stays zero)
-    for arr, (_, _, off) in zip(flat, descs):
-        start = data_base + off
-        out[start:start + arr.nbytes] = arr.tobytes()
+    dtypes = [np.asarray(a).dtype.str.encode("ascii") for a in arrays]
+    table_end = (
+        _BODY_HEADER.size + 4 + len(meta_b) + 2
+        + sum(_DESC.size + len(d) for d in dtypes)
+    )
+    pad = -table_end % 16  # so the data region starts aligned in the body
+    meta_b += b" " * pad
+    data_base = table_end + pad
+    out = bytearray(_PREFIX.size + data_base + codec.packed_size(arrays))
+    body = memoryview(out)[_PREFIX.size:]
+    descriptors = codec.pack_into(body, arrays, data_base)
+    body[:data_base] = b"".join(
+        [
+            _BODY_HEADER.pack(
+                PROTOCOL_VERSION, kind, CODEC_ARRAYS, 0, request_id
+            ),
+            struct.pack("<I", len(meta_b)),
+            meta_b,
+            struct.pack("<H", len(arrays)),
+            *(
+                _DESC.pack(len(dtype_b), count, offset - data_base) + dtype_b
+                for dtype_b, (_, count, offset) in zip(dtypes, descriptors)
+            ),
+        ]
+    )
+    _PREFIX.pack_into(out, 0, _MAGIC, len(body), zlib.crc32(body))
     return bytes(out)
 
 
@@ -205,8 +220,6 @@ def encode_frame(
     request_id: int,
     meta: Optional[Dict[str, Any]] = None,
     arrays: Optional[Sequence[np.ndarray]] = None,
-    *,
-    flags: int = 0,
 ) -> bytes:
     """Encode one complete wire frame (prefix included).
 
@@ -220,10 +233,8 @@ def encode_frame(
         JSON-able operation parameters / reply metadata. Values that do
         not serialize as JSON demote the whole payload to pickle.
     arrays:
-        Numeric 1-D arrays to ship in the lane-style packed section;
-        object dtypes demote the payload to pickle.
-    flags:
-        Reserved bit field (currently always 0 on the wire).
+        Numeric 1-D arrays to ship in the packed data region; an object
+        dtype or another shape demotes the payload to pickle.
 
     Returns
     -------
@@ -234,23 +245,19 @@ def encode_frame(
     arrays = list(arrays) if arrays else []
     try:
         if arrays:
-            codec = CODEC_ARRAYS
-            payload = _encode_arrays_payload(meta, arrays)
+            frame = _encode_arrays(kind, request_id, meta, arrays)
         else:
-            codec = CODEC_JSON
             payload = json.dumps(meta, separators=(",", ":")).encode()
+            frame = _encode_payload(kind, request_id, CODEC_JSON, payload)
     except (TypeError, ValueError):
-        codec = CODEC_PICKLE
         payload = pickle.dumps((meta, arrays), protocol=pickle.HIGHEST_PROTOCOL)
-    body = _BODY_HEADER.pack(
-        PROTOCOL_VERSION, kind, codec, flags, request_id
-    ) + payload
-    if len(body) > MAX_FRAME_BYTES:
+        frame = _encode_payload(kind, request_id, CODEC_PICKLE, payload)
+    if len(frame) - _PREFIX.size > MAX_FRAME_BYTES:
         raise FrameError(
-            f"frame body of {len(body)} bytes exceeds the "
+            f"frame body of {len(frame) - _PREFIX.size} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
-    return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+    return frame
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +265,7 @@ def encode_frame(
 # ----------------------------------------------------------------------
 
 
-def _decode_arrays_payload(
+def _decode_arrays(
     body: bytes, start: int
 ) -> Tuple[Dict[str, Any], List[np.ndarray]]:
     meta_len = struct.unpack_from("<I", body, start)[0]
@@ -267,19 +274,15 @@ def _decode_arrays_payload(
     pos += meta_len
     n_arrays = struct.unpack_from("<H", body, pos)[0]
     pos += 2
-    descs = []
+    descriptors = []
     for _ in range(n_arrays):
         dlen, count, off = _DESC.unpack_from(body, pos)
         pos += _DESC.size
-        dtype = np.dtype(bytes(body[pos:pos + dlen]).decode("ascii"))
+        descriptors.append(
+            (bytes(body[pos:pos + dlen]).decode("ascii"), count, off)
+        )
         pos += dlen
-        descs.append((dtype, count, off))
-    data_base = pos
-    arrays = [
-        np.frombuffer(body, dtype=dtype, count=count, offset=data_base + off)
-        for dtype, count, off in descs
-    ]
-    return meta, arrays
+    return meta, codec.unpack(memoryview(body)[pos:], descriptors)
 
 
 def decode_frame(body: bytes) -> Frame:
@@ -290,7 +293,7 @@ def decode_frame(body: bytes) -> Frame:
     """
     if len(body) < _BODY_HEADER.size:
         raise FrameError(f"frame body of {len(body)} bytes is truncated")
-    version, kind, codec, flags, request_id = _BODY_HEADER.unpack_from(body, 0)
+    version, kind, codec_id, _, request_id = _BODY_HEADER.unpack_from(body, 0)
     if version != PROTOCOL_VERSION:
         raise FrameError(
             f"unsupported protocol version {version} "
@@ -298,21 +301,21 @@ def decode_frame(body: bytes) -> Frame:
         )
     start = _BODY_HEADER.size
     try:
-        if codec == CODEC_JSON:
+        if codec_id == CODEC_JSON:
             meta, arrays = json.loads(bytes(body[start:]).decode() or "{}"), []
-        elif codec == CODEC_ARRAYS:
-            meta, arrays = _decode_arrays_payload(body, start)
-        elif codec == CODEC_PICKLE:
+        elif codec_id == CODEC_ARRAYS:
+            meta, arrays = _decode_arrays(body, start)
+        elif codec_id == CODEC_PICKLE:
             meta, arrays = pickle.loads(bytes(body[start:]))
         else:
-            raise FrameError(f"unknown payload codec {codec}")
+            raise FrameError(f"unknown payload codec {codec_id}")
     except FrameError:
         raise
     except Exception as exc:
         raise FrameError(f"undecodable {KIND_NAMES.get(kind, kind)} "
                          f"payload: {exc!r}") from exc
     return Frame(kind=kind, request_id=request_id, meta=meta,
-                 arrays=list(arrays), flags=flags, codec=codec)
+                 arrays=list(arrays), codec=codec_id)
 
 
 async def read_frame(reader, *, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
@@ -360,13 +363,22 @@ async def read_frame(reader, *, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
 # ----------------------------------------------------------------------
 
 
+def _is_pair(value: Any) -> bool:
+    return (
+        isinstance(value, tuple)
+        and len(value) == 2
+        and all(isinstance(a, np.ndarray) for a in value)
+    )
+
+
 def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
     """Classify a reply value into the ``(meta, arrays)`` frame payload.
 
     Numeric arrays, ``(keys, values)`` pairs and lists of pairs (the
-    ``range_batch`` shape) take the lane-style array path; JSON-safe
-    scalars ride the meta dict; anything else is embedded raw in the meta
-    so the frame encoder's pickle fallback carries it.
+    ``range_batch`` shape, as :func:`repro.codec.join_pairs` arrays) take
+    the packed array path; JSON-safe scalars ride the meta dict; anything
+    else is embedded raw in the meta so the frame encoder's pickle
+    fallback carries it.
 
     Parameters
     ----------
@@ -388,28 +400,12 @@ def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
         if value.dtype != np.dtype(object):
             return {"r": "arr"}, [value]
         return {"r": "obj", "v": value}, []
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and all(
-            isinstance(a, np.ndarray) and a.dtype != np.dtype(object)
-            for a in value
-        )
-    ):
-        return {"r": "pair"}, [value[0], value[1]]
-    if isinstance(value, list) and value and all(
-        isinstance(p, tuple) and len(p) == 2
-        and all(
-            isinstance(a, np.ndarray) and a.dtype != np.dtype(object)
-            for a in p
-        )
-        for p in value
-    ):
-        flat: List[np.ndarray] = []
-        for k, v in value:
-            flat.append(k)
-            flat.append(v)
-        return {"r": "pairs", "n": len(value)}, flat
+    if _is_pair(value) and not any(a.dtype.hasobject for a in value):
+        return {"r": "pair"}, list(value)
+    if isinstance(value, list) and all(_is_pair(p) for p in value):
+        joined = codec.join_pairs(value)
+        if joined is not None:
+            return {"r": "pairs"}, joined
     return {"r": "obj", "v": value}, []
 
 
@@ -438,8 +434,7 @@ def decode_result(frame: Frame) -> Any:
     if shape == "pair":
         return (arrays[0], arrays[1])
     if shape == "pairs":
-        n = int(meta["n"])
-        return [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n)]
+        return codec.split_pairs(*arrays)
     raise FrameError(f"unknown result shape {shape!r}")
 
 

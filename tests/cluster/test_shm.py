@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import codec
 from repro.cluster import ShmLane, attach_lane
 
 
@@ -51,9 +52,13 @@ class TestWriteRead:
         with pytest.raises(ValueError, match="overflow"):
             lane.write([np.zeros(4096, dtype=np.float64)])
 
+    def test_non_1d_rejected_with_the_codec_message(self, lane):
+        with pytest.raises(ValueError, match="only 1-D non-object arrays"):
+            lane.write([np.zeros((2, 3))])
+
     def test_required_bytes_accounts_alignment(self):
         arrays = [np.zeros(1, dtype=np.uint8), np.zeros(1, dtype=np.float64)]
-        need = ShmLane.required_bytes(arrays)
+        need = codec.packed_size(arrays)
         assert need == 16 + 8  # second array starts at the next 16B boundary
 
 

@@ -23,6 +23,11 @@ def lanes():
     resp.close()
 
 
+def lanes_meta(req, resp, **meta):
+    """A batch request's ``meta``: the lane names plus the verb's keys."""
+    return {"req": req.name, "resp": resp.name, **meta}
+
+
 def make_server(keys=None, lo=None, hi=None, **kwargs):
     kwargs.setdefault("error", 32)
     kwargs.setdefault("buffer_capacity", 8)
@@ -34,59 +39,58 @@ class TestVerbs:
     def test_get_batch_all_hits_skips_mask(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(100, dtype=np.float64))
-        q_descr = req.write([np.asarray([3.0, 7.0])])[0]
-        frame = ("get_batch", (req.name, resp.name), q_descr)
-        kind, version, payload = _dispatch(server, frame)
+        descrs = req.write([np.asarray([3.0, 7.0])])
+        frame = ("get_batch", lanes_meta(req, resp), descrs)
+        kind, version, meta, reply_descrs = _dispatch(server, frame)
         assert kind == "ok" and version == server.index.version
-        mode, value_descrs, mask_descr = payload
-        assert mode == "shm" and mask_descr is None  # all-hit fast shape
-        assert resp.read(value_descrs)[0].tolist() == [3, 7]
+        assert meta == {"via": "shm"}  # no spans/delta unless asked for
+        (values,) = resp.read(reply_descrs)  # all-hit fast shape: no mask
+        assert values.tolist() == [3, 7]
 
     def test_get_batch_misses_carry_mask(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(100, dtype=np.float64))
-        q_descr = req.write([np.asarray([3.0, 1e9])])[0]
-        _, _, payload = _dispatch(
-            server, ("get_batch", (req.name, resp.name), q_descr)
+        descrs = req.write([np.asarray([3.0, 1e9])])
+        _, _, meta, reply_descrs = _dispatch(
+            server, ("get_batch", lanes_meta(req, resp), descrs)
         )
-        mode, value_descrs, mask_descr = payload
-        assert mode == "shm" and mask_descr is not None
-        mask = resp.read([mask_descr])[0].view(np.bool_)
-        assert mask.tolist() == [True, False]
+        assert meta["via"] == "shm"
+        _values, mask = resp.read(reply_descrs)
+        assert mask.view(np.bool_).tolist() == [True, False]
 
     def test_get_batch_object_payload_pickle_fallback(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(20, dtype=np.float64))
         server.index.insert(3.5, ("not", "numeric"))  # buffered object
-        q_descr = req.write([np.asarray([3.5, 4.0, 99.0])])[0]
-        _, _, payload = _dispatch(
-            server, ("get_batch", (req.name, resp.name), q_descr)
+        descrs = req.write([np.asarray([3.5, 4.0, 99.0])])
+        _, _, meta, reply_descrs = _dispatch(
+            server, ("get_batch", lanes_meta(req, resp), descrs)
         )
-        mode, values, mask = payload
-        assert mode == "pickle"
+        assert meta["via"] == "pickle" and not reply_descrs
+        values = meta["values"]
         assert values[0] == ("not", "numeric") and values[1] == 4
-        assert mask.tolist() == [True, True, False]
+        assert meta["found"].tolist() == [True, True, False]
 
     def test_insert_then_read_roundtrip(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(10, dtype=np.float64))
         keys = np.asarray([2.5, 7.5])
         values = np.asarray([100, 101], dtype=np.int64)
-        k_descr, v_descr = req.write([keys, values])
-        kind, version, _ = _dispatch(
+        kind, version, meta, _ = _dispatch(
             server,
-            ("insert_batch", (req.name, resp.name), k_descr, v_descr, None),
+            ("insert_batch", lanes_meta(req, resp), req.write([keys, values])),
         )
         assert kind == "ok" and version == server.index.version
+        assert meta == {}
         assert server.index.get(2.5) == 100
 
     def test_insert_pickled_values(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(10, dtype=np.float64))
-        k_descr = req.write([np.asarray([4.25])])[0]
+        descrs = req.write([np.asarray([4.25])])
         _dispatch(
             server,
-            ("insert_batch", (req.name, resp.name), k_descr, None, [123]),
+            ("insert_batch", lanes_meta(req, resp, values=[123]), descrs),
         )
         assert server.index.get(4.25) == 123
 
@@ -96,11 +100,11 @@ class TestVerbs:
         los = np.asarray([10.0, 90.0])
         his = np.asarray([12.0, 200.0])
         descrs = req.write([los, his])
-        _, _, payload = _dispatch(
-            server, ("range_batch", (req.name, resp.name), descrs, True, True)
+        meta = lanes_meta(req, resp, include_lo=True, include_hi=True)
+        _, _, meta, reply_descrs = _dispatch(
+            server, ("range_batch", meta, descrs)
         )
-        mode, reply_descrs, _dtype = payload
-        assert mode == "shm"
+        assert meta == {"via": "shm"}
         counts, all_keys, _values = resp.read(reply_descrs)
         assert counts.tolist() == [3, 10]
         assert all_keys[:3].tolist() == [10.0, 11.0, 12.0]
@@ -111,13 +115,13 @@ class TestVerbs:
         try:
             server = make_server(np.arange(2_000, dtype=np.float64))
             descrs = req.write([np.asarray([0.0]), np.asarray([1_999.0])])
-            _, _, payload = _dispatch(
-                server,
-                ("range_batch", (req.name, resp.name), descrs, True, True),
-            )
-            assert payload[0] == "pickle"
-            (keys, values), = payload[1]
+            meta = lanes_meta(req, resp, include_lo=True, include_hi=True)
+            _, _, meta, _ = _dispatch(server, ("range_batch", meta, descrs))
+            assert meta["via"] == "pickle"
+            (keys, values), = meta["pairs"]
             assert keys.size == 2_000
+            # What would have fit: the parent grows the lane to this.
+            assert meta["need"] > resp.capacity
         finally:
             req.close()
             resp.close()
@@ -125,12 +129,36 @@ class TestVerbs:
     def test_stats_warm_and_unknown_verb(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(50, dtype=np.float64))
-        kind, _, stats = _dispatch(server, ("stats",))
-        assert kind == "ok" and stats["n"] == 50
-        kind, _, payload = _dispatch(server, ("warm",))
-        assert kind == "ok" and payload is None
+        kind, _, meta, _ = _dispatch(server, ("stats", {}, ()))
+        assert kind == "ok" and meta["result"]["n"] == 50
+        kind, _, meta, descrs = _dispatch(server, ("warm", {}, ()))
+        assert kind == "ok" and meta == {} and not descrs
         with pytest.raises(ValueError, match="unknown verb"):
-            _dispatch(server, ("explode",))
+            _dispatch(server, ("explode", {}, ()))
+
+    def test_traced_profiled_get_batch_carries_spans_and_delta(self, lanes):
+        req, resp = lanes
+        server = make_server(np.arange(100, dtype=np.float64), lo=0.0, hi=100.0)
+        descrs = req.write([np.asarray([3.0, 7.0, 1e9])])
+        meta = lanes_meta(req, resp, trace=(11, 22), profile=True)
+        _, _, meta, reply_descrs = _dispatch(server, ("get_batch", meta, descrs))
+        (span,) = meta["spans"]
+        assert span["name"] == "worker.compute"
+        assert (span["trace_id"], span["parent_id"]) == (11, 22)
+        assert span["attrs"]["n"] == 3
+        assert (meta["delta"]["v"], meta["delta"]["n"]) == ("get", 3)
+        values, mask = resp.read(reply_descrs)  # the answer is unchanged
+        assert mask.view(np.bool_).tolist() == [True, True, False]
+
+    def test_profiled_insert_batch_carries_delta_only(self, lanes):
+        req, resp = lanes
+        server = make_server(np.arange(10, dtype=np.float64), lo=0.0, hi=10.0)
+        descrs = req.write([np.asarray([2.5]), np.asarray([7], dtype=np.int64)])
+        _, _, meta, _ = _dispatch(
+            server, ("insert_batch", lanes_meta(req, resp, profile=True), descrs)
+        )
+        assert set(meta) == {"delta"} and meta["delta"]["v"] == "insert"
+        assert server.index.get(2.5) == 7
 
     def test_validate_checks_cut_range(self):
         server = make_server(np.arange(50, dtype=np.float64), lo=0.0, hi=40.0)
@@ -152,8 +180,12 @@ class TestVerbs:
             replacement.close()
         server.close_lanes()
 
-    def test_miss_sentinel_is_private(self):
+    def test_miss_sentinel_is_private(self, lanes):
+        _req, resp = lanes
         server = make_server(np.arange(5, dtype=np.float64))
-        result, found = server.get_batch(np.asarray([0.0, 77.0]))
-        assert found.tolist() == [True, False]
-        assert result[1] is _MISS  # never leaves the worker
+        result = server.index.get_batch(np.asarray([0.0, 77.0]), _MISS)
+        assert result[1] is _MISS
+        meta, descrs = server.encode_get_reply(resp, result)
+        values, found = resp.read(descrs)  # ...and never leaves the worker
+        assert meta == {"via": "shm"}
+        assert (values.tolist(), found.tolist()) == ([0, 0], [1, 0])

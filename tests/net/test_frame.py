@@ -196,3 +196,49 @@ def test_worker_errors_carry_attrs():
     assert isinstance(remote, WorkerCrashedError)
     assert remote.shard == 2
     assert remote.exitcode == -9
+
+
+@pytest.mark.parametrize(
+    "meta, arrays",
+    [
+        ({"default": -1}, [np.arange(5.0)]),
+        ({"default": None}, [np.arange(5.0)]),
+        ({}, [np.arange(5.0)]),
+        (
+            {"n": 3},
+            [
+                np.arange(3, dtype=np.uint8),  # odd length: the next one pads
+                np.arange(5, dtype=np.float64),
+                np.arange(2, dtype=np.int64),
+            ],
+        ),
+    ],
+)
+def test_decoded_arrays_are_16_byte_aligned_for_any_meta_length(meta, arrays):
+    buf = wire.encode_frame(wire.OP_GET_BATCH, 1, meta, arrays)
+    f = wire.decode_frame(buf[wire._PREFIX.size:])  # a fresh ``bytes`` body
+    assert f.meta == meta
+    for sent, got in zip(arrays, f.arrays):
+        assert np.array_equal(got, sent)
+        assert got.flags.aligned
+        assert got.ctypes.data % 16 == 0
+
+
+def test_non_1d_array_keeps_its_shape_via_pickle():
+    grid = np.arange(6, dtype=np.int64).reshape(2, 3)
+    f = _roundtrip(wire.encode_frame(wire.REPLY_OK, 1, arrays=[grid]))
+    assert f.codec == wire.CODEC_PICKLE
+    assert f.arrays[0].shape == (2, 3)
+    assert np.array_equal(f.arrays[0], grid)
+
+
+def test_fourth_header_byte_is_written_zero_and_ignored():
+    buf = wire.encode_frame(wire.OP_GET_BATCH, 5, {"a": 1}, [np.arange(3.0)])
+    body = bytearray(buf[wire._PREFIX.size:])
+    assert body[3] == 0
+    body[3] = 0xFF  # a peer that still sets the old flags byte
+    f = wire.decode_frame(bytes(body))
+    assert (f.request_id, f.meta) == (5, {"a": 1})
+    assert not hasattr(f, "flags")
+    with pytest.raises(TypeError):
+        wire.encode_frame(wire.OP_PING, 1, flags=1)

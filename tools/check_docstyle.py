@@ -7,7 +7,8 @@ packages whose docstrings the serving stack's users read:
 
 * ``src/repro/api/``, ``src/repro/engine/``, ``src/repro/serve/`` and
   ``src/repro/cluster/`` (every module), and
-* ``src/repro/core/paged_index.py`` (the shared index base).
+* ``src/repro/core/paged_index.py`` (the shared index base) and
+  ``src/repro/codec.py`` (the in-flight array encoding).
 
 Rules enforced:
 
@@ -43,6 +44,7 @@ TARGETS = (
     "src/repro/serve",
     "src/repro/wal",
     "src/repro/core/paged_index.py",
+    "src/repro/codec.py",
 )
 
 #: Batch-API entry points that must carry numpydoc sections wherever they

@@ -37,8 +37,8 @@ per-key tree descents (``get_batch`` / ``range_batch`` / ``insert_batch``).
 the same API (``ClusterEngine``), and :mod:`repro.serve` puts an asyncio
 micro-batching front-end over either engine.
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/ARCHITECTURE.md for the full system inventory and
+docs/BENCHMARKS.md for the experiment behind every table and figure.
 """
 
 from repro.api import (

@@ -42,8 +42,8 @@ def crossover(
 ) -> float | None:
     """First x where series A drops to or below series B (None if never).
 
-    Used to report "where curves cross" in the shape checks of
-    EXPERIMENTS.md (e.g. where the FITing-Tree matches the full index).
+    The "where curves cross" figure of a sweep (e.g. the error at which
+    the FITing-Tree matches the full index).
     """
     if not (len(xs) == len(ys_a) == len(ys_b)):
         raise InvalidParameterError("crossover needs equal-length series")

@@ -1,5 +1,8 @@
 """Benchmark harness: one registered experiment per paper table/figure.
 
+Plus ``obs``, the telemetry-overhead guard. The serving tiers above the
+index are measured by the repo-root ``stackbench`` package, not here.
+
 Run from the command line::
 
     python -m repro.bench list          # show experiments
@@ -18,12 +21,8 @@ from repro.bench import exp_fig11 as _exp_fig11  # noqa: F401
 from repro.bench import exp_fig12 as _exp_fig12  # noqa: F401
 from repro.bench import exp_fig13 as _exp_fig13  # noqa: F401
 from repro.bench import exp_cachesim as _exp_cachesim  # noqa: F401
-from repro.bench import exp_cluster as _exp_cluster  # noqa: F401
-from repro.bench import exp_engine as _exp_engine  # noqa: F401
 from repro.bench import exp_misc as _exp_misc  # noqa: F401
-from repro.bench import exp_net as _exp_net  # noqa: F401
 from repro.bench import exp_obs as _exp_obs  # noqa: F401
-from repro.bench import exp_serve as _exp_serve  # noqa: F401
 from repro.bench import exp_table1 as _exp_table1  # noqa: F401
 from repro.bench.harness import (
     ExperimentResult,

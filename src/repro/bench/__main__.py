@@ -10,11 +10,7 @@ import argparse
 import sys
 import time
 
-from repro.bench.harness import (
-    experiment_accepts,
-    experiment_names,
-    run_experiment,
-)
+from repro.bench.harness import experiment_names, run_experiment
 
 #: n used by --quick (experiments scale their own query counts off n).
 _QUICK_N = 20_000
@@ -34,12 +30,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--quick", action="store_true", help=f"shrink sizes (n={_QUICK_N})"
     )
-    parser.add_argument(
-        "--modes",
-        default=None,
-        help="comma-separated measurement modes, for experiments that "
-        "support filtering (e.g. engine: delete-per-key,delete-batch)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -53,22 +43,10 @@ def main(argv=None) -> int:
         overrides["n"] = args.n
     elif args.quick:
         overrides["n"] = _QUICK_N
-    modes = None
-    if args.modes is not None:
-        modes = tuple(m.strip() for m in args.modes.split(","))
-        unsupported = [n for n in names if not experiment_accepts(n, "modes")]
-        if unsupported and args.experiment != "all":
-            parser.error(
-                f"--modes is not supported by: {', '.join(unsupported)}"
-            )
 
     for name in names:
-        kwargs = dict(overrides)
-        if modes is not None and experiment_accepts(name, "modes"):
-            # In an 'all' run the flag applies only where supported.
-            kwargs["modes"] = modes
         start = time.perf_counter()
-        result = run_experiment(name, **kwargs)
+        result = run_experiment(name, **overrides)
         elapsed = time.perf_counter() - start
         print(result.render())
         print(f"[{name}] completed in {elapsed:.1f}s")

@@ -8,8 +8,8 @@ parameters used. ``python -m repro.bench <name>`` runs one; ``all`` runs
 the full suite.
 
 All experiments accept ``n`` (dataset size) and ``seed`` and default to
-sizes that complete in seconds-to-a-minute in CPython; EXPERIMENTS.md
-records a full run.
+sizes that complete in seconds-to-a-minute in CPython;
+docs/BENCHMARKS.md lists them.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ def register_experiment(name: str):
         return fn
 
     return deco
-
-
-def experiment_accepts(name: str, param: str) -> bool:
-    """Whether the experiment registered under ``name`` takes ``param``.
-
-    Lets the CLI forward optional flags (e.g. ``--modes``) only to
-    experiments whose signature declares them, instead of crashing every
-    other experiment with a TypeError.
-    """
-    import inspect
-
-    fn = _EXPERIMENTS.get(name)
-    return fn is not None and param in inspect.signature(fn).parameters
 
 
 def experiment_names() -> List[str]:

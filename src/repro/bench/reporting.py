@@ -1,8 +1,8 @@
 """Plain-text table rendering for the experiment harness.
 
 The harness prints the same rows/series the paper's tables and figures
-report; these helpers keep the formatting consistent between
-``python -m repro.bench`` runs, the pytest benchmarks and EXPERIMENTS.md.
+report; these helpers keep the formatting consistent across every
+``python -m repro.bench`` experiment.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The serving layer above :mod:`repro.core`: range partitioning
 (:mod:`repro.engine.partition`), the flattened array-native batch read path
 (:mod:`repro.engine.batch`), and the public :class:`ShardedEngine` facade
-(:mod:`repro.engine.engine`). See ``python -m repro.bench engine`` for the
-scalar vs batch vs sharded-batch throughput comparison.
+(:mod:`repro.engine.engine`). ``python3 -m stackbench`` measures it: the
+``engine-batch-mixed`` workload and the ``engine.*`` per-layer metrics.
 """
 
 from repro.engine.batch import FlatView, flat_view

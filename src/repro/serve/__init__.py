@@ -20,8 +20,8 @@ Quickstart::
     async with Server(engine) as server:
         value = await server.get(keys[42])
 
-``python -m repro.bench serve`` benchmarks this layer (naive per-request
-awaits vs batched serving) and writes ``BENCH_serve.json``.
+``python3 -m stackbench`` measures this layer: the ``serve.*`` per-layer
+metrics and, under the TCP tier, the ``tcp-point-closed`` workload.
 """
 
 from repro.api.protocol import BatchEngine

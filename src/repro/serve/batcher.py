@@ -103,12 +103,8 @@ class RequestBatcher:
     max_batch:
         Dispatch granularity: a flush cuts pending requests into chunks of
         at most this many; reaching it also triggers an immediate flush.
-        ``1`` disables batching entirely: each request becomes its own
-        event-loop task running the scalar engine verb — the per-request
-        scheduling any unbatched asyncio service pays (this is the
-        "naive per-request awaits" mode the serve benchmark compares
-        against). Ordering still follows submission order: the tasks run
-        FIFO.
+        At ``1`` every chunk is one request, answered by the scalar
+        engine verb; the flush cycle and its ordering rules are the same.
     max_delay:
         Upper bound, in seconds, on how long a pending request may wait for
         batch-mates before the timer flushes it.
@@ -196,9 +192,6 @@ class RequestBatcher:
         # Created lazily on first flush: on Python 3.9 an asyncio.Lock
         # built outside a running loop binds the wrong loop.
         self._lock: Optional[asyncio.Lock] = None
-        #: In-flight per-request tasks (max_batch=1 mode only); drain()
-        #: awaits them so close still guarantees completion.
-        self._solo_tasks: set = set()
         #: Reason the next flush cycle will attribute itself to; stamped
         #: by whichever trigger scheduled the flush (first one wins).
         self._flush_reason: Optional[str] = None
@@ -293,9 +286,6 @@ class RequestBatcher:
             loop = self._get_loop()
         fut = loop.create_future()
         op = (key, default, fut, self._clock())
-        if self.max_batch == 1:
-            self._solo(loop, self._dispatch_gets, op)
-            return fut
         if self._writes and self._read_overlaps_fence(key, key):
             self._held_gets.append(op)
             self._stats["barrier_held"] += 1
@@ -320,9 +310,6 @@ class RequestBatcher:
         loop = self._get_loop()
         fut = loop.create_future()
         op = (lo, hi, fut, self._clock())
-        if self.max_batch == 1:
-            self._solo(loop, self._dispatch_ranges, op)
-            return fut
         if self._writes and self._read_overlaps_fence(lo, hi):
             self._held_ranges.append(op)
             self._stats["barrier_held"] += 1
@@ -335,9 +322,6 @@ class RequestBatcher:
         """Enqueue an insert; resolves to ``None`` once applied."""
         loop = self._get_loop()
         fut = loop.create_future()
-        if self.max_batch == 1:
-            self._solo(loop, self._dispatch_inserts, (key, value, fut, self._clock()))
-            return fut
         self._writes.append(("insert", (key, value, fut, self._clock())))
         self._widen_fence(key)
         self._after_submit(loop)
@@ -354,9 +338,6 @@ class RequestBatcher:
         """
         loop = self._get_loop()
         fut = loop.create_future()
-        if self.max_batch == 1:
-            self._solo(loop, self._dispatch_deletes, (key, None, fut, self._clock()))
-            return fut
         self._writes.append(("delete", (key, None, fut, self._clock())))
         self._widen_fence(key)
         self._after_submit(loop)
@@ -373,18 +354,6 @@ class RequestBatcher:
         else:
             self._fence_lo = min(self._fence_lo, fk)
             self._fence_hi = max(self._fence_hi, fk)
-
-    def _solo(self, loop: asyncio.AbstractEventLoop, dispatch, op: Tuple) -> None:
-        """Per-request dispatch (``max_batch=1``): one task per request.
-
-        Tasks are created in submission order and each runs its scalar
-        dispatch to completion on first step (inline execution never
-        yields), so ordering — including read-your-writes — matches
-        submission order without the fence machinery.
-        """
-        task = loop.create_task(dispatch([op]))
-        self._solo_tasks.add(task)
-        task.add_done_callback(self._solo_tasks.discard)
 
     def _read_overlaps_fence(self, lo: Any, hi: Any) -> bool:
         """Whether a read of ``[lo, hi]`` must wait for pending inserts."""
@@ -449,13 +418,6 @@ class RequestBatcher:
             if not self._flush_scheduled:
                 self._flush_reason = "drain"
             await self._flush()
-        while self._solo_tasks:
-            await asyncio.gather(*list(self._solo_tasks))
-        if self._taillog is not None:
-            # Solo-mode (max_batch=1) marks never pass through a flush
-            # cycle; sweep them up here so close() leaves nothing pending.
-            tel = self._telemetry
-            self._taillog.finalize(tel.tracer if tel is not None else None)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -5,7 +5,8 @@ server.get(key)`` looks like a scalar request, but behind the facade a
 :class:`~repro.serve.batcher.RequestBatcher` coalesces all concurrent
 requests into micro-batches for the engine's vectorized verbs — the
 difference between ~10us-per-op scalar Python descents and ~1us-per-op
-NumPy batch passes (``python -m repro.bench serve`` measures it).
+NumPy batch passes (stackbench's ``serve.get_us.c1`` / ``.c32`` measure
+it).
 
 On top of the batcher the server adds:
 
@@ -65,12 +66,8 @@ class Server:
         suspends the caller until capacity frees, ``"reject"`` raises
         :class:`ServerOverloadedError` immediately.
     latency_window:
-        Samples retained per operation kind for the percentile stats;
-        ``0`` disables server-side latency sampling entirely (the
-        per-request clock reads disappear from the hot path — useful when
-        the traffic driver measures latency client-side, as the serve
-        benchmark does). Telemetry re-enables the observer: its latency
-        histograms need the per-request timestamps.
+        Samples retained per operation kind for the percentile stats
+        (at least 1).
     telemetry:
         ``None``/``"off"`` (default), ``"metrics"``, ``"full"``, or a
         :class:`repro.obs.Telemetry` instance. When left ``None`` the
@@ -122,6 +119,10 @@ class Server:
             raise InvalidParameterError(
                 f"max_pending must be >= 1 or None, got {max_pending}"
             )
+        if latency_window < 1:
+            raise InvalidParameterError(
+                f"latency_window must be >= 1, got {latency_window}"
+            )
         self.engine = engine
         if telemetry is None:
             # Adopt the engine's bundle so open_server() shares one
@@ -129,7 +130,7 @@ class Server:
             telemetry = getattr(engine, "telemetry", None)
         self.telemetry = Telemetry.from_mode(telemetry)
         self._latency: Dict[str, LatencySeries] = {
-            kind: LatencySeries(max(latency_window, 1))
+            kind: LatencySeries(latency_window)
             for kind in ("get", "range", "insert", "delete")
         }
         self._obs_hist: Optional[Dict[str, Any]] = None
@@ -151,13 +152,7 @@ class Server:
             max_batch=max_batch,
             max_delay=max_delay,
             eager_flush=eager_flush,
-            observer=(
-                self._observe
-                if latency_window > 0
-                or self.telemetry is not None
-                or sla_target_p99_us is not None
-                else None
-            ),
+            observer=self._observe,
             telemetry=self.telemetry,
         )
         self._sla: Optional[SlaController] = None
@@ -485,8 +480,6 @@ class Server:
             otherwise).
         """
         uptime = time.perf_counter() - self._t_start
-        # Batcher op counters cover every request even when latency
-        # sampling is disabled (latency_window=0).
         completed = sum(self._batcher.stats()["ops"].values())
         engine_stats = None
         stats_fn = getattr(self.engine, "stats", None)

@@ -151,7 +151,7 @@ class TestInsertFence:
 
 
 class TestSoloMode:
-    """max_batch=1: one event-loop task per request, FIFO ordering."""
+    """max_batch=1: chunks of one through the ordinary flush cycle."""
 
     def test_per_request_tasks_match_scalar(self):
         engine, keys = build_engine()
@@ -168,6 +168,10 @@ class TestSoloMode:
         assert got == expected
         assert stats["batches"]["get"] == 20
         assert stats["max_batch_observed"] == 1
+        # One tick of submissions is one flush cycle of 20 one-key
+        # dispatches, not 20 cycles.
+        assert stats["flushes"] == 1
+        assert stats["flush_reasons"]["size"] == 1
 
     def test_solo_read_your_writes_fifo(self):
         engine, _ = build_engine()

@@ -9,7 +9,7 @@ Pins the PR's serve-level delete contract:
   writes of both kinds apply in submission order;
 * an absent key rejects only its own future with ``KeyNotFoundError`` —
   batch-mates still succeed;
-* ``max_batch=1`` (solo mode) dispatches scalar deletes per request.
+* ``max_batch=1`` dispatches the scalar delete verb, one key per chunk.
 """
 
 import asyncio

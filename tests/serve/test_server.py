@@ -256,3 +256,5 @@ class TestStatsAndKnobs:
             Server(engine, overload="bogus")
         with pytest.raises(InvalidParameterError):
             Server(engine, max_pending=0)
+        with pytest.raises(InvalidParameterError):
+            Server(engine, latency_window=0)

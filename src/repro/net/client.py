@@ -3,12 +3,16 @@
 :class:`AsyncNetClient` is the native asyncio client. It holds a small
 pool of connections, assigns every request a ``request_id``, and writes
 frames without waiting for earlier replies — *pipelining*: any number of
-requests ride one connection concurrently, and a per-connection reader
-task matches replies (which may arrive out of order) back to their
-futures. On top sit the reliability knobs:
+requests ride one connection concurrently. Each connection is one
+:class:`asyncio.Protocol` pump: the requests of one loop iteration leave
+in one write, and every socket read is parsed for all the replies it
+completed (which may arrive out of order), each matched back to its
+future by id. On top sit the reliability knobs:
 
 * **timeouts** — every request bounds its reply wait; an expired wait
-  raises :class:`~repro.net.errors.RequestTimeoutError`.
+  raises :class:`~repro.net.errors.RequestTimeoutError`. One sweep timer
+  per connection enforces every deadline; a reply that arrives after its
+  request timed out finds no id to match and is dropped.
 * **bounded retry with backoff** — *idempotent* operations (``get``,
   ``range``, the batch reads, ``ping``, ``server_stats``) are retried up
   to ``retries`` times across reconnects on connection loss or timeout.
@@ -31,9 +35,10 @@ tree spans the socket, foreign pids included.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,66 +48,134 @@ from repro.net import frame as wire
 from repro.net.errors import (
     ConnectionLostError,
     FrameCorruptError,
+    FrameError,
     RequestTimeoutError,
 )
 from repro.obs import Telemetry
 
 __all__ = ["AsyncNetClient", "NetClient", "connect"]
 
+_NO_SPAN = contextlib.nullcontext()  # the untraced request's "span"
 
-class _Connection:
-    """One pooled TCP connection plus its reply-demultiplexing task."""
 
-    __slots__ = ("reader", "writer", "pending", "alive", "_task")
+def _plain(value: Any) -> Any:
+    """A NumPy scalar as the Python number it holds (``np.int64(5)`` is
+    not JSON and would demote its whole frame to pickle)."""
+    return value.item() if isinstance(value, np.generic) else value
 
-    def __init__(self, reader, writer, client: "AsyncNetClient") -> None:
-        self.reader = reader
-        self.writer = writer
-        self.pending: Dict[int, asyncio.Future] = {}
-        self.alive = True
-        self._task = asyncio.get_running_loop().create_task(
-            self._read_loop(client)
-        )
 
-    async def _read_loop(self, client: "AsyncNetClient") -> None:
-        try:
-            while True:
-                try:
-                    frame = await wire.read_frame(
-                        self.reader, max_bytes=client.max_frame_bytes
-                    )
-                except FrameCorruptError:
-                    # One damaged reply; its request will time out, the
-                    # stream itself stays usable.
-                    client._counters["frames_corrupt"] += 1
-                    continue
-                client._counters["frames_in"] += 1
-                fut = self.pending.pop(frame.request_id, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(frame)
-                elif frame.request_id == 0:
-                    # Server rejected an unmatchable (corrupt) frame.
-                    client._counters["rejected_frames"] += 1
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            pass  # connection failure: fall through to the common burial
-        finally:
-            self.alive = False
-            exc = ConnectionLostError("connection lost with requests in flight")
-            for fut in self.pending.values():
-                if not fut.done():
-                    fut.set_exception(exc)
-            self.pending.clear()
-            try:
-                self.writer.close()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+class _Connection(asyncio.Protocol):
+    """One pooled TCP connection: the reply pump, a tick's requests in one
+    write, and one deadline sweep for every request in flight."""
 
-    def shutdown(self) -> None:
-        """Stop the reader task and mark the connection dead."""
+    def __init__(self, client: "AsyncNetClient") -> None:
+        self.client = client
+        self.loop = asyncio.get_running_loop()
+        self.parser = wire.FrameParser(client.max_frame_bytes)
+        self.transport: Any = None
         self.alive = False
-        self._task.cancel()
+        #: request id -> (reply future, deadline, frame kind).
+        self.pending: Dict[int, Tuple[asyncio.Future, float, int]] = {}
+        self.out: List[bytes] = []  # requests awaiting this tick's write
+        #: Set while the send buffer is over its high-water mark; senders
+        #: wait on it instead of piling more on.
+        self.drained: Optional[asyncio.Future] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        """The dial succeeded: the slot can take requests."""
+        self.transport = transport
+        self.alive = True
+
+    def data_received(self, data: bytes) -> None:
+        """Buffer one socket read and resolve every reply it completed."""
+        counters = self.client._counters
+        counters["reads_in"] += 1
+        self.parser.feed(data)
+        while True:
+            try:
+                frame = self.parser.next()
+            except FrameCorruptError:
+                # One damaged reply; its request will time out, the
+                # stream itself stays usable.
+                counters["frames_corrupt"] += 1
+                continue
+            except FrameError:
+                return self.transport.abort()  # desynchronized: bury
+            if frame is None:
+                return
+            counters["frames_in"] += 1
+            fut = self.pending.pop(frame.request_id, (None,))[0]
+            if fut is not None and not fut.done():
+                fut.set_result(frame)
+            elif frame.request_id == 0:
+                # Server rejected an unmatchable (corrupt) frame.
+                counters["rejected_frames"] += 1
+            # else: a late reply to a request that already timed out.
+
+    def pause_writing(self) -> None:
+        """The send buffer passed its high-water mark: hold senders."""
+        self.drained = self.loop.create_future()
+
+    def resume_writing(self) -> None:
+        """The send buffer drained: release the held senders."""
+        drained, self.drained = self.drained, None
+        if drained is not None:
+            drained.set_result(None)
+
+    def connection_lost(self, exc: Optional[Exception] = None) -> None:
+        """Bury the connection (peer closed, reset, or a local close):
+        mark it dead and fail everything waiting on it."""
+        self.alive = False
+        if self._timer is not None:
+            self._timer.cancel()
+        exc = ConnectionLostError("connection lost with requests in flight")
+        for fut, _, _ in self.pending.values():
+            if not fut.done():
+                fut.set_exception(exc)
+        self.pending.clear()
+        self.out.clear()
+        self.resume_writing()
+        self.transport.close()
+
+    def request(self, rid: int, kind: int, buf: bytes) -> asyncio.Future:
+        """Queue one encoded request (a tick's worth leaves in one write);
+        returns the future of its reply frame, which the sweep fails if
+        ``client.timeout`` passes first."""
+        fut = self.loop.create_future()
+        deadline = self.loop.time() + self.client.timeout
+        self.pending[rid] = (fut, deadline, kind)
+        if self._timer is None or deadline < self._timer.when():
+            self._sweep()
+        if not self.out:
+            self.loop.call_soon(self._flush)
+        self.out.append(buf)
+        return fut
+
+    def _flush(self) -> None:
+        if self.out:
+            self.client._counters["writes_out"] += 1
+            self.client._counters["frames_out"] += len(self.out)
+            self.transport.write(b"".join(self.out))
+            self.out.clear()
+
+    def _sweep(self) -> None:
+        """Fail every request past its deadline, then sleep until the
+        nearest one left — one timer for the whole connection."""
+        if self._timer is not None:
+            self._timer.cancel()
+        now = self.loop.time()
+        for rid, (fut, deadline, kind) in list(self.pending.items()):
+            if deadline <= now:
+                del self.pending[rid]
+                self.client._counters["timeouts"] += 1
+                if not fut.done():  # else: its caller was just cancelled
+                    fut.set_exception(RequestTimeoutError(
+                        f"no reply to {wire.KIND_NAMES.get(kind, kind)} "
+                        f"within {self.client.timeout}s"
+                    ))
+        nearest = min((p[1] for p in self.pending.values()), default=None)
+        self._timer = nearest and self.loop.call_at(nearest, self._sweep)
 
 
 class AsyncNetClient:
@@ -160,6 +233,8 @@ class AsyncNetClient:
         self._counters: Dict[str, int] = {
             "frames_out": 0,
             "frames_in": 0,
+            "writes_out": 0,
+            "reads_in": 0,
             "frames_corrupt": 0,
             "rejected_frames": 0,
             "retries": 0,
@@ -187,11 +262,7 @@ class AsyncNetClient:
         self._closed = True
         for slot in self._slots:
             if slot is not None:
-                slot.shutdown()
-                try:
-                    slot.writer.close()
-                except (ConnectionError, OSError, RuntimeError):
-                    pass
+                slot.connection_lost()
         self._slots = [None] * len(self._slots)
 
     async def __aenter__(self) -> "AsyncNetClient":
@@ -210,19 +281,19 @@ class AsyncNetClient:
             return existing
         if self._closed:
             raise ConnectionLostError("client is closed")
+        loop = asyncio.get_running_loop()
         delay = self.backoff
         last: Optional[BaseException] = None
         for _ in range(self.retries + 1):
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port
+                _, conn = await loop.create_connection(
+                    lambda: _Connection(self), self.host, self.port
                 )
             except OSError as exc:
                 last = exc
                 await asyncio.sleep(delay)
                 delay *= 2
                 continue
-            conn = _Connection(reader, writer, self)
             self._slots[idx] = conn
             if existing is not None:
                 self._counters["reconnects"] += 1
@@ -246,57 +317,40 @@ class AsyncNetClient:
                 self._counters["retries"] += 1
                 await asyncio.sleep(self.backoff * attempt)
             try:
-                return await self._attempt(kind, dict(meta or {}), arrays)
+                return await self._exchange(kind, dict(meta or {}), arrays)
             except (ConnectionLostError, RequestTimeoutError) as exc:
                 last = exc
         assert last is not None
         raise last
 
-    async def _attempt(
-        self, kind: int, meta: Dict[str, Any], arrays
-    ) -> Any:
+    async def _exchange(self, kind: int, meta: Dict[str, Any], arrays) -> Any:
+        """One attempt: frame the request on the next pool slot, await its
+        reply (or the sweep's timeout), decode."""
         idx = self._rr
-        self._rr = (self._rr + 1) % len(self._slots)
-        conn = await self._conn(idx)
+        self._rr = (idx + 1) % len(self._slots)
+        conn = self._slots[idx]
+        if conn is None or not conn.alive:
+            conn = await self._conn(idx)
         tracer = self.telemetry.tracer if self.telemetry is not None else None
-        if tracer is not None:
-            with tracer.span(
-                "net.call", op=wire.KIND_NAMES.get(kind, str(kind))
-            ) as sp:
+        with _NO_SPAN if tracer is None else tracer.span(
+            "net.call", op=wire.KIND_NAMES.get(kind, str(kind))
+        ) as sp:
+            if sp is not None:
                 meta["trace"] = [sp.trace_id, sp.span_id]
-                return await self._exchange(conn, kind, meta, arrays, tracer)
-        return await self._exchange(conn, kind, meta, arrays, None)
-
-    async def _exchange(
-        self, conn: _Connection, kind: int, meta, arrays, tracer
-    ) -> Any:
-        rid = next(self._rid)
-        buf = wire.encode_frame(kind, rid, meta, arrays)
-        fut = asyncio.get_running_loop().create_future()
-        conn.pending[rid] = fut
-        try:
+            rid = next(self._rid)
+            fut = conn.request(
+                rid, kind, wire.encode_frame(kind, rid, meta, arrays)
+            )
             try:
-                conn.writer.write(buf)
-                await conn.writer.drain()
-            except (ConnectionError, OSError, RuntimeError) as exc:
-                raise ConnectionLostError(f"send failed: {exc!r}") from exc
-            self._counters["frames_out"] += 1
-            try:
-                reply = await asyncio.wait_for(fut, self.timeout)
-            except asyncio.TimeoutError:
-                self._counters["timeouts"] += 1
-                raise RequestTimeoutError(
-                    f"no reply to {wire.KIND_NAMES.get(kind, kind)} "
-                    f"within {self.timeout}s"
-                ) from None
-        finally:
-            conn.pending.pop(rid, None)
-        if reply.kind == wire.REPLY_ERR:
-            raise wire.decode_error(reply)
-        if tracer is not None:
-            spans = reply.meta.get("spans")
-            if spans:
-                tracer.ingest(spans)
+                if conn.drained is not None:
+                    await conn.drained  # send buffer over high water
+                reply = await fut
+            finally:
+                conn.pending.pop(rid, None)
+            if reply.kind == wire.REPLY_ERR:
+                raise wire.decode_error(reply)
+            if sp is not None and reply.meta.get("spans"):
+                tracer.ingest(reply.meta["spans"])
         return wire.decode_result(reply)
 
     # ------------------------------------------------------------------
@@ -310,7 +364,7 @@ class AsyncNetClient:
     async def get(self, key: float, default: Any = None) -> Any:
         """Remote point lookup (idempotent: retried on transport failure)."""
         return await self._roundtrip(
-            wire.OP_GET, {"key": float(key), "default": default},
+            wire.OP_GET, {"key": float(key), "default": _plain(default)},
             idempotent=True,
         )
 
@@ -326,7 +380,7 @@ class AsyncNetClient:
         """Remote insert; resolves once the write is applied and durable
         per the server's config. Not auto-retried (see module doc)."""
         return await self._roundtrip(
-            wire.OP_INSERT, {"key": float(key), "value": value}
+            wire.OP_INSERT, {"key": float(key), "value": _plain(value)}
         )
 
     async def delete(self, key: float) -> Any:

@@ -15,16 +15,28 @@ One frame on the wire is::
             | n_arrays x ( dtype_len u8 | count u64 | offset u64 | dtype.str ) |
             | data region: the arrays, as repro.codec packs them |
 
+    CODEC_SCALAR payload := | tag_a u8 | tag_b u8 | slot_a 8B | slot_b 8B |
+            tag 0 = None (slot zero) | 1 = int64 | 2 = float64
+
 The 10-byte prefix is framing only; everything semantic — including the
 version byte, so the protocol can evolve without touching the prefix —
 lives inside the CRC-protected body. A bad magic or over-limit length
 means the stream is garbage (:class:`~repro.net.errors.FrameError`, fatal
 to the connection); a CRC mismatch means exactly one frame was damaged
 (:class:`~repro.net.errors.FrameCorruptError`) and the stream stays
-synchronized because the length prefix still framed it.
+synchronized because the length prefix still framed it. These checks
+live in :class:`FrameParser`, the sans-IO reassembler both connection
+pumps feed; :func:`read_frame` drives the same parser from a stream.
 
 Payload codecs:
 
+* ``CODEC_SCALAR`` — the scalar hot path: a fixed 30-byte body, nothing
+  to parse. The slots are the kind's two operands (``get``: key, default;
+  ``range``: lo, hi; ``insert``: key, value; ``delete``: key;
+  ``REPLY_OK``: the value). :func:`encode_frame` picks it when the meta
+  holds exactly those and each is ``None``, an int64 or a float; a
+  ``str``, a ``bool`` (never folded into int), a bigger int or a trace
+  context rides ``CODEC_JSON``. Decoding yields the same meta either way.
 * ``CODEC_ARRAYS`` — the batch fast path. A small JSON ``meta`` dict (op
   parameters, trace context), a descriptor table, and a data region that
   :func:`repro.codec.pack_into` fills exactly as it fills an shm lane —
@@ -34,7 +46,7 @@ Payload codecs:
   *of the body*: a ``bytes`` body is itself 16-byte aligned, so every
   array decodes as an aligned zero-copy (read-only) NumPy view over the
   received buffer. No pickling on either side.
-* ``CODEC_JSON`` — meta only, for scalar ops and control frames.
+* ``CODEC_JSON`` — meta only: control frames and the scalars above.
 * ``CODEC_PICKLE`` — the fallback for payloads with no flat numeric form
   (object values, arbitrary defaults). Slower, never wrong. Frames are
   only exchanged between this package's own client and server over links
@@ -47,7 +59,8 @@ the same typed exception client-side from a registry of known classes
 (unknown names degrade to :class:`~repro.net.errors.RemoteError`).
 
 Both ends of a link ship together: mixed-version peers are unsupported
-(the version byte only guards against talking to something else).
+(the version byte only guards against talking to something else;
+version 1, which had no ``CODEC_SCALAR``, is refused like any other).
 """
 
 from __future__ import annotations
@@ -73,6 +86,7 @@ from repro.serve.errors import ServerClosedError, ServerOverloadedError
 
 __all__ = [
     "Frame",
+    "FrameParser",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "OP_PING",
@@ -98,7 +112,7 @@ __all__ = [
 ]
 
 #: Protocol version stamped into (and checked from) every frame body.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Hard upper bound on one frame's body, a defense against a corrupted
 #: or hostile length prefix allocating unbounded memory.
@@ -144,6 +158,24 @@ KIND_NAMES = {
 CODEC_JSON = 0
 CODEC_ARRAYS = 1
 CODEC_PICKLE = 2
+CODEC_SCALAR = 3
+
+#: The two meta fields a ``CODEC_SCALAR`` frame's slots stand for, per kind.
+_SCALAR_FIELDS = {
+    OP_GET: ("key", "default"),
+    OP_RANGE: ("lo", "hi"),
+    OP_INSERT: ("key", "value"),
+    OP_DELETE: ("key", None),
+    REPLY_OK: ("v", None),  # encode_result's {"r": "py", "v": value}
+}
+#: Slot tag per *exact* type: a bool or NumPy scalar never folds into int.
+_SCALAR_TAGS = {type(None): 0, int: 1, float: 2}
+#: Whole-body struct per tag pair (a ``None`` slot is packed as int 0).
+_SCALAR_BODY = {
+    (a, b): struct.Struct("<BBBBQBB" + "qqd"[a] + "qqd"[b])
+    for a in range(3)
+    for b in range(3)
+}
 
 
 @dataclass
@@ -155,8 +187,8 @@ class Frame:
     meta: Dict[str, Any] = field(default_factory=dict)
     arrays: List[np.ndarray] = field(default_factory=list)
     codec: int = CODEC_JSON
-    #: On-wire size (prefix + body); set by :func:`read_frame`, 0 for
-    #: frames built locally.
+    #: On-wire size (prefix + body) of a received frame; 0 for frames
+    #: built locally.
     wire_bytes: int = 0
 
     @property
@@ -174,6 +206,29 @@ def _encode_payload(kind: int, request_id: int, codec_id: int, payload: bytes) -
     body = _BODY_HEADER.pack(
         PROTOCOL_VERSION, kind, codec_id, 0, request_id
     ) + payload
+    return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def _encode_scalar(kind: int, request_id: int, meta: Dict[str, Any]):
+    """The ``CODEC_SCALAR`` frame for ``meta``, or ``None`` when it holds
+    anything but the kind's operands as ``None`` / int64 / float."""
+    name_a, name_b = _SCALAR_FIELDS[kind]
+    is_reply = kind == REPLY_OK
+    if (
+        name_a not in meta
+        or len(meta) != 1 + (name_b in meta) + is_reply
+        or (is_reply and meta.get("r") != "py")
+    ):
+        return None
+    a, b = meta[name_a], meta.get(name_b)
+    try:
+        tags = _SCALAR_TAGS[type(a)], _SCALAR_TAGS[type(b)]
+        body = _SCALAR_BODY[tags].pack(
+            PROTOCOL_VERSION, kind, CODEC_SCALAR, 0, request_id, *tags,
+            0 if a is None else a, 0 if b is None else b,
+        )
+    except (KeyError, struct.error):  # foreign type / beyond 64 bits
+        return None
     return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
 
 
@@ -230,8 +285,10 @@ def encode_frame(
     request_id:
         The pipelining correlation id (0 for unmatchable frames).
     meta:
-        JSON-able operation parameters / reply metadata. Values that do
-        not serialize as JSON demote the whole payload to pickle.
+        JSON-able operation parameters / reply metadata. A scalar verb's
+        (or scalar reply's) bare operands travel as ``CODEC_SCALAR``;
+        values that do not serialize as JSON demote the whole payload to
+        pickle.
     arrays:
         Numeric 1-D arrays to ship in the packed data region; an object
         dtype or another shape demotes the payload to pickle.
@@ -243,6 +300,10 @@ def encode_frame(
     """
     meta = meta or {}
     arrays = list(arrays) if arrays else []
+    if kind in _SCALAR_FIELDS and not arrays:
+        frame = _encode_scalar(kind, request_id, meta)
+        if frame is not None:
+            return frame
     try:
         if arrays:
             frame = _encode_arrays(kind, request_id, meta, arrays)
@@ -285,6 +346,20 @@ def _decode_arrays(
     return meta, codec.unpack(memoryview(body)[pos:], descriptors)
 
 
+def _decode_scalar(kind: int, body: bytes) -> Dict[str, Any]:
+    """The meta a ``CODEC_SCALAR`` body stands for (raises on a kind with
+    no scalar form, an unknown tag or a wrong-sized body)."""
+    name_a, name_b = _SCALAR_FIELDS[kind]
+    tags = body[_BODY_HEADER.size], body[_BODY_HEADER.size + 1]
+    slots = _SCALAR_BODY[tags].unpack(body)
+    meta = {name_a: slots[7] if tags[0] else None}
+    if name_b is not None:
+        meta[name_b] = slots[8] if tags[1] else None
+    elif kind == REPLY_OK:
+        meta["r"] = "py"
+    return meta
+
+
 def decode_frame(body: bytes) -> Frame:
     """Decode one CRC-verified frame body into a :class:`Frame`.
 
@@ -301,7 +376,9 @@ def decode_frame(body: bytes) -> Frame:
         )
     start = _BODY_HEADER.size
     try:
-        if codec_id == CODEC_JSON:
+        if codec_id == CODEC_SCALAR:
+            meta, arrays = _decode_scalar(kind, body), []
+        elif codec_id == CODEC_JSON:
             meta, arrays = json.loads(bytes(body[start:]).decode() or "{}"), []
         elif codec_id == CODEC_ARRAYS:
             meta, arrays = _decode_arrays(body, start)
@@ -314,48 +391,83 @@ def decode_frame(body: bytes) -> Frame:
     except Exception as exc:
         raise FrameError(f"undecodable {KIND_NAMES.get(kind, kind)} "
                          f"payload: {exc!r}") from exc
-    return Frame(kind=kind, request_id=request_id, meta=meta,
-                 arrays=list(arrays), codec=codec_id)
+    return Frame(kind, request_id, meta, list(arrays), codec_id)
 
 
-async def read_frame(reader, *, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
-    """Read and decode exactly one frame from an asyncio stream reader.
+class FrameParser:
+    """Sans-IO frame reassembly: :meth:`feed` bytes in as the socket
+    delivers them, pull frames out with :meth:`next`.
 
     Parameters
     ----------
-    reader:
-        An ``asyncio.StreamReader`` positioned at a frame boundary.
     max_bytes:
-        Reject bodies longer than this before allocating.
-
-    Returns
-    -------
-    Frame
-        The decoded frame.
-
-    Raises
-    ------
-    asyncio.IncompleteReadError
-        EOF mid-frame (peer disconnected); the partial bytes are lost.
-    FrameCorruptError
-        CRC mismatch — the stream is still synchronized, keep reading.
-    FrameError
-        Bad magic / length / version — the stream is unusable.
+        Reject bodies longer than this before buffering them.
     """
-    prefix = await reader.readexactly(_PREFIX.size)
-    magic, body_len, crc = _PREFIX.unpack(prefix)
-    if magic != _MAGIC:
-        raise FrameError(f"bad frame magic 0x{magic:04x}")
-    if not _BODY_HEADER.size <= body_len <= max_bytes:
-        raise FrameError(f"frame body length {body_len} out of bounds")
-    body = await reader.readexactly(body_len)
-    if zlib.crc32(body) != crc:
-        raise FrameCorruptError(
-            f"frame CRC mismatch over {body_len} body bytes"
-        )
-    frame = decode_frame(body)
-    frame.wire_bytes = _PREFIX.size + body_len
-    return frame
+
+    __slots__ = ("max_bytes", "consumed", "missing", "_buf")
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES) -> None:
+        self.max_bytes = int(max_bytes)
+        #: Stream offset just past the last frame :meth:`next` took.
+        self.consumed = 0
+        #: Once :meth:`next` returned ``None``: bytes still to feed it.
+        self.missing = _PREFIX.size
+        self._buf = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        """Append received bytes (any chunking) to the reassembly buffer."""
+        self._buf += data
+
+    def next(self) -> Optional[Frame]:
+        """The next complete frame, or ``None`` until more bytes arrive.
+
+        Raises
+        ------
+        FrameCorruptError
+            CRC mismatch: that one frame was consumed, the stream is
+            still synchronized — call again.
+        FrameError
+            Bad magic / length (nothing consumed) or an undecodable
+            body (consumed): the stream is unusable.
+        """
+        buf = self._buf
+        end = _PREFIX.size
+        if len(buf) >= end:
+            magic, body_len, crc = _PREFIX.unpack_from(buf)
+            if magic != _MAGIC:
+                raise FrameError(f"bad frame magic 0x{magic:04x}")
+            if not _BODY_HEADER.size <= body_len <= self.max_bytes:
+                raise FrameError(f"frame body length {body_len} out of bounds")
+            end += body_len
+        if len(buf) < end:
+            self.missing = end - len(buf)
+            return None
+        body = bytes(memoryview(buf)[_PREFIX.size:end])
+        del buf[:end]
+        self.consumed += end
+        if zlib.crc32(body) != crc:
+            raise FrameCorruptError(
+                f"frame CRC mismatch over {body_len} body bytes"
+            )
+        frame = decode_frame(body)
+        frame.wire_bytes = end
+        return frame
+
+
+async def read_frame(reader, *, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
+    """Read and decode exactly one frame from an ``asyncio.StreamReader``
+    positioned at a frame boundary (for raw-socket callers; the
+    connection pumps feed a :class:`FrameParser` directly).
+
+    Raises what :meth:`FrameParser.next` raises, plus
+    ``asyncio.IncompleteReadError`` on EOF mid-frame.
+    """
+    parser = FrameParser(max_bytes)
+    while True:
+        parser.feed(await reader.readexactly(parser.missing))
+        frame = parser.next()
+        if frame is not None:
+            return frame
 
 
 # ----------------------------------------------------------------------
@@ -376,9 +488,10 @@ def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
 
     Numeric arrays, ``(keys, values)`` pairs and lists of pairs (the
     ``range_batch`` shape, as :func:`repro.codec.join_pairs` arrays) take
-    the packed array path; JSON-safe scalars ride the meta dict; anything
-    else is embedded raw in the meta so the frame encoder's pickle
-    fallback carries it.
+    the packed array path; ``None`` and JSON-safe scalars ride the meta
+    dict (``None``, ints and floats then leave as ``CODEC_SCALAR``);
+    anything else is embedded raw in the meta so the frame encoder's
+    pickle fallback carries it.
 
     Parameters
     ----------
@@ -390,11 +503,9 @@ def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
     tuple
         ``(meta, arrays)`` for :func:`encode_frame`.
     """
-    if value is None:
-        return {"r": "none"}, []
     if isinstance(value, np.generic):
         value = value.item()
-    if isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return {"r": "py", "v": value}, []
     if isinstance(value, np.ndarray):
         if value.dtype != np.dtype(object):
@@ -425,8 +536,6 @@ def decode_result(frame: Frame) -> Any:
     """
     meta, arrays = frame.meta, frame.arrays
     shape = meta.get("r")
-    if shape == "none":
-        return None
     if shape in ("py", "obj"):
         return meta["v"]
     if shape == "arr":

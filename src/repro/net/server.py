@@ -8,14 +8,19 @@ coalescing submit path (so concurrent remote clients batch together
 exactly like concurrent local coroutines); batch frames dispatch whole
 through the server's batch verbs.
 
-Per connection:
+Per connection, one :class:`asyncio.Protocol` pump:
 
-* **pipelining** — every request frame carries a ``request_id``; replies
-  are written as each completes, possibly out of order, and the client
-  matches them back up.
-* **backpressure** — at most ``max_inflight`` request frames are being
-  served per connection; beyond that the reader stops pulling bytes and
-  TCP flow control pushes back on the client.
+* **one parse per wake-up** — every socket read is parsed for all the
+  frames it completed. A scalar frame is submitted to the batcher right
+  there and answered from the returned future's callback (no task), so
+  one segment's frames land in one flush; batch, control and traced
+  frames — and a verb that hands back a coroutine — are served in a task.
+* **pipelining, one write per tick** — replies are matched by
+  ``request_id``, possibly out of order; everything completed in one loop
+  iteration leaves in one ``transport.write``.
+* **backpressure** — exactly ``max_inflight`` request frames at most are
+  being served per connection; at the bound parsing stops, reading
+  pauses, and TCP flow control pushes back on the client.
 * **failure isolation** — a CRC-corrupt frame is answered with a typed
   error frame (request id 0) and the connection keeps serving; a
   mid-frame disconnect just ends the connection, completing in-flight
@@ -36,7 +41,8 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Any, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,20 +58,166 @@ __all__ = ["NetServer", "serve_tcp"]
 #: Default per-connection in-flight request bound.
 DEFAULT_MAX_INFLIGHT = 64
 
+_SCALAR_VERBS = frozenset(
+    (wire.OP_GET, wire.OP_RANGE, wire.OP_INSERT, wire.OP_DELETE)
+)
 
-class _Conn:
-    """Per-connection state: streams plus the in-flight task set."""
 
-    __slots__ = ("reader", "writer", "tasks", "peer")
+async def _ready(value: Any) -> Any:
+    """An awaitable of a value already in hand (ping and stats replies)."""
+    return value
 
-    def __init__(self, reader, writer) -> None:
-        self.reader = reader
-        self.writer = writer
+
+class _Conn(asyncio.Protocol):
+    """One connection's pump: parse what arrived, dispatch, answer a tick
+    of completions with one write."""
+
+    def __init__(self, net: "NetServer") -> None:
+        self.net = net
+        self.loop = asyncio.get_running_loop()
+        self.parser = wire.FrameParser(net.max_frame_bytes)
+        self.transport: Any = None
+        self.inflight = 0  # request frames being served, <= max_inflight
         self.tasks: Set[asyncio.Task] = set()
+        self.out: List[bytes] = []  # replies awaiting this tick's write
+        #: No further frame is parsed; the socket closes once in-flight
+        #: work has been answered (peer EOF, desync, server drain).
+        self.closing = False
+        self.closed = self.loop.create_future()  # set by connection_lost
+
+    def connection_made(self, transport) -> None:
+        """Register the accepted connection with its server."""
+        self.transport = transport
+        self.net._conns.add(self)
+        self.net._counters["connections_opened"] += 1
+        self._count_active(1)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """The socket is gone (possibly mid-frame): in-flight work
+        completes, its replies are unroutable."""
+        self.closing = True
+        self.net._conns.discard(self)
+        self._count_active(-1)
+        self.closed.set_result(None)
+
+    def _count_active(self, step: int) -> None:
+        self.net._counters["connections_active"] += step
+        if self.net._obs_conns is not None:
+            self.net._obs_conns.inc(step)
+
+    def eof_received(self) -> bool:
+        """The peer finished sending: what it already asked for is still
+        answered, then the socket closes."""
+        self.finish()
+        return True
+
+    def data_received(self, data: bytes) -> None:
+        """Buffer one socket read and serve every frame it completed."""
+        self.net._counters["reads_in"] += 1
+        self.parser.feed(data)
+        self._pump()
+
+    def _pump(self) -> None:
+        """Dispatch buffered frames up to the in-flight bound. At the
+        bound the rest stays in the parser (and, beyond it, in the
+        kernel: reading pauses) until a reply completes."""
+        net, counters = self.net, self.net._counters
+        while not self.closing and self.inflight < net.max_inflight:
+            try:
+                frame = self.parser.next()
+            except FrameError as exc:
+                self.send(wire.encode_error(0, exc))
+                if isinstance(exc, FrameCorruptError):
+                    # The stream is still framed: reject just this frame.
+                    counters["frames_corrupt"] += 1
+                    continue
+                # Desynchronized stream: report once, then hang up.
+                counters["frames_bad"] += 1
+                return self.finish()
+            if frame is None:
+                return self.transport.resume_reading()
+            counters["frames_in"] += 1
+            counters["bytes_in"] += frame.wire_bytes
+            if net._obs_frames is not None:
+                net._obs_frames["in"].inc(1)
+            self._dispatch(frame)
+        self.transport.pause_reading()
+
+    def _dispatch(self, frame: wire.Frame) -> None:
+        pending = None
+        if frame.kind in _SCALAR_VERBS and "trace" not in frame.meta:
+            # Submit to the batcher right here, so one segment's frames
+            # land in one flush, and answer from the future's own
+            # callback — no task.
+            try:
+                pending = self.net._apply(frame)
+            except Exception as exc:
+                return self.send_error(frame.request_id, exc)
+        self.inflight += 1
+        if isinstance(pending, asyncio.Future):
+            pending.add_done_callback(partial(self._answer, frame.request_id))
+            return
+        # Everything else — batch and control frames, traced requests, a
+        # verb behind bounded admission or a proxy — awaits in a task.
+        task = self.loop.create_task(self.net._serve_one(self, frame, pending))
+        self.tasks.add(task)
+        task.add_done_callback(self._completed)
+
+    def _answer(self, request_id: int, fut: asyncio.Future) -> None:
         try:
-            self.peer = writer.get_extra_info("peername")
-        except Exception:
-            self.peer = None
+            self.send_result(request_id, fut.result())
+        except (Exception, asyncio.CancelledError) as exc:
+            self.send_error(request_id, exc)
+        self._completed(fut)
+
+    def _completed(self, done: asyncio.Future) -> None:
+        """One in-flight request was answered: close, or resume the pump."""
+        self.tasks.discard(done)
+        self.inflight -= 1
+        if self.closing:
+            self.finish()
+        elif self.inflight == self.net.max_inflight - 1:
+            self._pump()
+
+    def send_result(self, request_id: int, value: Any, spans=None) -> None:
+        """Queue the ``REPLY_OK`` frame for ``value``."""
+        meta, arrays = wire.encode_result(value)
+        if spans:
+            meta["spans"] = spans
+        self.send(wire.encode_frame(wire.REPLY_OK, request_id, meta, arrays))
+
+    def send_error(self, request_id: int, exc: BaseException) -> None:
+        """Queue the typed ``REPLY_ERR`` frame for a failed request."""
+        self.net._counters["errors"] += 1
+        self.send(wire.encode_error(request_id, exc))
+
+    def send(self, buf: bytes) -> None:
+        """Queue one encoded frame; everything queued in this loop
+        iteration leaves in one write on the next."""
+        if not self.out:
+            self.loop.call_soon(self._flush)
+        self.out.append(buf)
+
+    def _flush(self) -> None:
+        out, counters = self.out, self.net._counters
+        if out and not self.transport.is_closing():
+            data = b"".join(out)
+            self.transport.write(data)
+            counters["writes_out"] += 1
+            counters["frames_out"] += len(out)
+            counters["bytes_out"] += len(data)
+            if self.net._obs_frames is not None:
+                self.net._obs_frames["out"].inc(len(out))
+        out.clear()  # written, or unroutable: the peer is gone
+
+    def finish(self) -> None:
+        """Stop taking requests; once none is in flight, flush and close
+        (``transport.close`` still sends what is buffered)."""
+        self.closing = True
+        self.transport.pause_reading()
+        if not self.inflight:
+            self._flush()
+            self.transport.close()
 
 
 class NetServer:
@@ -124,6 +276,8 @@ class NetServer:
             "errors": 0,
             "bytes_in": 0,
             "bytes_out": 0,
+            "reads_in": 0,
+            "writes_out": 0,
         }
         self._obs_frames: Any = None
         self._obs_conns: Any = None
@@ -159,8 +313,8 @@ class NetServer:
                 "repro_net_connections",
                 "Currently open client connections.",
             ).labels()
-        self._srv = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+        self._srv = await asyncio.get_running_loop().create_server(
+            lambda: _Conn(self), self.host, self._requested_port
         )
         return self
 
@@ -185,10 +339,16 @@ class NetServer:
         self._closed = True
         if self._srv is not None:
             self._srv.close()
+        for conn in list(self._conns):
+            conn.finish()
+            _, late = await asyncio.wait(
+                {conn.closed}, timeout=self.drain_timeout
+            )
+            if late:
+                conn.transport.abort()
+        if self._srv is not None:
             await self._srv.wait_closed()
             self._srv = None
-        for conn in list(self._conns):
-            await self._drain_conn(conn)
         await self.server.close()
         if self._owns_engine:
             close_fn = getattr(self.server.engine, "close", None)
@@ -202,68 +362,14 @@ class NetServer:
         await self.close()
 
     # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle(self, reader, writer) -> None:
-        conn = _Conn(reader, writer)
-        self._conns.add(conn)
-        self._counters["connections_opened"] += 1
-        self._counters["connections_active"] += 1
-        if self._obs_conns is not None:
-            self._obs_conns.inc(1)
-        sem = asyncio.Semaphore(self.max_inflight)
-        loop = asyncio.get_running_loop()
-        try:
-            while not self._closed:
-                try:
-                    frame = await wire.read_frame(
-                        reader, max_bytes=self.max_frame_bytes
-                    )
-                except FrameCorruptError as exc:
-                    # The stream is still framed: reject just this frame.
-                    self._counters["frames_corrupt"] += 1
-                    self._write(conn, wire.encode_error(0, exc))
-                    continue
-                except FrameError as exc:
-                    # Desynchronized stream: report once, then hang up.
-                    self._counters["frames_bad"] += 1
-                    self._write(conn, wire.encode_error(0, exc))
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        OSError):
-                    break  # peer went away (possibly mid-frame)
-                self._counters["frames_in"] += 1
-                self._counters["bytes_in"] += frame.wire_bytes
-                if self._obs_frames is not None:
-                    self._obs_frames["in"].inc(1)
-                await sem.acquire()  # per-connection backpressure
-                task = loop.create_task(self._serve_one(conn, frame))
-                conn.tasks.add(task)
-                task.add_done_callback(
-                    lambda t, c=conn, s=sem: (c.tasks.discard(t), s.release())
-                )
-        finally:
-            await self._drain_conn(conn)
-            self._conns.discard(conn)
-            self._counters["connections_active"] -= 1
-            if self._obs_conns is not None:
-                self._obs_conns.inc(-1)
-
-    async def _drain_conn(self, conn: _Conn) -> None:
-        if conn.tasks:
-            await asyncio.wait(set(conn.tasks), timeout=self.drain_timeout)
-        try:
-            conn.writer.close()
-            await conn.writer.wait_closed()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-
-    # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
 
-    async def _serve_one(self, conn: _Conn, frame: wire.Frame) -> None:
+    async def _serve_one(
+        self, conn: _Conn, frame: wire.Frame, pending: Any = None
+    ) -> None:
+        """The task path: serve one frame the pump could not answer from
+        a bare future (``pending`` is its already-submitted awaitable)."""
         trace = frame.meta.get("trace")
         tracer = (
             self.server.telemetry.tracer
@@ -272,7 +378,9 @@ class NetServer:
         )
         t0 = time.perf_counter()
         try:
-            if tracer is not None and trace is not None:
+            if pending is not None:
+                value = await pending
+            elif tracer is not None and trace is not None:
                 with tracer.attach((trace[0], trace[1])):
                     value = await self._apply(frame)
             else:
@@ -280,10 +388,9 @@ class NetServer:
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
-            self._counters["errors"] += 1
-            self._write(conn, wire.encode_error(frame.request_id, exc))
+            conn.send_error(frame.request_id, exc)
             return
-        meta, arrays = wire.encode_result(value)
+        spans = None
         if trace is not None:
             # Ship the server-side span back for the client to ingest —
             # the same stitching contract the shm workers use.
@@ -297,43 +404,31 @@ class NetServer:
             )
             if tracer is not None:
                 tracer.ingest([rec])
-            meta["spans"] = [rec]
-        self._write(conn, wire.encode_frame(
-            wire.REPLY_OK, frame.request_id, meta, arrays
-        ))
+            spans = [rec]
+        conn.send_result(frame.request_id, value, spans)
 
-    def _write(self, conn: _Conn, buf: bytes) -> None:
-        """Queue one encoded frame on the connection (single write call,
-        so concurrent completions never interleave bytes)."""
-        try:
-            conn.writer.write(buf)
-        except (ConnectionError, OSError, RuntimeError):
-            return  # reply unroutable: the peer is gone
-        self._counters["frames_out"] += 1
-        self._counters["bytes_out"] += len(buf)
-        if self._obs_frames is not None:
-            self._obs_frames["out"].inc(1)
-
-    async def _apply(self, frame: wire.Frame) -> Any:
-        """Map one request frame onto the serve layer's verbs."""
+    def _apply(self, frame: wire.Frame) -> Any:
+        """Map one request frame onto the serve layer's verbs: the
+        awaitable of its result (scalar verbs are already submitted to
+        the batcher when this returns)."""
         meta, arrays = frame.meta, frame.arrays
         kind = frame.kind
         srv = self.server
         if kind == wire.OP_GET:
-            return await srv.get(meta["key"], meta.get("default"))
+            return srv.get(meta["key"], meta.get("default"))
         if kind == wire.OP_RANGE:
-            return await srv.range(meta["lo"], meta["hi"])
+            return srv.range(meta["lo"], meta["hi"])
         if kind == wire.OP_INSERT:
-            return await srv.insert(meta["key"], meta.get("value"))
+            return srv.insert(meta["key"], meta.get("value"))
         if kind == wire.OP_DELETE:
-            return await srv.delete(meta["key"])
+            return srv.delete(meta["key"])
         if kind == wire.OP_GET_BATCH:
-            return await srv.get_batch(arrays[0], meta.get("default"))
+            return srv.get_batch(arrays[0], meta.get("default"))
         if kind == wire.OP_RANGE_BATCH:
             # Rows travel flattened; an odd-length payload cannot be
             # re-paired and fails the shared bounds check as it stands.
             flat = arrays[0]
-            return await srv.range_batch(
+            return srv.range_batch(
                 check_bounds(flat if flat.size % 2 else flat.reshape(-1, 2))
             )
         if kind == wire.OP_INSERT_BATCH:
@@ -341,13 +436,13 @@ class NetServer:
             # bulk-write paths are free to sort in place.
             keys = np.array(arrays[0])
             values = np.array(arrays[1]) if len(arrays) > 1 else None
-            return await srv.insert_batch(keys, values)
+            return srv.insert_batch(keys, values)
         if kind == wire.OP_DELETE_BATCH:
-            return await srv.delete_batch(np.array(arrays[0]))
+            return srv.delete_batch(np.array(arrays[0]))
         if kind == wire.OP_PING:
-            return {"pong": True, "pid": os.getpid()}
+            return _ready({"pong": True, "pid": os.getpid()})
         if kind == wire.OP_STATS:
-            return srv.stats()
+            return _ready(srv.stats())
         raise InvalidParameterError(f"unknown request kind {kind}")
 
     # ------------------------------------------------------------------

@@ -242,3 +242,61 @@ def test_fourth_header_byte_is_written_zero_and_ignored():
     assert not hasattr(f, "flags")
     with pytest.raises(TypeError):
         wire.encode_frame(wire.OP_PING, 1, flags=1)
+
+
+@pytest.mark.parametrize(
+    "value, scalar",
+    [
+        (None, True),
+        (0, True),
+        (-7, True),
+        (2 ** 63 - 1, True),
+        (-(2 ** 63), True),
+        (2 ** 63, False),  # beyond int64: JSON keeps it exact
+        (1.5, True),
+        (-0.0, True),
+        (float("nan"), True),
+        (float("inf"), True),
+        (True, False),  # a bool is never folded into int
+        ("x", False),
+    ],
+)
+def test_scalar_codec_roundtrip_matrix(value, scalar):
+    frames = [
+        wire.encode_frame(wire.OP_GET, 9, {"key": 2.5, "default": value}),
+        wire.encode_frame(wire.OP_INSERT, 9, {"key": 2.5, "value": value}),
+        wire.encode_frame(wire.REPLY_OK, 9, *wire.encode_result(value)),
+    ]
+    for buf, field in zip(frames, ("default", "value", "v")):
+        f = _roundtrip(buf)
+        assert (f.codec == wire.CODEC_SCALAR) is scalar
+        assert len(buf) == 40 or not scalar
+        got = f.meta[field]
+        assert type(got) is type(value)
+        assert repr(got) == repr(value)  # -0.0 and nan included
+    assert repr(wire.decode_result(f)) == repr(value)
+
+
+def test_scalar_codec_needs_bare_operands():
+    lo_hi = _roundtrip(wire.encode_frame(wire.OP_RANGE, 1, {"lo": 1.0, "hi": 2.0}))
+    assert (lo_hi.codec, lo_hi.meta) == (wire.CODEC_SCALAR, {"lo": 1.0, "hi": 2.0})
+    key = _roundtrip(wire.encode_frame(wire.OP_DELETE, 1, {"key": 1.0}))
+    assert (key.codec, key.meta) == (wire.CODEC_SCALAR, {"key": 1.0})
+    # A trace context, or a reply carrying spans, is more than two slots.
+    traced = {"key": 1.0, "default": None, "trace": ["t", "s"]}
+    assert _roundtrip(wire.encode_frame(wire.OP_GET, 1, traced)).meta == traced
+    spans = {"r": "py", "v": 3, "spans": [{"name": "net.request"}]}
+    assert _roundtrip(wire.encode_frame(wire.REPLY_OK, 1, spans)).meta == spans
+    # A scalar payload on a kind with no scalar form is undecodable.
+    body = bytearray(wire.encode_frame(wire.OP_GET, 1, {"key": 1.0})[10:])
+    body[1] = wire.OP_PING
+    with pytest.raises(FrameError, match="undecodable"):
+        wire.decode_frame(bytes(body))
+
+
+def test_version_1_frame_is_refused():
+    body = bytearray(wire.encode_frame(wire.OP_GET, 1, {"key": 1.0})[10:])
+    assert body[0] == wire.PROTOCOL_VERSION == 2
+    body[0] = 1
+    with pytest.raises(FrameError, match="version 1"):
+        wire.decode_frame(bytes(body))

@@ -6,9 +6,11 @@ this package moves each range shard into its own worker process while
 keeping the exact engine API, letting the serving stack scale with the
 machine:
 
-* :mod:`~repro.cluster.snapshot` — ship a shard: class-dispatching
-  rebuild of :meth:`~repro.core.paged_index.PagedIndexBase.to_state`
-  snapshots (no re-segmentation);
+* :mod:`repro.core.serialize` — ship a shard: ``index_from_state`` is
+  the class-dispatching rebuild of
+  :meth:`~repro.core.paged_index.PagedIndexBase.to_state` snapshots (no
+  re-segmentation; value copies, so parent and worker evolve apart), with
+  the one registry the on-disk format uses (``register_index_class``);
 * :mod:`~repro.cluster.shm` — the zero-copy transport: named
   shared-memory lanes batch keys and numeric results cross process
   boundaries through (pickle fallback for object payloads);
@@ -50,7 +52,7 @@ from repro.cluster.errors import (
     WorkerRecoveredError,
 )
 from repro.cluster.shm import ShmLane, attach_lane, teardown_errors
-from repro.cluster.snapshot import index_from_state, register_index_class
+from repro.core.serialize import index_from_state, register_index_class
 
 __all__ = [
     "ClusterEngine",

@@ -117,7 +117,7 @@ class ClusterEngine:
         snapshotted into its worker, and the in-process copy is dropped.
         One worker per effective shard. A custom ``index_factory``'s
         class must be snapshot-capable and registered
-        (``repro.cluster.snapshot.register_index_class``).
+        (``repro.core.serialize.register_index_class``).
     mp_context:
         ``multiprocessing`` start method (``"fork"``/``"spawn"``/ a
         context object). Default: ``"fork"`` where available (cheap

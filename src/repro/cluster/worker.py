@@ -53,9 +53,9 @@ import numpy as np
 
 from repro import codec
 from repro.cluster.shm import ShmLane, attach_lane
-from repro.cluster.snapshot import index_from_state
 from repro.core.errors import InvalidParameterError
 from repro.core.page import exact_typed_array
+from repro.core.serialize import index_from_state, register_index_class
 from repro.obs.trace import span_record
 from repro.obs.workload import ShardWorkloadProfiler
 
@@ -230,8 +230,6 @@ def shard_worker_main(
     """
     try:
         if index_cls is not None:
-            from repro.cluster.snapshot import register_index_class
-
             register_index_class(index_cls)
         server = _ShardServer(state, lo, hi, shard_id)
     except BaseException as exc:  # surface rebuild failures to the parent

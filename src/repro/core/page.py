@@ -21,7 +21,6 @@ from typing import Any, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError, InvariantViolationError
-from repro.memsim.counter import binary_search_probes_vec
 
 __all__ = [
     "SegmentPage",
@@ -383,7 +382,7 @@ class SegmentPage:
         self.buf_values.insert(i, value)
         self.touched = True
 
-    def bulk_insert(self, keys, values, counter: Any = None) -> None:
+    def bulk_insert(self, keys, values) -> None:
         """Sort-merge a whole sorted batch into the buffer in one pass.
 
         ``keys`` must be sorted ascending (float64-coercible); ``values``
@@ -393,15 +392,16 @@ class SegmentPage:
         ``bisect_left`` insertion stacks equal keys in *reverse* arrival
         order, ahead of previously buffered equals — but costs one
         ``searchsorted`` plus one splice instead of a bisect-and-shift per
-        key. Modeled counter charges match the scalar loop exactly.
+        key. No access counter is charged: the paper's access model lives
+        on the scalar verbs.
         """
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n_new = keys.size
         if n_new == 0:
             return
         self.touched = True
-        # Per-element index within its run of equal keys, and the
-        # permutation reversing each run (the bisect_left tie order).
+        # The permutation reversing each run of equal keys (the
+        # bisect_left tie order).
         idx = np.arange(n_new, dtype=np.int64)
         if n_new > 1:
             run_starts = np.flatnonzero(np.diff(keys) != 0) + 1
@@ -409,10 +409,8 @@ class SegmentPage:
             run_id = np.zeros(n_new, dtype=np.int64)
             run_id[run_starts] = 1
             np.cumsum(run_id, out=run_id)
-            within = idx - bounds[run_id]
             order = bounds[run_id] + bounds[run_id + 1] - 1 - idx
         else:
-            within = np.zeros(1, dtype=np.int64)
             order = np.zeros(1, dtype=np.int64)
         if isinstance(values, np.ndarray):
             # list() yields the same scalars a zip over the array would.
@@ -422,7 +420,6 @@ class SegmentPage:
 
         b0 = len(self.buf_keys)
         if b0 == 0:
-            pos = np.zeros(n_new, dtype=np.int64)
             self.buf_keys = keys.tolist()
             self.buf_values = reordered
         else:
@@ -441,24 +438,11 @@ class SegmentPage:
                 merged[p] = v
             self.buf_values = merged
 
-        if counter is not None:
-            # Exactly the scalar loop's charges: the t-th insert binary-
-            # searches a buffer of b0 + t elements and shifts every element
-            # >= its key (existing ones past its slot plus earlier ties).
-            probes, lines = binary_search_probes_vec(
-                b0 + np.arange(n_new, dtype=np.int64)
-            )
-            counter.buffer_probes += probes
-            counter.buffer_line_misses += lines
-            counter.data_move(int(((b0 - pos) + within).sum()))
-
     def delete_at_data(self, i: int, counter: Any = None) -> Any:
         """Physically remove data element ``i``; widens future windows by 1.
 
         Charges ``data_move`` for the suffix shifted left by the removal —
-        the mirror of :meth:`insert_into_buffer`'s shift charge, and the
-        accounting the vectorized :meth:`bulk_delete` path reproduces
-        exactly (one splice, per-element modeled charges).
+        the mirror of :meth:`insert_into_buffer`'s shift charge.
         """
         value = self.values[i]
         if counter is not None:
@@ -480,11 +464,7 @@ class SegmentPage:
         return value
 
     def bulk_delete(
-        self,
-        keys,
-        search_error: float,
-        counter: Any = None,
-        max_data: Optional[int] = None,
+        self, keys, max_data: Optional[int] = None
     ) -> Tuple[int, List[Any], int]:
         """Delete one occurrence per requested key in one vectorized pass.
 
@@ -500,24 +480,14 @@ class SegmentPage:
         rebuild-budget chunking, mirroring ``insert_batch``'s
         capacity-aware chunking). All surviving removals are applied with
         one list rebuild (buffer) plus one ``np.delete`` splice (data)
-        instead of one shift per key.
-
-        Modeled counter charges replicate the scalar loop exactly,
-        including state evolution *within* the batch: the t-th request
-        pays a buffer binary search over the buffer as it stood after
-        t-1 removals, a window search sized by the deletions-widened,
-        shrunken data array of that moment, and the same ``data_move``
-        shift totals as :meth:`delete_at_buffer` / :meth:`delete_at_data`.
+        instead of one shift per key. No access counter is charged (see
+        :meth:`bulk_insert`).
 
         Parameters
         ----------
         keys:
             Sorted deletion requests (duplicates delete multiple
             occurrences).
-        search_error:
-            The owner's page search error (window bound).
-        counter:
-            Optional access counter (see charge model above).
         max_data:
             Inclusive cap on physical data removals this call may apply;
             ``None`` means unbounded.
@@ -587,34 +557,6 @@ class SegmentPage:
             values[t] = self.buf_values[p]
         for t, p in zip(data_req.tolist(), data_pos.tolist()):
             values[t] = self.values[p]
-
-        if counter is not None:
-            # Every request binary-searches the buffer as it stood at its
-            # turn (t-1 earlier buffer removals already applied) ...
-            b0 = len(self.buf_keys)
-            prior_b = np.concatenate(([0], np.cumsum(is_buf)[:-1]))
-            probes, lines = binary_search_probes_vec(b0 - prior_b)
-            counter.buffer_probes += probes
-            counter.buffer_line_misses += lines
-            # ... buffer misses fall through to a window search over the
-            # shrunken, deletions-widened data array of that moment ...
-            if data_req.size:
-                n0 = len(self.keys)
-                prior_d = np.cumsum(is_data)[data_req] - 1
-                n_t = n0 - prior_d
-                err = search_error + self.deletions + prior_d
-                pred = (keys[data_req] - self.start_key) * self.slope
-                lo = np.maximum(np.floor(pred - err), 0.0)
-                hi = np.minimum(np.ceil(pred + err) + 1.0, n_t)
-                width = np.maximum(hi - lo, 0.0).astype(np.int64)
-                # Clamped-outside fallback probes one end slot (window()).
-                width[width == 0] = np.minimum(n_t, 1)[width == 0]
-                probes, lines = binary_search_probes_vec(width)
-                counter.segment_probes += probes
-                counter.segment_line_misses += lines
-                counter.data_move(int((n0 - data_pos - 1).sum()))
-            if buf_req.size:
-                counter.data_move(int((b0 - buf_pos - 1).sum()))
 
         if buf_pos.size:
             keep = np.ones(len(self.buf_keys), dtype=bool)

@@ -319,7 +319,6 @@ class PagedIndexBase:
         re-exporting only the pages written to since).
         """
         starts, pages = self._get_directory()
-        slopes: List[float] = []
         deletions: List[float] = []
         key_parts: List[np.ndarray] = []
         value_parts: List[np.ndarray] = []
@@ -328,7 +327,6 @@ class PagedIndexBase:
         lengths: List[int] = []
         buf_lengths: List[int] = []
         for page in pages:
-            slopes.append(page.slope)
             deletions.append(float(page.deletions))
             key_parts.append(page.keys)
             value_parts.append(page.values)
@@ -347,11 +345,8 @@ class PagedIndexBase:
         empty_v = np.empty(0, dtype=self._values_dtype)
         return {
             "version": self._version,
-            "search_error": float(self.page_search_error),
             "pages": pages,
-            "heights": np.full(n_pages, self._tree.height, dtype=np.int64),
             "starts": starts,
-            "slopes": np.asarray(slopes, dtype=np.float64),
             "deletions": np.asarray(deletions, dtype=np.float64),
             "offsets": offsets,
             "keys": np.concatenate(key_parts) if n_pages else empty_k,
@@ -465,7 +460,7 @@ class PagedIndexBase:
         state:
             A dict produced by :meth:`to_state` (of this class —
             ``state["index_cls"]`` is not re-dispatched here; see
-            ``repro.cluster.snapshot.index_from_state`` for the
+            ``repro.core.serialize.index_from_state`` for the
             class-dispatching entry point).
 
         Returns
@@ -518,14 +513,15 @@ class PagedIndexBase:
     def get_batch(self, queries, default: Any = None) -> np.ndarray:
         """Vectorized point lookups over a flattened-array snapshot.
 
-        Unlike :meth:`bulk_lookup` (which still probes pages one query at a
-        time), this routes, interpolates and window-searches the whole batch
-        with NumPy array passes; results match :meth:`get` exactly for
-        finite queries (non-finite ones, on which :meth:`get` raises, miss
-        cleanly here). The snapshot is cached and invalidated by
-        :attr:`version`. Cost for K queries over P pages: O(K log P)
-        routing plus O(K log error) lock-step probe passes (after an
-        amortized O(n) snapshot build on the first post-write batch).
+        Unlike :meth:`bulk_lookup` (the paper's Alg. 2 per query, charged
+        to :attr:`counter`), this answers the whole batch with NumPy array
+        passes and charges no counter; results match :meth:`get` exactly
+        for finite queries (non-finite ones, on which :meth:`get` raises,
+        miss cleanly here). The snapshot is cached and invalidated by
+        :attr:`version`. Cost for K queries over P pages and n keys:
+        O(K log P) routing plus one O(K log n) predecessor search and a
+        bounded buffer probe (see :mod:`repro.engine.batch`), after a
+        first build of O(n) and refreshes of the pages written since.
 
         Parameters
         ----------
@@ -543,7 +539,7 @@ class PagedIndexBase:
         """
         from repro.engine.batch import flat_view
 
-        return flat_view(self).get_batch(queries, default, counter=self.counter)
+        return flat_view(self).get_batch(queries, default)
 
     # ------------------------------------------------------------------
     # Range queries
@@ -684,7 +680,12 @@ class PagedIndexBase:
         :attr:`version` bump per mutated page instead of per key. Empty
         batches are a strict no-op. Cost for K inserts: one O(K log K)
         sort, one tree descent per touched page, and O(K + rebuilt-page
-        data) merge work.
+        data) merge work. Batch verbs are uncounted: no op, probe or shift
+        is charged to :attr:`counter` per key, which carries the paper's
+        access model for the scalar verbs only; what an attached counter
+        still sees is the scalar code a batch shares (the tree's descents,
+        :meth:`_rebuild_page`, :meth:`delete_batch`'s per-request
+        fallback).
 
         Parameters
         ----------
@@ -704,7 +705,6 @@ class PagedIndexBase:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         values = values[order]
-        counter = self.counter
         i = 0
         while i < n:
             if len(self._tree) == 0:
@@ -724,11 +724,9 @@ class PagedIndexBase:
                 # as the floor search does).
                 j = i + int(np.searchsorted(keys[i:], nxt[0][0], side="left"))
             take = min(j - i, self.buffer_capacity - page.n_buffer)
-            page.bulk_insert(keys[i : i + take], values[i : i + take], counter)
+            page.bulk_insert(keys[i : i + take], values[i : i + take])
             self._n += take
             self._version += 1
-            if counter is not None:
-                counter.ops += take
             i += take
             if page.n_buffer >= self.buffer_capacity:
                 self._rebuild_page(tree_key, page)
@@ -798,9 +796,7 @@ class PagedIndexBase:
         The scalar delete path (and the batch path's multi-page fallback
         for requests the owning floor page cannot satisfy — split
         duplicate runs and under-min keys). Charges exactly one logical
-        op plus the searches it actually performs, so a loop of scalar
-        deletes and one :meth:`delete_batch` charge identical page-level
-        counters.
+        op plus the searches it actually performs.
         """
         key = float(key)
         if self.counter is not None:
@@ -834,10 +830,9 @@ class PagedIndexBase:
         Buffered occurrences are removed directly; data occurrences are
         physically removed, widening the page's search window by one slot.
         After ``buffer_capacity`` deletions the page is rebuilt, so the
-        user-facing error bound never degrades. Charge accounting is
-        shared with :meth:`delete_batch` (op + buffer search + window
-        search + ``data_move`` shift), so the scalar loop and the batch
-        path charge identical page-level counters.
+        user-facing error bound never degrades. Charges :attr:`counter`
+        one op plus its buffer search, window search and ``data_move``
+        shift.
         """
         self._check_writable()
         key = float(key)
@@ -861,10 +856,11 @@ class PagedIndexBase:
         would, and the remaining keys re-route against the new pages.
         Requests the floor page cannot satisfy (split duplicate runs,
         under-min keys, absent keys) fall back to the scalar multi-page
-        path one request at a time, preserving scalar semantics and
-        charge accounting. Empty batches are a strict no-op. Cost for K
-        deletes: one O(K log K) sort, one tree descent per touched page,
-        and one splice per mutated page instead of one per key.
+        path one request at a time, preserving scalar semantics. Like
+        every batch verb this charges :attr:`counter` nothing of its own
+        (see :meth:`insert_batch`). Empty batches are a strict no-op. Cost
+        for K deletes: one O(K log K) sort, one tree descent per touched
+        page, and one splice per mutated page instead of one per key.
 
         Parameters
         ----------
@@ -904,7 +900,6 @@ class PagedIndexBase:
         #: Python list that may hold payloads the values dtype cannot
         #: represent); data-array values are exact by construction.
         saw_buffer = False
-        counter = self.counter
         i = 0
         while i < n:
             applied = 0
@@ -922,9 +917,7 @@ class PagedIndexBase:
                     if self.buffer_capacity
                     else None
                 )
-                applied, vals, n_data = page.bulk_delete(
-                    skeys[i:j], self.page_search_error, counter, budget
-                )
+                applied, vals, n_data = page.bulk_delete(skeys[i:j], budget)
                 if applied > n_data:
                     saw_buffer = True
                 if applied:
@@ -932,8 +925,6 @@ class PagedIndexBase:
                     found[i : i + applied] = True
                     self._n -= applied
                     self._version += 1
-                    if counter is not None:
-                        counter.ops += applied
                     i += applied
                     if page.n_total == 0:
                         self._tree.delete(tree_key)

@@ -59,9 +59,8 @@ _META_FIELDS = ("n", "auto_rowid", "next_rowid", "values_dtype", "version")
 
 
 #: The canonical snapshot-class dispatch table — shared by on-disk loads
-#: here and by cluster workers (``repro.cluster.snapshot`` re-exports the
-#: two functions below), so a class registered once both persists and
-#: clusters.
+#: here and by cluster workers (``repro.cluster`` re-exports the two
+#: functions below), so a class registered once both persists and clusters.
 _REGISTRY: Dict[str, Type[PagedIndexBase]] = {}
 
 

@@ -2,28 +2,34 @@
 
 A :class:`FlatView` freezes one :class:`~repro.core.paged_index.PagedIndexBase`
 into contiguous NumPy arrays (via ``flat_arrays``): per-page start keys,
-slopes, deletion counts and offsets, plus the concatenation of every page's
-sorted data (globally sorted, since pages are emitted in key order) and of
-every page's insert buffer. A batch of K point lookups then costs a handful
-of whole-batch array passes instead of K independent B+-tree descents:
+deletion counts and offsets, plus the concatenation of every page's sorted
+data (globally sorted, since pages are emitted in key order) and of every
+page's insert buffer. A batch of K point lookups then costs a handful of
+whole-batch array passes instead of K independent B+-tree descents:
 
 1. **route** — one ``np.searchsorted`` over the page start keys finds every
    query's owning page (the predecessor pass);
-2. **interpolate** — vectorized ``(q - start) * slope`` predicts every
-   query's position, clamped to the paper's error window exactly as
-   ``SegmentPage.window`` does (deletion-widened, with the same
-   outside-the-array fallbacks);
-3. **probe** — a vectorized bounded binary search (`_bounded_leftmost`)
-   resolves all windows simultaneously in ``O(log error)`` array passes;
-   queries that miss in the data fall through to the same vectorized search
-   over their page's buffer slice.
+2. **search** — one ``np.searchsorted`` over the globally sorted data,
+   ``O(K log n)``, finds every query's leftmost slot, clamped into its
+   routed page;
+3. **buffer probe** — queries that miss in the data run one lock-step
+   bounded binary search (`_bounded_leftmost`) over their page's buffer
+   slice, at most ``buffer_capacity`` wide.
+
+This is not the paper's Alg. 2 vectorised. Interpolating every query into
+its ±error window and resolving the windows in lock step is ``O(K log
+error)`` on paper; in NumPy it took 149 µs against 99 µs for the one
+C-level search on a 256-key batch over 250 k uniform keys (and won, 353 µs
+against 541 µs, at 1024 keys over 1 M), and it only ever ran when a counter
+was attached, which no serving path does — so it is gone. Alg. 2 is the
+scalar ``FITingTree.get`` / ``bulk_lookup``; those carry the access counter
+the paper's figures and cost model read, and the batch verbs carry none.
 
 Results are exactly those of per-key ``PagedIndexBase.get`` for every
 finite query — the pinned equivalence tests cover duplicates, misses,
-buffered inserts and deletion-widened windows. Non-finite queries (NaN,
-±inf), which the scalar path cannot evaluate at all (it raises inside
-``SegmentPage.window``), are answered as clean misses with no probes
-charged.
+buffered inserts and deletes. Non-finite queries (NaN, ±inf), which the
+scalar path cannot evaluate at all (it raises inside
+``SegmentPage.window``), are answered as clean misses.
 
 Views are immutable snapshots, cached on the index and keyed by its
 monotonic ``version`` counter (see :func:`flat_view`). A write does not
@@ -32,7 +38,7 @@ throw the cached view away: every ``SegmentPage`` mutator marks its page
 from, the next read derives the new view from the old one — untouched page
 runs are windows of the old arrays, only touched pages are re-exported. A
 buffer-only write (inserts, buffered deletes: the paper's delta-insert
-case) shares ``keys``/``values``/``offsets`` and the per-page model arrays
+case) shares ``keys``/``values``/``offsets`` and the per-page arrays
 with the previous view by identity and re-splices just the small buffer
 arrays, so a read after a write costs the pages written, not the shard.
 Only a directory change (page rebuild, split or removal) pays the full
@@ -43,12 +49,9 @@ was taken at.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.memsim.counter import binary_search_probes_vec
 
 __all__ = ["FlatView", "flat_view"]
 
@@ -60,11 +63,10 @@ def _bounded_leftmost(
 
     A lock-step vectorized binary search: every iteration halves all still-
     active windows at once, so a whole batch resolves in
-    ``ceil(log2(max window))`` array passes. ``lo``/``hi`` are only rebound
-    locally (never mutated), so callers may pass their own arrays.
+    ``ceil(log2(max window))`` array passes. ``keys`` must be non-empty;
+    ``lo``/``hi`` are only rebound locally (never mutated), so callers may
+    pass their own arrays.
     """
-    if keys.size == 0:
-        return lo
     active = lo < hi
     while active.any():
         mid = (lo + hi) >> 1
@@ -77,10 +79,8 @@ def _bounded_leftmost(
 
 
 _ARRAY_FIELDS = (
-    "heights",
     "starts",
     "route_starts",
-    "slopes",
     "deletions",
     "offsets",
     "keys",
@@ -96,12 +96,9 @@ class FlatView:
 
     __slots__ = (
         "version",
-        "search_error",
         "pages",
-        "heights",
         "starts",
         "route_starts",
-        "slopes",
         "deletions",
         "offsets",
         "keys",
@@ -115,21 +112,16 @@ class FlatView:
 
     def __init__(self, arrays: Dict[str, Any]) -> None:
         self.version = arrays["version"]
-        self.search_error = arrays["search_error"]
         #: The index's directory page list these arrays were cut from
         #: (``None`` on a multi-shard combined view): what lets
         #: :func:`flat_view` derive the next snapshot from this one.
         self.pages = arrays.get("pages")
-        #: Owning tree's height per page, so modeled tree-descent charges
-        #: stay per-shard-exact in multi-shard combined views.
-        self.heights = arrays["heights"]
         self.starts = arrays["starts"]
         #: Routing keys for the predecessor pass. Usually the page starts
         #: themselves; a multi-shard combined view lowers each shard's first
         #: entry to the shard's cut so under-shard-min queries route into
         #: the shard that buffers them (mirroring scalar engine routing).
         self.route_starts = arrays.get("route_starts", arrays["starts"])
-        self.slopes = arrays["slopes"]
         self.deletions = arrays["deletions"]
         self.offsets = arrays["offsets"]
         self.keys = arrays["keys"]
@@ -184,14 +176,11 @@ class FlatView:
         return FlatView(
             {
                 "version": version,
-                "search_error": self.search_error,
                 "pages": pages,
-                "heights": self.heights[p0:p1],
                 # route_starts intentionally omitted: the slice routes by
                 # its own page starts (combined-view cut lowering must not
                 # leak into a standalone per-shard view).
                 "starts": self.starts[p0:p1],
-                "slopes": self.slopes[p0:p1],
                 "deletions": self.deletions[p0:p1],
                 "offsets": self.offsets[p0 : p1 + 1] - d0,
                 "keys": self.keys[d0:d1],
@@ -251,52 +240,14 @@ class FlatView:
     # Point lookups
     # ------------------------------------------------------------------
 
-    def _windows(
-        self, q: np.ndarray, pi: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-query global ``[lo, hi)`` probe windows (SegmentPage.window,
-        vectorized, shifted by each page's offset)."""
-        base = self.offsets[pi]
-        plen = self.offsets[pi + 1] - base
-        if math.isinf(self.search_error):
-            return base.copy(), base + plen  # whole-page binary search
-        pred = (q - self.starts[pi]) * self.slopes[pi]
-        err = self.search_error + self.deletions[pi]
-        lo = np.floor(pred - err)
-        hi = np.ceil(pred + err) + 1.0
-        np.maximum(lo, 0.0, out=lo)
-        np.minimum(lo, plen, out=lo)  # keep huge predictions finite
-        np.minimum(hi, plen, out=hi)
-        np.maximum(hi, 0.0, out=hi)
-        bad = ~np.isfinite(pred)
-        if bad.any():
-            lo[bad] = 0.0
-            hi[bad] = 0.0
-        lo = lo.astype(np.int64)
-        hi = hi.astype(np.int64)
-        empty = lo >= hi
-        if empty.any():
-            # Prediction clamped entirely outside the array: probe the
-            # nearest end slot (mirrors SegmentPage.window).
-            neg = pred < 0
-            lo = np.where(empty, np.where(neg, 0, np.maximum(plen - 1, 0)), lo)
-            hi = np.where(empty, np.where(neg, np.minimum(plen, 1), plen), hi)
-        if bad.any():
-            # Non-finite queries (the scalar path cannot evaluate them at
-            # all — it raises): keep a genuinely empty window so they miss
-            # without probes or modeled charges.
-            lo[bad] = 0
-            hi[bad] = 0
-        return base + lo, base + hi
-
-    def get_batch(
-        self, queries, default: Any = None, counter: Any = None
-    ) -> np.ndarray:
+    def get_batch(self, queries, default: Any = None) -> np.ndarray:
         """One value per query, exactly matching per-key ``index.get``
         (finite queries; non-finite ones miss cleanly — see module doc).
 
-        Cost for K queries: O(K log n_pages) routing plus O(K log error)
-        lock-step probe passes, all whole-batch NumPy operations.
+        Cost for K queries: O(K log n_pages) routing, one O(K log n)
+        predecessor search over the globally sorted data and a bounded
+        buffer probe for the misses, all whole-batch NumPy operations.
+        No access counter is charged (see module doc).
 
         Parameters
         ----------
@@ -304,10 +255,6 @@ class FlatView:
             Key batch, any array-like coercible to float64.
         default:
             Value placed in the slot of every query with no match.
-        counter:
-            Optional access counter; modeled charges (ops, tree descents
-            at the snapshot height, window/buffer binary-search probes)
-            are added in bulk, mirroring the scalar path's accounting.
 
         Returns
         -------
@@ -318,48 +265,30 @@ class FlatView:
         q = np.ascontiguousarray(queries, dtype=np.float64)
         n_queries = q.size
         if self.n_pages == 0:
-            if counter is not None:
-                counter.ops += n_queries
             out = np.empty(n_queries, dtype=object)
             out[:] = default
             return out
         pi = np.searchsorted(self.route_starts, q, side="right") - 1
         np.clip(pi, 0, self.n_pages - 1, out=pi)
         nd = self.keys.size
-        glo: Optional[np.ndarray] = None
-        ghi: Optional[np.ndarray] = None
-        if counter is None and nd:
-            # Uncounted fast path (the serving layer's): the concatenated
-            # data is globally sorted, and any present key provably lives
-            # in its routed page (pages partition the sorted key space and
-            # the error invariant keeps every page key inside its own
-            # window), so one C-level predecessor search replaces the
-            # whole interpolate+window-probe pipeline. Leftmost-in-page
-            # position = max(global leftmost, page start), which is
-            # exactly the occurrence the scalar window search returns —
-            # results are identical, only the instruction count differs.
-            # With a counter attached the classic path below runs instead,
-            # so modeled probe charges keep matching the paper's access
-            # model.
+        if nd:
+            # The concatenated data is globally sorted, and any present key
+            # provably lives in its routed page (pages partition the sorted
+            # key space), so one C-level predecessor search answers the
+            # whole batch. Leftmost-in-page position = max(global leftmost,
+            # page start), which is exactly the occurrence the scalar
+            # window search returns.
             pos = np.searchsorted(self.keys, q, side="left")
             np.maximum(pos, self.offsets[pi], out=pos)
             safe = np.minimum(pos, nd - 1)
             found = (pos < self.offsets[pi + 1]) & (self.keys[safe] == q)
             out = self.values[safe]
-        elif nd:
-            glo, ghi = self._windows(q, pi)
-            pos = _bounded_leftmost(self.keys, q, glo, ghi)
-            found = (pos < ghi) & (self.keys[np.minimum(pos, nd - 1)] == q)
-            out = self.values[np.minimum(pos, nd - 1)]
         else:
-            if counter is not None:
-                glo, ghi = self._windows(q, pi)
             found = np.zeros(n_queries, dtype=bool)
             out = np.empty(n_queries, dtype=self.values.dtype)
 
         miss = np.flatnonzero(~found)
-        buf_windows = None
-        if miss.size:
+        if miss.size and self.buf_keys.size:
             pim = pi[miss]
             blo = self.buf_offsets[pim]
             bhi = self.buf_offsets[pim + 1]
@@ -368,28 +297,15 @@ class FlatView:
             if non_finite.any():  # unanswerable queries skip buffers too
                 blo = np.where(non_finite, 0, blo)
                 bhi = np.where(non_finite, 0, bhi)
-            buf_windows = bhi - blo
-            if self.buf_keys.size:
-                bpos = _bounded_leftmost(self.buf_keys, qm, blo, bhi)
-                nb = self.buf_keys.size
-                bhit = (bpos < bhi) & (self.buf_keys[np.minimum(bpos, nb - 1)] == qm)
-                if bhit.any():
-                    hit_idx = miss[bhit]
-                    if self.buf_values.dtype == object and out.dtype != object:
-                        out = out.astype(object)  # lossless for odd payloads
-                    out[hit_idx] = self.buf_values[bpos[bhit]]
-                    found[hit_idx] = True
-
-        if counter is not None:
-            counter.ops += n_queries
-            counter.tree_nodes += int(self.heights[pi].sum())
-            probes, lines = binary_search_probes_vec(ghi - glo)
-            counter.segment_probes += probes
-            counter.segment_line_misses += lines
-            if buf_windows is not None:
-                probes, lines = binary_search_probes_vec(buf_windows)
-                counter.buffer_probes += probes
-                counter.buffer_line_misses += lines
+            bpos = _bounded_leftmost(self.buf_keys, qm, blo, bhi)
+            nb = self.buf_keys.size
+            bhit = (bpos < bhi) & (self.buf_keys[np.minimum(bpos, nb - 1)] == qm)
+            if bhit.any():
+                hit_idx = miss[bhit]
+                if self.buf_values.dtype == object and out.dtype != object:
+                    out = out.astype(object)  # lossless for odd payloads
+                out[hit_idx] = self.buf_values[bpos[bhit]]
+                found[hit_idx] = True
 
         if bool(found.all()):
             return out
@@ -496,7 +412,6 @@ def _refreshed(old: FlatView, index: Any) -> Tuple[FlatView, int]:
     touched = [i for i, page in enumerate(pages) if page.touched]
     arrays = {name: getattr(old, name) for name in _ARRAY_FIELDS}
     arrays["version"] = index.version
-    arrays["search_error"] = old.search_error
     arrays["pages"] = pages
     bufs = []
     for i in touched:

@@ -147,7 +147,6 @@ class ShardedEngine:
         data fields (``cuts``/shards/rowid bookkeeping) from snapshots
         instead of a build pass.
         """
-        self._counter: Any = None
         self._view_stats: Dict[str, int] = {
             "view_hits": 0,
             "view_builds": 0,
@@ -350,19 +349,6 @@ class ShardedEngine:
         """Modeled index overhead summed over shards (+ the cut vector)."""
         return sum(s.model_bytes() for s in self._shards) + 8 * self.cuts.size
 
-    @property
-    def counter(self) -> Any:
-        """The shared access counter instrumenting every shard (or None)."""
-        return self._counter
-
-    @counter.setter
-    def counter(self, counter: Any) -> None:
-        """Instrument every shard (and its tree) with one shared counter."""
-        self._counter = counter
-        for shard in self._shards:
-            shard.counter = counter
-            shard._tree.counter = counter
-
     def stats(self) -> Dict[str, Any]:
         """Engine-level stats: totals, flat-view cache hit rate, per-shard
         segment counts and buffer occupancy.
@@ -443,7 +429,7 @@ class ShardedEngine:
 
     def _combined_view(self) -> Optional[FlatView]:
         """Engine-wide FlatView spanning every shard's pages, or ``None``
-        when shard views are heterogeneous (mixed error bounds/dtypes).
+        when shard views are heterogeneous (mixed values/buffer dtypes).
 
         There is one assembly path (:meth:`_assemble_combined`): the
         concatenation of every shard's cached view. Once assembled, every
@@ -487,8 +473,7 @@ class ShardedEngine:
         """Combined-view assembly: concatenate every shard's view."""
         views = [self._view(i) for i in range(len(self._shards))]
         if (
-            len({v.search_error for v in views}) > 1
-            or len({v.values.dtype for v in views}) > 1
+            len({v.values.dtype for v in views}) > 1
             # A shard buffering a payload its values dtype cannot hold
             # exports an object buffer; windows cut from a combined object
             # buffer would hand that dtype to every other shard.
@@ -529,11 +514,8 @@ class ShardedEngine:
         combined = FlatView(
             {
                 "version": -1,  # never matched; engine caches by shard versions
-                "search_error": views[0].search_error,
-                "heights": np.concatenate([v.heights for v in views]),
                 "starts": np.concatenate([v.starts for v in views]),
                 "route_starts": np.concatenate(route_parts),
-                "slopes": np.concatenate([v.slopes for v in views]),
                 "deletions": np.concatenate([v.deletions for v in views]),
                 "offsets": np.concatenate(offset_parts),
                 "keys": np.concatenate([v.keys for v in views]),
@@ -611,8 +593,9 @@ class ShardedEngine:
 
         Routes the batch with one ``searchsorted`` over the cuts, answers
         each shard's group through its flattened view, and scatters results
-        back. Cost for K queries over P pages: O(K log P) for routing plus
-        O(K log error) lock-step window probes — a handful of whole-batch
+        back. Cost for K queries over P pages and n keys: O(K log P) for
+        routing plus one O(K log n) predecessor search and a bounded buffer
+        probe (see :mod:`repro.engine.batch`) — a handful of whole-batch
         array passes instead of K Python descents.
 
         Parameters
@@ -648,21 +631,14 @@ class ShardedEngine:
         q = np.ascontiguousarray(queries, dtype=np.float64)
         combined = self._combined_view()
         if combined is not None:
-            return combined.get_batch(q, default, counter=self._counter)
-        # Heterogeneous shard configs: group queries per shard and answer
-        # each group through that shard's own view.
-        # Shards may disagree on value dtype (that is why this fallback
-        # path exists); anything non-uniform gathers losslessly as object.
+            return combined.get_batch(q, default)
+        # Shards disagree on value dtype: group queries per shard, answer
+        # each group through that shard's own view, and gather anything
+        # non-uniform losslessly as object.
         return gather_points(
             q.size,
             [
-                (
-                    idx,
-                    self._view(i).get_batch(
-                        q[idx], default, counter=self._counter
-                    ),
-                    None,
-                )
+                (idx, self._view(i).get_batch(q[idx], default), None)
                 for i, idx in split_points(self.cuts, q)
             ],
         )

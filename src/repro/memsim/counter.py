@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
-import numpy as np
-
-__all__ = ["AccessCounter", "binary_search_probes", "binary_search_probes_vec"]
+__all__ = ["AccessCounter", "binary_search_probes"]
 
 
 def binary_search_probes(window: int) -> int:
@@ -40,33 +38,6 @@ def binary_search_probes(window: int) -> int:
 
 #: 64-byte cache lines hold 8 of our 8-byte keys.
 _KEYS_PER_LINE = 8
-
-
-#: Probes of a binary search that stay within one cache line; the batch
-#: paths subtract these when charging line misses so vectorized and
-#: scalar accounting can never desync.
-_LINE_LOCAL_PROBES = int(math.log2(_KEYS_PER_LINE))
-
-
-def binary_search_probes_vec(windows) -> Tuple[int, int]:
-    """Batch totals of ``(binary_search_probes, binary_search_line_misses)``
-    over an array of window sizes.
-
-    The single vectorized twin of the two scalar formulas above, shared by
-    every whole-batch code path (flat-view reads, bulk buffer inserts):
-    ``ceil(log2(w)) + 1`` probes for ``w > 1``, one for ``w == 1``,
-    nothing for empty windows; line misses are probes minus the final
-    line-local probes, floored at 1.
-    """
-    windows = np.asarray(windows)
-    w = windows[windows > 0]
-    if w.size == 0:
-        return 0, 0
-    probes = np.ones(w.size, dtype=np.int64)
-    big = w > 1
-    probes[big] = np.ceil(np.log2(w[big])).astype(np.int64) + 1
-    line = np.maximum(probes - _LINE_LOCAL_PROBES, 1)
-    return int(probes.sum()), int(line.sum())
 
 
 def binary_search_line_misses(window: int) -> int:

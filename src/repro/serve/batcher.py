@@ -653,7 +653,7 @@ class RequestBatcher:
             keys = [op[0] for op in chunk]
             values = [op[1] for op in chunk]
             n_none = sum(1 for v in values if v is None)
-            pre = getattr(engine, "version", None)
+            pre = engine.version
             exc: Optional[BaseException] = None
             try:
                 if len(chunk) == 1:
@@ -673,7 +673,7 @@ class RequestBatcher:
                 exc = caught
             if exc is None:
                 self._fan_out(chunk, "insert", [None] * len(chunk))
-            elif pre is None or getattr(engine, "version", None) == pre:
+            elif engine.version == pre:
                 # The engine provably applied nothing (version unchanged):
                 # safe to retry per item so one bad request cannot poison
                 # its batch-mates.
@@ -689,9 +689,7 @@ class RequestBatcher:
                 # is the only answer that cannot double-insert.
                 for op in chunk:
                     self._reject(op, "insert", exc)
-            version = getattr(engine, "version", None)
-            if version is not None:
-                self._stats["barrier_version"] = version
+            self._stats["barrier_version"] = engine.version
 
     async def _dispatch_deletes(self, ops: List[Tuple]) -> None:
         """Dispatch a delete run through ``engine.delete_batch``.
@@ -715,11 +713,9 @@ class RequestBatcher:
                     self._reject(chunk[0], "delete", exc)
                 else:
                     self._resolve(chunk[0], "delete", value)
-                version = getattr(engine, "version", None)
-                if version is not None:
-                    self._stats["barrier_version"] = version
+                self._stats["barrier_version"] = engine.version
                 continue
-            pre = getattr(engine, "version", None)
+            pre = engine.version
             exc: Optional[BaseException] = None
             results = None
             try:
@@ -736,7 +732,7 @@ class RequestBatcher:
                         self._reject(op, "delete", KeyNotFoundError(op[0]))
                     else:
                         self._resolve(op, "delete", value)
-            elif pre is None or getattr(engine, "version", None) == pre:
+            elif engine.version == pre:
                 # Nothing applied: safe to retry per key in isolation.
                 self._stats["scalar_fallbacks"] += 1
                 outcomes = _each(engine.delete, [(k,) for k in keys])
@@ -747,9 +743,7 @@ class RequestBatcher:
                 # is the only answer that cannot double-delete.
                 for op in chunk:
                     self._reject(op, "delete", exc)
-            version = getattr(engine, "version", None)
-            if version is not None:
-                self._stats["barrier_version"] = version
+            self._stats["barrier_version"] = engine.version
 
 
 class _MixedBatch(Exception):

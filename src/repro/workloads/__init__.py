@@ -1,7 +1,7 @@
 """Workload generation and execution for the evaluation harness.
 
 Three families: seeded stream generators (:mod:`~repro.workloads.generators`),
-the synchronous scalar/batched runners (:mod:`~repro.workloads.runner`), and
+the synchronous scalar runners (:mod:`~repro.workloads.runner`), and
 async closed-/open-loop traffic drivers for the serving layer
 (:mod:`~repro.workloads.async_traffic`).
 """
@@ -20,7 +20,6 @@ from repro.workloads.generators import (
 )
 from repro.workloads.runner import (
     WorkloadResult,
-    run_batch_lookups,
     run_inserts,
     run_lookups,
     run_range_scans,
@@ -32,7 +31,6 @@ __all__ = [
     "insert_stream",
     "missing_lookups",
     "mixed_lookups",
-    "run_batch_lookups",
     "run_closed_loop",
     "run_inserts",
     "run_lookups",

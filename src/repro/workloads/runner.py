@@ -21,7 +21,6 @@ from repro.memsim import AccessCounter, LatencyModel
 
 __all__ = [
     "WorkloadResult",
-    "run_batch_lookups",
     "run_inserts",
     "run_lookups",
     "run_range_scans",
@@ -134,52 +133,6 @@ def run_lookups(
         counter=counter.snapshot(),
         modeled_ns_per_op=modeled,
         hits=hits,
-    )
-
-
-def run_batch_lookups(
-    index: Any,
-    queries: np.ndarray,
-    batch_size: int = 1024,
-    latency_model: Optional[LatencyModel] = None,
-) -> WorkloadResult:
-    """Batched execution mode: point lookups in ``batch_size`` chunks.
-
-    ``index`` is anything exposing ``get_batch`` — a single paged index
-    (vectorized flattened-array path) or a
-    :class:`~repro.engine.ShardedEngine` (routing + per-shard vectorized
-    path). Results and hit counts match :func:`run_lookups` on the same
-    stream; wall-clock shows the batch amortization, and modeled costs are
-    charged in bulk by the batch path itself.
-    """
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
-    if len(queries) == 0:
-        raise InvalidParameterError("empty query stream")
-    if batch_size < 1:
-        raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
-    latency_model = latency_model or LatencyModel()
-    counter = _swap_counter(index)
-    sentinel = object()
-
-    start = time.perf_counter()
-    hits = 0
-    get_batch = index.get_batch
-    for i in range(0, len(queries), batch_size):
-        results = get_batch(queries[i : i + batch_size], sentinel)
-        if results.dtype == object:
-            hits += int(np.sum(results != sentinel))
-        else:
-            hits += len(results)
-    wall = time.perf_counter() - start
-
-    modeled = _modeled_ns(index, counter, latency_model)
-    return WorkloadResult(
-        ops=len(queries),
-        wall_seconds=wall,
-        counter=counter.snapshot(),
-        modeled_ns_per_op=modeled,
-        hits=hits,
-        extra={"batch_size": batch_size},
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import FixedPageIndex
 from repro.cluster import index_from_state
-from repro.cluster.snapshot import register_index_class
+from repro.core.serialize import register_index_class
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 from repro.engine import ShardedEngine

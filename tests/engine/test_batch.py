@@ -130,11 +130,6 @@ class TestFlatViewLookups:
             )
         assert out[0] is None and out[1] is None and out[2] is None
         assert out[3] == 0
-        # Queries the scalar path cannot evaluate charge no probes.
-        tree.counter = counter = AccessCounter()
-        tree.get_batch(np.asarray([np.nan, np.inf]), default=None)
-        assert counter.segment_probes == 0
-        assert counter.buffer_probes == 0
 
     def test_empty_index(self):
         tree = FITingTree(None, error=64)
@@ -147,32 +142,60 @@ class TestFlatViewLookups:
         assert out.dtype == np.int64
         assert out.tolist() == list(range(100))
 
-    def test_counter_charged_in_bulk(self, uniform_keys):
-        tree = FITingTree(uniform_keys, error=64)
-        tree.counter = counter = AccessCounter()
-        tree.get_batch(uniform_keys[:50])
-        assert counter.ops == 50
-        assert counter.tree_nodes == 50 * tree.height
-        assert counter.segment_probes > 0
-
     @given(
         keys=build_st,
         error=st.integers(min_value=2, max_value=64),
         queries=st.lists(key_st, max_size=40),
         inserts=st.lists(key_st, max_size=40),
+        deletes=st.lists(key_st, max_size=40),
+        fixed=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_property_batch_equals_scalar(self, keys, error, queries, inserts):
-        tree = FITingTree(
-            np.asarray(keys, dtype=np.float64),
-            error=error,
-            buffer_capacity=max(1, error // 2),
-        )
-        for k in inserts:
-            tree.insert(k)
+    def test_property_batch_equals_scalar(
+        self, keys, error, queries, inserts, deletes, fixed
+    ):
+        def build(counter):
+            kind = {"page_size": error} if fixed else {"error": error}
+            index = (FixedPageIndex if fixed else FITingTree)(
+                np.asarray(keys, dtype=np.float64),
+                buffer_capacity=max(1, error // 2),
+                counter=counter,
+                **kind,
+            )
+            for k in inserts:
+                index.insert(k)
+            for k in deletes:
+                if k in index:
+                    index.delete(k)
+            return index
+
+        tree = build(None)
         stream = np.asarray(queries + keys[:10] + inserts[:10], dtype=np.float64)
-        if stream.size:
-            assert_batch_matches_scalar(tree, stream)
+        if not stream.size:
+            return
+        assert_batch_matches_scalar(tree, stream)
+        # Batch verbs are uncounted: an attached counter changes no answer
+        # and no state, a read leaves it alone, and a write adds to it only
+        # what the scalar code it shares charges (seeding an empty index
+        # is one scalar insert, hence one op).
+        counter = AccessCounter()
+        counted = build(counter)
+        counter.reset()
+        assert counted.get_batch(stream).tolist() == tree.get_batch(stream).tolist()
+        assert counter == AccessCounter()
+        seeds = int(len(counted) == 0)
+        counted.insert_batch(stream)
+        tree.insert_batch(stream)
+        assert (counter.ops, counter.buffer_probes) == (seeds, 0)
+        doomed = np.concatenate((stream[::2], stream[:3] + 0.5))
+        got = counted.delete_batch(doomed, missing="ignore")
+        assert got.tolist() == tree.delete_batch(doomed, missing="ignore").tolist()
+        assert list(counted.items()) == list(tree.items())
+        if len(counted):
+            counter.reset()
+            counted.get(stream[0])
+            assert counter.ops == 1 and counter.tree_nodes >= counted.height
+            assert counter.segment_probes + counter.buffer_probes > 0
 
 
 class TestFlatViewRanges:

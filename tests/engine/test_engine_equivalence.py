@@ -225,40 +225,6 @@ class TestEngineBehaviour:
         assert stats["n_pages"] == sum(s["n_pages"] for s in stats["shards"])
         engine.validate()
 
-    def test_counter_instrumentation(self):
-        from repro.memsim import AccessCounter
-
-        keys = np.sort(np.random.default_rng(10).uniform(0, 1e5, 5_000))
-        engine = ShardedEngine(keys, n_shards=4, error=64)
-        engine.counter = counter = AccessCounter()
-        engine.get_batch(keys[:64])
-        assert counter.ops == 64
-        assert counter.random_accesses > 0
-
-    def test_combined_and_grouped_paths_charge_identically(self):
-        """Modeled tree-descent charges are per-shard-exact on both read
-        paths, so the execution strategy never skews modeled costs."""
-        from repro.memsim import AccessCounter
-
-        keys = np.sort(np.random.default_rng(12).uniform(0, 1e5, 20_000))
-        q = keys[np.random.default_rng(13).integers(0, len(keys), 512)]
-
-        combined = ShardedEngine(keys, n_shards=4, error=64)
-        combined.counter = c1 = AccessCounter()
-        combined.get_batch(q)
-
-        grouped = ShardedEngine(keys, n_shards=4, error=64)
-        grouped.counter = c2 = AccessCounter()
-        # Pin the combined cache to "known heterogeneous" for these
-        # versions so get_batch takes the grouped per-shard path.
-        grouped._combined = None
-        grouped._combined_versions = tuple(s.version for s in grouped._shards)
-        grouped.get_batch(q)
-
-        assert c1.tree_nodes == c2.tree_nodes
-        assert c1.segment_probes == c2.segment_probes
-        assert c1.ops == c2.ops == 512
-
     @given(
         keys=build_st,
         n_shards=st.integers(min_value=1, max_value=5),

@@ -34,17 +34,15 @@ from repro.engine.engine import _STALE_READS_BEFORE_REBUILD
 from repro.obs import Telemetry
 
 FIELDS = (
-    "heights", "starts", "route_starts", "slopes", "deletions", "offsets",
+    "starts", "route_starts", "deletions", "offsets",
     "keys", "values", "buf_offsets", "buf_keys", "buf_values",
 )
 SHARED_BY_A_BUFFER_WRITE = (
-    "heights", "starts", "route_starts", "slopes", "deletions", "offsets",
-    "keys", "values",
+    "starts", "route_starts", "deletions", "offsets", "keys", "values",
 )
 
 
 def assert_same_view(got, want):
-    assert got.search_error == want.search_error
     for name in FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, (name, a.dtype, b.dtype)
@@ -81,7 +79,6 @@ def reference_combined(engine):
     }
     arrays.update(
         version=-1,
-        search_error=views[0].search_error,
         route_starts=np.concatenate(route),
         offsets=stacked("offsets"),
         buf_offsets=stacked("buf_offsets"),
@@ -238,6 +235,26 @@ def test_unholdable_value_in_one_shard_keeps_other_windows_typed():
     assert_same_view(engine._combined, reference_combined(engine))
 
 
+def test_shards_differing_only_in_error_share_the_combined_view():
+    keys = np.sort(np.random.default_rng(5).uniform(0, 1e6, 4_000))
+    errors = iter((8, 64))
+    engine = ShardedEngine(
+        keys,
+        n_shards=2,
+        index_factory=lambda k, v: FITingTree(
+            k, v, error=next(errors), buffer_capacity=4
+        ),
+    )
+    engine.insert_batch(keys[::40] + 0.25)
+    engine.delete_batch(keys[::55])
+    q = np.concatenate((keys[::7], keys[::40] + 0.25, [-1.0, 2e6]))
+    assert engine._combined_view() is not None
+    combined = engine.get_batch(q, default=-1).tolist()
+    engine._combined = None  # same versions: known-heterogeneous, grouped
+    assert engine.get_batch(q, default=-1).tolist() == combined
+    assert combined == [engine.get(k, -1) for k in q]
+
+
 # ----------------------------------------------------------------------
 # Proportionality: counts and identity, never timing
 # ----------------------------------------------------------------------
@@ -300,7 +317,7 @@ class TestProportionality:
         assert len(exports) == 1
         assert new.keys is not old.keys
         assert new.keys.size == old.keys.size - 1
-        for name in ("heights", "starts", "route_starts", "slopes"):
+        for name in ("starts", "route_starts"):
             assert getattr(new, name) is getattr(old, name), name
         assert_same_view(new, full_export(tree))
 

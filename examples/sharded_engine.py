@@ -66,8 +66,8 @@ def main() -> None:
     print(f"\nrange_batch     : {len(bounds):,} scans, {scanned:,} tuples "
           f"in {elapsed * 1e3:.1f} ms")
 
-    # Batched writes: grouped per shard, applied in key order; only the
-    # written shards' flattened views rebuild on the next read.
+    # Batched writes: grouped per shard, applied in key order; the next
+    # read re-exports only the pages they touched.
     inserts = rng.uniform(0, 3.15e7, 50_000)
     start = time.perf_counter()
     engine.insert_batch(inserts)

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.bench.harness import ExperimentResult, register_experiment
 from repro.datasets import get
-from repro.engine import ShardedEngine
+from repro.engine import ShardedEngine, flat_view
 from repro.obs import Telemetry
 from repro.workloads import uniform_lookups
 
@@ -147,7 +147,8 @@ def obs(
         return out
 
     modes = [
-        ("baseline", lambda q: eng_off._get_batch_impl(q, None)),
+        ("baseline",
+         lambda q: flat_view(eng_off, eng_off._view_stats).get_batch(q, None)),
         ("off", eng_off.get_batch),
         ("metrics", metrics_fn),
         ("workload", eng_workload.get_batch),

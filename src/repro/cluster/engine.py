@@ -974,8 +974,8 @@ class ClusterEngine:
         ``cluster.gather`` child span.
         """
         if q.size == 0:
-            # Matches the in-process engine's warm combined-view path: an
-            # empty batch over a populated engine keeps the values dtype.
+            # Matches the in-process engine's view: an empty batch over a
+            # populated engine keeps the values dtype.
             return np.empty(0, dtype=self._values_dtype if self._n else object)
         groups = split_points(self.cuts, q)
         meta = {} if trace is None else {"trace": trace[1]}

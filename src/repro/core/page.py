@@ -6,10 +6,16 @@ search, and the paper's fixed-size sorted insert buffer (Section 5). The
 page enforces the bounded-search contract:
 
 * lookups probe only ``[predicted - e, predicted + e]`` in the data array
-  (``e`` = segmentation error, widened by 1 per physical deletion — see
-  ``FITingTree.delete``) plus the whole buffer;
+  (``e`` = segmentation error, widened by 1 per deletion since the last
+  rebuild) plus the whole buffer;
 * inserts go to the buffer; the owning index merges and re-segments when
-  the buffer reaches capacity.
+  the buffer reaches capacity;
+* a data delete never moves the data: it marks the row dead in a per-page
+  tombstone mask, every reader skips dead rows, and the rebuild the owning
+  index forces after ``buffer_capacity`` deletions compacts them away. Live
+  rows keep their positions, so the window widening matters only for pages
+  restored from a snapshot, which ships live rows only (a restored page's
+  rows did shift).
 """
 
 from __future__ import annotations
@@ -71,14 +77,17 @@ def exact_typed_array(items, dtype) -> Optional[np.ndarray]:
     exactly yields ``None`` (callers fall back to an object array or a
     pickled reply) rather than a silently coerced array. NaN payloads
     cast to NaN count as preserved. The comparison is one vectorized
-    pass; only slots that compare unequal (NaN candidates) are
-    re-examined per element.
+    pass (for Python payloads, first one C-level list comparison); only
+    slots that compare unequal (NaN candidates) are re-examined per
+    element.
     """
     out = np.empty(len(items), dtype=dtype)
     try:
         out[:] = items
         if isinstance(items, np.ndarray) and items.dtype != np.dtype(object):
             src = items
+        elif out.tolist() == list(items):
+            return out
         else:
             src = _object_array(list(items))
         neq = np.asarray(out != src, dtype=bool)
@@ -127,7 +136,9 @@ class SegmentPage:
         "buf_keys",
         "buf_values",
         "deletions",
-        "touched",
+        "dead",
+        "n_dead",
+        "stamp",
     )
 
     def __init__(
@@ -143,14 +154,18 @@ class SegmentPage:
         self.values = values
         self.buf_keys: List[float] = []
         self.buf_values: List[Any] = []
-        #: Physical deletions from ``keys`` since the last (re)build. Each
-        #: one can shift later elements one slot from their predicted
-        #: position, so the search window is widened accordingly.
+        #: Data deletions since the last (re)build: the owning index
+        #: rebuilds the page once they reach its buffer capacity, and each
+        #: widens the search window by one slot (see the module doc).
         self.deletions = 0
-        #: Set by every mutator below; read and cleared only by
-        #: :func:`repro.engine.batch.flat_view`, which re-exports just the
-        #: touched pages when it refreshes the index's cached snapshot.
-        self.touched = False
+        #: Tombstones aligned with ``keys`` (``None`` until the first data
+        #: delete) and how many are set.
+        self.dead: Optional[np.ndarray] = None
+        self.n_dead = 0
+        #: Bumped by every mutator below. A read snapshot records the stamps
+        #: it was cut from and re-exports only the pages whose stamp moved
+        #: (:func:`repro.engine.batch.flat_view`).
+        self.stamp = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -158,7 +173,7 @@ class SegmentPage:
 
     @property
     def n_data(self) -> int:
-        return len(self.keys)
+        return len(self.keys) - self.n_dead
 
     @property
     def n_buffer(self) -> int:
@@ -166,25 +181,25 @@ class SegmentPage:
 
     @property
     def n_total(self) -> int:
-        return len(self.keys) + len(self.buf_keys)
+        return self.n_data + len(self.buf_keys)
+
+    def live_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The live data rows as ``(keys, values)`` — the page's own arrays
+        while nothing is dead, compacted copies after a data delete."""
+        if self.dead is None:
+            return self.keys, self.values
+        live = ~self.dead
+        return self.keys[live], self.values[live]
 
     def min_key(self) -> float:
         """Smallest key on the page (data or buffer)."""
-        candidates = []
-        if len(self.keys):
-            candidates.append(float(self.keys[0]))
-        if self.buf_keys:
-            candidates.append(self.buf_keys[0])
-        return min(candidates)
+        keys, _ = self.live_arrays()
+        return min(keys[:1].tolist() + self.buf_keys[:1])
 
     def max_key(self) -> float:
         """Largest key on the page (data or buffer)."""
-        candidates = []
-        if len(self.keys):
-            candidates.append(float(self.keys[-1]))
-        if self.buf_keys:
-            candidates.append(self.buf_keys[-1])
-        return max(candidates)
+        keys, _ = self.live_arrays()
+        return max(keys[-1:].tolist() + self.buf_keys[-1:])
 
     # ------------------------------------------------------------------
     # Search
@@ -215,7 +230,8 @@ class SegmentPage:
         counter: Any = None,
         mode: str = "binary",
     ) -> int:
-        """Index of the first occurrence of ``key`` in the data slice, or -1.
+        """Index of the first live occurrence of ``key`` in the data slice,
+        or -1.
 
         Probes only the interpolation window; correctness relies on the
         segmentation error bound (every occurrence lies inside the window).
@@ -237,7 +253,9 @@ class SegmentPage:
                 counter.segment_binary_search(hi - lo)
             i = lo + int(np.searchsorted(self.keys[lo:hi], key, side="left"))
             if i < hi and self.keys[i] == key:
-                return i
+                if self.dead is None or not self.dead[i]:
+                    return i
+                return self._first_live(i, key)
             return -1
         if mode == "linear":
             return self._find_linear(key, search_error, counter)
@@ -262,6 +280,18 @@ class SegmentPage:
             probes += 1
         if counter is not None:
             counter.segment_probe(probes)
+        return self._first_live(i, key)
+
+    def _first_live(self, i: int, key: float) -> int:
+        """The first live slot of the run of ``key`` starting at ``i``, or
+        -1 when every occurrence is dead."""
+        dead = self.dead
+        if dead is not None:
+            keys = self.keys
+            while dead[i]:
+                i += 1
+                if i == len(keys) or keys[i] != key:
+                    return -1
         return i
 
     def _find_linear(self, key: float, search_error: float, counter: Any) -> int:
@@ -355,12 +385,13 @@ class SegmentPage:
     def collect_matches(
         self, key: float, search_error: float, out: List[Any]
     ) -> None:
-        """Append the values of *every* occurrence of ``key`` to ``out``."""
+        """Append the values of *every* live occurrence of ``key`` to ``out``."""
         i = self.find_in_data(key, search_error)
         if i >= 0:
             n = len(self.keys)
             while i < n and self.keys[i] == key:
-                out.append(self.values[i])
+                if self.dead is None or not self.dead[i]:
+                    out.append(self.values[i])
                 i += 1
         j = self.find_in_buffer(key)
         if j >= 0:
@@ -380,7 +411,7 @@ class SegmentPage:
             counter.data_move(len(self.buf_keys) - i)
         self.buf_keys.insert(i, key)
         self.buf_values.insert(i, value)
-        self.touched = True
+        self.stamp += 1
 
     def bulk_insert(self, keys, values) -> None:
         """Sort-merge a whole sorted batch into the buffer in one pass.
@@ -399,7 +430,7 @@ class SegmentPage:
         n_new = keys.size
         if n_new == 0:
             return
-        self.touched = True
+        self.stamp += 1
         # The permutation reversing each run of equal keys (the
         # bisect_left tie order).
         idx = np.arange(n_new, dtype=np.int64)
@@ -438,20 +469,25 @@ class SegmentPage:
                 merged[p] = v
             self.buf_values = merged
 
-    def delete_at_data(self, i: int, counter: Any = None) -> Any:
-        """Physically remove data element ``i``; widens future windows by 1.
+    def delete_at_data(self, i: int) -> Any:
+        """Tombstone live data row ``i`` and return its value.
 
-        Charges ``data_move`` for the suffix shifted left by the removal —
-        the mirror of :meth:`insert_into_buffer`'s shift charge.
+        Nothing moves, so no ``data_move`` is charged; the deletion still
+        counts toward the rebuild that compacts the page.
         """
         value = self.values[i]
-        if counter is not None:
-            counter.data_move(len(self.keys) - i - 1)
-        self.keys = np.delete(self.keys, i)
-        self.values = np.delete(self.values, i)
-        self.deletions += 1
-        self.touched = True
+        self._kill(i)
         return value
+
+    def _kill(self, slots) -> None:
+        """Mark data rows ``slots`` (an index or an index array) dead."""
+        if self.dead is None:
+            self.dead = np.zeros(len(self.keys), dtype=bool)
+        self.dead[slots] = True
+        n = int(np.size(slots))
+        self.n_dead += n
+        self.deletions += n
+        self.stamp += 1
 
     def delete_at_buffer(self, i: int, counter: Any = None) -> Any:
         """Remove buffer entry ``i``; charges the list shift like inserts do."""
@@ -460,7 +496,7 @@ class SegmentPage:
             counter.data_move(len(self.buf_keys) - i - 1)
         del self.buf_keys[i]
         del self.buf_values[i]
-        self.touched = True
+        self.stamp += 1
         return value
 
     def bulk_delete(
@@ -472,16 +508,15 @@ class SegmentPage:
         is one deletion request. Requests are satisfied exactly as a loop
         of scalar deletes over the batch would satisfy them on this page:
         for every key, buffered occurrences go first (leftmost first), then
-        data occurrences (leftmost first, each widening future windows by
-        one slot). The pass stops early at the first request with no
-        remaining occurrence on this page — the owning index resolves it
-        through the scalar multi-page fallback — or once ``max_data``
-        physical data removals have been applied (the index's
-        rebuild-budget chunking, mirroring ``insert_batch``'s
-        capacity-aware chunking). All surviving removals are applied with
-        one list rebuild (buffer) plus one ``np.delete`` splice (data)
-        instead of one shift per key. No access counter is charged (see
-        :meth:`bulk_insert`).
+        live data occurrences (leftmost first, each tombstoned). The pass
+        stops early at the first request with no remaining occurrence on
+        this page — the owning index resolves it through the scalar
+        multi-page fallback — or once ``max_data`` data deletions have been
+        applied (the index's rebuild-budget chunking, mirroring
+        ``insert_batch``'s capacity-aware chunking). All surviving removals
+        are applied with one list rebuild (buffer) plus one tombstone pass
+        (data) instead of one shift per key. No access counter is charged
+        (see :meth:`bulk_insert`).
 
         Parameters
         ----------
@@ -489,15 +524,15 @@ class SegmentPage:
             Sorted deletion requests (duplicates delete multiple
             occurrences).
         max_data:
-            Inclusive cap on physical data removals this call may apply;
-            ``None`` means unbounded.
+            Inclusive cap on data deletions this call may apply; ``None``
+            means unbounded.
 
         Returns
         -------
         tuple
             ``(n_applied, values, n_data_deleted)`` — the number of leading
             requests satisfied, their deleted values in request order, and
-            how many of them were physical data removals.
+            how many of them were data deletions.
         """
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n = keys.size
@@ -522,8 +557,12 @@ class SegmentPage:
         buf_k = np.asarray(self.buf_keys, dtype=np.float64)
         b_lo = np.searchsorted(buf_k, uk, side="left")
         b_avail = np.searchsorted(buf_k, uk, side="right") - b_lo
-        d_lo = np.searchsorted(self.keys, uk, side="left")
-        d_avail = np.searchsorted(self.keys, uk, side="right") - d_lo
+        # Data positions are ranks among the live rows, mapped back to
+        # slots of ``keys`` once the removals are chosen.
+        live = None if self.dead is None else np.flatnonzero(~self.dead)
+        live_keys = self.keys if live is None else self.keys[live]
+        d_lo = np.searchsorted(live_keys, uk, side="left")
+        d_avail = np.searchsorted(live_keys, uk, side="right") - d_lo
         take_b = np.minimum(counts, b_avail)
         take_d = np.minimum(counts - take_b, d_avail)
 
@@ -541,16 +580,18 @@ class SegmentPage:
                 n_applied = int(over[0]) + 1
         if n_applied == 0:
             return 0, [], 0
-        self.touched = True
+        self.stamp += 1
 
         is_buf = is_buf[:n_applied]
         is_data = is_data[:n_applied]
         # Original-array positions of each removal; deleting them in one
-        # splice equals the scalar one-at-a-time removals.
+        # pass equals the scalar one-at-a-time removals.
         buf_req = np.flatnonzero(is_buf)
         data_req = np.flatnonzero(is_data)
         buf_pos = (b_lo[run_id] + within)[buf_req]
         data_pos = (d_lo[run_id] + within - take_b[run_id])[data_req]
+        if live is not None:
+            data_pos = live[data_pos]
 
         values: List[Any] = [None] * n_applied
         for t, p in zip(buf_req.tolist(), buf_pos.tolist()):
@@ -564,9 +605,7 @@ class SegmentPage:
             self.buf_keys = [k for k, f in zip(self.buf_keys, keep) if f]
             self.buf_values = [v for v, f in zip(self.buf_values, keep) if f]
         if data_pos.size:
-            self.keys = np.delete(self.keys, data_pos)
-            self.values = np.delete(self.values, data_pos)
-            self.deletions += int(data_pos.size)
+            self._kill(data_pos)
         return n_applied, values, int(data_pos.size)
 
     def buffer_arrays(self, values_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -592,17 +631,19 @@ class SegmentPage:
         return keys, values
 
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Data and buffer merged into one sorted (keys, values) pair."""
+        """Live data and buffer merged into one sorted (keys, values) pair
+        (what a rebuild re-segments, dropping the tombstoned rows)."""
+        keys, values = self.live_arrays()
         if not self.buf_keys:
-            return self.keys, self.values
-        buf_k = np.asarray(self.buf_keys, dtype=self.keys.dtype)
-        positions = np.searchsorted(self.keys, buf_k, side="left")
-        merged_keys = np.insert(self.keys, positions, buf_k)
-        if self.values.dtype == np.dtype(object):
+            return keys, values
+        buf_k = np.asarray(self.buf_keys, dtype=keys.dtype)
+        positions = np.searchsorted(keys, buf_k, side="left")
+        merged_keys = np.insert(keys, positions, buf_k)
+        if values.dtype == np.dtype(object):
             buf_v = _object_array(self.buf_values)
         else:
-            buf_v = np.asarray(self.buf_values, dtype=self.values.dtype)
-        merged_values = np.insert(self.values, positions, buf_v)
+            buf_v = np.asarray(self.buf_values, dtype=values.dtype)
+        merged_values = np.insert(values, positions, buf_v)
         return merged_keys, merged_values
 
     # ------------------------------------------------------------------
@@ -618,21 +659,25 @@ class SegmentPage:
         skip uses binary search, so range scans do not pay for the part of
         the page below the range).
         """
-        nd, nb = len(self.keys), len(self.buf_keys)
+        keys, values = self.keys, self.values
         if lo is None:
             di, bi = 0, 0
         else:
-            di = int(np.searchsorted(self.keys, lo, side="left"))
+            di = int(np.searchsorted(keys, lo, side="left"))
             bi = bisect_left(self.buf_keys, lo)
+        if self.dead is not None:  # drop the tombstones from ``di`` on
+            live = ~self.dead[di:]
+            keys, values, di = keys[di:][live], values[di:][live], 0
+        nd, nb = len(keys), len(self.buf_keys)
         while di < nd and bi < nb:
-            if self.keys[di] <= self.buf_keys[bi]:
-                yield float(self.keys[di]), self.values[di]
+            if keys[di] <= self.buf_keys[bi]:
+                yield float(keys[di]), values[di]
                 di += 1
             else:
                 yield self.buf_keys[bi], self.buf_values[bi]
                 bi += 1
         while di < nd:
-            yield float(self.keys[di]), self.values[di]
+            yield float(keys[di]), values[di]
             di += 1
         while bi < nb:
             yield self.buf_keys[bi], self.buf_values[bi]
@@ -644,6 +689,11 @@ class SegmentPage:
             raise InvariantViolationError("keys/values length mismatch")
         if len(self.buf_keys) != len(self.buf_values):
             raise InvariantViolationError("buffer keys/values length mismatch")
+        if self.dead is not None and (
+            self.dead.shape != self.keys.shape
+            or int(self.dead.sum()) != self.n_dead
+        ):
+            raise InvariantViolationError("tombstones out of step with data")
         if len(self.keys) and np.any(np.diff(self.keys) < 0):
             raise InvariantViolationError("page data not sorted")
         if any(a > b for a, b in zip(self.buf_keys, self.buf_keys[1:])):

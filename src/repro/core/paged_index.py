@@ -41,11 +41,49 @@ from repro.core.page import (
     exact_typed_array,
 )
 
-__all__ = ["PagedIndexBase"]
+__all__ = ["PagedIndexBase", "export_pages"]
 
 _INF = math.inf
 #: Seq-number spacing used at bulk load / renumbering.
 _SEQ_SPACING = 1024.0
+#: Sentinel for "no occurrence" from page probes and ``_delete_one``.
+_MISS = object()
+
+
+def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
+    """``pages`` as the contiguous arrays of one read snapshot, in order.
+
+    The body of :meth:`PagedIndexBase.flat_arrays`, shared with
+    ``ShardedEngine.flat_arrays``, whose page list spans every shard: data
+    values are cast to ``values_dtype`` (``object`` keeps differing shard
+    dtypes lossless) and buffers export through
+    :meth:`SegmentPage.buffer_arrays`.
+    """
+    offsets = np.zeros(len(pages) + 1, dtype=np.int64)
+    np.cumsum([len(p.keys) for p in pages], out=offsets[1:])
+    dead = np.zeros(int(offsets[-1]), dtype=bool)
+    for page, lo in zip(pages, offsets.tolist()):
+        if page.dead is not None:
+            dead[lo : lo + page.dead.size] = page.dead
+    bufs = [p.buffer_arrays(values_dtype) for p in pages]
+    buf_offsets = np.zeros(len(pages) + 1, dtype=np.int64)
+    np.cumsum([k.size for k, _ in bufs], out=buf_offsets[1:])
+    no_keys = np.empty(0, dtype=np.float64)
+    no_values = np.empty(0, dtype=values_dtype)
+    return {
+        "pages": pages,
+        "stamps": [p.stamp for p in pages],
+        "deletions": np.asarray([p.deletions for p in pages], dtype=np.float64),
+        "offsets": offsets,
+        "keys": np.concatenate([no_keys] + [p.keys for p in pages]),
+        "values": np.concatenate(
+            [no_values] + [p.values for p in pages], dtype=values_dtype
+        ),
+        "dead": dead,
+        "buf_offsets": buf_offsets,
+        "buf_keys": np.concatenate([no_keys] + [k for k, _ in bufs]),
+        "buf_values": np.concatenate([no_values] + [v for _, v in bufs]),
+    }
 
 
 class PagedIndexBase:
@@ -213,13 +251,19 @@ class PagedIndexBase:
         """
         if self.counter is not None:
             self.counter.op()
-        item = self._page_for(float(key))
-        if item is None:
-            return default
-        return item[1].get(
-            float(key), self.page_search_error, self.counter, default,
-            self.search_mode,
-        )
+        key = float(key)
+        item = self._page_for(key)
+        while item is not None:
+            value = item[1].get(
+                key, self.page_search_error, self.counter, _MISS,
+                self.search_mode,
+            )
+            if value is not _MISS:
+                return value
+            # A duplicate run split across pages that start at ``key``:
+            # once this page's copies are deleted the rest live before it.
+            item = self._tree.lower_item(item[0]) if item[0][0] == key else None
+        return default
 
     def __contains__(self, key: float) -> bool:
         sentinel = object()
@@ -280,17 +324,19 @@ class PagedIndexBase:
         out: List[Any] = []
         counter = self.counter
         height = self._tree.height
-        for q, pi in zip(queries, page_idx):
-            page = pages[pi]
+        for q, pi in zip(queries.tolist(), page_idx.tolist()):
             if counter is not None:
                 counter.op()
                 counter.tree_nodes += height
-            out.append(
-                page.get(
-                    float(q), self.page_search_error, counter, default,
-                    self.search_mode,
-                )
+            value = pages[pi].get(
+                q, self.page_search_error, counter, _MISS, self.search_mode
             )
+            while value is _MISS and pi > 0 and starts[pi] == q:  # see get
+                pi -= 1
+                value = pages[pi].get(
+                    q, self.page_search_error, counter, _MISS, self.search_mode
+                )
+            out.append(default if value is _MISS else value)
         return out
 
     def _get_directory(self) -> Tuple[np.ndarray, List[SegmentPage]]:
@@ -309,52 +355,21 @@ class PagedIndexBase:
 
         Pages are emitted in tree order, so the concatenated ``keys`` array
         is globally sorted and ``offsets[i]:offsets[i+1]`` is page ``i``'s
-        slice of it. Buffers are concatenated the same way under
-        ``buf_offsets`` (each page's buffer slice is sorted; the whole
-        buffer array need not be). ``pages`` is the directory's page list
-        the arrays were cut from, position for position. Consumers must
-        treat the result as an immutable snapshot of :attr:`version` — see
-        :mod:`repro.engine.batch` for the vectorized read path built on it
-        (and for how a later snapshot is derived from this one by
-        re-exporting only the pages written to since).
+        slice of it; tombstoned rows stay in place, flagged by ``dead``.
+        Buffers are concatenated the same way under ``buf_offsets`` (each
+        page's buffer slice is sorted; the whole buffer array need not be).
+        ``pages`` is the directory's page list the arrays were cut from,
+        position for position, and ``stamps`` their stamps at export.
+        Consumers must treat the result as an immutable snapshot of
+        :attr:`version` — see :mod:`repro.engine.batch` for the vectorized
+        read path built on it (and for how a later snapshot is derived from
+        this one by re-exporting only the pages written to since).
         """
         starts, pages = self._get_directory()
-        deletions: List[float] = []
-        key_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        buf_key_parts: List[np.ndarray] = []
-        buf_value_parts: List[np.ndarray] = []
-        lengths: List[int] = []
-        buf_lengths: List[int] = []
-        for page in pages:
-            deletions.append(float(page.deletions))
-            key_parts.append(page.keys)
-            value_parts.append(page.values)
-            lengths.append(page.n_data)
-            bk, bv = page.buffer_arrays(self._values_dtype)
-            buf_key_parts.append(bk)
-            buf_value_parts.append(bv)
-            buf_lengths.append(len(bk))
-        n_pages = len(pages)
-        offsets = np.zeros(n_pages + 1, dtype=np.int64)
-        buf_offsets = np.zeros(n_pages + 1, dtype=np.int64)
-        if n_pages:
-            np.cumsum(lengths, out=offsets[1:])
-            np.cumsum(buf_lengths, out=buf_offsets[1:])
-        empty_k = np.empty(0, dtype=np.float64)
-        empty_v = np.empty(0, dtype=self._values_dtype)
-        return {
-            "version": self._version,
-            "pages": pages,
-            "starts": starts,
-            "deletions": np.asarray(deletions, dtype=np.float64),
-            "offsets": offsets,
-            "keys": np.concatenate(key_parts) if n_pages else empty_k,
-            "values": np.concatenate(value_parts) if n_pages else empty_v,
-            "buf_offsets": buf_offsets,
-            "buf_keys": np.concatenate(buf_key_parts) if n_pages else empty_k,
-            "buf_values": np.concatenate(buf_value_parts) if n_pages else empty_v,
-        }
+        return dict(
+            export_pages(pages, self._values_dtype),
+            version=self._version, starts=starts,
+        )
 
     # ------------------------------------------------------------------
     # Snapshots (in-memory serialization; the multi-process substrate)
@@ -376,9 +391,12 @@ class PagedIndexBase:
         format: flat NumPy arrays (concatenated page data, per-page
         boundaries, start keys, slopes, seqs, deletion counts, buffered
         entries) plus the scalar build parameters, the row-id counter and
-        the monotonic :attr:`version` stamp. :meth:`from_state` rebuilds
-        an identical index with one bulk pass — no re-segmentation — which
-        is how ``repro.cluster`` ships a shard into a worker process.
+        the monotonic :attr:`version` stamp. Only live data rows ship: a
+        tombstoned page arrives compacted, and its deletion count widens
+        the restored page's window over the rows that shifted.
+        :meth:`from_state` rebuilds an identical index with one bulk pass —
+        no re-segmentation — which is how ``repro.cluster`` ships a shard
+        into a worker process.
         Only numeric (integer/float) value dtypes are supported; object
         payloads raise :class:`InvalidParameterError` (they have no
         portable flat representation).
@@ -405,13 +423,14 @@ class PagedIndexBase:
         buf_values: List[Any] = []
         buf_lengths: List[int] = []
         for (start, seq), page in self._tree.items():
+            keys, values = page.live_arrays()
             starts.append(start)
             seqs.append(seq)
             slopes.append(page.slope)
-            lengths.append(page.n_data)
+            lengths.append(keys.size)
             deletions.append(page.deletions)
-            data_keys.append(page.keys)
-            data_values.append(page.values)
+            data_keys.append(keys)
+            data_values.append(values)
             buf_lengths.append(page.n_buffer)
             buf_keys.extend(page.buf_keys)
             buf_values.extend(page.buf_values)
@@ -787,11 +806,8 @@ class PagedIndexBase:
     # Deletes (extension; the paper does not cover deletion)
     # ------------------------------------------------------------------
 
-    #: Sentinel returned by ``_delete_one`` when no occurrence exists.
-    _DELETE_MISS = object()
-
     def _delete_one(self, key: float) -> Any:
-        """Remove one occurrence of ``key``; ``_DELETE_MISS`` when absent.
+        """Remove one occurrence of ``key``; ``_MISS`` when absent.
 
         The scalar delete path (and the batch path's multi-page fallback
         for requests the owning floor page cannot satisfy — split
@@ -814,7 +830,7 @@ class PagedIndexBase:
             i = page.find_in_data(key, self.page_search_error, self.counter)
             if i >= 0:
                 self._version += 1
-                value = page.delete_at_data(i, self.counter)
+                value = page.delete_at_data(i)
                 self._n -= 1
                 if page.n_total == 0:
                     self._tree.delete(tree_key)
@@ -822,35 +838,34 @@ class PagedIndexBase:
                 elif page.deletions >= self.buffer_capacity:
                     self._rebuild_page(tree_key, page)
                 return value
-        return self._DELETE_MISS
+        return _MISS
 
     def delete(self, key: float) -> Any:
         """Remove one occurrence of ``key``; returns its value.
 
         Buffered occurrences are removed directly; data occurrences are
-        physically removed, widening the page's search window by one slot.
-        After ``buffer_capacity`` deletions the page is rebuilt, so the
-        user-facing error bound never degrades. Charges :attr:`counter`
-        one op plus its buffer search, window search and ``data_move``
-        shift.
+        tombstoned in place. After ``buffer_capacity`` deletions the page
+        is rebuilt (compacting the tombstones), so the user-facing error
+        bound never degrades. Charges :attr:`counter` one op plus its
+        buffer search and window search (and a buffer delete's shift).
         """
         self._check_writable()
         key = float(key)
         value = self._delete_one(key)
-        if value is self._DELETE_MISS:
+        if value is _MISS:
             raise KeyNotFoundError(key)
         return value
 
     def delete_batch(
         self, keys, *, missing: str = "raise", default: Any = None
     ) -> np.ndarray:
-        """Vectorized batch delete: group keys per page, bulk-splice each.
+        """Vectorized batch delete: group keys per page, bulk-delete each.
 
         The final state matches looping :meth:`delete` over the batch in
         stable key order (ties keep request order): each owning page
         removes its whole contiguous sub-batch through
         :meth:`SegmentPage.bulk_delete` — one buffer rebuild plus one
-        ``np.delete`` splice — chunked to the page's remaining
+        tombstone pass — chunked to the page's remaining
         deletion-widening budget, so a chunk that drives ``deletions`` to
         ``buffer_capacity`` triggers exactly the rebuild a scalar delete
         would, and the remaining keys re-route against the new pages.
@@ -860,7 +875,8 @@ class PagedIndexBase:
         every batch verb this charges :attr:`counter` nothing of its own
         (see :meth:`insert_batch`). Empty batches are a strict no-op. Cost
         for K deletes: one O(K log K) sort, one tree descent per touched
-        page, and one splice per mutated page instead of one per key.
+        page, and one tombstone pass per mutated page instead of one per
+        key.
 
         Parameters
         ----------
@@ -938,7 +954,7 @@ class PagedIndexBase:
             # The floor page holds no (further) occurrence of skeys[i]:
             # resolve this one request through the scalar multi-page path.
             value = self._delete_one(float(skeys[i]))
-            if value is not self._DELETE_MISS:
+            if value is not _MISS:
                 values[i] = value
                 found[i] = True
                 saw_buffer = True  # the fallback may reach buffers
@@ -986,9 +1002,10 @@ class PagedIndexBase:
                 j += 1
             i = page.find_in_data(key, self.page_search_error, self.counter)
             while 0 <= i < len(page.keys) and page.keys[i] == key:
-                if page.values[i] == value:
+                live = page.dead is None or not page.dead[i]
+                if live and page.values[i] == value:
                     self._version += 1
-                    page.delete_at_data(i, self.counter)
+                    page.delete_at_data(i)
                     self._n -= 1
                     if page.n_total == 0:
                         self._tree.delete(tree_key)

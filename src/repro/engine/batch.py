@@ -1,20 +1,26 @@
 """Array-native batch read path over a paged index's flattened snapshot.
 
-A :class:`FlatView` freezes one :class:`~repro.core.paged_index.PagedIndexBase`
-into contiguous NumPy arrays (via ``flat_arrays``): per-page start keys,
-deletion counts and offsets, plus the concatenation of every page's sorted
-data (globally sorted, since pages are emitted in key order) and of every
-page's insert buffer. A batch of K point lookups then costs a handful of
-whole-batch array passes instead of K independent B+-tree descents:
+A :class:`FlatView` freezes one paged index — a
+:class:`~repro.core.paged_index.PagedIndexBase`, or a
+:class:`~repro.engine.ShardedEngine`, whose page list is every shard's
+pages in key order — into contiguous NumPy arrays (via ``flat_arrays``):
+per-page start keys, deletion counts and offsets, plus the concatenation of
+every page's sorted data (globally sorted, since pages are emitted in key
+order) with its tombstone mask, and of every page's insert buffer. A batch
+of K point lookups then costs a handful of whole-batch array passes instead
+of K independent B+-tree descents:
 
 1. **route** — one ``np.searchsorted`` over the page start keys finds every
    query's owning page (the predecessor pass);
 2. **search** — one ``np.searchsorted`` over the globally sorted data,
    ``O(K log n)``, finds every query's leftmost slot, clamped into its
-   routed page;
+   routed page, and steps past the tombstoned slots of its run;
 3. **buffer probe** — queries that miss in the data run one lock-step
    bounded binary search (`_bounded_leftmost`) over their page's buffer
-   slice, at most ``buffer_capacity`` wide.
+   slice, at most ``buffer_capacity`` wide;
+4. **walk back** — a query that misses on a page starting at its own key
+   retries on the page before, as scalar ``get`` does: a duplicate run
+   split across pages keeps there the copies its last page lost.
 
 This is not the paper's Alg. 2 vectorised. Interpolating every query into
 its ±error window and resolving the windows in lock step is ``O(K log
@@ -32,24 +38,28 @@ scalar path cannot evaluate at all (it raises inside
 ``SegmentPage.window``), are answered as clean misses.
 
 Views are immutable snapshots, cached on the index and keyed by its
-monotonic ``version`` counter (see :func:`flat_view`). A write does not
-throw the cached view away: every ``SegmentPage`` mutator marks its page
-``touched``, and as long as the page directory is the one the view was cut
-from, the next read derives the new view from the old one — untouched page
-runs are windows of the old arrays, only touched pages are re-exported. A
-buffer-only write (inserts, buffered deletes: the paper's delta-insert
-case) shares ``keys``/``values``/``offsets`` and the per-page arrays
-with the previous view by identity and re-splices just the small buffer
-arrays, so a read after a write costs the pages written, not the shard.
-Only a directory change (page rebuild, split or removal) pays the full
-``flat_arrays`` export. Every array a view exposes is read-only, because
+monotonic ``version`` counter (see :func:`flat_view`). A write costs the
+next read only the pages it touched: a delete marks, a rebuild compacts;
+the engine reads one view. Every ``SegmentPage`` mutator bumps its page's
+``stamp``, and a view records the stamps it was cut from. As long as the
+page directory is the one the view was cut from, the next read derives the
+new view from the old one and re-exports only the pages whose stamp moved.
+Under an unchanged directory no data row moves — inserts go to buffers and
+data deletes set tombstones — so the new view shares ``keys``/``values``/
+``offsets`` and the per-page routing arrays with the old one by identity
+and re-splices just the small buffer arrays (plus, after a data delete,
+the deletion counts and a copy of the ``dead`` mask). Only a directory
+change (page rebuild — where tombstones are compacted —, split or removal)
+pays the full ``flat_arrays`` export. Stamps are read, never cleared, so
+any number of views over the same pages (a shard's own and its engine's)
+each stay current. Every array a view exposes is read-only, because
 consecutive snapshots share them: a held view keeps answering the state it
 was taken at.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +95,7 @@ _ARRAY_FIELDS = (
     "offsets",
     "keys",
     "values",
+    "dead",
     "buf_offsets",
     "buf_keys",
     "buf_values",
@@ -94,31 +105,18 @@ _ARRAY_FIELDS = (
 class FlatView:
     """Immutable flattened snapshot of one paged index (see module doc)."""
 
-    __slots__ = (
-        "version",
-        "pages",
-        "starts",
-        "route_starts",
-        "deletions",
-        "offsets",
-        "keys",
-        "values",
-        "buf_offsets",
-        "buf_keys",
-        "buf_values",
-        "_data_page_idx",
-        "_buf_page_idx",
-    )
+    __slots__ = ("version", "pages", "stamps") + _ARRAY_FIELDS
 
     def __init__(self, arrays: Dict[str, Any]) -> None:
         self.version = arrays["version"]
-        #: The index's directory page list these arrays were cut from
-        #: (``None`` on a multi-shard combined view): what lets
-        #: :func:`flat_view` derive the next snapshot from this one.
+        #: The page list these arrays were cut from and each page's stamp
+        #: at that moment: what lets :func:`flat_view` derive the next
+        #: snapshot from this one.
         self.pages = arrays.get("pages")
+        self.stamps = arrays.get("stamps")
         self.starts = arrays["starts"]
         #: Routing keys for the predecessor pass. Usually the page starts
-        #: themselves; a multi-shard combined view lowers each shard's first
+        #: themselves; an engine's view lowers each later shard's first
         #: entry to the shard's cut so under-shard-min queries route into
         #: the shard that buffers them (mirroring scalar engine routing).
         self.route_starts = arrays.get("route_starts", arrays["starts"])
@@ -126,81 +124,27 @@ class FlatView:
         self.offsets = arrays["offsets"]
         self.keys = arrays["keys"]
         self.values = arrays["values"]
+        #: Tombstones aligned with ``keys``: rows deleted since their
+        #: page's last rebuild, skipped by every read.
+        self.dead = arrays["dead"]
         self.buf_offsets = arrays["buf_offsets"]
         self.buf_keys = arrays["buf_keys"]
         self.buf_values = arrays["buf_values"]
-        self._data_page_idx: Optional[np.ndarray] = None
-        self._buf_page_idx: Optional[np.ndarray] = None
-        # Snapshots share arrays with their successors and with windows
-        # cut from them, so an in-place write must raise, not leak.
+        # Snapshots share arrays with their successors, so an in-place
+        # write must raise, not leak.
         for name in _ARRAY_FIELDS:
             getattr(self, name).flags.writeable = False
 
     # ------------------------------------------------------------------
 
-    def slice_pages(
-        self, p0: int, p1: int, version: Any, pages: Optional[List[Any]] = None
-    ) -> "FlatView":
-        """A view over pages ``[p0, p1)`` sharing this view's memory.
-
-        Every data-bearing array of the result is a NumPy slice of this
-        view's arrays (zero-copy); only the per-page offset vectors are
-        rebased, so the call is O(p1 - p0) time and ~zero marginal bytes.
-        This is how the engine keeps per-shard views at ~zero marginal
-        residency once the combined view exists: each shard's cached view
-        becomes a window into the combined arrays, keyed by the shard's
-        ``version`` captured at assembly time.
-
-        Parameters
-        ----------
-        p0, p1:
-            Half-open page range within this view (``0 <= p0 <= p1 <=
-            n_pages``).
-        version:
-            Version stamp the sliced view is keyed by — the owning
-            shard's ``index.version`` at assembly time, so the cache
-            invalidates exactly when that shard mutates.
-        pages:
-            The owning shard's page list behind ``[p0, p1)``, so the
-            slice can stand in for the shard view it replaces when
-            :func:`flat_view` next refreshes it.
-
-        Returns
-        -------
-        FlatView
-            A snapshot over just those pages, borrowing this view's
-            buffers (``nbytes_owned`` counts it as zero).
-        """
-        d0, d1 = int(self.offsets[p0]), int(self.offsets[p1])
-        b0, b1 = int(self.buf_offsets[p0]), int(self.buf_offsets[p1])
-        return FlatView(
-            {
-                "version": version,
-                "pages": pages,
-                # route_starts intentionally omitted: the slice routes by
-                # its own page starts (combined-view cut lowering must not
-                # leak into a standalone per-shard view).
-                "starts": self.starts[p0:p1],
-                "deletions": self.deletions[p0:p1],
-                "offsets": self.offsets[p0 : p1 + 1] - d0,
-                "keys": self.keys[d0:d1],
-                "values": self.values[d0:d1],
-                "buf_offsets": self.buf_offsets[p0 : p1 + 1] - b0,
-                "buf_keys": self.buf_keys[b0:b1],
-                "buf_values": self.buf_values[b0:b1],
-            }
-        )
-
-    def nbytes_owned(self, seen: Optional[set] = None) -> int:
+    def nbytes_owned(self) -> int:
         """Bytes of array memory this view *owns*, for residency accounting.
 
-        Slices borrowing another array's buffer count zero, and ``seen``
-        (ids of arrays already counted) dedupes arrays shared across views
-        — e.g. the single-shard case where the combined view *is* the
-        shard view, or ``route_starts`` aliasing ``starts``.
+        Slices borrowing another array's buffer count zero, and an array
+        held under two names (``route_starts`` aliasing ``starts``) counts
+        once.
         """
-        if seen is None:
-            seen = set()
+        seen = set()
         total = 0
         for name in self.__slots__:
             arr = getattr(self, name, None)
@@ -217,24 +161,6 @@ class FlatView:
     def n_pages(self) -> int:
         """Number of pages frozen into this snapshot."""
         return self.starts.size
-
-    @property
-    def data_page_idx(self) -> np.ndarray:
-        """Owning page of each slot in the concatenated data array."""
-        if self._data_page_idx is None:
-            self._data_page_idx = np.repeat(
-                np.arange(self.n_pages, dtype=np.int64), np.diff(self.offsets)
-            )
-        return self._data_page_idx
-
-    @property
-    def buf_page_idx(self) -> np.ndarray:
-        """Owning page of each slot in the concatenated buffer array."""
-        if self._buf_page_idx is None:
-            self._buf_page_idx = np.repeat(
-                np.arange(self.n_pages, dtype=np.int64), np.diff(self.buf_offsets)
-            )
-        return self._buf_page_idx
 
     # ------------------------------------------------------------------
     # Point lookups
@@ -263,55 +189,84 @@ class FlatView:
             an object array with ``default`` filling the misses.
         """
         q = np.ascontiguousarray(queries, dtype=np.float64)
-        n_queries = q.size
         if self.n_pages == 0:
-            out = np.empty(n_queries, dtype=object)
+            out = np.empty(q.size, dtype=object)
             out[:] = default
             return out
-        pi = np.searchsorted(self.route_starts, q, side="right") - 1
-        np.clip(pi, 0, self.n_pages - 1, out=pi)
-        nd = self.keys.size
-        if nd:
-            # The concatenated data is globally sorted, and any present key
-            # provably lives in its routed page (pages partition the sorted
-            # key space), so one C-level predecessor search answers the
-            # whole batch. Leftmost-in-page position = max(global leftmost,
-            # page start), which is exactly the occurrence the scalar
-            # window search returns.
-            pos = np.searchsorted(self.keys, q, side="left")
-            np.maximum(pos, self.offsets[pi], out=pos)
-            safe = np.minimum(pos, nd - 1)
-            found = (pos < self.offsets[pi + 1]) & (self.keys[safe] == q)
-            out = self.values[safe]
+        pi = self.route_starts.searchsorted(q, side="right") - 1
+        np.maximum(pi, 0, out=pi)
+        slot, found = self._search_data(q, pi)
+        if self.keys.size:
+            out = self.values[slot]
         else:
-            found = np.zeros(n_queries, dtype=bool)
-            out = np.empty(n_queries, dtype=self.values.dtype)
+            out = np.empty(q.size, dtype=self.values.dtype)
+        if bool(found.all()):
+            return out
 
         miss = np.flatnonzero(~found)
-        if miss.size and self.buf_keys.size:
-            pim = pi[miss]
-            blo = self.buf_offsets[pim]
-            bhi = self.buf_offsets[pim + 1]
-            qm = q[miss]
-            non_finite = ~np.isfinite(qm)
-            if non_finite.any():  # unanswerable queries skip buffers too
-                blo = np.where(non_finite, 0, blo)
-                bhi = np.where(non_finite, 0, bhi)
-            bpos = _bounded_leftmost(self.buf_keys, qm, blo, bhi)
-            nb = self.buf_keys.size
-            bhit = (bpos < bhi) & (self.buf_keys[np.minimum(bpos, nb - 1)] == qm)
-            if bhit.any():
-                hit_idx = miss[bhit]
-                if self.buf_values.dtype == object and out.dtype != object:
-                    out = out.astype(object)  # lossless for odd payloads
-                out[hit_idx] = self.buf_values[bpos[bhit]]
-                found[hit_idx] = True
-
+        while True:
+            if self.buf_keys.size:
+                slot, hit = self._search_buffers(q[miss], pi[miss])
+                if hit.any():
+                    if self.buf_values.dtype == object and out.dtype != object:
+                        out = out.astype(object)  # lossless for odd payloads
+                    out[miss[hit]] = self.buf_values[slot[hit]]
+                    found[miss[hit]] = True
+                    miss = miss[~hit]
+            # Walk back (see module doc).
+            miss = miss[(pi[miss] > 0) & (self.starts[pi[miss]] == q[miss])]
+            if not miss.size:
+                break
+            pi[miss] -= 1
+            slot, hit = self._search_data(q[miss], pi[miss])
+            out[miss[hit]] = self.values[slot[hit]]
+            found[miss[hit]] = True
+            miss = miss[~hit]
         if bool(found.all()):
             return out
         result = out.astype(object)
         result[~found] = default
         return result
+
+    def _search_data(
+        self, q: np.ndarray, pi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per query, the slot of its first live occurrence in page ``pi``'s
+        data and whether there is one (the slot is clamped in range)."""
+        nd = self.keys.size
+        if not nd:
+            return np.zeros(q.size, dtype=np.int64), np.zeros(q.size, dtype=bool)
+        # The concatenated data is globally sorted, and any present key
+        # provably lives in its routed page (pages partition the sorted key
+        # space), so one C-level predecessor search answers the whole
+        # batch. Leftmost-in-page position = max(global leftmost, page
+        # start), which is exactly the occurrence the scalar window search
+        # returns; from there, step past tombstones.
+        pos = self.keys.searchsorted(q, side="left")
+        np.maximum(pos, self.offsets[pi], out=pos)
+        end = self.offsets[pi + 1]
+        while True:
+            slot = np.minimum(pos, nd - 1)
+            hit = (pos < end) & (self.keys[slot] == q)
+            step = hit & self.dead[slot]
+            if not step.any():
+                return slot, hit
+            pos += step
+
+    def _search_buffers(
+        self, q: np.ndarray, pi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per query, the slot of its first occurrence in page ``pi``'s
+        buffer and whether there is one (needs a non-empty buffer array)."""
+        blo = self.buf_offsets[pi]
+        bhi = self.buf_offsets[pi + 1]
+        non_finite = ~np.isfinite(q)
+        if non_finite.any():  # unanswerable queries skip buffers too
+            blo = np.where(non_finite, 0, blo)
+            bhi = np.where(non_finite, 0, bhi)
+        pos = _bounded_leftmost(self.buf_keys, q, blo, bhi)
+        slot = np.minimum(pos, self.buf_keys.size - 1)
+        return slot, (pos < bhi) & (self.buf_keys[slot] == q)
 
     # ------------------------------------------------------------------
     # Range queries
@@ -324,64 +279,74 @@ class FlatView:
         include_lo: bool = True,
         include_hi: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """All ``(keys, values)`` with ``lo <= key <= hi``, in exactly the
-        order ``PagedIndexBase.range_items`` yields them.
+        """All live ``(keys, values)`` with ``lo <= key <= hi``, in exactly
+        the order ``PagedIndexBase.range_items`` yields them.
 
         Data rows come from one slice of the globally sorted concatenated
-        array; in-range buffered rows are merged in with a stable lexsort on
-        ``(key, page, data-before-buffer)``, which reproduces the scalar
-        page-by-page merge order including duplicate runs that span pages.
+        array, tombstones dropped. Buffers concatenated in page order are
+        globally sorted too (a page buffers only keys routed to it), so
+        the in-range buffered rows are one slice as well; each is placed
+        after the data rows with a smaller key and those with its key on
+        its own page or an earlier one — the scalar page-by-page merge
+        order, including duplicate runs that span pages.
         """
-        nd = self.keys.size
-        a = 0
-        b = nd
-        if lo is not None:
-            a = int(
-                np.searchsorted(self.keys, lo, side="left" if include_lo else "right")
-            )
-        if hi is not None:
-            b = int(
-                np.searchsorted(self.keys, hi, side="right" if include_hi else "left")
-            )
-        b = max(a, b)
-        dk, dv = self.keys[a:b], self.values[a:b]
-
-        if self.buf_keys.size:
-            mask = np.ones(self.buf_keys.size, dtype=bool)
-            if lo is not None:
-                mask &= self.buf_keys >= lo if include_lo else self.buf_keys > lo
-            if hi is not None:
-                mask &= self.buf_keys <= hi if include_hi else self.buf_keys < hi
-            bk, bv = self.buf_keys[mask], self.buf_values[mask]
-            bp = self.buf_page_idx[mask]
-        else:
-            bk = np.empty(0, dtype=np.float64)
-            bv = np.empty(0, dtype=self.values.dtype)
-            bp = np.empty(0, dtype=np.int64)
-
-        if bk.size == 0:
-            return dk, dv
-        keys_all = np.concatenate((dk, bk))
-        values_all = np.concatenate((dv, bv))
-        page_all = np.concatenate((self.data_page_idx[a:b], bp))
-        is_buf = np.concatenate(
-            (np.zeros(dk.size, dtype=np.int8), np.ones(bk.size, dtype=np.int8))
+        span = (lo, hi, include_lo, include_hi)
+        a, b = _span(self.keys, *span)
+        keys, values = self.keys[a:b], self.values[a:b]
+        dead = np.flatnonzero(self.dead[a:b])
+        if dead.size:
+            live = np.ones(b - a, dtype=bool)
+            live[dead] = False
+            keys, values = keys[live], values[live]
+        c, d = _span(self.buf_keys, *span)
+        if c == d:
+            return keys, values
+        bk, bv = self.buf_keys[c:d], self.buf_values[c:d]
+        next_page = self.buf_offsets.searchsorted(np.arange(c, d), side="right")
+        at = np.minimum(
+            self.offsets[next_page], self.keys.searchsorted(bk, "right")
         )
-        order = np.lexsort((is_buf, page_all, keys_all))
-        return keys_all[order], values_all[order]
+        np.maximum(at, self.keys.searchsorted(bk, "left"), out=at)
+        at -= a
+        at -= dead.searchsorted(at)  # ranks among the live rows
+        at += np.arange(at.size)  # slots in the merged output
+        is_data = np.ones(keys.size + at.size, dtype=bool)
+        is_data[at] = False
+        out_keys = np.empty(is_data.size, dtype=keys.dtype)
+        out_values = np.empty(is_data.size, dtype=np.result_type(values, bv))
+        out_keys[is_data], out_keys[at] = keys, bk
+        out_values[is_data], out_values[at] = values, bv
+        return out_keys, out_values
+
+
+def _span(
+    arr: np.ndarray,
+    lo: Optional[float],
+    hi: Optional[float],
+    include_lo: bool,
+    include_hi: bool,
+) -> Tuple[int, int]:
+    """The ``[a, b)`` slice of sorted ``arr`` inside the range bounds."""
+    a = 0
+    b = arr.size
+    if lo is not None:
+        a = int(arr.searchsorted(lo, side="left" if include_lo else "right"))
+    if hi is not None:
+        b = int(arr.searchsorted(hi, side="right" if include_hi else "left"))
+    return a, max(a, b)
 
 
 def _splice(
     old: np.ndarray,
     offsets: np.ndarray,
-    touched: Sequence[int],
+    stale: Sequence[int],
     parts: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """``old`` with each touched page's window replaced by its new part;
-    the runs of untouched pages in between are windows of ``old``."""
+    """``old`` with each stale page's window replaced by its new part;
+    the runs of current pages in between are windows of ``old``."""
     pieces = []
     prev = 0
-    for i, part in zip(touched, parts):
+    for i, part in zip(stale, parts):
         pieces.append(old[offsets[prev] : offsets[i]])
         pieces.append(part)
         prev = i + 1
@@ -390,98 +355,97 @@ def _splice(
 
 
 def _reoffset(
-    offsets: np.ndarray, touched: Sequence[int], lengths: Sequence[int]
+    offsets: np.ndarray, stale: Sequence[int], lengths: Sequence[int]
 ) -> np.ndarray:
-    """``offsets`` after the touched pages changed to ``lengths``."""
-    sizes = np.diff(offsets)
-    sizes[touched] = lengths
-    out = np.zeros(offsets.size, dtype=np.int64)
-    np.cumsum(sizes, out=out[1:])
+    """``offsets`` after the stale pages changed to ``lengths``."""
+    out = offsets.copy()
+    for i, n in zip(stale, lengths):
+        out[i + 1 :] += n - (offsets[i + 1] - offsets[i])
     return out
 
 
-def _refreshed(old: FlatView, index: Any) -> Tuple[FlatView, int]:
-    """The view of ``index`` now, derived from its stale view ``old``.
+def _updated(old: FlatView, version: Any) -> Tuple[FlatView, int]:
+    """The snapshot at ``version``, derived from ``old`` over the same
+    page directory.
 
-    Valid only while the page directory is the one ``old`` was cut from;
-    bit-identical to ``FlatView(index.flat_arrays())`` (dtype, shape and
+    Bit-identical to a full ``flat_arrays`` export (dtype, shape and
     content of every field). Returns the view and how many pages it
     re-exported.
     """
     pages = old.pages
-    touched = [i for i, page in enumerate(pages) if page.touched]
+    stale = [
+        i for i, (page, stamp) in enumerate(zip(pages, old.stamps))
+        if page.stamp != stamp
+    ]
     arrays = {name: getattr(old, name) for name in _ARRAY_FIELDS}
-    arrays["version"] = index.version
-    arrays["pages"] = pages
-    bufs = []
-    for i in touched:
-        bufs.append(pages[i].buffer_arrays(index._values_dtype))
-        pages[i].touched = False
-    if touched:
+    arrays.update(version=version, pages=pages, stamps=list(old.stamps))
+    if stale:
+        bufs = [pages[i].buffer_arrays(old.values.dtype) for i in stale]
         arrays["buf_keys"] = _splice(
-            old.buf_keys, old.buf_offsets, touched, [k for k, _ in bufs]
+            old.buf_keys, old.buf_offsets, stale, [k for k, _ in bufs]
         )
         arrays["buf_values"] = _splice(
-            old.buf_values, old.buf_offsets, touched, [v for _, v in bufs]
+            old.buf_values, old.buf_offsets, stale, [v for _, v in bufs]
         )
         arrays["buf_offsets"] = _reoffset(
-            old.buf_offsets, touched, [k.size for k, _ in bufs]
+            old.buf_offsets, stale, [k.size for k, _ in bufs]
         )
-    # Only a physical data delete changes a page's data arrays under an
-    # unchanged directory, and each one bumps ``deletions``.
-    data = [i for i in touched if pages[i].deletions != old.deletions[i]]
+        for i in stale:
+            arrays["stamps"][i] = pages[i].stamp
+    # Data rows never move under an unchanged directory: a data delete
+    # only sets tombstones, and each one bumps ``deletions``.
+    data = [i for i in stale if pages[i].deletions != old.deletions[i]]
     if data:
-        arrays["keys"] = _splice(
-            old.keys, old.offsets, data, [pages[i].keys for i in data]
-        )
-        arrays["values"] = _splice(
-            old.values, old.offsets, data, [pages[i].values for i in data]
-        )
-        arrays["offsets"] = _reoffset(
-            old.offsets, data, [pages[i].n_data for i in data]
-        )
-        arrays["deletions"] = old.deletions.copy()
-        arrays["deletions"][data] = [pages[i].deletions for i in data]
-    view = FlatView(arrays)
-    if not data:
-        view._data_page_idx = old._data_page_idx  # same offsets, same map
-    return view, len(touched)
+        dead = old.dead.copy()
+        for i in data:
+            dead[old.offsets[i] : old.offsets[i + 1]] = pages[i].dead
+        deletions = old.deletions.copy()
+        deletions[data] = [pages[i].deletions for i in data]
+        arrays.update(dead=dead, deletions=deletions)
+    return FlatView(arrays), len(stale)
 
 
 def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
     """The index's cached :class:`FlatView`, brought up to date when stale.
 
-    The cache key is the index's monotonic ``version`` counter, so buffered
-    inserts, deletes and page rebuilds all invalidate it. A stale view
-    whose page directory still stands is refreshed from the pages written
-    to since (:func:`_refreshed`); a changed directory, or the rare view
-    whose buffers hold a payload the values dtype cannot (whether an
+    ``index`` is anything with a monotonic ``version``, a
+    ``_get_directory()`` returning ``(starts, pages)`` and a
+    ``flat_arrays()`` export of those pages: a paged index, or a
+    ``ShardedEngine`` over all its shards. The cache key is ``version``, so
+    buffered inserts, deletes and page rebuilds all invalidate it. A stale
+    view whose page directory still stands is updated from the pages
+    written to since (:func:`_updated`); a changed directory, or the rare
+    view whose buffers hold a payload the values dtype cannot (whether an
     untouched page still needs the object fallback is not knowable without
     re-exporting it), takes the full ``flat_arrays`` export. ``stats`` (a
     dict with ``"view_hits"``/``"view_builds"``) lets callers — the
     engine's cache-hit-rate stat — observe reuse without a second API; a
-    caller that also keeps a ``"view_pages_exported"`` entry gets the pages
-    re-exported per build summed into it (read-cache write amplification).
+    caller that also keeps ``"view_patches"`` / ``"view_full_rebuilds"``
+    entries gets each build counted as an update or a full export, and one
+    that keeps ``"view_pages_exported"`` gets the pages re-exported per
+    build summed into it (read-cache write amplification).
     """
     cached = getattr(index, "_flat_view_cache", None)
-    if cached is not None and cached.version == index.version:
+    version = index.version
+    if cached is not None and cached.version == version:
         if stats is not None:
             stats["view_hits"] = stats.get("view_hits", 0) + 1
         return cached
     if (
         cached is not None
         and cached.pages is index._get_directory()[1]
-        and cached.buf_values.dtype == index._values_dtype
+        and cached.buf_values.dtype == cached.values.dtype
     ):
-        view, n_exported = _refreshed(cached, index)
+        view, n_exported = _updated(cached, version)
+        event = "view_patches"
     else:
         view = FlatView(index.flat_arrays())
-        for page in view.pages:
-            page.touched = False
         n_exported = view.n_pages
+        event = "view_full_rebuilds"
     index._flat_view_cache = view
     if stats is not None:
         stats["view_builds"] = stats.get("view_builds", 0) + 1
-        if "view_pages_exported" in stats:
-            stats["view_pages_exported"] += n_exported
+        for name, n in ((event, 1), ("view_pages_exported", n_exported)):
+            if name in stats:
+                stats[name] += n
     return view

@@ -6,19 +6,19 @@ time; a serving system amortizes. The engine range-partitions the key space
 FITing-Tree (or any ``PagedIndexBase`` subclass via ``index_factory``), and
 exposes batch verbs:
 
-* :meth:`ShardedEngine.get_batch` — route the whole batch to shards with
-  one ``searchsorted``, then answer each shard's slice through its cached
-  :class:`~repro.engine.batch.FlatView` (vectorized interpolation + bounded
-  window probe), scattering results back into request order;
-* :meth:`ShardedEngine.range_batch` — per-bound shard overlap resolution,
-  each shard contributing one contiguous slice of its flattened arrays;
+* :meth:`ShardedEngine.get_batch` — answer the whole batch through the
+  engine's one cached :class:`~repro.engine.batch.FlatView`, which spans
+  every shard's pages in key order (shard ranges are disjoint and
+  ordered), so no batch is split or regrouped per shard;
+* :meth:`ShardedEngine.range_batch` — one contiguous slice of that view
+  per bound, wherever the bound falls relative to the cuts;
 * :meth:`ShardedEngine.insert_batch` — route the sorted batch once, then
   hand each shard its whole contiguous sub-batch; every owning page merges
   its chunk with one vectorized splice (``PagedIndexBase.insert_batch``),
   so overflow/split decisions and version bumps happen once per mutated
-  page instead of once per key. Flat views invalidate per shard, so
-  untouched shards keep their snapshots (read-mostly shards stay fast
-  under writes elsewhere).
+  page instead of once per key. The next read re-exports only the pages
+  written to (:func:`~repro.engine.batch.flat_view`), whichever shards
+  they are in.
 
 Scalar ``get`` / ``insert`` / ``range_items`` mirrors are provided so the
 engine drops into any harness an index fits; equivalence between the two
@@ -37,23 +37,28 @@ import numpy as np
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
 from repro.core.page import aligned_value_array
-from repro.engine.batch import FlatView, flat_view
+from repro.core.paged_index import export_pages
+from repro.engine.batch import flat_view
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.engine.scatter import (
+    check_bounds,
     gather_points,
     resolve_values,
-    split_points,
-    split_ranges,
     split_sorted,
-    stitch_ranges,
 )
 from repro.wal.store import log_chunks
 
 __all__ = ["ShardedEngine"]
 
-#: Consecutive stale batches served via the grouped per-shard path before
-#: the combined view is reassembled (amortizes the O(total data) concat).
-_STALE_READS_BEFORE_REBUILD = 4
+
+def _owned(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """A view's range answer as arrays the caller owns: slices of the
+    view's read-only arrays are copied, arrays it built fresh are not."""
+    keys, values = pair
+    return (
+        keys if keys.flags.writeable else keys.copy(),
+        values if values.flags.writeable else values.copy(),
+    )
 
 
 class ShardedEngine:
@@ -154,9 +159,9 @@ class ShardedEngine:
             "view_patches": 0,
             "view_full_rebuilds": 0,
         }
-        self._combined: Optional[FlatView] = None
-        self._combined_versions: Optional[Tuple[int, ...]] = None
-        self._stale_reads = 0
+        self._directory: Optional[Tuple[np.ndarray, List[Any]]] = None
+        self._directory_parts: List[List[Any]] = []
+        self._flat_view_cache: Any = None
         self.telemetry = telemetry
         self._telemetry = telemetry
         self._wal: Any = None
@@ -413,161 +418,79 @@ class ShardedEngine:
         return self._shards[int(route(self.cuts, [key])[0])]
 
     def warm(self) -> None:
-        """Best-effort pre-build of the cached read-path snapshots.
+        """Best-effort pre-build of the engine's read-path snapshot.
 
-        Builds every shard's flat view and (when shard configs are
-        homogeneous) the combined engine-wide view, so the first real
-        batch does not pay the O(total data) flatten/concat cost.
-        ``repro.serve.Server.warm`` runs this at startup; calling it
-        again after writes is safe (it rebuilds only what is stale,
-        subject to the same amortization grace the read path uses).
+        Exports the one view over every shard's pages, so the first real
+        batch does not pay the O(total data) export.
+        ``repro.serve.Server.warm`` runs this at startup; calling it again
+        after writes is safe (it re-exports only the pages written since).
         """
-        self._combined_view()
+        flat_view(self, self._view_stats)
 
-    def _view(self, shard_idx: int) -> FlatView:
-        return flat_view(self._shards[shard_idx], self._view_stats)
-
-    def _combined_view(self) -> Optional[FlatView]:
-        """Engine-wide FlatView spanning every shard's pages, or ``None``
-        when shard views are heterogeneous (mixed values/buffer dtypes).
-
-        There is one assembly path (:meth:`_assemble_combined`): the
-        concatenation of every shard's cached view. Once assembled, every
-        shard's cached view is re-pointed at a zero-copy slice of the
-        combined arrays (``FlatView.slice_pages``), so steady-state
-        residency is pages + one combined copy (~2x; see
-        :meth:`residency_report`) and a reassembly after a write only
-        re-flattens the shards that mutated — the clean ones contribute
-        their windows of the old combined arrays. Assemblies are counted
-        as ``view_patches`` (exactly one shard was dirty) or
-        ``view_full_rebuilds`` (first build, several dirty) in
-        :meth:`stats`.
-        Shard ranges are disjoint and ordered, so the concatenated page
-        starts and data stay globally sorted and one view answers a whole
-        batch without per-shard grouping.
-        """
-        versions = tuple(s.version for s in self._shards)
-        if self._combined_versions == versions:
-            if self._combined is not None:
-                self._view_stats["view_hits"] += 1
-            return self._combined  # None = known-heterogeneous: grouped path
-        if (
-            self._combined is not None
-            and len(self._shards) > 1
-            and self._stale_reads < _STALE_READS_BEFORE_REBUILD
+    def _get_directory(self) -> Tuple[np.ndarray, List[Any]]:
+        """Every shard's ``(starts, pages)`` directory, concatenated in
+        shard order — the same list object until some shard's directory
+        changes, which is how :func:`flat_view` tells an update of its
+        cached view from a full export."""
+        parts = [shard._get_directory() for shard in self._shards]
+        if self._directory is None or any(
+            pages is not old
+            for (_, pages), old in zip(parts, self._directory_parts)
         ):
-            # A write just landed. Reassembling the combined view is an
-            # O(total data) splice/concat; under a write/read interleave
-            # that would be paid every batch. Serve a few batches through
-            # the grouped per-shard path (only dirty shards re-flatten)
-            # and reassemble once the spend amortizes over enough reads.
-            self._stale_reads += 1
-            return None
-        self._stale_reads = 0
-        combined = self._assemble_combined(versions)
-        self._combined = combined
-        self._combined_versions = versions
-        return combined
-
-    def _assemble_combined(self, versions: Tuple[int, ...]) -> Optional[FlatView]:
-        """Combined-view assembly: concatenate every shard's view."""
-        views = [self._view(i) for i in range(len(self._shards))]
-        if (
-            len({v.values.dtype for v in views}) > 1
-            # A shard buffering a payload its values dtype cannot hold
-            # exports an object buffer; windows cut from a combined object
-            # buffer would hand that dtype to every other shard.
-            or len({v.buf_values.dtype for v in views}) > 1
-        ):
-            return None
-        if len(views) == 1:
-            return views[0]
-        n_dirty = (
-            sum(a != b for a, b in zip(self._combined_versions, versions))
-            if self._combined is not None
-            else 0
-        )
-        self._view_stats[
-            "view_patches" if n_dirty == 1 else "view_full_rebuilds"
-        ] += 1
-        data_total = 0
-        buf_total = 0
-        offset_parts = []
-        buf_offset_parts = []
-        route_parts = []
-        for i, v in enumerate(views):
-            offset_parts.append(v.offsets[:-1] + data_total)
-            buf_offset_parts.append(v.buf_offsets[:-1] + buf_total)
-            data_total += int(v.offsets[-1])
-            buf_total += int(v.buf_offsets[-1])
-            rs = v.route_starts
-            if i > 0 and rs.size:
-                # Lower the shard's first routing key to its cut so
-                # queries in [cut, first page start) route into this
-                # shard — exactly where scalar engine routing buffers
-                # and probes them.
-                rs = rs.copy()
-                rs[0] = self.cuts[i - 1]
-            route_parts.append(rs)
-        offset_parts.append(np.asarray([data_total], dtype=np.int64))
-        buf_offset_parts.append(np.asarray([buf_total], dtype=np.int64))
-        combined = FlatView(
-            {
-                "version": -1,  # never matched; engine caches by shard versions
-                "starts": np.concatenate([v.starts for v in views]),
-                "route_starts": np.concatenate(route_parts),
-                "deletions": np.concatenate([v.deletions for v in views]),
-                "offsets": np.concatenate(offset_parts),
-                "keys": np.concatenate([v.keys for v in views]),
-                "values": np.concatenate([v.values for v in views]),
-                "buf_offsets": np.concatenate(buf_offset_parts),
-                "buf_keys": np.concatenate([v.buf_keys for v in views]),
-                "buf_values": np.concatenate([v.buf_values for v in views]),
-            }
-        )
-        # Collapse per-shard residency: each shard's cached view becomes
-        # a window into the combined arrays (so nothing keeps the
-        # pre-assembly copies flat_view() just built for dirty shards
-        # alive); only pages + combined stay resident (~2x).
-        p0 = 0
-        for shard, view, version in zip(self._shards, views, versions):
-            p1 = p0 + view.n_pages
-            shard._flat_view_cache = combined.slice_pages(
-                p0, p1, version, view.pages
+            self._directory_parts = [pages for _, pages in parts]
+            self._directory = (
+                np.concatenate([starts for starts, _ in parts]),
+                [page for _, pages in parts for page in pages],
             )
-            p0 = p1
-        return combined
+        return self._directory
+
+    def flat_arrays(self) -> Dict[str, Any]:
+        """Export every shard's pages as one read snapshot (the shape of
+        ``PagedIndexBase.flat_arrays``; shards whose values dtypes differ
+        export ``object`` values).
+
+        Each later shard's first routing key is lowered to its cut, so
+        queries in ``[cut, first page start)`` route into that shard —
+        exactly where scalar engine routing buffers and probes them.
+        """
+        starts, pages = self._get_directory()
+        dtypes = {shard._values_dtype for shard in self._shards}
+        arrays = export_pages(
+            pages, dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
+        )
+        route_starts = starts.copy()
+        first = 0
+        for i, shard_pages in enumerate(self._directory_parts):
+            if i > 0 and shard_pages:
+                route_starts[first] = self.cuts[i - 1]
+            first += len(shard_pages)
+        arrays.update(
+            version=self.version, starts=starts, route_starts=route_starts
+        )
+        return arrays
 
     def residency_report(self) -> Dict[str, Any]:
         """Bytes resident per storage tier of the read path.
 
         ``page_bytes`` is the ground truth: the key/value arrays owned by
-        the pages themselves. ``view_bytes`` is everything the cached
-        flat views *own* on top of that — the combined arrays plus any
-        per-shard arrays that are real copies (slice-backed shard views
-        count zero; see ``FlatView.nbytes_owned``). Python-list insert
-        buffers are excluded (bounded by ``buffer_capacity`` per page).
+        the pages themselves. ``view_bytes`` is what the engine's cached
+        view *owns* on top of that (see ``FlatView.nbytes_owned``).
+        Python-list insert buffers are excluded (bounded by
+        ``buffer_capacity`` per page).
 
         Returns
         -------
         dict
             ``page_bytes``, ``view_bytes`` (both ints) and
             ``residency_ratio`` = ``(page + view) / page`` — ~2x once the
-            combined view is warm, versus ~3x when per-shard views hold
-            their own copies.
+            view is warm.
         """
         page_bytes = 0
         for shard in self._shards:
             for page in shard.pages():
                 page_bytes += page.keys.nbytes + page.values.nbytes
-        seen: set = set()
-        view_bytes = 0
-        if self._combined is not None:
-            view_bytes += self._combined.nbytes_owned(seen)
-        for shard in self._shards:
-            cached = getattr(shard, "_flat_view_cache", None)
-            if cached is not None:
-                view_bytes += cached.nbytes_owned(seen)
+        view = self._flat_view_cache
+        view_bytes = 0 if view is None else view.nbytes_owned()
         return {
             "page_bytes": int(page_bytes),
             "view_bytes": int(view_bytes),
@@ -591,12 +514,11 @@ class ShardedEngine:
     def get_batch(self, queries, default: Any = None) -> np.ndarray:
         """Vectorized point lookups across shards, in request order.
 
-        Routes the batch with one ``searchsorted`` over the cuts, answers
-        each shard's group through its flattened view, and scatters results
-        back. Cost for K queries over P pages and n keys: O(K log P) for
-        routing plus one O(K log n) predecessor search and a bounded buffer
-        probe (see :mod:`repro.engine.batch`) — a handful of whole-batch
-        array passes instead of K Python descents.
+        Answers the whole batch through the engine's one flattened view.
+        Cost for K queries over P pages and n keys: O(K log P) for routing
+        plus one O(K log n) predecessor search and a bounded buffer probe
+        (see :mod:`repro.engine.batch`) — a handful of whole-batch array
+        passes instead of K Python descents.
 
         Parameters
         ----------
@@ -615,9 +537,9 @@ class ShardedEngine:
         """
         tel = self._telemetry
         if tel is None:
-            return self._get_batch_impl(queries, default)
+            return flat_view(self, self._view_stats).get_batch(queries, default)
         with tel.span("engine.get_batch") as sp:
-            out = self._get_batch_impl(queries, default)
+            out = flat_view(self, self._view_stats).get_batch(queries, default)
             if sp is not None:
                 sp.attrs["n"] = int(out.size)
         c_ops, c_keys = self._obs_ops["get_batch"]
@@ -626,22 +548,6 @@ class ShardedEngine:
         if self._workload is not None:
             self._workload.record("get", queries)
         return out
-
-    def _get_batch_impl(self, queries, default: Any = None) -> np.ndarray:
-        q = np.ascontiguousarray(queries, dtype=np.float64)
-        combined = self._combined_view()
-        if combined is not None:
-            return combined.get_batch(q, default)
-        # Shards disagree on value dtype: group queries per shard, answer
-        # each group through that shard's own view, and gather anything
-        # non-uniform losslessly as object.
-        return gather_points(
-            q.size,
-            [
-                (idx, self._view(i).get_batch(q[idx], default), None)
-                for i, idx in split_points(self.cuts, q)
-            ],
-        )
 
     def range_items(
         self,
@@ -663,28 +569,12 @@ class ShardedEngine:
         include_hi: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One range query, answered as ``(keys, values)`` arrays."""
-        _, jobs = split_ranges(
-            self.cuts,
-            [[-np.inf if lo is None else lo, np.inf if hi is None else hi]],
+        lo, hi = (None if b is None else float(b) for b in (lo, hi))
+        return _owned(
+            flat_view(self, self._view_stats).range_arrays(
+                lo, hi, include_lo, include_hi
+            )
         )
-        parts = self._scan(jobs, [(lo, hi)], include_lo, include_hi)
-        return stitch_ranges(1, parts, object)[0]
-
-    def _scan(
-        self, jobs, spans, include_lo: bool, include_hi: bool
-    ) -> List[Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Run a ``split_ranges`` plan: each shard's rows of ``spans``
-        answered from its flat view, copied out (the view hands back
-        slices of its own arrays) — the parts ``stitch_ranges`` takes."""
-        parts = []
-        for i, rows in jobs:
-            pairs = []
-            for row in rows.tolist():
-                lo, hi = spans[row]
-                k, v = self._view(i).range_arrays(lo, hi, include_lo, include_hi)
-                pairs.append((k.copy(), v.copy()))
-            parts.append((rows, pairs))
-        return parts
 
     def range_batch(
         self,
@@ -694,10 +584,9 @@ class ShardedEngine:
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """One ``(keys, values)`` pair per ``[lo, hi]`` row of ``bounds``.
 
-        Every scan reuses the per-shard flattened views built by the
-        first, so a batch of B scans pays the O(total data) snapshot cost
-        once; each scan is then O(log n) ``searchsorted`` bounds plus an
-        O(m) copy of its m matching rows.
+        Every scan reads the engine's one flattened view, so a batch of B
+        scans pays any snapshot update once; each scan is then O(log n)
+        ``searchsorted`` bounds plus an O(m) copy of its m matching rows.
 
         Parameters
         ----------
@@ -712,9 +601,12 @@ class ShardedEngine:
             For each bounds row, the matching ``(keys, values)`` arrays in
             key order (exactly the order ``range_items`` yields).
         """
-        bounds, jobs = split_ranges(self.cuts, bounds)
-        parts = self._scan(jobs, bounds, include_lo, include_hi)
-        out = stitch_ranges(bounds.shape[0], parts, object)
+        bounds = check_bounds(bounds)
+        view = flat_view(self, self._view_stats)
+        out = [
+            _owned(view.range_arrays(lo, hi, include_lo, include_hi))
+            for lo, hi in bounds.tolist()
+        ]
         if self._telemetry is not None:
             c_ops, c_keys = self._obs_ops["range_batch"]
             c_ops.inc()
@@ -838,9 +730,8 @@ class ShardedEngine:
         each shard removes its chunk through
         ``PagedIndexBase.delete_batch`` (one splice per mutated page).
         The resulting state is identical to looping ``delete`` per key in
-        that same order — pinned by the equivalence suites — and only the
-        mutated shards' flat views invalidate (the combined view patches
-        incrementally when one shard was touched). An empty batch is a
+        that same order — pinned by the equivalence suites — and the next
+        read re-exports only the pages written to. An empty batch is a
         strict no-op.
 
         Parameters

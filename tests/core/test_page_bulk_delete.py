@@ -38,6 +38,7 @@ def state_of(index):
             [float(k) for k in page.buf_keys],
             list(page.buf_values),
             page.deletions,
+            None if page.dead is None else page.dead.tolist(),
         )
         for page in index.pages()
     ]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.fiting_tree import FITingTree
 from repro.datasets import get
-from repro.engine import ShardedEngine
+from repro.engine import ShardedEngine, flat_view
 
 key_st = st.integers(min_value=0, max_value=300).map(float)
 build_st = st.lists(key_st, max_size=150).map(sorted)
@@ -185,7 +185,7 @@ class TestEngineBehaviour:
             engine.insert_batch(np.asarray([4.0]))
 
     def test_heterogeneous_shard_dtypes_scatter_losslessly(self):
-        """The grouped fallback path must not cast one shard's values into
+        """The engine's view must not cast one shard's values into
         another shard's dtype."""
         built = []
 
@@ -200,7 +200,7 @@ class TestEngineBehaviour:
 
         keys = np.arange(100, dtype=np.float64)
         engine = ShardedEngine(keys, n_shards=2, index_factory=factory)
-        assert engine._combined_view() is None  # mixed dtypes: grouped path
+        assert flat_view(engine).values.dtype == object  # mixed dtypes
         lo_key, hi_key = 10.0, 60.0
         out = engine.get_batch(np.asarray([lo_key, hi_key]))
         assert out[0] == engine.get(lo_key) == 10

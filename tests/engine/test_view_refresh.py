@@ -1,15 +1,16 @@
-"""Write-proportional FlatView refresh: identity, proportionality, snapshots.
+"""Write-proportional FlatView updates: identity, proportionality, snapshots.
 
 ``flat_view`` derives a stale index's next snapshot from the cached one by
-re-exporting only the pages written to since. Three contracts are pinned
-here, none of them by timing:
+re-exporting only the pages whose stamp moved since. Three contracts are
+pinned here, none of them by timing:
 
 * **bit-identity** — after any op sequence (page rebuilds, splits, emptied
-  pages, first-page seeding, int64 and object payloads, a buffered value the
-  values dtype cannot hold) every field of the refreshed view equals
-  ``FlatView(index.flat_arrays())`` in dtype, shape and content, on a bare
-  ``FITingTree`` and on a 4-shard ``ShardedEngine`` (shard views, and the
-  combined view before and after the stale-read grace);
+  pages, first-page seeding, tombstoned data deletes, int64 and object
+  payloads, a buffered value the values dtype cannot hold) every field of
+  the updated view equals ``FlatView(index.flat_arrays())`` in dtype, shape
+  and content, on a bare ``FITingTree`` and on a multi-shard
+  ``ShardedEngine`` (its one view, and each shard's own view, read in any
+  interleaving), and the batch verbs agree with the scalar ones;
 * **proportionality** — counted in ``SegmentPage.buffer_arrays`` calls and
   array identity: a one-key write re-exports one page;
 * **snapshot safety** — a view held across writes keeps answering the state
@@ -30,19 +31,20 @@ from hypothesis.stateful import (
 from repro import FITingTree
 from repro.core.page import SegmentPage
 from repro.engine import FlatView, ShardedEngine, flat_view
-from repro.engine.engine import _STALE_READS_BEFORE_REBUILD
 from repro.obs import Telemetry
 
 FIELDS = (
     "starts", "route_starts", "deletions", "offsets",
-    "keys", "values", "buf_offsets", "buf_keys", "buf_values",
+    "keys", "values", "dead", "buf_offsets", "buf_keys", "buf_values",
 )
 SHARED_BY_A_BUFFER_WRITE = (
-    "starts", "route_starts", "deletions", "offsets", "keys", "values",
+    "starts", "route_starts", "deletions", "offsets", "keys", "values", "dead",
 )
 
 
 def assert_same_view(got, want):
+    if want.stamps is not None:
+        assert got.stamps == want.stamps
     for name in FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, (name, a.dtype, b.dtype)
@@ -59,8 +61,8 @@ def full_export(index):
 
 
 def reference_combined(engine):
-    """From-scratch combined view: the assembly rules restated over fresh
-    per-shard exports (the reference the engine's cached one must equal)."""
+    """From-scratch engine view: its rules restated over fresh per-shard
+    exports (the reference the engine's cached one must equal)."""
     views = [full_export(s) for s in engine.shards]
     route = [v.starts.copy() for v in views]
     for i, rs in enumerate(route):
@@ -92,21 +94,26 @@ def reference_combined(engine):
 
 KEYS = st.integers(min_value=0, max_value=120).map(float)
 BATCHES = st.lists(KEYS, min_size=1, max_size=12)
+PROBES = np.arange(-1.0, 122.0, 0.5)
+SPANS = ((None, None), (-1.0, 30.0), (30.0, 30.0), (40.5, 95.0), (90.0, 200.0))
 
 
 class RefreshMachine(RuleBasedStateMachine):
     """A tiny ``buffer_capacity`` makes rebuilds, splits, emptied-page
     removal and seq renumbering routine; an empty build seeds the first
-    page through an insert."""
+    page through an insert. Engines run 2-4 shards, and each shard's own
+    view is read between the engine's reads, so a write must reach every
+    view over its page."""
 
     @initialize(
         build=st.lists(KEYS, max_size=60).map(sorted),
         kind=st.sampled_from(["tree", "engine"]),
+        n_shards=st.integers(min_value=2, max_value=4),
         payloads=st.sampled_from(["int64", "object"]),
         error=st.integers(min_value=6, max_value=12),
         capacity=st.integers(min_value=2, max_value=5),
     )
-    def build(self, build, kind, payloads, error, capacity):
+    def build(self, build, kind, n_shards, payloads, error, capacity):
         keys = np.asarray(build, dtype=np.float64)
         values = None
         if payloads == "object" and build:  # an empty build is int64
@@ -121,10 +128,12 @@ class RefreshMachine(RuleBasedStateMachine):
             self.indexes = [self.target]
         else:
             self.target = ShardedEngine(
-                keys, values, n_shards=4, error=error, buffer_capacity=capacity
+                keys, values, n_shards=n_shards, error=error,
+                buffer_capacity=capacity,
             )
             self.indexes = self.target.shards
         self.live = list(build)
+        self.built = list(build)
 
     def payload(self):
         self.serial += 1
@@ -156,6 +165,18 @@ class RefreshMachine(RuleBasedStateMachine):
             self.target.delete(self.live.pop(i))
 
     @rule(data=st.data())
+    def delete_build_key(self, data):
+        """A build key no insert duplicated: the delete must tombstone a
+        data row."""
+        doomed = [k for k in self.built if k in self.live]
+        doomed = [k for k in doomed if self.live.count(k) == self.built.count(k)]
+        if doomed:
+            key = data.draw(st.sampled_from(doomed))
+            self.built.remove(key)
+            self.live.remove(key)
+            self.target.delete(key)
+
+    @rule(data=st.data())
     def delete_batch(self, data):
         if self.live:
             picks = data.draw(
@@ -171,31 +192,41 @@ class RefreshMachine(RuleBasedStateMachine):
     def read(self, batch):
         self.target.get_batch(np.asarray(batch))
 
-    @rule()
-    def drain_grace(self):
-        if isinstance(self.target, ShardedEngine):
-            for _ in range(_STALE_READS_BEFORE_REBUILD + 1):
-                self.target.get_batch(np.asarray([0.0]))
-            assert (
-                self.target._combined_versions == self.target.shard_versions()
-            )
-            if self.target._combined is None:
-                # Only while some shard buffers a value its dtype cannot
-                # hold: the engine then answers through the shard views.
-                dtypes = {flat_view(s).buf_values.dtype for s in self.indexes}
-                assert len(dtypes) > 1
+    @rule(batch=BATCHES, data=st.data())
+    def read_shard(self, batch, data):
+        """A direct shard read updates that shard's own view only."""
+        shard = data.draw(st.sampled_from(self.indexes))
+        shard.get_batch(np.asarray(batch))
+        flat_view(shard)
 
     @invariant()
-    def refreshed_views_equal_full_exports(self):
+    def views_equal_full_exports(self):
         for index in self.indexes:
             assert_same_view(flat_view(index), full_export(index))
-        engine = self.target
-        if (
-            isinstance(engine, ShardedEngine)
-            and engine._combined is not None
-            and engine._combined_versions == engine.shard_versions()
-        ):
-            assert_same_view(engine._combined, reference_combined(engine))
+        if isinstance(self.target, ShardedEngine):
+            view = flat_view(self.target)
+            assert_same_view(view, full_export(self.target))
+            assert_same_view(view, reference_combined(self.target))
+
+    @invariant()
+    def batch_verbs_equal_scalar_verbs(self):
+        miss = object()
+        got = self.target.get_batch(PROBES, miss)
+        for q, g in zip(PROBES.tolist(), got):
+            want = self.target.get(q, miss)
+            assert g is miss if want is miss else g == want, q
+        for lo, hi in SPANS:
+            want = [
+                item for index in self.indexes
+                for item in index.range_items(lo, hi)
+            ]
+            if isinstance(self.target, ShardedEngine):
+                lo_, hi_ = -np.inf if lo is None else lo, np.inf if hi is None else hi
+                keys, values = self.target.range_batch([[lo_, hi_]])[0]
+            else:
+                keys, values = flat_view(self.target).range_arrays(lo, hi)
+            assert keys.tolist() == [k for k, _ in want]
+            assert values.tolist() == [v for _, v in want]
 
 
 RefreshMachine.TestCase.settings = settings(
@@ -223,16 +254,16 @@ def test_unholdable_value_in_one_shard_keeps_other_windows_typed():
     engine = ShardedEngine(keys, n_shards=2, error=16, buffer_capacity=8)
     engine.warm()
     engine.insert(1.5, "tag")  # shard 0's buffer export turns object
-    for _ in range(_STALE_READS_BEFORE_REBUILD + 1):
-        got = engine.get_batch([1.5, keys[-1]])
+    got = engine.get_batch([1.5, keys[-1]])
     assert got.tolist() == ["tag", keys.size - 1]
-    assert engine._combined is None  # no object buffer handed to shard 1
+    assert engine.get_batch(keys[-4:]).dtype == np.int64  # shard 1 stays typed
+    assert_same_view(flat_view(engine), reference_combined(engine))
     for shard in engine.shards:
         assert_same_view(flat_view(shard), full_export(shard))
     engine.delete(1.5)
     engine.get_batch(keys[:4])
-    assert engine._combined is not None
-    assert_same_view(engine._combined, reference_combined(engine))
+    assert flat_view(engine).buf_values.dtype == np.int64
+    assert_same_view(flat_view(engine), reference_combined(engine))
 
 
 def test_shards_differing_only_in_error_share_the_combined_view():
@@ -248,11 +279,10 @@ def test_shards_differing_only_in_error_share_the_combined_view():
     engine.insert_batch(keys[::40] + 0.25)
     engine.delete_batch(keys[::55])
     q = np.concatenate((keys[::7], keys[::40] + 0.25, [-1.0, 2e6]))
-    assert engine._combined_view() is not None
+    assert flat_view(engine).values.dtype == np.int64  # one typed view
     combined = engine.get_batch(q, default=-1).tolist()
-    engine._combined = None  # same versions: known-heterogeneous, grouped
-    assert engine.get_batch(q, default=-1).tolist() == combined
     assert combined == [engine.get(k, -1) for k in q]
+    assert_same_view(flat_view(engine), reference_combined(engine))
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +326,7 @@ class TestProportionality:
         for name in SHARED_BY_A_BUFFER_WRITE:
             assert getattr(new, name) is getattr(old, name), name
         assert new.buf_keys.tolist() == [500_000.25]
+        assert new.get_batch([500_000.25, old.keys[0]]).dtype == np.int64
         assert_same_view(new, full_export(tree))
 
     def test_buffered_delete_shares_the_data_arrays(self, tree, exports):
@@ -315,10 +346,11 @@ class TestProportionality:
         tree.delete(doomed)
         new = flat_view(tree)
         assert len(exports) == 1
-        assert new.keys is not old.keys
-        assert new.keys.size == old.keys.size - 1
-        for name in ("starts", "route_starts"):
+        for name in ("starts", "route_starts", "offsets", "keys", "values"):
             assert getattr(new, name) is getattr(old, name), name
+        assert new.dead is not old.dead  # a copy, marked in one page
+        assert np.flatnonzero(new.dead).tolist() == [12_345]
+        assert not old.dead.any()
         assert_same_view(new, full_export(tree))
 
     def test_buffer_overflow_rebuild_takes_the_full_export(self, tree, exports):
@@ -345,21 +377,25 @@ class TestProportionality:
         assert_same_view(new, full_export(tree))
 
     def test_shard_refresh_survives_a_combined_assembly(self, exports):
+        """Stamps are read, never consumed: the engine's view and a shard's
+        own view each re-export the one page a write touched."""
         keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 40_000))
         engine = ShardedEngine(keys, n_shards=4, error=16, buffer_capacity=8)
-        engine.warm()  # shard caches are now windows of the combined arrays
+        engine.warm()
         shard = engine.shards[2]
-        window = shard._flat_view_cache
-        assert np.shares_memory(window.keys, engine._combined.keys)
+        own = flat_view(shard)
         exported = engine._view_stats["view_pages_exported"]
         assert exported == engine.stats()["n_pages"]
         del exports[:]
         engine.insert(float(engine.cuts[1]) + 1.0)
-        engine.get_batch(keys[::997])  # stale: grouped per-shard path
+        engine.get_batch(keys[::997])  # updates the engine's view
         assert len(exports) == 1
         assert engine._view_stats["view_pages_exported"] == exported + 1
-        assert shard._flat_view_cache.keys is window.keys
-        assert_same_view(shard._flat_view_cache, full_export(shard))
+        now = flat_view(shard)  # the shard's own view sees the write too
+        assert len(exports) == 2 and exports[0] is exports[1]
+        assert now.keys is own.keys
+        assert_same_view(now, full_export(shard))
+        assert_same_view(flat_view(engine), full_export(engine))
 
     def test_pages_exported_reaches_the_registry_not_stats(self):
         tel = Telemetry(mode="metrics")
@@ -411,6 +447,6 @@ class TestSnapshots:
         keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 5_000))
         engine = ShardedEngine(keys, n_shards=2)
         engine.warm()
-        for view in (engine._combined, engine.shards[1]._flat_view_cache):
+        for view in (flat_view(engine), flat_view(engine.shards[1])):
             for name in FIELDS:
                 assert not getattr(view, name).flags.writeable, name

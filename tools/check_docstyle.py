@@ -56,7 +56,6 @@ REQUIRED_SECTIONS = {
     "delete_batch": ("Parameters", "Returns"),
     "open_engine": ("Parameters", "Returns"),
     "open_server": ("Parameters", "Returns"),
-    "slice_pages": ("Parameters", "Returns"),
     "residency_report": ("Returns",),
     "to_state": ("Returns",),
     "from_state": ("Parameters", "Returns"),

@@ -2,9 +2,10 @@
 """cProfile an in-process ``ShardedEngine`` under a write/read interleave.
 
 The profiling hook ROADMAP item 2 asks for: build an engine, drive it with
-batches of which a given share are writes (inserts, and deletes of earlier
-inserts) and the rest ``get_batch`` reads, and print the top 25 rows by
-cumulative time. ``--batch 1`` is the serving tier's shape (every read
+batches of which a given share are writes (inserts, and deletes: half of
+them take back an earlier insert batch, half remove build keys, which
+tombstone page data) and the rest ``get_batch`` reads, and print the top 25
+rows by cumulative time. ``--batch 1`` is the serving tier's shape (every read
 lands right after some write, so the read cache's refresh cost is the
 story); large batches are the analytics shape.
 
@@ -29,15 +30,19 @@ from repro import ShardedEngine
 
 
 def drive(engine: ShardedEngine, keys: np.ndarray, args) -> None:
-    """Run ``args.ops`` batches against ``engine``; deletes take back
-    earlier insert batches, so the engine's size stays put."""
+    """Run ``args.ops`` batches against ``engine``; a delete takes back an
+    earlier insert batch or removes build keys (each at most once)."""
     rng = np.random.default_rng(args.seed)
     lo, hi = float(keys[0]), float(keys[-1])
     inserted = []
+    doomed = iter(rng.permutation(keys.size).tolist())
     for is_write in rng.random(args.ops) < args.write_share:
+        roll = rng.random()
         if not is_write:
             engine.get_batch(keys[rng.integers(0, keys.size, args.batch)])
-        elif inserted and rng.random() < 0.4:
+        elif roll < 0.2:
+            engine.delete_batch(keys[[next(doomed) for _ in range(args.batch)]])
+        elif inserted and roll < 0.4:
             engine.delete_batch(inserted.pop())
         else:
             batch = rng.uniform(lo, hi, args.batch)

@@ -1,7 +1,7 @@
 """Sharded batch serving: amortize index traversal across query batches.
 
-A single FITing-Tree answers one key at a time — a Python-level B+ tree
-descent plus a bounded window search per query. The ShardedEngine is the
+A single FITing-Tree answers one key at a time — a bisect over the page
+directory plus a bounded window search per query. The ShardedEngine is the
 serving layer above it: the key space is range-partitioned into shards (one
 FITing-Tree each), and whole query batches are answered through flattened
 NumPy views of the segments — one searchsorted routing pass, one

@@ -6,8 +6,9 @@
   in-page binary search (the paper's main comparison point).
 * :class:`BinarySearchIndex` — no index at all; the zero-size extreme.
 
-All three share the exact same B+ tree substrate as the FITing-Tree, as the
-paper's methodology requires.
+The tree indexes are measured by the exact same B+ tree as the FITing-Tree
+(the paged ones as that tree bulk-loaded over their pages), as the paper's
+methodology requires.
 """
 
 from repro.baselines.binary_search import BinarySearchIndex

@@ -92,8 +92,8 @@ class FixedPageIndex(PagedIndexBase):
         return {
             "page_size": self.page_size,
             "buffer_capacity": self.buffer_capacity,
-            "branching": self._tree.branching,
-            "fill": self._fill,
+            "branching": self.branching,
+            "fill": self.fill,
         }
 
     def stats(self) -> Dict[str, Any]:

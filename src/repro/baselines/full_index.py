@@ -47,7 +47,6 @@ class FullIndex:
         fill: float = 1.0,
         counter: Any = None,
     ) -> None:
-        self.counter = counter
         self._tree = BPlusTree(branching=branching, counter=counter)
         self._n = 0
 
@@ -81,6 +80,19 @@ class FullIndex:
 
     def __len__(self) -> int:
         return self._n
+
+    @property
+    def counter(self) -> Any:
+        """Access counter charged by every operation, the tree's included."""
+        return self._tree.counter
+
+    @counter.setter
+    def counter(self, value: Any) -> None:
+        self._tree.counter = value
+
+    @property
+    def branching(self) -> int:
+        return self._tree.branching
 
     @property
     def n_entries(self) -> int:

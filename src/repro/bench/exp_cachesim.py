@@ -19,13 +19,21 @@ from typing import Sequence
 
 from repro.baselines import FixedPageIndex
 from repro.bench.harness import ExperimentResult, register_experiment
+from repro.btree import BPlusTree
 from repro.core.fiting_tree import FITingTree
 from repro.datasets import get
 from repro.memsim import AddressSpace, CacheSim, lookup_trace
 from repro.workloads import uniform_lookups
 
 
-def _miss_ratio(tree, queries, cache_bytes: int) -> tuple:
+def _miss_ratio(index, queries, cache_bytes: int) -> tuple:
+    # The tree index.model_bytes sizes: bulk-loaded over the pages, keyed
+    # (start_key, position) so pages sharing a start key stay apart.
+    tree = BPlusTree(branching=index.branching)
+    tree.bulk_load(
+        (((page.start_key, i), page) for i, page in enumerate(index.pages())),
+        fill=index.fill,
+    )
     space = AddressSpace()
     cache = CacheSim(capacity_bytes=cache_bytes, line_size=64, ways=8)
     # Warm-up pass so we measure steady state, then the measured pass.
@@ -54,8 +62,8 @@ def abl_cachesim(
     for param in grid:
         fiting = FITingTree(keys, error=param, buffer_capacity=0)
         fixed = FixedPageIndex(keys, page_size=param, buffer_capacity=0)
-        fit_miss, fit_bytes = _miss_ratio(fiting._tree, queries, cache_bytes)
-        fix_miss, fix_bytes = _miss_ratio(fixed._tree, queries, cache_bytes)
+        fit_miss, fit_bytes = _miss_ratio(fiting, queries, cache_bytes)
+        fix_miss, fix_bytes = _miss_ratio(fixed, queries, cache_bytes)
         rows.append(
             {
                 "param": param,

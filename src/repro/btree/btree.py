@@ -1,17 +1,21 @@
-"""An in-memory B+ tree: the ordered-map substrate under every tree index here.
+"""An in-memory B+ tree: the paper's tree, held constant across the indexes.
 
 The paper builds the FITing-Tree on top of an off-the-shelf STX B+ tree and
 stresses that the *same* tree implementation must back the approximate index
 and both baselines (full/dense and fixed-page/sparse) for a fair comparison.
-This module is that substrate: a textbook B+ tree with
+This module is that tree: a textbook B+ tree with
 
 * point ``get``/``insert``/``delete`` (delete with borrow/merge rebalancing),
-* predecessor / successor queries (``floor_item`` / ``ceiling_item``) —
-  the query the FITing-Tree uses to locate the segment owning a key,
+* predecessor / successor queries (``floor_item`` / ``ceiling_item``),
 * ordered range iteration over a doubly linked leaf chain,
 * one-pass bulk loading with a configurable fill factor,
 * modeled size accounting (8-byte keys/pointers, as in the paper's Section 6),
 * optional access counting for the latency simulator (:mod:`repro.memsim`).
+
+The dense baseline stores its entries in one; the paged indexes route
+through a sorted page list and are sized and charged as the tree
+:meth:`BPlusTree.bulk_load` would build over their pages, which
+:func:`bulk_load_shape` measures without building it.
 
 Keys may be any mutually comparable values; the library mostly uses Python
 floats/ints (numpy scalars are converted by callers).
@@ -29,14 +33,100 @@ from repro.core.errors import (
     KeyNotFoundError,
     NotSortedError,
 )
-from repro.btree.node import InnerNode, LeafNode
+from repro.btree.node import (
+    _BYTES_PER_KEY,
+    _BYTES_PER_POINTER,
+    InnerNode,
+    LeafNode,
+)
 
-__all__ = ["BPlusTree", "DEFAULT_BRANCHING"]
+__all__ = ["BPlusTree", "DEFAULT_BRANCHING", "bulk_load_shape"]
 
 #: Default inner-node fanout ``b``. 16 children * 16 bytes/entry keeps an
 #: inner node within a few cache lines, matching the flavor of the paper's
 #: in-memory setting without pretending to model a specific CPU.
 DEFAULT_BRANCHING = 16
+
+
+def _check_shape(branching: int, leaf_capacity: int) -> None:
+    if branching < 3:
+        raise InvalidParameterError(f"branching must be >= 3, got {branching}")
+    if leaf_capacity < 2:
+        raise InvalidParameterError(
+            f"leaf_capacity must be >= 2, got {leaf_capacity}"
+        )
+
+
+def _plans(
+    branching: int, leaf_capacity: int, fill: float
+) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
+    """Bulk-load ``(target, capacity, minimum)`` of the leaf level and of
+    the inner levels at ``fill``. Targets are clamped to [minimum
+    occupancy, capacity]: a fill factor below the B+ tree minimum is packed
+    at the minimum, keeping the invariants."""
+    if not (0.0 < fill <= 1.0):
+        raise InvalidParameterError(f"fill must be in (0, 1], got {fill}")
+    leaf_min, inner_min = leaf_capacity // 2, (branching + 1) // 2
+    leaf_target = max(2, leaf_min, round(leaf_capacity * fill))
+    inner_target = max(2, inner_min, round(branching * fill))
+    return (
+        (min(leaf_capacity, leaf_target), leaf_capacity, leaf_min),
+        (min(branching, inner_target), branching, inner_min),
+    )
+
+
+def _plan_level(
+    n: int, target: int, capacity: int, minimum: int, even: bool
+) -> Tuple[int, Tuple[int, ...]]:
+    """How bulk loading groups ``n`` items into the nodes of one level:
+    ``(full, tail)``, ``full`` nodes of ``target`` items followed by nodes
+    of the (at most two) sizes in ``tail``. A trailing node below
+    ``minimum`` that is not the only node is absorbed into its predecessor
+    when the pair fits in ``capacity``; otherwise the pair is halved when
+    ``even`` (leaves), or leaves ``minimum`` to the last node (inner)."""
+    full, rest = divmod(n, target)
+    if rest == 0:
+        return full, ()
+    if rest >= minimum or full == 0:
+        return full, (rest,)
+    pair = target + rest
+    if pair <= capacity:
+        return full - 1, (pair,)
+    first = pair // 2 if even else pair - minimum
+    return full - 1, (first, pair - first)
+
+
+def bulk_load_shape(
+    n: int,
+    branching: int = DEFAULT_BRANCHING,
+    leaf_capacity: Optional[int] = None,
+    fill: float = 1.0,
+) -> Tuple[int, int]:
+    """``(height, model_bytes)`` of a tree bulk-loaded with ``n`` entries.
+
+    Exactly what ``BPlusTree(branching, leaf_capacity)`` measures after
+    ``bulk_load`` of ``n`` pairs at ``fill``, computed from the same level
+    plan in O(height) arithmetic, without building a node. Raises
+    :class:`InvalidParameterError` for a shape the tree would reject.
+    """
+    if leaf_capacity is None:
+        leaf_capacity = branching
+    _check_shape(branching, leaf_capacity)
+    leaf, inner = _plans(branching, leaf_capacity, fill)
+    if n == 0:
+        return 0, 0
+    full, tail = _plan_level(n, *leaf, True)
+    nodes = full + len(tail)
+    height = 1
+    size = n * (_BYTES_PER_KEY + _BYTES_PER_POINTER)
+    while nodes > 1:
+        full, tail = _plan_level(nodes, *inner, False)
+        parents = full + len(tail)
+        # One pointer per child and one separator per child but the first.
+        size += nodes * _BYTES_PER_POINTER + (nodes - parents) * _BYTES_PER_KEY
+        nodes = parents
+        height += 1
+    return height, size
 
 
 class BPlusTree:
@@ -62,14 +152,9 @@ class BPlusTree:
         leaf_capacity: Optional[int] = None,
         counter: Any = None,
     ) -> None:
-        if branching < 3:
-            raise InvalidParameterError(f"branching must be >= 3, got {branching}")
         if leaf_capacity is None:
             leaf_capacity = branching
-        if leaf_capacity < 2:
-            raise InvalidParameterError(
-                f"leaf_capacity must be >= 2, got {leaf_capacity}"
-            )
+        _check_shape(branching, leaf_capacity)
         self.branching = branching
         self.leaf_capacity = leaf_capacity
         self.counter = counter
@@ -153,9 +238,9 @@ class BPlusTree:
     def floor_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the ``(k, v)`` pair with the greatest ``k <= key``.
 
-        This is the query a FITing-Tree issues to find the segment that owns
-        a lookup key. Returns ``None`` when every key is greater than
-        ``key`` (or the tree is empty).
+        This is the query the paper's FITing-Tree issues to find the
+        segment that owns a lookup key. Returns ``None`` when every key is
+        greater than ``key`` (or the tree is empty).
         """
         if self._root is None:
             return None
@@ -168,34 +253,6 @@ class BPlusTree:
             return None
         self._visit(prev)
         return prev.keys[-1], prev.values[-1]
-
-    def lower_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
-        """Return the ``(k, v)`` pair with the greatest ``k < key`` (strict)."""
-        if self._root is None:
-            return None
-        leaf, _ = self._descend(key)
-        i = bisect_left(leaf.keys, key) - 1
-        if i >= 0:
-            return leaf.keys[i], leaf.values[i]
-        prev = leaf.prev_leaf
-        if prev is None:
-            return None
-        self._visit(prev)
-        return prev.keys[-1], prev.values[-1]
-
-    def higher_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
-        """Return the ``(k, v)`` pair with the smallest ``k > key`` (strict)."""
-        if self._root is None:
-            return None
-        leaf, _ = self._descend(key)
-        i = bisect_right(leaf.keys, key)
-        if i < len(leaf.keys):
-            return leaf.keys[i], leaf.values[i]
-        nxt = leaf.next_leaf
-        if nxt is None:
-            return None
-        self._visit(nxt)
-        return nxt.keys[0], nxt.values[0]
 
     def ceiling_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the ``(k, v)`` pair with the smallest ``k >= key``."""
@@ -532,92 +589,50 @@ class BPlusTree:
         """
         if self._root is not None:
             raise InvalidParameterError("bulk_load requires an empty tree")
-        if not (0.0 < fill <= 1.0):
-            raise InvalidParameterError(f"fill must be in (0, 1], got {fill}")
-
-        # Targets are clamped to [minimum occupancy, capacity]: a fill factor
-        # below the B+ tree minimum cannot be honoured without violating the
-        # structural invariants, so such nodes are packed at the minimum.
-        leaf_target = min(
-            self.leaf_capacity,
-            max(2, self._min_leaf_keys, round(self.leaf_capacity * fill)),
-        )
-        inner_target = min(
-            self.branching,
-            max(2, self._min_inner_children, round(self.branching * fill)),
-        )
-
-        # Level 0: build the leaf chain.
-        leaves: List[LeafNode] = []
-        current = LeafNode()
-        prev_key: Any = None
-        first = True
-        for key, value in pairs:
-            if not first and not prev_key < key:
+        leaf, inner = _plans(self.branching, self.leaf_capacity, fill)
+        pairs = list(pairs)
+        keys = [key for key, _ in pairs]
+        for prev_key, key in zip(keys, keys[1:]):
+            if not prev_key < key:
                 raise NotSortedError(
                     f"bulk_load keys must be strictly ascending; "
                     f"saw {prev_key!r} then {key!r}"
                 )
-            first = False
-            prev_key = key
-            if len(current.keys) >= leaf_target:
-                leaves.append(current)
-                nxt = LeafNode()
-                current.next_leaf = nxt
-                nxt.prev_leaf = current
-                current = nxt
-            current.keys.append(key)
-            current.values.append(value)
+        if not pairs:
+            return
+        values = [value for _, value in pairs]
 
-        if first:
-            return  # no pairs: stay empty
-        leaves.append(current)
-
-        # Fix a trailing leaf that would violate minimum occupancy: merge it
-        # into its predecessor when the pair fits in one leaf (always true
-        # at fill <= 0.5, where an even split would leave both underfull),
-        # otherwise split the pair evenly.
-        if len(leaves) > 1 and len(leaves[-1].keys) < self._min_leaf_keys:
-            a, b = leaves[-2], leaves[-1]
-            if len(a.keys) + len(b.keys) <= self.leaf_capacity:
-                a.keys.extend(b.keys)
-                a.values.extend(b.values)
-                a.next_leaf = None
-                leaves.pop()
-            else:
-                all_keys = a.keys + b.keys
-                all_values = a.values + b.values
-                half = len(all_keys) // 2
-                a.keys, b.keys = all_keys[:half], all_keys[half:]
-                a.values, b.values = all_values[:half], all_values[half:]
-
+        # Level 0: the leaf chain (see _plan_level for the trailing leaf).
+        full, tail = _plan_level(len(pairs), *leaf, True)
+        leaves: List[LeafNode] = []
+        i = 0
+        for size in [leaf[0]] * full + list(tail):
+            leaf = LeafNode()
+            leaf.keys = keys[i : i + size]
+            leaf.values = values[i : i + size]
+            if leaves:
+                leaves[-1].next_leaf = leaf
+                leaf.prev_leaf = leaves[-1]
+            leaves.append(leaf)
+            i += size
         self._first_leaf = leaves[0]
-        self._size = sum(len(leaf.keys) for leaf in leaves)
+        self._size = len(pairs)
 
         # Upper levels: group children until a single root remains.
         level: List[Any] = leaves
         min_keys = [leaf.keys[0] for leaf in leaves]
         while len(level) > 1:
+            full, tail = _plan_level(len(level), *inner, False)
             parents: List[InnerNode] = []
             parent_min_keys: List[Any] = []
             i = 0
-            n = len(level)
-            while i < n:
-                take = min(inner_target, n - i)
-                # Avoid leaving a too-small trailing parent: absorb the tail
-                # into this node if it fits, otherwise keep enough behind.
-                remaining = n - i - take
-                if 0 < remaining < self._min_inner_children:
-                    if take + remaining <= self.branching:
-                        take += remaining
-                    else:
-                        take = take + remaining - self._min_inner_children
+            for size in [inner[0]] * full + list(tail):
                 node = InnerNode()
-                node.children = level[i : i + take]
-                node.keys = min_keys[i + 1 : i + take]
+                node.children = level[i : i + size]
+                node.keys = min_keys[i + 1 : i + size]
                 parents.append(node)
                 parent_min_keys.append(min_keys[i])
-                i += take
+                i += size
             level = parents
             min_keys = parent_min_keys
         self._root = level[0]

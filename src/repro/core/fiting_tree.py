@@ -2,9 +2,11 @@
 
 Layout (paper Figure 2): sorted table data is partitioned into variable-sized
 segments by :func:`repro.core.segmentation.shrinking_cone`; a standard B+
-tree (:mod:`repro.btree`) indexes one entry per segment — start key, slope
-and page pointer — instead of one entry per key. Lookups locate the owning
-segment with a predecessor query, interpolate the key's position, and
+tree indexes one entry per segment — start key, slope and page pointer —
+instead of one entry per key. Here the entries live in a sorted directory
+and the tree (:mod:`repro.btree`) is the size and cost model; see
+:mod:`repro.core.paged_index`. Lookups locate the owning segment with a
+predecessor query (a bisect), interpolate the key's position, and
 binary-search a window bounded by the error threshold (Section 4). Inserts
 go to a fixed-size sorted buffer per segment; a full buffer triggers a merge
 and re-segmentation of that page only (Section 5).
@@ -64,7 +66,8 @@ class FITingTree(PagedIndexBase):
         (fastest for tiny errors, paper Section 4.1.2) or ``"exponential"``
         (cost follows the actual prediction miss, not the bound).
     branching, fill, counter:
-        Passed to the underlying B+ tree / instrumentation; see
+        Shape of the paper's tree over the segments (which sizes the
+        index and prices its routing) and the instrumentation; see
         :class:`repro.core.paged_index.PagedIndexBase`.
 
     Examples
@@ -123,7 +126,7 @@ class FITingTree(PagedIndexBase):
 
     @property
     def n_segments(self) -> int:
-        """Number of segments (leaf entries of the underlying tree)."""
+        """Number of segments (leaf entries of the paper's tree)."""
         return self.n_pages
 
     def _make_pages(
@@ -148,8 +151,8 @@ class FITingTree(PagedIndexBase):
             "buffer_capacity": self.buffer_capacity,
             "accept": self._accept,
             "search": self.search_mode,
-            "branching": self._tree.branching,
-            "fill": self._fill,
+            "branching": self.branching,
+            "fill": self.fill,
         }
 
     def stats(self) -> Dict[str, Any]:

@@ -1,8 +1,8 @@
 """Shared machinery for paged indexes (FITing-Tree and the Fixed baseline).
 
 Both the FITing-Tree and the paper's fixed-size-page baseline are *sparse*
-indexes: a B+ tree maps the first key of each page to a page holding sorted
-data plus a bounded sorted insert buffer. They differ only in
+indexes: a directory maps the first key of each page to a page holding
+sorted data plus a bounded sorted insert buffer. They differ only in
 
 * how pages are cut from sorted data (error-bounded segmentation vs fixed
   chunks) — the :meth:`PagedIndexBase._make_pages` hook;
@@ -12,24 +12,36 @@ data plus a bounded sorted insert buffer. They differ only in
 * per-page metadata charged by the size model (24 B of start/slope/pointer
   for a FITing segment, nothing extra for a fixed page).
 
-Keeping one implementation here preserves the paper's fairness argument —
-identical tree substrate, buffering, routing and split plumbing across the
-compared indexes — and keeps the subclasses tiny.
+The directory is a pair of Python lists in key order: the pages' start
+keys and the pages. A key routes to ``bisect_right(starts, key) - 1``.
+Pages sharing a start key (a duplicate run split across pages) sit in data
+order, so the page before one is simply the previous position. A split,
+rebuild or emptied page replaces both lists copy-on-write (an O(pages)
+pointer copy), so whoever holds the old lists — a cached read snapshot —
+tells a directory change from a page update by identity.
 
-Segment tree keys are ``(start_key, seq)`` pairs: the ``seq`` float breaks
-ties between pages sharing a start key (split duplicate runs) and leaves
-room to splice in pages created by later re-segmentations without touching
-neighbours.
+The paper's tree over the segment start keys (Section 4) is the size and
+cost model: :attr:`PagedIndexBase.height` and
+:meth:`PagedIndexBase.model_bytes` are what the B+ tree of
+:mod:`repro.btree`, bulk-loaded at ``branching``/``fill`` over the current
+pages, measures (:func:`repro.btree.bulk_load_shape`). With an access
+counter attached, every routing step the paper's algorithm takes — a
+lookup, an insert, a delete, and each tree delete or insert of a rebuild —
+charges ``height`` tree nodes; stepping to a neighbouring page is free.
+
+Keeping one implementation here preserves the paper's fairness argument —
+identical directory, size model, buffering, routing and split plumbing
+across the compared indexes — and keeps the subclasses tiny.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.btree import BPlusTree, DEFAULT_BRANCHING
+from repro.btree import DEFAULT_BRANCHING, bulk_load_shape
 from repro.core.errors import (
     InvalidParameterError,
     KeyNotFoundError,
@@ -43,9 +55,6 @@ from repro.core.page import (
 
 __all__ = ["PagedIndexBase", "export_pages"]
 
-_INF = math.inf
-#: Seq-number spacing used at bulk load / renumbering.
-_SEQ_SPACING = 1024.0
 #: Sentinel for "no occurrence" from page probes and ``_delete_one``.
 _MISS = object()
 
@@ -87,7 +96,7 @@ def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
 
 
 class PagedIndexBase:
-    """Common base: B+ tree over ``(start_key, seq) -> SegmentPage``.
+    """Common base: a sorted directory of ``SegmentPage`` s by start key.
 
     Subclasses must set, before calling ``super().__init__``:
 
@@ -96,6 +105,8 @@ class PagedIndexBase:
     * ``metadata_bytes_per_page`` (int, added to ``model_bytes`` per page),
 
     and implement ``_make_pages(keys, values) -> list[SegmentPage]``.
+    ``branching`` and ``fill`` shape the paper's tree over the pages, which
+    sizes the index and prices its routing (see the module doc).
     """
 
     buffer_capacity: int
@@ -116,11 +127,14 @@ class PagedIndexBase:
         counter: Any = None,
     ) -> None:
         self.counter = counter
-        self._tree = BPlusTree(branching=branching, counter=counter)
-        self._fill = fill
+        bulk_load_shape(0, branching, fill=fill)  # rejects what the tree would
+        self.branching = branching
+        self.fill = fill
+        #: The directory: page start keys and the pages, in key order.
+        #: Replaced, never mutated, when pages come or go.
+        self._starts: List[float] = []
+        self._pages: List[SegmentPage] = []
         self._n = 0
-        self._dirty = True  # directory cache for bulk_lookup needs rebuild
-        self._directory: Optional[Tuple[np.ndarray, List[SegmentPage]]] = None
         #: Monotonic mutation counter; any observer caching derived state
         #: (e.g. the flattened arrays behind ``get_batch``) compares against
         #: it to decide when to rebuild. Bumped by every write path,
@@ -163,14 +177,13 @@ class PagedIndexBase:
     def _build(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._n = len(keys)
         self._version += 1
-        if self._n == 0:
-            return
-        pages = self._make_pages(keys, values)
-        pairs = [
-            ((page.start_key, i * _SEQ_SPACING), page)
-            for i, page in enumerate(pages)
-        ]
-        self._tree.bulk_load(pairs, fill=self._fill)
+        if self._n:
+            self._set_pages(self._make_pages(keys, values))
+
+    def _set_pages(self, pages: List[SegmentPage]) -> None:
+        """Install ``pages`` (in key order) as the whole directory."""
+        self._starts = [page.start_key for page in pages]
+        self._pages = pages
 
     # ------------------------------------------------------------------
     # Introspection
@@ -181,13 +194,13 @@ class PagedIndexBase:
 
     @property
     def n_pages(self) -> int:
-        """Number of pages currently indexed by the B+ tree."""
-        return len(self._tree)
+        """Number of pages in the directory."""
+        return len(self._pages)
 
     @property
     def height(self) -> int:
-        """Height of the B+ tree routing to the pages."""
-        return self._tree.height
+        """Height of the paper's tree over the pages (0 when empty)."""
+        return bulk_load_shape(self.n_pages, self.branching, fill=self.fill)[0]
 
     @property
     def version(self) -> int:
@@ -195,17 +208,17 @@ class PagedIndexBase:
         return self._version
 
     def model_bytes(self) -> int:
-        """Modeled index size: B+ tree bytes + per-page metadata.
+        """Modeled index size: the paper's tree bytes + per-page metadata.
 
         Table data itself is not index overhead and is excluded, matching
         the paper's Figure 6 size axis.
         """
-        return self._tree.model_bytes() + self.metadata_bytes_per_page * self.n_pages
+        tree = bulk_load_shape(self.n_pages, self.branching, fill=self.fill)
+        return tree[1] + self.metadata_bytes_per_page * self.n_pages
 
     def pages(self) -> Iterator[SegmentPage]:
-        """Yield every page in key (tree) order."""
-        for _, page in self._tree.items():
-            yield page
+        """Yield every page in key (directory) order."""
+        return iter(self._pages)
 
     @property
     def page_rebuilds(self) -> int:
@@ -214,7 +227,7 @@ class PagedIndexBase:
 
     def stats(self) -> Dict[str, Any]:
         """Summary statistics used by benchmarks and examples."""
-        buffered = sum(page.n_buffer for page in self.pages())
+        buffered = sum(page.n_buffer for page in self._pages)
         return {
             "n": self._n,
             "n_pages": self.n_pages,
@@ -227,21 +240,50 @@ class PagedIndexBase:
         }
 
     # ------------------------------------------------------------------
-    # Lookups
+    # Routing
     # ------------------------------------------------------------------
 
-    def _page_for(
-        self, key: float
-    ) -> Optional[Tuple[Tuple[float, float], SegmentPage]]:
-        """Tree entry of the page that owns ``key`` (the tree-search step)."""
-        if len(self._tree) == 0:
-            return None
-        item = self._tree.floor_item((key, _INF))
-        if item is None:
-            # Key precedes every page: the first page owns it (inserted
-            # under-min keys are buffered there too).
-            item = self._tree.min_item()
-        return item
+    def _route(self, key: float) -> int:
+        """Position of the page that owns ``key`` (non-empty index): the
+        last one starting at or below it, else the first (inserted under-min
+        keys are buffered there too)."""
+        return max(bisect_right(self._starts, key) - 1, 0)
+
+    def _charge_descents(self, times: int = 1) -> None:
+        """Charge ``times`` descents of the paper's tree to the counter."""
+        if self.counter is not None:
+            self.counter.tree_nodes += times * self.height
+
+    def _candidates(self, key: float) -> Iterator[int]:
+        """Positions that may hold ``key``: the owning page first, then the
+        preceding pages of a split duplicate run (start == key), plus one
+        page before."""
+        if not self._pages:
+            return
+        starts = self._starts
+        pi = self._route(key)
+        yield pi
+        while pi > 0:
+            pi -= 1
+            yield pi
+            if starts[pi] != key:
+                return  # one page with start < key is enough
+
+    def _replace(self, pi: int, new_pages: List[SegmentPage]) -> None:
+        """Swap the page at ``pi`` for ``new_pages`` (none: drop it),
+        copy-on-write; charged as the paper's tree would do it: one delete
+        plus one insert per new page."""
+        self._charge_descents(1 + len(new_pages))
+        self._starts = (
+            self._starts[:pi]
+            + [page.start_key for page in new_pages]
+            + self._starts[pi + 1 :]
+        )
+        self._pages = self._pages[:pi] + new_pages + self._pages[pi + 1 :]
+
+    # ------------------------------------------------------------------
+    # Lookups
+    # ------------------------------------------------------------------
 
     def get(self, key: float, default: Any = None) -> Any:
         """Return a value stored under ``key`` or ``default`` if absent.
@@ -252,9 +294,13 @@ class PagedIndexBase:
         if self.counter is not None:
             self.counter.op()
         key = float(key)
-        item = self._page_for(key)
-        while item is not None:
-            value = item[1].get(
+        if not self._pages:
+            return default
+        self._charge_descents()
+        starts, pages = self._starts, self._pages
+        pi = self._route(key)
+        while True:
+            value = pages[pi].get(
                 key, self.page_search_error, self.counter, _MISS,
                 self.search_mode,
             )
@@ -262,8 +308,9 @@ class PagedIndexBase:
                 return value
             # A duplicate run split across pages that start at ``key``:
             # once this page's copies are deleted the rest live before it.
-            item = self._tree.lower_item(item[0]) if item[0][0] == key else None
-        return default
+            if pi == 0 or starts[pi] != key:
+                return default
+            pi -= 1
 
     def __contains__(self, key: float) -> bool:
         sentinel = object()
@@ -276,99 +323,53 @@ class PagedIndexBase:
             raise KeyNotFoundError(key)
         return value
 
-    def _pages_possibly_containing(
-        self, key: float
-    ) -> Iterator[Tuple[Tuple[float, float], SegmentPage]]:
-        """Candidate pages for ``key``: floor page first, then preceding
-        pages of a split duplicate run (start == key), plus one page before."""
-        item = self._page_for(key)
-        if item is None:
-            return
-        yield item
-        tree_key = item[0]
-        while True:
-            prev = self._tree.lower_item(tree_key)
-            if prev is None:
-                return
-            yield prev
-            if prev[0][0] != key:
-                return  # one page with start < key is enough
-            tree_key = prev[0]
-
     def lookup_all(self, key: float) -> List[Any]:
         """Values of every occurrence of ``key`` (empty list if absent)."""
         key = float(key)
         if self.counter is not None:
             self.counter.op()
+        self._charge_descents()
         out: List[Any] = []
-        for _, page in self._pages_possibly_containing(key):
+        for pi in self._candidates(key):
             matches: List[Any] = []
+            page = self._pages[pi]
             page.collect_matches(key, self.page_search_error, matches)
             out = matches + out  # pages are visited back-to-front
         return out
 
     def bulk_lookup(self, queries, default: Any = None) -> List[Any]:
-        """Vectorized point lookups: one value (or ``default``) per query.
-
-        Routes all queries through a flat page directory with a single
-        ``searchsorted`` instead of per-query tree descents. Results match
-        :meth:`get` exactly; modeled access counts are still recorded
-        (tree descents are charged at the tree's height).
-        """
+        """The paper's point lookup per query: one value (or ``default``)
+        each, answered and charged to :attr:`counter` exactly as
+        :meth:`get` (see :meth:`get_batch` for the uncounted batch read)."""
         queries = np.asarray(queries, dtype=np.float64)
-        if len(self._tree) == 0:
-            return [default] * len(queries)
-        starts, pages = self._get_directory()
-        page_idx = np.searchsorted(starts, queries, side="right") - 1
-        np.clip(page_idx, 0, len(pages) - 1, out=page_idx)
-        out: List[Any] = []
-        counter = self.counter
-        height = self._tree.height
-        for q, pi in zip(queries.tolist(), page_idx.tolist()):
-            if counter is not None:
-                counter.op()
-                counter.tree_nodes += height
-            value = pages[pi].get(
-                q, self.page_search_error, counter, _MISS, self.search_mode
-            )
-            while value is _MISS and pi > 0 and starts[pi] == q:  # see get
-                pi -= 1
-                value = pages[pi].get(
-                    q, self.page_search_error, counter, _MISS, self.search_mode
-                )
-            out.append(default if value is _MISS else value)
-        return out
+        return [self.get(q, default) for q in queries.tolist()]
 
-    def _get_directory(self) -> Tuple[np.ndarray, List[SegmentPage]]:
-        if self._dirty or self._directory is None:
-            pages: List[SegmentPage] = []
-            starts: List[float] = []
-            for (start, _), page in self._tree.items():
-                starts.append(start)
-                pages.append(page)
-            self._directory = (np.asarray(starts, dtype=np.float64), pages)
-            self._dirty = False
-        return self._directory
+    def _get_directory(self) -> Tuple[List[float], List[SegmentPage]]:
+        """The ``(starts, pages)`` lists themselves: replaced, never mutated,
+        which is how :func:`repro.engine.batch.flat_view` tells an update of
+        its cached view from a full export."""
+        return self._starts, self._pages
 
     def flat_arrays(self) -> Dict[str, Any]:
         """Export every page as contiguous NumPy arrays (the batch substrate).
 
-        Pages are emitted in tree order, so the concatenated ``keys`` array
-        is globally sorted and ``offsets[i]:offsets[i+1]`` is page ``i``'s
-        slice of it; tombstoned rows stay in place, flagged by ``dead``.
-        Buffers are concatenated the same way under ``buf_offsets`` (each
-        page's buffer slice is sorted; the whole buffer array need not be).
-        ``pages`` is the directory's page list the arrays were cut from,
-        position for position, and ``stamps`` their stamps at export.
-        Consumers must treat the result as an immutable snapshot of
-        :attr:`version` — see :mod:`repro.engine.batch` for the vectorized
-        read path built on it (and for how a later snapshot is derived from
-        this one by re-exporting only the pages written to since).
+        Pages are emitted in directory order, so the concatenated ``keys``
+        array is globally sorted and ``offsets[i]:offsets[i+1]`` is page
+        ``i``'s slice of it; tombstoned rows stay in place, flagged by
+        ``dead``. Buffers are concatenated the same way under
+        ``buf_offsets`` (each page's buffer slice is sorted; the whole
+        buffer array need not be). ``pages`` is the directory's page list
+        the arrays were cut from, position for position, and ``stamps``
+        their stamps at export. Consumers must treat the result as an
+        immutable snapshot of :attr:`version` — see
+        :mod:`repro.engine.batch` for the vectorized read path built on it
+        (and for how a later snapshot is derived from this one by
+        re-exporting only the pages written to since).
         """
-        starts, pages = self._get_directory()
         return dict(
-            export_pages(pages, self._values_dtype),
-            version=self._version, starts=starts,
+            export_pages(self._pages, self._values_dtype),
+            version=self._version,
+            starts=np.asarray(self._starts, dtype=np.float64),
         )
 
     # ------------------------------------------------------------------
@@ -389,13 +390,13 @@ class PagedIndexBase:
 
         The snapshot generalizes :mod:`repro.core.serialize`'s on-disk
         format: flat NumPy arrays (concatenated page data, per-page
-        boundaries, start keys, slopes, seqs, deletion counts, buffered
-        entries) plus the scalar build parameters, the row-id counter and
-        the monotonic :attr:`version` stamp. Only live data rows ship: a
+        boundaries, start keys, slopes, deletion counts, buffered entries)
+        plus the scalar build parameters, the row-id counter and the
+        monotonic :attr:`version` stamp. Only live data rows ship: a
         tombstoned page arrives compacted, and its deletion count widens
         the restored page's window over the rows that shifted.
-        :meth:`from_state` rebuilds an identical index with one bulk pass —
-        no re-segmentation — which is how ``repro.cluster`` ships a shard
+        :meth:`from_state` rebuilds an identical index with one pass — no
+        re-segmentation — which is how ``repro.cluster`` ships a shard
         into a worker process.
         Only numeric (integer/float) value dtypes are supported; object
         payloads raise :class:`InvalidParameterError` (they have no
@@ -412,28 +413,8 @@ class PagedIndexBase:
             raise InvalidParameterError(
                 "object-dtype values cannot be snapshotted"
             )
-        starts: List[float] = []
-        seqs: List[float] = []
-        slopes: List[float] = []
-        lengths: List[int] = []
-        deletions: List[int] = []
-        data_keys: List[np.ndarray] = []
-        data_values: List[np.ndarray] = []
-        buf_keys: List[float] = []
-        buf_values: List[Any] = []
-        buf_lengths: List[int] = []
-        for (start, seq), page in self._tree.items():
-            keys, values = page.live_arrays()
-            starts.append(start)
-            seqs.append(seq)
-            slopes.append(page.slope)
-            lengths.append(keys.size)
-            deletions.append(page.deletions)
-            data_keys.append(keys)
-            data_values.append(values)
-            buf_lengths.append(page.n_buffer)
-            buf_keys.extend(page.buf_keys)
-            buf_values.extend(page.buf_values)
+        pages = self._pages
+        live = [page.live_arrays() for page in pages]
         dtype = self._values_dtype
         return {
             "format_version": 2,
@@ -444,24 +425,31 @@ class PagedIndexBase:
             "next_rowid": self._next_rowid,
             "values_dtype": dtype.str,
             "version": self._version,
-            "starts": np.asarray(starts, dtype=np.float64),
-            "seqs": np.asarray(seqs, dtype=np.float64),
-            "slopes": np.asarray(slopes, dtype=np.float64),
-            "lengths": np.asarray(lengths, dtype=np.int64),
-            "deletions": np.asarray(deletions, dtype=np.int64),
+            "starts": np.asarray(self._starts, dtype=np.float64),
+            "slopes": np.asarray([p.slope for p in pages], dtype=np.float64),
+            "lengths": np.asarray([k.size for k, _ in live], dtype=np.int64),
+            "deletions": np.asarray(
+                [p.deletions for p in pages], dtype=np.int64
+            ),
             "data_keys": (
-                np.concatenate(data_keys)
-                if data_keys
+                np.concatenate([k for k, _ in live])
+                if live
                 else np.empty(0, dtype=np.float64)
             ),
             "data_values": (
-                np.concatenate(data_values)
-                if data_values
+                np.concatenate([v for _, v in live])
+                if live
                 else np.empty(0, dtype=dtype)
             ),
-            "buf_keys": np.asarray(buf_keys, dtype=np.float64),
-            "buf_values": np.asarray(buf_values, dtype=dtype),
-            "buf_lengths": np.asarray(buf_lengths, dtype=np.int64),
+            "buf_keys": np.asarray(
+                [k for p in pages for k in p.buf_keys], dtype=np.float64
+            ),
+            "buf_values": np.asarray(
+                [v for p in pages for v in p.buf_values], dtype=dtype
+            ),
+            "buf_lengths": np.asarray(
+                [p.n_buffer for p in pages], dtype=np.int64
+            ),
         }
 
     @classmethod
@@ -470,9 +458,11 @@ class PagedIndexBase:
 
         The result is bit-identical to the snapshotted index: contents,
         page boundaries and slopes, buffered (unmerged) inserts,
-        tree-key seq numbers, deletion-widening state, the row-id counter
-        and the :attr:`version` stamp all survive. Pages own fresh array
-        copies, so mutating the rebuilt index never touches the source.
+        deletion-widening state, the row-id counter and the
+        :attr:`version` stamp all survive, and so do :attr:`height` and
+        :meth:`model_bytes`, which depend only on the pages. Pages own
+        fresh array copies, so mutating the rebuilt index never touches
+        the source.
 
         Parameters
         ----------
@@ -492,39 +482,27 @@ class PagedIndexBase:
         index._next_rowid = int(state["next_rowid"])
         index._values_dtype = np.dtype(state["values_dtype"])
 
-        starts = state["starts"]
-        seqs = state["seqs"]
-        slopes = state["slopes"]
-        lengths = state["lengths"]
-        deletions = state["deletions"]
-        data_keys = state["data_keys"]
-        data_values = state["data_values"]
-        buf_keys = state["buf_keys"]
-        buf_values = state["buf_values"]
-        buf_lengths = state["buf_lengths"]
-
-        pairs = []
-        offset = 0
-        buf_offset = 0
-        for i in range(len(starts)):
-            end = offset + int(lengths[i])
+        bounds = np.cumsum(state["lengths"])[:-1]
+        buf_bounds = np.cumsum(state["buf_lengths"])[:-1]
+        pages = []
+        for start, slope, deletions, keys, values, bkeys, bvalues in zip(
+            state["starts"],
+            state["slopes"],
+            state["deletions"],
+            np.split(state["data_keys"], bounds),
+            np.split(state["data_values"], bounds),
+            np.split(state["buf_keys"], buf_bounds),
+            np.split(state["buf_values"], buf_bounds),
+        ):
             page = SegmentPage(
-                float(starts[i]),
-                float(slopes[i]),
-                data_keys[offset:end].copy(),
-                data_values[offset:end].copy(),
+                float(start), float(slope), keys.copy(), values.copy()
             )
-            page.deletions = int(deletions[i])
-            buf_end = buf_offset + int(buf_lengths[i])
-            page.buf_keys = [float(k) for k in buf_keys[buf_offset:buf_end]]
-            page.buf_values = list(buf_values[buf_offset:buf_end])
-            pairs.append(((float(starts[i]), float(seqs[i])), page))
-            offset = end
-            buf_offset = buf_end
-        if pairs:
-            index._tree.bulk_load(pairs, fill=index._fill)
+            page.deletions = int(deletions)
+            page.buf_keys = [float(k) for k in bkeys]
+            page.buf_values = list(bvalues)
+            pages.append(page)
+        index._set_pages(pages)
         index._n = int(state["n"])
-        index._dirty = True
         if "version" in state:
             index._version = int(state["version"])
         return index
@@ -578,14 +556,15 @@ class PagedIndexBase:
         """
         if self.counter is not None:
             self.counter.op()
-        if len(self._tree) == 0:
-            return
-        if lo is None:
-            page_iter = self._tree.items()
-        else:
-            page_iter = self._tree.items_from_floor((float(lo), -_INF))
-        for _, page in page_iter:
-            for key, value in page.iter_items(lo):
+        pages = self._pages
+        first = 0
+        if lo is not None:
+            self._charge_descents()
+            # The last page starting strictly below ``lo``: a duplicate run
+            # of ``lo`` may begin inside it.
+            first = max(bisect_left(self._starts, float(lo)) - 1, 0)
+        for pi in range(first, len(pages)):
+            for key, value in pages[pi].iter_items(lo):
                 if lo is not None:
                     if key < lo or (not include_lo and key == lo):
                         continue
@@ -596,7 +575,7 @@ class PagedIndexBase:
 
     def items(self) -> Iterator[Tuple[float, Any]]:
         """Every ``(key, value)`` pair in ascending key order."""
-        for _, page in self._tree.items():
+        for page in self._pages:
             yield from page.iter_items()
 
     def keys(self) -> Iterator[float]:
@@ -640,7 +619,7 @@ class PagedIndexBase:
         self._version += 1
         if self.counter is not None:
             self.counter.op()
-        if len(self._tree) == 0:
+        if not self._pages:
             # Element-wise fill: np.asarray would recurse into sequence
             # payloads (e.g. a tuple value under an object dtype).
             first_value = np.empty(1, dtype=self._values_dtype)
@@ -651,15 +630,16 @@ class PagedIndexBase:
                 np.asarray([key], dtype=np.float64),
                 first_value,
             )
-            self._tree.insert((key, 0.0), page)
+            self._set_pages([page])
             self._n = 1
-            self._dirty = True
             return
-        tree_key, page = self._page_for(key)  # type: ignore[misc]
+        self._charge_descents()
+        pi = self._route(key)
+        page = self._pages[pi]
         page.insert_into_buffer(key, value, self.counter)
         self._n += 1
         if page.n_buffer >= self.buffer_capacity:
-            self._rebuild_page(tree_key, page)
+            self._rebuild_page(pi)
 
     def _resolve_batch_values(self, keys: np.ndarray, values) -> np.ndarray:
         """Vectorized :meth:`_resolve_value`: one aligned values array.
@@ -685,6 +665,15 @@ class PagedIndexBase:
             )
         return aligned_value_array(keys.size, values)
 
+    def _owned_end(self, pi: int, sorted_keys: np.ndarray, i: int) -> int:
+        """End of the run of ``sorted_keys`` from ``i`` that page ``pi``
+        owns: every key below the next page's start (keys equal to it
+        route to the next page, exactly as :meth:`_route` does)."""
+        if pi + 1 == len(self._pages):
+            return sorted_keys.size
+        nxt = self._starts[pi + 1]
+        return i + int(np.searchsorted(sorted_keys[i:], nxt, side="left"))
+
     def insert_batch(self, keys, values=None) -> None:
         """Vectorized batch insert: group keys per page, bulk-merge each.
 
@@ -698,13 +687,13 @@ class PagedIndexBase:
         new pages. There is one overflow/split decision and one
         :attr:`version` bump per mutated page instead of per key. Empty
         batches are a strict no-op. Cost for K inserts: one O(K log K)
-        sort, one tree descent per touched page, and O(K + rebuilt-page
-        data) merge work. Batch verbs are uncounted: no op, probe or shift
-        is charged to :attr:`counter` per key, which carries the paper's
-        access model for the scalar verbs only; what an attached counter
-        still sees is the scalar code a batch shares (the tree's descents,
-        :meth:`_rebuild_page`, :meth:`delete_batch`'s per-request
-        fallback).
+        sort, one directory bisect per touched page, and O(K + rebuilt-page
+        data) merge work. Batch verbs are uncounted: no op, probe, shift or
+        descent is charged to :attr:`counter` per key, which carries the
+        paper's access model for the scalar verbs only; what an attached
+        counter still sees is the scalar code a batch shares
+        (:meth:`_rebuild_page`, seeding an empty index, and
+        :meth:`delete_batch`'s per-request fallback).
 
         Parameters
         ----------
@@ -726,85 +715,50 @@ class PagedIndexBase:
         values = values[order]
         i = 0
         while i < n:
-            if len(self._tree) == 0:
+            if not self._pages:
                 # Seed the first page exactly like a scalar insert would
                 # (the resolved body: the batch was already validated
                 # and resolved above).
                 self._insert_resolved(float(keys[i]), values[i])
                 i += 1
                 continue
-            tree_key, page = self._page_for(float(keys[i]))
-            nxt = self._tree.higher_item(tree_key)
-            if nxt is None:
-                j = n
-            else:
-                # The page owns every batch key below the next page's
-                # start (keys equal to it route to the next page, exactly
-                # as the floor search does).
-                j = i + int(np.searchsorted(keys[i:], nxt[0][0], side="left"))
+            pi = self._route(float(keys[i]))
+            page = self._pages[pi]
+            j = self._owned_end(pi, keys, i)
             take = min(j - i, self.buffer_capacity - page.n_buffer)
             page.bulk_insert(keys[i : i + take], values[i : i + take])
             self._n += take
             self._version += 1
             i += take
             if page.n_buffer >= self.buffer_capacity:
-                self._rebuild_page(tree_key, page)
+                self._rebuild_page(pi)
 
-    def _rebuild_page(
-        self, tree_key: Tuple[float, float], page: SegmentPage
-    ) -> None:
+    def _rebuild_page(self, pi: int) -> None:
         """Merge a page's buffer and re-partition it (Algorithm 4, l. 5-9)."""
         self._page_rebuilds += 1
-        merged_keys, merged_values = page.merged_arrays()
+        merged_keys, merged_values = self._pages[pi].merged_arrays()
         if self.counter is not None:
             self.counter.split()
             self.counter.data_move(len(merged_keys))
-        if len(merged_keys) == 0:
-            self._tree.delete(tree_key)
-            self._dirty = True
-            return
-        new_pages = self._make_pages(merged_keys, merged_values)
-        self._replace_page(tree_key, new_pages)
-
-    def _replace_page(
-        self, tree_key: Tuple[float, float], new_pages: List[SegmentPage]
-    ) -> None:
-        succ = self._tree.higher_item(tree_key)
-        self._tree.delete(tree_key)
-        self._dirty = True
-        if not new_pages:
-            return
-        base_seq = tree_key[1]
-        if succ is None:
-            step = _SEQ_SPACING
-        else:
-            step = (succ[0][1] - base_seq) / (len(new_pages) + 1)
-            if step <= 1e-9:
-                seq_of = self._renumber()
-                succ_seq = seq_of[id(succ[1])]
-                base_seq = succ_seq - _SEQ_SPACING
-                step = _SEQ_SPACING / (len(new_pages) + 1)
-        for i, page in enumerate(new_pages):
-            seq = base_seq if i == 0 else base_seq + i * step
-            self._tree.insert((page.start_key, seq), page)
-
-    def _renumber(self) -> Dict[int, float]:
-        """Re-space all page seq numbers; returns ``id(page) -> seq``."""
-        items = list(self._tree.items())
-        self._tree.clear()
-        seq_of: Dict[int, float] = {}
-        pairs = []
-        for i, ((start, _), page) in enumerate(items):
-            seq = i * _SEQ_SPACING
-            seq_of[id(page)] = seq
-            pairs.append(((start, seq), page))
-        self._tree.bulk_load(pairs, fill=self._fill)
-        self._dirty = True
-        return seq_of
+        new_pages = (
+            self._make_pages(merged_keys, merged_values)
+            if len(merged_keys)
+            else []
+        )
+        self._replace(pi, new_pages)
 
     # ------------------------------------------------------------------
     # Deletes (extension; the paper does not cover deletion)
     # ------------------------------------------------------------------
+
+    def _settle(self, pi: int) -> None:
+        """After a delete from page ``pi``: drop it if empty, rebuild it
+        once its deletions reach ``buffer_capacity``."""
+        page = self._pages[pi]
+        if page.n_total == 0:
+            self._replace(pi, [])
+        elif page.deletions >= self.buffer_capacity:
+            self._rebuild_page(pi)
 
     def _delete_one(self, key: float) -> Any:
         """Remove one occurrence of ``key``; ``_MISS`` when absent.
@@ -812,32 +766,28 @@ class PagedIndexBase:
         The scalar delete path (and the batch path's multi-page fallback
         for requests the owning floor page cannot satisfy — split
         duplicate runs and under-min keys). Charges exactly one logical
-        op plus the searches it actually performs.
+        op and one descent plus the searches it actually performs.
         """
         key = float(key)
         if self.counter is not None:
             self.counter.op()
-        for tree_key, page in self._pages_possibly_containing(key):
+        self._charge_descents()
+        for pi in self._candidates(key):
+            page = self._pages[pi]
             j = page.find_in_buffer(key, self.counter)
             if j >= 0:
-                self._version += 1
                 value = page.delete_at_buffer(j, self.counter)
-                self._n -= 1
-                if page.n_total == 0:
-                    self._tree.delete(tree_key)
-                    self._dirty = True
-                return value
-            i = page.find_in_data(key, self.page_search_error, self.counter)
-            if i >= 0:
-                self._version += 1
+            else:
+                i = page.find_in_data(
+                    key, self.page_search_error, self.counter
+                )
+                if i < 0:
+                    continue
                 value = page.delete_at_data(i)
-                self._n -= 1
-                if page.n_total == 0:
-                    self._tree.delete(tree_key)
-                    self._dirty = True
-                elif page.deletions >= self.buffer_capacity:
-                    self._rebuild_page(tree_key, page)
-                return value
+            self._version += 1
+            self._n -= 1
+            self._settle(pi)
+            return value
         return _MISS
 
     def delete(self, key: float) -> Any:
@@ -846,8 +796,9 @@ class PagedIndexBase:
         Buffered occurrences are removed directly; data occurrences are
         tombstoned in place. After ``buffer_capacity`` deletions the page
         is rebuilt (compacting the tombstones), so the user-facing error
-        bound never degrades. Charges :attr:`counter` one op plus its
-        buffer search and window search (and a buffer delete's shift).
+        bound never degrades. Charges :attr:`counter` one op and one
+        descent plus its buffer search and window search (and a buffer
+        delete's shift).
         """
         self._check_writable()
         key = float(key)
@@ -874,9 +825,9 @@ class PagedIndexBase:
         path one request at a time, preserving scalar semantics. Like
         every batch verb this charges :attr:`counter` nothing of its own
         (see :meth:`insert_batch`). Empty batches are a strict no-op. Cost
-        for K deletes: one O(K log K) sort, one tree descent per touched
-        page, and one tombstone pass per mutated page instead of one per
-        key.
+        for K deletes: one O(K log K) sort, one directory bisect per
+        touched page, and one tombstone pass per mutated page instead of
+        one per key.
 
         Parameters
         ----------
@@ -919,21 +870,13 @@ class PagedIndexBase:
         i = 0
         while i < n:
             applied = 0
-            if len(self._tree):
-                tree_key, page = self._page_for(float(skeys[i]))
-                nxt = self._tree.higher_item(tree_key)
-                if nxt is None:
-                    j = n
-                else:
-                    j = i + int(
-                        np.searchsorted(skeys[i:], nxt[0][0], side="left")
-                    )
-                budget = (
-                    self.buffer_capacity - page.deletions
-                    if self.buffer_capacity
-                    else None
+            if self._pages:
+                pi = self._route(float(skeys[i]))
+                page = self._pages[pi]
+                j = self._owned_end(pi, skeys, i)
+                applied, vals, n_data = page.bulk_delete(
+                    skeys[i:j], self.buffer_capacity - page.deletions
                 )
-                applied, vals, n_data = page.bulk_delete(skeys[i:j], budget)
                 if applied > n_data:
                     saw_buffer = True
                 if applied:
@@ -942,14 +885,7 @@ class PagedIndexBase:
                     self._n -= applied
                     self._version += 1
                     i += applied
-                    if page.n_total == 0:
-                        self._tree.delete(tree_key)
-                        self._dirty = True
-                    elif (
-                        self.buffer_capacity
-                        and page.deletions >= self.buffer_capacity
-                    ):
-                        self._rebuild_page(tree_key, page)
+                    self._settle(pi)
                     continue
             # The floor page holds no (further) occurrence of skeys[i]:
             # resolve this one request through the scalar multi-page path.
@@ -988,32 +924,30 @@ class PagedIndexBase:
         key = float(key)
         if self.counter is not None:
             self.counter.op()
-        for tree_key, page in self._pages_possibly_containing(key):
-            j = page.find_in_buffer(key, self.counter)
-            while 0 <= j < len(page.buf_keys) and page.buf_keys[j] == key:
-                if page.buf_values[j] == value:
-                    self._version += 1
-                    page.delete_at_buffer(j, self.counter)
-                    self._n -= 1
-                    if page.n_total == 0:
-                        self._tree.delete(tree_key)
-                        self._dirty = True
-                    return True
-                j += 1
-            i = page.find_in_data(key, self.page_search_error, self.counter)
-            while 0 <= i < len(page.keys) and page.keys[i] == key:
-                live = page.dead is None or not page.dead[i]
-                if live and page.values[i] == value:
-                    self._version += 1
-                    page.delete_at_data(i)
-                    self._n -= 1
-                    if page.n_total == 0:
-                        self._tree.delete(tree_key)
-                        self._dirty = True
-                    elif page.deletions >= self.buffer_capacity:
-                        self._rebuild_page(tree_key, page)
-                    return True
-                i += 1
+        self._charge_descents()
+        for pi in self._candidates(key):
+            if self._delete_payload(self._pages[pi], key, value):
+                self._version += 1
+                self._n -= 1
+                self._settle(pi)
+                return True
+        return False
+
+    def _delete_payload(self, page: SegmentPage, key: float, value) -> bool:
+        """Remove ``page``'s occurrence of ``key`` carrying ``value``."""
+        j = page.find_in_buffer(key, self.counter)
+        while 0 <= j < len(page.buf_keys) and page.buf_keys[j] == key:
+            if page.buf_values[j] == value:
+                page.delete_at_buffer(j, self.counter)
+                return True
+            j += 1
+        i = page.find_in_data(key, self.page_search_error, self.counter)
+        while 0 <= i < len(page.keys) and page.keys[i] == key:
+            live = page.dead is None or not page.dead[i]
+            if live and page.values[i] == value:
+                page.delete_at_data(i)
+                return True
+            i += 1
         return False
 
     # ------------------------------------------------------------------
@@ -1021,14 +955,18 @@ class PagedIndexBase:
     # ------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the whole index: tree structure, page invariants, routing."""
-        self._tree.validate()
+        """Check the whole index: directory order, page invariants, count."""
+        if len(self._starts) != len(self._pages):
+            raise InvalidParameterError(
+                f"directory has {len(self._starts)} starts for "
+                f"{len(self._pages)} pages"
+            )
         total = 0
         prev_start = None
-        for (start, _seq), page in self._tree.items():
+        for start, page in zip(self._starts, self._pages):
             if page.start_key != start:
                 raise InvalidParameterError(
-                    f"tree key {start} != page start {page.start_key}"
+                    f"directory key {start} != page start {page.start_key}"
                 )
             page.validate(self.page_search_error, self.buffer_capacity)
             if prev_start is not None and start < prev_start:

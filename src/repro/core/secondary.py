@@ -91,7 +91,10 @@ class SecondaryFITingTree:
     @counter.setter
     def counter(self, value: Any) -> None:
         self._index.counter = value
-        self._index._tree.counter = value
+
+    @property
+    def branching(self) -> int:
+        return self._index.branching
 
     @property
     def error(self) -> float:

@@ -4,12 +4,14 @@ An extension beyond the paper (any adoptable index needs it). Since the
 cluster layer landed this module is a thin disk encoding of the in-memory
 snapshot contract — :meth:`repro.core.paged_index.PagedIndexBase.to_state`
 / ``from_state`` — which stores the segment structure flat: concatenated
-data keys/values, per-segment boundaries, start keys, slopes, seqs, and
-buffered entries, plus the scalar build parameters. Loading rebuilds the
-B+ tree with one bulk pass (no re-segmentation), so a round trip preserves
-exactly: contents, segment boundaries, buffer contents, tree-key seq
-numbers, error accounting, pending deletion-widening state, the row-id
-counter and the monotonic ``version`` stamp.
+data keys/values, per-segment boundaries, start keys, slopes and buffered
+entries, plus the scalar build parameters. Loading rebuilds the page
+directory in one pass (no re-segmentation), so a round trip preserves
+exactly: contents, segment boundaries, buffer contents, error accounting,
+pending deletion-widening state, the modeled size and height, the row-id
+counter and the monotonic ``version`` stamp. Files written before the
+``seqs`` field was dropped still load: fields not listed below are
+skipped.
 
 Only numeric (integer/float) value dtypes are supported: object payloads
 have no portable flat representation.
@@ -43,7 +45,6 @@ _FORMAT_VERSION = 2
 #: State-array fields shared by the snapshot dict and the npz layout.
 _ARRAY_FIELDS = (
     "starts",
-    "seqs",
     "slopes",
     "lengths",
     "deletions",

@@ -14,7 +14,7 @@ everything here is the pure geometry of the split:
 * :func:`route` — the vectorized router: one ``np.searchsorted`` maps a
   whole query batch to shard ids. A key equal to a cut belongs to the shard
   that starts at that cut; keys below the first shard's range route to
-  shard 0 (mirroring ``PagedIndexBase._page_for``, which buffers under-min
+  shard 0 (mirroring ``PagedIndexBase._route``, which buffers under-min
   inserts in the first page).
 """
 

@@ -75,29 +75,21 @@ def _data_bytes(index: Any) -> int:
 
 
 def _modeled_ns(index: Any, counter: AccessCounter, model: LatencyModel) -> float:
-    """Structure-aware modeled latency for one run (see LatencyModel)."""
-    tree = getattr(index, "_tree", None)
-    if tree is None:
-        inner = getattr(index, "_index", None)
-        tree = getattr(inner, "_tree", None) if inner is not None else None
-    height = tree.height if tree is not None else None
-    branching = tree.branching if tree is not None else None
+    """Structure-aware modeled latency for one run (see LatencyModel);
+    an index without ``height``/``branching`` is priced by size alone."""
     return model.op_latency_split_ns(
-        counter, _working_set(index), _data_bytes(index), height, branching
+        counter,
+        _working_set(index),
+        _data_bytes(index),
+        getattr(index, "height", None),
+        getattr(index, "branching", None),
     )
 
 
 def _swap_counter(index: Any) -> AccessCounter:
-    """Attach a fresh counter to the index (and its tree) for one run."""
+    """Attach a fresh counter to the index for one run."""
     counter = AccessCounter()
     index.counter = counter
-    tree = getattr(index, "_tree", None)
-    if tree is not None:
-        tree.counter = counter
-    inner = getattr(index, "_index", None)
-    if inner is not None:  # SecondaryFITingTree delegates
-        inner.counter = counter
-        inner._tree.counter = counter
     return counter
 
 

@@ -60,16 +60,6 @@ def test_ordered_queries_match_sorted_list(keys):
         ceil = tree.ceiling_item(probe)
         assert (ceil[0] if ceil else None) == expected_ceil
 
-        i = bisect_left(sorted_keys, probe)
-        expected_lower = sorted_keys[i - 1] if i else None
-        lower = tree.lower_item(probe)
-        assert (lower[0] if lower else None) == expected_lower
-
-        j = bisect_right(sorted_keys, probe)
-        expected_higher = sorted_keys[j] if j < len(sorted_keys) else None
-        higher = tree.higher_item(probe)
-        assert (higher[0] if higher else None) == expected_higher
-
 
 @given(
     keys=st.sets(st.integers(min_value=0, max_value=500), max_size=120),

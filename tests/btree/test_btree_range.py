@@ -1,4 +1,4 @@
-"""Ordered queries: floor/ceiling/lower/higher, range scans, iteration start."""
+"""Ordered queries: floor/ceiling, range scans, iteration start."""
 
 import pytest
 
@@ -38,22 +38,10 @@ class TestFloorCeiling:
     def test_ceiling_below_min(self, tree):
         assert tree.ceiling_item(-5) == (0, "v0")
 
-    def test_lower_is_strict(self, tree):
-        assert tree.lower_item(50) == (40, "v40")
-        assert tree.lower_item(55) == (50, "v50")
-        assert tree.lower_item(0) is None
-
-    def test_higher_is_strict(self, tree):
-        assert tree.higher_item(50) == (60, "v60")
-        assert tree.higher_item(45) == (50, "v50")
-        assert tree.higher_item(90) is None
-
     def test_empty_tree_queries(self):
         t = BPlusTree()
         assert t.floor_item(1) is None
         assert t.ceiling_item(1) is None
-        assert t.lower_item(1) is None
-        assert t.higher_item(1) is None
 
     def test_floor_across_leaf_boundary(self):
         # Force a query to land on a leaf whose smallest key exceeds it.

@@ -15,11 +15,13 @@ def assert_same_structure(a, b):
     """Contents, page geometry, buffers, counters — all identical."""
     assert len(a) == len(b)
     assert list(a.items()) == list(b.items())
-    pages_a = list(a._tree.items())
-    pages_b = list(b._tree.items())
+    pages_a = list(a.pages())
+    pages_b = list(b.pages())
     assert len(pages_a) == len(pages_b)
-    for (key_a, page_a), (key_b, page_b) in zip(pages_a, pages_b):
-        assert key_a == key_b  # (start, seq) tree keys survive
+    assert a.height == b.height
+    assert a.model_bytes() == b.model_bytes()
+    for page_a, page_b in zip(pages_a, pages_b):
+        assert page_a.start_key == page_b.start_key
         assert page_a.slope == page_b.slope
         assert page_a.deletions == page_b.deletions
         # Live rows: a snapshot ships a tombstoned page compacted.

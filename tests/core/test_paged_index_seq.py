@@ -1,23 +1,18 @@
-"""The (start_key, seq) tree-key machinery: splits, interleaving, renumber.
+"""The page directory: splits, interleaving, pages sharing a start key.
 
 These scenarios target the trickiest part of the paged index: pages that
 share a start key (split duplicate runs) must keep their relative data
-order across arbitrarily many re-segmentations, including when seq-number
-gaps are exhausted and a global renumber is needed.
+order across arbitrarily many re-segmentations, and the directory must
+stay sorted by start key through every split.
 """
 
 import numpy as np
 
 from repro.core.fiting_tree import FITingTree
-from repro.core.paged_index import _SEQ_SPACING
 
 
-def test_bulk_seqs_are_spaced():
-    keys = np.sort(np.random.default_rng(0).uniform(0, 1e4, 2000))
-    t = FITingTree(keys, error=4, buffer_capacity=1)
-    seqs = [seq for (_, seq), _ in t._tree.items()]
-    assert seqs == sorted(seqs)
-    assert all(b - a == _SEQ_SPACING for a, b in zip(seqs, seqs[1:]))
+def starts_of(index):
+    return [page.start_key for page in index.pages()]
 
 
 def test_split_inserts_between_neighbors():
@@ -26,18 +21,16 @@ def test_split_inserts_between_neighbors():
     for i in range(200):
         t.insert(float(i * 50 % 10_000), 10_000 + i)
     t.validate()
-    seqs = [seq for (_, seq), _ in t._tree.items()]
-    assert seqs == sorted(seqs)  # still monotone after many splits
-    tree_keys = [k for k, _ in t._tree.items()]
-    assert tree_keys == sorted(tree_keys)
+    starts = starts_of(t)
+    assert starts == sorted(starts)  # still sorted after many splits
+    assert len(starts) == t.n_pages
 
 
 def test_equal_start_pages_keep_data_order():
     # A duplicate run long enough to split across pages with equal starts.
     keys = np.sort(np.concatenate([np.full(60, 500.0), np.arange(100.0)]))
     t = FITingTree(keys, error=4, buffer_capacity=2)
-    starts = [k for (k, _), _ in t._tree.items()]
-    assert starts.count(500.0) > 1
+    assert starts_of(t).count(500.0) > 1
     # All 60 duplicate values recoverable in insertion (rowid) order.
     values = t.lookup_all(500.0)
     assert sorted(values) == values
@@ -53,38 +46,8 @@ def test_repeated_splits_inside_duplicate_run():
         t.insert(500.0, 10_000 + i)
     t.validate()
     assert len(t.lookup_all(500.0)) == 180
-    tree_keys = [k for k, _ in t._tree.items()]
-    assert tree_keys == sorted(tree_keys)
-
-
-def test_renumber_preserves_contents():
-    keys = np.sort(np.random.default_rng(2).uniform(0, 1e3, 500))
-    t = FITingTree(keys, error=8, buffer_capacity=2)
-    before = list(t.items())
-    seq_of = t._renumber()
-    assert len(seq_of) == t.n_segments
-    t.validate()
-    assert list(t.items()) == before
-    seqs = [seq for (_, seq), _ in t._tree.items()]
-    assert all(b - a == _SEQ_SPACING for a, b in zip(seqs, seqs[1:]))
-
-
-def test_renumber_path_triggered_by_gap_exhaustion():
-    # Artificially shrink all seq gaps so the next multi-page split must
-    # renumber; behaviour must be unchanged.
-    keys = np.sort(np.random.default_rng(3).uniform(0, 1e4, 3000))
-    t = FITingTree(keys, error=8, buffer_capacity=2)
-    items = list(t._tree.items())
-    t._tree.clear()
-    for i, ((start, _), page) in enumerate(items):
-        t._tree.insert((start, i * 1e-12), page)  # microscopic gaps
-    t._dirty = True
-    for i in range(300):
-        t.insert(float(np.random.default_rng(4 + i).uniform(0, 1e4)))
-    t.validate()
-    assert len(t) == 3300
-    tree_keys = [k for k, _ in t._tree.items()]
-    assert tree_keys == sorted(tree_keys)
+    starts = starts_of(t)
+    assert starts == sorted(starts)
 
 
 def test_directory_cache_invalidation():
@@ -92,7 +55,7 @@ def test_directory_cache_invalidation():
     t = FITingTree(keys, error=16, buffer_capacity=2)
     q = [keys[3], keys[400]]
     assert t.bulk_lookup(q) == [3, 400]
-    # Mutate; the cached directory must be rebuilt, not reused.
+    # Mutate; lookups must route through the new directory.
     for i in range(50):
         t.insert(float(i) + 0.5, 1000 + i)
     assert t.bulk_lookup([49.5]) == [1049]

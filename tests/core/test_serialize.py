@@ -57,7 +57,7 @@ class TestRoundTrip:
         assert loaded.seg_error == 41
         assert loaded._accept == "exact"
         assert loaded.search_mode == "exponential"
-        assert loaded._tree.branching == 8
+        assert loaded.branching == 8
 
     def test_empty_index(self, tmp_path):
         loaded = roundtrip(FITingTree(error=16), tmp_path)

@@ -5,11 +5,12 @@ history, serializing and reloading mid-history leaves the index bit-
 identical to a twin that never touched disk — same contents, same page
 geometry, same buffered entries, same row-id counter, and identical
 behavior under FURTHER inserts after the reload (the part the happy-path
-suite never covered).
+suite never covered) — and the same modeled size and height, which a
+reload that re-shaped the paper's tree by its split history would change.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fiting_tree import FITingTree
@@ -20,16 +21,26 @@ build_st = st.lists(key_st, max_size=120).map(sorted)
 inserts_st = st.lists(key_st, max_size=60)
 error_st = st.integers(min_value=4, max_value=64)
 
+# Many splits: 3000 uniform keys, then 1500 inserts at error 4 (buffer 1).
+_rng = np.random.default_rng(7)
+SPLIT_HEAVY = {
+    "build": np.sort(_rng.uniform(0, 1e4, 3000)).tolist(),
+    "first": _rng.uniform(0, 1e4, 1500).tolist(),
+    "second": [],
+    "error": 4,
+}
+
 
 def assert_twins(a: FITingTree, b: FITingTree) -> None:
     """Bit-identical state: geometry, contents, buffers, counters."""
     assert len(a) == len(b)
     assert a.n_pages == b.n_pages
     assert a.model_bytes() == b.model_bytes()
+    assert a.height == b.height
     assert a._next_rowid == b._next_rowid
     assert list(a.items()) == list(b.items())
-    for (ka, pa), (kb, pb) in zip(a._tree.items(), b._tree.items()):
-        assert ka == kb
+    for pa, pb in zip(a.pages(), b.pages()):
+        assert pa.start_key == pb.start_key
         assert pa.slope == pb.slope
         assert pa.deletions == pb.deletions
         assert pa.keys.tolist() == pb.keys.tolist()
@@ -44,6 +55,7 @@ def assert_twins(a: FITingTree, b: FITingTree) -> None:
     second=inserts_st,
     error=error_st,
 )
+@example(**SPLIT_HEAVY)
 @settings(max_examples=80, deadline=None)
 def test_roundtrip_mid_history_is_invisible(tmp_path_factory, build, first,
                                             second, error):

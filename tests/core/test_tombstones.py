@@ -25,14 +25,14 @@ def compacted_twin(tree):
         error=tree.error, buffer_capacity=tree.buffer_capacity,
         search=tree.search_mode,
     )
-    pairs = []
-    for tree_key, page in tree._tree.items():
+    copies = []
+    for page in tree.pages():
         copy = SegmentPage(page.start_key, page.slope, *page.live_arrays())
         copy.deletions = page.deletions
         copy.buf_keys = list(page.buf_keys)
         copy.buf_values = list(page.buf_values)
-        pairs.append((tree_key, copy))
-    twin._tree.bulk_load(pairs)
+        copies.append(copy)
+    twin._set_pages(copies)
     twin._n = len(tree)
     twin._next_rowid = tree._next_rowid
     return twin

@@ -15,8 +15,9 @@ Two protocols, smaller first:
 
 * :class:`BatchEngine` — what the serving layer strictly requires: the
   scalar verbs (per-request fallback paths), the batch read/write verbs
-  (the micro-batched hot path), and the monotonic ``version`` stamp the
-  read-your-writes barrier records;
+  (the micro-batched hot path; coalesced gets go through
+  ``lookup_batch``, which answers ``(values, found)``), and the monotonic
+  ``version`` stamp the read-your-writes barrier records;
 * :class:`EngineProtocol` — the complete CRUD surface: everything above
   plus ``delete`` / ``delete_batch``, ``stats()``, ``warm()`` and
   ``validate()``. Both shipped engines satisfy it; new backends should
@@ -74,6 +75,23 @@ class BatchEngine(Protocol):
         -------
         numpy.ndarray
             One value per query.
+        """
+        ...
+
+    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized point lookups as ``(values, found)``: what the
+        serving layer batches scalar gets through, each caller's default
+        applied by the caller (a miss's value slot is unspecified).
+
+        Parameters
+        ----------
+        queries:
+            Key batch (float64-coercible).
+
+        Returns
+        -------
+        tuple of numpy.ndarray
+            One value and one hit flag per query, in request order.
         """
         ...
 

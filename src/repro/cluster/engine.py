@@ -74,6 +74,7 @@ from repro.core.page import _object_array
 from repro.core.serialize import _registry
 from repro.engine.engine import ShardedEngine
 from repro.engine.scatter import (
+    gather_lookups,
     gather_points,
     resolve_values,
     split_points,
@@ -946,25 +947,39 @@ class ClusterEngine:
             One value per query: the values dtype when every query hits,
             else an object array with ``default`` in the miss slots.
         """
+        return self._lookup(
+            queries, lambda n, parts: gather_points(n, parts, default)
+        )
+
+    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized point lookups as ``(values, found)``, in request
+        order, from the per-worker ``(values, found)`` replies; a miss's
+        value slot is unspecified. Same round as :meth:`get_batch`."""
+        return self._lookup(queries, gather_lookups)
+
+    def _lookup(self, queries, gather: Any) -> Any:
+        """One point-read round, its per-shard parts handed to ``gather``."""
         self._check_open()
         q = np.ascontiguousarray(queries, dtype=np.float64)
         tel = self._telemetry
         if tel is None:
-            return self._get_batch_impl(q, default, None)
+            return self._get_batch_impl(q, gather, None)
         if tel.tracer is None:
-            out = self._get_batch_impl(q, default, None)
+            out = self._get_batch_impl(q, gather, None)
         else:
             with tel.tracer.span("cluster.get_batch", n=int(q.size)) as sp:
                 out = self._get_batch_impl(
-                    q, default, (tel.tracer, (sp.trace_id, sp.span_id))
+                    q, gather, (tel.tracer, (sp.trace_id, sp.span_id))
                 )
         self._obs_count("get_batch", int(q.size))
         return out
 
     def _get_batch_impl(
-        self, q: np.ndarray, default: Any, trace: Optional[Tuple]
-    ) -> np.ndarray:
-        """The fenced dispatch round behind :meth:`get_batch`.
+        self, q: np.ndarray, gather: Any, trace: Optional[Tuple]
+    ) -> Any:
+        """The fenced dispatch round behind :meth:`get_batch` and
+        :meth:`lookup_batch`: ``gather(n, parts)`` of the replies'
+        ``(positions, values, found)`` parts.
 
         ``trace`` is ``None`` (untraced) or
         ``(tracer, (trace_id, parent_span_id))``: the context rides each
@@ -976,7 +991,8 @@ class ClusterEngine:
         if q.size == 0:
             # Matches the in-process engine's view: an empty batch over a
             # populated engine keeps the values dtype.
-            return np.empty(0, dtype=self._values_dtype if self._n else object)
+            empty = np.empty(0, dtype=self._values_dtype if self._n else object)
+            return gather(0, [(q.astype(np.intp), empty, None)])
         groups = split_points(self.cuts, q)
         meta = {} if trace is None else {"trace": trace[1]}
         self._acquire_all()
@@ -1004,7 +1020,7 @@ class ClusterEngine:
                 parts = [
                     (idx, *self._read_points(i, replies[i])) for i, idx in groups
                 ]
-                return gather_points(q.size, parts, default)
+                return gather(q.size, parts)
         finally:
             self._release_all()
 

@@ -1,14 +1,15 @@
 """The in-flight encoding: a list of 1-D numeric arrays as bytes, and back.
 
 Every batch that crosses a process (:mod:`repro.cluster.shm` lanes) or a
-socket (:mod:`repro.net.frame`, ``CODEC_ARRAYS``) is laid out by this
-module and by nothing else. The rule, stated once:
+socket (:mod:`repro.net.frame`, ``CODEC_ARRAYS`` and ``CODEC_KEYS``) is
+laid out by this module and by nothing else. The rule, stated once:
 
 * arrays sit back to back, each starting at the next **16-byte-aligned
   offset of the buffer** it is packed into (gaps are never written);
 * one array is described by a ``(dtype.str, count, offset)`` triple — the
   byte order travels in ``dtype.str`` — and the descriptors ride beside
-  the buffer (a control frame on the pipe, a table in the frame body);
+  the buffer (a control frame on the pipe, a table in the frame body), or
+  are rebuilt by :func:`layout` from the dtypes and counts alone;
 * only flat data has this form: an ``object`` dtype or an array that is
   not 1-D is refused with ``ValueError`` and both transports fall back to
   pickle for it.
@@ -25,13 +26,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["join_pairs", "pack_into", "packed_size", "split_pairs", "unpack"]
+__all__ = [
+    "join_pairs", "layout", "pack", "pack_into", "packed_size", "split_pairs",
+    "unpack",
+]
 
-#: Layout of one packed array: (dtype.str, element count, byte offset).
+#: Layout of one packed array: (dtype.str or dtype, element count, byte
+#: offset).
 Descriptor = Tuple[str, int, int]
 Pair = Tuple[np.ndarray, np.ndarray]
 
 _ALIGN = 16
+
+
+def _aligned(end: int) -> int:
+    return -(-end // _ALIGN) * _ALIGN
 
 
 def _flat(arr) -> np.ndarray:
@@ -48,7 +57,7 @@ def packed_size(arrays: Sequence[np.ndarray]) -> int:
     """Bytes :func:`pack_into` needs for ``arrays`` from an aligned ``base``."""
     end = 0
     for arr in arrays:
-        end = -(-end // _ALIGN) * _ALIGN + _flat(arr).nbytes
+        end = _aligned(end) + _flat(arr).nbytes
     return end
 
 
@@ -64,13 +73,39 @@ def pack_into(buf, arrays: Sequence[np.ndarray], base: int = 0) -> List[Descript
     end = base
     for arr in arrays:
         arr = _flat(arr)
-        start = -(-end // _ALIGN) * _ALIGN
+        start = _aligned(end)
         end = start + arr.nbytes
         if end > len(buf):
             raise ValueError(f"buffer overflow: need {end} bytes, have {len(buf)}")
         # Positional on purpose: keyword parsing triples frombuffer's cost.
         np.frombuffer(buf, arr.dtype, arr.size, start)[:] = arr
         descriptors.append((arr.dtype.str, arr.size, start))
+    return descriptors
+
+
+def pack(head: bytes, arrays: Sequence[np.ndarray]) -> bytes:
+    """``head`` followed by ``arrays`` laid out as :func:`pack_into` lays
+    them out from ``len(head)``, as one new ``bytes`` (gaps zeroed)."""
+    parts = [head]
+    end = len(head)
+    for arr in arrays:
+        arr = _flat(arr)
+        start = _aligned(end)
+        parts += (bytes(start - end), arr.tobytes())
+        end = start + arr.nbytes
+    return b"".join(parts)
+
+
+def layout(specs: Sequence[Tuple[np.dtype, int]], base: int = 0) -> List[Descriptor]:
+    """Where :func:`pack_into` puts arrays of these ``(dtype, count)``
+    from ``base``: the descriptors a reader that was sent only dtypes and
+    counts hands to :func:`unpack`."""
+    descriptors: List[Descriptor] = []
+    end = base
+    for dtype, count in specs:
+        start = _aligned(end)
+        end = start + dtype.itemsize * count
+        descriptors.append((dtype, count, start))
     return descriptors
 
 

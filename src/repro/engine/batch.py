@@ -63,6 +63,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.scatter import fill_default
+
 __all__ = ["FlatView", "flat_view"]
 
 
@@ -170,11 +172,6 @@ class FlatView:
         """One value per query, exactly matching per-key ``index.get``
         (finite queries; non-finite ones miss cleanly — see module doc).
 
-        Cost for K queries: O(K log n_pages) routing, one O(K log n)
-        predecessor search over the globally sorted data and a bounded
-        buffer probe for the misses, all whole-batch NumPy operations.
-        No access counter is charged (see module doc).
-
         Parameters
         ----------
         queries:
@@ -185,14 +182,25 @@ class FlatView:
         Returns
         -------
         numpy.ndarray
-            An array in the values dtype when every query hits; otherwise
-            an object array with ``default`` filling the misses.
+            :meth:`lookup_batch`'s values when every query hits;
+            otherwise an object array with ``default`` filling the misses.
+        """
+        return fill_default(*self.lookup_batch(queries), default)
+
+    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
+        """Per query, its value and whether it hit: ``(values, found)``.
+
+        The hits are exactly per-key ``index.get``'s answers (finite
+        queries; non-finite ones miss cleanly — see module doc); a miss's
+        value slot is unspecified. Cost for K queries: O(K log n_pages)
+        routing, one O(K log n) predecessor search over the globally
+        sorted data and a bounded buffer probe for the misses, all
+        whole-batch NumPy operations. No access counter is charged (see
+        module doc).
         """
         q = np.ascontiguousarray(queries, dtype=np.float64)
         if self.n_pages == 0:
-            out = np.empty(q.size, dtype=object)
-            out[:] = default
-            return out
+            return np.empty(q.size, dtype=object), np.zeros(q.size, dtype=bool)
         pi = self.route_starts.searchsorted(q, side="right") - 1
         np.maximum(pi, 0, out=pi)
         slot, found = self._search_data(q, pi)
@@ -201,7 +209,7 @@ class FlatView:
         else:
             out = np.empty(q.size, dtype=self.values.dtype)
         if bool(found.all()):
-            return out
+            return out, found
 
         miss = np.flatnonzero(~found)
         while True:
@@ -222,11 +230,7 @@ class FlatView:
             out[miss[hit]] = self.values[slot[hit]]
             found[miss[hit]] = True
             miss = miss[~hit]
-        if bool(found.all()):
-            return out
-        result = out.astype(object)
-        result[~found] = default
-        return result
+        return out, found
 
     def _search_data(
         self, q: np.ndarray, pi: np.ndarray

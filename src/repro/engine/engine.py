@@ -42,6 +42,7 @@ from repro.engine.batch import flat_view
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.engine.scatter import (
     check_bounds,
+    fill_default,
     gather_points,
     resolve_values,
     split_sorted,
@@ -514,12 +515,6 @@ class ShardedEngine:
     def get_batch(self, queries, default: Any = None) -> np.ndarray:
         """Vectorized point lookups across shards, in request order.
 
-        Answers the whole batch through the engine's one flattened view.
-        Cost for K queries over P pages and n keys: O(K log P) for routing
-        plus one O(K log n) predecessor search and a bounded buffer probe
-        (see :mod:`repro.engine.batch`) — a handful of whole-batch array
-        passes instead of K Python descents.
-
         Parameters
         ----------
         queries:
@@ -535,19 +530,34 @@ class ShardedEngine:
             else an object array with ``default`` in the miss slots
             (matching ``PagedIndexBase.get_batch``).
         """
+        return fill_default(*self.lookup_batch(queries), default)
+
+    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized point lookups as ``(values, found)``, in request
+        order: the answer every tier above passes along, ``default`` being
+        the caller's to apply. A miss's value slot is unspecified.
+
+        Answers the whole batch through the engine's one flattened view.
+        Cost for K queries over P pages and n keys: O(K log P) for routing
+        plus one O(K log n) predecessor search and a bounded buffer probe
+        (see :mod:`repro.engine.batch`) — a handful of whole-batch array
+        passes instead of K Python descents.
+        """
         tel = self._telemetry
         if tel is None:
-            return flat_view(self, self._view_stats).get_batch(queries, default)
+            return flat_view(self, self._view_stats).lookup_batch(queries)
         with tel.span("engine.get_batch") as sp:
-            out = flat_view(self, self._view_stats).get_batch(queries, default)
+            values, found = flat_view(self, self._view_stats).lookup_batch(
+                queries
+            )
             if sp is not None:
-                sp.attrs["n"] = int(out.size)
+                sp.attrs["n"] = int(values.size)
         c_ops, c_keys = self._obs_ops["get_batch"]
         c_ops.inc()
-        c_keys.inc(out.size)
+        c_keys.inc(values.size)
         if self._workload is not None:
             self._workload.record("get", queries)
-        return out
+        return values, found
 
     def range_items(
         self,

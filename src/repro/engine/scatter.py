@@ -36,6 +36,8 @@ from repro.engine.partition import route, shard_bounds
 
 __all__ = [
     "check_bounds",
+    "fill_default",
+    "gather_lookups",
     "gather_points",
     "resolve_values",
     "split_points",
@@ -116,6 +118,39 @@ def split_ranges(
     return bounds, jobs
 
 
+def gather_lookups(
+    n: int,
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reassemble per-shard point results into request-order
+    ``(values, found)``.
+
+    Parameters
+    ----------
+    n:
+        Size of the original batch.
+    parts:
+        ``(positions, values, found)`` per shard: ``values`` aligned with
+        ``positions``; ``found`` a bool mask of the slots that hit, or
+        ``None`` when every slot hit.
+
+    Returns
+    -------
+    tuple
+        ``(values, found)``: the values in the parts' common dtype
+        (``object`` when they differ) and the request-order hit mask; a
+        missed slot's value is unspecified.
+    """
+    dtypes = {values.dtype for _, values, _ in parts}
+    values = np.empty(n, dtype=dtypes.pop() if len(dtypes) == 1 else object)
+    found = np.ones(n, dtype=bool)
+    for positions, part, hits in parts:
+        values[positions] = part
+        if hits is not None:
+            found[positions] = hits
+    return values, found
+
+
 def gather_points(
     n: int,
     parts: Sequence[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]],
@@ -128,9 +163,8 @@ def gather_points(
     n:
         Size of the original batch.
     parts:
-        ``(positions, values, found)`` per shard: ``values`` aligned with
-        ``positions``; ``found`` a bool mask of the slots that hit, or
-        ``None`` when every slot holds its final value.
+        ``(positions, values, found)`` per shard, as for
+        :func:`gather_lookups`.
     default:
         Fills the slots a ``found`` mask marks as missed.
 
@@ -139,20 +173,22 @@ def gather_points(
     numpy.ndarray
         One value per request (see the module doc for the dtype rule).
     """
-    if all(found is None for _, _, found in parts):
-        dtypes = {values.dtype for _, values, _ in parts}
-        dtype = dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
-        out = np.empty(n, dtype=dtype)
-        for positions, values, _ in parts:
-            out[positions] = values
-        return out
-    out = np.empty(n, dtype=object)
-    out[:] = default
-    for positions, values, found in parts:
-        if found is None:
-            out[positions] = values
-        else:
-            out[positions[found]] = values[found]
+    values, found = gather_lookups(n, parts)
+    if all(hits is None for _, _, hits in parts):
+        return values
+    return _with_default(values, found, default)
+
+
+def fill_default(values: np.ndarray, found: np.ndarray, default: Any = None):
+    """The ``get_batch`` answer for a ``(values, found)`` lookup:
+    ``values`` itself when every query hit, else an ``object`` copy with
+    ``default`` in the misses."""
+    return values if bool(found.all()) else _with_default(values, found, default)
+
+
+def _with_default(values: np.ndarray, found: np.ndarray, default: Any) -> np.ndarray:
+    out = values.astype(object)
+    out[~found] = default
     return out
 
 

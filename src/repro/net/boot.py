@@ -33,18 +33,10 @@ _READY_TIMEOUT = 30.0
 def run_backend(conn, spec: Dict[str, Any]) -> None:
     """Child-process entry point: serve one key range over TCP.
 
-    Builds the engine from ``spec`` (a config dict plus this backend's
-    slice of the dataset), starts the TCP adapter, reports
-    ``("ready", port, pid)`` over ``conn``, then blocks until the parent
-    sends anything — at which point it drains and exits.
-
-    Parameters
-    ----------
-    conn:
-        The child end of a :func:`multiprocessing.Pipe`.
-    spec:
-        ``{"config": dict, "keys": ndarray, "values": ndarray | None,
-        "port": int}``; ``port`` 0 lets the OS pick.
+    Builds the engine from ``spec`` (``{"config": dict, "keys", "values",
+    "port"}``, port 0 = OS-picked), reports ``("ready", port, pid)`` over
+    the pipe end ``conn``, and drains and exits once the parent sends
+    anything.
     """
     import asyncio
 
@@ -249,18 +241,8 @@ class TcpCluster:
     # ------------------------------------------------------------------
 
     def router(self, **kwargs: Any):
-        """A :class:`~repro.net.router.Router` over this fleet.
-
-        Parameters
-        ----------
-        **kwargs:
-            Forwarded to the router (health/client knobs, telemetry).
-
-        Returns
-        -------
-        Router
-            Unstarted; use ``async with`` (or ``await .start()``).
-        """
+        """An unstarted :class:`~repro.net.router.Router` over this fleet
+        (``**kwargs`` go to the router); ``async with`` starts it."""
         from repro.net.router import Router
 
         return Router(list(self.addresses), self.cuts, **kwargs)

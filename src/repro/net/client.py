@@ -7,7 +7,10 @@ requests ride one connection concurrently. Each connection is one
 :class:`asyncio.Protocol` pump: the requests of one loop iteration leave
 in one write, and every socket read is parsed for all the replies it
 completed (which may arrive out of order), each matched back to its
-future by id. On top sit the reliability knobs:
+future by id. The untraced ``get`` s of one loop iteration share one
+frame: two or more travel as one ``CODEC_KEYS`` key batch, answered as
+``(values, found)``, and each caller's own ``default`` fills its miss on
+this side of the socket. On top sit the reliability knobs:
 
 * **timeouts** — every request bounds its reply wait; an expired wait
   raises :class:`~repro.net.errors.RequestTimeoutError`. One sweep timer
@@ -16,6 +19,7 @@ future by id. On top sit the reliability knobs:
 * **bounded retry with backoff** — *idempotent* operations (``get``,
   ``range``, the batch reads, ``ping``, ``server_stats``) are retried up
   to ``retries`` times across reconnects on connection loss or timeout.
+  A coalesced get retries on its own, exactly like a lone one.
   Writes are never auto-retried after the frame may have left: like a
   :class:`~repro.cluster.errors.WorkerCrashedError`, a lost connection
   leaves the write's fate unknown and re-issuing it could apply it twice.
@@ -57,11 +61,56 @@ __all__ = ["AsyncNetClient", "NetClient", "connect"]
 
 _NO_SPAN = contextlib.nullcontext()  # the untraced request's "span"
 
+#: Types a lone get's ``default`` crosses the wire as (``CODEC_SCALAR``
+#: slots); any other default never leaves its caller.
+_WIRE_DEFAULTS = (type(None), int, float)
+
 
 def _plain(value: Any) -> Any:
     """A NumPy scalar as the Python number it holds (``np.int64(5)`` is
     not JSON and would demote its whole frame to pickle)."""
     return value.item() if isinstance(value, np.generic) else value
+
+
+class _Gets(list):
+    """The ``(key, default, future)`` gets one request frame carries, in
+    the pending table in place of a reply future: the reply answers each
+    with its value or its own default; a timeout or lost connection fails
+    them all."""
+
+    lone = False  # sent as one OP_GET: the reply is the answer itself
+
+    def done(self) -> bool:
+        """Never: it leaves the pending table when it completes."""
+        return False
+
+    def set_result(self, frame: wire.Frame) -> None:
+        """Answer every get from its reply frame."""
+        try:
+            if frame.kind == wire.REPLY_ERR:
+                raise wire.decode_error(frame)
+            result = wire.decode_result(frame)
+            if self.lone:
+                answers = [result]
+            else:
+                values, found = result
+                if len(values) != len(self):
+                    raise FrameError(f"{len(values)} answers to {len(self)} gets")
+                answers = [
+                    value if hit else get[1]
+                    for get, value, hit in zip(self, values.tolist(), found.tolist())
+                ]
+        except Exception as exc:
+            return self.set_exception(exc)
+        for (_, _, fut), answer in zip(self, answers):
+            if not fut.done():
+                fut.set_result(answer)
+
+    def set_exception(self, exc: BaseException) -> None:
+        """Fail every get still waiting with ``exc``."""
+        for _, _, fut in self:
+            if not fut.done():
+                fut.set_exception(exc)
 
 
 class _Connection(asyncio.Protocol):
@@ -74,9 +123,10 @@ class _Connection(asyncio.Protocol):
         self.parser = wire.FrameParser(client.max_frame_bytes)
         self.transport: Any = None
         self.alive = False
-        #: request id -> (reply future, deadline, frame kind).
-        self.pending: Dict[int, Tuple[asyncio.Future, float, int]] = {}
+        #: request id -> (reply future or _Gets, deadline, frame kind).
+        self.pending: Dict[int, Tuple[Any, float, int]] = {}
         self.out: List[bytes] = []  # requests awaiting this tick's write
+        self.gets = _Gets()  # this tick's gets, bound for one frame
         #: Set while the send buffer is over its high-water mark; senders
         #: wait on it instead of piling more on.
         self.drained: Optional[asyncio.Future] = None
@@ -135,6 +185,8 @@ class _Connection(asyncio.Protocol):
                 fut.set_exception(exc)
         self.pending.clear()
         self.out.clear()
+        self.gets.set_exception(exc)
+        self.gets = _Gets()
         self.resume_writing()
         self.transport.close()
 
@@ -143,16 +195,46 @@ class _Connection(asyncio.Protocol):
         returns the future of its reply frame, which the sweep fails if
         ``client.timeout`` passes first."""
         fut = self.loop.create_future()
-        deadline = self.loop.time() + self.client.timeout
-        self.pending[rid] = (fut, deadline, kind)
-        if self._timer is None or deadline < self._timer.when():
-            self._sweep()
-        if not self.out:
-            self.loop.call_soon(self._flush)
+        self._arm()
+        self._register(rid, kind, fut)
         self.out.append(buf)
         return fut
 
+    def lookup(self, key: float, default: Any) -> asyncio.Future:
+        """Queue one untraced get; the future of its answer (the value, or
+        ``default`` on a miss). The tick's write sends all of them."""
+        fut = self.loop.create_future()
+        self._arm()
+        self.gets.append((key, default, fut))
+        return fut
+
+    def _arm(self) -> None:
+        if not self.out and not self.gets:
+            self.loop.call_soon(self._flush)
+
+    def _register(self, rid: int, kind: int, waiter: Any) -> None:
+        deadline = self.loop.time() + self.client.timeout
+        self.pending[rid] = (waiter, deadline, kind)
+        if self._timer is None or deadline < self._timer.when():
+            self._sweep()
+
     def _flush(self) -> None:
+        gets = self.gets
+        if gets:
+            self.gets = _Gets()
+            # A lone get whose default is a plain number rides a scalar
+            # frame; anything else asks for (values, found).
+            rid = next(self.client._rid)
+            default = _plain(gets[0][1])
+            gets.lone = len(gets) == 1 and type(default) in _WIRE_DEFAULTS
+            if gets.lone:
+                kind, meta = wire.OP_GET, {"key": gets[0][0], "default": default}
+                arrays = None
+            else:
+                kind, meta = wire.OP_GET_BATCH, None
+                arrays = [np.array([get[0] for get in gets], dtype=np.float64)]
+            self.out.append(wire.encode_frame(kind, rid, meta, arrays))
+            self._register(rid, kind, gets)
         if self.out:
             self.client._counters["writes_out"] += 1
             self.client._counters["frames_out"] += len(self.out)
@@ -254,7 +336,7 @@ class AsyncNetClient:
         AsyncNetClient
             ``self``, ready for requests.
         """
-        await self._conn(0)
+        await self._pick()
         return self
 
     async def close(self) -> None:
@@ -275,7 +357,11 @@ class AsyncNetClient:
     # Transport
     # ------------------------------------------------------------------
 
-    async def _conn(self, idx: int) -> _Connection:
+    async def _pick(self) -> _Connection:
+        """The next pool slot, round-robin; re-dialed, with exponential
+        backoff, if it is not alive."""
+        idx = self._rr
+        self._rr = (idx + 1) % len(self._slots)
         existing = self._slots[idx]
         if existing is not None and existing.alive:
             return existing
@@ -310,33 +396,51 @@ class AsyncNetClient:
         *,
         idempotent: bool = False,
     ) -> Any:
-        attempts = (self.retries + 1) if idempotent else 1
+        tries = (self.retries + 1) if idempotent else 1
+        return await self._attempts(tries, self._exchange, kind, meta or {}, arrays)
+
+    async def _attempts(self, tries: int, attempt: Any, *args: Any) -> Any:
+        """``await attempt(*args)``, up to ``tries`` times while it loses
+        its connection or times out; the backoff grows linearly."""
         last: Optional[BaseException] = None
-        for attempt in range(attempts):
-            if attempt:
+        for n in range(tries):
+            if n:
                 self._counters["retries"] += 1
-                await asyncio.sleep(self.backoff * attempt)
+                await asyncio.sleep(self.backoff * n)
             try:
-                return await self._exchange(kind, dict(meta or {}), arrays)
+                return await attempt(*args)
             except (ConnectionLostError, RequestTimeoutError) as exc:
                 last = exc
         assert last is not None
         raise last
 
+    def _lookup(self, key: float, default: Any) -> Any:
+        """One attempt of an untraced get, queued with the slot's tick: the
+        future of its answer, with no coroutine of its own unless the slot
+        must be re-dialed or its send buffer is full."""
+        conn = self._slots[self._rr]
+        if conn is None or not conn.alive or conn.drained is not None:
+            return self._lookup_slow(key, default)
+        self._rr = (self._rr + 1) % len(self._slots)
+        return conn.lookup(key, default)
+
+    async def _lookup_slow(self, key: float, default: Any) -> Any:
+        conn = await self._pick()
+        fut = conn.lookup(key, default)
+        if conn.drained is not None:
+            await conn.drained  # send buffer over high water
+        return await fut
+
     async def _exchange(self, kind: int, meta: Dict[str, Any], arrays) -> Any:
         """One attempt: frame the request on the next pool slot, await its
         reply (or the sweep's timeout), decode."""
-        idx = self._rr
-        self._rr = (idx + 1) % len(self._slots)
-        conn = self._slots[idx]
-        if conn is None or not conn.alive:
-            conn = await self._conn(idx)
+        conn = await self._pick()
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         with _NO_SPAN if tracer is None else tracer.span(
             "net.call", op=wire.KIND_NAMES.get(kind, str(kind))
         ) as sp:
             if sp is not None:
-                meta["trace"] = [sp.trace_id, sp.span_id]
+                meta = dict(meta, trace=[sp.trace_id, sp.span_id])
             rid = next(self._rid)
             fut = conn.request(
                 rid, kind, wire.encode_frame(kind, rid, meta, arrays)
@@ -362,11 +466,25 @@ class AsyncNetClient:
         return await self._roundtrip(wire.OP_PING, idempotent=True)
 
     async def get(self, key: float, default: Any = None) -> Any:
-        """Remote point lookup (idempotent: retried on transport failure)."""
-        return await self._roundtrip(
-            wire.OP_GET, {"key": float(key), "default": _plain(default)},
-            idempotent=True,
+        """Remote point lookup (idempotent: retried on transport failure).
+
+        A miss answers with this very ``default`` object. Traced gets
+        travel one per frame, each under its own ``net.call`` span.
+        """
+        key = float(key)
+        if self.telemetry is None or self.telemetry.tracer is None:
+            return await self._attempts(
+                self.retries + 1, self._lookup, key, default
+            )
+        plain = _plain(default)
+        if type(plain) in _WIRE_DEFAULTS:
+            return await self._roundtrip(
+                wire.OP_GET, {"key": key, "default": plain}, idempotent=True
+            )
+        values, found = await self._roundtrip(
+            wire.OP_GET_BATCH, {}, [np.array([key])], idempotent=True
         )
+        return values.tolist()[0] if found[0] else default
 
     async def range(self, lo: float, hi: float):
         """Remote range scan: the ``(keys, values)`` arrays with
@@ -489,20 +607,8 @@ class AsyncNetClient:
 
 
 async def connect(host: str, port: int, **kwargs: Any) -> AsyncNetClient:
-    """Dial a :class:`~repro.net.server.NetServer` and return the client.
-
-    Parameters
-    ----------
-    host, port:
-        The server's listen address.
-    **kwargs:
-        Forwarded to :class:`AsyncNetClient`.
-
-    Returns
-    -------
-    AsyncNetClient
-        A connected client (``await connect(...)``).
-    """
+    """Dial a :class:`~repro.net.server.NetServer` at ``host:port``: the
+    connected :class:`AsyncNetClient` (``**kwargs`` go to it)."""
     return await AsyncNetClient(host, port, **kwargs).connect()
 
 
@@ -585,62 +691,22 @@ class NetClient:
         return self._call(self._async.delete(key))
 
     def get_batch(self, queries, default: Any = None):
-        """Blocking :meth:`AsyncNetClient.get_batch`.
-
-        Parameters
-        ----------
-        queries:
-            Array-like of keys to look up.
-        default:
-            Value reported for absent keys.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query, in query order.
-        """
+        """Blocking :meth:`AsyncNetClient.get_batch` (same Parameters and
+        Returns)."""
         return self._call(self._async.get_batch(queries, default))
 
     def range_batch(self, bounds):
-        """Blocking :meth:`AsyncNetClient.range_batch`.
-
-        Parameters
-        ----------
-        bounds:
-            Array-like of shape ``(n, 2)``: inclusive ``[lo, hi]`` rows.
-
-        Returns
-        -------
-        list of (numpy.ndarray, numpy.ndarray)
-            One ``(keys, values)`` pair per row.
-        """
+        """Blocking :meth:`AsyncNetClient.range_batch` (same Parameters and
+        Returns)."""
         return self._call(self._async.range_batch(bounds))
 
     def insert_batch(self, keys, values=None) -> None:
-        """Blocking :meth:`AsyncNetClient.insert_batch`.
-
-        Parameters
-        ----------
-        keys:
-            Array-like of keys to insert.
-        values:
-            Optional numeric payloads aligned with ``keys``.
-        """
+        """Blocking :meth:`AsyncNetClient.insert_batch` (same Parameters)."""
         return self._call(self._async.insert_batch(keys, values))
 
     def delete_batch(self, keys):
-        """Blocking :meth:`AsyncNetClient.delete_batch`.
-
-        Parameters
-        ----------
-        keys:
-            Array-like of keys to delete (one occurrence each).
-
-        Returns
-        -------
-        numpy.ndarray
-            The deleted values, in key order.
-        """
+        """Blocking :meth:`AsyncNetClient.delete_batch` (same Parameters and
+        Returns)."""
         return self._call(self._async.delete_batch(keys))
 
     def server_stats(self) -> Dict[str, Any]:
@@ -648,12 +714,5 @@ class NetClient:
         return self._call(self._async.server_stats())
 
     def stats(self) -> Dict[str, Any]:
-        """Client-side transport counters (see
-        :meth:`AsyncNetClient.stats`).
-
-        Returns
-        -------
-        dict
-            Frame/retry/reconnect/timeout counters plus pool geometry.
-        """
+        """Client-side transport counters (:meth:`AsyncNetClient.stats`)."""
         return self._async.stats()

@@ -18,6 +18,10 @@ One frame on the wire is::
     CODEC_SCALAR payload := | tag_a u8 | tag_b u8 | slot_a 8B | slot_b 8B |
             tag 0 = None (slot zero) | 1 = int64 | 2 = float64
 
+    CODEC_KEYS payload := | n_arrays u32 | n_arrays x ( code u32 | count u32 ) |
+            | data region: the arrays, as repro.codec packs them |
+            code 0 = float64 | 1 = int64 | 2 = bool, all little-endian
+
 The 10-byte prefix is framing only; everything semantic — including the
 version byte, so the protocol can evolve without touching the prefix —
 lives inside the CRC-protected body. A bad magic or over-limit length
@@ -37,7 +41,11 @@ Payload codecs:
   holds exactly those and each is ``None``, an int64 or a float; a
   ``str``, a ``bool`` (never folded into int), a bigger int or a trace
   context rides ``CODEC_JSON``. Decoding yields the same meta either way.
-* ``CODEC_ARRAYS`` — the batch fast path. A small JSON ``meta`` dict (op
+* ``CODEC_KEYS`` — arrays and nothing else, for a request with an empty
+  meta (a client's coalesced gets: their keys) and a pair reply (their
+  ``(values, found)``) whose arrays are all 1-D float64 / int64 / bool. No
+  JSON, no descriptor table: the codes and counts place the arrays.
+* ``CODEC_ARRAYS`` — the batch path. A small JSON ``meta`` dict (op
   parameters, trace context), a descriptor table, and a data region that
   :func:`repro.codec.pack_into` fills exactly as it fills an shm lane —
   byte for byte, with the same ``(dtype.str, count, offset)`` descriptors
@@ -60,7 +68,8 @@ the same typed exception client-side from a registry of known classes
 
 Both ends of a link ship together: mixed-version peers are unsupported
 (the version byte only guards against talking to something else;
-version 1, which had no ``CODEC_SCALAR``, is refused like any other).
+version 1, which had no ``CODEC_SCALAR``, and version 2, which had no
+``CODEC_KEYS``, are refused like any other).
 """
 
 from __future__ import annotations
@@ -112,7 +121,7 @@ __all__ = [
 ]
 
 #: Protocol version stamped into (and checked from) every frame body.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Hard upper bound on one frame's body, a defense against a corrupted
 #: or hostile length prefix allocating unbounded memory.
@@ -159,6 +168,14 @@ CODEC_JSON = 0
 CODEC_ARRAYS = 1
 CODEC_PICKLE = 2
 CODEC_SCALAR = 3
+CODEC_KEYS = 4
+
+#: ``CODEC_KEYS`` element types, by code, and the one meta each kind's
+#: keys frame stands for.
+_KEYS_DTYPES = (np.dtype("<f8"), np.dtype("<i8"), np.dtype("?"))
+_KEYS_CODES = {dtype: code for code, dtype in enumerate(_KEYS_DTYPES)}
+_KEYS_META = {REPLY_OK: {"r": "pair"}}
+_KEYS_DESC = struct.Struct("<II")  # dtype code, element count
 
 #: The two meta fields a ``CODEC_SCALAR`` frame's slots stand for, per kind.
 _SCALAR_FIELDS = {
@@ -202,11 +219,14 @@ class Frame:
 # ----------------------------------------------------------------------
 
 
-def _encode_payload(kind: int, request_id: int, codec_id: int, payload: bytes) -> bytes:
-    body = _BODY_HEADER.pack(
-        PROTOCOL_VERSION, kind, codec_id, 0, request_id
-    ) + payload
+def _framed(body: bytes) -> bytes:
     return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+
+
+def _encode_payload(kind: int, request_id: int, codec_id: int, payload: bytes) -> bytes:
+    return _framed(
+        _BODY_HEADER.pack(PROTOCOL_VERSION, kind, codec_id, 0, request_id) + payload
+    )
 
 
 def _encode_scalar(kind: int, request_id: int, meta: Dict[str, Any]):
@@ -229,45 +249,55 @@ def _encode_scalar(kind: int, request_id: int, meta: Dict[str, Any]):
         )
     except (KeyError, struct.error):  # foreign type / beyond 64 bits
         return None
-    return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
+    return _framed(body)
+
+
+def _encode_keys(kind: int, request_id: int, arrays: List[np.ndarray]):
+    """The ``CODEC_KEYS`` frame for ``arrays``, or ``None`` when one is not
+    a 1-D float64 / int64 / bool array."""
+    try:
+        table = [
+            _KEYS_DESC.pack(_KEYS_CODES[a.dtype], a.size)
+            for a in arrays
+            if a.ndim == 1
+        ]
+    except (AttributeError, KeyError):  # not an array / foreign dtype
+        return None
+    if len(table) != len(arrays):
+        return None
+    head = _BODY_HEADER.pack(PROTOCOL_VERSION, kind, CODEC_KEYS, 0, request_id)
+    return _framed(codec.pack(
+        b"".join([head, struct.pack("<I", len(arrays)), *table]), arrays
+    ))
 
 
 def _encode_arrays(
     kind: int, request_id: int, meta: Dict[str, Any], arrays: List[np.ndarray]
 ) -> bytes:
-    """One complete ``CODEC_ARRAYS`` frame, built in place in one buffer.
+    """One complete ``CODEC_ARRAYS`` frame.
 
     Raises ``ValueError``/``TypeError`` when an array has no packed form
     or the meta is not JSON-able — the caller falls back to pickle.
     """
     meta_b = json.dumps(meta, separators=(",", ":")).encode()
-    dtypes = [np.asarray(a).dtype.str.encode("ascii") for a in arrays]
+    arrays = [np.asarray(a) for a in arrays]
+    dtypes = [a.dtype.str.encode("ascii") for a in arrays]
     table_end = (
         _BODY_HEADER.size + 4 + len(meta_b) + 2
         + sum(_DESC.size + len(d) for d in dtypes)
     )
-    pad = -table_end % 16  # so the data region starts aligned in the body
-    meta_b += b" " * pad
-    data_base = table_end + pad
-    out = bytearray(_PREFIX.size + data_base + codec.packed_size(arrays))
-    body = memoryview(out)[_PREFIX.size:]
-    descriptors = codec.pack_into(body, arrays, data_base)
-    body[:data_base] = b"".join(
-        [
-            _BODY_HEADER.pack(
-                PROTOCOL_VERSION, kind, CODEC_ARRAYS, 0, request_id
-            ),
-            struct.pack("<I", len(meta_b)),
-            meta_b,
-            struct.pack("<H", len(arrays)),
-            *(
-                _DESC.pack(len(dtype_b), count, offset - data_base) + dtype_b
-                for dtype_b, (_, count, offset) in zip(dtypes, descriptors)
-            ),
-        ]
-    )
-    _PREFIX.pack_into(out, 0, _MAGIC, len(body), zlib.crc32(body))
-    return bytes(out)
+    meta_b += b" " * (-table_end % 16)  # the data region starts aligned
+    descriptors = codec.layout([(a.dtype, a.size) for a in arrays])
+    return _framed(codec.pack(b"".join([
+        _BODY_HEADER.pack(PROTOCOL_VERSION, kind, CODEC_ARRAYS, 0, request_id),
+        struct.pack("<I", len(meta_b)),
+        meta_b,
+        struct.pack("<H", len(arrays)),
+        *(
+            _DESC.pack(len(dtype_b), count, offset) + dtype_b
+            for dtype_b, (_, count, offset) in zip(dtypes, descriptors)
+        ),
+    ]), arrays))
 
 
 def encode_frame(
@@ -276,43 +306,33 @@ def encode_frame(
     meta: Optional[Dict[str, Any]] = None,
     arrays: Optional[Sequence[np.ndarray]] = None,
 ) -> bytes:
-    """Encode one complete wire frame (prefix included).
+    """One complete wire frame (prefix included) of ``kind`` (an ``OP_*``
+    / ``REPLY_*`` constant) for ``request_id`` (0: unmatchable).
 
-    Parameters
-    ----------
-    kind:
-        One of the ``OP_*`` / ``REPLY_*`` constants.
-    request_id:
-        The pipelining correlation id (0 for unmatchable frames).
-    meta:
-        JSON-able operation parameters / reply metadata. A scalar verb's
-        (or scalar reply's) bare operands travel as ``CODEC_SCALAR``;
-        values that do not serialize as JSON demote the whole payload to
-        pickle.
-    arrays:
-        Numeric 1-D arrays to ship in the packed data region; an object
-        dtype or another shape demotes the payload to pickle.
-
-    Returns
-    -------
-    bytes
-        The frame, ready to write to a socket.
+    ``meta`` holds JSON-able operation parameters / reply metadata and
+    ``arrays`` numeric 1-D arrays; the module doc says which codec each
+    combination takes. A meta that is not JSON, or an array that is
+    ``object`` or not 1-D, demotes the whole payload to pickle.
     """
     meta = meta or {}
     arrays = list(arrays) if arrays else []
+    frame = None
     if kind in _SCALAR_FIELDS and not arrays:
         frame = _encode_scalar(kind, request_id, meta)
-        if frame is not None:
-            return frame
-    try:
-        if arrays:
-            frame = _encode_arrays(kind, request_id, meta, arrays)
-        else:
-            payload = json.dumps(meta, separators=(",", ":")).encode()
-            frame = _encode_payload(kind, request_id, CODEC_JSON, payload)
-    except (TypeError, ValueError):
-        payload = pickle.dumps((meta, arrays), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = _encode_payload(kind, request_id, CODEC_PICKLE, payload)
+    elif arrays and meta == _KEYS_META.get(kind, {}):
+        frame = _encode_keys(kind, request_id, arrays)
+    if frame is None:
+        try:
+            if arrays:
+                frame = _encode_arrays(kind, request_id, meta, arrays)
+            else:
+                payload = json.dumps(meta, separators=(",", ":")).encode()
+                frame = _encode_payload(kind, request_id, CODEC_JSON, payload)
+        except (TypeError, ValueError):
+            payload = pickle.dumps(
+                (meta, arrays), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            frame = _encode_payload(kind, request_id, CODEC_PICKLE, payload)
     if len(frame) - _PREFIX.size > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame body of {len(frame) - _PREFIX.size} bytes exceeds the "
@@ -344,6 +364,17 @@ def _decode_arrays(
         )
         pos += dlen
     return meta, codec.unpack(memoryview(body)[pos:], descriptors)
+
+
+def _decode_keys(kind: int, body: bytes) -> Tuple[Dict[str, Any], List[np.ndarray]]:
+    pos = _BODY_HEADER.size + 4
+    head = pos + _KEYS_DESC.size * struct.unpack_from("<I", body, pos - 4)[0]
+    specs = [
+        (_KEYS_DTYPES[code], count)
+        for code, count in _KEYS_DESC.iter_unpack(body[pos:head])
+    ]
+    arrays = codec.unpack(body, codec.layout(specs, head))
+    return dict(_KEYS_META.get(kind, {})), arrays
 
 
 def _decode_scalar(kind: int, body: bytes) -> Dict[str, Any]:
@@ -378,6 +409,8 @@ def decode_frame(body: bytes) -> Frame:
     try:
         if codec_id == CODEC_SCALAR:
             meta, arrays = _decode_scalar(kind, body), []
+        elif codec_id == CODEC_KEYS:
+            meta, arrays = _decode_keys(kind, body)
         elif codec_id == CODEC_JSON:
             meta, arrays = json.loads(bytes(body[start:]).decode() or "{}"), []
         elif codec_id == CODEC_ARRAYS:
@@ -484,24 +517,14 @@ def _is_pair(value: Any) -> bool:
 
 
 def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
-    """Classify a reply value into the ``(meta, arrays)`` frame payload.
+    """The ``(meta, arrays)`` payload :func:`encode_frame` ships a reply
+    value as.
 
-    Numeric arrays, ``(keys, values)`` pairs and lists of pairs (the
-    ``range_batch`` shape, as :func:`repro.codec.join_pairs` arrays) take
-    the packed array path; ``None`` and JSON-safe scalars ride the meta
-    dict (``None``, ints and floats then leave as ``CODEC_SCALAR``);
-    anything else is embedded raw in the meta so the frame encoder's
-    pickle fallback carries it.
-
-    Parameters
-    ----------
-    value:
-        The operation result to ship.
-
-    Returns
-    -------
-    tuple
-        ``(meta, arrays)`` for :func:`encode_frame`.
+    Numeric arrays, ``(keys, values)`` pairs (a range, or a ``(values,
+    found)`` lookup) and lists of pairs (the ``range_batch`` shape, as
+    :func:`repro.codec.join_pairs` arrays) travel as arrays; ``None`` and
+    JSON-safe scalars ride the meta dict; anything else is embedded raw in
+    the meta so the frame encoder's pickle fallback carries it.
     """
     if isinstance(value, np.generic):
         value = value.item()
@@ -521,19 +544,8 @@ def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
 
 
 def decode_result(frame: Frame) -> Any:
-    """The reply value a ``REPLY_OK`` frame carries (see
-    :func:`encode_result`).
-
-    Parameters
-    ----------
-    frame:
-        A decoded ``REPLY_OK`` frame.
-
-    Returns
-    -------
-    Any
-        The reconstructed operation result.
-    """
+    """The reply value a decoded ``REPLY_OK`` frame carries (see
+    :func:`encode_result`)."""
     meta, arrays = frame.meta, frame.arrays
     shape = meta.get("r")
     if shape in ("py", "obj"):

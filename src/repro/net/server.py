@@ -5,16 +5,18 @@ frames into an existing :class:`repro.serve.Server` — the same admission
 control, the same :class:`~repro.serve.batcher.RequestBatcher`
 micro-batching, the same stats. Scalar frames go through the batcher's
 coalescing submit path (so concurrent remote clients batch together
-exactly like concurrent local coroutines); batch frames dispatch whole
-through the server's batch verbs.
+exactly like concurrent local coroutines), and so does a client's key
+batch of coalesced gets, as one vector op answered ``(values, found)``;
+the other batch frames dispatch whole through the server's batch verbs.
 
 Per connection, one :class:`asyncio.Protocol` pump:
 
 * **one parse per wake-up** — every socket read is parsed for all the
-  frames it completed. A scalar frame is submitted to the batcher right
-  there and answered from the returned future's callback (no task), so
-  one segment's frames land in one flush; batch, control and traced
-  frames — and a verb that hands back a coroutine — are served in a task.
+  frames it completed. A scalar or key-batch frame is submitted to the
+  batcher right there and answered from the returned future's callback
+  (no task), so one segment's frames land in one flush; traced frames and
+  a verb that hands back a coroutine (the other batch verbs, control
+  frames) are served in a task.
 * **pipelining, one write per tick** — replies are matched by
   ``request_id``, possibly out of order; everything completed in one loop
   iteration leaves in one ``transport.write``.
@@ -57,10 +59,6 @@ __all__ = ["NetServer", "serve_tcp"]
 
 #: Default per-connection in-flight request bound.
 DEFAULT_MAX_INFLIGHT = 64
-
-_SCALAR_VERBS = frozenset(
-    (wire.OP_GET, wire.OP_RANGE, wire.OP_INSERT, wire.OP_DELETE)
-)
 
 
 async def _ready(value: Any) -> Any:
@@ -145,9 +143,9 @@ class _Conn(asyncio.Protocol):
 
     def _dispatch(self, frame: wire.Frame) -> None:
         pending = None
-        if frame.kind in _SCALAR_VERBS and "trace" not in frame.meta:
+        if "trace" not in frame.meta:
             # Submit to the batcher right here, so one segment's frames
-            # land in one flush, and answer from the future's own
+            # land in one flush, and answer a bare future from its own
             # callback — no task.
             try:
                 pending = self.net._apply(frame)
@@ -423,7 +421,9 @@ class NetServer:
         if kind == wire.OP_DELETE:
             return srv.delete(meta["key"])
         if kind == wire.OP_GET_BATCH:
-            return srv.get_batch(arrays[0], meta.get("default"))
+            if "default" not in meta:  # a client's coalesced gets
+                return srv.get_many(arrays[0])
+            return srv.get_batch(arrays[0], meta["default"])
         if kind == wire.OP_RANGE_BATCH:
             # Rows travel flattened; an odd-length payload cannot be
             # re-paired and fails the shared bounds check as it stands.
@@ -450,14 +450,9 @@ class NetServer:
     # ------------------------------------------------------------------
 
     def net_stats(self) -> Dict[str, Any]:
-        """The network tier's counters (``Server.stats()['net']``).
-
-        Returns
-        -------
-        dict
-            Connection and frame counters, the listen address, and the
-            batcher's current (possibly SLA-adapted) ``max_delay``.
-        """
+        """The network tier's counters (``Server.stats()['net']``):
+        connections, frames, the listen address and the batcher's current
+        (possibly SLA-adapted) ``max_delay``."""
         out = dict(self._counters)
         out["listen"] = f"{self.host}:{self.port}"
         out["max_inflight"] = self.max_inflight
@@ -472,42 +467,19 @@ async def serve_tcp(
     config: Any = None,
     **overrides: Any,
 ):
-    """Open an engine + server per the config and start it on TCP.
+    """Open an engine + server per the config and start it on TCP: the
+    started :class:`NetServer`.
 
-    The one-call path from a config to a listening socket::
-
-        net = await serve_tcp(keys, config=EngineConfig(listen=":0"))
-        print(net.port)
-        ...
-        await net.close()
-
-    Parameters
-    ----------
-    keys, values:
-        Build dataset, as for :func:`repro.api.factory.open_engine`.
-    config:
-        An :class:`~repro.api.factory.EngineConfig`; its ``listen`` field
-        ("host:port", empty host = loopback, port 0 = auto) names the
-        bind address, defaulting to ``"127.0.0.1:0"`` when unset.
-    **overrides:
-        Individual config fields to override.
-
-    Returns
-    -------
-    NetServer
-        The started adapter. Closing it closes the serve layer; the
-        engine (reachable as ``net.server.engine``) additionally has its
-        ``close()`` called for cluster/durable backends when this
-        function built it — unlike :func:`open_server`, there is no other
-        handle through which the caller could own it.
+    ``keys``/``values``/``config``/``**overrides`` are as for
+    :func:`repro.api.factory.open_server`; the config's ``listen``
+    ("host:port", empty host = loopback, port 0 = auto) defaults to
+    ``"127.0.0.1:0"``. Closing the adapter closes the serve layer and
+    also the engine (``net.server.engine``) this function built — unlike
+    :func:`open_server`, no other handle could own it.
     """
     from repro.api.factory import open_server
 
-    if config is not None and not overrides and not getattr(
-        config, "listen", None
-    ):
-        overrides = {"listen": "127.0.0.1:0"}
-    elif "listen" not in overrides and not getattr(config, "listen", None):
+    if "listen" not in overrides and not getattr(config, "listen", None):
         overrides = dict(overrides, listen="127.0.0.1:0")
     net = open_server(keys, values, config=config, **overrides)
     if not isinstance(net, NetServer):  # pragma: no cover - wiring guard

@@ -6,8 +6,12 @@ serving traffic arrives as independent per-caller ``await`` s. The
 :class:`RequestBatcher` closes that gap: concurrent ``submit_get`` /
 ``submit_range`` / ``submit_insert`` / ``submit_delete`` calls park their
 futures in pending lists, a flush coalesces the lists into arrays,
-dispatches them through ``get_batch`` / ``range_batch`` / ``insert_batch``
-/ ``delete_batch``, and fans the results back out to each caller's future.
+dispatches them through ``lookup_batch`` / ``range_batch`` /
+``insert_batch`` / ``delete_batch``, and fans the results back out to each
+caller's future. ``submit_get_many`` parks a whole key array as one get op
+(the TCP tier's coalesced gets); its keys join the cycle's other gets in
+the same ``lookup_batch`` call and it resolves to its ``(values, found)``
+slice.
 
 Flush triggers (first one wins):
 
@@ -64,11 +68,18 @@ __all__ = ["RequestBatcher"]
 
 #: Sentinel distinguishing "missing" from any user value or default.
 _MISS = object()
+#: The default slot of a get op holding a key array (submit_get_many).
+_MANY = object()
 
 
 def _zero() -> float:
     """Observer-less stand-in for ``time.perf_counter`` (see __init__)."""
     return 0.0
+
+
+def _width(op: Tuple) -> int:
+    """Keys a get op asks for: its key array's size, else one."""
+    return op[0].size if op[1] is _MANY else 1
 
 
 def _each(fn: Callable[..., Any], argss: List[Tuple]) -> List[Tuple[bool, Any]]:
@@ -94,7 +105,7 @@ class RequestBatcher:
     ----------
     engine:
         Anything exposing the engine verbs — scalar ``get`` / ``insert`` /
-        ``range_arrays`` plus batch ``get_batch`` / ``range_batch`` /
+        ``range_arrays`` plus batch ``lookup_batch`` / ``range_batch`` /
         ``insert_batch`` (see :class:`~repro.api.protocol.BatchEngine`),
         e.g. a :class:`~repro.engine.ShardedEngine` or
         :class:`~repro.cluster.ClusterEngine`. ``submit_delete`` further
@@ -225,7 +236,8 @@ class RequestBatcher:
 
     @property
     def pending(self) -> int:
-        """Number of requests accepted but not yet dispatched."""
+        """Number of requests accepted but not yet dispatched (a
+        ``submit_get_many`` op counts its keys)."""
         return self._n_pending
 
     def stats(self) -> Dict[str, Any]:
@@ -305,6 +317,33 @@ class RequestBatcher:
                 loop.call_soon(self._idle_fired, self._gen)
         return fut
 
+    def submit_get_many(self, keys) -> asyncio.Future:
+        """Enqueue many point lookups as one op; resolves to the
+        ``(values, found)`` arrays for ``keys`` (float64-coercible), with
+        ``found`` false where a key is absent.
+
+        The op counts as its key count toward ``max_batch`` and in every
+        stat and observed latency, is held at the write barrier when
+        ``[keys.min(), keys.max()]`` overlaps the pending writes' fence,
+        and is answered in the same flush and ``lookup_batch`` call as
+        the cycle's other gets.
+        """
+        keys = np.ascontiguousarray(keys, dtype=np.float64)
+        loop = self._get_loop()
+        fut = loop.create_future()
+        op = (keys, _MANY, fut, self._clock())
+        if (
+            self._writes
+            and keys.size
+            and self._read_overlaps_fence(keys.min(), keys.max())
+        ):
+            self._held_gets.append(op)
+            self._stats["barrier_held"] += 1
+        else:
+            self._gets.append(op)
+        self._after_submit(loop, max(keys.size, 1))
+        return fut
+
     def submit_range(self, lo: Any, hi: Any) -> asyncio.Future:
         """Enqueue a range scan; resolves to a ``(keys, values)`` pair."""
         loop = self._get_loop()
@@ -368,9 +407,9 @@ class RequestBatcher:
     # Flush triggers
     # ------------------------------------------------------------------
 
-    def _after_submit(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _after_submit(self, loop: asyncio.AbstractEventLoop, n: int = 1) -> None:
         self._gen += 1
-        self._n_pending += 1
+        self._n_pending += n
         if self._n_pending >= self.max_batch:
             self._schedule_flush("size")
             return
@@ -512,29 +551,13 @@ class RequestBatcher:
         fut = op[2]
         if not fut.done():
             fut.set_result(value)
-        self._finish(op, kind)
+        self._account((op,), kind)
 
     def _reject(self, op: Tuple, kind: str, exc: BaseException) -> None:
         fut = op[2]
         if not fut.done():
             fut.set_exception(exc)
-        self._finish(op, kind)
-
-    def _finish(self, op: Tuple, kind: str) -> None:
-        self._stats["ops"][kind] += 1
-        if self._observer is None and self._taillog is None:
-            return
-        latency = self._clock() - op[3]
-        if self._observer is not None:
-            self._observer(kind, [latency])
-        if self._taillog is not None:
-            ctx = self._telemetry.ctx()
-            self._taillog.observe(
-                kind,
-                np.asarray([latency * 1e6]),
-                trace_id=None if ctx is None else ctx[0],
-                keys=[op[0]],
-            )
+        self._account((op,), kind)
 
     def _note_batch(self, kind: str, size: int) -> None:
         self._stats["batches"][kind] += 1
@@ -550,43 +573,53 @@ class RequestBatcher:
         ]
 
     def _fan_out(self, chunk: List[Tuple], kind: str, values) -> None:
-        """Resolve a whole chunk's futures and record stats in bulk.
-
-        ``values`` is indexable per op (array or list); the single
-        ``clock()`` here is accurate because batch-mates complete at the
-        same instant by construction.
-        """
-        now = self._clock()
-        observer = self._observer
-        taillog = self._taillog
-        latencies = (
-            [] if observer is not None or taillog is not None else None
-        )
+        """Resolve a whole chunk's futures (``values`` is indexable per
+        op, array or list), then account for them in bulk."""
         for op, value in zip(chunk, values):
             fut = op[2]
             if not fut.done():
                 fut.set_result(value)
-            if latencies is not None:
-                latencies.append(now - op[3])
-        self._stats["ops"][kind] += len(chunk)
+        self._account(chunk, kind)
+
+    def _account(self, ops, kind: str) -> None:
+        """Count completed ops and report their latencies to the observer
+        and the slow-op log, once per key for a key-array get.
+
+        The single ``clock()`` here is accurate because batch-mates
+        complete at the same instant by construction.
+        """
+        widths = None
+        if kind == "get" and any(op[1] is _MANY for op in ops):
+            widths = [_width(op) for op in ops]
+        self._stats["ops"][kind] += len(ops) if widths is None else sum(widths)
+        observer, taillog = self._observer, self._taillog
+        if observer is None and taillog is None:
+            return
+        now = self._clock()
+        latencies = [now - op[3] for op in ops]
+        if widths is not None:
+            latencies = np.repeat(latencies, widths).tolist()
         if observer is not None:
             observer(kind, latencies)
         if taillog is not None:
             # op[0] is the key (or a range's lo bound) — enough for the
             # slow record to carry the op's key range.
+            keys = [op[0] for op in ops]
+            if widths is not None:
+                keys = np.concatenate([np.atleast_1d(key) for key in keys])
             ctx = self._telemetry.ctx()
             taillog.observe(
                 kind,
                 np.asarray(latencies, dtype=np.float64) * 1e6,
                 trace_id=None if ctx is None else ctx[0],
-                keys=[op[0] for op in chunk],
+                keys=keys,
             )
 
     async def _dispatch_gets(self, ops: List[Tuple]) -> None:
         tel = self._telemetry
         tracer = tel.tracer if tel is not None else None
         for chunk in self._chunks(ops):
-            self._note_batch("get", len(chunk))
+            self._note_batch("get", sum(map(_width, chunk)))
             if tracer is None:
                 await self._dispatch_get_chunk(chunk)
             else:
@@ -596,7 +629,8 @@ class RequestBatcher:
     async def _dispatch_get_chunk(self, chunk: List[Tuple]) -> None:
         """Answer one get chunk: scalar, batch, or fallback path."""
         engine = self.engine
-        if len(chunk) == 1:
+        vector = any(op[1] is _MANY for op in chunk)
+        if len(chunk) == 1 and not vector:
             (key, default, _fut, _t0), = chunk
             try:
                 value = engine.get(key, default)
@@ -606,22 +640,39 @@ class RequestBatcher:
                 self._resolve(chunk[0], "get", value)
             return
         try:
-            q = np.asarray([op[0] for op in chunk], dtype=np.float64)
-            results = engine.get_batch(q, _MISS)
+            if vector:
+                q = np.concatenate(
+                    [op[0] if op[1] is _MANY else [op[0]] for op in chunk]
+                )
+            else:
+                q = np.asarray([op[0] for op in chunk], dtype=np.float64)
+            values, found = engine.lookup_batch(q)
         except Exception:
             self._stats["scalar_fallbacks"] += 1
-            outcomes = _each(engine.get, [(op[0], op[1]) for op in chunk])
+            outcomes = _each(self._get_one, [(op[0], op[1]) for op in chunk])
             for op, (ok, res) in zip(chunk, outcomes):
                 (self._resolve if ok else self._reject)(op, "get", res)
             return
-        if results.dtype == object:
-            defaults = [
-                op[1] if value is _MISS else value
-                for op, value in zip(chunk, results)
-            ]
-            self._fan_out(chunk, "get", defaults)
-        else:
-            self._fan_out(chunk, "get", results)
+        # Each op's answer: a key array's (values, found) slice, or one
+        # key's value — or that caller's own default.
+        hits = found.tolist()
+        answers = []
+        at = 0
+        for key, default, _fut, _t0 in chunk:
+            if default is _MANY:
+                end = at + key.size
+                answers.append((values[at:end], found[at:end]))
+                at = end
+            else:
+                answers.append(values[at] if hits[at] else default)
+                at += 1
+        self._fan_out(chunk, "get", answers)
+
+    def _get_one(self, key: Any, default: Any) -> Any:
+        """One get op answered alone (its chunk's batch call failed)."""
+        if default is _MANY:
+            return self.engine.lookup_batch(key)
+        return self.engine.get(key, default)
 
     async def _dispatch_ranges(self, ops: List[Tuple]) -> None:
         engine = self.engine

@@ -299,6 +299,21 @@ class Server:
             return self._batcher.submit_get(key, default)
         return self._bounded(self._batcher.submit_get, key, default)
 
+    def get_many(self, keys) -> Any:
+        """Point lookups of many callers' keys as one batcher op: awaitable
+        of the ``(values, found)`` arrays, ``found`` false where a key is
+        absent (its value slot is then unspecified).
+
+        The TCP tier's verb for a client's coalesced gets: fenced,
+        flushed and counted like that many ``get`` s (see
+        :meth:`~repro.serve.batcher.RequestBatcher.submit_get_many`).
+        """
+        if self._closed:
+            raise ServerClosedError("server is closed")
+        if self._max_pending is None:
+            return self._batcher.submit_get_many(keys)
+        return self._bounded(self._batcher.submit_get_many, keys)
+
     def range(self, lo: float, hi: float) -> Any:
         """Range scan: awaitable of the ``(keys, values)`` arrays with
         ``lo <= key <= hi``."""

@@ -137,12 +137,21 @@ def test_max_inflight_is_an_exact_bound_that_starves_nobody():
 
         srv.get = counting_get
         async with NetServer(srv, max_inflight=4) as net:
-            async with AsyncNetClient(*net.address) as c:
-                out = await asyncio.gather(
-                    *[c.get(float(k)) for k in KEYS[:64]]
-                )
-                assert list(out) == list(VALUES[:64])
-                assert c.stats()["writes_out"] == 1  # pipelined in one write
+            # 64 scalar frames pipelined in one write (a client would
+            # coalesce these gets into one frame).
+            reader, writer = await asyncio.open_connection(*net.address)
+            try:
+                writer.write(b"".join(
+                    wire.encode_frame(wire.OP_GET, i + 1, {"key": float(KEYS[i])})
+                    for i in range(64)
+                ))
+                replies = [await wire.read_frame(reader) for _ in range(64)]
+                assert {f.request_id: wire.decode_result(f) for f in replies} == {
+                    i + 1: int(VALUES[i]) for i in range(64)
+                }
+            finally:
+                writer.close()
+                await writer.wait_closed()
             assert peak == 4
             assert net.server.stats()["batcher"]["max_batch_observed"] == 4
 

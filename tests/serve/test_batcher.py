@@ -7,6 +7,7 @@ under test — the idle-flush optimization would otherwise fire first.
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError
@@ -148,6 +149,30 @@ class TestInsertFence:
             return red.result()
 
         assert run(main()) == 77
+
+    def test_get_many_overlapping_a_pending_insert_is_held_and_sees_it(self):
+        engine, keys = build_engine()
+
+        async def main():
+            batcher = RequestBatcher(engine, eager_flush=False, max_delay=30.0)
+            batcher.submit_insert(500.0, 77)
+            # The span [keys[0], keys[-1]] covers the insert; [-2, -1]
+            # does not.
+            held = batcher.submit_get_many(np.array([keys[-1], 500.0, keys[0]]))
+            free = batcher.submit_get_many(np.array([-2.0, -1.0]))
+            stats = batcher.stats()
+            assert batcher.pending == 1 + 3 + 2  # a key array counts its keys
+            await batcher.drain()
+            return held.result(), free.result(), stats, batcher.stats()
+
+        (values, found), (_, missed), before, after = run(main())
+        assert before["barrier_held"] == 1
+        assert found.tolist() == [True, True, True]
+        assert values[1] == 77
+        assert values[0] == engine.get(keys[-1])
+        assert missed.tolist() == [False, False]
+        assert after["ops"]["get"] == 5
+        assert after["max_batch_observed"] == 3
 
 
 class TestSoloMode:

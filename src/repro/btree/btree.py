@@ -6,7 +6,7 @@ and both baselines (full/dense and fixed-page/sparse) for a fair comparison.
 This module is that tree: a textbook B+ tree with
 
 * point ``get``/``insert``/``delete`` (delete with borrow/merge rebalancing),
-* predecessor / successor queries (``floor_item`` / ``ceiling_item``),
+* predecessor queries (``floor_item``),
 * ordered range iteration over a doubly linked leaf chain,
 * one-pass bulk loading with a configurable fill factor,
 * modeled size accounting (8-byte keys/pointers, as in the paper's Section 6),
@@ -27,7 +27,6 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import (
-    EmptyIndexError,
     InvalidParameterError,
     InvariantViolationError,
     KeyNotFoundError,
@@ -254,36 +253,6 @@ class BPlusTree:
         self._visit(prev)
         return prev.keys[-1], prev.values[-1]
 
-    def ceiling_item(self, key: Any) -> Optional[Tuple[Any, Any]]:
-        """Return the ``(k, v)`` pair with the smallest ``k >= key``."""
-        if self._root is None:
-            return None
-        leaf, _ = self._descend(key)
-        i = bisect_left(leaf.keys, key)
-        if i < len(leaf.keys):
-            return leaf.keys[i], leaf.values[i]
-        nxt = leaf.next_leaf
-        if nxt is None:
-            return None
-        self._visit(nxt)
-        return nxt.keys[0], nxt.values[0]
-
-    def min_item(self) -> Tuple[Any, Any]:
-        """Return the smallest ``(k, v)`` pair. Raises on an empty tree."""
-        if self._first_leaf is None:
-            raise EmptyIndexError("min_item() on empty tree")
-        leaf = self._first_leaf
-        return leaf.keys[0], leaf.values[0]
-
-    def max_item(self) -> Tuple[Any, Any]:
-        """Return the largest ``(k, v)`` pair. Raises on an empty tree."""
-        if self._root is None:
-            raise EmptyIndexError("max_item() on empty tree")
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1], node.values[-1]
-
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
@@ -335,29 +304,6 @@ class BPlusTree:
                     if k > hi or (not include_hi and k == hi):
                         return
                 yield k, leaf.values[i]
-                i += 1
-            leaf = leaf.next_leaf
-            i = 0
-
-    def items_from_floor(self, key: Any) -> Iterator[Tuple[Any, Any]]:
-        """Yield pairs in order, starting at the greatest key ``<= key``.
-
-        If no key is ``<= key``, iteration starts at the smallest key. Used
-        by range scans that must begin inside the segment owning ``key``.
-        """
-        if self._root is None:
-            return
-        leaf, _ = self._descend(key)
-        i = bisect_right(leaf.keys, key) - 1
-        if i < 0:
-            prev = leaf.prev_leaf
-            if prev is not None:
-                leaf, i = prev, len(prev.keys) - 1
-            else:
-                i = 0
-        while leaf is not None:
-            while i < len(leaf.keys):
-                yield leaf.keys[i], leaf.values[i]
                 i += 1
             leaf = leaf.next_leaf
             i = 0

@@ -2,15 +2,17 @@
 
 The in-process :class:`~repro.engine.ShardedEngine` is bound by the GIL:
 every shard's ``searchsorted``/merge work serializes on one core. The
-cluster engine keeps the exact same surface — ``get_batch`` /
-``range_batch`` / ``insert_batch`` / ``stats`` / ``warm`` / ``version``
-plus the scalar mirrors, so :class:`repro.serve.Server` works over it
-unchanged — but each range shard lives in its own worker process
-(:mod:`repro.cluster.worker`), rebuilt from a
+cluster engine keeps the exact same surface, so :class:`repro.serve.Server`
+works over it unchanged — routing, WAL logging, counting, workload
+profiling and the verb surface are the shared
+:class:`~repro.engine.front.EngineFront`'s — but each range shard lives in
+its own worker process (:mod:`repro.cluster.worker`), rebuilt from a
 :meth:`~repro.core.paged_index.PagedIndexBase.to_state` snapshot without
-re-segmentation. Batch keys and numeric results cross the process boundary
-through shared-memory lanes (:mod:`repro.cluster.shm`); the pipes carry
-only small control frames.
+re-segmentation. What this class keeps is how those shards are reached:
+boot, spawn, restore and replay of workers, the transport and its fenced
+rounds. Batch keys and numeric results cross the process boundary through
+shared-memory lanes (:mod:`repro.cluster.shm`); the pipes carry only small
+control frames.
 
 Consistency across the process hop:
 
@@ -49,10 +51,9 @@ process is killed and restored instead of being permanently fenced off.
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing as mp
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,22 +71,23 @@ from repro.cluster.shm import (
 )
 from repro.cluster.worker import shard_worker_main
 from repro.core.errors import InvalidParameterError, KeyNotFoundError
-from repro.core.page import _object_array
 from repro.core.serialize import _registry
 from repro.engine.engine import ShardedEngine
+from repro.engine.front import EngineFront
 from repro.engine.scatter import (
     gather_lookups,
-    gather_points,
-    resolve_values,
     split_points,
     split_ranges,
-    split_sorted,
     stitch_ranges,
 )
 from repro.wal.format import OP_DELETE, OP_INSERT
-from repro.wal.store import log_chunks
 
 __all__ = ["ClusterEngine"]
+
+#: ``stats()`` view counters: the views live in the workers.
+_NO_VIEWS = dict.fromkeys(
+    ("view_hits", "view_builds", "view_patches", "view_full_rebuilds"), 0
+)
 
 
 class _WorkerHandle:
@@ -106,7 +108,7 @@ class _WorkerHandle:
         self.ipc = {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0}
 
 
-class ClusterEngine:
+class ClusterEngine(EngineFront):
     """Multi-process shard executors behind the ShardedEngine API.
 
     Parameters
@@ -144,6 +146,10 @@ class ClusterEngine:
     ...     bool((engine.get_batch(keys[:512]) == np.arange(512)).all())
     True
     """
+
+    _backend = "cluster"
+    _get_span = "cluster.get_batch"
+    _retain_tail = True  # a crashed worker is respawned from the tail
 
     def __init__(
         self,
@@ -260,12 +266,10 @@ class ClusterEngine:
 
     def _boot(self, states: Dict[str, Any], *, mp_context, lane_capacity,
               op_timeout, telemetry=None) -> None:
-        self.telemetry = telemetry
-        self._telemetry = telemetry
-        self._obs_ops: Optional[Dict[str, Tuple[Any, Any]]] = None
-        self._workload: Any = None
-        if telemetry is not None:
-            self._register_telemetry(telemetry)
+        self._init_front(
+            states["cuts"], states["auto_rowid"], states["next_rowid"],
+            telemetry,
+        )
         if isinstance(mp_context, str) or mp_context is None:
             method = mp_context or (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
@@ -275,16 +279,6 @@ class ClusterEngine:
             ctx = mp_context
         self._ctx = ctx
         self._lane_capacity = int(lane_capacity)
-        self.cuts: np.ndarray = states["cuts"]
-        if telemetry is not None:
-            # The parent-side profiler is the merge target for the
-            # per-shard sketch deltas workers ship back in reply frames;
-            # registration waits until here because it needs the cuts.
-            ensure = getattr(telemetry, "ensure_workload", None)
-            if ensure is not None:
-                self._workload = ensure(self.cuts)
-        self._auto_rowid: bool = states["auto_rowid"]
-        self._next_rowid: int = states["next_rowid"]
         shard_states = states["shards"]
         self._values_dtype = (
             np.dtype(shard_states[0]["values_dtype"])
@@ -309,7 +303,6 @@ class ClusterEngine:
         #: restore (durable engines) replaces the process outright.
         self._poisoned: set = set()
         self._versions: List[int] = [int(s["version"]) for s in shard_states]
-        self._wal: Any = None
         self._workers: List[_WorkerHandle] = []
         try:
             for sid, state in enumerate(shard_states):
@@ -377,41 +370,11 @@ class ClusterEngine:
     # Durability
     # ------------------------------------------------------------------
 
-    def attach_wal(self, store: Any) -> None:
-        """Attach a :class:`repro.wal.WalStore`; upgrade to restart-on-crash.
+    def _shard_states(self) -> List[Dict[str, Any]]:
+        return self._broadcast("to_state")  # pulled live from the workers
 
-        Every write chunk is logged per shard and group-committed *before*
-        dispatch (``docs/ARCHITECTURE.md``, the write protocol), and the
-        store retains the committed tail in memory so a crashed worker
-        can be respawned from its snapshot state plus a replay of its
-        tail records. Periodic snapshots are taken at safe points (after
-        a verb completes, no locks held) through :meth:`to_states`.
-
-        Parameters
-        ----------
-        store:
-            An open :class:`repro.wal.WalStore`, already ``initialize``-d
-            or ``recover``-ed to match this engine's current state.
-        """
-        if self._values_dtype == np.dtype(object):
-            raise InvalidParameterError(
-                "durability requires a fixed-width values dtype; object "
-                "payloads have no WAL encoding"
-            )
-        store.set_retain_tail(True)
-        store.bind(self.to_states)
-        self._wal = store
-
-    def to_states(self) -> Dict[str, Any]:
-        """Whole-engine snapshot pulled live from the workers: the shape
-        :meth:`ShardedEngine.to_states` returns and both ``from_states``
-        constructors (and a bound ``WalStore``) take."""
-        return {
-            "cuts": self.cuts.copy(),
-            "auto_rowid": self._auto_rowid,
-            "next_rowid": self._next_rowid,
-            "shards": self._broadcast("to_state"),
-        }
+    def _value_dtypes(self) -> set:
+        return {self._values_dtype}
 
     def _maybe_snapshot(self) -> None:
         """Roll a snapshot when the WAL is due (called at safe points,
@@ -487,17 +450,12 @@ class ClusterEngine:
 
     def _replay_record(self, sid: int, rec: Any) -> None:
         """Re-apply one committed tail record to a restored worker."""
-        # Replays must not profile: the original dispatch already
-        # recorded this batch, and a crash-restore would double it.
         if rec.op == OP_INSERT:
-            self._post(
-                sid, "insert_batch", {"profile": False}, [rec.keys, rec.values]
-            )
+            self._post(sid, "insert_batch", {}, [rec.keys, rec.values])
             self._recv(sid)
         elif rec.op == OP_DELETE:
             self._post(
-                sid, "delete_batch",
-                {"missing": rec.missing, "profile": False},
+                sid, "delete_batch", {"missing": rec.missing},
                 [rec.keys], self._points_bytes(rec.keys.size),
             )
             try:
@@ -511,23 +469,7 @@ class ClusterEngine:
                 f"shard {sid} WAL tail holds unreplayable op {rec.op}"
             )
 
-    def _register_telemetry(self, telemetry: Any) -> None:
-        """Wire the cluster's counters and pull-based sources into the
-        telemetry registry (called once from ``_boot``)."""
-        reg = telemetry.registry
-        ops = reg.counter(
-            "repro_engine_ops_total", "Engine batch-verb calls.",
-            labels=("op",),
-        )
-        keys_fam = reg.counter(
-            "repro_engine_keys_total",
-            "Keys processed by engine batch verbs.", labels=("op",),
-        )
-        self._obs_ops = {
-            op: (ops.labels(op), keys_fam.labels(op))
-            for op in ("get_batch", "range_batch", "insert_batch",
-                       "delete_batch")
-        }
+    def _register_sources(self, reg: Any) -> None:
         reg.register_callback(
             "repro_cluster_ipc", self._collect_ipc,
             "Cluster transport counters summed across workers.",
@@ -557,23 +499,6 @@ class ClusterEngine:
                 1 for w in self._workers if w.process.is_alive()
             ),
         }
-
-    def _obs_count(self, op: str, n_keys: int) -> None:
-        """Bump the op/key counters for one batch verb call (telemetry on)."""
-        c_ops, c_keys = self._obs_ops[op]
-        c_ops.inc()
-        c_keys.inc(n_keys)
-
-    def _merge_deltas(self, replies: Dict[int, Tuple]) -> None:
-        """Fold the workers' workload-sketch deltas out of a round's replies
-        (``meta["delta"]``, see
-        :meth:`repro.obs.ShardWorkloadProfiler.record`; only profiled
-        requests are answered with one)."""
-        if self._workload is None:
-            return
-        for sid, (meta, _) in replies.items():
-            if "delta" in meta:
-                self._workload.merge_delta(sid, meta["delta"])
 
     @property
     def closed(self) -> bool:
@@ -610,15 +535,7 @@ class ClusterEngine:
                 note_teardown_error()
             worker.req.close()
             worker.resp.close()
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
-
-    def __enter__(self) -> "ClusterEngine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -786,8 +703,6 @@ class ClusterEngine:
         descriptors = worker.req.write(arrays)
         worker.ipc["batches"] += 1
         meta = {"req": worker.req.name, "resp": worker.resp.name, **meta}
-        if self._workload is not None:
-            meta.setdefault("profile", True)
         self._send(sid, (verb, meta, descriptors))
 
     def _points_bytes(self, n: int) -> int:
@@ -799,78 +714,26 @@ class ClusterEngine:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def n_shards(self) -> int:
-        """Number of shard workers (== effective shard count)."""
-        return len(self._workers)
-
-    @property
-    def version(self) -> int:
-        """Monotonic engine-wide mutation stamp (sum of shard versions).
-
-        Maintained from the version stamp every worker reply carries, so
-        it moves exactly as the in-process engine's
-        :attr:`~repro.engine.ShardedEngine.version` would — the serve
-        layer's flush barrier works unchanged across the process hop.
-        """
-        return sum(self._versions)
-
     def shard_versions(self) -> Tuple[int, ...]:
-        """Last-known per-shard version stamps (one per worker)."""
+        """Last-known per-shard version stamps (one per worker), kept from
+        the stamp every worker reply carries — so :attr:`version` moves
+        exactly as the in-process engine's would and the serve layer's
+        flush barrier works unchanged across the process hop."""
         return tuple(self._versions)
 
     def __len__(self) -> int:
         return self._n
 
-    def stats(self) -> Dict[str, Any]:
-        """Engine-level stats composed from live per-worker shard stats.
-
-        Returns
-        -------
-        dict
-            The backend-independent :meth:`ShardedEngine.stats` schema —
-            same top-level keys, pinned by the ``tests/api`` stats-schema
-            conformance suite. Aggregates (``n``, ``n_pages``,
-            ``buffered_elements``, ``model_bytes``, ``page_rebuilds``)
-            sum live worker shard stats exactly as the in-process engine
-            sums its shards; ``workers`` (pid/alive per shard) and
-            ``ipc`` (batch, pickle-fallback and lane-growth counters)
-            are live here instead of the in-process zeros. The flat-view
-            cache lives worker-side in this backend, so the parent-level
-            ``view_*`` counters report zero.
-        """
-        self._check_open()
-        from repro.obs import stats_sections
-
-        workload, slow_ops = stats_sections(self._telemetry)
+    def _stats_parts(self) -> Tuple[List[Dict[str, Any]], list, dict, dict]:
+        # Live per-worker shard stats, which also refresh the cached sizes.
         per_shard = self._broadcast("stats")
         self._shard_ns = [int(s["n"]) for s in per_shard]
         self._n = sum(self._shard_ns)
-        return {
-            "backend": "cluster",
-            "n": self._n,
-            "n_shards": self.n_shards,
-            "cuts": self.cuts.tolist(),
-            "model_bytes": sum(s["model_bytes"] for s in per_shard)
-            + 8 * self.cuts.size,
-            "n_pages": sum(s["n_pages"] for s in per_shard),
-            "buffered_elements": sum(s["buffered_elements"] for s in per_shard),
-            "page_rebuilds": sum(s["page_rebuilds"] for s in per_shard),
-            "view_hits": 0,
-            "view_builds": 0,
-            "view_hit_rate": 0.0,
-            "view_patches": 0,
-            "view_full_rebuilds": 0,
-            "shards": per_shard,
-            "workers": [
-                {"pid": w.process.pid, "alive": w.process.is_alive()}
-                for w in self._workers
-            ],
-            "ipc": self._collect_ipc(),
-            "wal": None if self._wal is None else self._wal.stats(),
-            "workload": workload,
-            "slow_ops": slow_ops,
-        }
+        workers = [
+            {"pid": w.process.pid, "alive": w.process.is_alive()}
+            for w in self._workers
+        ]
+        return per_shard, workers, self._collect_ipc(), _NO_VIEWS
 
     def warm(self) -> None:
         """Pre-build every worker's flattened read snapshot."""
@@ -913,88 +776,27 @@ class ClusterEngine:
     # Reads
     # ------------------------------------------------------------------
 
-    def get(self, key: float, default: Any = None) -> Any:
-        """Scalar point lookup (a one-key batch through the owning worker)."""
-        out = self.get_batch(np.asarray([key], dtype=np.float64), default)
-        return out[0]
-
-    def __contains__(self, key: float) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def get_batch(self, queries, default: Any = None) -> np.ndarray:
-        """Vectorized point lookups fanned out across the shard workers.
+    def _lookup(self, q: np.ndarray, span: Any) -> Tuple[np.ndarray, np.ndarray]:
+        """One fenced point-read round: request-order ``(values, found)``
+        from the per-worker ``(values, found)`` replies.
 
         The batch is routed with one ``searchsorted`` over the cuts; each
         owning worker receives its whole sub-batch through its
-        shared-memory lane, every worker computes concurrently (separate
-        interpreters — no GIL serialization), and results scatter back
-        into request order. Results are bit-identical to
-        :meth:`ShardedEngine.get_batch`.
-
-        Parameters
-        ----------
-        queries:
-            Key batch, any array-like coercible to float64; order is
-            preserved in the result.
-        default:
-            Value stored in the slot of every query with no match
-            (parent-side only — it never crosses the process boundary).
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query: the values dtype when every query hits,
-            else an object array with ``default`` in the miss slots.
-        """
-        return self._lookup(
-            queries, lambda n, parts: gather_points(n, parts, default)
-        )
-
-    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized point lookups as ``(values, found)``, in request
-        order, from the per-worker ``(values, found)`` replies; a miss's
-        value slot is unspecified. Same round as :meth:`get_batch`."""
-        return self._lookup(queries, gather_lookups)
-
-    def _lookup(self, queries, gather: Any) -> Any:
-        """One point-read round, its per-shard parts handed to ``gather``."""
-        self._check_open()
-        q = np.ascontiguousarray(queries, dtype=np.float64)
-        tel = self._telemetry
-        if tel is None:
-            return self._get_batch_impl(q, gather, None)
-        if tel.tracer is None:
-            out = self._get_batch_impl(q, gather, None)
-        else:
-            with tel.tracer.span("cluster.get_batch", n=int(q.size)) as sp:
-                out = self._get_batch_impl(
-                    q, gather, (tel.tracer, (sp.trace_id, sp.span_id))
-                )
-        self._obs_count("get_batch", int(q.size))
-        return out
-
-    def _get_batch_impl(
-        self, q: np.ndarray, gather: Any, trace: Optional[Tuple]
-    ) -> Any:
-        """The fenced dispatch round behind :meth:`get_batch` and
-        :meth:`lookup_batch`: ``gather(n, parts)`` of the replies'
-        ``(positions, values, found)`` parts.
-
-        ``trace`` is ``None`` (untraced) or
-        ``(tracer, (trace_id, parent_span_id))``: the context rides each
-        request's ``meta["trace"]``, worker replies carry back their
-        ``worker.compute`` spans in ``meta["spans"]`` for stitching, and
-        the parent-side decode/scatter is recorded as a
-        ``cluster.gather`` child span.
+        shared-memory lane and every worker computes concurrently
+        (separate interpreters — no GIL serialization). With ``span`` (a
+        traced call) its context rides each request's ``meta["trace"]``,
+        worker replies carry back their ``worker.compute`` spans in
+        ``meta["spans"]`` for stitching, and the parent-side
+        decode/scatter is recorded as a ``cluster.gather`` child span.
         """
         if q.size == 0:
             # Matches the in-process engine's view: an empty batch over a
             # populated engine keeps the values dtype.
-            empty = np.empty(0, dtype=self._values_dtype if self._n else object)
-            return gather(0, [(q.astype(np.intp), empty, None)])
+            dtype = self._values_dtype if self._n else object
+            return np.empty(0, dtype=dtype), np.ones(0, dtype=bool)
         groups = split_points(self.cuts, q)
-        meta = {} if trace is None else {"trace": trace[1]}
+        tracer = None if span is None else self._telemetry.tracer
+        meta = {} if span is None else {"trace": (span.trace_id, span.span_id)}
         self._acquire_all()
         try:
             replies = self._round_durable(
@@ -1008,19 +810,18 @@ class ClusterEngine:
                     for i, idx in groups
                 }
             )
-            self._merge_deltas(replies)
             gather_span = contextlib.nullcontext()
-            if trace is not None:
+            if tracer is not None:
                 for i, _idx in groups:
-                    trace[0].ingest(replies[i][0].get("spans", ()))
-                gather_span = trace[0].span("cluster.gather", shards=len(groups))
+                    tracer.ingest(replies[i][0].get("spans", ()))
+                gather_span = tracer.span("cluster.gather", shards=len(groups))
             # Gather while the locks pin the response lanes (the parts
             # hold zero-copy lane views).
             with gather_span:
                 parts = [
                     (idx, *self._read_points(i, replies[i])) for i, idx in groups
                 ]
-                return gather(q.size, parts)
+                return gather_lookups(q.size, parts)
         finally:
             self._release_all()
 
@@ -1039,71 +840,21 @@ class ClusterEngine:
             values, *mask = worker.resp.read(descriptors)
             return values, (mask[0].view(np.bool_) if mask else None)
         worker.ipc["pickle_fallbacks"] += 1  # object payloads
-        return _object_array(meta["values"]), meta["found"]
+        return meta["values"], meta["found"]
 
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
 
-    def range_items(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> Iterator[Tuple[float, Any]]:
-        """Scalar-compatible range scan stitched across workers in key order."""
-        keys, values = self.range_arrays(lo, hi, include_lo, include_hi)
-        for k, v in zip(keys, values):
-            yield float(k), v
-
-    def range_arrays(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One range query, answered as ``(keys, values)`` arrays."""
-        flo = -math.inf if lo is None else float(lo)
-        fhi = math.inf if hi is None else float(hi)
-        results = self.range_batch(
-            np.asarray([[flo, fhi]]), include_lo, include_hi
-        )
-        return results[0]
-
-    def range_batch(
-        self,
-        bounds,
-        include_lo: bool = True,
-        include_hi: bool = True,
+    def _range(
+        self, bounds: np.ndarray, include_lo: bool, include_hi: bool
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One ``(keys, values)`` pair per ``[lo, hi]`` row of ``bounds``.
-
-        Each worker receives only the bounds overlapping its cut range
-        (through its request lane), scans them against its shard
-        concurrently with the others, and replies with its contributions
-        (concatenated rows + per-bound counts through the response lane);
-        the parent stitches per-bound results in shard order, which is
-        key order. Results match :meth:`ShardedEngine.range_batch`.
-
-        Parameters
-        ----------
-        bounds:
-            ``(n, 2)`` array-like of inclusive ``[lo, hi]`` key bounds.
-        include_lo, include_hi:
-            Bound inclusivity, applied to every scan in the batch.
-
-        Returns
-        -------
-        list of (numpy.ndarray, numpy.ndarray)
-            For each bounds row, the matching ``(keys, values)`` arrays
-            in key order.
-        """
-        self._check_open()
+        # Each worker receives only the bounds overlapping its cut range,
+        # scans them concurrently with the others and replies with its
+        # rows per bound; the rows stitch in shard order, which is key
+        # order.
         bounds, jobs = split_ranges(self.cuts, bounds)
-        n_bounds = bounds.shape[0]
-        if n_bounds == 0:
+        if bounds.shape[0] == 0:
             return []
         meta = {"include_lo": include_lo, "include_hi": include_hi}
         self._acquire_all()
@@ -1119,16 +870,12 @@ class ClusterEngine:
                     for sid, idx in jobs
                 }
             )
-            self._merge_deltas(raw)
             parts = [
                 (idx, self._read_ranges(sid, raw[sid])) for sid, idx in jobs
             ]
         finally:
             self._release_all()
-        out = stitch_ranges(n_bounds, parts, self._values_dtype)
-        if self._telemetry is not None:
-            self._obs_count("range_batch", n_bounds)
-        return out
+        return stitch_ranges(bounds.shape[0], parts, self._values_dtype)
 
     def _read_ranges(
         self, sid: int, reply: Tuple
@@ -1154,57 +901,16 @@ class ClusterEngine:
     # Writes
     # ------------------------------------------------------------------
 
-    def insert(self, key: float, value: Any = None) -> None:
-        """Scalar insert (engine-level row id when built without values)."""
-        values, self._next_rowid = resolve_values(
-            1, None if value is None else [value],
-            self._auto_rowid, self._next_rowid,
-        )
-        _, keys, jobs = split_sorted(
-            self.cuts, np.asarray([float(key)], dtype=np.float64)
-        )
-        self._insert_sorted(keys, values, jobs)
-
-    def insert_batch(self, keys, values=None) -> None:
-        """Bulk batch insert: route once, apply per worker under one fence.
-
-        The batch is stable-sorted and cut into one contiguous sub-batch
-        per shard exactly as :meth:`ShardedEngine.insert_batch` does; each
-        owning worker applies its chunk through the same vectorized
-        per-page merge path, and the call returns only after *every*
-        owning worker has acknowledged — the per-batch fence that makes a
-        subsequent read see the write regardless of which process served
-        it. The engine-wide :attr:`version` stamp advances with the
-        acknowledgements. Empty batches are a strict no-op.
-
-        Parameters
-        ----------
-        keys:
-            Keys to insert, any order, any array-like coercible to
-            float64.
-        values:
-            Aligned payloads; ``None`` assigns engine-wide auto row ids
-            in request order (only on engines built without explicit
-            values).
-        """
-        self._check_open()
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.size == 0:
-            return
-        values, self._next_rowid = resolve_values(
-            keys.size, values, self._auto_rowid, self._next_rowid
-        )
-        order, skeys, jobs = split_sorted(self.cuts, keys)
-        self._insert_sorted(skeys, values[order], jobs)
-        if self._telemetry is not None:
-            self._obs_count("insert_batch", int(keys.size))
+    def _check_writable(self, sid: int) -> None:
+        if self._read_only[sid]:
+            raise InvalidParameterError(
+                "index built with buffer_capacity=0 is read-only"
+            )
 
     def _insert_sorted(
         self, keys: np.ndarray, values: np.ndarray, jobs: List[Tuple[int, int, int]]
     ) -> None:
-        """Log, dispatch and fence one :func:`split_sorted` write plan."""
-        self._check_open()
-        self._commit(keys, jobs, values)
+        """Dispatch and fence one committed :func:`split_sorted` insert plan."""
         thunks = {
             sid: (
                 lambda sid=sid, a=a, b=b: self._post_insert(
@@ -1219,7 +925,7 @@ class ClusterEngine:
             # chunk) before this returns — and every reply is drained even
             # on failure, so the pipes never fall a round behind.
             errors: Dict[int, BaseException] = {}
-            self._merge_deltas(self._round(sorted(thunks.items()), errors))
+            self._round(sorted(thunks.items()), errors)
             if errors:
                 first: Optional[BaseException] = None
                 for sid in sorted(errors):
@@ -1242,21 +948,6 @@ class ClusterEngine:
                 self._n = sum(self._shard_ns)
         finally:
             self._release_all()
-        self._maybe_snapshot()
-
-    def _commit(self, keys, jobs, values=None, missing="raise") -> Dict[int, int]:
-        """Refuse a write plan that lands on a read-only shard, else log
-        every chunk under one group commit — BEFORE dispatch: once the
-        fsync returns, a worker crash anywhere below replays the chunk
-        from the tail instead of losing it. Returns ``{shard: lsn}``."""
-        for sid, _a, _b in jobs:
-            if self._read_only[sid]:
-                raise InvalidParameterError(
-                    "index built with buffer_capacity=0 is read-only"
-                )
-        return log_chunks(
-            self._wal, self._next_rowid, keys, jobs, values, missing
-        )
 
     def _resync_len(self) -> None:
         """Recount ``_n`` from every *live* worker (caller holds every
@@ -1283,62 +974,19 @@ class ClusterEngine:
             self._shard_ns[sid] = int(meta["result"]["n"])
         self._n = sum(self._shard_ns)
 
-    def delete(self, key: float) -> Any:
-        """Scalar delete (a one-key fenced batch through the owning worker).
-
-        Raises :class:`~repro.core.errors.KeyNotFoundError` when absent,
-        exactly as :meth:`ShardedEngine.delete` does.
-        """
-        out = self.delete_batch(np.asarray([key], dtype=np.float64))
-        return out[0]
-
-    def delete_batch(
-        self, keys, *, missing: str = "raise", default: Any = None
-    ) -> np.ndarray:
-        """Bulk batch delete: route once, remove per worker under one fence.
-
-        The batch is stable-sorted and cut into one contiguous sub-batch
-        per shard exactly as :meth:`ShardedEngine.delete_batch` does; each
-        owning worker removes its chunk through the same vectorized
-        per-page splice path and replies with the deleted values (plus a
-        found mask under ``missing="ignore"``), and the call returns only
-        after *every* owning worker has acknowledged — the same per-batch
-        fence as inserts, so a subsequent read cannot see a deleted key.
-        Results and post-delete state are bit-identical to the in-process
-        engine's. Empty batches are a strict no-op.
-
-        Parameters
-        ----------
-        keys:
-            Keys to delete, any order, any array-like coercible to
-            float64; each element removes one occurrence.
-        missing:
-            ``"raise"`` (default): every owning worker applies its chunk
-            (each stops at its own first absent request), then the first
-            failing shard's :class:`~repro.core.errors.KeyNotFoundError`
-            re-raises; ``"ignore"`` records misses.
-        default:
-            Value filling the miss slots under ``missing="ignore"``
-            (parent-side only — it never crosses the process boundary).
-
-        Returns
-        -------
-        numpy.ndarray
-            One deleted value per request in request order: the values
-            dtype when every request hit, else an object array with
-            ``default`` in the miss slots.
-        """
-        self._check_open()
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.size == 0:
-            return np.empty(0, dtype=object)
-        order, skeys, jobs = split_sorted(self.cuts, keys)
-        lsns = self._commit(skeys, jobs, missing=missing)
+    def _delete_sorted(
+        self, order: np.ndarray, keys: np.ndarray,
+        jobs: List[Tuple[int, int, int]], missing: str, lsns: Dict[int, int],
+    ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+        """Dispatch and fence one committed delete plan: the
+        ``(positions, values, found)`` part of each owning worker's reply,
+        copied out of its response lane (a worker whose crash took the
+        reply is restored without ``lsns[sid]`` and its chunk re-sent)."""
         thunks = {
             sid: (
                 lambda sid=sid, a=a, b=b: self._post(
                     sid, "delete_batch", {"missing": missing},
-                    [skeys[a:b]], self._points_bytes(b - a),
+                    [keys[a:b]], self._points_bytes(b - a),
                 )
             )
             for sid, a, b in jobs
@@ -1382,28 +1030,19 @@ class ClusterEngine:
                 self._resync_len()
                 if first is not None:
                     raise first
-            self._merge_deltas(replies)
-            parts = [
-                (order[a:b], *self._read_points(sid, replies[sid]))
-                for sid, a, b in jobs
-            ]
-            # Gather and count hits while the locks pin the response
-            # lanes (the parts hold zero-copy lane views).
-            out = gather_points(keys.size, parts, default)
-            hits = {
-                sid: idx.size if found is None else int(found.sum())
-                for (sid, _a, _b), (idx, _values, found) in zip(jobs, parts)
-            }
+            parts = []
+            for sid, a, b in jobs:
+                values, found = self._read_points(sid, replies[sid])
+                if found is not None:
+                    found = found.copy()
+                parts.append((order[a:b], values.copy(), found))
         finally:
             self._release_all()
         if not errors:
-            for sid, n_hits in hits.items():
-                self._shard_ns[sid] -= n_hits
+            for (sid, a, b), (_idx, _values, found) in zip(jobs, parts):
+                self._shard_ns[sid] -= b - a if found is None else int(found.sum())
             self._n = sum(self._shard_ns)
-        if self._telemetry is not None:
-            self._obs_count("delete_batch", int(keys.size))
-        self._maybe_snapshot()
-        return out
+        return parts
 
     def _post_insert(self, sid: int, keys: np.ndarray, values: np.ndarray) -> None:
         if values.dtype == np.dtype(object):

@@ -15,13 +15,15 @@ lane and their :mod:`repro.codec` descriptors sent in their place.
 encoding") lists its keys per verb.
 
 ==============  ====================================================
-``get_batch``   answer a key batch: values, plus a found mask as a
-                second array unless every key hit
+``get_batch``   answer a key batch from the shard's ``FlatView``:
+                values, plus a found mask as a second array unless
+                every key hit
 ``range_batch`` answer ``[lo, hi]`` scans: ``codec.join_pairs`` rows
 ``insert_batch``  apply a sorted per-shard chunk (the write fence:
                 the reply is not sent until the mutation is applied)
-``delete_batch``  remove a sorted per-shard chunk under the same fence;
-                replies deleted values (+ found mask) like ``get_batch``
+``delete_batch``  remove a sorted per-shard chunk under the same fence
+                (``PagedIndexBase.pop_batch``); replies deleted values
+                (+ found mask) like ``get_batch``
 ``stats``       the shard index's ``stats()`` dict (``meta["result"]``)
 ``to_state``    the shard's ``to_state`` snapshot (``meta["result"]``)
 ``warm``        pre-build the shard's flattened read snapshot
@@ -29,11 +31,9 @@ encoding") lists its keys per verb.
 ``shutdown``    clean exit (replies ``("bye", ...)`` first)
 ==============  ====================================================
 
-Telemetry rides the same dicts: a request with ``meta["trace"]`` gets
-``meta["spans"]`` back (:func:`repro.obs.trace.span_record` dicts), one
-with ``meta["profile"]`` gets ``meta["delta"]``, the shard's
-:class:`~repro.obs.workload.ShardWorkloadProfiler` sketch delta. A
-request with neither gets neither key.
+A traced ``get_batch`` (``meta["trace"]``) gets ``meta["spans"]`` back
+(:func:`repro.obs.trace.span_record` dicts); nothing else about telemetry
+crosses the pipe — the parent profiles the keys it routes.
 
 Every reply carries the shard's monotonic ``version`` stamp, so the
 parent-side engine can maintain the engine-wide version barrier the serve
@@ -54,23 +54,14 @@ import numpy as np
 from repro import codec
 from repro.cluster.shm import ShmLane, attach_lane
 from repro.core.errors import InvalidParameterError
-from repro.core.page import exact_typed_array
 from repro.core.serialize import index_from_state, register_index_class
+from repro.engine.batch import flat_view
 from repro.obs.trace import span_record
-from repro.obs.workload import ShardWorkloadProfiler
 
 __all__ = ["shard_worker_main"]
 
-#: Worker-local miss sentinel for ``get_batch`` (never crosses the pipe).
-_MISS = object()
-
-#: The batch verbs, with the name each is profiled under.
-_BATCH_VERBS = {
-    "get_batch": "get",
-    "range_batch": "range",
-    "delete_batch": "delete",
-    "insert_batch": "insert",
-}
+#: The verbs whose arrays ride the lanes.
+_BATCH_VERBS = ("get_batch", "range_batch", "delete_batch", "insert_batch")
 
 
 class _ShardServer:
@@ -84,24 +75,10 @@ class _ShardServer:
         shard_id: int = -1,
     ):
         self.index = index_from_state(state)
-        self.values_dtype = np.dtype(state["values_dtype"])
         self.lo = lo  # owning cut range, for validate()
         self.hi = hi
         self.shard_id = shard_id  # stamped into traced-reply spans
         self._lanes: Dict[str, Tuple[str, ShmLane]] = {}
-        self._workload: Optional[ShardWorkloadProfiler] = None
-
-    def workload_delta(self, verb: str, keys: np.ndarray) -> Dict[str, Any]:
-        """Fold one batch through the shard profiler; return its delta.
-
-        The profiler is created on the first flagged frame (seeded with
-        the shard's owning cut range, so inner shards bin over their
-        exact span from the start) — workers whose parent never enables
-        workload profiling pay nothing.
-        """
-        if self._workload is None:
-            self._workload = ShardWorkloadProfiler(self.lo, self.hi)
-        return self._workload.record(verb, keys)
 
     # -- lanes ---------------------------------------------------------
 
@@ -128,34 +105,6 @@ class _ShardServer:
 
     # -- verbs ---------------------------------------------------------
 
-    def encode_get_reply(self, resp: ShmLane, result: np.ndarray):
-        """Encode a ``_MISS``-defaulted get/delete result as the reply's
-        ``(meta, descriptors)``.
-
-        Numeric results go through the response lane (values, then the
-        found mask as ``uint8`` unless every key hit); anything the
-        shard's dtype cannot hold — buffered object payloads — falls back
-        to pickled ``values`` / ``found`` meta keys.
-        """
-        if result.dtype != np.dtype(object):  # every key hit
-            return {"via": "shm"}, resp.write([result])
-        found = np.fromiter(
-            (v is not _MISS for v in result), dtype=bool, count=result.size
-        )
-        values = np.zeros(result.size, dtype=self.values_dtype)
-        hits = result[found] if found.any() else result[:0]
-        # Shared exactness rule (exact_typed_array): the cast must be
-        # value-preserving (NaN payloads allowed), otherwise the payload
-        # is not really numeric — e.g. the string '123' parses but must
-        # come back as a string, not 123.
-        cast = exact_typed_array(hits, self.values_dtype)
-        if cast is None:
-            payload = [v if f else None for v, f in zip(result, found)]
-            return {"via": "pickle", "values": payload, "found": found}, ()
-        if hits.size:
-            values[found] = cast
-        return {"via": "shm"}, resp.write([values, found.view(np.uint8)])
-
     def range_batch(self, los, his, include_lo: bool, include_hi: bool):
         """Per-bound (keys, values) contributions from this shard.
 
@@ -170,8 +119,6 @@ class _ShardServer:
         list of (numpy.ndarray, numpy.ndarray)
             This shard's matching rows per bound, in key order.
         """
-        from repro.engine.batch import flat_view
-
         view = flat_view(self.index)
         out = []
         for lo, hi in zip(los, his):
@@ -196,8 +143,6 @@ class _ShardServer:
 
     def warm(self) -> None:
         """Pre-build the flattened read snapshot (first-batch latency)."""
-        from repro.engine.batch import flat_view
-
         flat_view(self.index)
 
 
@@ -263,6 +208,22 @@ def shard_worker_main(
         conn.close()
 
 
+def _encode_points(resp: ShmLane, values: np.ndarray, found: np.ndarray):
+    """A get/delete ``(values, found)`` answer as the reply's
+    ``(meta, descriptors)``.
+
+    Numeric values go through the response lane, then the found mask as
+    ``uint8`` unless every key hit; object values — buffered payloads the
+    shard's dtype cannot hold — fall back to pickled ``values`` /
+    ``found`` meta keys.
+    """
+    if values.dtype == np.dtype(object):
+        return {"via": "pickle", "values": values, "found": found}, ()
+    if found.all():
+        return {"via": "shm"}, resp.write([values])
+    return {"via": "shm"}, resp.write([values, found.view(np.uint8)])
+
+
 def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
     """Execute one ``(verb, meta, descriptors)`` request; return the reply."""
     verb, meta, descriptors = frame
@@ -283,9 +244,9 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
     keys = arrays[0]
     if verb == "get_batch":
         t0 = time.perf_counter()
-        result = server.index.get_batch(keys, _MISS)
+        values, found = flat_view(server.index).lookup_batch(keys)
         compute_s = time.perf_counter() - t0
-        out, reply_descriptors = server.encode_get_reply(resp, result)
+        out, reply_descriptors = _encode_points(resp, values, found)
         if meta.get("trace") is not None:
             out["spans"] = [
                 span_record(
@@ -313,14 +274,11 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
     else:
         keys = np.array(keys)  # own the memory before mutating state
         if verb == "delete_batch":
-            result = server.index.delete_batch(
-                keys, missing=meta["missing"], default=_MISS
+            out, reply_descriptors = _encode_points(
+                resp, *server.index.pop_batch(keys, missing=meta["missing"])
             )
-            out, reply_descriptors = server.encode_get_reply(resp, result)
         elif len(arrays) == 2:
             server.index.insert_batch(keys, np.array(arrays[1]))
         else:  # an object-dtype payload has no lane form
             server.index.insert_batch(keys, meta["values"])
-    if meta.get("profile"):
-        out["delta"] = server.workload_delta(_BATCH_VERBS[verb], keys)
     return ("ok", server.index.version, out, reply_descriptors)

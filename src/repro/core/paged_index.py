@@ -850,6 +850,18 @@ class PagedIndexBase:
             ``default`` in the miss slots (the :meth:`get_batch`
             convention).
         """
+        from repro.engine.scatter import fill_default
+
+        return fill_default(*self.pop_batch(keys, missing=missing), default)
+
+    def pop_batch(
+        self, keys, *, missing: str = "raise"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`delete_batch` answered as ``(values, found)``, in request
+        order: the form engines and workers pass along, ``default`` being
+        the caller's to apply. ``values`` has the values dtype unless a
+        deleted payload cannot take it exactly (then ``object``); a miss's
+        slot is unspecified. An empty batch answers in the values dtype."""
         self._check_writable()
         if missing not in ("raise", "ignore"):
             raise InvalidParameterError(
@@ -858,10 +870,10 @@ class PagedIndexBase:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n = keys.size
         if n == 0:
-            return np.empty(0, dtype=self._values_dtype)
+            return np.empty(0, dtype=self._values_dtype), np.ones(0, dtype=bool)
         order = np.argsort(keys, kind="stable")
         skeys = keys[order]
-        values: List[Any] = [default] * n
+        values: List[Any] = [None] * n
         found = np.zeros(n, dtype=bool)
         #: Whether any deleted value came from an insert buffer (a plain
         #: Python list that may hold payloads the values dtype cannot
@@ -900,17 +912,20 @@ class PagedIndexBase:
 
         out = np.empty(n, dtype=object)
         out[order] = values
-        if bool(found.all()) and self._values_dtype != np.dtype(object):
+        hit = np.empty(n, dtype=bool)
+        hit[order] = found
+        if self._values_dtype != np.dtype(object):
+            typed = np.zeros(n, dtype=self._values_dtype)
             if not saw_buffer:
                 # Every value came straight off a typed data array:
                 # exact by construction, no per-value verification.
-                typed = np.empty(n, dtype=self._values_dtype)
-                typed[:] = out
-                return typed
-            typed = exact_typed_array(out, self._values_dtype)
-            if typed is not None:
-                return typed
-        return out
+                typed[hit] = out[hit]
+                return typed, hit
+            cast = exact_typed_array(out[hit], self._values_dtype)
+            if cast is not None:
+                typed[hit] = cast
+                return typed, hit
+        return out, hit
 
     def delete_value(self, key: float, value: Any) -> bool:
         """Remove the occurrence of ``key`` whose payload equals ``value``.

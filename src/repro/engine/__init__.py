@@ -2,7 +2,8 @@
 
 The serving layer above :mod:`repro.core`: range partitioning
 (:mod:`repro.engine.partition`), the flattened array-native batch read path
-(:mod:`repro.engine.batch`), and the public :class:`ShardedEngine` facade
+(:mod:`repro.engine.batch`), the half of every verb both engines share
+(:mod:`repro.engine.front`), and the public :class:`ShardedEngine` facade
 (:mod:`repro.engine.engine`). ``python3 -m stackbench`` measures it: the
 ``engine-batch-mixed`` workload and the ``engine.*`` per-layer metrics.
 """

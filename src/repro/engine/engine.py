@@ -4,33 +4,29 @@ The single :class:`~repro.core.fiting_tree.FITingTree` answers one key at a
 time; a serving system amortizes. The engine range-partitions the key space
 (:mod:`repro.engine.partition`) into N shards, each backed by its own
 FITing-Tree (or any ``PagedIndexBase`` subclass via ``index_factory``), and
-exposes batch verbs:
+exposes batch verbs. Routing, logging, counting and the verb surface are
+:class:`~repro.engine.front.EngineFront`'s, shared with
+:class:`~repro.cluster.ClusterEngine`; what this class keeps is how its
+in-process shards are reached:
 
-* :meth:`ShardedEngine.get_batch` — answer the whole batch through the
-  engine's one cached :class:`~repro.engine.batch.FlatView`, which spans
-  every shard's pages in key order (shard ranges are disjoint and
-  ordered), so no batch is split or regrouped per shard;
-* :meth:`ShardedEngine.range_batch` — one contiguous slice of that view
-  per bound, wherever the bound falls relative to the cuts;
-* :meth:`ShardedEngine.insert_batch` — route the sorted batch once, then
-  hand each shard its whole contiguous sub-batch; every owning page merges
-  its chunk with one vectorized splice (``PagedIndexBase.insert_batch``),
-  so overflow/split decisions and version bumps happen once per mutated
-  page instead of once per key. The next read re-exports only the pages
-  written to (:func:`~repro.engine.batch.flat_view`), whichever shards
-  they are in.
-
-Scalar ``get`` / ``insert`` / ``range_items`` mirrors are provided so the
-engine drops into any harness an index fits; equivalence between the two
-paths is pinned by tests. Shards are plain single-process objects — the
-partition/batch split is deliberately the shape a future async or
-multi-process deployment needs (each shard's state is independent), per the
-ROADMAP north star.
+* reads — the whole batch through the engine's one cached
+  :class:`~repro.engine.batch.FlatView`, which spans every shard's pages in
+  key order (shard ranges are disjoint and ordered), so no batch is split
+  or regrouped per shard; a range bound takes one contiguous slice of it;
+* writes — each owning shard gets its whole contiguous sub-batch and
+  merges or removes it with one vectorized splice per owning page
+  (``PagedIndexBase.insert_batch`` / ``pop_batch``); every shard applies
+  its chunk before the first failure re-raises. The next read re-exports
+  only the pages written to (:func:`~repro.engine.batch.flat_view`),
+  whichever shards they are in;
+* scalar ``get`` / ``insert`` / ``delete`` / ``range_arrays`` that go
+  straight to one shard or the view (the serve batcher's one-op chunks),
+  with equivalence to the batch verbs pinned by tests.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,15 +35,8 @@ from repro.core.fiting_tree import FITingTree
 from repro.core.page import aligned_value_array
 from repro.core.paged_index import export_pages
 from repro.engine.batch import flat_view
+from repro.engine.front import EngineFront
 from repro.engine.partition import partition_cuts, route, shard_bounds
-from repro.engine.scatter import (
-    check_bounds,
-    fill_default,
-    gather_points,
-    resolve_values,
-    split_sorted,
-)
-from repro.wal.store import log_chunks
 
 __all__ = ["ShardedEngine"]
 
@@ -62,7 +51,7 @@ def _owned(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]
     )
 
 
-class ShardedEngine:
+class ShardedEngine(EngineFront):
     """Range-partitioned batch query engine over per-shard paged indexes.
 
     Parameters
@@ -100,6 +89,9 @@ class ShardedEngine:
     True
     """
 
+    _backend = "sharded"
+    _get_span = "engine.get_batch"
+
     def __init__(
         self,
         keys=None,
@@ -118,7 +110,7 @@ class ShardedEngine:
         if keys.size > 1 and np.any(np.diff(keys) < 0):
             raise NotSortedError("build keys must be sorted ascending")
 
-        self._auto_rowid = values is None
+        auto_rowid = values is None
         if values is None:
             values = np.arange(keys.size, dtype=np.int64)
         else:
@@ -127,7 +119,6 @@ class ShardedEngine:
                 raise InvalidParameterError(
                     f"values length {len(values)} != keys length {keys.size}"
                 )
-        self._next_rowid = keys.size
 
         if index_factory is None:
             def index_factory(k, v):
@@ -139,20 +130,18 @@ class ShardedEngine:
                     **index_kwargs,
                 )
 
-        self.cuts = partition_cuts(keys, n_shards)
+        cuts = partition_cuts(keys, n_shards)
         self._shards: List[Any] = [
             index_factory(keys[a:b], values[a:b])
-            for a, b in shard_bounds(keys, self.cuts)
+            for a, b in shard_bounds(keys, cuts)
         ]
-        self._init_runtime(telemetry)
+        self._init_runtime(cuts, auto_rowid, keys.size, telemetry)
 
-    def _init_runtime(self, telemetry: Any) -> None:
-        """Initialize the non-data runtime state (caches, telemetry, WAL).
-
-        Shared by ``__init__`` and :meth:`from_states`, which rebuilds the
-        data fields (``cuts``/shards/rowid bookkeeping) from snapshots
-        instead of a build pass.
-        """
+    def _init_runtime(
+        self, cuts, auto_rowid: bool, next_rowid: int, telemetry: Any
+    ) -> None:
+        """Initialize the view cache and the front's state around built
+        shards (shared by ``__init__`` and :meth:`from_states`)."""
         self._view_stats: Dict[str, int] = {
             "view_hits": 0,
             "view_builds": 0,
@@ -163,13 +152,7 @@ class ShardedEngine:
         self._directory: Optional[Tuple[np.ndarray, List[Any]]] = None
         self._directory_parts: List[List[Any]] = []
         self._flat_view_cache: Any = None
-        self.telemetry = telemetry
-        self._telemetry = telemetry
-        self._wal: Any = None
-        self._obs_ops: Optional[Dict[str, Tuple[Any, Any]]] = None
-        self._workload: Any = None
-        if telemetry is not None:
-            self._register_telemetry(telemetry)
+        self._init_front(cuts, auto_rowid, next_rowid, telemetry)
 
     @classmethod
     def from_states(
@@ -194,86 +177,20 @@ class ShardedEngine:
         from repro.core.serialize import index_from_state
 
         eng = cls.__new__(cls)
-        eng._auto_rowid = bool(states["auto_rowid"])
-        eng._next_rowid = int(states["next_rowid"])
-        eng.cuts = np.asarray(states["cuts"], dtype=np.float64)
         eng._shards = [index_from_state(s) for s in states["shards"]]
-        eng._init_runtime(telemetry)
+        eng._init_runtime(
+            states["cuts"], states["auto_rowid"], states["next_rowid"],
+            telemetry,
+        )
         return eng
 
-    def to_states(self) -> Dict[str, Any]:
-        """Snapshot the whole engine: routing, row-id state, every shard.
+    def _shard_states(self) -> List[Dict[str, Any]]:
+        return [s.to_state() for s in self._shards]
 
-        Returns
-        -------
-        dict
-            ``cuts`` (copied), ``auto_rowid``, ``next_rowid`` and the
-            per-shard ``to_state`` snapshots — the exact input
-            :meth:`from_states` accepts and the WAL store persists.
-        """
-        return {
-            "cuts": self.cuts.copy(),
-            "auto_rowid": self._auto_rowid,
-            "next_rowid": self._next_rowid,
-            "shards": [s.to_state() for s in self._shards],
-        }
+    def _value_dtypes(self) -> set:
+        return {shard._values_dtype for shard in self._shards}
 
-    def attach_wal(self, store: Any) -> None:
-        """Attach a :class:`repro.wal.WalStore`: log every mutation.
-
-        Every write verb then logs its routed chunks and group-commits
-        them before any shard applies (``docs/ARCHITECTURE.md``, the
-        write protocol), and :meth:`to_states` feeds the store's
-        snapshots. Rejects object-dtype payloads (no portable encoding).
-        """
-        for shard in self._shards:
-            if shard._values_dtype == np.dtype(object):
-                raise InvalidParameterError(
-                    "durability requires numeric value dtypes; this "
-                    "engine holds object payloads"
-                )
-        store.set_retain_tail(False)
-        store.bind(self.to_states)
-        self._wal = store
-
-    def close(self) -> None:
-        """Release durability resources; a no-op without an attached WAL.
-
-        Uncommitted WAL records are discarded — but write verbs commit
-        before they apply, so none exist outside a mid-crash window.
-        """
-        if self._wal is not None:
-            self._wal.close()
-            self._wal = None
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def _register_telemetry(self, telemetry: Any) -> None:
-        """Wire this engine's counters and pull-based sources into the
-        telemetry registry (called once from ``__init__``)."""
-        reg = telemetry.registry
-        ops = reg.counter(
-            "repro_engine_ops_total", "Engine batch-verb calls.",
-            labels=("op",),
-        )
-        keys_fam = reg.counter(
-            "repro_engine_keys_total",
-            "Keys processed by engine batch verbs.", labels=("op",),
-        )
-        self._obs_ops = {
-            op: (ops.labels(op), keys_fam.labels(op))
-            for op in ("get_batch", "range_batch", "insert_batch",
-                       "delete_batch")
-        }
-        # Workload profiling (None unless the bundle enables it): the
-        # profiler bins over this engine's routing cuts, one vectorized
-        # sketch update per batch verb.
-        ensure = getattr(telemetry, "ensure_workload", None)
-        self._workload = ensure(self.cuts) if ensure is not None else None
+    def _register_sources(self, reg: Any) -> None:
         reg.register_callback(
             "repro_engine_view_events", lambda: dict(self._view_stats),
             "Flat-view cache events (hits/builds/pages re-exported by "
@@ -315,25 +232,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
 
     @property
-    def n_shards(self) -> int:
-        """Effective shard count (may be below the requested count)."""
-        return len(self._shards)
-
-    @property
-    def version(self) -> int:
-        """Monotonic engine-wide mutation stamp (sum of shard versions).
-
-        Every write path bumps at least one shard's version, and shards are
-        never removed, so this only moves forward. Observers use it as a
-        flush barrier: the async serving layer records it after each insert
-        dispatch (``RequestBatcher.stats()["barrier_version"]``) so
-        "reads submitted after this write see it" is checkable, and the
-        batcher's insert-failure fallback compares it to prove the engine
-        applied nothing before retrying per key.
-        """
-        return sum(s.version for s in self._shards)
-
-    @property
     def shards(self) -> List[Any]:
         """The per-shard indexes (read-only use; mutate via the engine)."""
         return list(self._shards)
@@ -355,43 +253,9 @@ class ShardedEngine:
         """Modeled index overhead summed over shards (+ the cut vector)."""
         return sum(s.model_bytes() for s in self._shards) + 8 * self.cuts.size
 
-    def stats(self) -> Dict[str, Any]:
-        """Engine-level stats: totals, flat-view cache hit rate, per-shard
-        segment counts and buffer occupancy.
-
-        The top-level key set is the backend-independent schema shared
-        with :class:`repro.cluster.ClusterEngine` (pinned by the
-        ``tests/api`` stats-schema conformance suite): single-process
-        backends report an empty ``workers`` list and all-zero ``ipc``
-        counters rather than omitting the keys.
-        """
-        from repro.obs import stats_sections
-
-        per_shard = [s.stats() for s in self._shards]
-        views = dict(self._view_stats)
-        touches = views["view_hits"] + views["view_builds"]
-        workload, slow_ops = stats_sections(self._telemetry)
-        return {
-            "backend": "sharded",
-            "n": len(self),
-            "n_shards": self.n_shards,
-            "cuts": self.cuts.tolist(),
-            "model_bytes": self.model_bytes(),
-            "n_pages": sum(s["n_pages"] for s in per_shard),
-            "buffered_elements": sum(s["buffered_elements"] for s in per_shard),
-            "page_rebuilds": sum(s["page_rebuilds"] for s in per_shard),
-            "view_hits": views["view_hits"],
-            "view_builds": views["view_builds"],
-            "view_hit_rate": views["view_hits"] / touches if touches else 0.0,
-            "view_patches": views["view_patches"],
-            "view_full_rebuilds": views["view_full_rebuilds"],
-            "shards": per_shard,
-            "workers": [],
-            "ipc": {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0},
-            "wal": None if self._wal is None else self._wal.stats(),
-            "workload": workload,
-            "slow_ops": slow_ops,
-        }
+    def _stats_parts(self) -> Tuple[List[Dict[str, Any]], list, dict, dict]:
+        ipc = {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0}
+        return [s.stats() for s in self._shards], [], ipc, self._view_stats
 
     def validate(self) -> None:
         """Validate every shard plus the routing invariant (each shard's
@@ -455,7 +319,7 @@ class ShardedEngine:
         exactly where scalar engine routing buffers and probes them.
         """
         starts, pages = self._get_directory()
-        dtypes = {shard._values_dtype for shard in self._shards}
+        dtypes = self._value_dtypes()
         arrays = export_pages(
             pages, dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
         )
@@ -508,68 +372,12 @@ class ShardedEngine:
         """Scalar point lookup (routes to one shard's ``get``)."""
         return self.shard_for(key).get(key, default)
 
-    def __contains__(self, key: float) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
-    def get_batch(self, queries, default: Any = None) -> np.ndarray:
-        """Vectorized point lookups across shards, in request order.
-
-        Parameters
-        ----------
-        queries:
-            Key batch, any array-like coercible to float64; order is
-            preserved in the result.
-        default:
-            Value stored in the slot of every query with no match.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query: the values dtype when every query hits,
-            else an object array with ``default`` in the miss slots
-            (matching ``PagedIndexBase.get_batch``).
-        """
-        return fill_default(*self.lookup_batch(queries), default)
-
-    def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized point lookups as ``(values, found)``, in request
-        order: the answer every tier above passes along, ``default`` being
-        the caller's to apply. A miss's value slot is unspecified.
-
-        Answers the whole batch through the engine's one flattened view.
-        Cost for K queries over P pages and n keys: O(K log P) for routing
-        plus one O(K log n) predecessor search and a bounded buffer probe
-        (see :mod:`repro.engine.batch`) — a handful of whole-batch array
-        passes instead of K Python descents.
-        """
-        tel = self._telemetry
-        if tel is None:
-            return flat_view(self, self._view_stats).lookup_batch(queries)
-        with tel.span("engine.get_batch") as sp:
-            values, found = flat_view(self, self._view_stats).lookup_batch(
-                queries
-            )
-            if sp is not None:
-                sp.attrs["n"] = int(values.size)
-        c_ops, c_keys = self._obs_ops["get_batch"]
-        c_ops.inc()
-        c_keys.inc(values.size)
-        if self._workload is not None:
-            self._workload.record("get", queries)
-        return values, found
-
-    def range_items(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> Iterator[Tuple[float, Any]]:
-        """Scalar-compatible range scan stitched across shards in key order."""
-        keys, values = self.range_arrays(lo, hi, include_lo, include_hi)
-        for k, v in zip(keys, values):
-            yield float(k), v
+    def _lookup(self, q: np.ndarray, span: Any) -> Tuple[np.ndarray, np.ndarray]:
+        # Cost for K queries over P pages and n keys: O(K log P) routing
+        # plus one O(K log n) predecessor search and a bounded buffer
+        # probe (see repro.engine.batch) — a handful of whole-batch array
+        # passes instead of K Python descents.
+        return flat_view(self, self._view_stats).lookup_batch(q)
 
     def range_arrays(
         self,
@@ -586,55 +394,24 @@ class ShardedEngine:
             )
         )
 
-    def range_batch(
-        self,
-        bounds,
-        include_lo: bool = True,
-        include_hi: bool = True,
+    def _range(
+        self, bounds: np.ndarray, include_lo: bool, include_hi: bool
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One ``(keys, values)`` pair per ``[lo, hi]`` row of ``bounds``.
-
-        Every scan reads the engine's one flattened view, so a batch of B
-        scans pays any snapshot update once; each scan is then O(log n)
-        ``searchsorted`` bounds plus an O(m) copy of its m matching rows.
-
-        Parameters
-        ----------
-        bounds:
-            ``(n, 2)`` array-like of inclusive ``[lo, hi]`` key bounds.
-        include_lo, include_hi:
-            Bound inclusivity, applied to every scan in the batch.
-
-        Returns
-        -------
-        list of (numpy.ndarray, numpy.ndarray)
-            For each bounds row, the matching ``(keys, values)`` arrays in
-            key order (exactly the order ``range_items`` yields).
-        """
-        bounds = check_bounds(bounds)
+        # Every scan reads the one view, so a batch of B scans pays any
+        # snapshot update once; each is then O(log n) searchsorted bounds
+        # plus an O(m) copy of its m rows.
         view = flat_view(self, self._view_stats)
-        out = [
+        return [
             _owned(view.range_arrays(lo, hi, include_lo, include_hi))
             for lo, hi in bounds.tolist()
         ]
-        if self._telemetry is not None:
-            c_ops, c_keys = self._obs_ops["range_batch"]
-            c_ops.inc()
-            c_keys.inc(bounds.shape[0])
-            if self._workload is not None:
-                self._workload.record("range", bounds[:, 0])
-        return out
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
 
-    def _commit(self, keys, slices, values=None, missing="raise") -> None:
-        """Refuse a routed write an owning shard cannot take, else log
-        every chunk under one group commit — before any shard applies."""
-        for sid, _a, _b in slices:
-            self._shards[sid]._check_writable()
-        log_chunks(self._wal, self._next_rowid, keys, slices, values, missing)
+    def _check_writable(self, sid: int) -> None:
+        self._shards[sid]._check_writable()
 
     def _apply(self, slices, fn: Callable[[int, int, int], Any]) -> List[Any]:
         """Run ``fn(shard, a, b)`` on *every* owning shard, then re-raise
@@ -651,10 +428,22 @@ class ShardedEngine:
             raise errors[0]
         return results
 
-    def _maybe_snapshot(self) -> None:
-        """Rotate a snapshot generation if the attached log is due."""
-        if self._wal is not None:
-            self._wal.maybe_snapshot()
+    def _insert_sorted(self, keys, values, slices) -> None:
+        self._apply(
+            slices,
+            lambda sid, a, b: self._shards[sid].insert_batch(
+                keys[a:b], values[a:b]
+            ),
+        )
+
+    def _delete_sorted(self, order, keys, slices, missing, lsns) -> List[Any]:
+        return self._apply(
+            slices,
+            lambda sid, a, b: (
+                order[a:b],
+                *self._shards[sid].pop_batch(keys[a:b], missing=missing),
+            ),
+        )
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values)."""
@@ -668,55 +457,6 @@ class ShardedEngine:
         self._shards[sid].insert(key, value)
         self._maybe_snapshot()
 
-    def insert_batch(self, keys, values=None) -> None:
-        """Bulk batch insert: route once, bulk-merge per shard and page.
-
-        The batch is stable-sorted by key (ties keep request order) and
-        cut into one contiguous sub-batch per shard with a single
-        ``searchsorted`` over the cuts; each shard then sort-merges whole
-        per-page chunks through ``PagedIndexBase.insert_batch``. The
-        resulting state is identical to looping ``insert`` per key in that
-        same order — pinned by the equivalence and stateful suites — at a
-        fraction of the per-key Python cost. An empty batch is a strict
-        no-op: no shard state is touched, no versions bumped, no row ids
-        consumed. Cost for K inserts: one O(K log K) sort, one routing
-        pass over the cuts, then O(K + touched-page data) merge work.
-        A batch rejected up front touches neither log nor shards; past
-        that, every owning shard applies its chunk and the first failing
-        shard's exception re-raises (``docs/ARCHITECTURE.md``).
-
-        Parameters
-        ----------
-        keys:
-            Keys to insert, any order, any array-like coercible to
-            float64.
-        values:
-            Aligned payloads; ``None`` assigns engine-wide auto row ids in
-            request order (only on engines built without explicit values).
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.size == 0:
-            return
-        values, self._next_rowid = resolve_values(
-            keys.size, values, self._auto_rowid, self._next_rowid
-        )
-        order, keys, slices = split_sorted(self.cuts, keys)
-        values = values[order]
-        self._commit(keys, slices, values)
-        self._apply(
-            slices,
-            lambda sid, a, b: self._shards[sid].insert_batch(
-                keys[a:b], values[a:b]
-            ),
-        )
-        self._maybe_snapshot()
-        if self._telemetry is not None:
-            c_ops, c_keys = self._obs_ops["insert_batch"]
-            c_ops.inc()
-            c_keys.inc(keys.size)
-            if self._workload is not None:
-                self._workload.record("insert", keys)
-
     def delete(self, key: float) -> Any:
         """Scalar delete: remove one occurrence of ``key``, return its value.
 
@@ -729,68 +469,6 @@ class ShardedEngine:
         value = self._shards[sid].delete(key)
         self._maybe_snapshot()
         return value
-
-    def delete_batch(
-        self, keys, *, missing: str = "raise", default: Any = None
-    ) -> np.ndarray:
-        """Bulk batch delete: route once, bulk-splice per shard and page.
-
-        The batch is stable-sorted by key and cut into one contiguous
-        sub-batch per shard with a single ``searchsorted`` over the cuts;
-        each shard removes its chunk through
-        ``PagedIndexBase.delete_batch`` (one splice per mutated page).
-        The resulting state is identical to looping ``delete`` per key in
-        that same order — pinned by the equivalence suites — and the next
-        read re-exports only the pages written to. An empty batch is a
-        strict no-op.
-
-        Parameters
-        ----------
-        keys:
-            Keys to delete, any order, any array-like coercible to
-            float64; each element removes one occurrence.
-        missing:
-            ``"raise"`` (default): a shard stops at its first absent
-            request (prior removals stay applied, as the scalar loop
-            leaves them), every other owning shard still applies its
-            chunk, then the first failing shard's ``KeyNotFoundError``
-            re-raises; ``"ignore"`` records a miss and continues.
-        default:
-            Value filling the miss slots under ``missing="ignore"``.
-
-        Returns
-        -------
-        numpy.ndarray
-            One deleted value per request in request order: the values
-            dtype when every request hit, else an object array with
-            ``default`` in the miss slots.
-        """
-        keys = np.ascontiguousarray(keys, dtype=np.float64)
-        if keys.size == 0:
-            return np.empty(0, dtype=object)
-        order, skeys, slices = split_sorted(self.cuts, keys)
-        self._commit(skeys, slices, missing=missing)
-        out = gather_points(
-            keys.size,
-            self._apply(
-                slices,
-                lambda sid, a, b: (
-                    order[a:b],
-                    self._shards[sid].delete_batch(
-                        skeys[a:b], missing=missing, default=default
-                    ),
-                    None,
-                ),
-            ),
-        )
-        self._maybe_snapshot()
-        if self._telemetry is not None:
-            c_ops, c_keys = self._obs_ops["delete_batch"]
-            c_ops.inc()
-            c_keys.inc(keys.size)
-            if self._workload is not None:
-                self._workload.record("delete", keys)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -173,20 +173,15 @@ def gather_points(
     numpy.ndarray
         One value per request (see the module doc for the dtype rule).
     """
-    values, found = gather_lookups(n, parts)
-    if all(hits is None for _, _, hits in parts):
-        return values
-    return _with_default(values, found, default)
+    return fill_default(*gather_lookups(n, parts), default)
 
 
 def fill_default(values: np.ndarray, found: np.ndarray, default: Any = None):
     """The ``get_batch`` answer for a ``(values, found)`` lookup:
     ``values`` itself when every query hit, else an ``object`` copy with
     ``default`` in the misses."""
-    return values if bool(found.all()) else _with_default(values, found, default)
-
-
-def _with_default(values: np.ndarray, found: np.ndarray, default: Any) -> np.ndarray:
+    if bool(found.all()):
+        return values
     out = values.astype(object)
     out[~found] = default
     return out

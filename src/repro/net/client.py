@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.engine.scatter import check_bounds
+from repro.engine.scatter import check_bounds, fill_default
 from repro.net import frame as wire
 from repro.net.errors import (
     ConnectionLostError,
@@ -481,9 +481,7 @@ class AsyncNetClient:
             return await self._roundtrip(
                 wire.OP_GET, {"key": key, "default": plain}, idempotent=True
             )
-        values, found = await self._roundtrip(
-            wire.OP_GET_BATCH, {}, [np.array([key])], idempotent=True
-        )
+        values, found = await self.lookup_batch([key])
         return values.tolist()[0] if found[0] else default
 
     async def range(self, lo: float, hi: float):
@@ -508,29 +506,30 @@ class AsyncNetClient:
         wire for absent keys. Not auto-retried."""
         return await self._roundtrip(wire.OP_DELETE, {"key": float(key)})
 
+    async def lookup_batch(self, queries):
+        """Remote vectorized point lookups as ``(values, found)``, the
+        engine verb: one key-batch frame, served like that many gets."""
+        return await self._roundtrip(
+            wire.OP_GET_BATCH, {},
+            [np.ascontiguousarray(queries, dtype=np.float64)], idempotent=True,
+        )
+
     async def get_batch(self, queries, default: Any = None):
         """Remote vectorized point lookups.
 
         Parameters
         ----------
         queries:
-            Array-like of keys; ships as one lane-encoded array frame.
+            Array-like of keys (:meth:`lookup_batch`).
         default:
-            Value reported for absent keys (a non-JSON-able default
-            demotes the request frame to pickle).
+            Fills the misses, on this side of the socket.
 
         Returns
         -------
         numpy.ndarray
-            One value per query, in query order (a read-only view over
-            the reply buffer for numeric results).
+            One value per query, in query order.
         """
-        return await self._roundtrip(
-            wire.OP_GET_BATCH,
-            {"default": default},
-            [np.ascontiguousarray(queries, dtype=np.float64)],
-            idempotent=True,
-        )
+        return fill_default(*await self.lookup_batch(queries), default)
 
     async def range_batch(self, bounds):
         """Remote batched range scans.
@@ -689,6 +688,10 @@ class NetClient:
     def delete(self, key: float) -> Any:
         """Blocking :meth:`AsyncNetClient.delete`."""
         return self._call(self._async.delete(key))
+
+    def lookup_batch(self, queries):
+        """Blocking :meth:`AsyncNetClient.lookup_batch`."""
+        return self._call(self._async.lookup_batch(queries))
 
     def get_batch(self, queries, default: Any = None):
         """Blocking :meth:`AsyncNetClient.get_batch` (same Parameters and

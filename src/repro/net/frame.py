@@ -42,8 +42,8 @@ Payload codecs:
   ``str``, a ``bool`` (never folded into int), a bigger int or a trace
   context rides ``CODEC_JSON``. Decoding yields the same meta either way.
 * ``CODEC_KEYS`` — arrays and nothing else, for a request with an empty
-  meta (a client's coalesced gets: their keys) and a pair reply (their
-  ``(values, found)``) whose arrays are all 1-D float64 / int64 / bool. No
+  meta (a ``lookup_batch`` or a client's coalesced gets: the keys) and a
+  ``(values, found)`` pair reply, all 1-D float64 / int64 / bool. No
   JSON, no descriptor table: the codes and counts place the arrays.
 * ``CODEC_ARRAYS`` — the batch path. A small JSON ``meta`` dict (op
   parameters, trace context), a descriptor table, and a data region that
@@ -68,8 +68,9 @@ the same typed exception client-side from a registry of known classes
 
 Both ends of a link ship together: mixed-version peers are unsupported
 (the version byte only guards against talking to something else;
-version 1, which had no ``CODEC_SCALAR``, and version 2, which had no
-``CODEC_KEYS``, are refused like any other).
+version 1, which had no ``CODEC_SCALAR``, version 2, which had no
+``CODEC_KEYS``, and version 3, whose ``get_batch`` answered values, not
+``(values, found)``, are refused like any other).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ __all__ = [
 ]
 
 #: Protocol version stamped into (and checked from) every frame body.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Hard upper bound on one frame's body, a defense against a corrupted
 #: or hostile length prefix allocating unbounded memory.

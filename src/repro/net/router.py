@@ -36,6 +36,8 @@ from repro.core.errors import InvalidParameterError
 from repro.core.page import aligned_value_array
 from repro.engine.partition import route
 from repro.engine.scatter import (
+    fill_default,
+    gather_lookups,
     gather_points,
     split_points,
     split_ranges,
@@ -266,38 +268,31 @@ class Router:
     # Batch verbs (scatter/gather)
     # ------------------------------------------------------------------
 
-    async def get_batch(self, queries, default: Any = None):
-        """Scatter a lookup batch per owning backend; gather in order.
-
-        Parameters
-        ----------
-        queries:
-            Array-like of keys to look up.
-        default:
-            Value reported for absent keys.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query, in query order — identical to a single
-            engine's ``get_batch`` over the union dataset.
-        """
+    async def lookup_batch(self, queries):
+        """Scatter a lookup batch per owning backend; gather ``(values,
+        found)`` in query order."""
         self._counters["requests"] += 1
         queries = np.ascontiguousarray(queries, dtype=np.float64)
         parts = split_points(self._cuts, queries)
         results = await asyncio.gather(*[
             self._leg(
                 idx,
-                lambda idx=idx, pos=pos: self._clients[idx].get_batch(
-                    queries[pos], default
+                lambda idx=idx, pos=pos: self._clients[idx].lookup_batch(
+                    queries[pos]
                 ),
             )
             for idx, pos in parts
         ])
-        return gather_points(
-            queries.size,
-            [(pos, r, None) for (_, pos), r in zip(parts, results)],
+        return gather_lookups(
+            queries.size, [(pos, *r) for (_, pos), r in zip(parts, results)]
         )
+
+    async def get_batch(self, queries, default: Any = None):
+        """:meth:`lookup_batch` with ``default`` in the misses, filled on
+        this side of every socket: what one engine's ``get_batch`` over the
+        union dataset answers (Parameters and Returns as
+        :meth:`AsyncNetClient.get_batch`)."""
+        return fill_default(*await self.lookup_batch(queries), default)
 
     async def range_batch(self, bounds):
         """Scatter range rows to overlapping backends; stitch per row.

@@ -5,9 +5,10 @@ frames into an existing :class:`repro.serve.Server` — the same admission
 control, the same :class:`~repro.serve.batcher.RequestBatcher`
 micro-batching, the same stats. Scalar frames go through the batcher's
 coalescing submit path (so concurrent remote clients batch together
-exactly like concurrent local coroutines), and so does a client's key
-batch of coalesced gets, as one vector op answered ``(values, found)``;
-the other batch frames dispatch whole through the server's batch verbs.
+exactly like concurrent local coroutines), and so does a key batch — a
+client's coalesced gets or its ``lookup_batch`` — as one vector op
+answered ``(values, found)``; the other batch frames dispatch whole
+through the server's batch verbs.
 
 Per connection, one :class:`asyncio.Protocol` pump:
 
@@ -421,9 +422,7 @@ class NetServer:
         if kind == wire.OP_DELETE:
             return srv.delete(meta["key"])
         if kind == wire.OP_GET_BATCH:
-            if "default" not in meta:  # a client's coalesced gets
-                return srv.get_many(arrays[0])
-            return srv.get_batch(arrays[0], meta["default"])
+            return srv.get_many(arrays[0])
         if kind == wire.OP_RANGE_BATCH:
             # Rows travel flattened; an odd-length payload cannot be
             # re-paired and fails the shared bounds check as it stands.

@@ -10,7 +10,7 @@ the :class:`Telemetry` facade:
 >>> tel = Telemetry(mode="full")                   # doctest: +SKIP
 >>> eng = open_engine(keys, telemetry=tel)         # doctest: +SKIP
 >>> eng.get_batch(queries)                         # doctest: +SKIP
->>> tel.snapshot()["metrics"]["repro_engine_ops_total"]  # doctest: +SKIP
+>>> tel.snapshot()["metrics"]["repro_engine_keys_total"]  # doctest: +SKIP
 
 Three modes, chosen for cost:
 
@@ -51,11 +51,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.taillog import SlowOpLog
 from repro.obs.trace import Span, Tracer, span_record
-from repro.obs.workload import (
-    ShardWorkloadProfiler,
-    SpaceSaving,
-    WorkloadProfiler,
-)
+from repro.obs.workload import SpaceSaving, WorkloadProfiler
 
 __all__ = [
     "Telemetry",
@@ -71,7 +67,6 @@ __all__ = [
     "to_prometheus",
     "DEFAULT_LATENCY_BUCKETS_US",
     "WorkloadProfiler",
-    "ShardWorkloadProfiler",
     "SpaceSaving",
     "SlowOpLog",
     "stats_sections",

@@ -23,11 +23,11 @@ overhead by ``python -m repro.bench obs``:
   reduces the window to a bounded candidate list for the space-saving
   table. Readers flush before reporting, so the sketch is never stale.
 
-Cluster workers run a :class:`ShardWorkloadProfiler` (no parent state)
-and ship a compact per-batch *delta* dict back inside the existing reply
-frames — exactly like span dicts — which the parent merges with
-:meth:`WorkloadProfiler.merge_delta`, so ``ClusterEngine`` reports the
-same ``stats()["workload"]`` schema as its in-process twin.
+An engine's one profiler lives beside its router: the shared engine front
+(:class:`~repro.engine.front.EngineFront`) records every batch verb's keys
+before they are split per shard, so a ``ClusterEngine`` — whose shards
+live in worker processes — profiles exactly what its in-process twin does
+and reports the same ``stats()["workload"]``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SpaceSaving", "WorkloadProfiler", "ShardWorkloadProfiler", "VERBS"]
+__all__ = ["SpaceSaving", "WorkloadProfiler", "VERBS"]
 
 #: Access verbs tracked by the read/write mix counters.
 VERBS = ("get", "range", "insert", "delete")
@@ -205,8 +205,7 @@ class WorkloadProfiler:
         self._counts = np.zeros(total, dtype=np.int64)
         # Per-verb counts kept at bin granularity so the hot path adds
         # the one bincount it already has; per-shard sums happen at
-        # snapshot time (merge_delta folds a worker's per-shard count
-        # into the shard's first bin — only the per-shard sum is public).
+        # snapshot time (only the per-shard sum is public).
         self._verb_bins = np.zeros((len(VERBS), total), dtype=np.int64)
         self._lo = np.full(self.n_shards, np.nan)
         self._hi = np.full(self.n_shards, np.nan)
@@ -229,7 +228,6 @@ class WorkloadProfiler:
         self.hot = SpaceSaving(hot_capacity)
         self._acc = _HotAccumulator(hot_candidates, flush_keys)
         self.total_keys = 0
-        self.merged_deltas = 0
         self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------
@@ -320,39 +318,6 @@ class WorkloadProfiler:
                 if pairs is not None:
                     self.hot.update(pairs[0], pairs[1] * (factor * hs))
 
-    def merge_delta(self, sid: int, delta: Dict[str, Any]) -> None:
-        """Fold a worker's per-batch delta into the parent sketch.
-
-        The delta's bin counts were taken over the worker's own span,
-        which may differ from the parent's span for that shard (workers
-        adopt spans from observed keys, the parent from the cuts). The
-        counts are re-binned by bin center rather than assumed aligned.
-        """
-        n = int(delta["n"])
-        if n == 0:
-            return
-        sid = int(sid)
-        dlo, dhi = float(delta["lo"]), float(delta["hi"])
-        c = np.asarray(delta["c"], dtype=np.int64)
-        with self._lock:
-            self.merged_deltas += 1
-            self.total_keys += n
-            self._verb_bins[_VERB_IDX[delta["v"]], sid * self.n_bins] += n
-            if not self._lo[sid] <= dlo:
-                self._lo[sid] = dlo
-                self._rescale(sid)
-            if not self._hi[sid] >= dhi:
-                self._hi[sid] = dhi
-                self._rescale(sid)
-            width = (dhi - dlo) / c.size if dhi > dlo else 0.0
-            centers = dlo + (np.arange(c.size) + 0.5) * width
-            b = ((centers - self._lo[sid]) * self._scale[sid]).astype(np.int64)
-            np.clip(b, 0, self.n_bins - 1, out=b)
-            row = self._counts[sid * self.n_bins:(sid + 1) * self.n_bins]
-            np.add.at(row, b, c)
-            for key, count in delta.get("hot", ()):
-                self.hot.offer(float(key), int(count))
-
     def _flush_hot(self) -> None:
         pairs = self._acc.flush()
         if pairs is not None:
@@ -372,7 +337,6 @@ class WorkloadProfiler:
             ).sum(axis=2)
             hot = self.hot.top(16)
             total = self.total_keys
-            merged = self.merged_deltas
         heatmap = [
             {
                 "shard": s,
@@ -390,7 +354,6 @@ class WorkloadProfiler:
             "sample": self.sample,
             "batch_sample": self.batch_sample,
             "total_keys": int(total),
-            "merged_deltas": int(merged),
             "read_fraction": reads / sampled if sampled else 0.0,
             "verbs": {
                 verb: verbs[_VERB_IDX[verb]].tolist() for verb in VERBS
@@ -442,81 +405,4 @@ class WorkloadProfiler:
             "shard_gini": _gini(totals),
             "hottest_shard": int(np.argmax(totals)) if grand else None,
             "top_bins": int(top_bins),
-        }
-
-
-class ShardWorkloadProfiler:
-    """Worker-side profiler: stateless deltas, no parent-visible state.
-
-    A cluster worker cannot share numpy arrays with the parent, so it
-    keeps only its own shard's span (adopted from the first observed
-    batch, widened as extremes appear) and emits one compact delta dict
-    per batch — strided bin counts (scaled back up), verb, span and
-    hot-key candidates — which rides back in the existing reply frame
-    for the parent to :meth:`WorkloadProfiler.merge_delta`. Hot-key
-    candidates amortize like the parent's: most deltas carry an empty
-    ``hot`` list, and every ``flush_keys`` sampled keys one delta ships
-    the window's top candidates.
-    """
-
-    def __init__(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        *,
-        n_bins: int = 32,
-        hot_candidates: int = 48,
-        sample: int = 4,
-        flush_keys: int = 1024,
-    ) -> None:
-        self.n_bins = int(n_bins)
-        self.sample = max(1, int(sample))
-        self._lo = float("nan") if lo is None else float(lo)
-        self._hi = float("nan") if hi is None else float(hi)
-        self._scale = 0.0
-        self._acc = _HotAccumulator(hot_candidates, flush_keys)
-        self._rescale()
-
-    def _rescale(self) -> None:
-        span = self._hi - self._lo
-        self._scale = self.n_bins / span if span > 0.0 else 0.0
-
-    def record(
-        self, verb: str, keys: np.ndarray, *, hot: bool = True
-    ) -> Dict[str, Any]:
-        """Bin one batch and return the delta dict for the reply frame.
-
-        Same single-pass cost model as :meth:`WorkloadProfiler.record`,
-        minus routing (a worker owns exactly one shard).
-        """
-        q = np.asarray(keys, dtype=np.float64).ravel()
-        n = q.size
-        if n == 0:
-            return {"v": verb, "n": 0, "lo": self._lo, "hi": self._hi,
-                    "c": (), "hot": ()}
-        step = self.sample
-        qs = q[::step] if step > 1 else q
-        lo, hi = float(qs.min()), float(qs.max())
-        if not self._lo <= lo:
-            self._lo = lo
-            self._rescale()
-        if not self._hi >= hi:
-            self._hi = hi
-            self._rescale()
-        b = ((qs - self._lo) * self._scale).astype(np.int64)
-        np.clip(b, 0, self.n_bins - 1, out=b)
-        counts = np.bincount(b, minlength=self.n_bins) * step
-        pairs: List[Tuple[float, int]] = []
-        if hot and verb != "range":
-            flushed = self._acc.add(qs)
-            if flushed is not None:
-                scaled = flushed[1] * step
-                pairs = list(zip(flushed[0].tolist(), scaled.tolist()))
-        return {
-            "v": verb,
-            "n": n,
-            "lo": self._lo,
-            "hi": self._hi,
-            "c": counts,
-            "hot": pairs,
         }

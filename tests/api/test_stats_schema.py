@@ -3,8 +3,9 @@
 Every engine the factory can open must answer ``stats()`` with the same
 top-level key set, so dashboards and the obs exporters can consume any
 backend without per-backend branches. The cluster backend must also agree
-*numerically* with its in-process twin on the structural fields, and the
-Server nests its engine's stats under one stable key.
+*numerically* with its in-process twin on the structural fields and the
+workload block, and the Server nests its engine's stats under one stable
+key.
 """
 
 import asyncio
@@ -97,7 +98,6 @@ WORKLOAD_KEYS = {
     "sample",
     "batch_sample",
     "total_keys",
-    "merged_deltas",
     "read_fraction",
     "verbs",
     "heatmap",
@@ -138,32 +138,27 @@ def test_workload_stats_schema_is_uniform(name):
             close()
 
 
-def test_cluster_workload_block_structurally_matches_twin():
+def test_cluster_workload_block_equals_twin():
     twin = open_engine(KEYS, executor="sharded", n_shards=2,
                        telemetry="full")
     cluster = open_engine(KEYS, executor="cluster", n_shards=2,
                           telemetry="full")
     try:
-        # 960 keys: divisible by the profiler's default stride, so the
-        # in-process scaled verb counts come out exact and comparable to
-        # the cluster side's exact per-delta totals.
-        q = KEYS[::5][:960]
-        twin.get_batch(q)
-        cluster.get_batch(q)
+        # Both engines profile the keys they route, before any shard sees
+        # them, so the same verb sequence gives the same sketch.
+        for engine in (twin, cluster):
+            rng = np.random.default_rng(13)
+            for _ in range(3):
+                engine.get_batch(rng.choice(KEYS, 700))
+            engine.insert_batch(rng.uniform(0, 1e6, 300))
+            engine.delete_batch(KEYS[::7][:250])
+            los = rng.uniform(0, 9e5, 40)
+            engine.range_batch(np.stack([los, los + 5e4], axis=1))
         a = twin.stats()["workload"]
         b = cluster.stats()["workload"]
-        assert set(a) == set(b) == WORKLOAD_KEYS
-        assert a["n_shards"] == b["n_shards"] == 2
-        assert a["n_bins"] == b["n_bins"]
-        # Both sides profiled the same batch (counts are sketch
-        # estimates, so compare structure and totals, not bins).
-        assert b["merged_deltas"] > 0
-        assert a["total_keys"] == b["total_keys"]
-        assert sum(a["verbs"]["get"]) == sum(b["verbs"]["get"])
-        assert [set(row) for row in a["heatmap"]] == [
-            set(row) for row in b["heatmap"]
-        ]
-        assert set(a["skew"]) == set(b["skew"])
+        assert set(a) == WORKLOAD_KEYS
+        assert a["total_keys"] > 0 and a["hot_keys"]
+        assert a == b
     finally:
         cluster.close()
 

@@ -1,13 +1,9 @@
-"""Basic B+ tree operations: get/insert/contains/iteration/min/max."""
+"""Basic B+ tree operations: get/insert/contains/iteration."""
 
 import pytest
 
 from repro.btree import BPlusTree
-from repro.core.errors import (
-    EmptyIndexError,
-    InvalidParameterError,
-    KeyNotFoundError,
-)
+from repro.core.errors import InvalidParameterError, KeyNotFoundError
 
 
 def make_tree(items, branching=4):
@@ -96,20 +92,6 @@ class TestInsertGet:
         tree = make_tree([((1, 0.0), "a"), ((1, 1.0), "b"), ((2, 0.0), "c")])
         assert tree.get((1, 1.0)) == "b"
         assert tree.floor_item((1, 0.5)) == ((1, 0.0), "a")
-
-
-class TestMinMax:
-    def test_min_max(self):
-        tree = make_tree((i, i) for i in [5, 1, 9, 3, 7])
-        assert tree.min_item() == (1, 1)
-        assert tree.max_item() == (9, 9)
-
-    def test_min_max_empty_raise(self):
-        tree = BPlusTree()
-        with pytest.raises(EmptyIndexError):
-            tree.min_item()
-        with pytest.raises(EmptyIndexError):
-            tree.max_item()
 
 
 class TestIteration:

@@ -1,6 +1,6 @@
 """Property-based B+ tree tests: equivalence with a dict model."""
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,11 +54,6 @@ def test_ordered_queries_match_sorted_list(keys):
         expected_floor = sorted_keys[i - 1] if i else None
         floor = tree.floor_item(probe)
         assert (floor[0] if floor else None) == expected_floor
-
-        j = bisect_left(sorted_keys, probe)
-        expected_ceil = sorted_keys[j] if j < len(sorted_keys) else None
-        ceil = tree.ceiling_item(probe)
-        assert (ceil[0] if ceil else None) == expected_ceil
 
 
 @given(

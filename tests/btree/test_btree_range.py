@@ -1,4 +1,4 @@
-"""Ordered queries: floor/ceiling, range scans, iteration start."""
+"""Ordered queries: floor and range scans."""
 
 import pytest
 
@@ -26,22 +26,9 @@ class TestFloorCeiling:
     def test_floor_above_max(self, tree):
         assert tree.floor_item(1000) == (90, "v90")
 
-    def test_ceiling_exact(self, tree):
-        assert tree.ceiling_item(50) == (50, "v50")
-
-    def test_ceiling_between(self, tree):
-        assert tree.ceiling_item(55) == (60, "v60")
-
-    def test_ceiling_above_max(self, tree):
-        assert tree.ceiling_item(91) is None
-
-    def test_ceiling_below_min(self, tree):
-        assert tree.ceiling_item(-5) == (0, "v0")
-
     def test_empty_tree_queries(self):
         t = BPlusTree()
         assert t.floor_item(1) is None
-        assert t.ceiling_item(1) is None
 
     def test_floor_across_leaf_boundary(self):
         # Force a query to land on a leaf whose smallest key exceeds it.
@@ -50,7 +37,6 @@ class TestFloorCeiling:
             t.insert(i * 2, i)  # even keys
         for odd in range(1, 59, 2):
             assert t.floor_item(odd)[0] == odd - 1
-            assert t.ceiling_item(odd)[0] == odd + 1
 
 
 class TestRangeItems:
@@ -97,21 +83,3 @@ class TestRangeItems:
             t.insert(i, i)
         items = list(t.range_items(100, 399))
         assert [k for k, _ in items] == list(range(100, 400))
-
-
-class TestItemsFromFloor:
-    def test_starts_at_floor(self, tree):
-        items = list(tree.items_from_floor(55))
-        assert [k for k, _ in items] == [50, 60, 70, 80, 90]
-
-    def test_exact_key(self, tree):
-        items = list(tree.items_from_floor(50))
-        assert items[0] == (50, "v50")
-
-    def test_below_min_starts_at_first(self, tree):
-        items = list(tree.items_from_floor(-10))
-        assert items[0] == (0, "v0")
-        assert len(items) == 10
-
-    def test_empty(self):
-        assert list(BPlusTree().items_from_floor(5)) == []

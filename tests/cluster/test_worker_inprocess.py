@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.shm import ShmLane
-from repro.cluster.worker import _MISS, _dispatch, _ShardServer
+from repro.cluster.worker import _dispatch, _ShardServer
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 
@@ -43,7 +43,7 @@ class TestVerbs:
         frame = ("get_batch", lanes_meta(req, resp), descrs)
         kind, version, meta, reply_descrs = _dispatch(server, frame)
         assert kind == "ok" and version == server.index.version
-        assert meta == {"via": "shm"}  # no spans/delta unless asked for
+        assert meta == {"via": "shm"}  # no spans unless traced
         (values,) = resp.read(reply_descrs)  # all-hit fast shape: no mask
         assert values.tolist() == [3, 7]
 
@@ -136,28 +136,28 @@ class TestVerbs:
         with pytest.raises(ValueError, match="unknown verb"):
             _dispatch(server, ("explode", {}, ()))
 
-    def test_traced_profiled_get_batch_carries_spans_and_delta(self, lanes):
+    def test_traced_get_batch_carries_spans(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(100, dtype=np.float64), lo=0.0, hi=100.0)
         descrs = req.write([np.asarray([3.0, 7.0, 1e9])])
-        meta = lanes_meta(req, resp, trace=(11, 22), profile=True)
+        meta = lanes_meta(req, resp, trace=(11, 22))
         _, _, meta, reply_descrs = _dispatch(server, ("get_batch", meta, descrs))
+        assert set(meta) == {"via", "spans"}
         (span,) = meta["spans"]
         assert span["name"] == "worker.compute"
         assert (span["trace_id"], span["parent_id"]) == (11, 22)
         assert span["attrs"]["n"] == 3
-        assert (meta["delta"]["v"], meta["delta"]["n"]) == ("get", 3)
         values, mask = resp.read(reply_descrs)  # the answer is unchanged
         assert mask.view(np.bool_).tolist() == [True, True, False]
 
-    def test_profiled_insert_batch_carries_delta_only(self, lanes):
+    def test_traced_write_replies_carry_no_spans(self, lanes):
         req, resp = lanes
         server = make_server(np.arange(10, dtype=np.float64), lo=0.0, hi=10.0)
         descrs = req.write([np.asarray([2.5]), np.asarray([7], dtype=np.int64)])
         _, _, meta, _ = _dispatch(
-            server, ("insert_batch", lanes_meta(req, resp, profile=True), descrs)
+            server, ("insert_batch", lanes_meta(req, resp, trace=(1, 2)), descrs)
         )
-        assert set(meta) == {"delta"} and meta["delta"]["v"] == "insert"
+        assert meta == {}
         assert server.index.get(2.5) == 7
 
     def test_validate_checks_cut_range(self):
@@ -180,12 +180,15 @@ class TestVerbs:
             replacement.close()
         server.close_lanes()
 
-    def test_miss_sentinel_is_private(self, lanes):
-        _req, resp = lanes
+    def test_delete_misses_answer_values_and_found(self, lanes):
+        req, resp = lanes
         server = make_server(np.arange(5, dtype=np.float64))
-        result = server.index.get_batch(np.asarray([0.0, 77.0]), _MISS)
-        assert result[1] is _MISS
-        meta, descrs = server.encode_get_reply(resp, result)
-        values, found = resp.read(descrs)  # ...and never leaves the worker
-        assert meta == {"via": "shm"}
-        assert (values.tolist(), found.tolist()) == ([0, 0], [1, 0])
+        descrs = req.write([np.asarray([4.0, 77.0, 0.0])])
+        meta = lanes_meta(req, resp, missing="ignore")
+        _, _, meta, reply_descrs = _dispatch(server, ("delete_batch", meta, descrs))
+        assert meta == {"via": "shm"}  # a miss is a mask bit, never a value
+        values, found = resp.read(reply_descrs)
+        assert values.dtype == np.int64
+        assert found.view(np.bool_).tolist() == [True, False, True]
+        assert values[[0, 2]].tolist() == [4, 0]
+        assert len(server.index) == 3

@@ -134,13 +134,15 @@ class TestScatterKernel:
     @given(cuts=cuts_st, keys=batch_st)
     @settings(max_examples=200, deadline=None)
     def test_points_found_masks_fill_default(self, cuts, keys):
-        """Slots a found-mask marks as missed get ``default``, as object."""
+        """Slots a found-mask marks as missed get ``default``, as object;
+        masks that mark no miss keep the values dtype."""
         parts = [
             (pos, keys[pos], keys[pos] >= 100.0)
             for _, pos in split_points(cuts, keys)
         ]
         out = gather_points(keys.size, parts, "MISS")
-        assert out.dtype == object
+        missed = bool((keys < 100.0).any())
+        assert out.dtype == (object if missed or not keys.size else np.float64)
         assert out.tolist() == [k if k >= 100.0 else "MISS" for k in keys]
 
     @given(cuts=cuts_st, keys=batch_st)

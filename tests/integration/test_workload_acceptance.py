@@ -6,7 +6,7 @@ Drives a deliberately skewed workload through the full stack — asyncio
 analytics surface tells the truth about it:
 
 (a) ``/workload`` identifies the injected hot shard and recovers at
-    least 8 of the 10 planted hot keys from the worker-side sketches.
+    least 8 of the 10 planted hot keys from the engine's sketch.
 (b) ``/slow`` holds span trees whose ``worker.compute`` spans carry
     *foreign* pids — compute really happened in worker processes.
 (c) The committed ``BENCH_obs.json`` off-mode guard still passes.
@@ -86,7 +86,6 @@ def test_skewed_cluster_workload_is_attributed_end_to_end():
     # (a) Hot shard: the heatmap and skew report both name shard 0.
     snap = workload["workload"]
     assert snap["n_shards"] == 2
-    assert snap["merged_deltas"] > 0, "workers never shipped deltas"
     per_shard = [sum(row["counts"]) for row in snap["heatmap"]]
     assert per_shard[0] > 2 * per_shard[1], per_shard
     skew = workload["skew"]

@@ -140,15 +140,26 @@ def test_values_without_a_keys_form_fall_back_and_stay_correct(values, kind):
 def test_a_miss_answers_with_the_callers_own_default(default, telemetry):
     async def scenario():
         net = await serve_tcp(np.arange(1000.0), n_shards=2)
+        upper = await serve_tcp(np.arange(1000.0, 2000.0), n_shards=2)
         c = await AsyncNetClient(*net.address, telemetry=telemetry).connect()
+        router = await Router([net.address, upper.address], [1000.0],
+                              health_interval=0, telemetry=telemetry).start()
         try:
             assert await c.get(0.5, default) is default  # a lone get
             both = await asyncio.gather(c.get(0.5, default), c.get(1.5, default))
             assert both[0] is default and both[1] is default
             assert await c.get(3.0, default) == 3
+            # A batch fills its misses on the caller's side of the socket.
+            got = await c.get_batch([1.0, 0.5], default)
+            assert got[0] == 1 and got[1] is default
+            got = await router.get_batch([1.0, 0.5, 1500.5, 1500.0], default)
+            assert got[0] == 1 and got[1] is default and got[2] is default
+            assert got[3] == 500
         finally:
+            await router.close()
             await c.close()
             await net.close()
+            await upper.close()
 
     run(scenario())
 

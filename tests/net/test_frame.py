@@ -296,8 +296,8 @@ def test_scalar_codec_needs_bare_operands():
 
 def test_version_1_frame_is_refused():
     body = bytearray(wire.encode_frame(wire.OP_GET, 1, {"key": 1.0})[10:])
-    assert body[0] == wire.PROTOCOL_VERSION == 3
-    for old in (1, 2):
+    assert body[0] == wire.PROTOCOL_VERSION == 4
+    for old in (1, 2, 3):
         body[0] = old
         with pytest.raises(FrameError, match=f"version {old}"):
             wire.decode_frame(bytes(body))

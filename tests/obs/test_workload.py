@@ -1,9 +1,9 @@
-"""Unit tests for the workload profiler: sketches, merges, skew."""
+"""Unit tests for the workload profiler: sketches and skew."""
 
 import numpy as np
 import pytest
 
-from repro.obs import ShardWorkloadProfiler, SpaceSaving, Telemetry, WorkloadProfiler
+from repro.obs import SpaceSaving, Telemetry, WorkloadProfiler
 
 
 # ---------------------------------------------------------------------------
@@ -147,45 +147,6 @@ def test_skew_report_identifies_hot_shard():
     assert skew["hottest_shard"] == 0
     assert skew["per_shard"][0]["share"] > 0.9
     assert skew["shard_gini"] > 0.4
-
-
-# ---------------------------------------------------------------------------
-# Shard profiler deltas + merge
-# ---------------------------------------------------------------------------
-
-def test_shard_delta_merges_into_parent_schema():
-    parent = WorkloadProfiler(cuts=[100.0], n_bins=8, sample=1)
-    worker = ShardWorkloadProfiler(lo=None, hi=100.0, n_bins=8, sample=1)
-    delta = worker.record("get", np.array([10.0, 20.0, 90.0]))
-    assert delta["v"] == "get" and delta["n"] == 3
-    parent.merge_delta(0, delta)
-    snap = parent.snapshot()
-    assert snap["merged_deltas"] == 1
-    assert snap["total_keys"] == 3
-    assert sum(snap["verbs"]["get"]) == 3
-    assert sum(snap["heatmap"][0]["counts"]) == 3
-    assert sum(snap["heatmap"][1]["counts"]) == 0
-
-
-def test_shard_delta_hot_candidates_reach_parent_sketch():
-    parent = WorkloadProfiler(cuts=[], n_bins=4, sample=1)
-    worker = ShardWorkloadProfiler(sample=1, flush_keys=64)
-    hot_key = 7.0
-    for _ in range(4):
-        delta = worker.record(
-            "get", np.concatenate([np.full(24, hot_key), np.arange(8.0)])
-        )
-        parent.merge_delta(0, delta)
-    top = {h["key"] for h in parent.snapshot()["hot_keys"]}
-    assert hot_key in top
-
-
-def test_empty_batch_delta_is_a_noop():
-    parent = WorkloadProfiler(cuts=[], n_bins=4)
-    worker = ShardWorkloadProfiler()
-    parent.merge_delta(0, worker.record("get", np.empty(0)))
-    assert parent.snapshot()["total_keys"] == 0
-    assert parent.snapshot()["merged_deltas"] == 0
 
 
 # ---------------------------------------------------------------------------

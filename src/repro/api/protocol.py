@@ -14,14 +14,16 @@ protocol rather than on a concrete class.
 Two protocols, smaller first:
 
 * :class:`BatchEngine` — what the serving layer strictly requires: the
-  scalar verbs (per-request fallback paths), the batch read/write verbs
-  (the micro-batched hot path; coalesced gets go through
-  ``lookup_batch``, which answers ``(values, found)``), and the monotonic
-  ``version`` stamp the read-your-writes barrier records;
+  batch verbs (the micro-batched hot path; every get goes through
+  ``lookup_batch``, which answers ``(values, found)``), the scalar
+  ``insert`` / ``range_arrays`` that answer one-op chunks and per-op
+  retries, and the monotonic ``version`` stamp the read-your-writes
+  barrier records;
 * :class:`EngineProtocol` — the complete CRUD surface: everything above
-  plus ``delete`` / ``delete_batch``, ``stats()``, ``warm()`` and
-  ``validate()``. Both shipped engines satisfy it; new backends should
-  target it.
+  plus ``get`` / ``get_batch`` (the public reads, which the serving
+  layer never calls), ``delete`` / ``delete_batch``, ``stats()``,
+  ``warm()`` and ``validate()``. Both shipped engines satisfy it; new
+  backends should target it.
 
 ``warm()`` remains feature-detected by the serve layer, so a minimal
 :class:`BatchEngine` still serves.
@@ -40,14 +42,11 @@ __all__ = ["BatchEngine", "EngineProtocol"]
 class BatchEngine(Protocol):
     """Structural interface the :class:`~repro.serve.Server` dispatches on.
 
-    Scalar verbs serve the per-request fallback paths; batch verbs serve
-    the micro-batched hot path; ``version`` is the monotonic mutation
-    stamp the read-your-writes barrier records.
+    Batch verbs serve the micro-batched hot path; the scalar verbs answer
+    the batcher's one-op range and insert chunks and its per-op retries;
+    ``version`` is the monotonic mutation stamp the read-your-writes
+    barrier records.
     """
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        """Scalar point lookup returning the value or ``default``."""
-        ...
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert of ``key -> value``."""
@@ -63,24 +62,9 @@ class BatchEngine(Protocol):
         """One range scan as ``(keys, values)`` arrays."""
         ...
 
-    def get_batch(self, queries, default: Any = None) -> np.ndarray:
-        """Vectorized point lookups, one slot per query in request order.
-
-        Parameters
-        ----------
-        queries:
-            Key batch (float64-coercible); ``default`` fills miss slots.
-
-        Returns
-        -------
-        numpy.ndarray
-            One value per query.
-        """
-        ...
-
     def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized point lookups as ``(values, found)``: what the
-        serving layer batches scalar gets through, each caller's default
+        serving layer answers every get through, each caller's default
         applied by the caller (a miss's value slot is unspecified).
 
         Parameters
@@ -133,12 +117,32 @@ class BatchEngine(Protocol):
 class EngineProtocol(BatchEngine, Protocol):
     """The complete CRUD engine contract every shipped backend satisfies.
 
-    Extends :class:`BatchEngine` with the delete verbs (completing the
-    create/read/update/delete batch surface the paper's Section 4.3
-    delete discussion calls for), plus the operational verbs —
+    Extends :class:`BatchEngine` with the public point reads ``get`` /
+    ``get_batch`` (``default`` applied by the engine), the delete verbs
+    (completing the create/read/update/delete batch surface the paper's
+    Section 4.3 delete discussion calls for), plus the operational verbs —
     ``stats()``, ``warm()``, ``validate()`` — that production harnesses
     (benches, the serve layer, the conformance suite) rely on.
     """
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        """Scalar point lookup returning the value or ``default``."""
+        ...
+
+    def get_batch(self, queries, default: Any = None) -> np.ndarray:
+        """Vectorized point lookups, one slot per query in request order.
+
+        Parameters
+        ----------
+        queries:
+            Key batch (float64-coercible); ``default`` fills miss slots.
+
+        Returns
+        -------
+        numpy.ndarray
+            One value per query.
+        """
+        ...
 
     def delete(self, key: float) -> Any:
         """Scalar delete of one occurrence of ``key``; returns its value."""

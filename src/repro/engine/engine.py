@@ -19,9 +19,11 @@ in-process shards are reached:
   its chunk before the first failure re-raises. The next read re-exports
   only the pages written to (:func:`~repro.engine.batch.flat_view`),
   whichever shards they are in;
-* scalar ``get`` / ``insert`` / ``delete`` / ``range_arrays`` that go
-  straight to one shard or the view (the serve batcher's one-op chunks),
-  with equivalence to the batch verbs pinned by tests.
+* scalar ``insert`` / ``delete`` / ``range_arrays`` that go straight to
+  one shard or the view (the serve batcher's one-op write and range
+  chunks), with equivalence to the batch verbs pinned by tests. A scalar
+  ``get`` is the front's one-key ``lookup_batch``: no get chunk is
+  answered by anything else.
 """
 
 from __future__ import annotations
@@ -367,10 +369,6 @@ class ShardedEngine(EngineFront):
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-
-    def get(self, key: float, default: Any = None) -> Any:
-        """Scalar point lookup (routes to one shard's ``get``)."""
-        return self.shard_for(key).get(key, default)
 
     def _lookup(self, q: np.ndarray, span: Any) -> Tuple[np.ndarray, np.ndarray]:
         # Cost for K queries over P pages and n keys: O(K log P) routing

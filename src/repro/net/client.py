@@ -7,10 +7,12 @@ requests ride one connection concurrently. Each connection is one
 :class:`asyncio.Protocol` pump: the requests of one loop iteration leave
 in one write, and every socket read is parsed for all the replies it
 completed (which may arrive out of order), each matched back to its
-future by id. The untraced ``get`` s of one loop iteration share one
-frame: two or more travel as one ``CODEC_KEYS`` key batch, answered as
-``(values, found)``, and each caller's own ``default`` fills its miss on
-this side of the socket. On top sit the reliability knobs:
+future by id. Every get is a key in a key batch: the untraced ``get`` s
+of one loop iteration travel as one ``CODEC_KEYS`` frame, however many
+there are, answered as ``(values, found)``, and each caller's own
+``default`` fills its miss on this side of the socket — a default never
+crosses the wire. A traced get is a one-key ``lookup_batch``. On top sit
+the reliability knobs:
 
 * **timeouts** — every request bounds its reply wait; an expired wait
   raises :class:`~repro.net.errors.RequestTimeoutError`. One sweep timer
@@ -19,7 +21,7 @@ this side of the socket. On top sit the reliability knobs:
 * **bounded retry with backoff** — *idempotent* operations (``get``,
   ``range``, the batch reads, ``ping``, ``server_stats``) are retried up
   to ``retries`` times across reconnects on connection loss or timeout.
-  A coalesced get retries on its own, exactly like a lone one.
+  Each get of a key batch retries on its own.
   Writes are never auto-retried after the frame may have left: like a
   :class:`~repro.cluster.errors.WorkerCrashedError`, a lost connection
   leaves the write's fate unknown and re-issuing it could apply it twice.
@@ -61,10 +63,6 @@ __all__ = ["AsyncNetClient", "NetClient", "connect"]
 
 _NO_SPAN = contextlib.nullcontext()  # the untraced request's "span"
 
-#: Types a lone get's ``default`` crosses the wire as (``CODEC_SCALAR``
-#: slots); any other default never leaves its caller.
-_WIRE_DEFAULTS = (type(None), int, float)
-
 
 def _plain(value: Any) -> Any:
     """A NumPy scalar as the Python number it holds (``np.int64(5)`` is
@@ -78,8 +76,6 @@ class _Gets(list):
     with its value or its own default; a timeout or lost connection fails
     them all."""
 
-    lone = False  # sent as one OP_GET: the reply is the answer itself
-
     def done(self) -> bool:
         """Never: it leaves the pending table when it completes."""
         return False
@@ -89,17 +85,13 @@ class _Gets(list):
         try:
             if frame.kind == wire.REPLY_ERR:
                 raise wire.decode_error(frame)
-            result = wire.decode_result(frame)
-            if self.lone:
-                answers = [result]
-            else:
-                values, found = result
-                if len(values) != len(self):
-                    raise FrameError(f"{len(values)} answers to {len(self)} gets")
-                answers = [
-                    value if hit else get[1]
-                    for get, value, hit in zip(self, values.tolist(), found.tolist())
-                ]
+            values, found = wire.decode_result(frame)
+            if len(values) != len(self):
+                raise FrameError(f"{len(values)} answers to {len(self)} gets")
+            answers = [
+                value if hit else get[1]
+                for get, value, hit in zip(self, values.tolist(), found.tolist())
+            ]
         except Exception as exc:
             return self.set_exception(exc)
         for (_, _, fut), answer in zip(self, answers):
@@ -222,19 +214,12 @@ class _Connection(asyncio.Protocol):
         gets = self.gets
         if gets:
             self.gets = _Gets()
-            # A lone get whose default is a plain number rides a scalar
-            # frame; anything else asks for (values, found).
             rid = next(self.client._rid)
-            default = _plain(gets[0][1])
-            gets.lone = len(gets) == 1 and type(default) in _WIRE_DEFAULTS
-            if gets.lone:
-                kind, meta = wire.OP_GET, {"key": gets[0][0], "default": default}
-                arrays = None
-            else:
-                kind, meta = wire.OP_GET_BATCH, None
-                arrays = [np.array([get[0] for get in gets], dtype=np.float64)]
-            self.out.append(wire.encode_frame(kind, rid, meta, arrays))
-            self._register(rid, kind, gets)
+            keys = np.array([get[0] for get in gets], dtype=np.float64)
+            self.out.append(
+                wire.encode_frame(wire.OP_GET_BATCH, rid, None, [keys])
+            )
+            self._register(rid, wire.OP_GET_BATCH, gets)
         if self.out:
             self.client._counters["writes_out"] += 1
             self.client._counters["frames_out"] += len(self.out)
@@ -468,18 +453,14 @@ class AsyncNetClient:
     async def get(self, key: float, default: Any = None) -> Any:
         """Remote point lookup (idempotent: retried on transport failure).
 
-        A miss answers with this very ``default`` object. Traced gets
-        travel one per frame, each under its own ``net.call`` span.
+        A miss answers with this very ``default`` object, which never
+        crosses the wire. A traced get is a one-key :meth:`lookup_batch`:
+        one frame under its own ``net.call`` span.
         """
         key = float(key)
         if self.telemetry is None or self.telemetry.tracer is None:
             return await self._attempts(
                 self.retries + 1, self._lookup, key, default
-            )
-        plain = _plain(default)
-        if type(plain) in _WIRE_DEFAULTS:
-            return await self._roundtrip(
-                wire.OP_GET, {"key": key, "default": plain}, idempotent=True
             )
         values, found = await self.lookup_batch([key])
         return values.tolist()[0] if found[0] else default

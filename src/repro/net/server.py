@@ -3,11 +3,13 @@
 :class:`NetServer` owns a listening socket and feeds decoded request
 frames into an existing :class:`repro.serve.Server` — the same admission
 control, the same :class:`~repro.serve.batcher.RequestBatcher`
-micro-batching, the same stats. Scalar frames go through the batcher's
-coalescing submit path (so concurrent remote clients batch together
-exactly like concurrent local coroutines), and so does a key batch — a
-client's coalesced gets or its ``lookup_batch`` — as one vector op
-answered ``(values, found)``; the other batch frames dispatch whole
+micro-batching, the same stats. Scalar range, insert and delete frames
+go through the batcher's coalescing submit path (so concurrent remote
+clients batch together exactly like concurrent local coroutines), and so
+does every get: a key batch — a client's coalesced gets or its
+``lookup_batch`` — is one vector op answered ``(values, found)``. A raw
+``OP_GET`` frame, which the client no longer sends, is still served, by
+``Server.get`` (a one-key op). The other batch frames dispatch whole
 through the server's batch verbs.
 
 Per connection, one :class:`asyncio.Protocol` pump:
@@ -17,7 +19,7 @@ Per connection, one :class:`asyncio.Protocol` pump:
   batcher right there and answered from the returned future's callback
   (no task), so one segment's frames land in one flush; traced frames and
   a verb that hands back a coroutine (the other batch verbs, control
-  frames) are served in a task.
+  frames, a raw ``OP_GET``) are served in a task.
 * **pipelining, one write per tick** — replies are matched by
   ``request_id``, possibly out of order; everything completed in one loop
   iteration leaves in one ``transport.write``.

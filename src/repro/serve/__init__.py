@@ -6,10 +6,11 @@ package is layer 3 — the piece that turns *independent per-caller
 requests* back into the batched workloads layer 2 is fast at:
 
 * :class:`~repro.serve.batcher.RequestBatcher` — accumulates concurrent
-  ``get``/``range``/``insert`` submissions into micro-batches (flush on
-  size, delay, or event-loop idle), dispatches them through the engine's
-  ``get_batch``/``range_batch``/``insert_batch``, and fans results back
-  out per caller, with read-your-writes ordering across an insert fence;
+  ``get``/``range``/``insert``/``delete`` submissions into micro-batches
+  (flush on size, delay, or event-loop idle), dispatches them through
+  the engine's ``lookup_batch``/``range_batch``/``insert_batch``/
+  ``delete_batch`` in one chunk loop, and fans results back out per
+  caller, with read-your-writes ordering across a write fence;
 * :class:`~repro.serve.server.Server` — the application-facing facade:
   admission control/backpressure, per-op latency percentiles and
   lifecycle (drain on close).

@@ -3,15 +3,15 @@
 The engine (:class:`repro.engine.ShardedEngine`) is fast when it answers
 *batches* — one vectorized pass instead of one Python descent per key — but
 serving traffic arrives as independent per-caller ``await`` s. The
-:class:`RequestBatcher` closes that gap: concurrent ``submit_get`` /
+:class:`RequestBatcher` closes that gap: concurrent ``submit_get_many`` /
 ``submit_range`` / ``submit_insert`` / ``submit_delete`` calls park their
 futures in pending lists, a flush coalesces the lists into arrays,
 dispatches them through ``lookup_batch`` / ``range_batch`` /
 ``insert_batch`` / ``delete_batch``, and fans the results back out to each
-caller's future. ``submit_get_many`` parks a whole key array as one get op
-(the TCP tier's coalesced gets); its keys join the cycle's other gets in
-the same ``lookup_batch`` call and it resolves to its ``(values, found)``
-slice.
+caller's future. There is one get op: a key array (one key for a scalar
+``Server.get``, a client's coalesced gets over TCP), whose keys join the
+cycle's other gets in the same ``lookup_batch`` call and which resolves to
+its ``(values, found)`` slice; the caller applies its own default.
 
 Flush triggers (first one wins):
 
@@ -38,12 +38,16 @@ Ordering guarantees (read-your-writes):
 * A read submitted *after* a flush started waits on the lock, so it always
   sees any write dispatched in that cycle.
 
-Failure isolation: a poisoned batch (e.g. one key that cannot coerce to
-float) falls back to per-request scalar verbs, so only the offending
-request gets the exception and its batch-mates still succeed. For insert
-batches the fallback is attempted only when the engine's version stamp
-proves nothing was applied; otherwise the whole batch fails loudly rather
-than risk double-applying a prefix.
+Dispatch: every kind goes through one chunk loop. A chunk makes one engine
+call; a range, insert or delete chunk of one op calls the scalar verb
+(``range_arrays`` / ``insert`` / ``delete``), which is several times
+cheaper than a one-row batch call. Failure isolation: when that call
+raises, a chunk of several ops whose call provably applied nothing (a
+read, or a write that left the engine's version stamp unchanged) retries
+each op alone, so only the offending request gets the exception and its
+batch-mates still succeed. Any other failure — a one-op chunk, or a write
+that may have applied a prefix — rejects every op in the chunk with that
+exception rather than risk double-applying anything.
 
 Blocking: dispatch runs inline on the event loop, so a flush never yields
 mid-cycle and the engine (which is not thread-safe) only ever sees one
@@ -53,6 +57,7 @@ caller.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
@@ -68,8 +73,7 @@ __all__ = ["RequestBatcher"]
 
 #: Sentinel distinguishing "missing" from any user value or default.
 _MISS = object()
-#: The default slot of a get op holding a key array (submit_get_many).
-_MANY = object()
+_WRITES = ("insert", "delete")
 
 
 def _zero() -> float:
@@ -77,25 +81,13 @@ def _zero() -> float:
     return 0.0
 
 
-def _width(op: Tuple) -> int:
-    """Keys a get op asks for: its key array's size, else one."""
-    return op[0].size if op[1] is _MANY else 1
+class _Failed:
+    """An op's answer that is an exception: its future is rejected."""
 
+    __slots__ = ("exc",)
 
-def _each(fn: Callable[..., Any], argss: List[Tuple]) -> List[Tuple[bool, Any]]:
-    """Apply ``fn`` to each args tuple, isolating per-item exceptions.
-
-    Returns one ``(ok, result_or_exception)`` pair per item. Used as the
-    scalar fallback when a vectorized dispatch fails: failures stay
-    contained to their own request.
-    """
-    out: List[Tuple[bool, Any]] = []
-    for args in argss:
-        try:
-            out.append((True, fn(*args)))
-        except Exception as exc:  # isolation by design
-            out.append((False, exc))
-    return out
+    def __init__(self, exc: BaseException) -> None:
+        self.exc = exc
 
 
 class RequestBatcher:
@@ -104,9 +96,10 @@ class RequestBatcher:
     Parameters
     ----------
     engine:
-        Anything exposing the engine verbs — scalar ``get`` / ``insert`` /
-        ``range_arrays`` plus batch ``lookup_batch`` / ``range_batch`` /
-        ``insert_batch`` (see :class:`~repro.api.protocol.BatchEngine`),
+        Anything exposing the verbs the dispatch calls — batch
+        ``lookup_batch`` / ``range_batch`` / ``insert_batch`` plus the
+        scalar ``insert`` / ``range_arrays`` that answer one-op chunks and
+        per-op retries (see :class:`~repro.api.protocol.BatchEngine`),
         e.g. a :class:`~repro.engine.ShardedEngine` or
         :class:`~repro.cluster.ClusterEngine`. ``submit_delete`` further
         requires the ``delete`` / ``delete_batch`` verbs of the full
@@ -114,8 +107,8 @@ class RequestBatcher:
     max_batch:
         Dispatch granularity: a flush cuts pending requests into chunks of
         at most this many; reaching it also triggers an immediate flush.
-        At ``1`` every chunk is one request, answered by the scalar
-        engine verb; the flush cycle and its ordering rules are the same.
+        At ``1`` every chunk is one request; the flush cycle and its
+        ordering rules are the same.
     max_delay:
         Upper bound, in seconds, on how long a pending request may wait for
         batch-mates before the timer flushes it.
@@ -179,8 +172,15 @@ class RequestBatcher:
             if observer is not None or telemetry is not None
             else _zero
         )
+        #: One engine call per chunk, by kind (see :meth:`_answer`).
+        self._calls: Dict[str, Callable[[List[Tuple]], List[Any]]] = {
+            "get": self._get,
+            "range": self._range,
+            "insert": self._insert,
+            "delete": self._delete,
+        }
 
-        # Pending ops: (key, default, future, t0) / (lo, hi, future, t0) /
+        # Pending ops: (keys, n_keys, future, t0) / (lo, hi, future, t0) /
         # (key, value, future, t0). Writes keep submission order in one
         # list of ("insert" | "delete", op) pairs so an insert and a
         # delete of the same key dispatch in the order they arrived.
@@ -236,8 +236,8 @@ class RequestBatcher:
 
     @property
     def pending(self) -> int:
-        """Number of requests accepted but not yet dispatched (a
-        ``submit_get_many`` op counts its keys)."""
+        """Number of requests accepted but not yet dispatched (a get op
+        counts its keys)."""
         return self._n_pending
 
     def stats(self) -> Dict[str, Any]:
@@ -287,41 +287,12 @@ class RequestBatcher:
             loop = self._loop = asyncio.get_running_loop()
         return loop
 
-    def submit_get(self, key: Any, default: Any = None) -> asyncio.Future:
-        """Enqueue a point lookup; resolves to its value (or ``default``).
-
-        The hottest entry point: the ``_after_submit`` trigger logic is
-        inlined here (and only here) to keep per-request overhead down.
-        """
-        loop = self._loop
-        if loop is None:
-            loop = self._get_loop()
-        fut = loop.create_future()
-        op = (key, default, fut, self._clock())
-        if self._writes and self._read_overlaps_fence(key, key):
-            self._held_gets.append(op)
-            self._stats["barrier_held"] += 1
-        else:
-            self._gets.append(op)
-        self._gen += 1
-        n = self._n_pending = self._n_pending + 1
-        if n >= self.max_batch:
-            self._schedule_flush("size")
-        else:
-            if self._timer is None and not self._flush_scheduled:
-                self._timer = loop.call_later(
-                    self.max_delay, self._timer_fired
-                )
-            if self.eager_flush and not self._idle_armed:
-                self._idle_armed = True
-                loop.call_soon(self._idle_fired, self._gen)
-        return fut
-
     def submit_get_many(self, keys) -> asyncio.Future:
-        """Enqueue many point lookups as one op; resolves to the
-        ``(values, found)`` arrays for ``keys`` (float64-coercible), with
-        ``found`` false where a key is absent.
+        """Enqueue point lookups of ``keys`` (float64-coercible) as one op;
+        resolves to their ``(values, found)`` arrays, with ``found`` false
+        where a key is absent (its value slot is then unspecified).
 
+        A key that cannot coerce raises here, before anything is queued.
         The op counts as its key count toward ``max_batch`` and in every
         stat and observed latency, is held at the write barrier when
         ``[keys.min(), keys.max()]`` overlaps the pending writes' fence,
@@ -331,7 +302,7 @@ class RequestBatcher:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         loop = self._get_loop()
         fut = loop.create_future()
-        op = (keys, _MANY, fut, self._clock())
+        op = (keys, keys.size, fut, self._clock())
         if (
             self._writes
             and keys.size
@@ -467,14 +438,14 @@ class RequestBatcher:
             self._lock = asyncio.Lock()
         async with self._lock:
             self._flush_scheduled = False
-            await self._dispatch_cycle()
+            self._dispatch_cycle()
         # Requests that arrived mid-cycle scheduled their own flush (the
         # flag was cleared above); this is only a belt-and-braces rearm
         # (attributed to the timer it replaces).
         if self.pending and not self._flush_scheduled and self._timer is None:
             self._schedule_flush("timer")
 
-    async def _dispatch_cycle(self) -> None:
+    def _dispatch_cycle(self) -> None:
         reason = self._flush_reason or "drain"
         self._flush_reason = None
         gets, self._gets = self._gets, []
@@ -493,7 +464,7 @@ class RequestBatcher:
         tel = self._telemetry
         tracer = tel.tracer if tel is not None else None
         if tracer is None:
-            await self._dispatch_all(gets, ranges, writes, held_gets, held_ranges)
+            self._dispatch_all(gets, ranges, writes, held_gets, held_ranges)
             return
         # The serve.flush span is the root of one batch-lifecycle trace;
         # the ambient contextvar parents every serve.dispatch (and, via
@@ -512,13 +483,13 @@ class RequestBatcher:
             t0s = [op[3] for op in gets + ranges + held_gets + held_ranges]
             t0s += [op[3] for _, op in writes]
             sp.attrs["queue_wait_us"] = (self._clock() - min(t0s)) * 1e6
-            await self._dispatch_all(gets, ranges, writes, held_gets, held_ranges)
+            self._dispatch_all(gets, ranges, writes, held_gets, held_ranges)
         if self._taillog is not None:
             # Outside the span block: the flush span has closed, so the
             # tracer ring now holds the complete trace for each mark.
             self._taillog.finalize(tracer)
 
-    async def _dispatch_all(
+    def _dispatch_all(
         self,
         gets: List[Tuple],
         ranges: List[Tuple],
@@ -527,70 +498,137 @@ class RequestBatcher:
         held_ranges: List[Tuple],
     ) -> None:
         """One cycle's dispatch sequence: reads, write runs, barriered reads."""
-        await self._dispatch_gets(gets)
-        await self._dispatch_ranges(ranges)
+        self._dispatch("get", gets)
+        self._dispatch("range", ranges)
         # Writes dispatch as maximal same-kind runs in submission order,
         # so an insert and a delete of the same key apply as submitted.
-        i = 0
-        while i < len(writes):
-            kind = writes[i][0]
-            j = i
-            while j < len(writes) and writes[j][0] == kind:
-                j += 1
-            run = [op for _, op in writes[i:j]]
-            if kind == "insert":
-                await self._dispatch_inserts(run)
-            else:
-                await self._dispatch_deletes(run)
-            i = j
+        for kind, run in itertools.groupby(writes, key=lambda w: w[0]):
+            self._dispatch(kind, [op for _, op in run])
         # Read-your-writes: reads that overlapped the writes go last.
-        await self._dispatch_gets(held_gets)
-        await self._dispatch_ranges(held_ranges)
+        self._dispatch("get", held_gets)
+        self._dispatch("range", held_ranges)
 
-    def _resolve(self, op: Tuple, kind: str, value: Any) -> None:
-        fut = op[2]
-        if not fut.done():
-            fut.set_result(value)
-        self._account((op,), kind)
+    def _dispatch(self, kind: str, ops: List[Tuple]) -> None:
+        """Answer one kind's ops chunk by chunk, each chunk under its own
+        ``serve.dispatch`` span when tracing."""
+        tel = self._telemetry
+        tracer = tel.tracer if tel is not None else None
+        for i in range(0, len(ops), self.max_batch):
+            chunk = ops[i : i + self.max_batch]
+            self._note_batch(
+                kind, sum(op[1] for op in chunk) if kind == "get" else len(chunk)
+            )
+            if tracer is None:
+                self._answer(kind, chunk)
+            else:
+                with tracer.span("serve.dispatch", kind=kind, n=len(chunk)):
+                    self._answer(kind, chunk)
 
-    def _reject(self, op: Tuple, kind: str, exc: BaseException) -> None:
-        fut = op[2]
-        if not fut.done():
-            fut.set_exception(exc)
-        self._account((op,), kind)
+    def _answer(self, kind: str, chunk: List[Tuple]) -> None:
+        """Make the chunk's one engine call and settle every op in it,
+        under the module doc's failure rules."""
+        call, engine = self._calls[kind], self.engine
+        write = kind in _WRITES
+        pre = engine.version if write and len(chunk) > 1 else None
+        try:
+            answers = call(chunk)
+        except Exception as exc:
+            if len(chunk) > 1 and (not write or engine.version == pre):
+                # Provably nothing applied: retry each op alone so one
+                # bad request cannot poison its batch-mates.
+                self._stats["scalar_fallbacks"] += 1
+                answers = [self._alone(call, op) for op in chunk]
+            else:
+                # The op's own failure, or a write that may have applied
+                # a prefix: failing the whole chunk is the only answer
+                # that cannot apply anything twice.
+                answers = [_Failed(exc)] * len(chunk)
+        for op, answer in zip(chunk, answers):
+            fut = op[2]
+            if fut.done():
+                continue
+            if type(answer) is _Failed:
+                fut.set_exception(answer.exc)
+            else:
+                fut.set_result(answer)
+        self._account(chunk, kind)
+        if write:
+            self._stats["barrier_version"] = engine.version
+
+    @staticmethod
+    def _alone(call: Callable[[List[Tuple]], List[Any]], op: Tuple) -> Any:
+        """One op answered as a chunk of its own (a per-op retry)."""
+        try:
+            return call([op])[0]
+        except Exception as exc:  # isolation by design
+            return _Failed(exc)
+
+    def _get(self, chunk: List[Tuple]) -> List[Any]:
+        """Each get op's ``(values, found)`` slice of one ``lookup_batch``."""
+        if len(chunk) == 1:
+            return [self.engine.lookup_batch(chunk[0][0])]
+        values, found = self.engine.lookup_batch(
+            np.concatenate([op[0] for op in chunk])
+        )
+        ends = list(itertools.accumulate(op[1] for op in chunk))
+        return [
+            (values[a:b], found[a:b]) for a, b in zip([0] + ends, ends)
+        ]
+
+    def _range(self, chunk: List[Tuple]) -> List[Any]:
+        """Each range op's ``(keys, values)``."""
+        if len(chunk) == 1:
+            lo, hi, _fut, _t0 = chunk[0]
+            return [self.engine.range_arrays(lo, hi)]
+        return self.engine.range_batch(
+            np.asarray([op[:2] for op in chunk], dtype=np.float64)
+        )
+
+    def _insert(self, chunk: List[Tuple]) -> List[Any]:
+        """Apply every insert op; each answers ``None``."""
+        if len(chunk) == 1:
+            key, value, _fut, _t0 = chunk[0]
+            self.engine.insert(key, value)
+            return [None]
+        values = [op[1] for op in chunk]
+        n_none = sum(1 for v in values if v is None)
+        if 0 < n_none < len(values):
+            # Mixed auto-rowid and explicit payloads cannot go through one
+            # insert_batch call without changing what the engine would
+            # store; raising before any write sends them per op.
+            raise _MixedBatch()
+        keys = np.asarray([op[0] for op in chunk], dtype=np.float64)
+        self.engine.insert_batch(keys, None if n_none else values)
+        return [None] * len(chunk)
+
+    def _delete(self, chunk: List[Tuple]) -> List[Any]:
+        """Each delete op's removed value; an absent key fails only its
+        own op, with the engine's ``KeyNotFoundError``."""
+        if len(chunk) == 1:
+            return [self.engine.delete(chunk[0][0])]
+        results = self.engine.delete_batch(
+            np.asarray([op[0] for op in chunk], dtype=np.float64),
+            missing="ignore",
+            default=_MISS,
+        )
+        return [
+            _Failed(KeyNotFoundError(op[0])) if value is _MISS else value
+            for op, value in zip(chunk, results)
+        ]
 
     def _note_batch(self, kind: str, size: int) -> None:
         self._stats["batches"][kind] += 1
         if size > self._stats["max_batch_observed"]:
             self._stats["max_batch_observed"] = size
 
-    def _chunks(self, ops: List[Tuple]) -> List[List[Tuple]]:
-        if len(ops) <= self.max_batch:
-            return [ops] if ops else []
-        return [
-            ops[i : i + self.max_batch]
-            for i in range(0, len(ops), self.max_batch)
-        ]
-
-    def _fan_out(self, chunk: List[Tuple], kind: str, values) -> None:
-        """Resolve a whole chunk's futures (``values`` is indexable per
-        op, array or list), then account for them in bulk."""
-        for op, value in zip(chunk, values):
-            fut = op[2]
-            if not fut.done():
-                fut.set_result(value)
-        self._account(chunk, kind)
-
     def _account(self, ops, kind: str) -> None:
         """Count completed ops and report their latencies to the observer
-        and the slow-op log, once per key for a key-array get.
+        and the slow-op log, once per key for a get.
 
         The single ``clock()`` here is accurate because batch-mates
         complete at the same instant by construction.
         """
-        widths = None
-        if kind == "get" and any(op[1] is _MANY for op in ops):
-            widths = [_width(op) for op in ops]
+        widths = [op[1] for op in ops] if kind == "get" else None
         self._stats["ops"][kind] += len(ops) if widths is None else sum(widths)
         observer, taillog = self._observer, self._taillog
         if observer is None and taillog is None:
@@ -602,11 +640,11 @@ class RequestBatcher:
         if observer is not None:
             observer(kind, latencies)
         if taillog is not None:
-            # op[0] is the key (or a range's lo bound) — enough for the
-            # slow record to carry the op's key range.
+            # op[0] is the key (or a get's key array, or a range's lo
+            # bound) — enough for the slow record to carry its key range.
             keys = [op[0] for op in ops]
             if widths is not None:
-                keys = np.concatenate([np.atleast_1d(key) for key in keys])
+                keys = np.concatenate(keys)
             ctx = self._telemetry.ctx()
             taillog.observe(
                 kind,
@@ -615,188 +653,7 @@ class RequestBatcher:
                 keys=keys,
             )
 
-    async def _dispatch_gets(self, ops: List[Tuple]) -> None:
-        tel = self._telemetry
-        tracer = tel.tracer if tel is not None else None
-        for chunk in self._chunks(ops):
-            self._note_batch("get", sum(map(_width, chunk)))
-            if tracer is None:
-                await self._dispatch_get_chunk(chunk)
-            else:
-                with tracer.span("serve.dispatch", kind="get", n=len(chunk)):
-                    await self._dispatch_get_chunk(chunk)
-
-    async def _dispatch_get_chunk(self, chunk: List[Tuple]) -> None:
-        """Answer one get chunk: scalar, batch, or fallback path."""
-        engine = self.engine
-        vector = any(op[1] is _MANY for op in chunk)
-        if len(chunk) == 1 and not vector:
-            (key, default, _fut, _t0), = chunk
-            try:
-                value = engine.get(key, default)
-            except Exception as exc:
-                self._reject(chunk[0], "get", exc)
-            else:
-                self._resolve(chunk[0], "get", value)
-            return
-        try:
-            if vector:
-                q = np.concatenate(
-                    [op[0] if op[1] is _MANY else [op[0]] for op in chunk]
-                )
-            else:
-                q = np.asarray([op[0] for op in chunk], dtype=np.float64)
-            values, found = engine.lookup_batch(q)
-        except Exception:
-            self._stats["scalar_fallbacks"] += 1
-            outcomes = _each(self._get_one, [(op[0], op[1]) for op in chunk])
-            for op, (ok, res) in zip(chunk, outcomes):
-                (self._resolve if ok else self._reject)(op, "get", res)
-            return
-        # Each op's answer: a key array's (values, found) slice, or one
-        # key's value — or that caller's own default.
-        hits = found.tolist()
-        answers = []
-        at = 0
-        for key, default, _fut, _t0 in chunk:
-            if default is _MANY:
-                end = at + key.size
-                answers.append((values[at:end], found[at:end]))
-                at = end
-            else:
-                answers.append(values[at] if hits[at] else default)
-                at += 1
-        self._fan_out(chunk, "get", answers)
-
-    def _get_one(self, key: Any, default: Any) -> Any:
-        """One get op answered alone (its chunk's batch call failed)."""
-        if default is _MANY:
-            return self.engine.lookup_batch(key)
-        return self.engine.get(key, default)
-
-    async def _dispatch_ranges(self, ops: List[Tuple]) -> None:
-        engine = self.engine
-        for chunk in self._chunks(ops):
-            self._note_batch("range", len(chunk))
-            try:
-                if len(chunk) == 1:
-                    (lo, hi, _fut, _t0), = chunk
-                    results = [engine.range_arrays(lo, hi)]
-                else:
-                    bounds = np.asarray(
-                        [[op[0], op[1]] for op in chunk], dtype=np.float64
-                    )
-                    results = engine.range_batch(bounds)
-            except Exception:
-                self._stats["scalar_fallbacks"] += 1
-                outcomes = _each(
-                    engine.range_arrays, [(op[0], op[1]) for op in chunk]
-                )
-                for op, (ok, res) in zip(chunk, outcomes):
-                    (self._resolve if ok else self._reject)(op, "range", res)
-                continue
-            self._fan_out(chunk, "range", results)
-
-    async def _dispatch_inserts(self, ops: List[Tuple]) -> None:
-        engine = self.engine
-        for chunk in self._chunks(ops):
-            self._note_batch("insert", len(chunk))
-            keys = [op[0] for op in chunk]
-            values = [op[1] for op in chunk]
-            n_none = sum(1 for v in values if v is None)
-            pre = engine.version
-            exc: Optional[BaseException] = None
-            try:
-                if len(chunk) == 1:
-                    engine.insert(keys[0], values[0])
-                elif 0 < n_none < len(values):
-                    # Mixed auto-rowid and explicit payloads cannot go
-                    # through one insert_batch call without changing what
-                    # the engine would store; apply per item instead.
-                    raise _MixedBatch()
-                elif n_none == len(values):
-                    engine.insert_batch(np.asarray(keys, dtype=np.float64))
-                else:
-                    engine.insert_batch(
-                        np.asarray(keys, dtype=np.float64), values
-                    )
-            except Exception as caught:
-                exc = caught
-            if exc is None:
-                self._fan_out(chunk, "insert", [None] * len(chunk))
-            elif engine.version == pre:
-                # The engine provably applied nothing (version unchanged):
-                # safe to retry per item so one bad request cannot poison
-                # its batch-mates.
-                self._stats["scalar_fallbacks"] += 1
-                outcomes = _each(engine.insert, list(zip(keys, values)))
-                for op, (ok, res) in zip(chunk, outcomes):
-                    if ok:
-                        self._resolve(op, "insert", None)
-                    else:
-                        self._reject(op, "insert", res)
-            else:
-                # Partial application is possible; failing the whole chunk
-                # is the only answer that cannot double-insert.
-                for op in chunk:
-                    self._reject(op, "insert", exc)
-            self._stats["barrier_version"] = engine.version
-
-    async def _dispatch_deletes(self, ops: List[Tuple]) -> None:
-        """Dispatch a delete run through ``engine.delete_batch``.
-
-        Misses reject only their own future (with the engine's
-        ``KeyNotFoundError``), so one absent key cannot poison its
-        batch-mates; a whole-batch failure falls back per key only when
-        the engine's version stamp proves nothing was applied, exactly
-        like the insert path.
-        """
-        engine = self.engine
-        for chunk in self._chunks(ops):
-            self._note_batch("delete", len(chunk))
-            keys = [op[0] for op in chunk]
-            if len(chunk) == 1:
-                # Already per-request isolated: dispatch the scalar verb
-                # and reject this one future on any failure.
-                try:
-                    value = engine.delete(keys[0])
-                except Exception as exc:
-                    self._reject(chunk[0], "delete", exc)
-                else:
-                    self._resolve(chunk[0], "delete", value)
-                self._stats["barrier_version"] = engine.version
-                continue
-            pre = engine.version
-            exc: Optional[BaseException] = None
-            results = None
-            try:
-                results = engine.delete_batch(
-                    np.asarray(keys, dtype=np.float64),
-                    missing="ignore",
-                    default=_MISS,
-                )
-            except Exception as caught:
-                exc = caught
-            if exc is None:
-                for op, value in zip(chunk, results):
-                    if value is _MISS:
-                        self._reject(op, "delete", KeyNotFoundError(op[0]))
-                    else:
-                        self._resolve(op, "delete", value)
-            elif engine.version == pre:
-                # Nothing applied: safe to retry per key in isolation.
-                self._stats["scalar_fallbacks"] += 1
-                outcomes = _each(engine.delete, [(k,) for k in keys])
-                for op, (ok, res) in zip(chunk, outcomes):
-                    (self._resolve if ok else self._reject)(op, "delete", res)
-            else:
-                # Partial application is possible; failing the whole chunk
-                # is the only answer that cannot double-delete.
-                for op in chunk:
-                    self._reject(op, "delete", exc)
-            self._stats["barrier_version"] = engine.version
-
 
 class _MixedBatch(Exception):
     """Internal: route a mixed None/explicit-value insert chunk to the
-    per-item path (never escapes :meth:`RequestBatcher._dispatch_inserts`)."""
+    per-op retry (never escapes :meth:`RequestBatcher._answer`)."""

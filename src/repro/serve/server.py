@@ -6,7 +6,10 @@ server.get(key)`` looks like a scalar request, but behind the facade a
 requests into micro-batches for the engine's vectorized verbs — the
 difference between ~10us-per-op scalar Python descents and ~1us-per-op
 NumPy batch passes (stackbench's ``serve.get_us.c1`` / ``.c32`` measure
-it).
+it). There is one get path: :meth:`Server.get`, :meth:`Server.get_batch`
+and the TCP tier's key batches are each one key-array op of the batcher,
+answered ``(values, found)``, and the caller's ``default`` is applied on
+this side of it.
 
 On top of the batcher the server adds:
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.api.protocol import BatchEngine
 from repro.core.errors import InvalidParameterError
+from repro.engine.scatter import fill_default
 from repro.obs import Telemetry
 from repro.obs.export import snapshot as _obs_snapshot
 from repro.serve.batcher import RequestBatcher
@@ -53,11 +57,13 @@ class Server:
         :class:`~repro.api.protocol.BatchEngine` protocol: a
         :class:`~repro.engine.ShardedEngine`, a multi-process
         :class:`~repro.cluster.ClusterEngine`, or any object with the
-        same scalar + batch verbs.
+        same verbs.
     max_batch, max_delay, eager_flush:
         Batching knobs, passed to
         :class:`~repro.serve.batcher.RequestBatcher`; ``max_batch=1``
-        degenerates to per-request scalar dispatch.
+        dispatches every request alone (a get still through
+        ``lookup_batch``; a range, insert or delete through its scalar
+        verb).
     max_pending:
         Backpressure bound on concurrently admitted requests (``None`` =
         unbounded).
@@ -283,30 +289,29 @@ class Server:
     # Operations
     # ------------------------------------------------------------------
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        """Point lookup: awaitable of the value under ``key`` (or
-        ``default``).
+    async def get(self, key: Any, default: Any = None) -> Any:
+        """Point lookup: the value under ``key`` as a plain Python value,
+        or this very ``default`` object on a miss.
 
-        Results are identical to scalar ``engine.get(key, default)`` — the
-        batch dispatch is an execution strategy, not a semantic change.
-        Unbounded servers hand back the batcher's future directly (one
-        less coroutine frame on the hot path); bounded ones go through the
-        admission coroutine. Either way: ``value = await server.get(key)``.
+        A one-key :meth:`get_many`, with ``default`` applied here; results
+        equal ``engine.get(key, default)`` — the batch dispatch is an
+        execution strategy, not a semantic change.
         """
-        if self._closed:
-            raise ServerClosedError("server is closed")
-        if self._max_pending is None:
-            return self._batcher.submit_get(key, default)
-        return self._bounded(self._batcher.submit_get, key, default)
+        values, found = await self.get_many([key])
+        return values.tolist()[0] if found[0] else default
 
     def get_many(self, keys) -> Any:
-        """Point lookups of many callers' keys as one batcher op: awaitable
-        of the ``(values, found)`` arrays, ``found`` false where a key is
-        absent (its value slot is then unspecified).
+        """Point lookups of ``keys`` as one batcher op: awaitable of the
+        ``(values, found)`` arrays, ``found`` false where a key is absent
+        (its value slot is then unspecified).
 
-        The TCP tier's verb for a client's coalesced gets: fenced,
+        The one get verb every other get rides: :meth:`get`,
+        :meth:`get_batch` and the TCP tier's key-batch frames. Fenced,
         flushed and counted like that many ``get`` s (see
         :meth:`~repro.serve.batcher.RequestBatcher.submit_get_many`).
+        Unbounded servers hand back the batcher's future directly (one
+        less coroutine frame on the hot path); bounded ones go through
+        the admission coroutine.
         """
         if self._closed:
             raise ServerClosedError("server is closed")
@@ -366,12 +371,13 @@ class Server:
     # ------------------------------------------------------------------
     #
     # These exist for callers that already hold a whole batch — the TCP
-    # tier's batch frames, the router's scatter legs — where coalescing
-    # through the scalar submit path would only deconstruct and rebuild
-    # it. They call the engine inline and do NOT pass the
-    # read-your-writes fence: a batch verb is ordered against scalar
-    # traffic only by its own await — submit it after the writes it must
-    # observe have resolved.
+    # tier's batch frames, the router's scatter legs. ``get_batch`` is
+    # one get op of the batcher (get_many), so it passes the
+    # read-your-writes fence and is counted per key. ``range_batch``,
+    # ``insert_batch`` and ``delete_batch`` call the engine inline and do
+    # NOT pass the fence: each is ordered against per-request traffic
+    # only by its own await — submit it after the writes it must observe
+    # have resolved.
 
     async def get_batch(self, queries, default: Any = None):
         """Vectorized point lookups for a pre-assembled query batch.
@@ -389,9 +395,7 @@ class Server:
             One value (or ``default``) per query, in query order —
             identical to ``engine.get_batch(queries, default)``.
         """
-        if self._closed:
-            raise ServerClosedError("server is closed")
-        return self.engine.get_batch(queries, default)
+        return fill_default(*await self.get_many(queries), default)
 
     async def range_batch(self, bounds):
         """Batched range scans over ``[lo, hi]`` bound rows.

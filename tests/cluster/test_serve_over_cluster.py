@@ -77,9 +77,12 @@ class TestServerOverCluster:
     def test_drain_on_close(self, keys):
         async def main(engine):
             server = Server(engine, max_delay=5.0, eager_flush=False)
-            futures = [server.get(k) for k in keys[:50]]
+            futures = [asyncio.ensure_future(server.get(k)) for k in keys[:50]]
+            await asyncio.sleep(0)  # every get is submitted, none flushed
             await server.close()  # drain must resolve everything pending
-            assert [f.result() for f in futures] == list(range(50))
+            # Well inside max_delay: only the drain can have answered them.
+            got = await asyncio.wait_for(asyncio.gather(*futures), timeout=1.0)
+            assert got == list(range(50))
 
         with cluster(keys, n_shards=2, error=64) as engine:
             run(main(engine))

@@ -136,7 +136,11 @@ def test_values_without_a_keys_form_fall_back_and_stay_correct(values, kind):
 
 
 @pytest.mark.parametrize("telemetry", [None, "full"], ids=["untraced", "traced"])
-@pytest.mark.parametrize("default", [object(), lambda: 0], ids=["object", "lambda"])
+@pytest.mark.parametrize(
+    "default",
+    [object(), lambda: 0, 2.5, np.float32(1.5)],
+    ids=["object", "lambda", "float", "float32"],
+)
 def test_a_miss_answers_with_the_callers_own_default(default, telemetry):
     async def scenario():
         net = await serve_tcp(np.arange(1000.0), n_shards=2)

@@ -123,17 +123,14 @@ def test_max_inflight_is_an_exact_bound_that_starves_nobody():
         srv = Server(open_engine(KEYS, VALUES, n_shards=2))
         live = peak = 0
 
-        def counting_get(key, default=None, _get=srv.get):
+        async def counting_get(key, default=None, _get=srv.get):
             nonlocal live, peak
-            fut = _get(key, default)
             live += 1
             peak = max(peak, live)
-            fut.add_done_callback(lambda _: _done())
-            return fut
-
-        def _done():
-            nonlocal live
-            live -= 1
+            try:
+                return await _get(key, default)
+            finally:
+                live -= 1
 
         srv.get = counting_get
         async with NetServer(srv, max_inflight=4) as net:
@@ -182,4 +179,6 @@ def test_numpy_scalars_travel_as_plain_numbers_not_pickle(monkeypatch):
 
     asyncio.run(scenario())
     sent = [codec for kind, codec in codecs if kind < wire.REPLY_OK]
-    assert sent == [wire.CODEC_SCALAR] * 4
+    # The insert is a scalar frame; every get, even a lone one, is a key
+    # batch whose default stays with its caller.
+    assert sent == [wire.CODEC_SCALAR] + [wire.CODEC_KEYS] * 3

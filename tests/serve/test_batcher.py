@@ -20,6 +20,12 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def first(answer):
+    """A one-key get op's value, or None on a miss."""
+    values, found = answer
+    return values.tolist()[0] if found[0] else None
+
+
 def build_engine(n=5_000, seed=0):
     keys = get("uniform", n=n, seed=seed)
     return ShardedEngine(keys, n_shards=2, error=128.0, buffer_capacity=64), keys
@@ -36,9 +42,9 @@ class TestFlushTriggers:
             batcher = RequestBatcher(
                 engine, max_batch=1024, max_delay=0.01, eager_flush=False
             )
-            fut = batcher.submit_get(keys[7])
+            fut = batcher.submit_get_many([keys[7]])
             assert batcher.pending == 1
-            value = await asyncio.wait_for(fut, timeout=2.0)
+            value = first(await asyncio.wait_for(fut, timeout=2.0))
             assert batcher.pending == 0
             return value, batcher.stats()
 
@@ -54,7 +60,7 @@ class TestFlushTriggers:
             batcher = RequestBatcher(
                 engine, max_batch=4, max_delay=30.0, eager_flush=False
             )
-            futs = [batcher.submit_get(k) for k in keys[:4]]
+            futs = [batcher.submit_get_many([k]) for k in keys[:4]]
             # The timer is half a minute out; only the size trigger can
             # flush this fast.
             await asyncio.wait_for(asyncio.gather(*futs), timeout=2.0)
@@ -73,7 +79,7 @@ class TestFlushTriggers:
             batcher = RequestBatcher(
                 engine, max_batch=1024, max_delay=30.0, eager_flush=True
             )
-            futs = [batcher.submit_get(k) for k in keys[:32]]
+            futs = [batcher.submit_get_many([k]) for k in keys[:32]]
             await asyncio.wait_for(asyncio.gather(*futs), timeout=2.0)
             return batcher.stats()
 
@@ -89,12 +95,12 @@ class TestFlushTriggers:
             batcher = RequestBatcher(
                 engine, max_batch=1024, max_delay=30.0, eager_flush=False
             )
-            futs = [batcher.submit_get(k) for k in keys[:10]]
+            futs = [batcher.submit_get_many([k]) for k in keys[:10]]
             ins = batcher.submit_insert(float(keys[3]) + 0.5, 1)
             await batcher.drain()
             assert batcher.pending == 0
             assert ins.result() is None
-            return [f.result() for f in futs]
+            return [first(f.result()) for f in futs]
 
         assert run(main()) == expected
 
@@ -115,9 +121,9 @@ class TestInsertFence:
             batcher.submit_insert(100.0, 1)
             batcher.submit_insert(200.0, 2)
             # Inside [100, 200]: held. Outside: not held.
-            batcher.submit_get(150.0)
-            batcher.submit_get(99.0)
-            batcher.submit_get(201.0)
+            batcher.submit_get_many([150.0])
+            batcher.submit_get_many([99.0])
+            batcher.submit_get_many([201.0])
             held = batcher.stats()["barrier_held"]
             await batcher.drain()
             return held
@@ -130,7 +136,7 @@ class TestInsertFence:
         async def main():
             batcher = RequestBatcher(engine, eager_flush=False, max_delay=30.0)
             batcher.submit_insert("bogus", 1)  # cannot float(): full fence
-            batcher.submit_get(float(keys[0]))
+            batcher.submit_get_many([float(keys[0])])
             held = batcher.stats()["barrier_held"]
             await batcher.drain()
             return held
@@ -143,10 +149,10 @@ class TestInsertFence:
         async def main():
             batcher = RequestBatcher(engine, eager_flush=False, max_delay=30.0)
             ins = batcher.submit_insert(500.0, 77)
-            red = batcher.submit_get(500.0)
+            red = batcher.submit_get_many([500.0])
             await batcher.drain()
             assert ins.result() is None
-            return red.result()
+            return first(red.result())
 
         assert run(main()) == 77
 
@@ -184,10 +190,10 @@ class TestSoloMode:
 
         async def main():
             batcher = RequestBatcher(engine, max_batch=1, max_delay=0.0)
-            futs = [batcher.submit_get(k) for k in keys[:20]]
+            futs = [batcher.submit_get_many([k]) for k in keys[:20]]
             got = await asyncio.gather(*futs)
             stats = batcher.stats()
-            return list(got), stats
+            return [first(answer) for answer in got], stats
 
         got, stats = run(main())
         assert got == expected
@@ -204,9 +210,9 @@ class TestSoloMode:
         async def main():
             batcher = RequestBatcher(engine, max_batch=1, max_delay=0.0)
             ins = batcher.submit_insert(77.5, 5)
-            red = batcher.submit_get(77.5)
+            red = batcher.submit_get_many([77.5])
             await asyncio.gather(ins, red)
-            return red.result()
+            return first(red.result())
 
         assert run(main()) == 5
 
@@ -216,8 +222,8 @@ class TestSoloMode:
 
         async def main():
             batcher = RequestBatcher(engine, max_batch=1, max_delay=0.0)
-            futs = [batcher.submit_get(k) for k in keys[:8]]
+            futs = [batcher.submit_get_many([k]) for k in keys[:8]]
             await batcher.drain()
-            return [f.result() for f in futs]
+            return [first(f.result()) for f in futs]
 
         assert run(main()) == expected

@@ -57,7 +57,7 @@ async def read_your_writes_demo(engine):
     async with Server(engine) as srv:
         # Writer and reader race on the same key inside one flush cycle;
         # the reader is barriered behind the insert and sees the write.
-        write = asyncio.ensure_future(srv.insert(3.14159, "pi-row"))
+        write = asyncio.ensure_future(srv.insert(3.14159, 314159))
         read = asyncio.ensure_future(srv.get(3.14159))
         await asyncio.gather(write, read)
         held = srv.stats()["batcher"]["barrier_held"]

@@ -13,7 +13,7 @@ machine:
   the one registry the on-disk format uses (``register_index_class``);
 * :mod:`~repro.cluster.shm` — the zero-copy transport: named
   shared-memory lanes batch keys and numeric results cross process
-  boundaries through (pickle fallback for object payloads);
+  boundaries through (only a range reply outgrowing its lane is pickled);
 * :mod:`~repro.cluster.worker` — the per-shard worker loop dispatching
   the engine's vectorized batch verbs with per-batch fences;
 * :mod:`~repro.cluster.engine` — :class:`ClusterEngine`, the parent-side

@@ -150,6 +150,7 @@ class ClusterEngine(EngineFront):
     _backend = "cluster"
     _get_span = "cluster.get_batch"
     _retain_tail = True  # a crashed worker is respawned from the tail
+    _closed = True  # nothing to release until _boot accepts its states
 
     def __init__(
         self,
@@ -266,9 +267,10 @@ class ClusterEngine(EngineFront):
 
     def _boot(self, states: Dict[str, Any], *, mp_context, lane_capacity,
               op_timeout, telemetry=None) -> None:
+        shard_states = states["shards"]
         self._init_front(
             states["cuts"], states["auto_rowid"], states["next_rowid"],
-            telemetry,
+            telemetry, [np.dtype(s["values_dtype"]) for s in shard_states],
         )
         if isinstance(mp_context, str) or mp_context is None:
             method = mp_context or (
@@ -279,12 +281,6 @@ class ClusterEngine(EngineFront):
             ctx = mp_context
         self._ctx = ctx
         self._lane_capacity = int(lane_capacity)
-        shard_states = states["shards"]
-        self._values_dtype = (
-            np.dtype(shard_states[0]["values_dtype"])
-            if shard_states
-            else np.dtype(np.int64)
-        )
         #: Last-known element count per shard, refreshed from every
         #: worker ``stats`` reply and worker restore — lets a failed
         #: round resync ``_n`` per *live* shard instead of requiring a
@@ -372,9 +368,6 @@ class ClusterEngine(EngineFront):
 
     def _shard_states(self) -> List[Dict[str, Any]]:
         return self._broadcast("to_state")  # pulled live from the workers
-
-    def _value_dtypes(self) -> set:
-        return {self._values_dtype}
 
     def _maybe_snapshot(self) -> None:
         """Roll a snapshot when the WAL is due (called at safe points,
@@ -834,13 +827,9 @@ class ClusterEngine(EngineFront):
         # gather into the caller's output array is the one copy they get
         # and happens before the lane is ever reused (ops are strict
         # request/reply rounds under the worker's lock).
-        meta, descriptors = reply
-        worker = self._workers[sid]
-        if meta["via"] == "shm":
-            values, *mask = worker.resp.read(descriptors)
-            return values, (mask[0].view(np.bool_) if mask else None)
-        worker.ipc["pickle_fallbacks"] += 1  # object payloads
-        return meta["values"], meta["found"]
+        _meta, descriptors = reply
+        values, *mask = self._workers[sid].resp.read(descriptors)
+        return values, (mask[0].view(np.bool_) if mask else None)
 
     # ------------------------------------------------------------------
     # Range scans
@@ -889,9 +878,8 @@ class ClusterEngine(EngineFront):
                 *(np.array(a) for a in worker.resp.read(descriptors))
             )
         worker.ipc["pickle_fallbacks"] += 1
-        # The worker fell back because the reply carried object values or
-        # outgrew the response lane — the common case for wide scans, and
-        # then ``need`` is what would have fit: grow now (the worker
+        # The reply outgrew the response lane — the common case for wide
+        # scans — and ``need`` is what would have fit: grow now (the worker
         # re-attaches by name from the next request).
         if meta["need"] is not None and worker.resp.ensure(meta["need"]):
             worker.ipc["lane_growths"] += 1
@@ -913,8 +901,8 @@ class ClusterEngine(EngineFront):
         """Dispatch and fence one committed :func:`split_sorted` insert plan."""
         thunks = {
             sid: (
-                lambda sid=sid, a=a, b=b: self._post_insert(
-                    sid, keys[a:b], values[a:b]
+                lambda sid=sid, a=a, b=b: self._post(
+                    sid, "insert_batch", {}, [keys[a:b], values[a:b]]
                 )
             )
             for sid, a, b in jobs
@@ -1043,16 +1031,6 @@ class ClusterEngine(EngineFront):
                 self._shard_ns[sid] -= b - a if found is None else int(found.sum())
             self._n = sum(self._shard_ns)
         return parts
-
-    def _post_insert(self, sid: int, keys: np.ndarray, values: np.ndarray) -> None:
-        if values.dtype == np.dtype(object):
-            # No lane form: the object ndarray itself rides the pipe, NOT a
-            # list — a list would be re-coerced worker-side (e.g. to a
-            # unicode dtype), changing what gets stored vs in-process.
-            self._workers[sid].ipc["pickle_fallbacks"] += 1
-            self._post(sid, "insert_batch", {"values": values}, [keys])
-        else:
-            self._post(sid, "insert_batch", {}, [keys, values])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

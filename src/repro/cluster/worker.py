@@ -210,15 +210,9 @@ def shard_worker_main(
 
 def _encode_points(resp: ShmLane, values: np.ndarray, found: np.ndarray):
     """A get/delete ``(values, found)`` answer as the reply's
-    ``(meta, descriptors)``.
-
-    Numeric values go through the response lane, then the found mask as
-    ``uint8`` unless every key hit; object values — buffered payloads the
-    shard's dtype cannot hold — fall back to pickled ``values`` /
-    ``found`` meta keys.
-    """
-    if values.dtype == np.dtype(object):
-        return {"via": "pickle", "values": values, "found": found}, ()
+    ``(meta, descriptors)``: the values (the shard's numeric dtype) go
+    through the response lane, then the found mask as ``uint8`` unless
+    every key hit."""
     if found.all():
         return {"via": "shm"}, resp.write([values])
     return {"via": "shm"}, resp.write([values, found.view(np.uint8)])
@@ -245,6 +239,8 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
     if verb == "get_batch":
         t0 = time.perf_counter()
         values, found = flat_view(server.index).lookup_batch(keys)
+        if not server.index.n_pages:  # an empty view answers object misses
+            values = np.zeros(keys.size, dtype=server.index._values_dtype)
         compute_s = time.perf_counter() - t0
         out, reply_descriptors = _encode_points(resp, values, found)
         if meta.get("trace") is not None:
@@ -277,8 +273,6 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
             out, reply_descriptors = _encode_points(
                 resp, *server.index.pop_batch(keys, missing=meta["missing"])
             )
-        elif len(arrays) == 2:
+        else:
             server.index.insert_batch(keys, np.array(arrays[1]))
-        else:  # an object-dtype payload has no lane form
-            server.index.insert_batch(keys, meta["values"])
     return ("ok", server.index.version, out, reply_descriptors)

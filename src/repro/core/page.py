@@ -33,6 +33,8 @@ __all__ = [
     "aligned_value_array",
     "as_value_array",
     "exact_typed_array",
+    "held_value",
+    "typed_values",
 ]
 
 
@@ -68,40 +70,67 @@ def as_value_array(values) -> np.ndarray:
     return arr
 
 
-def exact_typed_array(items, dtype) -> Optional[np.ndarray]:
+def exact_typed_array(items: np.ndarray, dtype) -> Optional[np.ndarray]:
     """``items`` as a ``dtype`` array iff the cast preserves every value.
 
-    The one lossless-cast rule shared by buffer exports
-    (:meth:`SegmentPage.buffer_arrays`), worker get/delete replies and
-    bulk-delete results: a payload the target dtype cannot represent
-    exactly yields ``None`` (callers fall back to an object array or a
-    pickled reply) rather than a silently coerced array. NaN payloads
-    cast to NaN count as preserved. The comparison is one vectorized
-    pass (for Python payloads, first one C-level list comparison); only
-    slots that compare unequal (NaN candidates) are re-examined per
-    element.
+    The rule deciding which payloads a typed index or engine stores
+    (:func:`typed_values`): a payload the target dtype cannot represent
+    exactly — the cast does not round-trip — yields ``None`` rather than a
+    silently coerced array. NaN payloads cast to NaN count as preserved;
+    a string never becomes a number, even one that parses. The round trip
+    is one vectorized pass; only slots that compare unequal (NaN
+    candidates) are re-examined per element.
     """
+    if items.dtype.kind in "US" and dtype.kind not in "US":
+        return None
     out = np.empty(len(items), dtype=dtype)
     try:
-        out[:] = items
-        if isinstance(items, np.ndarray) and items.dtype != np.dtype(object):
-            src = items
-        elif out.tolist() == list(items):
-            return out
-        else:
-            src = _object_array(list(items))
-        neq = np.asarray(out != src, dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore"):  # judged below
+            out[:] = items
+            neq = np.asarray(out.astype(items.dtype) != items, dtype=bool)
     except (ValueError, TypeError, OverflowError):
         return None
-    if neq.any():
-        for i in np.flatnonzero(neq):
-            a, b = out[i], src[i]
-            try:
-                if not (a != a and b != b):  # anything but NaN -> NaN
-                    return None
-            except (ValueError, TypeError):
+    for i in np.flatnonzero(neq):
+        a, b = out[i], items[i]
+        try:
+            if not (a != a and b != b):  # anything but NaN -> NaN
                 return None
+        except (ValueError, TypeError):
+            return None
     return out
+
+
+def typed_values(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``values`` as the array a ``dtype`` index stores, or
+    :class:`InvalidParameterError` when one payload cannot be held
+    exactly (:func:`exact_typed_array`). Every insert verb checks here
+    before it logs or applies anything; an ``object`` index holds any
+    payload, and an array already in ``dtype`` costs one comparison."""
+    if values.dtype != dtype and dtype != object:
+        values = exact_typed_array(values, dtype)
+        if values is None:
+            raise InvalidParameterError(
+                f"{dtype} values cannot hold these payloads exactly"
+            )
+    return values
+
+
+_INT64, _FLOAT64, _OBJECT = map(np.dtype, (np.int64, np.float64, object))
+
+
+def held_value(value: Any, dtype: np.dtype) -> Any:
+    """One payload as a ``dtype`` index stores it (:func:`typed_values`).
+    A Python ``int`` bound for int64 or ``float`` bound for float64 — every
+    row id, and the common payloads — skips the NumPy cast."""
+    kind = type(value)
+    if (
+        (kind is int and dtype == _INT64 and -(2**63) <= value < 2**63)
+        or (kind is float and dtype == _FLOAT64)
+        or kind is dtype.type
+        or dtype == _OBJECT
+    ):
+        return value
+    return typed_values(_object_array([value]), dtype)[0]
 
 
 def aligned_value_array(n_keys: int, values) -> np.ndarray:
@@ -501,7 +530,7 @@ class SegmentPage:
 
     def bulk_delete(
         self, keys, max_data: Optional[int] = None
-    ) -> Tuple[int, List[Any], int]:
+    ) -> Tuple[int, List[Any]]:
         """Delete one occurrence per requested key in one vectorized pass.
 
         ``keys`` must be sorted ascending (float64-coercible); each element
@@ -530,14 +559,13 @@ class SegmentPage:
         Returns
         -------
         tuple
-            ``(n_applied, values, n_data_deleted)`` — the number of leading
-            requests satisfied, their deleted values in request order, and
-            how many of them were data deletions.
+            ``(n_applied, values)`` — the number of leading requests
+            satisfied and their deleted values in request order.
         """
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n = keys.size
         if n == 0:
-            return 0, [], 0
+            return 0, []
         # Per-request run decomposition (as in bulk_insert): run_id names
         # each request's distinct key, ``within`` its rank in that run.
         idx = np.arange(n, dtype=np.int64)
@@ -579,7 +607,7 @@ class SegmentPage:
             if over.size:
                 n_applied = int(over[0]) + 1
         if n_applied == 0:
-            return 0, [], 0
+            return 0, []
         self.stamp += 1
 
         is_buf = is_buf[:n_applied]
@@ -606,29 +634,25 @@ class SegmentPage:
             self.buf_values = [v for v, f in zip(self.buf_values, keep) if f]
         if data_pos.size:
             self._kill(data_pos)
-        return n_applied, values, int(data_pos.size)
+        return n_applied, values
 
     def buffer_arrays(self, values_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
         """The insert buffer as aligned ``(keys, values)`` NumPy arrays.
 
         The key array is always float64; values use ``values_dtype`` (or
         this page's data dtype) so per-page exports concatenate cleanly in
-        :meth:`repro.core.paged_index.PagedIndexBase.flat_arrays`. Buffered
-        payloads that the target dtype cannot represent losslessly (the
-        buffer is a plain Python list, so inserts may hold anything) fall
-        back to an object array — never silently coerced.
+        :meth:`repro.core.paged_index.PagedIndexBase.flat_arrays`. The
+        owning index admits only payloads its dtype holds exactly
+        (:func:`held_value`), so a typed buffer casts losslessly.
         """
         dtype = self.values.dtype if values_dtype is None else values_dtype
         if not self.buf_keys:
             # Most pages, most of the time: skip the list conversions.
             return _NO_KEYS, np.empty(0, dtype=dtype)
         keys = np.asarray(self.buf_keys, dtype=np.float64)
-        if dtype == np.dtype(object):
+        if dtype == object:
             return keys, _object_array(self.buf_values)
-        values = exact_typed_array(self.buf_values, dtype)
-        if values is None:
-            values = _object_array(self.buf_values)
-        return keys, values
+        return keys, np.asarray(self.buf_values, dtype=dtype)
 
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Live data and buffer merged into one sorted (keys, values) pair
@@ -636,15 +660,12 @@ class SegmentPage:
         keys, values = self.live_arrays()
         if not self.buf_keys:
             return keys, values
-        buf_k = np.asarray(self.buf_keys, dtype=keys.dtype)
+        buf_k, buf_v = self.buffer_arrays()
         positions = np.searchsorted(keys, buf_k, side="left")
-        merged_keys = np.insert(keys, positions, buf_k)
-        if values.dtype == np.dtype(object):
-            buf_v = _object_array(self.buf_values)
-        else:
-            buf_v = np.asarray(self.buf_values, dtype=values.dtype)
-        merged_values = np.insert(values, positions, buf_v)
-        return merged_keys, merged_values
+        return (
+            np.insert(keys, positions, buf_k),
+            np.insert(values, positions, buf_v),
+        )
 
     # ------------------------------------------------------------------
     # Iteration and validation

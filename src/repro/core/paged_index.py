@@ -50,7 +50,8 @@ from repro.core.errors import (
 from repro.core.page import (
     SegmentPage,
     aligned_value_array,
-    exact_typed_array,
+    held_value,
+    typed_values,
 )
 
 __all__ = ["PagedIndexBase", "export_pages"]
@@ -63,9 +64,8 @@ def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
     """``pages`` as the contiguous arrays of one read snapshot, in order.
 
     The body of :meth:`PagedIndexBase.flat_arrays`, shared with
-    ``ShardedEngine.flat_arrays``, whose page list spans every shard: data
-    values are cast to ``values_dtype`` (``object`` keeps differing shard
-    dtypes lossless) and buffers export through
+    ``ShardedEngine.flat_arrays``, whose page list spans every shard (all
+    of one ``values_dtype``): buffers export through
     :meth:`SegmentPage.buffer_arrays`.
     """
     offsets = np.zeros(len(pages) + 1, dtype=np.int64)
@@ -159,7 +159,7 @@ class PagedIndexBase:
                 raise InvalidParameterError(
                     f"values length {len(values)} != keys length {len(keys)}"
                 )
-        self._values_dtype = values.dtype if len(values) else np.dtype(np.int64)
+        self._values_dtype = values.dtype  # fixed: see _resolve_value
         self._next_rowid = len(keys)
         self._build(keys, values)
 
@@ -589,7 +589,7 @@ class PagedIndexBase:
 
     def _resolve_value(self, value: Any) -> Any:
         if value is not None:
-            return value
+            return held_value(value, self._values_dtype)
         if self._auto_rowid:
             rowid = self._next_rowid
             self._next_rowid += 1
@@ -608,7 +608,10 @@ class PagedIndexBase:
             )
 
     def insert(self, key: float, value: Any = None) -> None:
-        """Insert ``key -> value`` (buffered; may trigger a page rebuild)."""
+        """Insert ``key -> value`` (buffered; may trigger a page rebuild).
+
+        A ``value`` the values dtype cannot hold exactly raises
+        :class:`InvalidParameterError` before anything is applied."""
         self._check_writable()
         key = float(key)
         value = self._resolve_value(value)
@@ -663,7 +666,9 @@ class PagedIndexBase:
                 "this index stores typed values; insert_batch requires "
                 "aligned values"
             )
-        return aligned_value_array(keys.size, values)
+        return typed_values(
+            aligned_value_array(keys.size, values), self._values_dtype
+        )
 
     def _owned_end(self, pi: int, sorted_keys: np.ndarray, i: int) -> int:
         """End of the run of ``sorted_keys`` from ``i`` that page ``pi``
@@ -702,7 +707,8 @@ class PagedIndexBase:
             float64.
         values:
             Aligned payloads; ``None`` assigns auto row ids in request
-            order (auto-rowid indexes only).
+            order (auto-rowid indexes only). A batch holding a payload the
+            values dtype cannot hold exactly is refused whole.
         """
         self._check_writable()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
@@ -859,9 +865,8 @@ class PagedIndexBase:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`delete_batch` answered as ``(values, found)``, in request
         order: the form engines and workers pass along, ``default`` being
-        the caller's to apply. ``values`` has the values dtype unless a
-        deleted payload cannot take it exactly (then ``object``); a miss's
-        slot is unspecified. An empty batch answers in the values dtype."""
+        the caller's to apply. ``values`` has the values dtype; a miss's
+        slot is unspecified."""
         self._check_writable()
         if missing not in ("raise", "ignore"):
             raise InvalidParameterError(
@@ -875,10 +880,6 @@ class PagedIndexBase:
         skeys = keys[order]
         values: List[Any] = [None] * n
         found = np.zeros(n, dtype=bool)
-        #: Whether any deleted value came from an insert buffer (a plain
-        #: Python list that may hold payloads the values dtype cannot
-        #: represent); data-array values are exact by construction.
-        saw_buffer = False
         i = 0
         while i < n:
             applied = 0
@@ -886,11 +887,9 @@ class PagedIndexBase:
                 pi = self._route(float(skeys[i]))
                 page = self._pages[pi]
                 j = self._owned_end(pi, skeys, i)
-                applied, vals, n_data = page.bulk_delete(
+                applied, vals = page.bulk_delete(
                     skeys[i:j], self.buffer_capacity - page.deletions
                 )
-                if applied > n_data:
-                    saw_buffer = True
                 if applied:
                     values[i : i + applied] = vals
                     found[i : i + applied] = True
@@ -905,7 +904,6 @@ class PagedIndexBase:
             if value is not _MISS:
                 values[i] = value
                 found[i] = True
-                saw_buffer = True  # the fallback may reach buffers
             elif missing == "raise":
                 raise KeyNotFoundError(float(skeys[i]))
             i += 1
@@ -914,18 +912,11 @@ class PagedIndexBase:
         out[order] = values
         hit = np.empty(n, dtype=bool)
         hit[order] = found
-        if self._values_dtype != np.dtype(object):
-            typed = np.zeros(n, dtype=self._values_dtype)
-            if not saw_buffer:
-                # Every value came straight off a typed data array:
-                # exact by construction, no per-value verification.
-                typed[hit] = out[hit]
-                return typed, hit
-            cast = exact_typed_array(out[hit], self._values_dtype)
-            if cast is not None:
-                typed[hit] = cast
-                return typed, hit
-        return out, hit
+        if self._values_dtype == np.dtype(object):
+            return out, hit
+        typed = np.zeros(n, dtype=self._values_dtype)
+        typed[hit] = out[hit]
+        return typed, hit
 
     def delete_value(self, key: float, value: Any) -> bool:
         """Remove the occurrence of ``key`` whose payload equals ``value``.

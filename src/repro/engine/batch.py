@@ -6,7 +6,10 @@ A :class:`FlatView` freezes one paged index — a
 pages in key order — into contiguous NumPy arrays (via ``flat_arrays``):
 per-page start keys, deletion counts and offsets, plus the concatenation of
 every page's sorted data (globally sorted, since pages are emitted in key
-order) with its tombstone mask, and of every page's insert buffer. A batch
+order) with its tombstone mask, and of every page's insert buffer. Values
+and buffered values share the index's one values dtype, which refuses any
+payload it cannot hold exactly, so a view never needs an object
+fallback. A batch
 of K point lookups then costs a handful of whole-batch array passes instead
 of K independent B+-tree descents:
 
@@ -216,8 +219,6 @@ class FlatView:
             if self.buf_keys.size:
                 slot, hit = self._search_buffers(q[miss], pi[miss])
                 if hit.any():
-                    if self.buf_values.dtype == object and out.dtype != object:
-                        out = out.astype(object)  # lossless for odd payloads
                     out[miss[hit]] = self.buf_values[slot[hit]]
                     found[miss[hit]] = True
                     miss = miss[~hit]
@@ -418,10 +419,8 @@ def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
     ``ShardedEngine`` over all its shards. The cache key is ``version``, so
     buffered inserts, deletes and page rebuilds all invalidate it. A stale
     view whose page directory still stands is updated from the pages
-    written to since (:func:`_updated`); a changed directory, or the rare
-    view whose buffers hold a payload the values dtype cannot (whether an
-    untouched page still needs the object fallback is not knowable without
-    re-exporting it), takes the full ``flat_arrays`` export. ``stats`` (a
+    written to since (:func:`_updated`); a changed directory takes the
+    full ``flat_arrays`` export. ``stats`` (a
     dict with ``"view_hits"``/``"view_builds"``) lets callers — the
     engine's cache-hit-rate stat — observe reuse without a second API; a
     caller that also keeps ``"view_patches"`` / ``"view_full_rebuilds"``
@@ -435,11 +434,7 @@ def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
         if stats is not None:
             stats["view_hits"] = stats.get("view_hits", 0) + 1
         return cached
-    if (
-        cached is not None
-        and cached.pages is index._get_directory()[1]
-        and cached.buf_values.dtype == cached.values.dtype
-    ):
+    if cached is not None and cached.pages is index._get_directory()[1]:
         view, n_exported = _updated(cached, version)
         event = "view_patches"
     else:

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
-from repro.core.page import aligned_value_array
+from repro.core.page import aligned_value_array, held_value
 from repro.core.paged_index import export_pages
 from repro.engine.batch import flat_view
 from repro.engine.front import EngineFront
@@ -70,7 +70,9 @@ class ShardedEngine(EngineFront):
     index_factory:
         ``f(keys, values) -> PagedIndexBase`` building one shard. Defaults
         to a :class:`FITingTree` with this engine's ``error`` /
-        ``buffer_capacity``.
+        ``buffer_capacity``. The shards must share one values dtype, the
+        engine's: a factory building shards of different dtypes is
+        refused.
     error, buffer_capacity:
         Passed to the default factory (ignored when ``index_factory`` is
         given).
@@ -154,7 +156,10 @@ class ShardedEngine(EngineFront):
         self._directory: Optional[Tuple[np.ndarray, List[Any]]] = None
         self._directory_parts: List[List[Any]] = []
         self._flat_view_cache: Any = None
-        self._init_front(cuts, auto_rowid, next_rowid, telemetry)
+        self._init_front(
+            cuts, auto_rowid, next_rowid, telemetry,
+            [shard._values_dtype for shard in self._shards],
+        )
 
     @classmethod
     def from_states(
@@ -188,9 +193,6 @@ class ShardedEngine(EngineFront):
 
     def _shard_states(self) -> List[Dict[str, Any]]:
         return [s.to_state() for s in self._shards]
-
-    def _value_dtypes(self) -> set:
-        return {shard._values_dtype for shard in self._shards}
 
     def _register_sources(self, reg: Any) -> None:
         reg.register_callback(
@@ -313,18 +315,14 @@ class ShardedEngine(EngineFront):
 
     def flat_arrays(self) -> Dict[str, Any]:
         """Export every shard's pages as one read snapshot (the shape of
-        ``PagedIndexBase.flat_arrays``; shards whose values dtypes differ
-        export ``object`` values).
+        ``PagedIndexBase.flat_arrays``, in the engine's values dtype).
 
         Each later shard's first routing key is lowered to its cut, so
         queries in ``[cut, first page start)`` route into that shard —
         exactly where scalar engine routing buffers and probes them.
         """
         starts, pages = self._get_directory()
-        dtypes = self._value_dtypes()
-        arrays = export_pages(
-            pages, dtypes.pop() if len(dtypes) == 1 else np.dtype(object)
-        )
+        arrays = export_pages(pages, self._values_dtype)
         route_starts = starts.copy()
         first = 0
         for i, shard_pages in enumerate(self._directory_parts):
@@ -444,8 +442,12 @@ class ShardedEngine(EngineFront):
         )
 
     def insert(self, key: float, value: Any = None) -> None:
-        """Scalar insert (engine-level row id when built without values)."""
-        if value is None and self._auto_rowid:
+        """Scalar insert (engine-level row id when built without values);
+        a ``value`` the values dtype cannot hold exactly is refused before
+        it is logged."""
+        if value is not None:
+            value = held_value(value, self._values_dtype)
+        elif self._auto_rowid:
             value = self._next_rowid
             self._next_rowid += 1
         keys = np.asarray([key], dtype=np.float64)

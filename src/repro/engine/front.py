@@ -6,8 +6,10 @@ to the moment a shard is reached both answer every verb the same way. This
 base class is that shared half, written once:
 
 * **writes** — coerce the keys, treat an empty batch as a strict no-op,
-  draw row ids (:func:`~repro.engine.scatter.resolve_values`), stable-sort
-  and cut the batch per shard (:func:`~repro.engine.scatter.split_sorted`),
+  draw row ids or cast the payloads to the engine's one values dtype,
+  refusing any it cannot hold (:func:`~repro.engine.scatter.resolve_values`),
+  stable-sort and cut the batch per shard
+  (:func:`~repro.engine.scatter.split_sorted`),
   refuse a plan a read-only shard owns, log every chunk under one group
   commit before any shard applies (``docs/ARCHITECTURE.md``, the write
   protocol), hand the plan to the backend, roll a snapshot when the log is
@@ -28,7 +30,7 @@ A backend supplies how its shards are reached: ``_lookup(q, span)`` and
 ``_delete_sorted(order, keys, slices, missing, lsns)`` apply a committed
 plan, the latter returning one ``(positions, values, found)`` part per
 owning shard; ``shard_versions()``, ``__len__``, ``_shard_states()``,
-``_stats_parts()``, ``_value_dtypes()``, ``_check_writable(sid)`` and
+``_stats_parts()``, ``_check_writable(sid)`` and
 ``_register_sources(registry)`` report and guard them.
 """
 
@@ -77,10 +79,19 @@ class EngineFront:
     _retain_tail = False
 
     def _init_front(
-        self, cuts, auto_rowid: bool, next_rowid: int, telemetry: Any
+        self, cuts, auto_rowid: bool, next_rowid: int, telemetry: Any,
+        values_dtypes,
     ) -> None:
         """Set the shared state and, with telemetry, register the verb
-        counters, the workload profiler and the backend's sources."""
+        counters, the workload profiler and the backend's sources.
+        ``values_dtypes`` are the shards': an engine stores every payload
+        in one dtype, so shards that differ are refused."""
+        dtypes = set(values_dtypes)
+        if len(dtypes) != 1:
+            raise InvalidParameterError(
+                f"an engine's shards must share one values dtype: {dtypes}"
+            )
+        self._values_dtype = dtypes.pop()
         self.cuts = np.asarray(cuts, dtype=np.float64)
         self._auto_rowid = bool(auto_rowid)
         self._next_rowid = int(next_rowid)
@@ -154,7 +165,7 @@ class EngineFront:
             An open store, already ``initialize``-d or ``recover``-ed to
             match this engine's state.
         """
-        if np.dtype(object) in self._value_dtypes():
+        if self._values_dtype == np.dtype(object):
             raise InvalidParameterError(
                 "durability requires numeric value dtypes; this engine "
                 "holds object payloads"
@@ -396,13 +407,16 @@ class EngineFront:
         values:
             Aligned payloads; ``None`` assigns engine-wide auto row ids in
             request order (only on engines built without explicit values).
+            A batch holding a payload the engine's values dtype cannot
+            hold exactly is refused whole, before anything is logged.
         """
         self._check_open()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
         values, self._next_rowid = resolve_values(
-            keys.size, values, self._auto_rowid, self._next_rowid
+            keys.size, values, self._auto_rowid, self._next_rowid,
+            self._values_dtype,
         )
         order, skeys, slices = split_sorted(self.cuts, keys)
         values = values[order]

@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.core.page import aligned_value_array
+from repro.core.page import aligned_value_array, typed_values
 from repro.engine.partition import route, shard_bounds
 
 __all__ = [
@@ -234,14 +234,16 @@ def stitch_ranges(
 
 
 def resolve_values(
-    n: int, values, auto_rowid: bool, next_rowid: int
+    n: int, values, auto_rowid: bool, next_rowid: int, dtype: np.dtype
 ) -> Tuple[np.ndarray, int]:
     """The value array an ``n``-key insert batch stores, and the row-id
     counter after it.
 
     ``values=None`` draws ``n`` consecutive engine-wide row ids (only on
     engines built without explicit values); anything else is aligned to
-    ``n`` and leaves the counter alone.
+    ``n``, cast to the engine's values ``dtype`` — a payload it cannot
+    hold exactly is refused (:func:`~repro.core.page.typed_values`) — and
+    leaves the counter alone.
     """
     if values is None:
         if not auto_rowid:
@@ -253,4 +255,4 @@ def resolve_values(
             np.arange(next_rowid, next_rowid + n, dtype=np.int64),
             next_rowid + n,
         )
-    return aligned_value_array(n, values), next_rowid
+    return typed_values(aligned_value_array(n, values), dtype), next_rowid

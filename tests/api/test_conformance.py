@@ -107,8 +107,8 @@ class EngineAdapter:
     async def get(self, key, default=None):
         return self.engine.get(key, default)
 
-    async def insert(self, key):
-        self.engine.insert(key)
+    async def insert(self, key, value=None):
+        self.engine.insert(key, value)
 
     async def delete(self, key):
         return self.engine.delete(key)
@@ -124,6 +124,11 @@ class EngineAdapter:
 
     def length(self):
         return len(self.engine)
+
+    def observed(self):
+        """What a refused write must leave alone."""
+        ipc = self.engine.stats()["ipc"]
+        return len(self.engine), self.engine.version, ipc["pickle_fallbacks"]
 
     def finish(self):
         self.engine.validate()
@@ -167,8 +172,8 @@ class ServerAdapter(EngineAdapter):
     async def get(self, key, default=None):
         return await self.server.get(key, default)
 
-    async def insert(self, key):
-        await self.server.insert(key)
+    async def insert(self, key, value=None):
+        await self.server.insert(key, value)
 
     async def delete(self, key):
         return await self.server.delete(key)
@@ -245,22 +250,39 @@ async def partial_failure(api) -> list:
     return trace
 
 
+async def refused_payload(api) -> list:
+    """Payloads the int64 values cannot hold exactly, each refused with
+    the same typed error before anything is logged or applied."""
+    key, other = float(MISS_LOW), float(MISS_HIGH)
+    before = api.observed()
+    for payload in ("x", 1.5, 2**70):
+        with pytest.raises(InvalidParameterError):
+            await api.insert(key, payload)
+        assert api.observed() == before, payload
+    with pytest.raises(InvalidParameterError):
+        await api.insert_batch(np.asarray([key, other]), [7, "8"])
+    assert api.observed() == before
+    trace = [before[0], await api.get_many(np.asarray([key, other]), -1.0)]
+    api.finish()
+    return trace
+
+
+#: ``open_engine`` overrides per backend; ``server-<name>`` wraps the same
+#: engine in the async ``Server``.
+BACKENDS = {
+    "sharded": {},
+    "single": {"executor": "single"},
+    "fixed-page": {"index": "fixed", "page_size": 128, "buffer_capacity": 16},
+    "cluster": {"executor": "cluster"},
+}
+
+
 def run_backend(name: str, scenario=scenario) -> list:
     """Open one backend through the factory and run ``scenario`` on it."""
-    if name == "sharded":
-        engine = open_engine(BUILD_KEYS, config=BASE)
-    elif name == "single":
-        engine = open_engine(BUILD_KEYS, config=BASE, executor="single")
-    elif name == "fixed-page":
-        engine = open_engine(
-            BUILD_KEYS, config=BASE, index="fixed", page_size=128,
-            buffer_capacity=16,
+    if name.startswith("server-"):
+        server = open_server(
+            BUILD_KEYS, config=BASE, **BACKENDS[name[len("server-"):]]
         )
-    elif name == "cluster":
-        engine = open_engine(BUILD_KEYS, config=BASE, executor="cluster")
-    elif name in ("server-sharded", "server-cluster"):
-        executor = "sharded" if name == "server-sharded" else "cluster"
-        server = open_server(BUILD_KEYS, config=BASE, executor=executor)
 
         async def drive_server():
             async with server:
@@ -269,16 +291,13 @@ def run_backend(name: str, scenario=scenario) -> list:
         try:
             return asyncio.run(drive_server())
         finally:
-            if executor == "cluster":
-                server.engine.close()
-    else:  # pragma: no cover - test wiring error
-        raise AssertionError(name)
+            server.engine.close()
+    engine = open_engine(BUILD_KEYS, config=BASE, **BACKENDS[name])
     try:
         assert isinstance(engine, EngineProtocol)
         return asyncio.run(scenario(EngineAdapter(engine)))
     finally:
-        if hasattr(engine, "close"):
-            engine.close()
+        engine.close()
 
 
 @pytest.fixture(scope="module")
@@ -311,6 +330,18 @@ def test_partial_failure_rule_on_every_two_shard_backend(backend):
         "short_insert", N - 2,
         [build.get(k, -1.0) for k in STRADDLE_KEYS.tolist()],
     ), backend
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        prefix + name
+        for prefix in ("", "server-")
+        for name in ("single", "fixed-page", "sharded", "cluster")
+    ],
+)
+def test_every_backend_refuses_the_same_payloads(backend):
+    assert run_backend(backend, refused_payload) == [N, [-1.0, -1.0]]
 
 
 def test_single_shard_is_one_chunk():

@@ -144,26 +144,30 @@ class TestWriteSemantics:
             )
 
     def test_object_payloads_survive_the_hop_untouched(self):
-        """Buffered object payloads on a numeric shard — including the
-        numeric-parsable string '123' — must come back as exactly what
-        the in-process engine stores, never silently coerced to a number
-        on either side of the pipe."""
+        """Payloads a numeric shard cannot hold — including the
+        numeric-parsable string '123' — are refused by both twins before
+        anything applies, never coerced to a number on either side of the
+        pipe."""
         keys = np.arange(100, dtype=np.float64)
         inproc, clustered = twin_pair(keys, n_shards=2, error=32,
                                       buffer_capacity=8)
         payload = np.empty(3, dtype=object)
         payload[:] = ["123", "4.5", ("a", "b")]
         with clustered:
-            inproc.insert_batch(np.asarray([1.5, 2.5, 3.5]), payload)
-            clustered.insert_batch(np.asarray([1.5, 2.5, 3.5]), payload)
+            fallbacks = clustered.stats()["ipc"]["pickle_fallbacks"]
+            for twin in (inproc, clustered):
+                version = twin.version
+                with pytest.raises(InvalidParameterError):
+                    twin.insert_batch(np.asarray([1.5, 2.5, 3.5]), payload)
+                with pytest.raises(InvalidParameterError):
+                    twin.insert(1.5, "123")
+                assert twin.version == version and len(twin) == keys.size
             probe = np.asarray([1.5, 2.5, 3.5, 10.0, 999.0])
-            got = clustered.get_batch(probe, default=None)
-            want = inproc.get_batch(probe, default=None)
-            for g, w in zip(got, want):
-                assert type(g) is type(w), (g, w)
-                assert (g is w) or g == w
-            assert got[0] == "123" and type(got[0]) is str
-            assert got[2] == ("a", "b")
+            assert_batches_equal(
+                clustered.get_batch(probe, default=None),
+                inproc.get_batch(probe, default=None),
+            )
+            assert clustered.stats()["ipc"]["pickle_fallbacks"] == fallbacks
 
     def test_explicit_values_and_error_parity(self):
         keys = np.asarray([1.0, 2.0, 3.0])

@@ -248,6 +248,54 @@ class TestInserts:
             t.delete(uniform_keys[0])
 
 
+class TestValuesDtype:
+    """An index stores every payload in the dtype it was built with and
+    refuses, before applying anything, one that dtype cannot hold."""
+
+    @pytest.mark.parametrize("odd", ["x", "8", 1.5, 2**70, ("a", "b")])
+    def test_int64_index_refuses_what_it_cannot_hold(self, odd):
+        t = FITingTree(np.arange(100.0), error=8, buffer_capacity=4)
+        version = t.version
+        with pytest.raises(InvalidParameterError):
+            t.insert(0.5, odd)
+        with pytest.raises(InvalidParameterError):
+            t.insert_batch([0.25, 0.75], [7, odd])
+        assert t.version == version and len(t) == 100
+        t.validate()
+
+    def test_a_value_does_not_change_when_its_page_rebuilds(self):
+        t = FITingTree(np.arange(1000.0), error=8, buffer_capacity=4)
+        with pytest.raises(InvalidParameterError):
+            t.insert(0.5, 1.5)  # would read back as 1 after the rebuild
+        t.insert(0.5, 2.0)  # int64 holds this one exactly
+        rebuilds = t.page_rebuilds
+        for key in (0.25, 0.75, 0.875):
+            t.insert(key, 7)
+        assert t.page_rebuilds == rebuilds + 1
+        assert t.get(0.5) == 2
+        t.validate()
+
+    def test_a_refused_payload_cannot_wedge_its_page(self):
+        t = FITingTree(np.arange(1000.0), error=8, buffer_capacity=4)
+        with pytest.raises(InvalidParameterError):
+            t.insert(0.5, "x")
+        for key in (0.25, 0.75, 0.875, 0.9375):
+            t.insert(key, 7)
+        t.validate()
+        assert len(t) == 1004 and 0.5 not in t
+
+    def test_empty_build_keeps_its_values_dtype(self):
+        objects = FITingTree([], np.empty(0, dtype=object))
+        objects.insert(1.0, "x")
+        assert objects.get(1.0) == "x"
+        floats = FITingTree([], np.empty(0))
+        floats.insert(1.0, 1.5)
+        assert floats.get(1.0) == 1.5
+        rowids = FITingTree([])
+        rowids.insert(1.0)
+        assert rowids.flat_arrays()["values"].dtype == np.int64
+
+
 class TestDeletes:
     def test_delete_from_buffer(self, uniform_keys):
         t = FITingTree(uniform_keys, error=64)

@@ -1,10 +1,12 @@
 """FlatView: the vectorized batch path matches per-key gets exactly."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FixedPageIndex
+from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 from repro.engine.batch import flat_view
 from repro.memsim import AccessCounter
@@ -83,16 +85,17 @@ class TestFlatViewLookups:
         assert_batch_matches_scalar(fixed, np.asarray([-5.0, 2e6]))
 
     def test_buffered_values_of_other_dtypes_survive(self):
+        """An int64 index refuses what int64 cannot hold, so whatever its
+        buffers hold reads back typed."""
         keys = np.arange(100, dtype=np.float64)
         tree = FITingTree(keys, error=32, buffer_capacity=8)
-        tree.insert(2.5, 7.5)  # float payload into an int64-valued index
-        tree.insert(3.5, "tag")  # arbitrary object payload
-        tree.insert(4.5, 2**70)  # beyond int64 range
-        out = tree.get_batch(np.asarray([2.5, 3.5, 4.5, 10.0]))
-        assert out[0] == tree.get(2.5) == 7.5
-        assert out[1] == tree.get(3.5) == "tag"
-        assert out[2] == tree.get(4.5) == 2**70
-        assert out[3] == 10
+        for odd in (7.5, "tag", 2**70):
+            with pytest.raises(InvalidParameterError):
+                tree.insert(2.5, odd)
+        tree.insert(2.5, 7.0)  # a float int64 holds exactly
+        out = tree.get_batch(np.asarray([2.5, 10.0]))
+        assert out.dtype == np.int64
+        assert out.tolist() == [tree.get(2.5), 10] == [7, 10]
 
     def test_nan_payload_keeps_values_dtype(self):
         keys = np.arange(50.0)

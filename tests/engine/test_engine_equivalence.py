@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 from repro.datasets import get
-from repro.engine import ShardedEngine, flat_view
+from repro.engine import ShardedEngine
 
 key_st = st.integers(min_value=0, max_value=300).map(float)
 build_st = st.lists(key_st, max_size=150).map(sorted)
@@ -179,14 +180,12 @@ class TestEngineBehaviour:
         keys = np.asarray([1.0, 2.0, 3.0])
         engine = ShardedEngine(keys, values=np.asarray([10, 20, 30]), n_shards=2)
         assert engine.get(2.0) == 20
-        from repro.core.errors import InvalidParameterError
-
         with pytest.raises(InvalidParameterError):
             engine.insert_batch(np.asarray([4.0]))
 
     def test_heterogeneous_shard_dtypes_scatter_losslessly(self):
-        """The engine's view must not cast one shard's values into
-        another shard's dtype."""
+        """An engine has one values dtype: shards of different dtypes,
+        from a factory or from a snapshot, are refused at build."""
         built = []
 
         def factory(k, v):
@@ -199,16 +198,15 @@ class TestEngineBehaviour:
             return FITingTree(k, vals, error=32, buffer_capacity=8)
 
         keys = np.arange(100, dtype=np.float64)
-        engine = ShardedEngine(keys, n_shards=2, index_factory=factory)
-        assert flat_view(engine).values.dtype == object  # mixed dtypes
-        lo_key, hi_key = 10.0, 60.0
-        out = engine.get_batch(np.asarray([lo_key, hi_key]))
-        assert out[0] == engine.get(lo_key) == 10
-        assert out[1] == engine.get(hi_key) == 60.5
-        # Cross-shard ranges must not let NumPy promote int64 into float64.
-        range_keys, range_values = engine.range_arrays(48.0, 52.0)
-        for k, v in zip(range_keys, range_values):
-            assert v == engine.get(k), f"range value {v!r} != get({k})"
+        with pytest.raises(InvalidParameterError, match="one values dtype"):
+            ShardedEngine(keys, n_shards=2, index_factory=factory)
+        states = ShardedEngine(keys, n_shards=2).to_states()
+        upper = states["shards"][1]
+        states["shards"][1] = FITingTree(
+            upper["data_keys"], upper["data_values"] + 0.5, error=32
+        ).to_state()
+        with pytest.raises(InvalidParameterError, match="one values dtype"):
+            ShardedEngine.from_states(states)
 
     def test_stats_shape(self):
         keys = np.sort(np.random.default_rng(9).uniform(0, 1e5, 20_000))

@@ -6,7 +6,7 @@ pinned here, none of them by timing:
 
 * **bit-identity** — after any op sequence (page rebuilds, splits, emptied
   pages, first-page seeding, tombstoned data deletes, int64 and object
-  payloads, a buffered value the values dtype cannot hold) every field of
+  payloads, a refused payload the values dtype cannot hold) every field of
   the updated view equals ``FlatView(index.flat_arrays())`` in dtype, shape
   and content, on a bare ``FITingTree`` and on a multi-shard
   ``ShardedEngine`` (its one view, and each shard's own view, read in any
@@ -29,6 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro import FITingTree
+from repro.core.errors import InvalidParameterError
 from repro.core.page import SegmentPage
 from repro.engine import FlatView, ShardedEngine, flat_view
 from repro.obs import Telemetry
@@ -116,7 +117,7 @@ class RefreshMachine(RuleBasedStateMachine):
     def build(self, build, kind, n_shards, payloads, error, capacity):
         keys = np.asarray(build, dtype=np.float64)
         values = None
-        if payloads == "object" and build:  # an empty build is int64
+        if payloads == "object":  # an empty build keeps its dtype too
             values = np.empty(keys.size, dtype=object)
             values[:] = [("row", i) for i in range(keys.size)]
         self.typed = values is None
@@ -146,10 +147,16 @@ class RefreshMachine(RuleBasedStateMachine):
 
     @rule(key=KEYS)
     def insert_unholdable_value(self, key):
-        """A float into an int64 index: the buffer export falls back to an
-        object array until the value is merged or deleted."""
-        self.target.insert(key, 7.5 if self.typed else self.payload())
-        self.live.append(key)
+        """A float into an int64 index is refused before anything applies;
+        an object index holds it."""
+        if not self.typed:
+            self.target.insert(key, 7.5)
+            self.live.append(key)
+            return
+        version = self.target.version
+        with pytest.raises(InvalidParameterError):
+            self.target.insert(key, 7.5)
+        assert self.target.version == version
 
     @rule(batch=BATCHES)
     def insert_batch(self, batch):
@@ -237,15 +244,16 @@ TestRefreshMachine = RefreshMachine.TestCase
 
 @pytest.mark.parametrize("odd", ["tag", 2**70, 7.5])
 def test_unholdable_buffered_value_round_trip(odd):
+    """A payload the values dtype cannot hold never reaches a buffer: the
+    insert is refused, and the cached view stays current and typed."""
     tree = FITingTree(np.arange(200.0) ** 2, error=8, buffer_capacity=4)
-    flat_view(tree)
-    tree.insert(10.5, odd)  # np.arange(200)**2: many small pages
-    assert flat_view(tree).buf_values.dtype == object
-    assert_same_view(flat_view(tree), full_export(tree))
-    tree.insert(30_000.5)  # another page, while the odd value stays buffered
-    assert_same_view(flat_view(tree), full_export(tree))
-    tree.delete(10.5)
+    view = flat_view(tree)
+    with pytest.raises(InvalidParameterError):
+        tree.insert(10.5, odd)  # np.arange(200)**2: many small pages
+    assert flat_view(tree) is view
+    tree.insert(30_000.5)
     assert flat_view(tree).buf_values.dtype == np.int64
+    assert 10.5 not in tree
     assert_same_view(flat_view(tree), full_export(tree))
 
 
@@ -253,17 +261,18 @@ def test_unholdable_value_in_one_shard_keeps_other_windows_typed():
     keys = np.sort(np.random.default_rng(4).uniform(0, 1e6, 4_000))
     engine = ShardedEngine(keys, n_shards=2, error=16, buffer_capacity=8)
     engine.warm()
-    engine.insert(1.5, "tag")  # shard 0's buffer export turns object
+    version = engine.version
+    with pytest.raises(InvalidParameterError):
+        engine.insert(1.5, "tag")
+    with pytest.raises(InvalidParameterError):
+        engine.insert_batch([1.5, keys[-1] + 1.0], [7, "tag"])
+    assert engine.version == version and len(engine) == keys.size
+    engine.insert(1.5, 7)
     got = engine.get_batch([1.5, keys[-1]])
-    assert got.tolist() == ["tag", keys.size - 1]
-    assert engine.get_batch(keys[-4:]).dtype == np.int64  # shard 1 stays typed
+    assert got.dtype == np.int64 and got.tolist() == [7, keys.size - 1]
     assert_same_view(flat_view(engine), reference_combined(engine))
     for shard in engine.shards:
         assert_same_view(flat_view(shard), full_export(shard))
-    engine.delete(1.5)
-    engine.get_batch(keys[:4])
-    assert flat_view(engine).buf_values.dtype == np.int64
-    assert_same_view(flat_view(engine), reference_combined(engine))
 
 
 def test_shards_differing_only_in_error_share_the_combined_view():

@@ -162,6 +162,32 @@ def _assert_identical(a, b, label):
             assert np.array_equal(x, y, equal_nan=True), f"{label}[{i}]"
 
 
+def test_refused_payloads_cross_the_socket_as_the_typed_error():
+    """What the int64 engine cannot hold exactly is refused behind the
+    socket like in process, and the engine does not move."""
+    async def run():
+        net = await serve_tcp(BUILD_KEYS, BUILD_VALUES, n_shards=2,
+                              error=64.0)
+        engine = net.server.engine
+        c = AsyncNetClient(*net.address)
+        await c.connect()
+        try:
+            before = len(engine), engine.version
+            key, other = float(MISSES[0]), float(BUILD_KEYS[CUT]) + 0.5
+            for payload in ("x", 1.5, 2**70):
+                with pytest.raises(InvalidParameterError):
+                    await c.insert(key, payload)
+            with pytest.raises(InvalidParameterError):
+                await c.insert_batch([key, other], [7, "8"])
+            assert (len(engine), engine.version) == before
+            return (await c.get_batch([key, other], -1)).tolist()
+        finally:
+            await c.close()
+            await net.close()
+
+    assert asyncio.run(run()) == [-1, -1]
+
+
 def test_net_paths_bit_identical_to_inprocess_server():
     reference = _inproc()
     _assert_identical(_tcp_single(), reference, "tcp-single")

@@ -11,6 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.errors import InvalidParameterError
 from repro.datasets import get
 from repro.engine import ShardedEngine
 from repro.serve import Server, ServerClosedError, ServerOverloadedError
@@ -60,14 +61,18 @@ class TestFailureIsolation:
                     for i, k in enumerate(good)
                 ]
                 bad = asyncio.ensure_future(server.insert(object(), 99))
+                refused = asyncio.ensure_future(server.insert(hi - 0.5, "x"))
                 await asyncio.gather(*futs)
                 with pytest.raises(Exception):
                     await bad
+                with pytest.raises(InvalidParameterError):
+                    await refused
                 checks = await asyncio.gather(*(server.get(k) for k in good))
-                return checks
+                return checks, await server.get(hi - 0.5, "MISS")
 
-        checks = run(main())
+        checks, gone = run(main())
         assert checks == list(range(6))
+        assert gone == "MISS"
 
     def test_bad_range_does_not_poison_batch_mates(self):
         engine, keys = build_engine()
@@ -98,7 +103,7 @@ class TestFailureIsolation:
         async def main():
             async with Server(engine) as server:
                 a = asyncio.ensure_future(server.insert(auto_key))
-                b = asyncio.ensure_future(server.insert(expl_key, "payload"))
+                b = asyncio.ensure_future(server.insert(expl_key, 4242))
                 await asyncio.gather(a, b)
                 return (
                     await server.get(auto_key),
@@ -107,7 +112,7 @@ class TestFailureIsolation:
 
         auto_val, expl_val = run(main())
         assert auto_val == len(keys)  # next auto row id
-        assert expl_val == "payload"
+        assert expl_val == 4242
 
 
 class TestBackpressure:

@@ -19,6 +19,10 @@ OBJECTS = np.asarray(["a", "b"], dtype=object)
 REJECTED = {
     "misaligned values": lambda e: e.insert_batch([1.5, 900.5], [1]),
     "object payload": lambda e: e.insert_batch([1.5, 900.5], OBJECTS),
+    "payload int64 cannot hold": lambda e: e.insert_batch(
+        [1.5, 900.5], [7, "8"]
+    ),
+    "scalar int64 cannot hold": lambda e: e.insert(1.5, 2.5),
     "scalar without a value": lambda e: e.insert(1.5),
     "unknown missing mode": lambda e: e.delete_batch(
         [1.0, 900.0], missing="bogus"
@@ -53,3 +57,29 @@ def test_rejected_write_touches_neither_log_nor_state(
             assert observed() == before, label
     finally:
         engine.close()
+
+
+def test_a_refused_payload_leaves_the_data_dir_recoverable(tmp_path):
+    """A payload the engine's int64 values cannot hold used to be logged
+    and acknowledged, then fail the page rebuild it took part in: on the
+    live engine and on every replay of the directory after it."""
+    data_dir = str(tmp_path)
+    engine = open_engine(
+        KEYS, executor="sharded", n_shards=2, error=8, buffer_capacity=4,
+        durability="wal", data_dir=data_dir, wal_sync=False,
+    )
+    try:
+        records = engine.stats()["wal"]["records"]
+        with pytest.raises(InvalidParameterError):
+            engine.insert(0.5, 1.5)
+        with pytest.raises(InvalidParameterError):
+            engine.insert_batch([0.25], ["x"])
+        assert engine.stats()["wal"]["records"] == records
+    finally:
+        engine.close()
+    with open_engine(data_dir=data_dir, executor="sharded",
+                     durability="wal") as engine:
+        assert len(engine) == 1000
+        engine.insert_batch([0.5, 0.6, 0.7, 0.8], [7, 7, 7, 7])  # a rebuild
+        engine.validate()
+        assert len(engine) == 1004

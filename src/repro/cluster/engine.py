@@ -783,10 +783,7 @@ class ClusterEngine(EngineFront):
         decode/scatter is recorded as a ``cluster.gather`` child span.
         """
         if q.size == 0:
-            # Matches the in-process engine's view: an empty batch over a
-            # populated engine keeps the values dtype.
-            dtype = self._values_dtype if self._n else object
-            return np.empty(0, dtype=dtype), np.ones(0, dtype=bool)
+            return np.empty(0, dtype=self._values_dtype), np.ones(0, dtype=bool)
         groups = split_points(self.cuts, q)
         tracer = None if span is None else self._telemetry.tracer
         meta = {} if span is None else {"trace": (span.trace_id, span.span_id)}

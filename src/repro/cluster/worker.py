@@ -239,8 +239,6 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
     if verb == "get_batch":
         t0 = time.perf_counter()
         values, found = flat_view(server.index).lookup_batch(keys)
-        if not server.index.n_pages:  # an empty view answers object misses
-            values = np.zeros(keys.size, dtype=server.index._values_dtype)
         compute_s = time.perf_counter() - t0
         out, reply_descriptors = _encode_points(resp, values, found)
         if meta.get("trace") is not None:

@@ -1,18 +1,18 @@
 """The in-flight encoding: a list of 1-D numeric arrays as bytes, and back.
 
 Every batch that crosses a process (:mod:`repro.cluster.shm` lanes) or a
-socket (:mod:`repro.net.frame`, ``CODEC_ARRAYS`` and ``CODEC_KEYS``) is
-laid out by this module and by nothing else. The rule, stated once:
+socket (:mod:`repro.net.frame`, ``CODEC_ARRAYS``) is laid out by this
+module and by nothing else. The rule, stated once:
 
 * arrays sit back to back, each starting at the next **16-byte-aligned
   offset of the buffer** it is packed into (gaps are never written);
 * one array is described by a ``(dtype.str, count, offset)`` triple — the
   byte order travels in ``dtype.str`` — and the descriptors ride beside
-  the buffer (a control frame on the pipe, a table in the frame body), or
-  are rebuilt by :func:`layout` from the dtypes and counts alone;
+  the buffer (a control frame on the pipe), or are rebuilt by
+  :func:`layout` from the dtypes and counts alone (a frame body's table);
 * only flat data has this form: an ``object`` dtype or an array that is
-  not 1-D is refused with ``ValueError`` and both transports fall back to
-  pickle for it.
+  not 1-D is refused with ``ValueError``: the socket refuses it; a cluster
+  range reply that outgrows its lane is pickled over the worker pipe.
 
 The at-rest formats (``repro.wal.format`` records, the npz of
 ``repro.core.serialize``) are deliberately not built on this: each already
@@ -113,7 +113,7 @@ def unpack(buf, descriptors: Sequence[Descriptor]) -> List[np.ndarray]:
     """Zero-copy views of the arrays ``descriptors`` lay out over ``buf``
     (read-only when ``buf`` is)."""
     return [
-        np.frombuffer(buf, np.dtype(dtype), count, offset)
+        np.frombuffer(buf, dtype, count, offset)
         for dtype, count, offset in descriptors
     ]
 

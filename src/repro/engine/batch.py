@@ -203,7 +203,10 @@ class FlatView:
         """
         q = np.ascontiguousarray(queries, dtype=np.float64)
         if self.n_pages == 0:
-            return np.empty(q.size, dtype=object), np.zeros(q.size, dtype=bool)
+            return (
+                np.empty(q.size, dtype=self.values.dtype),
+                np.zeros(q.size, dtype=bool),
+            )
         pi = self.route_starts.searchsorted(q, side="right") - 1
         np.maximum(pi, 0, out=pi)
         slot, found = self._search_data(q, pi)

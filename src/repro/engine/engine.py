@@ -382,13 +382,21 @@ class ShardedEngine(EngineFront):
         include_lo: bool = True,
         include_hi: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One range query, answered as ``(keys, values)`` arrays."""
+        """One range query, answered as ``(keys, values)`` arrays.
+
+        Overrides the front's one-row :meth:`range_batch` (a bounds array
+        and a list per call) to read the view directly; counted the same.
+        """
         lo, hi = (None if b is None else float(b) for b in (lo, hi))
-        return _owned(
+        out = _owned(
             flat_view(self, self._view_stats).range_arrays(
                 lo, hi, include_lo, include_hi
             )
         )
+        if self._telemetry is not None:
+            flo = -np.inf if lo is None else lo
+            self._count("range_batch", np.asarray([flo]))
+        return out
 
     def _range(
         self, bounds: np.ndarray, include_lo: bool, include_hi: bool
@@ -444,7 +452,12 @@ class ShardedEngine(EngineFront):
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values);
         a ``value`` the values dtype cannot hold exactly is refused before
-        it is logged."""
+        it is logged.
+
+        Overrides the front's one-key :meth:`insert_batch`, which costs
+        about ten times as much per key (value resolution, a stable sort,
+        a shard split); counted the same.
+        """
         if value is not None:
             value = held_value(value, self._values_dtype)
         elif self._auto_rowid:
@@ -456,18 +469,24 @@ class ShardedEngine(EngineFront):
             self._commit(keys, [(sid, 0, 1)], aligned_value_array(1, [value]))
         self._shards[sid].insert(key, value)
         self._maybe_snapshot()
+        if self._telemetry is not None:
+            self._count("insert_batch", keys)
 
     def delete(self, key: float) -> Any:
         """Scalar delete: remove one occurrence of ``key``, return its value.
 
         Routes to the owning shard's ``delete``; raises
-        :class:`~repro.core.errors.KeyNotFoundError` when absent.
+        :class:`~repro.core.errors.KeyNotFoundError` when absent. Overrides
+        the front's one-key :meth:`delete_batch`, which costs about five
+        times as much (``pop_batch`` and a gather); counted the same.
         """
         keys = np.asarray([key], dtype=np.float64)
         sid = int(route(self.cuts, keys)[0])
         self._commit(keys, [(sid, 0, 1)])
         value = self._shards[sid].delete(key)
         self._maybe_snapshot()
+        if self._telemetry is not None:
+            self._count("delete_batch", keys)
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

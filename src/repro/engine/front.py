@@ -471,7 +471,7 @@ class EngineFront:
         self._check_open()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
-            return np.empty(0, dtype=object)
+            return np.empty(0, dtype=self._values_dtype)
         order, skeys, slices = split_sorted(self.cuts, keys)
         lsns = self._commit(skeys, slices, missing=missing)
         parts = self._delete_sorted(order, skeys, slices, missing, lsns)

@@ -8,8 +8,8 @@ requests ride one connection concurrently. Each connection is one
 in one write, and every socket read is parsed for all the replies it
 completed (which may arrive out of order), each matched back to its
 future by id. Every get is a key in a key batch: the untraced ``get`` s
-of one loop iteration travel as one ``CODEC_KEYS`` frame, however many
-there are, answered as ``(values, found)``, and each caller's own
+of one loop iteration travel as one frame of keys and no JSON, however
+many there are, answered as ``(values, found)``, and each caller's own
 ``default`` fills its miss on this side of the socket — a default never
 crosses the wire. A traced get is a one-key ``lookup_batch``. On top sit
 the reliability knobs:
@@ -66,7 +66,7 @@ _NO_SPAN = contextlib.nullcontext()  # the untraced request's "span"
 
 def _plain(value: Any) -> Any:
     """A NumPy scalar as the Python number it holds (``np.int64(5)`` is
-    not JSON and would demote its whole frame to pickle)."""
+    not JSON: its frame would be refused)."""
     return value.item() if isinstance(value, np.generic) else value
 
 

@@ -10,17 +10,13 @@ One frame on the wire is::
     body := | version u8 | kind u8 | codec u8 | zero u8 | request_id u64 |
             | payload ... |
 
-    CODEC_ARRAYS payload :=
-            | meta_len u32 | meta JSON, space-padded | n_arrays u16 |
-            | n_arrays x ( dtype_len u8 | count u64 | offset u64 | dtype.str ) |
-            | data region: the arrays, as repro.codec packs them |
-
     CODEC_SCALAR payload := | tag_a u8 | tag_b u8 | slot_a 8B | slot_b 8B |
             tag 0 = None (slot zero) | 1 = int64 | 2 = float64
 
-    CODEC_KEYS payload := | n_arrays u32 | n_arrays x ( code u32 | count u32 ) |
+    CODEC_ARRAYS payload :=
+            | meta_len u32 | meta JSON, absent when the meta is empty |
+            | n_arrays u16 | n_arrays x ( dtype_len u8 | count u64 | dtype.str ) |
             | data region: the arrays, as repro.codec packs them |
-            code 0 = float64 | 1 = int64 | 2 = bool, all little-endian
 
 The 10-byte prefix is framing only; everything semantic — including the
 version byte, so the protocol can evolve without touching the prefix —
@@ -32,7 +28,7 @@ synchronized because the length prefix still framed it. These checks
 live in :class:`FrameParser`, the sans-IO reassembler both connection
 pumps feed; :func:`read_frame` drives the same parser from a stream.
 
-Payload codecs:
+A body carries one of two payloads:
 
 * ``CODEC_SCALAR`` — the scalar hot path: a fixed 30-byte body, nothing
   to parse. The slots are the kind's two operands (``get``: key, default;
@@ -40,26 +36,21 @@ Payload codecs:
   ``REPLY_OK``: the value). :func:`encode_frame` picks it when the meta
   holds exactly those and each is ``None``, an int64 or a float; a
   ``str``, a ``bool`` (never folded into int), a bigger int or a trace
-  context rides ``CODEC_JSON``. Decoding yields the same meta either way.
-* ``CODEC_KEYS`` — arrays and nothing else, for a request with an empty
-  meta (a ``lookup_batch`` or a client's coalesced gets: the keys) and a
-  ``(values, found)`` pair reply, all 1-D float64 / int64 / bool. No
-  JSON, no descriptor table: the codes and counts place the arrays.
-* ``CODEC_ARRAYS`` — the batch path. A small JSON ``meta`` dict (op
-  parameters, trace context), a descriptor table, and a data region that
-  :func:`repro.codec.pack_into` fills exactly as it fills an shm lane —
-  byte for byte, with the same ``(dtype.str, count, offset)`` descriptors
-  (offsets relative to the region's start). The encoder pads the meta
-  JSON with trailing spaces so the region starts on a 16-byte boundary
-  *of the body*: a ``bytes`` body is itself 16-byte aligned, so every
-  array decodes as an aligned zero-copy (read-only) NumPy view over the
-  received buffer. No pickling on either side.
-* ``CODEC_JSON`` — meta only: control frames and the scalars above.
-* ``CODEC_PICKLE`` — the fallback for payloads with no flat numeric form
-  (object values, arbitrary defaults). Slower, never wrong. Frames are
-  only exchanged between this package's own client and server over links
-  the operator already trusts (the same trust model as the cluster
-  layer's pickled control frames).
+  context rides ``CODEC_ARRAYS`` with no arrays. Decoding yields the same
+  meta either way.
+* ``CODEC_ARRAYS`` — everything else: a JSON ``meta`` dict (op
+  parameters, reply shape, trace context) and 1-D numeric arrays. An
+  empty meta costs no JSON, so a key-batch request and its ``(values,
+  found)`` reply are pure arrays. :func:`repro.codec.layout` places the
+  data region from the table's dtypes and counts exactly as an shm lane
+  is filled, every array on a 16-byte boundary of the body: a ``bytes``
+  body is itself 16-byte aligned, so arrays decode as aligned zero-copy
+  (read-only) views over the received buffer.
+
+Nothing else has a wire form: an ``object`` or not-1-D array, or a meta
+that is not JSON, is refused by :func:`encode_frame` with
+:class:`~repro.core.errors.InvalidParameterError`, and no side ever
+unpickles a peer's bytes.
 
 Errors cross the wire as ``REPLY_ERR`` frames carrying the exception's
 class name, message, and salient attributes; :func:`decode_error` rebuilds
@@ -67,16 +58,15 @@ the same typed exception client-side from a registry of known classes
 (unknown names degrade to :class:`~repro.net.errors.RemoteError`).
 
 Both ends of a link ship together: mixed-version peers are unsupported
-(the version byte only guards against talking to something else;
-version 1, which had no ``CODEC_SCALAR``, version 2, which had no
-``CODEC_KEYS``, and version 3, whose ``get_batch`` answered values, not
-``(values, found)``, are refused like any other).
+(the version byte only guards against talking to something else; every
+earlier version, 1 to 4, is refused like any other, and so are the codec
+ids 0, 2 and 4 they used).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -84,11 +74,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.errors import (
-    ClusterError,
-    WorkerCrashedError,
-    WorkerRecoveredError,
-)
+from repro.cluster.errors import ClusterError, WorkerCrashedError, WorkerRecoveredError
 from repro import codec
 from repro.core import errors as core_errors
 from repro.net.errors import FrameCorruptError, FrameError, RemoteError
@@ -122,7 +108,7 @@ __all__ = [
 ]
 
 #: Protocol version stamped into (and checked from) every frame body.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Hard upper bound on one frame's body, a defense against a corrupted
 #: or hostile length prefix allocating unbounded memory.
@@ -131,7 +117,9 @@ MAX_FRAME_BYTES = 64 << 20
 _MAGIC = 0xF17E  # "FITing-tree" over Ethernet.
 _PREFIX = struct.Struct("<HII")  # magic, body_len, crc32(body)
 _BODY_HEADER = struct.Struct("<BBBBQ")  # version, kind, codec, flags, rid
-_DESC = struct.Struct("<BQQ")  # dtype-string length, element count, offset
+_ARRAYS_HEAD = struct.Struct("<BBBBQI")  # _BODY_HEADER, then meta_len
+_N_ARRAYS = struct.Struct("<H")
+_ARRAY_DESC = struct.Struct("<BQ")  # dtype-string length, element count
 
 # Request kinds (client -> server).
 OP_PING = 1
@@ -165,18 +153,8 @@ KIND_NAMES = {
     REPLY_ERR: "error",
 }
 
-CODEC_JSON = 0
 CODEC_ARRAYS = 1
-CODEC_PICKLE = 2
 CODEC_SCALAR = 3
-CODEC_KEYS = 4
-
-#: ``CODEC_KEYS`` element types, by code, and the one meta each kind's
-#: keys frame stands for.
-_KEYS_DTYPES = (np.dtype("<f8"), np.dtype("<i8"), np.dtype("?"))
-_KEYS_CODES = {dtype: code for code, dtype in enumerate(_KEYS_DTYPES)}
-_KEYS_META = {REPLY_OK: {"r": "pair"}}
-_KEYS_DESC = struct.Struct("<II")  # dtype code, element count
 
 #: The two meta fields a ``CODEC_SCALAR`` frame's slots stand for, per kind.
 _SCALAR_FIELDS = {
@@ -204,7 +182,7 @@ class Frame:
     request_id: int
     meta: Dict[str, Any] = field(default_factory=dict)
     arrays: List[np.ndarray] = field(default_factory=list)
-    codec: int = CODEC_JSON
+    codec: int = CODEC_ARRAYS
     #: On-wire size (prefix + body) of a received frame; 0 for frames
     #: built locally.
     wire_bytes: int = 0
@@ -220,14 +198,20 @@ class Frame:
 # ----------------------------------------------------------------------
 
 
+# A table's dtype, as ``dtype.str`` bytes and back: the few dtypes frames
+# carry are spelled and parsed once, not once per frame.
+@functools.lru_cache(maxsize=64)
+def _spelled(dtype: np.dtype) -> bytes:
+    return dtype.str.encode("ascii")
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed(raw: bytes) -> np.dtype:
+    return np.dtype(raw.decode("ascii"))
+
+
 def _framed(body: bytes) -> bytes:
     return _PREFIX.pack(_MAGIC, len(body), zlib.crc32(body)) + body
-
-
-def _encode_payload(kind: int, request_id: int, codec_id: int, payload: bytes) -> bytes:
-    return _framed(
-        _BODY_HEADER.pack(PROTOCOL_VERSION, kind, codec_id, 0, request_id) + payload
-    )
 
 
 def _encode_scalar(kind: int, request_id: int, meta: Dict[str, Any]):
@@ -253,52 +237,27 @@ def _encode_scalar(kind: int, request_id: int, meta: Dict[str, Any]):
     return _framed(body)
 
 
-def _encode_keys(kind: int, request_id: int, arrays: List[np.ndarray]):
-    """The ``CODEC_KEYS`` frame for ``arrays``, or ``None`` when one is not
-    a 1-D float64 / int64 / bool array."""
+def _encode_arrays(kind: int, request_id: int, meta: Dict[str, Any], arrays) -> bytes:
+    """One complete ``CODEC_ARRAYS`` frame; ``InvalidParameterError`` when
+    the meta is not JSON or an array is ``object`` or not 1-D."""
     try:
+        meta_b = json.dumps(meta, separators=(",", ":")).encode() if meta else b""
+        arrays = [np.asarray(a) for a in arrays]
         table = [
-            _KEYS_DESC.pack(_KEYS_CODES[a.dtype], a.size)
-            for a in arrays
-            if a.ndim == 1
+            _ARRAYS_HEAD.pack(
+                PROTOCOL_VERSION, kind, CODEC_ARRAYS, 0, request_id, len(meta_b)
+            ),
+            meta_b,
+            _N_ARRAYS.pack(len(arrays)),
         ]
-    except (AttributeError, KeyError):  # not an array / foreign dtype
-        return None
-    if len(table) != len(arrays):
-        return None
-    head = _BODY_HEADER.pack(PROTOCOL_VERSION, kind, CODEC_KEYS, 0, request_id)
-    return _framed(codec.pack(
-        b"".join([head, struct.pack("<I", len(arrays)), *table]), arrays
-    ))
-
-
-def _encode_arrays(
-    kind: int, request_id: int, meta: Dict[str, Any], arrays: List[np.ndarray]
-) -> bytes:
-    """One complete ``CODEC_ARRAYS`` frame.
-
-    Raises ``ValueError``/``TypeError`` when an array has no packed form
-    or the meta is not JSON-able — the caller falls back to pickle.
-    """
-    meta_b = json.dumps(meta, separators=(",", ":")).encode()
-    arrays = [np.asarray(a) for a in arrays]
-    dtypes = [a.dtype.str.encode("ascii") for a in arrays]
-    table_end = (
-        _BODY_HEADER.size + 4 + len(meta_b) + 2
-        + sum(_DESC.size + len(d) for d in dtypes)
-    )
-    meta_b += b" " * (-table_end % 16)  # the data region starts aligned
-    descriptors = codec.layout([(a.dtype, a.size) for a in arrays])
-    return _framed(codec.pack(b"".join([
-        _BODY_HEADER.pack(PROTOCOL_VERSION, kind, CODEC_ARRAYS, 0, request_id),
-        struct.pack("<I", len(meta_b)),
-        meta_b,
-        struct.pack("<H", len(arrays)),
-        *(
-            _DESC.pack(len(dtype_b), count, offset) + dtype_b
-            for dtype_b, (_, count, offset) in zip(dtypes, descriptors)
-        ),
-    ]), arrays))
+        for a in arrays:
+            dtype_b = _spelled(a.dtype)
+            table += (_ARRAY_DESC.pack(len(dtype_b), a.size), dtype_b)
+        return _framed(codec.pack(b"".join(table), arrays))
+    except (TypeError, ValueError) as exc:
+        raise core_errors.InvalidParameterError(
+            f"this {KIND_NAMES.get(kind, kind)} frame has no wire form: {exc}"
+        ) from None
 
 
 def encode_frame(
@@ -312,28 +271,15 @@ def encode_frame(
 
     ``meta`` holds JSON-able operation parameters / reply metadata and
     ``arrays`` numeric 1-D arrays; the module doc says which codec each
-    combination takes. A meta that is not JSON, or an array that is
-    ``object`` or not 1-D, demotes the whole payload to pickle.
+    combination takes. Raises ``InvalidParameterError`` for a payload
+    with no wire form and ``FrameError`` past :data:`MAX_FRAME_BYTES`.
     """
     meta = meta or {}
     arrays = list(arrays) if arrays else []
     frame = None
     if kind in _SCALAR_FIELDS and not arrays:
         frame = _encode_scalar(kind, request_id, meta)
-    elif arrays and meta == _KEYS_META.get(kind, {}):
-        frame = _encode_keys(kind, request_id, arrays)
-    if frame is None:
-        try:
-            if arrays:
-                frame = _encode_arrays(kind, request_id, meta, arrays)
-            else:
-                payload = json.dumps(meta, separators=(",", ":")).encode()
-                frame = _encode_payload(kind, request_id, CODEC_JSON, payload)
-        except (TypeError, ValueError):
-            payload = pickle.dumps(
-                (meta, arrays), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            frame = _encode_payload(kind, request_id, CODEC_PICKLE, payload)
+    frame = frame or _encode_arrays(kind, request_id, meta, arrays)
     if len(frame) - _PREFIX.size > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame body of {len(frame) - _PREFIX.size} bytes exceeds the "
@@ -347,35 +293,19 @@ def encode_frame(
 # ----------------------------------------------------------------------
 
 
-def _decode_arrays(
-    body: bytes, start: int
-) -> Tuple[Dict[str, Any], List[np.ndarray]]:
-    meta_len = struct.unpack_from("<I", body, start)[0]
-    pos = start + 4
-    meta = json.loads(bytes(body[pos:pos + meta_len]).decode())
-    pos += meta_len
-    n_arrays = struct.unpack_from("<H", body, pos)[0]
-    pos += 2
-    descriptors = []
-    for _ in range(n_arrays):
-        dlen, count, off = _DESC.unpack_from(body, pos)
-        pos += _DESC.size
-        descriptors.append(
-            (bytes(body[pos:pos + dlen]).decode("ascii"), count, off)
-        )
-        pos += dlen
-    return meta, codec.unpack(memoryview(body)[pos:], descriptors)
-
-
-def _decode_keys(kind: int, body: bytes) -> Tuple[Dict[str, Any], List[np.ndarray]]:
-    pos = _BODY_HEADER.size + 4
-    head = pos + _KEYS_DESC.size * struct.unpack_from("<I", body, pos - 4)[0]
-    specs = [
-        (_KEYS_DTYPES[code], count)
-        for code, count in _KEYS_DESC.iter_unpack(body[pos:head])
-    ]
-    arrays = codec.unpack(body, codec.layout(specs, head))
-    return dict(_KEYS_META.get(kind, {})), arrays
+def _decode_arrays(body: bytes) -> Tuple[Dict[str, Any], List[np.ndarray]]:
+    pos = _ARRAYS_HEAD.size
+    meta_len = _ARRAYS_HEAD.unpack_from(body)[5]
+    meta = json.loads(body[pos:pos + meta_len]) if meta_len else {}
+    if type(meta) is not dict:
+        raise ValueError(f"meta is a JSON {type(meta).__name__}, not an object")
+    pos += meta_len + _N_ARRAYS.size
+    specs = []
+    for _ in range(_N_ARRAYS.unpack_from(body, pos - _N_ARRAYS.size)[0]):
+        dlen, count = _ARRAY_DESC.unpack_from(body, pos)
+        pos += _ARRAY_DESC.size + dlen
+        specs.append((_parsed(body[pos - dlen:pos]), count))
+    return meta, codec.unpack(body, codec.layout(specs, pos))
 
 
 def _decode_scalar(kind: int, body: bytes) -> Dict[str, Any]:
@@ -406,26 +336,17 @@ def decode_frame(body: bytes) -> Frame:
             f"unsupported protocol version {version} "
             f"(this side speaks {PROTOCOL_VERSION})"
         )
-    start = _BODY_HEADER.size
+    if codec_id not in (CODEC_SCALAR, CODEC_ARRAYS):
+        raise FrameError(f"unknown payload codec {codec_id}")
     try:
         if codec_id == CODEC_SCALAR:
             meta, arrays = _decode_scalar(kind, body), []
-        elif codec_id == CODEC_KEYS:
-            meta, arrays = _decode_keys(kind, body)
-        elif codec_id == CODEC_JSON:
-            meta, arrays = json.loads(bytes(body[start:]).decode() or "{}"), []
-        elif codec_id == CODEC_ARRAYS:
-            meta, arrays = _decode_arrays(body, start)
-        elif codec_id == CODEC_PICKLE:
-            meta, arrays = pickle.loads(bytes(body[start:]))
         else:
-            raise FrameError(f"unknown payload codec {codec_id}")
-    except FrameError:
-        raise
+            meta, arrays = _decode_arrays(body)
     except Exception as exc:
         raise FrameError(f"undecodable {KIND_NAMES.get(kind, kind)} "
                          f"payload: {exc!r}") from exc
-    return Frame(kind, request_id, meta, list(arrays), codec_id)
+    return Frame(kind, request_id, meta, arrays, codec_id)
 
 
 class FrameParser:
@@ -522,39 +443,36 @@ def encode_result(value: Any) -> Tuple[Dict[str, Any], List[np.ndarray]]:
     value as.
 
     Numeric arrays, ``(keys, values)`` pairs (a range, or a ``(values,
-    found)`` lookup) and lists of pairs (the ``range_batch`` shape, as
-    :func:`repro.codec.join_pairs` arrays) travel as arrays; ``None`` and
-    JSON-safe scalars ride the meta dict; anything else is embedded raw in
-    the meta so the frame encoder's pickle fallback carries it.
+    found)`` lookup: an empty meta, the hot path) and lists of pairs (the
+    ``range_batch`` shape, as :func:`repro.codec.join_pairs` arrays)
+    travel as arrays; anything else is a JSON value in the meta. What has
+    neither form (object arrays, mixed-dtype rows) is refused by
+    :func:`encode_frame`.
     """
     if isinstance(value, np.generic):
         value = value.item()
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return {"r": "py", "v": value}, []
     if isinstance(value, np.ndarray):
-        if value.dtype != np.dtype(object):
-            return {"r": "arr"}, [value]
-        return {"r": "obj", "v": value}, []
-    if _is_pair(value) and not any(a.dtype.hasobject for a in value):
-        return {"r": "pair"}, list(value)
+        return {"r": "arr"}, [value]
+    if _is_pair(value):
+        return {}, list(value)
     if isinstance(value, list) and all(_is_pair(p) for p in value):
         joined = codec.join_pairs(value)
         if joined is not None:
             return {"r": "pairs"}, joined
-    return {"r": "obj", "v": value}, []
+    return {"r": "py", "v": value}, []
 
 
 def decode_result(frame: Frame) -> Any:
     """The reply value a decoded ``REPLY_OK`` frame carries (see
     :func:`encode_result`)."""
     meta, arrays = frame.meta, frame.arrays
-    shape = meta.get("r")
-    if shape in ("py", "obj"):
+    shape = meta.get("r", "pair")
+    if shape == "pair" and len(arrays) == 2:
+        return (arrays[0], arrays[1])
+    if shape == "py":
         return meta["v"]
     if shape == "arr":
         return arrays[0]
-    if shape == "pair":
-        return (arrays[0], arrays[1])
     if shape == "pairs":
         return codec.split_pairs(*arrays)
     raise FrameError(f"unknown result shape {shape!r}")

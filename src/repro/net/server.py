@@ -181,11 +181,16 @@ class _Conn(asyncio.Protocol):
             self._pump()
 
     def send_result(self, request_id: int, value: Any, spans=None) -> None:
-        """Queue the ``REPLY_OK`` frame for ``value``."""
+        """Queue the ``REPLY_OK`` frame for ``value``, or the typed error
+        when it has no wire form (an ``object`` array, say)."""
         meta, arrays = wire.encode_result(value)
         if spans:
             meta["spans"] = spans
-        self.send(wire.encode_frame(wire.REPLY_OK, request_id, meta, arrays))
+        try:
+            buf = wire.encode_frame(wire.REPLY_OK, request_id, meta, arrays)
+        except (InvalidParameterError, FrameError) as exc:
+            return self.send_error(request_id, exc)
+        self.send(buf)
 
     def send_error(self, request_id: int, exc: BaseException) -> None:
         """Queue the typed ``REPLY_ERR`` frame for a failed request."""

@@ -379,3 +379,35 @@ def test_reference_trace_sane(reference_trace):
     assert all(v == -1.0 for v in post)
     # mixed_rw's insert is the second post-build insert => rowid N+300+1.
     assert trace["mixed_rw"] == [N + len(INS_KEYS) + 1, 2, "MISS"]
+
+
+@pytest.mark.parametrize("backend", ["single", "sharded", "cluster"])
+def test_an_empty_engine_answers_in_its_values_dtype(backend):
+    """An empty int64 engine answers int64 whatever the batch; an
+    ``object`` answer could not even cross the socket."""
+    engine = open_engine(
+        np.empty(0), np.empty(0, dtype=np.int64), n_shards=2,
+        **BACKENDS[backend],
+    )
+    try:
+        for queries in ([], [1.0, 2.0]):
+            values, found = engine.lookup_batch(queries)
+            assert values.dtype == np.int64 and not found.any(), queries
+        assert engine.delete_batch([]).dtype == np.int64
+    finally:
+        engine.close()
+
+
+def test_a_get_against_an_empty_net_server_answers_the_default():
+    from repro.net import AsyncNetClient, serve_tcp
+
+    async def drive():
+        net = await serve_tcp(np.empty(0), n_shards=2)
+        client = await AsyncNetClient(*net.address).connect()
+        try:
+            return await asyncio.gather(client.get(1.0, -1), client.get(2.0))
+        finally:
+            await client.close()
+            await net.close()
+
+    assert asyncio.run(drive()) == [-1, None]

@@ -163,6 +163,35 @@ def test_cluster_workload_block_equals_twin():
         cluster.close()
 
 
+def test_scalar_verbs_count_like_batches_on_both_backends():
+    """The sharded engine's scalar fast paths are counted and profiled
+    exactly as the cluster's one-key batches are."""
+    seen = []
+    for executor in ("sharded", "cluster"):
+        engine = open_engine(KEYS, executor=executor, n_shards=2,
+                             telemetry="workload")
+        try:
+            for key in KEYS[::100].tolist():
+                engine.insert(key + 0.25, 1)
+                engine.range_arrays(key - 10.0, key + 10.0)
+                engine.get(key + 0.25)
+                engine.delete(key + 0.25)
+            fam = engine.telemetry.registry.get("repro_engine_keys_total")
+            seen.append((
+                engine.stats()["workload"]["verbs"],
+                {lv: child.value for lv, child in fam.samples()},
+            ))
+        finally:
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
+    (verbs, keys), other = seen
+    assert all(count > 0 for count, _ in verbs.values()), verbs
+    assert set(keys) == {("get_batch",), ("range_batch",), ("insert_batch",),
+                         ("delete_batch",)}
+    assert (verbs, keys) == other
+
+
 def test_server_stats_nest_engine_schema():
     async def drive():
         server = open_server(KEYS, executor="sharded", n_shards=2,

@@ -1,7 +1,7 @@
 """One frame per tick: a client's concurrent gets travel as one key batch.
 
-The gets one loop iteration queues on a connection leave as one
-``CODEC_KEYS`` frame, the server answers ``(values, found)`` through the
+The gets one loop iteration queues on a connection leave as one key-batch
+frame (arrays, no JSON), the server answers ``(values, found)`` through the
 batcher, and each caller gets its value or its *own* default. Nothing
 about the answers may change: they equal sequential ``ShardedEngine.get``
 on the backend's data, over one client and over a two-backend router,
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import open_engine
+from repro.core.errors import InvalidParameterError
 from repro.engine.batch import flat_view
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.net import AsyncNetClient, RequestTimeoutError, Router, serve_tcp
@@ -119,11 +120,25 @@ def test_concurrent_gets_equal_sequential_engine_gets_over_a_router(executor):
     ids=["float32", "object"],
 )
 def test_values_without_a_keys_form_fall_back_and_stay_correct(values, kind):
+    """float32 values travel like any numeric array; object values have
+    no wire form, so each get is refused with the typed error and the
+    connection keeps serving."""
     async def scenario():
         _, [(net, twin)] = await _backends("sharded", 1, values=values)
         c = await AsyncNetClient(*net.address).connect()
         try:
             probes = _probes([twin])
+            if kind is str:
+                got = await asyncio.gather(
+                    *[c.get(k, d) for k, d in probes], return_exceptions=True
+                )
+                assert all(isinstance(r, InvalidParameterError) for r in got)
+                # A frame served in a task is refused the same way.
+                with pytest.raises(InvalidParameterError, match="no wire form"):
+                    await c.range_batch([[KEYS[0], KEYS[9]]])
+                assert (await c.ping())["pong"]
+                assert c.stats()["reconnects"] == 0
+                return
             got = await asyncio.gather(*[c.get(k, d) for k, d in probes])
             _check(got, probes, lambda key: twin)
             hits = [a for a, (k, _) in zip(got, probes) if k in twin]
@@ -217,21 +232,54 @@ def test_a_coalesced_batch_rides_reconnect_after_a_server_restart():
     run(scenario())
 
 
+def test_a_tick_of_gets_costs_no_json(monkeypatch):
+    """The hot path — a key-batch request and its ``(values, found)``
+    reply — encodes and decodes with no JSON on either side."""
+    class NoJson:
+        def dumps(self, *args, **kwargs):
+            raise AssertionError("json.dumps on the get path")
+
+        loads = dumps
+
+    async def scenario():
+        net = await serve_tcp(KEYS, VALUES, n_shards=2)
+        c = await AsyncNetClient(*net.address).connect()
+        monkeypatch.setattr(wire, "json", NoJson())
+        try:
+            probes = KEYS[::250].tolist() + [-1.0]
+            got = await asyncio.gather(*[c.get(k, -7) for k in probes])
+            assert got == VALUES[::250].tolist() + [-7]
+        finally:
+            monkeypatch.undo()
+            await c.close()
+            await net.close()
+
+    run(scenario())
+
+
+def _meta_len(body):
+    return int.from_bytes(body[wire._BODY_HEADER.size:][:4], "little")
+
+
 def test_a_keys_frame_is_arrays_and_nothing_else():
     keys = np.arange(5.0)
-    request = wire.decode_frame(
-        wire.encode_frame(wire.OP_GET_BATCH, 1, None, [keys])[10:]
+    body = wire.encode_frame(wire.OP_GET_BATCH, 1, None, [keys])[10:]
+    request = wire.decode_frame(body)
+    assert (request.codec, request.meta, _meta_len(body)) == (
+        wire.CODEC_ARRAYS, {}, 0
     )
-    assert (request.codec, request.meta) == (wire.CODEC_KEYS, {})
     assert np.array_equal(request.arrays[0], keys)
     pair = (np.arange(5), np.array([True, False, True, True, False]))
-    reply = wire.decode_frame(
-        wire.encode_frame(wire.REPLY_OK, 1, *wire.encode_result(pair))[10:]
+    meta, arrays = wire.encode_result(pair)
+    assert meta == {}  # an empty reply meta stands for the pair shape
+    body = wire.encode_frame(wire.REPLY_OK, 1, meta, arrays)[10:]
+    reply = wire.decode_frame(body)
+    assert (reply.codec, reply.meta, _meta_len(body)) == (
+        wire.CODEC_ARRAYS, {}, 0
     )
-    assert reply.codec == wire.CODEC_KEYS
     values, found = wire.decode_result(reply)
     assert values.tolist() == [0, 1, 2, 3, 4]
     assert found.tolist() == pair[1].tolist()
-    # A public get_batch names its default: it stays a get_batch frame.
+    # A meta beside the arrays, as a public get_batch may send, travels too.
     batch = wire.encode_frame(wire.OP_GET_BATCH, 1, {"default": None}, [keys])
-    assert wire.decode_frame(batch[10:]).codec == wire.CODEC_ARRAYS
+    assert wire.decode_frame(batch[10:]).meta == {"default": None}

@@ -1,6 +1,7 @@
 """Failure matrix: torn frames, dead peers, timeouts, killed backends."""
 
 import asyncio
+import pickle
 import struct
 import zlib
 
@@ -90,6 +91,38 @@ def test_desynchronized_stream_is_hung_up_on():
             await net.close()
 
     run(scenario())
+
+
+def test_a_pickle_frame_is_refused_and_never_unpickled(monkeypatch):
+    """A CRC-valid frame of the retired pickle codec (2) is undecodable:
+    answered with a typed error, then hung up on, its bytes never
+    loaded."""
+    loads = []
+    monkeypatch.setattr(pickle, "loads", lambda *a, **k: loads.append(a))
+    body = wire._BODY_HEADER.pack(
+        wire.PROTOCOL_VERSION, wire.OP_PING, 2, 0, 1
+    ) + pickle.dumps(({}, []))
+    frame = wire._PREFIX.pack(0xF17E, len(body), zlib.crc32(body)) + body
+
+    async def scenario():
+        net = await serve_tcp(KEYS, n_shards=2)
+        try:
+            reader, writer = await asyncio.open_connection(*net.address)
+            writer.write(frame)
+            await writer.drain()
+            err = await wire.read_frame(reader)
+            assert err.kind == wire.REPLY_ERR
+            assert err.meta["error"] == "FrameError"
+            assert "unknown payload codec 2" in err.meta["message"]
+            assert await reader.read() == b""  # server closed the stream
+            assert net.net_stats()["frames_bad"] == 1
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await net.close()
+
+    run(scenario())
+    assert loads == []
 
 
 def test_client_timeout_retries_reads_and_drops_late_replies():

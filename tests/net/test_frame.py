@@ -1,7 +1,7 @@
-"""Wire framing: round trips, codec fallbacks, corruption detection."""
+"""Wire framing: round trips, refusals, corruption detection."""
 
 import asyncio
-import struct
+import pickle
 import zlib
 
 import numpy as np
@@ -29,7 +29,6 @@ def test_json_meta_roundtrip():
     assert (f.kind, f.request_id) == (wire.OP_PING, 7)
     assert f.meta == {"a": 1, "b": "x"}
     assert f.arrays == []
-    assert f.codec == wire.CODEC_JSON
 
 
 def test_array_payload_roundtrip_multiple_dtypes():
@@ -51,20 +50,34 @@ def test_array_payload_roundtrip_multiple_dtypes():
         assert not got.flags.writeable  # zero-copy view over the body
 
 
-def test_object_arrays_fall_back_to_pickle():
-    arr = np.array([None, "x", 3], dtype=object)
-    buf = wire.encode_frame(wire.REPLY_OK, 1, arrays=[arr])
-    f = _roundtrip(buf)
-    assert f.codec == wire.CODEC_PICKLE
-    assert list(f.arrays[0]) == [None, "x", 3]
+@pytest.mark.parametrize(
+    "meta, arrays",
+    [
+        ({}, [np.array([None, "x", 3], dtype=object)]),
+        ({"v": {1, 2, 3}}, []),  # sets are not JSON
+        ({}, [np.arange(6, dtype=np.int64).reshape(2, 3)]),
+    ],
+    ids=["object-array", "set-meta", "2d-array"],
+)
+def test_payloads_without_a_wire_form_are_refused_at_encode(meta, arrays):
+    with pytest.raises(InvalidParameterError, match="no wire form"):
+        wire.encode_frame(wire.REPLY_OK, 1, meta, arrays)
 
 
-def test_unjsonable_meta_falls_back_to_pickle():
-    meta = {"v": {1, 2, 3}}  # sets are not JSON
-    buf = wire.encode_frame(wire.REPLY_OK, 1, meta=meta)
-    f = _roundtrip(buf)
-    assert f.codec == wire.CODEC_PICKLE
-    assert f.meta == meta
+@pytest.mark.parametrize("codec_id", [0, 2, 4])
+def test_retired_codec_ids_are_refused(codec_id, monkeypatch):
+    """Codec 0 (JSON only), 2 (pickle) and 4 (keys) are gone: a body
+    carrying one is undecodable, and a pickle is never loaded."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a peer's bytes were unpickled")
+
+    monkeypatch.setattr(pickle, "loads", forbidden)
+    payload = pickle.dumps(({"key": 1.0}, []))
+    body = wire._BODY_HEADER.pack(
+        wire.PROTOCOL_VERSION, wire.OP_GET, codec_id, 0, 1
+    ) + payload
+    with pytest.raises(FrameError, match=f"unknown payload codec {codec_id}"):
+        wire.decode_frame(body)
 
 
 def test_bad_version_rejected():
@@ -224,14 +237,6 @@ def test_decoded_arrays_are_16_byte_aligned_for_any_meta_length(meta, arrays):
         assert got.ctypes.data % 16 == 0
 
 
-def test_non_1d_array_keeps_its_shape_via_pickle():
-    grid = np.arange(6, dtype=np.int64).reshape(2, 3)
-    f = _roundtrip(wire.encode_frame(wire.REPLY_OK, 1, arrays=[grid]))
-    assert f.codec == wire.CODEC_PICKLE
-    assert f.arrays[0].shape == (2, 3)
-    assert np.array_equal(f.arrays[0], grid)
-
-
 def test_fourth_header_byte_is_written_zero_and_ignored():
     buf = wire.encode_frame(wire.OP_GET_BATCH, 5, {"a": 1}, [np.arange(3.0)])
     body = bytearray(buf[wire._PREFIX.size:])
@@ -296,8 +301,8 @@ def test_scalar_codec_needs_bare_operands():
 
 def test_version_1_frame_is_refused():
     body = bytearray(wire.encode_frame(wire.OP_GET, 1, {"key": 1.0})[10:])
-    assert body[0] == wire.PROTOCOL_VERSION == 4
-    for old in (1, 2, 3):
+    assert body[0] == wire.PROTOCOL_VERSION == 5
+    for old in (1, 2, 3, 4):
         body[0] = old
         with pytest.raises(FrameError, match=f"version {old}"):
             wire.decode_frame(bytes(body))

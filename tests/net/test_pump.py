@@ -31,7 +31,7 @@ _FRAME = st.one_of(
     st.builds(lambda n: wire.encode_frame(wire.OP_GET_BATCH, 3, {"default": -1},
                                           [np.arange(n, dtype=np.float64)]),
               st.integers(0, 40)),
-    st.builds(lambda s: wire.encode_frame(wire.REPLY_OK, 4, {"v": set(s)}),
+    st.builds(lambda s: wire.encode_frame(wire.REPLY_OK, 4, {"v": s}),
               st.lists(st.integers(0, 9), max_size=3)),
 )
 
@@ -181,4 +181,4 @@ def test_numpy_scalars_travel_as_plain_numbers_not_pickle(monkeypatch):
     sent = [codec for kind, codec in codecs if kind < wire.REPLY_OK]
     # The insert is a scalar frame; every get, even a lone one, is a key
     # batch whose default stays with its caller.
-    assert sent == [wire.CODEC_SCALAR] + [wire.CODEC_KEYS] * 3
+    assert sent == [wire.CODEC_SCALAR] + [wire.CODEC_ARRAYS] * 3

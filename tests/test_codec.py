@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro import codec
 from repro.cluster import ShmLane
+from repro.core.errors import InvalidParameterError
 from repro.net import frame as wire
 
 #: Every numeric/bool scalar type NumPy has, in both byte orders.
@@ -42,18 +43,24 @@ def assert_same(got, sent):
 
 
 def frame_data_region(body):
-    """``(relative descriptors, data bytes)`` of a ``CODEC_ARRAYS`` body."""
+    """``(relative descriptors, data bytes)`` of a ``CODEC_ARRAYS`` body:
+    its table read by hand, the region placed by ``codec.layout``."""
     pos = wire._BODY_HEADER.size
     pos += 4 + struct.unpack_from("<I", body, pos)[0]
     (n,) = struct.unpack_from("<H", body, pos)
     pos += 2
-    descriptors = []
+    specs = []
     for _ in range(n):
-        dlen, count, offset = wire._DESC.unpack_from(body, pos)
-        pos += wire._DESC.size
-        descriptors.append((body[pos:pos + dlen].decode("ascii"), count, offset))
+        dlen, count = struct.unpack_from("<BQ", body, pos)
+        pos += 9
+        specs.append((np.dtype(body[pos:pos + dlen].decode("ascii")), count))
         pos += dlen
-    return descriptors, body[pos:]
+    start = -(-pos // 16) * 16  # the region starts 16-byte aligned
+    descriptors = [
+        (dtype.str, count, offset - start)
+        for dtype, count, offset in codec.layout(specs, start)
+    ]
+    return descriptors, body[start:]
 
 
 @given(array_lists())
@@ -97,11 +104,10 @@ def test_a_lane_and_a_frame_are_byte_compatible(arrays):
     body = buf[wire._PREFIX.size:]
     frame = wire.decode_frame(body)
     assert_same(frame.arrays, arrays)
-    if arrays:  # an empty list travels as CODEC_JSON: no data region
-        assert frame.codec == wire.CODEC_ARRAYS
-        descriptors, data = frame_data_region(body)
-        assert descriptors == lane_descriptors
-        assert data == lane_data
+    assert frame.codec == wire.CODEC_ARRAYS
+    descriptors, data = frame_data_region(body)
+    assert descriptors == lane_descriptors
+    assert data == lane_data
 
 
 def test_unpackable_arrays_are_refused_with_one_error():
@@ -146,6 +152,7 @@ def test_join_pairs_has_no_flat_form_for_mixed_or_object_values():
     assert codec.join_pairs([(keys, ints), (keys, floats)]) is None
     assert codec.join_pairs([(keys, objects)]) is None
     assert codec.join_pairs([(keys, ints), (keys, objects)]) is None
-    # ...and the wire then carries such a list by pickle, rows intact.
-    meta, arrays = wire.encode_result([(keys, ints), (keys, floats)])
-    assert meta["r"] == "obj" and arrays == []
+    # ...and the wire refuses such a list: it has no frame form either.
+    for rows in ([(keys, ints), (keys, floats)], [(keys, objects)]):
+        with pytest.raises(InvalidParameterError, match="no wire form"):
+            wire.encode_frame(wire.REPLY_OK, 1, *wire.encode_result(rows))

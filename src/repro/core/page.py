@@ -280,7 +280,7 @@ class SegmentPage:
             lo, hi = self.window(key, search_error)
             if counter is not None:
                 counter.segment_binary_search(hi - lo)
-            i = lo + int(np.searchsorted(self.keys[lo:hi], key, side="left"))
+            i = lo + int(self.keys[lo:hi].searchsorted(key, "left"))
             if i < hi and self.keys[i] == key:
                 if self.dead is None or not self.dead[i]:
                     return i
@@ -446,14 +446,17 @@ class SegmentPage:
         """Sort-merge a whole sorted batch into the buffer in one pass.
 
         ``keys`` must be sorted ascending (float64-coercible); ``values``
-        is an aligned array-like. The resulting buffer is exactly what a
+        is an aligned array. The resulting buffer is exactly what a
         loop of :meth:`insert_into_buffer` over the batch (in the given
         order) produces — including the subtlety that repeated
         ``bisect_left`` insertion stacks equal keys in *reverse* arrival
         order, ahead of previously buffered equals — but costs one
         ``searchsorted`` plus one splice instead of a bisect-and-shift per
-        key. No access counter is charged: the paper's access model lives
-        on the scalar verbs.
+        key: a fixed per-call cost of a few NumPy passes, so the owning
+        index sends only dense chunks here and inserts a sparse one key by
+        key (``repro.core.paged_index.BATCH_CROSSOVER``). No access
+        counter is charged: the paper's access model lives on the scalar
+        verbs.
         """
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n_new = keys.size
@@ -472,11 +475,7 @@ class SegmentPage:
             order = bounds[run_id] + bounds[run_id + 1] - 1 - idx
         else:
             order = np.zeros(1, dtype=np.int64)
-        if isinstance(values, np.ndarray):
-            # list() yields the same scalars a zip over the array would.
-            reordered = list(values[order])
-        else:
-            reordered = [values[i] for i in order.tolist()]
+        reordered = list(values[order])
 
         b0 = len(self.buf_keys)
         if b0 == 0:
@@ -505,15 +504,15 @@ class SegmentPage:
         counts toward the rebuild that compacts the page.
         """
         value = self.values[i]
-        self._kill(i)
+        self._kill(i, 1)
         return value
 
-    def _kill(self, slots) -> None:
-        """Mark data rows ``slots`` (an index or an index array) dead."""
+    def _kill(self, slots, n: int) -> None:
+        """Mark the ``n`` data rows ``slots`` (an index or an index array)
+        dead."""
         if self.dead is None:
             self.dead = np.zeros(len(self.keys), dtype=bool)
         self.dead[slots] = True
-        n = int(np.size(slots))
         self.n_dead += n
         self.deletions += n
         self.stamp += 1
@@ -544,8 +543,9 @@ class SegmentPage:
         applied (the index's rebuild-budget chunking, mirroring
         ``insert_batch``'s capacity-aware chunking). All surviving removals
         are applied with one list rebuild (buffer) plus one tombstone pass
-        (data) instead of one shift per key. No access counter is charged
-        (see :meth:`bulk_insert`).
+        (data) instead of one shift per key. Like :meth:`bulk_insert` this
+        costs per call, not per key, so the owning index uses it for dense
+        chunks only. No access counter is charged (see :meth:`bulk_insert`).
 
         Parameters
         ----------
@@ -633,7 +633,7 @@ class SegmentPage:
             self.buf_keys = [k for k, f in zip(self.buf_keys, keep) if f]
             self.buf_values = [v for v, f in zip(self.buf_values, keep) if f]
         if data_pos.size:
-            self._kill(data_pos)
+            self._kill(data_pos, data_pos.size)
         return n_applied, values
 
     def buffer_arrays(self, values_dtype=None) -> Tuple[np.ndarray, np.ndarray]:

@@ -59,6 +59,15 @@ __all__ = ["PagedIndexBase", "export_pages"]
 #: Sentinel for "no occurrence" from page probes and ``_delete_one``.
 _MISS = object()
 
+#: A page's share of a write batch below this many keys goes through the
+#: scalar verbs' list primitives (per-key cost), at or above it through
+#: ``SegmentPage.bulk_insert``/``bulk_delete`` (per-call cost). Measured on
+#: a 2-core x86 box (Python 3.11, NumPy 2.4), one 1 225-key page (error 64,
+#: buffer 32), best of 5 x 300, three runs: deletes cost ~4-5 us a key
+#: against ~50-90 us a ``bulk_delete`` call, crossing near 16 keys; inserts
+#: cost ~0.3-0.5 us a key against ~20-35 us a ``bulk_insert`` call.
+BATCH_CROSSOVER = 16
+
 
 def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
     """``pages`` as the contiguous arrays of one read snapshot, in order.
@@ -366,11 +375,18 @@ class PagedIndexBase:
         (and for how a later snapshot is derived from this one by
         re-exporting only the pages written to since).
         """
+        starts = np.asarray(self._starts, dtype=np.float64)
         return dict(
             export_pages(self._pages, self._values_dtype),
             version=self._version,
-            starts=np.asarray(self._starts, dtype=np.float64),
+            starts=starts,
+            route_starts=self._route_starts(starts),
         )
+
+    def _route_starts(self, starts: np.ndarray) -> np.ndarray:
+        """A view's routing keys over the directory's ``starts``: the
+        starts themselves (an engine lowers its shards' first ones)."""
+        return starts
 
     # ------------------------------------------------------------------
     # Snapshots (in-memory serialization; the multi-process substrate)
@@ -670,30 +686,36 @@ class PagedIndexBase:
             aligned_value_array(keys.size, values), self._values_dtype
         )
 
-    def _owned_end(self, pi: int, sorted_keys: np.ndarray, i: int) -> int:
-        """End of the run of ``sorted_keys`` from ``i`` that page ``pi``
+    def _owned_end(self, pi: int, keys: List[float], i: int) -> int:
+        """End of the run of sorted ``keys`` from ``i`` that page ``pi``
         owns: every key below the next page's start (keys equal to it
-        route to the next page, exactly as :meth:`_route` does)."""
+        route to the next page, exactly as :meth:`_route` does). Most runs
+        are one key, so the next key is compared before any bisect."""
+        n = len(keys)
         if pi + 1 == len(self._pages):
-            return sorted_keys.size
+            return n
         nxt = self._starts[pi + 1]
-        return i + int(np.searchsorted(sorted_keys[i:], nxt, side="left"))
+        if i + 1 == n or keys[i + 1] >= nxt:
+            return i + 1
+        return bisect_left(keys, nxt, i + 2)
 
     def insert_batch(self, keys, values=None) -> None:
-        """Vectorized batch insert: group keys per page, bulk-merge each.
+        """Batch insert: group keys per page, apply each page's chunk whole.
 
         The final state is identical to looping :meth:`insert` over the
         batch in stable key order (ties keep request order): each owning
-        page receives its whole contiguous sub-batch through
-        :meth:`SegmentPage.bulk_insert` — one ``searchsorted`` and one
-        splice — sliced to the buffer's remaining room, so a chunk that
-        fills the buffer triggers exactly the merge/re-segmentation a
-        scalar insert would, and the remaining keys re-route against the
-        new pages. There is one overflow/split decision and one
-        :attr:`version` bump per mutated page instead of per key. Empty
-        batches are a strict no-op. Cost for K inserts: one O(K log K)
-        sort, one directory bisect per touched page, and O(K + rebuilt-page
-        data) merge work. Batch verbs are uncounted: no op, probe, shift or
+        page receives its whole contiguous sub-batch, sliced to the
+        buffer's remaining room, so a chunk that fills the buffer triggers
+        exactly the merge/re-segmentation a scalar insert would, and the
+        remaining keys re-route against the new pages. A sparse chunk
+        (under ``BATCH_CROSSOVER`` keys, the common case) costs per key,
+        one scalar :meth:`SegmentPage.insert_into_buffer` each; a dense
+        one costs per page, one :meth:`SegmentPage.bulk_insert`. There is
+        one overflow/split decision and one :attr:`version` bump per
+        mutated page instead of per key. Empty batches are a strict no-op.
+        Cost for K inserts: one O(K log K) sort, at most one list bisect
+        per touched page, and O(K + rebuilt-page data) merge work. Batch
+        verbs are uncounted: no op, probe, shift or
         descent is charged to :attr:`counter` per key, which carries the
         paper's access model for the scalar verbs only; what an attached
         counter still sees is the scalar code a batch shares
@@ -719,20 +741,26 @@ class PagedIndexBase:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         values = values[order]
+        # The scalars bulk_insert stores too (list() of an array).
+        klist, vlist = keys.tolist(), list(values)
         i = 0
         while i < n:
             if not self._pages:
                 # Seed the first page exactly like a scalar insert would
                 # (the resolved body: the batch was already validated
                 # and resolved above).
-                self._insert_resolved(float(keys[i]), values[i])
+                self._insert_resolved(klist[i], vlist[i])
                 i += 1
                 continue
-            pi = self._route(float(keys[i]))
+            pi = self._route(klist[i])
             page = self._pages[pi]
-            j = self._owned_end(pi, keys, i)
+            j = self._owned_end(pi, klist, i)
             take = min(j - i, self.buffer_capacity - page.n_buffer)
-            page.bulk_insert(keys[i : i + take], values[i : i + take])
+            if take < BATCH_CROSSOVER:
+                for t in range(i, i + take):
+                    page.insert_into_buffer(klist[t], vlist[t])
+            else:
+                page.bulk_insert(keys[i : i + take], values[i : i + take])
             self._n += take
             self._version += 1
             i += take
@@ -816,24 +844,22 @@ class PagedIndexBase:
     def delete_batch(
         self, keys, *, missing: str = "raise", default: Any = None
     ) -> np.ndarray:
-        """Vectorized batch delete: group keys per page, bulk-delete each.
+        """Batch delete: group keys per page, remove each page's chunk whole.
 
         The final state matches looping :meth:`delete` over the batch in
         stable key order (ties keep request order): each owning page
-        removes its whole contiguous sub-batch through
-        :meth:`SegmentPage.bulk_delete` — one buffer rebuild plus one
-        tombstone pass — chunked to the page's remaining
-        deletion-widening budget, so a chunk that drives ``deletions`` to
-        ``buffer_capacity`` triggers exactly the rebuild a scalar delete
-        would, and the remaining keys re-route against the new pages.
-        Requests the floor page cannot satisfy (split duplicate runs,
-        under-min keys, absent keys) fall back to the scalar multi-page
-        path one request at a time, preserving scalar semantics. Like
-        every batch verb this charges :attr:`counter` nothing of its own
-        (see :meth:`insert_batch`). Empty batches are a strict no-op. Cost
-        for K deletes: one O(K log K) sort, one directory bisect per
-        touched page, and one tombstone pass per mutated page instead of
-        one per key.
+        removes its whole contiguous sub-batch, chunked to the page's
+        remaining deletion-widening budget, so a chunk that drives
+        ``deletions`` to ``buffer_capacity`` triggers exactly the rebuild a
+        scalar delete would, and the remaining keys re-route against the
+        new pages. A sparse chunk (under ``BATCH_CROSSOVER`` keys) costs
+        per key, the scalar delete's searches and tombstone each; a dense
+        one costs per page, one :meth:`SegmentPage.bulk_delete`. Requests
+        the floor page cannot satisfy (split duplicate runs, under-min
+        keys, absent keys) fall back to the scalar multi-page path one
+        request at a time, preserving scalar semantics. Like every batch
+        verb this charges :attr:`counter` nothing of its own (see
+        :meth:`insert_batch`). Empty batches are a strict no-op.
 
         Parameters
         ----------
@@ -866,7 +892,8 @@ class PagedIndexBase:
         """:meth:`delete_batch` answered as ``(values, found)``, in request
         order: the form engines and workers pass along, ``default`` being
         the caller's to apply. ``values`` has the values dtype; a miss's
-        slot is unspecified."""
+        slot is unspecified; a sparse chunk costs per key, a dense one per
+        page (see :meth:`delete_batch`)."""
         self._check_writable()
         if missing not in ("raise", "ignore"):
             raise InvalidParameterError(
@@ -878,20 +905,26 @@ class PagedIndexBase:
             return np.empty(0, dtype=self._values_dtype), np.ones(0, dtype=bool)
         order = np.argsort(keys, kind="stable")
         skeys = keys[order]
-        values: List[Any] = [None] * n
+        klist = skeys.tolist()
+        # Answers in sorted request order, typed from the start.
+        answer = np.zeros(n, dtype=self._values_dtype)
         found = np.zeros(n, dtype=bool)
         i = 0
         while i < n:
             applied = 0
             if self._pages:
-                pi = self._route(float(skeys[i]))
+                pi = self._route(klist[i])
                 page = self._pages[pi]
-                j = self._owned_end(pi, skeys, i)
-                applied, vals = page.bulk_delete(
-                    skeys[i:j], self.buffer_capacity - page.deletions
-                )
+                j = self._owned_end(pi, klist, i)
+                if j - i < BATCH_CROSSOVER:
+                    applied = self._pop_run(page, klist, i, j, answer)
+                else:
+                    applied, vals = page.bulk_delete(
+                        skeys[i:j], self.buffer_capacity - page.deletions
+                    )
+                    for t, value in enumerate(vals, i):
+                        answer[t] = value
                 if applied:
-                    values[i : i + applied] = vals
                     found[i : i + applied] = True
                     self._n -= applied
                     self._version += 1
@@ -900,23 +933,43 @@ class PagedIndexBase:
                     continue
             # The floor page holds no (further) occurrence of skeys[i]:
             # resolve this one request through the scalar multi-page path.
-            value = self._delete_one(float(skeys[i]))
+            value = self._delete_one(klist[i])
             if value is not _MISS:
-                values[i] = value
+                answer[i] = value
                 found[i] = True
             elif missing == "raise":
-                raise KeyNotFoundError(float(skeys[i]))
+                raise KeyNotFoundError(klist[i])
             i += 1
 
-        out = np.empty(n, dtype=object)
-        out[order] = values
+        out = np.empty_like(answer)
+        out[order] = answer
         hit = np.empty(n, dtype=bool)
         hit[order] = found
-        if self._values_dtype == np.dtype(object):
-            return out, hit
-        typed = np.zeros(n, dtype=self._values_dtype)
-        typed[hit] = out[hit]
-        return typed, hit
+        return out, hit
+
+    def _pop_run(
+        self, page: SegmentPage, keys: List[float], i: int, j: int,
+        answer: np.ndarray,
+    ) -> int:
+        """Delete ``keys[i:j]`` (sorted, all routed to ``page``) one at a
+        time, as the scalar loop would: a buffered occurrence first, else a
+        live data row. Stops before the first request the page cannot
+        satisfy (the caller's fallback takes it) and after one that empties
+        the page or spends its deletion budget (the caller settles it).
+        Writes the deleted values into ``answer``; returns how many."""
+        for t in range(i, j):
+            key = keys[t]
+            b = page.find_in_buffer(key)
+            if b >= 0:
+                answer[t] = page.delete_at_buffer(b)
+            else:
+                d = page.find_in_data(key, self.page_search_error)
+                if d < 0:
+                    return t - i
+                answer[t] = page.delete_at_data(d)
+            if page.deletions >= self.buffer_capacity or page.n_total == 0:
+                return t - i + 1
+        return j - i
 
     def delete_value(self, key: float, value: Any) -> bool:
         """Remove the occurrence of ``key`` whose payload equals ``value``.

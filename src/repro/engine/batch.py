@@ -44,24 +44,27 @@ Views are immutable snapshots, cached on the index and keyed by its
 monotonic ``version`` counter (see :func:`flat_view`). A write costs the
 next read only the pages it touched: a delete marks, a rebuild compacts;
 the engine reads one view. Every ``SegmentPage`` mutator bumps its page's
-``stamp``, and a view records the stamps it was cut from. As long as the
-page directory is the one the view was cut from, the next read derives the
-new view from the old one and re-exports only the pages whose stamp moved.
-Under an unchanged directory no data row moves — inserts go to buffers and
-data deletes set tombstones — so the new view shares ``keys``/``values``/
-``offsets`` and the per-page routing arrays with the old one by identity
-and re-splices just the small buffer arrays (plus, after a data delete,
-the deletion counts and a copy of the ``dead`` mask). Only a directory
-change (page rebuild — where tombstones are compacted —, split or removal)
-pays the full ``flat_arrays`` export. Stamps are read, never cleared, so
-any number of views over the same pages (a shard's own and its engine's)
-each stay current. Every array a view exposes is read-only, because
-consecutive snapshots share them: a held view keeps answering the state it
-was taken at.
+``stamp``, and a view records the page list and the stamps it was cut
+from, so the next read derives the new view from the old one and
+re-exports only the pages whose stamp moved. Under an unchanged directory
+no data row moves — inserts go to buffers and data deletes set tombstones
+— so the new view shares ``keys``/``values``/``offsets`` and the per-page
+routing arrays with the old one by identity and re-splices just the small
+buffer arrays (plus, after a data delete, the deletion counts and a copy
+of the ``dead`` mask). A directory change (page rebuild — where tombstones
+are compacted —, split or removal) splices too: every page the old view
+holds keeps its rows, and only the pages new to the directory export
+theirs; the O(n) copy stays, the per-page export does not. Only an
+index with no cached view pays the full ``flat_arrays`` export. Stamps are
+read, never cleared, so any number of views over the same pages (a
+shard's own and its engine's) each stay current. Every array a view
+exposes is read-only, because consecutive snapshots share them: a held
+view keeps answering the state it was taken at.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -344,72 +347,111 @@ def _span(
     return a, max(a, b)
 
 
-def _splice(
-    old: np.ndarray,
-    offsets: np.ndarray,
-    stale: Sequence[int],
-    parts: Sequence[np.ndarray],
-) -> np.ndarray:
-    """``old`` with each stale page's window replaced by its new part;
-    the runs of current pages in between are windows of ``old``."""
-    pieces = []
-    prev = 0
-    for i, part in zip(stale, parts):
-        pieces.append(old[offsets[prev] : offsets[i]])
-        pieces.append(part)
-        prev = i + 1
-    pieces.append(old[offsets[prev] :])
-    return np.concatenate(pieces)
-
-
-def _reoffset(
-    offsets: np.ndarray, stale: Sequence[int], lengths: Sequence[int]
-) -> np.ndarray:
-    """``offsets`` after the stale pages changed to ``lengths``."""
-    out = offsets.copy()
-    for i, n in zip(stale, lengths):
-        out[i + 1 :] += n - (offsets[i + 1] - offsets[i])
-    return out
-
-
-def _updated(old: FlatView, version: Any) -> Tuple[FlatView, int]:
-    """The snapshot at ``version``, derived from ``old`` over the same
-    page directory.
-
-    Bit-identical to a full ``flat_arrays`` export (dtype, shape and
-    content of every field). Returns the view and how many pages it
-    re-exported.
-    """
-    pages = old.pages
-    stale = [
-        i for i, (page, stamp) in enumerate(zip(pages, old.stamps))
-        if page.stamp != stamp
+def _plan(src: Optional[np.ndarray], exported: Sequence[int], n: int) -> list:
+    """The ``n`` new pages as pieces, in order: an int ``j`` for new page
+    ``j``, exported, and ``(lo, hi)`` for old pages ``lo..hi-1`` reused as
+    they stand. ``src[j]`` is new page ``j``'s old position (``None``: the
+    directory did not change); ``exported`` is sorted."""
+    edges = {0, n, *exported, *(j + 1 for j in exported)}
+    if src is not None:  # a reused run also ends where the old list skips
+        edges.update((np.flatnonzero(np.diff(src) != 1) + 1).tolist())
+    edges = sorted(edges)
+    out = set(exported)
+    return [
+        a if a in out
+        else (a, b) if src is None
+        else (int(src[a]), int(src[b - 1]) + 1)
+        for a, b in zip(edges, edges[1:])
     ]
+
+
+def _splice(olds: Sequence[np.ndarray], offsets: np.ndarray, plan: list, parts):
+    """The arrays ``olds`` (cut per page by ``offsets``), then their new
+    offsets, laid out by ``plan``; ``parts[j]`` holds exported page ``j``'s
+    rows of each array."""
+    pieces = [[old[:0]] for old in olds]
+    bounds, end = [offsets[:1]], 0
+    for piece in plan:
+        if type(piece) is int:
+            rows = parts[piece]
+            end += rows[0].size
+            bounds.append(np.asarray([end], dtype=np.int64))
+        else:
+            lo, hi = offsets[piece[0]], offsets[piece[1]]
+            rows = [old[lo:hi] for old in olds]
+            bounds.append(offsets[piece[0] + 1 : piece[1] + 1] + (end - lo))
+            end += int(hi - lo)
+        for out, row in zip(pieces, rows):
+            out.append(row)
+    return [np.concatenate(p) for p in pieces + [bounds]]
+
+
+def _derived(old: FlatView, index: Any, version: Any) -> Tuple[FlatView, int]:
+    """The snapshot at ``version``, derived from ``old``, bit-identical to
+    a full ``flat_arrays`` export (dtype, shape and content of every field).
+
+    A page the old view holds (by identity) keeps its data rows, which
+    never move while it lives (a data delete only sets tombstones and
+    bumps ``deletions``); one whose stamp moved re-exports its buffer and
+    tombstones. Only a page new to the directory exports its data, and an
+    unchanged directory keeps the old data arrays and routing keys by
+    identity. Returns the view and how many pages it re-exported.
+    """
+    starts, pages = index._get_directory()
+    n = len(pages)
+    same = pages is old.pages
+    if same:
+        src = None
+        stamps = list(old.stamps)
+    else:
+        at = dict(zip(map(id, old.pages), range(old.n_pages)))
+        src = np.fromiter(map(at.get, map(id, pages), repeat(-1)), int, n)
+        # Stamps start at 0, so a page new to the directory is stale.
+        stamps = [old.stamps[i] if i >= 0 else -1 for i in src.tolist()]
+    stale = [j for j, (p, t) in enumerate(zip(pages, stamps)) if p.stamp != t]
+    for j in stale:
+        stamps[j] = pages[j].stamp
+
     arrays = {name: getattr(old, name) for name in _ARRAY_FIELDS}
-    arrays.update(version=version, pages=pages, stamps=list(old.stamps))
-    if stale:
-        bufs = [pages[i].buffer_arrays(old.values.dtype) for i in stale]
-        arrays["buf_keys"] = _splice(
-            old.buf_keys, old.buf_offsets, stale, [k for k, _ in bufs]
+    arrays.update(version=version, pages=pages, stamps=stamps)
+    if stale or not same:
+        bufs = {j: pages[j].buffer_arrays(old.values.dtype) for j in stale}
+        arrays["buf_keys"], arrays["buf_values"], arrays["buf_offsets"] = (
+            _splice((old.buf_keys, old.buf_values), old.buf_offsets,
+                    _plan(src, stale, n), bufs)
         )
-        arrays["buf_values"] = _splice(
-            old.buf_values, old.buf_offsets, stale, [v for _, v in bufs]
+    deletions = old.deletions
+    if not same:
+        kept = src >= 0
+        fresh = np.flatnonzero(~kept).tolist()
+        rows = {
+            j: (p.keys, p.values,
+                np.zeros(p.keys.size, bool) if p.dead is None else p.dead)
+            for j, p in ((j, pages[j]) for j in fresh)
+        }
+        data = (old.keys, old.values, old.dead)
+        starts = np.asarray(starts, dtype=np.float64)
+        arrays.update(starts=starts, route_starts=index._route_starts(starts))
+        arrays["keys"], arrays["values"], arrays["dead"], arrays["offsets"] = (
+            _splice(data, old.offsets, _plan(src, fresh, n), rows)
         )
-        arrays["buf_offsets"] = _reoffset(
-            old.buf_offsets, stale, [k.size for k, _ in bufs]
-        )
-        for i in stale:
-            arrays["stamps"][i] = pages[i].stamp
-    # Data rows never move under an unchanged directory: a data delete
-    # only sets tombstones, and each one bumps ``deletions``.
-    data = [i for i in stale if pages[i].deletions != old.deletions[i]]
-    if data:
-        dead = old.dead.copy()
-        for i in data:
-            dead[old.offsets[i] : old.offsets[i + 1]] = pages[i].dead
-        deletions = old.deletions.copy()
-        deletions[data] = [pages[i].deletions for i in data]
-        arrays.update(dead=dead, deletions=deletions)
+        deletions = np.zeros(n)
+        deletions[kept] = old.deletions[src[kept]]
+        deletions[fresh] = [pages[j].deletions for j in fresh]
+    # Data deletes on held pages: rows stay, tombstones and counts move.
+    marked = [
+        j for j in stale
+        if (same or src[j] >= 0) and pages[j].deletions != deletions[j]
+    ]
+    if marked:
+        if same:
+            arrays["dead"] = old.dead.copy()
+            deletions = deletions.copy()
+        dead, offsets = arrays["dead"], arrays["offsets"]
+        for j in marked:
+            dead[offsets[j] : offsets[j + 1]] = pages[j].dead
+        deletions[marked] = [pages[j].deletions for j in marked]
+    arrays["deletions"] = deletions
     return FlatView(arrays), len(stale)
 
 
@@ -418,12 +460,13 @@ def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
 
     ``index`` is anything with a monotonic ``version``, a
     ``_get_directory()`` returning ``(starts, pages)`` and a
-    ``flat_arrays()`` export of those pages: a paged index, or a
-    ``ShardedEngine`` over all its shards. The cache key is ``version``, so
-    buffered inserts, deletes and page rebuilds all invalidate it. A stale
-    view whose page directory still stands is updated from the pages
-    written to since (:func:`_updated`); a changed directory takes the
-    full ``flat_arrays`` export. ``stats`` (a
+    ``flat_arrays()`` export of those pages, plus ``_route_starts`` over
+    its starts: a paged index, or a ``ShardedEngine`` over all its shards.
+    The cache key is ``version``, so buffered inserts, deletes and page
+    rebuilds all invalidate it. A stale view is updated from the pages
+    written to or brought in since (:func:`_derived`), whether or not the
+    directory changed; only an index with no cached view pays the full
+    ``flat_arrays`` export. ``stats`` (a
     dict with ``"view_hits"``/``"view_builds"``) lets callers — the
     engine's cache-hit-rate stat — observe reuse without a second API; a
     caller that also keeps ``"view_patches"`` / ``"view_full_rebuilds"``
@@ -437,13 +480,13 @@ def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
         if stats is not None:
             stats["view_hits"] = stats.get("view_hits", 0) + 1
         return cached
-    if cached is not None and cached.pages is index._get_directory()[1]:
-        view, n_exported = _updated(cached, version)
-        event = "view_patches"
-    else:
+    if cached is None:
         view = FlatView(index.flat_arrays())
         n_exported = view.n_pages
         event = "view_full_rebuilds"
+    else:
+        view, n_exported = _derived(cached, index, version)
+        event = "view_patches"
     index._flat_view_cache = view
     if stats is not None:
         stats["view_builds"] = stats.get("view_builds", 0) + 1

@@ -14,11 +14,12 @@ in-process shards are reached:
   key order (shard ranges are disjoint and ordered), so no batch is split
   or regrouped per shard; a range bound takes one contiguous slice of it;
 * writes — each owning shard gets its whole contiguous sub-batch and
-  merges or removes it with one vectorized splice per owning page
+  applies it page by page, key by key where the batch touches a page
+  sparsely and with one vectorized splice where densely
   (``PagedIndexBase.insert_batch`` / ``pop_batch``); every shard applies
   its chunk before the first failure re-raises. The next read re-exports
-  only the pages written to (:func:`~repro.engine.batch.flat_view`),
-  whichever shards they are in;
+  only the pages written to or brought in by a rebuild
+  (:func:`~repro.engine.batch.flat_view`), whichever shards they are in;
 * scalar ``insert`` / ``delete`` / ``range_arrays`` that go straight to
   one shard or the view (the serve batcher's one-op write and range
   chunks), with equivalence to the batch verbs pinned by tests. A scalar
@@ -39,6 +40,7 @@ from repro.core.paged_index import export_pages
 from repro.engine.batch import flat_view
 from repro.engine.front import EngineFront
 from repro.engine.partition import partition_cuts, route, shard_bounds
+from repro.engine.scatter import values_required
 
 __all__ = ["ShardedEngine"]
 
@@ -323,16 +325,24 @@ class ShardedEngine(EngineFront):
         """
         starts, pages = self._get_directory()
         arrays = export_pages(pages, self._values_dtype)
+        arrays.update(
+            version=self.version,
+            starts=starts,
+            route_starts=self._route_starts(starts),
+        )
+        return arrays
+
+    def _route_starts(self, starts: np.ndarray) -> np.ndarray:
+        """The routing keys over :meth:`_get_directory`'s ``starts``: each
+        later shard's first one is lowered to its cut, so queries in
+        ``[cut, first page start)`` route into that shard."""
         route_starts = starts.copy()
         first = 0
         for i, shard_pages in enumerate(self._directory_parts):
             if i > 0 and shard_pages:
                 route_starts[first] = self.cuts[i - 1]
             first += len(shard_pages)
-        arrays.update(
-            version=self.version, starts=starts, route_starts=route_starts
-        )
-        return arrays
+        return route_starts
 
     def residency_report(self) -> Dict[str, Any]:
         """Bytes resident per storage tier of the read path.
@@ -451,18 +461,22 @@ class ShardedEngine(EngineFront):
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values);
-        a ``value`` the values dtype cannot hold exactly is refused before
-        it is logged.
+        a ``value`` the values dtype cannot hold exactly, or a missing one
+        on an engine built with explicit values, is refused before it is
+        logged, with the front's refusal.
 
         Overrides the front's one-key :meth:`insert_batch`, which costs
-        about ten times as much per key (value resolution, a stable sort,
-        a shard split); counted the same.
+        about five times as much (value resolution, a stable sort, a shard
+        split: ~40 against ~8 us on a 2-core x86 box, 250 k keys, 4
+        shards); counted the same.
         """
         if value is not None:
             value = held_value(value, self._values_dtype)
         elif self._auto_rowid:
             value = self._next_rowid
             self._next_rowid += 1
+        else:
+            raise values_required()
         keys = np.asarray([key], dtype=np.float64)
         sid = int(route(self.cuts, keys)[0])
         if self._wal is not None:
@@ -477,8 +491,9 @@ class ShardedEngine(EngineFront):
 
         Routes to the owning shard's ``delete``; raises
         :class:`~repro.core.errors.KeyNotFoundError` when absent. Overrides
-        the front's one-key :meth:`delete_batch`, which costs about five
-        times as much (``pop_batch`` and a gather); counted the same.
+        the front's one-key :meth:`delete_batch`, which costs about three
+        and a half times as much (``pop_batch`` and a gather: ~55 against
+        ~15 us, same box as :meth:`insert`); counted the same.
         """
         keys = np.asarray([key], dtype=np.float64)
         sid = int(route(self.cuts, keys)[0])

@@ -386,10 +386,11 @@ class EngineFront:
 
         The batch is stable-sorted by key (ties keep request order) and
         cut into one contiguous sub-batch per shard with a single
-        ``searchsorted`` over the cuts; each shard then sort-merges whole
-        per-page chunks through ``PagedIndexBase.insert_batch``, so
-        overflow/split decisions and version bumps happen once per mutated
-        page instead of once per key. The resulting state is identical to
+        ``searchsorted`` over the cuts; each shard then applies whole
+        per-page chunks through ``PagedIndexBase.insert_batch`` (key by
+        key when sparse, one sort-merge when dense), so overflow/split
+        decisions and version bumps happen once per mutated page instead
+        of once per key. The resulting state is identical to
         looping ``insert`` per key in that same order — pinned by the
         equivalence and stateful suites. The call returns only after every
         owning shard has applied its chunk, so a later read sees the write
@@ -440,7 +441,8 @@ class EngineFront:
         The batch is stable-sorted by key and cut into one contiguous
         sub-batch per shard with a single ``searchsorted`` over the cuts;
         each shard removes its chunk through ``PagedIndexBase.pop_batch``
-        (one splice per mutated page). The resulting state is identical to
+        (per key on a page the batch touches sparsely, one vectorized pass
+        on a page it touches densely). The resulting state is identical to
         looping ``delete`` per key in that same order — pinned by the
         equivalence suites — and the call returns only after every owning
         shard has applied its chunk, so a later read cannot see a deleted

@@ -44,6 +44,7 @@ __all__ = [
     "split_ranges",
     "split_sorted",
     "stitch_ranges",
+    "values_required",
 ]
 
 Pair = Tuple[np.ndarray, np.ndarray]
@@ -233,6 +234,15 @@ def stitch_ranges(
     return out
 
 
+def values_required() -> InvalidParameterError:
+    """The one refusal of a valueless insert on an engine built with
+    explicit values, whichever verb and backend it reaches."""
+    return InvalidParameterError(
+        "this engine stores explicit values; insert_batch requires aligned "
+        "values"
+    )
+
+
 def resolve_values(
     n: int, values, auto_rowid: bool, next_rowid: int, dtype: np.dtype
 ) -> Tuple[np.ndarray, int]:
@@ -247,10 +257,7 @@ def resolve_values(
     """
     if values is None:
         if not auto_rowid:
-            raise InvalidParameterError(
-                "this engine stores explicit values; insert_batch "
-                "requires aligned values"
-            )
+            raise values_required()
         return (
             np.arange(next_rowid, next_rowid + n, dtype=np.int64),
             next_rowid + n,

@@ -127,8 +127,14 @@ class EngineAdapter:
 
     def observed(self):
         """What a refused write must leave alone."""
-        ipc = self.engine.stats()["ipc"]
-        return len(self.engine), self.engine.version, ipc["pickle_fallbacks"]
+        stats = self.engine.stats()
+        wal = stats["wal"]
+        return (
+            len(self.engine),
+            self.engine.version,
+            stats["ipc"]["pickle_fallbacks"],
+            None if wal is None else wal["records"],
+        )
 
     def finish(self):
         self.engine.validate()
@@ -267,6 +273,20 @@ async def refused_payload(api) -> list:
     return trace
 
 
+async def refused_valueless_insert(api) -> list:
+    """A valueless insert on an engine built with explicit values: one
+    refusal, the engine front's, before anything is logged or applied."""
+    key = float(MISS_LOW)
+    before = api.observed()
+    for attempt in range(2):
+        with pytest.raises(InvalidParameterError, match="requires aligned values"):
+            await api.insert(key)
+        assert api.observed() == before, attempt
+    trace = [before[0], await api.get_many(np.asarray([key]), -1.0)]
+    api.finish()
+    return trace
+
+
 #: ``open_engine`` overrides per backend; ``server-<name>`` wraps the same
 #: engine in the async ``Server``.
 BACKENDS = {
@@ -277,11 +297,15 @@ BACKENDS = {
 }
 
 
-def run_backend(name: str, scenario=scenario) -> list:
-    """Open one backend through the factory and run ``scenario`` on it."""
+def run_backend(
+    name: str, scenario=scenario, values=None, **overrides
+) -> list:
+    """Open one backend through the factory (over ``values``, with
+    ``overrides`` on top of its config) and run ``scenario`` on it."""
     if name.startswith("server-"):
         server = open_server(
-            BUILD_KEYS, config=BASE, **BACKENDS[name[len("server-"):]]
+            BUILD_KEYS, values, config=BASE,
+            **BACKENDS[name[len("server-"):]], **overrides,
         )
 
         async def drive_server():
@@ -292,7 +316,9 @@ def run_backend(name: str, scenario=scenario) -> list:
             return asyncio.run(drive_server())
         finally:
             server.engine.close()
-    engine = open_engine(BUILD_KEYS, config=BASE, **BACKENDS[name])
+    engine = open_engine(
+        BUILD_KEYS, values, config=BASE, **BACKENDS[name], **overrides
+    )
     try:
         assert isinstance(engine, EngineProtocol)
         return asyncio.run(scenario(EngineAdapter(engine)))
@@ -342,6 +368,26 @@ def test_partial_failure_rule_on_every_two_shard_backend(backend):
 )
 def test_every_backend_refuses_the_same_payloads(backend):
     assert run_backend(backend, refused_payload) == [N, [-1.0, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        prefix + name
+        for prefix in ("", "server-")
+        for name in ("single", "fixed-page", "sharded", "cluster", "durable")
+    ],
+)
+def test_every_backend_refuses_a_valueless_insert_alike(backend, tmp_path):
+    """Explicit values make a value mandatory on every insert verb; a
+    WAL-backed engine refuses before the log sees a record."""
+    overrides = {}
+    if backend.endswith("durable"):
+        backend = backend.replace("durable", "sharded")
+        overrides = {"durability": "wal", "data_dir": str(tmp_path)}
+    values = np.arange(N, dtype=np.int64) * 3
+    trace = run_backend(backend, refused_valueless_insert, values, **overrides)
+    assert trace == [N, [-1.0]]
 
 
 def test_single_shard_is_one_chunk():

@@ -12,7 +12,8 @@ pinned here, none of them by timing:
   ``ShardedEngine`` (its one view, and each shard's own view, read in any
   interleaving), and the batch verbs agree with the scalar ones;
 * **proportionality** — counted in ``SegmentPage.buffer_arrays`` calls and
-  array identity: a one-key write re-exports one page;
+  array identity: a one-key write re-exports one page, and a rebuild only
+  the pages that replace the rebuilt one;
 * **snapshot safety** — a view held across writes keeps answering the state
   it was taken at, and its arrays refuse in-place writes.
 """
@@ -313,6 +314,12 @@ def exports(monkeypatch):
     return calls
 
 
+def replacement_pages(view, pages):
+    """The pages a directory change brought in: those ``view`` lacks."""
+    held = {id(page) for page in view.pages}
+    return [page for page in pages if id(page) not in held]
+
+
 @pytest.fixture
 def tree():
     keys = np.sort(np.random.default_rng(8).uniform(0, 1e6, 40_000))
@@ -362,7 +369,9 @@ class TestProportionality:
         assert not old.dead.any()
         assert_same_view(new, full_export(tree))
 
-    def test_buffer_overflow_rebuild_takes_the_full_export(self, tree, exports):
+    def test_buffer_overflow_rebuild_reexports_only_the_replacement_pages(
+        self, tree, exports
+    ):
         old = flat_view(tree)
         base = float(old.keys[20_000])
         rebuilds = tree.page_rebuilds
@@ -371,9 +380,31 @@ class TestProportionality:
         assert tree.page_rebuilds == rebuilds + 1
         del exports[:]
         new = flat_view(tree)
-        assert len(exports) == tree.n_pages
         assert new.pages is not old.pages
+        assert exports == replacement_pages(old, tree.pages())
+        assert 1 <= len(exports) < tree.n_pages // 10
         assert_same_view(new, full_export(tree))
+
+    def test_rebuild_in_one_shard_reexports_only_its_replacement_pages(
+        self, exports
+    ):
+        keys = np.sort(np.random.default_rng(9).uniform(0, 1e6, 40_000))
+        engine = ShardedEngine(keys, n_shards=4, error=16, buffer_capacity=8)
+        engine.warm()
+        old = flat_view(engine)
+        shard = engine.shards[2]
+        base = float(next(iter(shard.keys()))) + 1e-3
+        rebuilds = shard.page_rebuilds
+        for i in range(shard.buffer_capacity):
+            engine.insert(base + 1e-4 * i)
+        assert shard.page_rebuilds == rebuilds + 1
+        del exports[:]
+        new = flat_view(engine)
+        assert exports == replacement_pages(old, shard.pages())
+        assert 1 <= len(exports) < shard.n_pages // 10
+        assert engine.stats()["view_full_rebuilds"] == 1
+        assert_same_view(new, reference_combined(engine))
+        assert_same_view(new, full_export(engine))
 
     def test_writes_between_reads_accumulate(self, tree, exports):
         old = flat_view(tree)

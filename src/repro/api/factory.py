@@ -492,8 +492,7 @@ def _open_durable(keys, values, config, n_shards, telemetry):
             rec = store.recover()
             cluster = config.executor == "cluster"
             # The tail replays in-process either way: cluster workers
-            # then boot from fully-recovered states, and the store's
-            # retained tail stays aligned with what they hold.
+            # then boot from fully-recovered states.
             engine = ShardedEngine.from_states(
                 rec.states, telemetry=None if cluster else telemetry
             )

@@ -22,17 +22,17 @@ machine:
   ``warm`` / ``version`` + scalar mirrors), so
   :class:`repro.serve.Server` runs over it unchanged;
 * :mod:`~repro.cluster.errors` — :class:`ClusterError` /
-  :class:`WorkerCrashedError` / :class:`WorkerRecoveredError`, the typed
-  transport failures.
+  :class:`WorkerCrashedError`, the typed transport failures.
 
 With a :class:`repro.wal.WalStore` attached (``ClusterEngine.attach_wal``
 or ``open_engine(durability=...)``), every write chunk is logged and
 group-committed *before* dispatch, and a crashed worker is **restarted**
-from snapshot + WAL tail instead of surfacing a terminal
-:class:`WorkerCrashedError`: reads retry transparently, inserts replay
-from the log, and a delete whose reply died with the worker raises the
-typed :class:`WorkerRecoveredError` (the deletion *is* applied — only
-the returned values were lost).
+instead of surfacing a terminal :class:`WorkerCrashedError`: the parent
+rebuilds the shard from its snapshot plus its committed WAL records — the
+replay a reopen runs — and boots a fresh worker from that state. Reads
+retry transparently, inserts are applied by the replay, and a delete
+whose reply died with the worker answers from the replay of its own
+record.
 
 Quickstart::
 
@@ -46,11 +46,7 @@ and ``cluster.added_ns_per_key.*`` is the difference.
 """
 
 from repro.cluster.engine import ClusterEngine
-from repro.cluster.errors import (
-    ClusterError,
-    WorkerCrashedError,
-    WorkerRecoveredError,
-)
+from repro.cluster.errors import ClusterError, WorkerCrashedError
 from repro.cluster.shm import ShmLane, attach_lane, teardown_errors
 from repro.core.serialize import index_from_state, register_index_class
 
@@ -59,7 +55,6 @@ __all__ = [
     "ClusterError",
     "ShmLane",
     "WorkerCrashedError",
-    "WorkerRecoveredError",
     "attach_lane",
     "index_from_state",
     "register_index_class",

@@ -9,7 +9,7 @@ profiling and the verb surface are the shared
 its own worker process (:mod:`repro.cluster.worker`), rebuilt from a
 :meth:`~repro.core.paged_index.PagedIndexBase.to_state` snapshot without
 re-segmentation. What this class keeps is how those shards are reached:
-boot, spawn, restore and replay of workers, the transport and its fenced
+boot, spawn and restore of workers, the transport and its fenced
 rounds. Batch keys and numeric results cross the process boundary through
 shared-memory lanes (:mod:`repro.cluster.shm`); the pipes carry only small
 control frames.
@@ -39,13 +39,14 @@ every shared-memory block.
 With a :class:`repro.wal.WalStore` attached (:meth:`attach_wal`), the
 failure model upgrades from fail-stop to **restart-on-crash**: every
 write chunk is logged and group-committed *before* dispatch, so a dead
-worker is respawned from the latest snapshot plus the committed WAL tail
-and the round re-fences. Reads retry transparently; an insert whose
-worker died is re-applied from the log; a delete whose reply died with
-the worker raises :class:`~repro.cluster.errors.WorkerRecoveredError`
-(the deletion is durably applied — only the returned values were lost).
-A timed-out (poisoned) worker becomes recoverable the same way: its
-process is killed and restored instead of being permanently fenced off.
+worker is respawned from one shard state the parent computes from disk —
+the latest snapshot plus the shard's committed WAL records, replayed as a
+reopen replays them (:meth:`repro.wal.WalStore.shard_state`) — and the
+round re-fences. Reads retry transparently; an insert whose worker died
+is applied by that replay; a delete whose reply died with the worker
+answers from the replay of its own record. A timed-out (poisoned) worker
+becomes recoverable the same way: its process is killed and restored
+instead of being permanently fenced off.
 """
 
 from __future__ import annotations
@@ -58,11 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import codec
-from repro.cluster.errors import (
-    ClusterError,
-    WorkerCrashedError,
-    WorkerRecoveredError,
-)
+from repro.cluster.errors import ClusterError, WorkerCrashedError
 from repro.cluster.shm import (
     DEFAULT_LANE_CAPACITY,
     ShmLane,
@@ -80,7 +77,6 @@ from repro.engine.scatter import (
     split_ranges,
     stitch_ranges,
 )
-from repro.wal.format import OP_DELETE, OP_INSERT
 
 __all__ = ["ClusterEngine"]
 
@@ -149,7 +145,6 @@ class ClusterEngine(EngineFront):
 
     _backend = "cluster"
     _get_span = "cluster.get_batch"
-    _retain_tail = True  # a crashed worker is respawned from the tail
     _closed = True  # nothing to release until _boot accepts its states
 
     def __init__(
@@ -397,24 +392,29 @@ class ClusterEngine(EngineFront):
         worker.req.close()
         worker.resp.close()
 
-    def _restore_worker(self, sid: int, *, skip_lsn: Optional[int] = None) -> None:
-        """Respawn shard ``sid``'s worker from snapshot + WAL tail.
+    def _restore_worker(self, sid: int, answer_lsn: Optional[int] = None) -> Any:
+        """Respawn shard ``sid``'s worker from the shard's committed state.
 
         The caller holds the worker's lock (or all locks). The dead
-        process and its lanes are reaped, a fresh worker is rebuilt from
-        the store's snapshot state for this shard, and the committed tail
-        records owned by the shard are replayed through the normal verb
-        frames — after which the worker is exactly where the crashed one
-        durably was.
+        process and its lanes are reaped, and a fresh worker boots from
+        :meth:`~repro.wal.WalStore.shard_state` — the shard's snapshot
+        plus its committed records, replayed in the parent — so it holds
+        exactly what the crashed one durably held, this round's logged
+        chunk included.
 
         Parameters
         ----------
         sid:
             The shard whose worker died.
-        skip_lsn:
-            A tail record to *exclude* from replay because the caller
-            will re-send it as a live frame instead (a delete whose
-            reply payload is still wanted).
+        answer_lsn:
+            A record of this shard whose replay outcome to return (a
+            delete whose reply payload died with the worker).
+
+        Returns
+        -------
+        object
+            ``shard_state``'s answer for ``answer_lsn`` (``None`` without
+            one).
         """
         if self._wal is None:
             raise self._crash(
@@ -422,10 +422,11 @@ class ClusterEngine(EngineFront):
             )
         old = self._workers[sid]
         self._reap_worker(sid)
-        state = self._wal.load_shard_state(sid)
         # The snapshot's version stamp may trail the versions the parent
         # already acknowledged; keep the engine-wide barrier monotonic.
-        state["version"] = max(int(state["version"]), self._versions[sid])
+        state, answer = self._wal.shard_state(
+            sid, version=self._versions[sid], answer_lsn=answer_lsn
+        )
         handle = self._spawn_worker(sid, state)
         # Callers hold the *old* handle's lock across this restore; the
         # new handle must keep the same lock object so that hold (and
@@ -435,32 +436,9 @@ class ClusterEngine(EngineFront):
         self._workers[sid] = handle
         self._poisoned.discard(sid)
         self._await_ready(sid)
-        for rec in self._wal.tail_ops(sid, skip_lsn=skip_lsn):
-            self._replay_record(sid, rec)
-        self._send(sid, ("stats", {}, ()))
-        self._shard_ns[sid] = int(self._recv(sid)[0]["result"]["n"])
+        self._shard_ns[sid] = int(state["n"])
         self._n = sum(self._shard_ns)
-
-    def _replay_record(self, sid: int, rec: Any) -> None:
-        """Re-apply one committed tail record to a restored worker."""
-        if rec.op == OP_INSERT:
-            self._post(sid, "insert_batch", {}, [rec.keys, rec.values])
-            self._recv(sid)
-        elif rec.op == OP_DELETE:
-            self._post(
-                sid, "delete_batch", {"missing": rec.missing},
-                [rec.keys], self._points_bytes(rec.keys.size),
-            )
-            try:
-                self._recv(sid)
-            except KeyNotFoundError:
-                # Deterministic replay of a strict delete that failed
-                # the first time fails identically; state matches.
-                pass
-        else:
-            raise ClusterError(
-                f"shard {sid} WAL tail holds unreplayable op {rec.op}"
-            )
+        return answer
 
     def _register_sources(self, reg: Any) -> None:
         reg.register_callback(
@@ -916,9 +894,9 @@ class ClusterEngine(EngineFront):
                 for sid in sorted(errors):
                     exc = errors[sid]
                     if self._wal is not None and isinstance(exc, ClusterError):
-                        # The restore replays the full committed tail —
-                        # including this round's chunk, so the insert is
-                        # applied, not lost.
+                        # The restore replays the shard's committed
+                        # records — this round's chunk included, so the
+                        # insert is applied, not lost.
                         self._restore_worker(sid)
                     elif first is None:
                         first = exc
@@ -966,7 +944,8 @@ class ClusterEngine(EngineFront):
         """Dispatch and fence one committed delete plan: the
         ``(positions, values, found)`` part of each owning worker's reply,
         copied out of its response lane (a worker whose crash took the
-        reply is restored without ``lsns[sid]`` and its chunk re-sent)."""
+        reply answers from the parent-side replay of record
+        ``lsns[sid]`` that restores it)."""
         thunks = {
             sid: (
                 lambda sid=sid, a=a, b=b: self._post(
@@ -977,6 +956,7 @@ class ClusterEngine(EngineFront):
             for sid, a, b in jobs
         }
         errors: Dict[int, BaseException] = {}
+        answers: Dict[int, Tuple] = {}
         self._acquire_all()
         try:
             replies = self._round(sorted(thunks.items()), errors)
@@ -984,29 +964,14 @@ class ClusterEngine(EngineFront):
             for sid in sorted(errors):
                 exc = errors[sid]
                 if self._wal is not None and isinstance(exc, ClusterError):
-                    # The crashed worker took the reply payload (the
-                    # deleted values) with it. Restore it *without*
-                    # replaying this round's record, then re-send the
-                    # chunk live to recover the values too.
-                    try:
-                        self._restore_worker(sid, skip_lsn=lsns[sid])
-                        thunks[sid]()
-                        replies[sid] = self._recv(sid)
+                    # The crashed worker took the deleted values with it;
+                    # the restore replays this round's record and hands
+                    # back its answer (or the strict delete's miss).
+                    answer = self._restore_worker(sid, lsns[sid])
+                    if not isinstance(answer, KeyNotFoundError):
+                        answers[sid] = answer
                         continue
-                    except ClusterError:
-                        # Crashed again mid-retry: restore with the full
-                        # tail (the deletion is durably applied) and
-                        # report the lost payload as a typed,
-                        # non-retryable error.
-                        self._restore_worker(sid)
-                        exc = WorkerRecoveredError(
-                            sid,
-                            detail="deleted values lost in crash; the "
-                            "deletions themselves are durably applied — "
-                            "do not retry",
-                        )
-                    except BaseException as retry_exc:
-                        exc = retry_exc
+                    exc = answer
                 if first is None:
                     first = exc
             if errors:
@@ -1017,7 +982,10 @@ class ClusterEngine(EngineFront):
                     raise first
             parts = []
             for sid, a, b in jobs:
-                values, found = self._read_points(sid, replies[sid])
+                values, found = (
+                    answers[sid] if sid in answers
+                    else self._read_points(sid, replies[sid])
+                )
                 if found is not None:
                     found = found.copy()
                 parts.append((order[a:b], values.copy(), found))

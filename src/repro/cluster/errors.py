@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["ClusterError", "WorkerCrashedError", "WorkerRecoveredError"]
+__all__ = ["ClusterError", "WorkerCrashedError"]
 
 
 class ClusterError(RuntimeError):
@@ -33,27 +33,3 @@ class WorkerCrashedError(ClusterError):
             message += f": {detail}"
         super().__init__(message)
 
-
-class WorkerRecoveredError(ClusterError):
-    """A worker crashed mid-write and was restored, but its reply was lost.
-
-    Raised only on durable engines: the shard's worker was successfully
-    respawned from snapshot + WAL and the write in flight **is durably
-    applied** (``applied`` is always True — the record was committed to
-    the log before dispatch and replayed during the restore). What was
-    lost is the *reply payload* (e.g. the deleted values a
-    ``delete_batch`` would have returned). Callers must NOT blindly
-    retry the write — it already happened; re-issuing it would apply it
-    twice. Reads may simply be re-issued.
-    """
-
-    def __init__(self, shard: int, detail: str = "") -> None:
-        self.shard = shard
-        self.applied = True
-        message = (
-            f"worker for shard {shard} crashed and was restored; the "
-            "write is applied but its reply was lost"
-        )
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)

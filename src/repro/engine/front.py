@@ -74,9 +74,6 @@ class EngineFront:
     _backend = ""
     #: The span a traced :meth:`lookup_batch` opens.
     _get_span = ""
-    #: Whether an attached WAL keeps its committed tail in memory (for a
-    #: backend that restores a crashed shard by replaying it).
-    _retain_tail = False
 
     def _init_front(
         self, cuts, auto_rowid: bool, next_rowid: int, telemetry: Any,
@@ -170,7 +167,6 @@ class EngineFront:
                 "durability requires numeric value dtypes; this engine "
                 "holds object payloads"
             )
-        store.set_retain_tail(self._retain_tail)
         store.bind(self.to_states)
         self._wal = store
 

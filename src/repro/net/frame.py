@@ -74,7 +74,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.errors import ClusterError, WorkerCrashedError, WorkerRecoveredError
+from repro.cluster.errors import ClusterError, WorkerCrashedError
 from repro import codec
 from repro.core import errors as core_errors
 from repro.net.errors import FrameCorruptError, FrameError, RemoteError
@@ -505,9 +505,6 @@ _ERROR_TYPES = {
 _ERROR_TYPES["WorkerCrashedError"] = lambda args, attrs: WorkerCrashedError(
     int(attrs.get("shard", -1)), attrs.get("exitcode")
 )
-_ERROR_TYPES["WorkerRecoveredError"] = lambda args, attrs: WorkerRecoveredError(
-    int(attrs.get("shard", -1))
-)
 
 
 def _json_safe_args(exc: BaseException) -> Optional[List[Any]]:
@@ -526,7 +523,7 @@ def encode_error(request_id: int, exc: BaseException) -> bytes:
     rebuild cluster errors (``shard``, ``exitcode``).
     """
     attrs: Dict[str, Any] = {}
-    for name in ("shard", "exitcode", "applied"):
+    for name in ("shard", "exitcode"):
         if hasattr(exc, name):
             value = getattr(exc, name)
             if value is None or isinstance(value, (bool, int, float, str)):

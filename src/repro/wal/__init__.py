@@ -26,6 +26,7 @@ from repro.wal.store import (
     DURABILITY_MODES,
     RecoveredState,
     WalStore,
+    apply_record,
     log_chunks,
     replay_ops,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "WalRecord",
     "WalStore",
     "WalWriter",
+    "apply_record",
     "load_manifest",
     "log_chunks",
     "manifest_path",

@@ -9,16 +9,18 @@ A :class:`WalStore` owns one durability directory::
     ...
 
 Recovery = load the manifest's snapshots + replay the committed tail of
-its WAL file. Snapshot rotation writes the *new* generation's files
-first (snapshots ``fsync``\\ ed, fresh WAL created), flips the manifest
-atomically last, then best-effort deletes the old generation — so a
+its WAL file. A snapshot rotation captures the engine's states at a safe
+point, writes them as the *next* generation's snapshot files
+(``fsync``\\ ed), then, at a safe point, writes the new generation's
+WAL — the committed records logged since the capture — flips the
+manifest atomically and best-effort deletes the old generation, so a
 crash at any point recovers from a complete generation.
+``background_snapshots`` only moves the middle step onto a thread.
 
-The store also keeps the committed tail *in memory* (when asked to via
-:meth:`WalStore.set_retain_tail`): the cluster engine replays it into a
-freshly respawned worker to restore a crashed shard without touching
-disk, and excludes the in-flight record's LSN when the crashed round
-itself will be re-sent.
+The WAL file is the only copy of the committed tail. A cluster engine
+restores a crashed worker from :meth:`WalStore.shard_state`: the shard's
+snapshot plus its committed records, replayed in the parent with the
+same :func:`apply_record` a reopen uses.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError, KeyNotFoundError
-from repro.core.serialize import load_state, save_state
+from repro.core.serialize import index_from_state, load_state, save_state
 from repro.wal import format as wf
 from repro.wal.format import WalRecord
 from repro.wal.log import WalWriter, read_committed
@@ -70,27 +72,27 @@ class RecoveredState:
     next_rowid: int = 0
 
 
-class _SnapshotJob:
-    """One in-flight background snapshot: capture point + worker thread.
+class _Rotation:
+    """One snapshot rotation, from its capture point to its flip.
 
     Captured at a safe point (no uncommitted records buffered):
-    ``start_lsn`` is the first LSN *not* covered by the snapshot states
-    and ``copy_from`` the WAL byte offset of that same point, so
-    finalization can byte-copy exactly the records logged while the
-    thread was serializing.
+    ``states`` are the engine states to snapshot, ``start_lsn`` the first
+    LSN they do *not* cover and ``copy_from`` the WAL byte offset of that
+    same point, so the flip byte-copies exactly the records committed
+    since (none, for an inline rotation).
     """
 
     __slots__ = (
-        "generation", "start_lsn", "copy_from", "meta", "snaps", "thread",
+        "generation", "states", "start_lsn", "copy_from", "snaps", "thread",
         "error",
     )
 
-    def __init__(self, generation: int, start_lsn: int, copy_from: int,
-                 meta: Dict[str, Any]):
+    def __init__(self, generation: int, states: Dict[str, Any],
+                 start_lsn: int, copy_from: int):
         self.generation = generation
+        self.states = states
         self.start_lsn = start_lsn
         self.copy_from = copy_from
-        self.meta = meta
         self.snaps: List[str] = []
         self.thread: Optional[threading.Thread] = None
         self.error: Optional[BaseException] = None
@@ -116,15 +118,14 @@ class WalStore:
         tests and benchmarks.
     background_snapshots : bool
         When True (``"wal+snapshot"`` only), :meth:`maybe_snapshot`
-        captures engine states inline (a cheap array copy) but moves the
-        expensive part of rotation — serializing and fsyncing every
-        shard snapshot — onto a background thread. The generation flip
-        happens at the *next* safe point after the thread finishes: the
-        committed WAL records logged while it ran are byte-copied into
-        the new generation's WAL before the manifest flips, so no
-        acknowledged write is ever outside the current generation. A
-        crash at any point before the flip recovers from the old
-        (complete) generation.
+        captures engine states inline (a cheap array copy) but writes
+        and fsyncs the shard snapshots on a background thread. The
+        generation flip happens at the *next* safe point after the
+        thread finishes: the committed WAL records logged while it ran
+        are byte-copied into the new generation's WAL before the manifest
+        flips, so no acknowledged write is ever outside the current
+        generation. A crash at any point before the flip recovers from
+        the old (complete) generation.
     """
 
     def __init__(
@@ -153,13 +154,10 @@ class WalStore:
         self._writer: Optional[WalWriter] = None
         self._manifest: Optional[Dict[str, Any]] = None
         self._generation = 0
-        self._retain_tail = False
-        self._tail: List[WalRecord] = []
-        self._pending_records: List[WalRecord] = []
         self._state_provider: Optional[Callable[[], Dict[str, Any]]] = None
         self.snapshots_taken = 0
         self.background = bool(background_snapshots)
-        self._bg_job: Optional[_SnapshotJob] = None
+        self._bg_job: Optional[_Rotation] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -186,7 +184,7 @@ class WalStore:
             raise InvalidParameterError(
                 f"durability directory {self.root!r} is already initialized"
             )
-        self._write_generation(states, generation=1, start_lsn=0)
+        self._rotate(states)
 
     def recover(self) -> RecoveredState:
         """Load the current generation and its committed WAL tail.
@@ -229,41 +227,32 @@ class WalStore:
         if self._writer is not None:
             self._writer.close()
         self._writer = WalWriter(wal_path, start_lsn=next_lsn, sync=self._sync)
-        self._tail = list(ops)
-        self._pending_records = []
         return RecoveredState(states=states, ops=ops, next_rowid=next_rowid)
 
     def bind(self, state_provider: Callable[[], Dict[str, Any]]) -> None:
         """Register the callable that produces snapshot states on demand."""
         self._state_provider = state_provider
 
-    def set_retain_tail(self, flag: bool) -> None:
-        """Keep (or drop) the committed tail in memory for worker restores."""
-        self._retain_tail = bool(flag)
-        if not flag:
-            self._tail = []
-
     def close(self) -> None:
         """Close the WAL writer (discarding any uncommitted records).
 
-        A finished background snapshot job is finalized first (its work
-        is already on disk — flipping the manifest is cheap and makes the
-        next recovery replay a shorter tail); an unfinished or failed one
-        is discarded, leaving the old generation authoritative.
+        A finished background snapshot job is flipped in first (its
+        snapshots are already on disk — flipping the manifest is cheap
+        and makes the next recovery replay a shorter tail); an unfinished
+        or failed one is discarded, leaving the old generation
+        authoritative.
         """
-        if self._bg_job is not None:
-            job = self._bg_job
-            if job.thread is not None:
-                job.thread.join()
-            self._bg_job = None
+        job, self._bg_job = self._bg_job, None
+        if job is not None:
+            job.thread.join()
             if (
                 job.error is None
                 and self._writer is not None
                 and not self._writer.pending
             ):
-                self._finalize_job(job)
+                self._flip(job)
             else:
-                self._discard_job_files(job)
+                self._unlink(job.snaps)
         if self._writer is not None:
             self._writer.close()
             self._writer = None
@@ -280,88 +269,72 @@ class WalStore:
 
     def log_insert(self, sid: int, keys: np.ndarray, values: Any) -> int:
         """Buffer an insert record for shard ``sid``; returns its LSN."""
-        writer = self._require_writer()
-        lsn = writer.append_insert(sid, keys, values)
-        if self._retain_tail:
-            self._pending_records.append(
-                WalRecord(
-                    lsn,
-                    wf.OP_INSERT,
-                    sid,
-                    keys=np.ascontiguousarray(keys, dtype=np.float64),
-                    values=np.ascontiguousarray(values),
-                )
-            )
-        return lsn
+        return self._require_writer().append_insert(sid, keys, values)
 
     def log_delete(self, sid: int, keys: np.ndarray, missing: str) -> int:
         """Buffer a delete record for shard ``sid``; returns its LSN."""
-        writer = self._require_writer()
-        lsn = writer.append_delete(sid, keys, missing)
-        if self._retain_tail:
-            self._pending_records.append(
-                WalRecord(
-                    lsn,
-                    wf.OP_DELETE,
-                    sid,
-                    keys=np.ascontiguousarray(keys, dtype=np.float64),
-                    missing=missing,
-                )
-            )
-        return lsn
+        return self._require_writer().append_delete(sid, keys, missing)
 
     def commit(self, next_rowid: int) -> bool:
         """Group-commit all buffered records with one write + fsync.
 
         No-op (returns False) when nothing is buffered.
         """
-        writer = self._require_writer()
-        wrote = writer.commit(int(next_rowid))
-        if wrote and self._retain_tail:
-            self._tail.extend(self._pending_records)
-        self._pending_records = []
-        return wrote
+        return self._require_writer().commit(int(next_rowid))
 
     def discard_pending(self) -> int:
         """Drop buffered-but-uncommitted records; returns how many."""
-        self._pending_records = []
         if self._writer is None:
             return 0
         return self._writer.discard_pending()
 
-    def tail_ops(
-        self, sid: int, *, skip_lsn: Optional[int] = None
-    ) -> List[WalRecord]:
-        """Committed tail records for shard ``sid``, oldest first.
+    def shard_state(
+        self, sid: int, *, version: int = 0, answer_lsn: Optional[int] = None
+    ) -> Tuple[Dict[str, Any], Any]:
+        """Shard ``sid``'s committed state, rebuilt from disk alone.
+
+        Loads the current generation's snapshot of the shard, then
+        applies the shard's committed records from the current WAL file
+        with :func:`apply_record` — the replay a reopen runs.
 
         Parameters
         ----------
         sid:
-            Shard id to filter on.
-        skip_lsn:
-            Exclude the record with this LSN — the in-flight record of a
-            crashed round that the caller will re-send itself.
+            Shard id.
+        version:
+            Floor for the shard's version stamp, applied *before* the
+            records replay (so an applied insert still moves it): the
+            stamp its engine already acknowledged, which a snapshot may
+            trail.
+        answer_lsn:
+            LSN of one of the shard's records whose outcome the caller
+            wants back — a delete whose reply died with its worker.
 
         Returns
         -------
-        list of WalRecord
-            The records to replay into a restored worker.
+        tuple
+            ``(state, answer)``: the shard's ``to_state`` after replay,
+            and :func:`apply_record`'s outcome for record ``answer_lsn``
+            (``None`` when not asked for).
         """
-        return [
-            r
-            for r in self._tail
-            if r.shard == sid and (skip_lsn is None or r.lsn != skip_lsn)
-        ]
+        if self._manifest is None:
+            raise InvalidParameterError("WalStore has no loaded manifest")
+        state = load_state(
+            os.path.join(self.root, self._manifest["snapshots"][sid])
+        )
+        state["version"] = max(int(state["version"]), int(version))
+        index = index_from_state(state)
+        answer = None
+        ops = read_committed(os.path.join(self.root, self._manifest["wal"]))[0]
+        for rec in ops:
+            if rec.shard == sid:
+                outcome = apply_record(index, rec)
+                if rec.lsn == answer_lsn:
+                    answer = outcome
+        return index.to_state(), answer
 
     # ------------------------------------------------------------------
     # snapshots
-
-    def load_shard_state(self, sid: int) -> Dict[str, Any]:
-        """Load shard ``sid``'s snapshot state from the current generation."""
-        if self._manifest is None:
-            raise InvalidParameterError("WalStore has no loaded manifest")
-        name = self._manifest["snapshots"][sid]
-        return load_state(os.path.join(self.root, name))
 
     def maybe_snapshot(self) -> bool:
         """Rotate a snapshot if the WAL outgrew the configured interval.
@@ -369,7 +342,7 @@ class WalStore:
         Only armed in ``wal+snapshot`` mode, with a bound state provider
         and no uncommitted records buffered. Returns True when a
         rotation happened (with ``background_snapshots``, when one was
-        *finalized* — starting the thread returns False, since the
+        *flipped* — starting the thread returns False, since the
         generation has not flipped yet).
         """
         if (
@@ -379,128 +352,20 @@ class WalStore:
             or self._writer.pending
         ):
             return False
-        if self.background:
-            return self._bg_step()
-        if self._writer.bytes_written < self._interval:
-            return False
-        self.snapshot()
-        return True
-
-    def _bg_step(self) -> bool:
-        """One safe-point decision for the background-snapshot lifecycle:
-        finalize a finished job, keep waiting on a live one, or start a
-        new one when the WAL has outgrown the interval."""
         job = self._bg_job
         if job is not None:
-            if job.thread is not None and job.thread.is_alive():
+            if job.thread.is_alive():
                 return False
             self._bg_job = None
-            if job.error is not None:
-                self._discard_job_files(job)
-                raise job.error
-            self._finalize_job(job)
+            self._finish(job)
             return True
         if self._writer.bytes_written < self._interval:
             return False
-        self._start_job()
-        return False
-
-    def _start_job(self) -> None:
-        """Capture a safe point and serialize its snapshots off-thread."""
-        states = self._state_provider()
-        job = _SnapshotJob(
-            generation=self._generation + 1,
-            start_lsn=self._writer.next_lsn,
-            copy_from=self._writer.bytes_written,
-            meta={
-                "cuts": [float(c) for c in states["cuts"]],
-                "auto_rowid": bool(states["auto_rowid"]),
-                "next_rowid": int(states["next_rowid"]),
-            },
-        )
-
-        def work() -> None:
-            try:
-                for sid, shard_state in enumerate(states["shards"]):
-                    name = f"shard-{job.generation:06d}-{sid:03d}.npz"
-                    save_state(
-                        shard_state,
-                        os.path.join(self.root, name),
-                        sync=self._sync,
-                    )
-                    job.snaps.append(name)
-            except BaseException as exc:  # surfaced at the next safe point
-                job.error = exc
-
-        job.thread = threading.Thread(
-            target=work, name="repro-wal-snapshot", daemon=True
-        )
-        job.thread.start()
-        self._bg_job = job
-
-    def _finalize_job(self, job: _SnapshotJob) -> None:
-        """Flip to the background-written generation at a safe point.
-
-        The snapshot covers state up to ``job.start_lsn``; everything
-        committed since lives in the old WAL at bytes
-        ``[job.copy_from:]``. WAL records are position-independent, so
-        that committed suffix is byte-copied after the new file's header
-        before the manifest flips — the new generation is complete
-        (snapshot + carried tail) the instant it becomes authoritative.
-        """
-        writer = self._require_writer()
-        wal_name = f"wal-{job.generation:06d}.log"
-        new_path = os.path.join(self.root, wal_name)
-        with open(writer.path, "rb") as src:
-            src.seek(job.copy_from)
-            carried = src.read(writer.bytes_written - job.copy_from)
-        with open(new_path, "wb") as dst:
-            dst.write(wf.file_header())
-            dst.write(carried)
-            dst.flush()
-            if self._sync:
-                os.fsync(dst.fileno())
-        manifest = {
-            "manifest_version": MANIFEST_VERSION,
-            "generation": job.generation,
-            "wal": wal_name,
-            "snapshots": list(job.snaps),
-            "cuts": job.meta["cuts"],
-            "auto_rowid": job.meta["auto_rowid"],
-            "next_rowid": job.meta["next_rowid"],
-            "start_lsn": int(job.start_lsn),
-            "durability": self.durability,
-        }
-        write_manifest(self.root, manifest)
-        old = self._manifest
-        new_writer = WalWriter(
-            new_path, start_lsn=writer.next_lsn, sync=self._sync
-        )
-        writer.close()
-        self._writer = new_writer
-        self._manifest = manifest
-        self._generation = job.generation
-        # Records the snapshot already covers leave the restore tail;
-        # the carried suffix (lsn >= start_lsn) must stay replayable.
-        self._tail = [r for r in self._tail if r.lsn >= job.start_lsn]
-        self.snapshots_taken += 1
-        if old is not None:
-            for name in [old["wal"]] + list(old["snapshots"]):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                except OSError:
-                    pass  # retired files are garbage, not state
-
-    def _discard_job_files(self, job: _SnapshotJob) -> None:
-        """Best-effort removal of an abandoned job's snapshot files."""
-        for name in job.snaps:
-            try:
-                os.unlink(os.path.join(self.root, name))
-            except OSError:
-                pass
+        self._rotate(self._state_provider(), background=self.background)
+        return not self.background
 
     def snapshot(self, states: Optional[Dict[str, Any]] = None) -> None:
-        """Write a new snapshot generation and rotate the WAL.
+        """Write a new snapshot generation and rotate the WAL, inline.
 
         Parameters
         ----------
@@ -514,71 +379,120 @@ class WalStore:
             raise InvalidParameterError(
                 "snapshot with uncommitted WAL records buffered"
             )
-        if self._bg_job is not None:
+        job, self._bg_job = self._bg_job, None
+        if job is not None:
             # A direct snapshot supersedes an in-flight background job:
             # it will capture strictly newer state, so the job's files
             # are stale the moment they finish.
-            job = self._bg_job
-            self._bg_job = None
-            if job.thread is not None:
-                job.thread.join()
-            self._discard_job_files(job)
+            job.thread.join()
+            self._unlink(job.snaps)
         if states is None:
             if self._state_provider is None:
                 raise InvalidParameterError(
                     "snapshot needs states or a bound state provider"
                 )
             states = self._state_provider()
-        self._write_generation(
-            states,
-            generation=self._generation + 1,
-            start_lsn=writer.next_lsn,
-        )
-        self.snapshots_taken += 1
+        self._rotate(states)
 
-    def _write_generation(
-        self, states: Dict[str, Any], *, generation: int, start_lsn: int
-    ) -> None:
-        """Write gen files, flip the manifest, retire the old generation."""
-        snaps = []
-        for sid, shard_state in enumerate(states["shards"]):
-            name = f"shard-{generation:06d}-{sid:03d}.npz"
-            save_state(
-                shard_state, os.path.join(self.root, name), sync=self._sync
-            )
-            snaps.append(name)
-        wal_name = f"wal-{generation:06d}.log"
-        new_writer = WalWriter(
-            os.path.join(self.root, wal_name),
-            start_lsn=start_lsn,
-            sync=self._sync,
+    def _rotate(self, states: Dict[str, Any], *, background: bool = False) -> None:
+        """Capture a rotation at this safe point and write its snapshots:
+        inline and flipped at once, or on a thread and flipped by a later
+        :meth:`maybe_snapshot` (or :meth:`close`)."""
+        w = self._writer
+        rot = _Rotation(
+            self._generation + 1, states,
+            start_lsn=0 if w is None else w.next_lsn,
+            copy_from=0 if w is None else w.bytes_written,
         )
+        if not background:
+            self._write_snapshots(rot)
+            self._finish(rot)
+            return
+        rot.thread = threading.Thread(
+            target=self._write_snapshots, args=(rot,),
+            name="repro-wal-snapshot", daemon=True,
+        )
+        rot.thread.start()
+        self._bg_job = rot
+
+    def _write_snapshots(self, rot: _Rotation) -> None:
+        """Write and fsync one snapshot file per shard; a failure is kept
+        on ``rot.error`` for the flip's safe point to raise."""
+        try:
+            for sid, shard_state in enumerate(rot.states["shards"]):
+                name = f"shard-{rot.generation:06d}-{sid:03d}.npz"
+                save_state(
+                    shard_state, os.path.join(self.root, name), sync=self._sync
+                )
+                rot.snaps.append(name)
+        except BaseException as exc:
+            rot.error = exc
+
+    def _finish(self, rot: _Rotation) -> None:
+        """Flip a rotation whose snapshots are written, or drop its files
+        and raise what stopped them."""
+        if rot.error is not None:
+            self._unlink(rot.snaps)
+            raise rot.error
+        self._flip(rot)
+
+    def _flip(self, rot: _Rotation) -> None:
+        """Make ``rot`` the current generation, at a safe point.
+
+        The snapshots cover state up to ``rot.start_lsn``; everything
+        committed since lives in the current WAL at bytes
+        ``[rot.copy_from:]``. WAL records are position-independent, so
+        that committed suffix is byte-copied after the new file's header
+        before the manifest flips — the new generation is complete
+        (snapshot + carried tail) the instant it becomes authoritative.
+        The old generation's files are then retired.
+        """
+        old_writer = self._writer
+        carried = b""
+        next_lsn = rot.start_lsn
+        if old_writer is not None:
+            with open(old_writer.path, "rb") as src:
+                src.seek(rot.copy_from)
+                carried = src.read(old_writer.bytes_written - rot.copy_from)
+            next_lsn = old_writer.next_lsn
+        wal_name = f"wal-{rot.generation:06d}.log"
+        wal_path = os.path.join(self.root, wal_name)
+        with open(wal_path, "wb") as dst:
+            dst.write(wf.file_header() + carried)
+            dst.flush()
+            if self._sync:
+                os.fsync(dst.fileno())
+        writer = WalWriter(wal_path, start_lsn=next_lsn, sync=self._sync)
+        states = rot.states
         manifest = {
             "manifest_version": MANIFEST_VERSION,
-            "generation": generation,
+            "generation": rot.generation,
             "wal": wal_name,
-            "snapshots": snaps,
+            "snapshots": list(rot.snaps),
             "cuts": [float(c) for c in states["cuts"]],
             "auto_rowid": bool(states["auto_rowid"]),
             "next_rowid": int(states["next_rowid"]),
-            "start_lsn": int(start_lsn),
+            "start_lsn": int(rot.start_lsn),
             "durability": self.durability,
         }
         write_manifest(self.root, manifest)
         old = self._manifest
-        if self._writer is not None:
-            self._writer.close()
-        self._writer = new_writer
+        if old_writer is not None:
+            old_writer.close()
+        self._writer = writer
         self._manifest = manifest
-        self._generation = generation
-        self._tail = []
-        self._pending_records = []
+        self._generation = rot.generation
         if old is not None:
-            for name in [old["wal"]] + list(old["snapshots"]):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                except OSError:
-                    pass  # retired files are garbage, not state
+            self.snapshots_taken += 1
+            self._unlink([old["wal"]] + list(old["snapshots"]))
+
+    def _unlink(self, names: List[str]) -> None:
+        """Best-effort removal of retired or abandoned generation files."""
+        for name in names:
+            try:
+                os.unlink(os.path.join(self.root, name))
+            except OSError:
+                pass  # retired files are garbage, not state
 
     # ------------------------------------------------------------------
     # introspection
@@ -590,7 +504,8 @@ class WalStore:
         -------
         dict
             Durability mode, generation, record/commit/fsync counters,
-            WAL size, snapshot count and retained-tail length.
+            WAL size, snapshot count, and whether snapshots run in the
+            background and one is in flight.
         """
         w = self._writer
         return {
@@ -601,7 +516,6 @@ class WalStore:
             "fsyncs": 0 if w is None else w.fsyncs,
             "wal_bytes": 0 if w is None else w.bytes_written,
             "snapshots": self.snapshots_taken,
-            "tail_ops": len(self._tail),
             "background": self.background,
             "snapshot_in_flight": self._bg_job is not None,
         }
@@ -646,24 +560,39 @@ def log_chunks(
     return lsns
 
 
+def apply_record(index: Any, rec: WalRecord) -> Any:
+    """Apply one committed WAL record to its shard's index.
+
+    The one per-record replay, shared by :func:`replay_ops` (a reopen)
+    and :meth:`WalStore.shard_state` (a cluster worker restore).
+
+    Returns
+    -------
+    object
+        ``None`` for an insert; for a delete, ``pop_batch``'s
+        ``(values, found)``, or the ``KeyNotFoundError`` a strict delete
+        raised — swallowed, since a committed strict delete
+        (``missing="raise"``) may legitimately have failed partway when
+        first applied, and replay reproduces that same partial
+        application.
+    """
+    if rec.op == wf.OP_INSERT:
+        index.insert_batch(rec.keys, rec.values)
+        return None
+    if rec.op == wf.OP_DELETE:
+        try:
+            return index.pop_batch(rec.keys, missing=rec.missing)
+        except KeyNotFoundError as exc:
+            return exc
+    raise InvalidParameterError(f"cannot replay WAL op {rec.op}")
+
+
 def replay_ops(engine: Any, ops: List[WalRecord]) -> None:
     """Replay committed WAL records into a freshly rebuilt engine.
 
     Applies each record directly to its target shard (routing was fixed
-    when the record was logged). Deletes that miss are swallowed — a
-    committed strict delete (``missing="raise"``) may legitimately have
-    failed partway when originally applied, and replay reproduces that
-    same partial application.
+    when the record was logged) with :func:`apply_record`.
     """
     shards = engine.shards
     for rec in ops:
-        shard = shards[rec.shard]
-        if rec.op == wf.OP_INSERT:
-            shard.insert_batch(rec.keys, rec.values)
-        elif rec.op == wf.OP_DELETE:
-            try:
-                shard.delete_batch(rec.keys, missing=rec.missing)
-            except KeyNotFoundError:
-                pass  # replaying a partially-applied strict delete
-        else:
-            raise InvalidParameterError(f"cannot replay WAL op {rec.op}")
+        apply_record(shards[rec.shard], rec)

@@ -9,6 +9,7 @@ applied the same committed operations and never crashed.
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -18,7 +19,8 @@ from repro.api import open_engine
 from repro.cluster import ClusterEngine
 from repro.core.errors import KeyNotFoundError
 from repro.engine import ShardedEngine
-from repro.wal import WalStore, load_manifest
+from repro.wal import WalStore, load_manifest, read_committed
+from repro.wal import store as wal_store
 
 BASE = np.sort(np.random.default_rng(7).uniform(0, 1e6, 3_000))
 
@@ -72,16 +74,44 @@ def test_worker_sigkill_mid_insert_recovers_bit_identical(tmp_path):
         engine.close()
 
 
-def test_worker_sigkill_mid_delete_recovers_values_or_types(tmp_path):
+def test_worker_sigkill_mid_delete_recovers_values(tmp_path):
     engine = _durable_cluster(tmp_path, durability="wal")
     twin = ShardedEngine(BASE, n_shards=2, error=64.0)
     try:
+        # The crashed owner answers from the parent-side replay of its
+        # own record: exactly the values the twin returns, never a typed
+        # "reply lost" error.
         _kill_worker(engine, 0)
-        doomed = BASE[:10].copy()
+        doomed = np.concatenate([BASE[:10], BASE[-3:]])
         got = engine.delete_batch(doomed)
         want = twin.delete_batch(doomed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # A lenient delete whose crashed chunk partly misses: the found
+        # mask comes back from the replay too.
+        _kill_worker(engine, 1)
+        mixed = np.asarray([BASE[-5], np.nextafter(BASE[-6], np.inf), BASE[20]])
+        got = engine.delete_batch(mixed, missing="ignore", default=-1)
+        want = twin.delete_batch(mixed, missing="ignore", default=-1)
         assert list(got) == list(want)
         assert len(engine) == len(twin)
+        _assert_states_match(engine.to_states(), twin.to_states())
+    finally:
+        engine.close()
+
+
+def test_worker_sigkill_mid_strict_delete_miss_raises_key_not_found(tmp_path):
+    engine = _durable_cluster(tmp_path, durability="wal")
+    twin = ShardedEngine(BASE, n_shards=2, error=64.0)
+    # Shard 0's chunk removes BASE[3], then misses (a hair above a live
+    # key); shard 1's chunk hits.
+    keys = np.asarray([BASE[3], np.nextafter(BASE[5], np.inf), BASE[-5]])
+    try:
+        _kill_worker(engine, 0)
+        for eng in (engine, twin):
+            with pytest.raises(KeyNotFoundError):
+                eng.delete_batch(keys)
+        assert len(engine) == len(twin) == BASE.size - 2
         _assert_states_match(engine.to_states(), twin.to_states())
     finally:
         engine.close()
@@ -152,6 +182,88 @@ def test_worker_sigkill_mid_snapshot_keeps_old_generation(tmp_path):
     reopened = open_engine(
         executor="sharded", n_shards=2, error=64.0,
         durability="wal+snapshot", data_dir=str(tmp_path),
+    )
+    try:
+        _assert_states_match(reopened.to_states(), twin.to_states())
+    finally:
+        reopened.close()
+
+
+def _write(engine, twin, rng, n=64):
+    keys = rng.uniform(0, 1e6, n)
+    values = rng.integers(0, 1 << 30, n)
+    engine.insert_batch(keys, values)
+    twin.insert_batch(keys, values)
+
+
+def _crash_and_check(engine, twin, sid, doomed):
+    """SIGKILL shard ``sid``'s worker, then write through the restore: a
+    delete touching both shards must answer the twin's values, move the
+    version, and leave the cluster's state equal to the twin's."""
+    _kill_worker(engine, sid)
+    before = engine.version
+    assert list(engine.delete_batch(doomed)) == list(twin.delete_batch(doomed))
+    assert engine.version > before
+    assert len(engine) == len(twin)
+    _assert_states_match(engine.to_states(), twin.to_states())
+
+
+@pytest.mark.parametrize("background", [False, True],
+                         ids=["inline", "background"])
+def test_worker_restores_across_both_rotation_schedules(
+    tmp_path, monkeypatch, background
+):
+    engine = _durable_cluster(
+        tmp_path, durability="wal+snapshot", snapshot_interval_bytes=20_000,
+        background_snapshots=background,
+    )
+    twin = ShardedEngine(BASE, n_shards=2, error=64.0)
+    store = engine._wal
+    rng = np.random.default_rng(9)
+    gate = threading.Event()
+    try:
+        if not background:
+            # After an inline rotation: the restore reads the new
+            # generation's snapshot and the records logged since.
+            while store.generation < 2:
+                _write(engine, twin, rng)
+            _write(engine, twin, rng)
+            _crash_and_check(engine, twin, 0, BASE[[3, 4, -3]])
+        else:
+            # Hold the snapshot thread so a job is provably in flight.
+            real_save = wal_store.save_state
+
+            def held_save(*args, **kwargs):
+                assert gate.wait(60), "snapshot thread never released"
+                return real_save(*args, **kwargs)
+
+            monkeypatch.setattr(wal_store, "save_state", held_save)
+            while not store.stats()["snapshot_in_flight"]:
+                _write(engine, twin, rng)
+            _write(engine, twin, rng)
+            # While the job is in flight: the old generation is still
+            # the current one, and its WAL holds every record.
+            _crash_and_check(engine, twin, 1, BASE[[5, 6, -6]])
+            assert store.generation == 1
+            gate.set()
+            store._bg_job.thread.join(60)
+            _write(engine, twin, rng)  # this safe point flips
+            assert store.generation == 2
+            carried = read_committed(
+                os.path.join(str(tmp_path), load_manifest(str(tmp_path))["wal"])
+            )[0]
+            assert carried, "the flip carried no WAL suffix"
+            # After the flip: the new snapshot plus the carried suffix.
+            # The same shard again, so the snapshot's version trails the
+            # one its first restore acknowledged.
+            _crash_and_check(engine, twin, 1, BASE[[7, 8, -8]])
+    finally:
+        gate.set()
+        engine.close()
+    reopened = open_engine(
+        executor="sharded", n_shards=2, error=64.0,
+        durability="wal+snapshot", data_dir=str(tmp_path),
+        background_snapshots=background,
     )
     try:
         _assert_states_match(reopened.to_states(), twin.to_states())

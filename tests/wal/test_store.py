@@ -176,6 +176,9 @@ def test_stats_schema(tmp_path):
     stats = store.stats()
     assert {
         "durability", "generation", "records", "commits", "fsyncs",
-        "wal_bytes", "snapshots", "tail_ops",
+        "wal_bytes", "snapshots", "background", "snapshot_in_flight",
     } <= set(stats)
+    # The WAL file is the only copy of the committed tail: no in-memory
+    # mirror, so nothing to count.
+    assert "tail_ops" not in stats
     store.close()

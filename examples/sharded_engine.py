@@ -5,7 +5,7 @@ directory plus a bounded window search per query. The ShardedEngine is the
 serving layer above it: the key space is range-partitioned into shards (one
 FITing-Tree each), and whole query batches are answered through flattened
 NumPy views of the segments — one searchsorted routing pass, one
-searchsorted over the globally sorted data, and a bounded buffer probe.
+searchsorted over the globally sorted data, and one over the buffers.
 
 Run:  python examples/sharded_engine.py
 """

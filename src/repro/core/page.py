@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "aligned_value_array",
     "as_value_array",
     "exact_typed_array",
+    "export_buffers",
     "held_value",
     "typed_values",
 ]
@@ -149,9 +151,28 @@ def aligned_value_array(n_keys: int, values) -> np.ndarray:
     return values
 
 
-#: The key half of every empty buffer export (shared, hence read-only).
-_NO_KEYS = np.empty(0, dtype=np.float64)
-_NO_KEYS.setflags(write=False)
+def export_buffers(
+    pages: Sequence[SegmentPage], values_dtype: Any
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """The insert buffers of ``pages``, concatenated in order, as aligned
+    ``(keys, values)`` arrays, plus each page's buffer length.
+
+    One C-level pass per array over every page's buffer list: the read
+    snapshot's buffer export (``paged_index.export_pages`` and the view
+    update in :mod:`repro.engine.batch`) and a rebuild's merge. Keys are
+    float64; values are ``values_dtype``, which holds every buffered
+    payload exactly (:func:`held_value`), and an object array keeps each
+    payload verbatim.
+    """
+    keys = [p.buf_keys for p in pages]
+    lengths = list(map(len, keys))
+    n = sum(lengths)
+    values = chain.from_iterable(p.buf_values for p in pages)
+    return (
+        np.fromiter(chain.from_iterable(keys), np.float64, n),
+        np.fromiter(values, values_dtype, n),
+        lengths,
+    )
 
 
 class SegmentPage:
@@ -433,8 +454,14 @@ class SegmentPage:
     # ------------------------------------------------------------------
 
     def insert_into_buffer(self, key: float, value: Any, counter: Any = None) -> None:
-        """Insert ``key -> value`` into the sorted buffer (paper Section 5)."""
+        """Insert ``key -> value`` into the sorted buffer (paper Section 5).
+
+        A NaN key goes last, where NumPy sorts it (and :meth:`bulk_insert`
+        and :meth:`merged_arrays` put it): ``bisect`` would put it first,
+        and the buffer would no longer be sorted for the keys after it."""
         i = bisect_left(self.buf_keys, key)
+        if key != key:
+            i = len(self.buf_keys)
         if counter is not None:
             counter.buffer_binary_search(len(self.buf_keys))
             counter.data_move(len(self.buf_keys) - i)
@@ -636,31 +663,13 @@ class SegmentPage:
             self._kill(data_pos, data_pos.size)
         return n_applied, values
 
-    def buffer_arrays(self, values_dtype=None) -> Tuple[np.ndarray, np.ndarray]:
-        """The insert buffer as aligned ``(keys, values)`` NumPy arrays.
-
-        The key array is always float64; values use ``values_dtype`` (or
-        this page's data dtype) so per-page exports concatenate cleanly in
-        :meth:`repro.core.paged_index.PagedIndexBase.flat_arrays`. The
-        owning index admits only payloads its dtype holds exactly
-        (:func:`held_value`), so a typed buffer casts losslessly.
-        """
-        dtype = self.values.dtype if values_dtype is None else values_dtype
-        if not self.buf_keys:
-            # Most pages, most of the time: skip the list conversions.
-            return _NO_KEYS, np.empty(0, dtype=dtype)
-        keys = np.asarray(self.buf_keys, dtype=np.float64)
-        if dtype == object:
-            return keys, _object_array(self.buf_values)
-        return keys, np.asarray(self.buf_values, dtype=dtype)
-
     def merged_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Live data and buffer merged into one sorted (keys, values) pair
         (what a rebuild re-segments, dropping the tombstoned rows)."""
         keys, values = self.live_arrays()
         if not self.buf_keys:
             return keys, values
-        buf_k, buf_v = self.buffer_arrays()
+        buf_k, buf_v, _ = export_buffers([self], self.values.dtype)
         positions = np.searchsorted(keys, buf_k, side="left")
         return (
             np.insert(keys, positions, buf_k),

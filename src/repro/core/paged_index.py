@@ -50,6 +50,7 @@ from repro.core.errors import (
 from repro.core.page import (
     SegmentPage,
     aligned_value_array,
+    export_buffers,
     held_value,
     typed_values,
 )
@@ -74,8 +75,8 @@ def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
 
     The body of :meth:`PagedIndexBase.flat_arrays`, shared with
     ``ShardedEngine.flat_arrays``, whose page list spans every shard (all
-    of one ``values_dtype``): buffers export through
-    :meth:`SegmentPage.buffer_arrays`.
+    of one ``values_dtype``): buffers export in one :func:`export_buffers`
+    pass, as a view update's do.
     """
     offsets = np.zeros(len(pages) + 1, dtype=np.int64)
     np.cumsum([len(p.keys) for p in pages], out=offsets[1:])
@@ -83,24 +84,23 @@ def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
     for page, lo in zip(pages, offsets.tolist()):
         if page.dead is not None:
             dead[lo : lo + page.dead.size] = page.dead
-    bufs = [p.buffer_arrays(values_dtype) for p in pages]
+    buf_keys, buf_values, lengths = export_buffers(pages, values_dtype)
     buf_offsets = np.zeros(len(pages) + 1, dtype=np.int64)
-    np.cumsum([k.size for k, _ in bufs], out=buf_offsets[1:])
-    no_keys = np.empty(0, dtype=np.float64)
-    no_values = np.empty(0, dtype=values_dtype)
+    np.cumsum(lengths, out=buf_offsets[1:])
     return {
         "pages": pages,
         "stamps": [p.stamp for p in pages],
         "deletions": np.asarray([p.deletions for p in pages], dtype=np.float64),
         "offsets": offsets,
-        "keys": np.concatenate([no_keys] + [p.keys for p in pages]),
+        "keys": np.concatenate([np.empty(0)] + [p.keys for p in pages]),
         "values": np.concatenate(
-            [no_values] + [p.values for p in pages], dtype=values_dtype
+            [np.empty(0, values_dtype)] + [p.values for p in pages],
+            dtype=values_dtype,
         ),
         "dead": dead,
         "buf_offsets": buf_offsets,
-        "buf_keys": np.concatenate([no_keys] + [k for k, _ in bufs]),
-        "buf_values": np.concatenate([no_values] + [v for _, v in bufs]),
+        "buf_keys": buf_keys,
+        "buf_values": buf_values,
     }
 
 
@@ -366,10 +366,10 @@ class PagedIndexBase:
         array is globally sorted and ``offsets[i]:offsets[i+1]`` is page
         ``i``'s slice of it; tombstoned rows stay in place, flagged by
         ``dead``. Buffers are concatenated the same way under
-        ``buf_offsets`` (each page's buffer slice is sorted; the whole
-        buffer array need not be). ``pages`` is the directory's page list
-        the arrays were cut from, position for position, and ``stamps``
-        their stamps at export. Consumers must treat the result as an
+        ``buf_offsets``, globally sorted too (a page buffers only keys
+        routed to it). ``pages`` is the directory's page list the arrays
+        were cut from, position for position, and ``stamps`` their
+        stamps at export. Consumers must treat the result as an
         immutable snapshot of :attr:`version` — see
         :mod:`repro.engine.batch` for the vectorized read path built on it
         (and for how a later snapshot is derived from this one by
@@ -432,6 +432,7 @@ class PagedIndexBase:
         pages = self._pages
         live = [page.live_arrays() for page in pages]
         dtype = self._values_dtype
+        buf_keys, buf_values, buf_lengths = export_buffers(pages, dtype)
         return {
             "format_version": 2,
             "index_cls": type(self).__name__,
@@ -457,15 +458,9 @@ class PagedIndexBase:
                 if live
                 else np.empty(0, dtype=dtype)
             ),
-            "buf_keys": np.asarray(
-                [k for p in pages for k in p.buf_keys], dtype=np.float64
-            ),
-            "buf_values": np.asarray(
-                [v for p in pages for v in p.buf_values], dtype=dtype
-            ),
-            "buf_lengths": np.asarray(
-                [p.n_buffer for p in pages], dtype=np.int64
-            ),
+            "buf_keys": buf_keys,
+            "buf_values": buf_values,
+            "buf_lengths": np.asarray(buf_lengths, dtype=np.int64),
         }
 
     @classmethod
@@ -532,8 +527,8 @@ class PagedIndexBase:
         for finite queries (non-finite ones, on which :meth:`get` raises,
         miss cleanly here). The snapshot is cached and invalidated by
         :attr:`version`. Cost for K queries over P pages and n keys:
-        O(K log P) routing plus one O(K log n) predecessor search and a
-        bounded buffer probe (see :mod:`repro.engine.batch`), after a
+        O(K log P) routing plus one O(K log n) search over the data and
+        one over the buffers (see :mod:`repro.engine.batch`), after a
         first build of O(n) and refreshes of the pages written since.
 
         Parameters

@@ -6,21 +6,20 @@ A :class:`FlatView` freezes one paged index — a
 pages in key order — into contiguous NumPy arrays (via ``flat_arrays``):
 per-page start keys, deletion counts and offsets, plus the concatenation of
 every page's sorted data (globally sorted, since pages are emitted in key
-order) with its tombstone mask, and of every page's insert buffer. Values
-and buffered values share the index's one values dtype, which refuses any
-payload it cannot hold exactly, so a view never needs an object
-fallback. A batch
-of K point lookups then costs a handful of whole-batch array passes instead
-of K independent B+-tree descents:
+order) with its tombstone mask, and of every page's insert buffer (sorted
+too: a page buffers only keys routed to it). Values and buffered values
+share the index's one values dtype, which refuses any payload it cannot
+hold exactly, so a view never needs an object fallback. A batch of K point
+lookups then costs a handful of whole-batch array passes instead of K
+independent B+-tree descents:
 
 1. **route** — one ``np.searchsorted`` over the page start keys finds every
    query's owning page (the predecessor pass);
 2. **search** — one ``np.searchsorted`` over the globally sorted data,
    ``O(K log n)``, finds every query's leftmost slot, clamped into its
    routed page, and steps past the tombstoned slots of its run;
-3. **buffer probe** — queries that miss in the data run one lock-step
-   bounded binary search (`_bounded_leftmost`) over their page's buffer
-   slice, at most ``buffer_capacity`` wide;
+3. **buffer probe** — queries that miss in the data run the same clamped
+   ``np.searchsorted`` over the globally sorted buffers;
 4. **walk back** — a query that misses on a page starting at its own key
    retries on the page before, as scalar ``get`` does: a duplicate run
    split across pages keeps there the copies its last page lost.
@@ -46,15 +45,17 @@ next read only the pages it touched: a delete marks, a rebuild compacts;
 the engine reads one view. Every ``SegmentPage`` mutator bumps its page's
 ``stamp``, and a view records the page list and the stamps it was cut
 from, so the next read derives the new view from the old one and
-re-exports only the pages whose stamp moved. Under an unchanged directory
-no data row moves — inserts go to buffers and data deletes set tombstones
-— so the new view shares ``keys``/``values``/``offsets`` and the per-page
-routing arrays with the old one by identity and re-splices just the small
-buffer arrays (plus, after a data delete, the deletion counts and a copy
-of the ``dead`` mask). A directory change (page rebuild — where tombstones
-are compacted —, split or removal) splices too: every page the old view
-holds keeps its rows, and only the pages new to the directory export
-theirs; the O(n) copy stays, the per-page export does not. Only an
+re-exports only the pages whose stamp moved: their buffers in one bulk
+pass (:func:`~repro.core.page.export_buffers`), placed among the old rows
+by one gather. Under an unchanged directory no data row moves — inserts go
+to buffers and data deletes set tombstones — so the new view shares
+``keys``/``values``/``offsets`` and the per-page routing arrays with the
+old one by identity, and its gather spans only the pages from the first
+stale one to the last (after a data delete it also copies the ``dead``
+mask and the deletion counts). A directory change (page rebuild — where
+tombstones are compacted —, split or removal) splices the data: every page
+the old view holds keeps its rows, and only the pages new to the directory
+export theirs; the O(n) copy stays, the per-page export does not. Only an
 index with no cached view pays the full ``flat_arrays`` export. Stamps are
 read, never cleared, so any number of views over the same pages (a
 shard's own and its engine's) each stay current. Every array a view
@@ -64,36 +65,15 @@ view keeps answering the state it was taken at.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.page import export_buffers
 from repro.engine.scatter import fill_default
 
 __all__ = ["FlatView", "flat_view"]
-
-
-def _bounded_leftmost(
-    keys: np.ndarray, q: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Leftmost insertion point of each ``q[i]`` within ``keys[lo[i]:hi[i]]``.
-
-    A lock-step vectorized binary search: every iteration halves all still-
-    active windows at once, so a whole batch resolves in
-    ``ceil(log2(max window))`` array passes. ``keys`` must be non-empty;
-    ``lo``/``hi`` are only rebound locally (never mutated), so callers may
-    pass their own arrays.
-    """
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        km = keys[np.where(active, mid, 0)]
-        less = active & (km < q)
-        lo = np.where(less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-        active = lo < hi
-    return lo
 
 
 _ARRAY_FIELDS = (
@@ -141,7 +121,7 @@ class FlatView:
         # Snapshots share arrays with their successors, so an in-place
         # write must raise, not leak.
         for name in _ARRAY_FIELDS:
-            getattr(self, name).flags.writeable = False
+            getattr(self, name).setflags(write=False)
 
     # ------------------------------------------------------------------
 
@@ -200,7 +180,7 @@ class FlatView:
         queries; non-finite ones miss cleanly — see module doc); a miss's
         value slot is unspecified. Cost for K queries: O(K log n_pages)
         routing, one O(K log n) predecessor search over the globally
-        sorted data and a bounded buffer probe for the misses, all
+        sorted data and one over the buffers for the misses, all
         whole-batch NumPy operations. No access counter is charged (see
         module doc).
         """
@@ -268,16 +248,14 @@ class FlatView:
         self, q: np.ndarray, pi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per query, the slot of its first occurrence in page ``pi``'s
-        buffer and whether there is one (needs a non-empty buffer array)."""
-        blo = self.buf_offsets[pi]
-        bhi = self.buf_offsets[pi + 1]
-        non_finite = ~np.isfinite(q)
-        if non_finite.any():  # unanswerable queries skip buffers too
-            blo = np.where(non_finite, 0, blo)
-            bhi = np.where(non_finite, 0, bhi)
-        pos = _bounded_leftmost(self.buf_keys, q, blo, bhi)
+        buffer and whether there is one (needs a non-empty buffer array).
+        The concatenated buffers are globally sorted, so this is
+        :meth:`_search_data`'s clamped search; non-finite queries miss."""
+        pos = self.buf_keys.searchsorted(q, side="left")
+        np.maximum(pos, self.buf_offsets[pi], out=pos)
         slot = np.minimum(pos, self.buf_keys.size - 1)
-        return slot, (pos < bhi) & (self.buf_keys[slot] == q)
+        hit = (pos < self.buf_offsets[pi + 1]) & (self.buf_keys[slot] == q)
+        return slot, hit & np.isfinite(q)
 
     # ------------------------------------------------------------------
     # Range queries
@@ -347,20 +325,17 @@ def _span(
     return a, max(a, b)
 
 
-def _plan(src: Optional[np.ndarray], exported: Sequence[int], n: int) -> list:
+def _plan(src: np.ndarray, exported: Sequence[int], n: int) -> list:
     """The ``n`` new pages as pieces, in order: an int ``j`` for new page
     ``j``, exported, and ``(lo, hi)`` for old pages ``lo..hi-1`` reused as
-    they stand. ``src[j]`` is new page ``j``'s old position (``None``: the
-    directory did not change); ``exported`` is sorted."""
+    they stand. ``src[j]`` is new page ``j``'s old position; ``exported``
+    is sorted. A reused run also ends where the old list skips."""
     edges = {0, n, *exported, *(j + 1 for j in exported)}
-    if src is not None:  # a reused run also ends where the old list skips
-        edges.update((np.flatnonzero(np.diff(src) != 1) + 1).tolist())
+    edges.update((np.flatnonzero(np.diff(src) != 1) + 1).tolist())
     edges = sorted(edges)
     out = set(exported)
     return [
-        a if a in out
-        else (a, b) if src is None
-        else (int(src[a]), int(src[b - 1]) + 1)
+        a if a in out else (int(src[a]), int(src[b - 1]) + 1)
         for a, b in zip(edges, edges[1:])
     ]
 
@@ -386,6 +361,38 @@ def _splice(olds: Sequence[np.ndarray], offsets: np.ndarray, plan: list, parts):
     return [np.concatenate(p) for p in pieces + [bounds]]
 
 
+def _buffers(
+    old: FlatView, pages: list, src: Optional[np.ndarray], stale: list
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``buf_keys``, ``buf_values`` and ``buf_offsets`` over ``pages``: the
+    ``stale`` pages' buffers in one bulk export, placed among the old rows
+    by one gather. After a directory change it spans every page (a held
+    one's rows found at ``src``); under an unchanged directory only those
+    from the first stale page to the last, the rest staying slices."""
+    exported = [pages[j] for j in stale]
+    keys, values, lengths = export_buffers(exported, old.values.dtype)
+    at = old.buf_offsets
+    lo = at[:-1].copy() if src is None else at[src]  # each page's first row
+    sizes = (at[1:] if src is None else at[src + 1]) - lo
+    sizes[stale] = lengths
+    a, b = (stale[0], stale[-1] + 1) if src is None else (0, len(pages))
+    r0, r1 = (at.item(a), at.item(b)) if src is None else (0, at.item(-1))
+    lo[stale] = list(accumulate(lengths[:-1], initial=r1))
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.add.accumulate(sizes, out=offsets[1:])
+    rows = np.repeat(lo[a:b] - offsets[a:b], sizes[a:b])
+    rows += np.arange(rows.size)  # into old rows r0:r1, then the exported
+    q = r0 + rows.size
+    out = []
+    for o, e in ((old.buf_keys, keys), (old.buf_values, values)):
+        arr = np.empty(offsets[-1], dtype=o.dtype)
+        arr[:r0], arr[q:] = o[:r0], o[r1:]
+        # "clip" only skips the bounds check; "raise" would buffer ``out``.
+        np.concatenate((o[r0:r1], e)).take(rows, out=arr[r0:q], mode="clip")
+        out.append(arr)
+    return out[0], out[1], offsets
+
+
 def _derived(old: FlatView, index: Any, version: Any) -> Tuple[FlatView, int]:
     """The snapshot at ``version``, derived from ``old``, bit-identical to
     a full ``flat_arrays`` export (dtype, shape and content of every field).
@@ -408,17 +415,15 @@ def _derived(old: FlatView, index: Any, version: Any) -> Tuple[FlatView, int]:
         src = np.fromiter(map(at.get, map(id, pages), repeat(-1)), int, n)
         # Stamps start at 0, so a page new to the directory is stale.
         stamps = [old.stamps[i] if i >= 0 else -1 for i in src.tolist()]
-    stale = [j for j, (p, t) in enumerate(zip(pages, stamps)) if p.stamp != t]
+    stale = [j for j in range(n) if pages[j].stamp != stamps[j]]
     for j in stale:
         stamps[j] = pages[j].stamp
 
     arrays = {name: getattr(old, name) for name in _ARRAY_FIELDS}
     arrays.update(version=version, pages=pages, stamps=stamps)
     if stale or not same:
-        bufs = {j: pages[j].buffer_arrays(old.values.dtype) for j in stale}
         arrays["buf_keys"], arrays["buf_values"], arrays["buf_offsets"] = (
-            _splice((old.buf_keys, old.buf_values), old.buf_offsets,
-                    _plan(src, stale, n), bufs)
+            _buffers(old, pages, src, stale)
         )
     deletions = old.deletions
     if not same:

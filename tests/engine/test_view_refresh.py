@@ -1,7 +1,8 @@
-"""Write-proportional FlatView updates: identity, proportionality, snapshots.
+"""Write-proportional FlatView updates: identity, proportionality, the
+buffer probe, snapshots.
 
 ``flat_view`` derives a stale index's next snapshot from the cached one by
-re-exporting only the pages whose stamp moved since. Three contracts are
+re-exporting only the pages whose stamp moved since. Four contracts are
 pinned here, none of them by timing:
 
 * **bit-identity** — after any op sequence (page rebuilds, splits, emptied
@@ -11,16 +12,22 @@ pinned here, none of them by timing:
   and content, on a bare ``FITingTree`` and on a multi-shard
   ``ShardedEngine`` (its one view, and each shard's own view, read in any
   interleaving), and the batch verbs agree with the scalar ones;
-* **proportionality** — counted in ``SegmentPage.buffer_arrays`` calls and
-  array identity: a one-key write re-exports one page, and a rebuild only
-  the pages that replace the rebuilt one;
+* **proportionality** — counted in pages handed to the bulk buffer
+  exporter (``export_buffers``) by the view paths, and in array identity:
+  a one-key write re-exports one page, and a rebuild only the pages that
+  replace the rebuilt one;
+* **the buffer probe** — one clamped search over the concatenated
+  buffers finds what a per-page ``bisect_left`` finds, and a NaN key
+  sorts last in its buffer, so no buffered key is lost around it;
 * **snapshot safety** — a view held across writes keeps answering the state
   it was taken at, and its arrays refuse in-place writes.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -30,9 +37,10 @@ from hypothesis.stateful import (
 )
 
 from repro import FITingTree
+from repro.core import paged_index
 from repro.core.errors import InvalidParameterError
-from repro.core.page import SegmentPage
-from repro.engine import FlatView, ShardedEngine, flat_view
+from repro.core.page import export_buffers
+from repro.engine import FlatView, ShardedEngine, batch, flat_view
 from repro.obs import Telemetry
 
 FIELDS = (
@@ -295,6 +303,137 @@ def test_shards_differing_only_in_error_share_the_combined_view():
     assert_same_view(flat_view(engine), reference_combined(engine))
 
 
+def payloads_of(kind, n, base=0):
+    if kind == "object":
+        out = np.empty(n, dtype=object)
+        out[:] = [("row", base + i) for i in range(n)]
+        return out
+    return (np.arange(n) + base).astype(kind)
+
+
+@pytest.mark.parametrize("kind", ["int64", "float64", "object"])
+def test_many_page_write_batches_update_bit_identically(kind):
+    """A 256-key insert batch spread over 100+ pages, then a delete batch
+    (each shard's ``pop_batch``) over buffered and data rows: each view
+    update gathers every touched page's buffer, and equals a full export."""
+    rng = np.random.default_rng(11)
+    keys = np.sort(rng.uniform(0, 1e6, 40_000))
+    engine = ShardedEngine(
+        keys, payloads_of(kind, keys.size), n_shards=4, error=16,
+        buffer_capacity=8,
+    )
+    engine.warm()
+    stats = engine._view_stats
+    inserted = rng.uniform(0, 1e6, 256)
+    engine.insert_batch(inserted, payloads_of(kind, 256, base=10**6))
+    exported = stats["view_pages_exported"]
+    engine.get_batch(inserted[:1])  # the engine's read updates its view
+    view = flat_view(engine)
+    assert stats["view_pages_exported"] - exported >= 100
+    assert view.buf_values.dtype == np.dtype(kind)
+    assert_same_view(view, full_export(engine))
+    assert_same_view(view, reference_combined(engine))
+
+    engine.delete_batch(np.concatenate((inserted[::2], keys[::250])))
+    view = flat_view(engine)
+    assert view.dead.any()
+    assert_same_view(view, full_export(engine))
+    assert_same_view(view, reference_combined(engine))
+    probes = np.concatenate((inserted, keys[::97]))
+    miss = object()
+    got = engine.get_batch(probes, miss)
+    for q, g in zip(probes.tolist(), got):
+        want = engine.get(q, miss)
+        assert g is miss if want is miss else g == want, q
+
+
+# ----------------------------------------------------------------------
+# The buffer probe: one clamped search over the concatenated buffers
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def page_buffers(draw):
+    """Sorted buffers cut into pages anywhere, so duplicate runs straddle
+    page starts and some pages hold nothing; ±inf sort to the ends."""
+    keys = draw(st.lists(
+        st.one_of(st.integers(0, 12).map(float),
+                  st.sampled_from([-np.inf, np.inf])),
+        min_size=1, max_size=40,
+    ))
+    keys.sort()
+    cuts = sorted(draw(st.lists(st.integers(0, len(keys)), max_size=8)))
+    bounds = [0, *cuts, len(keys)]
+    return [keys[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+QUERIES = st.one_of(
+    st.integers(-1, 13).map(float),
+    st.integers(-1, 13).map(lambda k: k + 0.5),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+def buffer_only_view(buffers):
+    n = len(buffers)
+    flat = [k for buf in buffers for k in buf]
+    return FlatView({
+        "version": 0,
+        "starts": np.arange(n, dtype=np.float64),
+        "deletions": np.zeros(n),
+        "offsets": np.zeros(n + 1, dtype=np.int64),
+        "keys": np.empty(0),
+        "values": np.empty(0, dtype=np.int64),
+        "dead": np.empty(0, dtype=bool),
+        "buf_offsets": np.cumsum([0] + [len(b) for b in buffers]),
+        "buf_keys": np.asarray(flat, dtype=np.float64),
+        "buf_values": np.arange(len(flat)),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(buffers=page_buffers(), data=st.data())
+def test_buffer_probe_matches_a_per_page_bisect(buffers, data):
+    """Any page (the routed one or, walking back, the one before), any
+    query: the first occurrence ``bisect_left`` finds in that page's own
+    buffer, or a miss — always a miss for NaN and ±inf queries."""
+    view = buffer_only_view(buffers)
+    probes = data.draw(st.lists(
+        st.tuples(QUERIES, st.integers(0, len(buffers) - 1)),
+        min_size=1, max_size=30,
+    ))
+    q = np.asarray([x for x, _ in probes], dtype=np.float64)
+    pi = np.asarray([j for _, j in probes])
+    slot, hit = view._search_buffers(q, pi)
+    for i, (x, j) in enumerate(probes):
+        buf = buffers[j]
+        at = bisect_left(buf, x)
+        want = bool(np.isfinite(x)) and at < len(buf) and buf[at] == x
+        assert hit[i] == want, (x, j)
+        if want:
+            assert slot[i] == view.buf_offsets[j] + at
+
+
+def test_nan_key_sorts_last_so_no_buffered_key_is_lost():
+    """A NaN key goes to the end of its buffer, as NumPy sorts it: every
+    finite key inserted around it stays findable, by scalar and batch get
+    alike, and a dense batch leaves the same buffer as the scalar loop."""
+    keys = np.arange(200.0)
+    inserted = [150.5, np.nan, 170.5, 120.5, 160.5, np.nan, 155.5, 199.5]
+    loop = FITingTree(keys, error=32, buffer_capacity=16)
+    for k in inserted:
+        loop.insert(k)
+    bulk = FITingTree(keys, error=32, buffer_capacity=16)
+    order = np.argsort(inserted, kind="stable")
+    bulk.insert_batch(np.asarray(inserted)[order], 200 + order)
+    for a, b in zip(loop.pages(), bulk.pages()):
+        assert np.array_equal(a.buf_keys, b.buf_keys, equal_nan=True)
+        assert np.array_equal(a.buf_keys, np.sort(a.buf_keys), equal_nan=True)
+    finite = np.asarray([k for k in inserted if k == k] + [0.0, 199.0])
+    assert loop.get_batch(finite, -1).tolist() == [loop.get(k) for k in finite]
+    assert -1 not in loop.get_batch(finite, -1).tolist()
+
+
 # ----------------------------------------------------------------------
 # Proportionality: counts and identity, never timing
 # ----------------------------------------------------------------------
@@ -302,15 +441,17 @@ def test_shards_differing_only_in_error_share_the_combined_view():
 
 @pytest.fixture
 def exports(monkeypatch):
-    """Counts ``SegmentPage.buffer_arrays`` calls: one per page exported."""
+    """The pages the full export and the view update hand to
+    ``export_buffers``: one entry per page exported (a rebuild's own
+    merge is not a view export, so it is not counted)."""
     calls = []
-    original = SegmentPage.buffer_arrays
 
-    def counting(self, values_dtype=None):
-        calls.append(self)
-        return original(self, values_dtype)
+    def counting(pages, values_dtype):
+        calls.extend(pages)
+        return export_buffers(pages, values_dtype)
 
-    monkeypatch.setattr(SegmentPage, "buffer_arrays", counting)
+    for module in (paged_index, batch):
+        monkeypatch.setattr(module, "export_buffers", counting)
     return calls
 
 

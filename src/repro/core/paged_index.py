@@ -36,6 +36,7 @@ across the compared indexes — and keeps the subclasses tiny.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -50,7 +51,9 @@ from repro.core.errors import (
 from repro.core.page import (
     SegmentPage,
     aligned_value_array,
+    check_finite,
     export_buffers,
+    finite_key,
     held_value,
     typed_values,
 )
@@ -156,6 +159,7 @@ class PagedIndexBase:
         if keys is None:
             keys = np.empty(0, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
+        check_finite(keys)
         if keys.size > 1 and np.any(np.diff(keys) < 0):
             raise NotSortedError("build keys must be sorted ascending")
 
@@ -300,19 +304,21 @@ class PagedIndexBase:
         With duplicate keys any one occurrence's value is returned; use
         :meth:`lookup_all` for the complete set.
         """
-        if self.counter is not None:
-            self.counter.op()
+        counter = self.counter
+        if counter is not None:
+            counter.op()
         key = float(key)
-        if not self._pages:
-            return default
-        self._charge_descents()
         starts, pages = self._starts, self._pages
-        pi = self._route(key)
+        if not pages:
+            return default
+        if counter is not None:
+            self._charge_descents()
+        pi = bisect_right(starts, key) - 1  # _route, inline
+        if pi < 0:
+            pi = 0
+        error, mode = self.page_search_error, self.search_mode
         while True:
-            value = pages[pi].get(
-                key, self.page_search_error, self.counter, _MISS,
-                self.search_mode,
-            )
+            value = pages[pi].get(key, error, counter, _MISS, mode)
             if value is not _MISS:
                 return value
             # A duplicate run split across pages that start at ``key``:
@@ -524,12 +530,12 @@ class PagedIndexBase:
         Unlike :meth:`bulk_lookup` (the paper's Alg. 2 per query, charged
         to :attr:`counter`), this answers the whole batch with NumPy array
         passes and charges no counter; results match :meth:`get` exactly
-        for finite queries (non-finite ones, on which :meth:`get` raises,
-        miss cleanly here). The snapshot is cached and invalidated by
-        :attr:`version`. Cost for K queries over P pages and n keys:
-        O(K log P) routing plus one O(K log n) search over the data and
-        one over the buffers (see :mod:`repro.engine.batch`), after a
-        first build of O(n) and refreshes of the pages written since.
+        (a non-finite query misses on both). The snapshot is cached and
+        invalidated by :attr:`version`. Cost for K queries over P pages
+        and n keys: O(K log P) routing plus one O(K log n) search over the
+        data and one over the buffers (see :mod:`repro.engine.batch`),
+        after a first build of O(n) and refreshes of the pages written
+        since.
 
         Parameters
         ----------
@@ -564,25 +570,35 @@ class PagedIndexBase:
 
         Implements the paper's range strategy: locate the start with a
         point lookup, then scan sequentially across pages (Section 4.2).
+        A NaN bound raises :class:`InvalidParameterError`.
         """
-        if self.counter is not None:
-            self.counter.op()
+        if lo != lo or hi != hi:
+            raise InvalidParameterError("a range bound cannot be NaN")
+        counter = self.counter
+        if counter is not None:
+            counter.op()
         pages = self._pages
         first = 0
         if lo is not None:
-            self._charge_descents()
+            lo = float(lo)
+            if counter is not None:
+                self._charge_descents()
             # The last page starting strictly below ``lo``: a duplicate run
             # of ``lo`` may begin inside it.
-            first = max(bisect_left(self._starts, float(lo)) - 1, 0)
+            first = max(bisect_left(self._starts, lo) - 1, 0)
+        # Each page yields from its first key >= lo on, so per key only an
+        # exclusive lo (NaN equals nothing) and the hi bound are checked.
+        skip = lo if lo is not None and not include_lo else math.nan
+        if hi is None:
+            hi, include_hi = math.inf, True
+        else:
+            hi = float(hi)
         for pi in range(first, len(pages)):
             for key, value in pages[pi].iter_items(lo):
-                if lo is not None:
-                    if key < lo or (not include_lo and key == lo):
-                        continue
-                if hi is not None:
-                    if key > hi or (not include_hi and key == hi):
-                        return
-                yield key, value
+                if key >= hi and (key > hi or not include_hi):
+                    return
+                if key != skip:
+                    yield key, value
 
     def items(self) -> Iterator[Tuple[float, Any]]:
         """Every ``(key, value)`` pair in ascending key order."""
@@ -621,10 +637,11 @@ class PagedIndexBase:
     def insert(self, key: float, value: Any = None) -> None:
         """Insert ``key -> value`` (buffered; may trigger a page rebuild).
 
-        A ``value`` the values dtype cannot hold exactly raises
-        :class:`InvalidParameterError` before anything is applied."""
+        A NaN or infinite ``key``, or a ``value`` the values dtype cannot
+        hold exactly, raises :class:`InvalidParameterError` before anything
+        is applied."""
         self._check_writable()
-        key = float(key)
+        key = finite_key(key)
         value = self._resolve_value(value)
         self._insert_resolved(key, value)
 
@@ -725,13 +742,15 @@ class PagedIndexBase:
         values:
             Aligned payloads; ``None`` assigns auto row ids in request
             order (auto-rowid indexes only). A batch holding a payload the
-            values dtype cannot hold exactly is refused whole.
+            values dtype cannot hold exactly, or a NaN or infinite key, is
+            refused whole.
         """
         self._check_writable()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         n = keys.size
         if n == 0:
             return
+        check_finite(keys)
         values = self._resolve_batch_values(keys, values)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -996,7 +1015,7 @@ class PagedIndexBase:
                 return True
             j += 1
         i = page.find_in_data(key, self.page_search_error, self.counter)
-        while 0 <= i < len(page.keys) and page.keys[i] == key:
+        while 0 <= i < len(page.keys) and page.key_view[i] == key:
             live = page.dead is None or not page.dead[i]
             if live and page.values[i] == value:
                 page.delete_at_data(i)

@@ -34,10 +34,10 @@ scalar ``FITingTree.get`` / ``bulk_lookup``; those carry the access counter
 the paper's figures and cost model read, and the batch verbs carry none.
 
 Results are exactly those of per-key ``PagedIndexBase.get`` for every
-finite query — the pinned equivalence tests cover duplicates, misses,
-buffered inserts and deletes. Non-finite queries (NaN, ±inf), which the
-scalar path cannot evaluate at all (it raises inside
-``SegmentPage.window``), are answered as clean misses.
+query — the pinned equivalence tests cover duplicates, misses, buffered
+inserts and deletes. A non-finite query (NaN, ±inf) is a clean miss on
+both paths: no index stores such a key, and the scalar window search is
+empty for a non-finite prediction.
 
 Views are immutable snapshots, cached on the index and keyed by its
 monotonic ``version`` counter (see :func:`flat_view`). A write costs the
@@ -70,6 +70,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.errors import InvalidParameterError
 from repro.core.page import export_buffers
 from repro.engine.scatter import fill_default
 
@@ -156,7 +157,7 @@ class FlatView:
 
     def get_batch(self, queries, default: Any = None) -> np.ndarray:
         """One value per query, exactly matching per-key ``index.get``
-        (finite queries; non-finite ones miss cleanly — see module doc).
+        (a non-finite query misses — see module doc).
 
         Parameters
         ----------
@@ -176,8 +177,8 @@ class FlatView:
     def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
         """Per query, its value and whether it hit: ``(values, found)``.
 
-        The hits are exactly per-key ``index.get``'s answers (finite
-        queries; non-finite ones miss cleanly — see module doc); a miss's
+        The hits are exactly per-key ``index.get``'s answers (a
+        non-finite query misses — see module doc); a miss's
         value slot is unspecified. Cost for K queries: O(K log n_pages)
         routing, one O(K log n) predecessor search over the globally
         sorted data and one over the buffers for the misses, all
@@ -277,8 +278,11 @@ class FlatView:
         the in-range buffered rows are one slice as well; each is placed
         after the data rows with a smaller key and those with its key on
         its own page or an earlier one — the scalar page-by-page merge
-        order, including duplicate runs that span pages.
+        order, including duplicate runs that span pages. A NaN bound
+        raises :class:`InvalidParameterError`.
         """
+        if lo != lo or hi != hi:
+            raise InvalidParameterError("a range bound cannot be NaN")
         span = (lo, hi, include_lo, include_hi)
         a, b = _span(self.keys, *span)
         keys, values = self.keys[a:b], self.values[a:b]

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
-from repro.core.page import aligned_value_array, held_value
+from repro.core.page import aligned_value_array, finite_key, held_value
 from repro.core.paged_index import export_pages
 from repro.engine.batch import flat_view
 from repro.engine.front import EngineFront
@@ -461,15 +461,16 @@ class ShardedEngine(EngineFront):
 
     def insert(self, key: float, value: Any = None) -> None:
         """Scalar insert (engine-level row id when built without values);
-        a ``value`` the values dtype cannot hold exactly, or a missing one
-        on an engine built with explicit values, is refused before it is
-        logged, with the front's refusal.
+        a NaN or infinite key, a ``value`` the values dtype cannot hold
+        exactly, or a missing one on an engine built with explicit values,
+        is refused before it is logged, with the front's refusal.
 
         Overrides the front's one-key :meth:`insert_batch`, which costs
         about five times as much (value resolution, a stable sort, a shard
         split: ~40 against ~8 us on a 2-core x86 box, 250 k keys, 4
         shards); counted the same.
         """
+        key = finite_key(key)
         if value is not None:
             value = held_value(value, self._values_dtype)
         elif self._auto_rowid:

@@ -6,6 +6,7 @@ to the moment a shard is reached both answer every verb the same way. This
 base class is that shared half, written once:
 
 * **writes** — coerce the keys, treat an empty batch as a strict no-op,
+  refuse a NaN or infinite key (:func:`~repro.core.page.check_finite`),
   draw row ids or cast the payloads to the engine's one values dtype,
   refusing any it cannot hold (:func:`~repro.engine.scatter.resolve_values`),
   stable-sort and cut the batch per shard
@@ -42,6 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
+from repro.core.page import check_finite
 from repro.engine.scatter import (
     check_bounds,
     fill_default,
@@ -405,12 +407,14 @@ class EngineFront:
             Aligned payloads; ``None`` assigns engine-wide auto row ids in
             request order (only on engines built without explicit values).
             A batch holding a payload the engine's values dtype cannot
-            hold exactly is refused whole, before anything is logged.
+            hold exactly, or a NaN or infinite key, is refused whole,
+            before anything is logged.
         """
         self._check_open()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
+        check_finite(keys)
         values, self._next_rowid = resolve_values(
             keys.size, values, self._auto_rowid, self._next_rowid,
             self._values_dtype,

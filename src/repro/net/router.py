@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.core.page import aligned_value_array
+from repro.core.page import aligned_value_array, check_finite
 from repro.engine.partition import route
 from repro.engine.scatter import (
     fill_default,
@@ -343,7 +343,9 @@ class Router:
         self._counters["requests"] += 1
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         # Validated before routing, like the engines do: a misaligned
-        # batch must fail whole, not after its first legs applied.
+        # batch or a non-finite key must fail whole, not after its first
+        # legs applied.
+        check_finite(keys)
         vals = (
             None if values is None
             else aligned_value_array(keys.size, np.ascontiguousarray(values))

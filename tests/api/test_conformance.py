@@ -113,6 +113,10 @@ class EngineAdapter:
     async def delete(self, key):
         return self.engine.delete(key)
 
+    async def delete_lenient(self, keys):
+        """A ``missing="ignore"`` batch delete: a miss answers -1."""
+        return norm(self.engine.delete_batch(keys, missing="ignore", default=-1))
+
     async def mixed_rw(self, k_new, k_old):
         """Sequential insert/get/delete/get — the server twin interleaves
         them concurrently under the batcher's write fence."""
@@ -183,6 +187,14 @@ class ServerAdapter(EngineAdapter):
 
     async def delete(self, key):
         return await self.server.delete(key)
+
+    async def delete_lenient(self, keys):
+        """Concurrent scalar deletes, which the batcher applies as one
+        ``missing="ignore"`` batch: a miss fails only its own caller."""
+        replies = await asyncio.gather(
+            *[self.server.delete(k) for k in keys], return_exceptions=True
+        )
+        return [-1 if isinstance(r, KeyNotFoundError) else r for r in replies]
 
     async def mixed_rw(self, k_new, k_old):
         """The concurrent twin: submission order must decide visibility."""
@@ -283,6 +295,36 @@ async def refused_valueless_insert(api) -> list:
             await api.insert(key)
         assert api.observed() == before, attempt
     trace = [before[0], await api.get_many(np.asarray([key]), -1.0)]
+    api.finish()
+    return trace
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+async def non_finite_keys(api) -> list:
+    """NaN and ±inf keys: every insert verb refuses them before anything
+    is logged or applied, and every read and delete answers a miss; a
+    NaN range bound is refused."""
+    before = api.observed()
+    for key in NON_FINITE:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            await api.insert(key)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            await api.insert_batch(np.asarray([MISS_LOW, key]), None)
+        assert api.observed() == before, key
+    trace = [before[0], [await api.get(k, "MISS") for k in NON_FINITE]]
+    trace.append(await api.get_many(np.asarray(NON_FINITE), -1.0))
+    for key in NON_FINITE:
+        with pytest.raises(KeyNotFoundError):
+            await api.delete(key)
+    trace.append(
+        await api.delete_lenient(np.asarray([np.nan, BUILD_KEYS[7], np.inf]))
+    )
+    for bad in ([np.nan, 6e5], [0.0, np.nan]):
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            await api.range_batch(np.asarray([bad]))
+    trace.append(api.length())
     api.finish()
     return trace
 
@@ -388,6 +430,30 @@ def test_every_backend_refuses_a_valueless_insert_alike(backend, tmp_path):
     values = np.arange(N, dtype=np.int64) * 3
     trace = run_backend(backend, refused_valueless_insert, values, **overrides)
     assert trace == [N, [-1.0]]
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        prefix + name
+        for prefix in ("", "server-")
+        for name in ("single", "fixed-page", "sharded", "cluster", "durable")
+    ],
+)
+def test_every_backend_refuses_non_finite_keys_and_misses_them(
+    backend, tmp_path
+):
+    """A WAL-backed engine refuses before the log sees a record; reads
+    and deletes of a NaN or infinite key miss on the scalar and the batch
+    path alike."""
+    overrides = {}
+    if backend.endswith("durable"):
+        backend = backend.replace("durable", "sharded")
+        overrides = {"durability": "wal", "data_dir": str(tmp_path)}
+    trace = run_backend(backend, non_finite_keys, **overrides)
+    assert trace == [
+        N, ["MISS"] * 3, [-1.0] * 3, [-1, 7, -1], N - 1,
+    ]
 
 
 def test_single_shard_is_one_chunk():

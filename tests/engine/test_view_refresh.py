@@ -414,26 +414,6 @@ def test_buffer_probe_matches_a_per_page_bisect(buffers, data):
             assert slot[i] == view.buf_offsets[j] + at
 
 
-def test_nan_key_sorts_last_so_no_buffered_key_is_lost():
-    """A NaN key goes to the end of its buffer, as NumPy sorts it: every
-    finite key inserted around it stays findable, by scalar and batch get
-    alike, and a dense batch leaves the same buffer as the scalar loop."""
-    keys = np.arange(200.0)
-    inserted = [150.5, np.nan, 170.5, 120.5, 160.5, np.nan, 155.5, 199.5]
-    loop = FITingTree(keys, error=32, buffer_capacity=16)
-    for k in inserted:
-        loop.insert(k)
-    bulk = FITingTree(keys, error=32, buffer_capacity=16)
-    order = np.argsort(inserted, kind="stable")
-    bulk.insert_batch(np.asarray(inserted)[order], 200 + order)
-    for a, b in zip(loop.pages(), bulk.pages()):
-        assert np.array_equal(a.buf_keys, b.buf_keys, equal_nan=True)
-        assert np.array_equal(a.buf_keys, np.sort(a.buf_keys), equal_nan=True)
-    finite = np.asarray([k for k in inserted if k == k] + [0.0, 199.0])
-    assert loop.get_batch(finite, -1).tolist() == [loop.get(k) for k in finite]
-    assert -1 not in loop.get_batch(finite, -1).tolist()
-
-
 # ----------------------------------------------------------------------
 # Proportionality: counts and identity, never timing
 # ----------------------------------------------------------------------

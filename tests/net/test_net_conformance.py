@@ -99,6 +99,17 @@ async def _scenario(api):
     with pytest.raises(InvalidParameterError, match="values length"):
         await api.insert_batch(STRADDLE_KEYS, STRADDLE_VALUES[:2])
     out.append(np.asarray(await api.get_batch(STRADDLE_KEYS, -1)))
+    # NaN and ±inf keys: the insert is refused whole on every tier (the
+    # router's batch would straddle its cut), every read and delete
+    # misses, and a NaN range bound is refused.
+    for key in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            await api.insert_batch(np.asarray([MISS_LOW, key]), [1, 2])
+    out.append(np.asarray(await api.get_batch([np.nan, np.inf, -np.inf], -1)))
+    with pytest.raises(KeyNotFoundError):
+        await api.delete_batch(np.asarray([np.nan]))
+    with pytest.raises(InvalidParameterError, match="NaN"):
+        await api.range_batch(np.asarray([[np.nan, 1e6]]))
     k, _ = await api.range(0.0, 2e6)
     assert k.size == N + INS_KEYS.size - DEL_KEYS.size - 1
     return out

@@ -82,7 +82,9 @@ __all__ = ["ClusterEngine"]
 
 #: ``stats()`` view counters: the views live in the workers.
 _NO_VIEWS = dict.fromkeys(
-    ("view_hits", "view_builds", "view_patches", "view_full_rebuilds"), 0
+    ("view_hits", "view_builds", "view_patches", "view_full_rebuilds",
+     "view_skips"),
+    0,
 )
 
 

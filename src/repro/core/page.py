@@ -21,7 +21,8 @@ The scalar searches read the data keys through one memoryview built with
 the page (:attr:`SegmentPage.key_view`), so a probe of the window is a
 C-level ``bisect`` over Python floats with no NumPy call, and the window
 itself is float arithmetic. The view is safe because a page's ``keys``
-array is never reassigned or written once the page exists. Keys are
+array is never reassigned or written once the page exists. Tombstones
+are read the same way, through :attr:`SegmentPage.dead_view`. Keys are
 finite: every build and insert verb refuses NaN and ±inf
 (:func:`check_finite`), and the window of a non-finite prediction is
 empty, so a read or delete of such a key misses.
@@ -29,7 +30,7 @@ empty, so a read or delete of such a key misses.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from math import ceil, floor, isfinite
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -219,6 +220,7 @@ class SegmentPage:
         "buf_values",
         "deletions",
         "dead",
+        "dead_view",
         "n_dead",
         "stamp",
     )
@@ -247,8 +249,11 @@ class SegmentPage:
         #: widens the search window by one slot (see the module doc).
         self.deletions = 0
         #: Tombstones aligned with ``keys`` (``None`` until the first data
-        #: delete) and how many are set.
+        #: delete) and how many are set. ``dead_view`` is ``dead`` as a
+        #: memoryview, read like :attr:`key_view`: it shares the array's
+        #: buffer, so it sees every tombstone set after it was built.
         self.dead: Optional[np.ndarray] = None
+        self.dead_view: Optional[memoryview] = None
         self.n_dead = 0
         #: Bumped by every mutator below. A read snapshot records the stamps
         #: it was cut from and re-exports only the pages whose stamp moved
@@ -256,18 +261,20 @@ class SegmentPage:
         self.stamp = 0
 
     def __getstate__(self) -> dict:
-        """Pickle and copy without :attr:`key_view` (a memoryview does not
-        pickle); :meth:`__setstate__` rebuilds it over the restored keys."""
+        """Pickle and copy without :attr:`key_view` and :attr:`dead_view`
+        (a memoryview does not pickle); :meth:`__setstate__` rebuilds them
+        over the restored arrays."""
         return {
             name: getattr(self, name)
             for name in self.__slots__
-            if name != "key_view"
+            if name not in ("key_view", "dead_view")
         }
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self.key_view = memoryview(self.keys)
+        self.dead_view = None if self.dead is None else memoryview(self.dead)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -366,7 +373,8 @@ class SegmentPage:
             keys = self.key_view
             i = bisect_left(keys, key, lo, hi)
             if i < hi and keys[i] == key:
-                if self.dead is None or not self.dead[i]:
+                dead = self.dead_view
+                if dead is None or not dead[i]:
                     return i
                 return self._first_live(i, key)
             return -1
@@ -399,7 +407,7 @@ class SegmentPage:
     def _first_live(self, i: int, key: float) -> int:
         """The first live slot of the run of ``key`` starting at ``i``, or
         -1 when every occurrence is dead."""
-        dead = self.dead
+        dead = self.dead_view
         if dead is not None:
             keys = self.key_view
             while dead[i]:
@@ -500,10 +508,10 @@ class SegmentPage:
         """Append the values of *every* live occurrence of ``key`` to ``out``."""
         i = self.find_in_data(key, search_error)
         if i >= 0:
-            keys = self.key_view
+            keys, dead = self.key_view, self.dead_view
             n = len(keys)
             while i < n and keys[i] == key:
-                if self.dead is None or not self.dead[i]:
+                if dead is None or not dead[i]:
                     out.append(self.values[i])
                 i += 1
         j = self.find_in_buffer(key)
@@ -596,6 +604,7 @@ class SegmentPage:
         dead."""
         if self.dead is None:
             self.dead = np.zeros(len(self.keys), dtype=bool)
+            self.dead_view = memoryview(self.dead)
         self.dead[slots] = True
         self.n_dead += n
         self.deletions += n
@@ -768,6 +777,35 @@ class SegmentPage:
         # At most one side is left.
         yield from zip(keys[di:], values[di:])
         yield from zip(buf_keys[bi:], buf_values[bi:])
+
+    def range_arrays(
+        self, lo: float, hi: float, include_lo: bool, include_hi: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The live rows with ``lo <= key <= hi`` (a bound exclusive when
+        its flag is off) as ``(keys, values)`` arrays, in exactly the order
+        :meth:`iter_items` yields them: a buffered key after the data rows
+        holding it. Both bounds are floats (``±inf`` for an open end).
+
+        The data rows are one slice found by two ``bisect`` s over
+        :attr:`key_view`, so a wide range costs a C-level copy, not a
+        Python step per row; buffered rows in range are merged in with one
+        ``searchsorted``.
+        """
+        keys, buf_keys = self.key_view, self.buf_keys
+        first = bisect_left if include_lo else bisect_right
+        last = bisect_right if include_hi else bisect_left
+        a, c = first(keys, lo), first(buf_keys, lo)
+        b, d = max(a, last(keys, hi)), max(c, last(buf_keys, hi))
+        data_keys, data_values = self.keys[a:b], self.values[a:b]
+        if self.dead is not None:
+            live = ~self.dead[a:b]
+            data_keys, data_values = data_keys[live], data_values[live]
+        if c == d:
+            return data_keys, data_values
+        bk = np.asarray(buf_keys[c:d], dtype=np.float64)
+        bv = np.fromiter(self.buf_values[c:d], self.values.dtype, d - c)
+        at = data_keys.searchsorted(bk, side="right")
+        return np.insert(data_keys, at, bk), np.insert(data_values, at, bv)
 
     def validate(self, search_error: float, buffer_capacity: int) -> None:
         """Check page invariants; raise :class:`InvariantViolationError`."""

@@ -1015,8 +1015,9 @@ class PagedIndexBase:
                 return True
             j += 1
         i = page.find_in_data(key, self.page_search_error, self.counter)
+        dead = page.dead_view
         while 0 <= i < len(page.keys) and page.key_view[i] == key:
-            live = page.dead is None or not page.dead[i]
+            live = dead is None or not dead[i]
             if live and page.values[i] == value:
                 page.delete_at_data(i)
                 return True

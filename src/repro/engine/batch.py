@@ -40,7 +40,14 @@ both paths: no index stores such a key, and the scalar window search is
 empty for a non-finite prediction.
 
 Views are immutable snapshots, cached on the index and keyed by its
-monotonic ``version`` counter (see :func:`flat_view`). A write costs the
+monotonic ``version`` counter (see :func:`flat_view`). Whoever reads a
+stale view brings it up to date: every ``PagedIndexBase.get_batch``, and
+on a ``ShardedEngine`` only a read big enough to pay for it. A smaller
+one — at most :data:`READ_CROSSOVER` pages, decided by
+:func:`read_view` — is answered from the pages by the paper's per-page
+search and leaves the view stale, so the update waits for the next big
+read, and the writes in between cost it once: each stale page
+re-exports once however often it was written. A write costs the
 next read only the pages it touched: a delete marks, a rebuild compacts;
 the engine reads one view. Every ``SegmentPage`` mutator bumps its page's
 ``stamp``, and a view records the page list and the stamps it was cut
@@ -66,7 +73,7 @@ view keeps answering the state it was taken at.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +81,21 @@ from repro.core.errors import InvalidParameterError
 from repro.core.page import export_buffers
 from repro.engine.scatter import fill_default
 
-__all__ = ["FlatView", "flat_view"]
+__all__ = ["READ_CROSSOVER", "FlatView", "flat_view", "read_view"]
+
+#: A read touching at most this many pages is answered from the pages when
+#: the index's cached view is stale, and leaves the view stale
+#: (:func:`read_view`); a larger one brings the view up to date and reads
+#: it. A get batch touches one page per key, a range the pages its bounds
+#: span. The read-side twin of ``repro.core.paged_index.BATCH_CROSSOVER``.
+#: Measured on a 2-core x86 box (Python 3.11, NumPy 2.4), 4 shards over
+#: 250 k uniform keys, error 64 (the table is in ROADMAP.md, item 2(a)):
+#: K keys from the pages cost ~1.6 K us; from the view ~15-18 us up to 64
+#: keys when it is current, ~65-70 us after one stale page, ~0.9-1.7 ms
+#: after a page rebuild. At 64 the page path loses ~30 us to the cheapest
+#: update and wins ~1.5 ms against a rebuild, which is where a stale view
+#: after a write batch usually is.
+READ_CROSSOVER = 64
 
 
 _ARRAY_FIELDS = (
@@ -483,12 +504,31 @@ def flat_view(index: Any, stats: Optional[Dict[str, int]] = None) -> FlatView:
     that keeps ``"view_pages_exported"`` gets the pages re-exported per
     build summed into it (read-cache write amplification).
     """
+    return read_view(index, None, stats)
+
+
+def read_view(
+    index: Any,
+    touched: Optional[Callable[[], int]],
+    stats: Optional[Dict[str, int]] = None,
+) -> Optional[FlatView]:
+    """The view a read of ``touched()`` pages should use: :func:`flat_view`'s,
+    or ``None`` when the cached view is stale (or absent) and the read
+    touches at most :data:`READ_CROSSOVER` pages — the caller then answers
+    from the pages and the view stays as it is, counted in ``stats`` as a
+    ``"view_skips"``. ``touched`` is called only when the view is stale;
+    ``None`` never skips.
+    """
     cached = getattr(index, "_flat_view_cache", None)
     version = index.version
     if cached is not None and cached.version == version:
         if stats is not None:
             stats["view_hits"] = stats.get("view_hits", 0) + 1
         return cached
+    if touched is not None and touched() <= READ_CROSSOVER:
+        if stats is not None:
+            stats["view_skips"] = stats.get("view_skips", 0) + 1
+        return None
     if cached is None:
         view = FlatView(index.flat_arrays())
         n_exported = view.n_pages

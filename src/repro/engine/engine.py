@@ -9,19 +9,26 @@ exposes batch verbs. Routing, logging, counting and the verb surface are
 :class:`~repro.cluster.ClusterEngine`; what this class keeps is how its
 in-process shards are reached:
 
-* reads — the whole batch through the engine's one cached
-  :class:`~repro.engine.batch.FlatView`, which spans every shard's pages in
-  key order (shard ranges are disjoint and ordered), so no batch is split
-  or regrouped per shard; a range bound takes one contiguous slice of it;
+* reads — one rule (:func:`~repro.engine.batch.read_view`): a read that
+  touches at most ``READ_CROSSOVER`` pages (a get batch one per key, a
+  range the pages its bounds span) while the engine's cached
+  :class:`~repro.engine.batch.FlatView` is stale is answered from the
+  pages — each key by its shard's scalar ``get`` (the paper's ±error
+  window search), each range by per-page slices stitched in shard order —
+  and leaves the view stale. Every other read goes whole through that one
+  view, which spans every shard's pages in key order (shard ranges are
+  disjoint and ordered), so no batch is split or regrouped per shard; a
+  range bound takes one contiguous slice of it;
 * writes — each owning shard gets its whole contiguous sub-batch and
   applies it page by page, key by key where the batch touches a page
   sparsely and with one vectorized splice where densely
   (``PagedIndexBase.insert_batch`` / ``pop_batch``); every shard applies
-  its chunk before the first failure re-raises. The next read re-exports
-  only the pages written to or brought in by a rebuild
+  its chunk before the first failure re-raises. The next read that goes
+  through the view re-exports only the pages written to or brought in by
+  a rebuild since it was last brought up to date
   (:func:`~repro.engine.batch.flat_view`), whichever shards they are in;
 * scalar ``insert`` / ``delete`` / ``range_arrays`` that go straight to
-  one shard or the view (the serve batcher's one-op write and range
+  one shard, or read as above (the serve batcher's one-op write and range
   chunks), with equivalence to the batch verbs pinned by tests. A scalar
   ``get`` is the front's one-key ``lookup_batch``: no get chunk is
   answered by anything else.
@@ -29,6 +36,8 @@ in-process shards are reached:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,12 +46,15 @@ from repro.core.errors import InvalidParameterError, NotSortedError
 from repro.core.fiting_tree import FITingTree
 from repro.core.page import aligned_value_array, finite_key, held_value
 from repro.core.paged_index import export_pages
-from repro.engine.batch import flat_view
+from repro.engine.batch import flat_view, read_view
 from repro.engine.front import EngineFront
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.engine.scatter import values_required
 
 __all__ = ["ShardedEngine"]
+
+#: Sentinel for a shard ``get`` miss on the page read path.
+_MISS = object()
 
 
 def _owned(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -154,6 +166,7 @@ class ShardedEngine(EngineFront):
             "view_pages_exported": 0,
             "view_patches": 0,
             "view_full_rebuilds": 0,
+            "view_skips": 0,
         }
         self._directory: Optional[Tuple[np.ndarray, List[Any]]] = None
         self._directory_parts: List[List[Any]] = []
@@ -349,7 +362,12 @@ class ShardedEngine(EngineFront):
 
         ``page_bytes`` is the ground truth: the key/value arrays owned by
         the pages themselves. ``view_bytes`` is what the engine's cached
-        view *owns* on top of that (see ``FlatView.nbytes_owned``).
+        view *owns* on top of that (see ``FlatView.nbytes_owned``), as of
+        its last update: reads small enough to answer from the pages
+        leave it stale (:func:`~repro.engine.batch.read_view`), and a
+        stale view also keeps alive, uncounted here, each page it was cut
+        from that a rebuild has since replaced — at most one page per
+        slot of its page list, so at most one more copy of the data.
         Python-list insert buffers are excluded (bounded by
         ``buffer_capacity`` per page).
 
@@ -379,11 +397,26 @@ class ShardedEngine(EngineFront):
     # ------------------------------------------------------------------
 
     def _lookup(self, q: np.ndarray, span: Any) -> Tuple[np.ndarray, np.ndarray]:
-        # Cost for K queries over P pages and n keys: O(K log P) routing
-        # plus one O(K log n) predecessor search and a bounded buffer
-        # probe (see repro.engine.batch) — a handful of whole-batch array
-        # passes instead of K Python descents.
-        return flat_view(self, self._view_stats).lookup_batch(q)
+        # A batch of K keys touches K pages (see read_view). On the view:
+        # O(K log P) routing plus one O(K log n) predecessor search and a
+        # bounded buffer probe (see repro.engine.batch) — a handful of
+        # whole-batch array passes instead of K Python descents.
+        view = read_view(self, lambda: q.size, self._view_stats)
+        if view is not None:
+            return view.lookup_batch(q)
+        # From the pages: each key's shard answers with the paper's lookup
+        # (its directory bisect, then the page's ±error window search),
+        # charged to the shard's access counter if it was built with one.
+        values = np.empty(q.size, dtype=self._values_dtype)
+        found = np.zeros(q.size, dtype=bool)
+        shards = self._shards
+        sids = route(self.cuts, q).tolist()
+        for i, (key, sid) in enumerate(zip(q.tolist(), sids)):
+            value = shards[sid].get(key, _MISS)
+            if value is not _MISS:
+                values[i] = value
+                found[i] = True
+        return values, found
 
     def range_arrays(
         self,
@@ -395,30 +428,69 @@ class ShardedEngine(EngineFront):
         """One range query, answered as ``(keys, values)`` arrays.
 
         Overrides the front's one-row :meth:`range_batch` (a bounds array
-        and a list per call) to read the view directly; counted the same.
+        and a list per call) to skip its bounds array; counted the same.
         """
-        lo, hi = (None if b is None else float(b) for b in (lo, hi))
-        out = _owned(
-            flat_view(self, self._view_stats).range_arrays(
-                lo, hi, include_lo, include_hi
-            )
-        )
+        flo = -math.inf if lo is None else float(lo)
+        fhi = math.inf if hi is None else float(hi)
+        out = self._ranges([(flo, fhi)], include_lo, include_hi)[0]
         if self._telemetry is not None:
-            flo = -np.inf if lo is None else lo
             self._count("range_batch", np.asarray([flo]))
         return out
 
     def _range(
         self, bounds: np.ndarray, include_lo: bool, include_hi: bool
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        # Every scan reads the one view, so a batch of B scans pays any
-        # snapshot update once; each is then O(log n) searchsorted bounds
-        # plus an O(m) copy of its m rows.
-        view = flat_view(self, self._view_stats)
-        return [
-            _owned(view.range_arrays(lo, hi, include_lo, include_hi))
-            for lo, hi in bounds.tolist()
-        ]
+        return self._ranges(bounds.tolist(), include_lo, include_hi)
+
+    def _ranges(
+        self, rows: List[Any], include_lo: bool, include_hi: bool
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        # A batch touching few pages reads them (see _pages_spanned).
+        # Otherwise every scan reads the one view, so a batch of B scans
+        # pays any snapshot update once; each is then O(log n)
+        # searchsorted bounds plus an O(m) copy of its m rows.
+        spans: List[List[Any]] = []
+
+        def touched() -> int:
+            if any(lo != lo or hi != hi for lo, hi in rows):
+                raise InvalidParameterError("a range bound cannot be NaN")
+            spans.extend(self._pages_spanned(lo, hi) for lo, hi in rows)
+            return sum(map(len, spans))
+
+        view = read_view(self, touched, self._view_stats)
+        if view is not None:
+            return [
+                _owned(view.range_arrays(lo, hi, include_lo, include_hi))
+                for lo, hi in rows
+            ]
+        out = []
+        for (lo, hi), pages in zip(rows, spans):
+            parts = [
+                page.range_arrays(lo, hi, include_lo, include_hi)
+                for page in pages
+            ]
+            out.append((
+                np.concatenate([np.empty(0)] + [k for k, _ in parts]),
+                np.concatenate(
+                    [np.empty(0, self._values_dtype)] + [v for _, v in parts],
+                    dtype=self._values_dtype,
+                ),
+            ))
+        return out
+
+    def _pages_spanned(self, lo: float, hi: float) -> List[Any]:
+        """The pages a ``[lo, hi]`` scan reads, in key order: in each
+        owning shard, from the last page starting below ``lo`` (where
+        ``range_items`` starts: a duplicate run of ``lo`` may begin there)
+        to the last starting at or below ``hi``, and at least one page (a
+        shard's first buffers keys under its start)."""
+        first, last = route(self.cuts, (lo, hi)).tolist()
+        out: List[Any] = []
+        for sid in range(first, last + 1):
+            starts, pages = self._shards[sid]._get_directory()
+            a = max(bisect_left(starts, lo) - 1, 0)
+            out += pages[a : max(bisect_right(starts, hi), a + 1)]
+        return out
 
     # ------------------------------------------------------------------
     # Writes

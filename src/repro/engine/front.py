@@ -248,6 +248,7 @@ class EngineFront:
             "view_hit_rate": views["view_hits"] / touches if touches else 0.0,
             "view_patches": views["view_patches"],
             "view_full_rebuilds": views["view_full_rebuilds"],
+            "view_skips": views["view_skips"],
             "shards": per_shard,
             "workers": workers,
             "ipc": ipc,

@@ -33,6 +33,7 @@ ENGINE_KEYS = {
     "view_hit_rate",
     "view_patches",
     "view_full_rebuilds",
+    "view_skips",
     "shards",
     "workers",
     "ipc",

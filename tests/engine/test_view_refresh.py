@@ -327,8 +327,7 @@ def test_many_page_write_batches_update_bit_identically(kind):
     inserted = rng.uniform(0, 1e6, 256)
     engine.insert_batch(inserted, payloads_of(kind, 256, base=10**6))
     exported = stats["view_pages_exported"]
-    engine.get_batch(inserted[:1])  # the engine's read updates its view
-    view = flat_view(engine)
+    view = flat_view(engine, stats)  # the engine's view, brought up to date
     assert stats["view_pages_exported"] - exported >= 100
     assert view.buf_values.dtype == np.dtype(kind)
     assert_same_view(view, full_export(engine))
@@ -549,7 +548,7 @@ class TestProportionality:
         assert exported == engine.stats()["n_pages"]
         del exports[:]
         engine.insert(float(engine.cuts[1]) + 1.0)
-        engine.get_batch(keys[::997])  # updates the engine's view
+        flat_view(engine, engine._view_stats)  # updates the engine's view
         assert len(exports) == 1
         assert engine._view_stats["view_pages_exported"] == exported + 1
         now = flat_view(shard)  # the shard's own view sees the write too

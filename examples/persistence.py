@@ -3,7 +3,8 @@
 Bulk loading segments the whole attribute; for a production index you do
 that once and persist the result. ``save_index``/``load_index`` round-trip
 the full state — segments, slopes, insert buffers, row-id counter — through
-a single compressed .npz file.
+a single .npz file, written uncompressed so that saving costs the bytes
+and not a zlib pass.
 
 Run:  python examples/persistence.py
 """
@@ -35,7 +36,7 @@ def main() -> None:
     save_s = time.perf_counter() - t0
     size_mb = os.path.getsize(path) / 1024 / 1024
     print(f"saved to {path}: {size_mb:.1f} MB in {save_s:.2f}s "
-          f"(data + index + buffers, compressed)")
+          "(data + index + buffers)")
 
     t0 = time.perf_counter()
     loaded = load_index(path)

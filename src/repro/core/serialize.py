@@ -1,5 +1,11 @@
 """Persistence: save/load a paged index to a single ``.npz`` file.
 
+The archive is written *stored* (``np.savez``, every member
+``ZIP_STORED``): a snapshot costs its bytes, not zlib, which is what a
+durable engine pays when it opens and on every WAL rotation. Files
+that older versions wrote compressed (``ZIP_DEFLATED``, same members)
+still load — :func:`load_state` reads both.
+
 An extension beyond the paper (any adoptable index needs it). Since the
 cluster layer landed this module is a thin disk encoding of the in-memory
 snapshot contract — :meth:`repro.core.paged_index.PagedIndexBase.to_state`
@@ -132,9 +138,11 @@ def save_index(index: PagedIndexBase, path: str) -> None:
 
 
 def save_state(state: Dict[str, Any], path: str, *, sync: bool = False) -> None:
-    """Write a ``to_state`` snapshot dict to ``path`` as ``.npz``.
+    """Write a ``to_state`` snapshot dict to ``path`` as a stored ``.npz``.
 
-    The disk layout is exactly :func:`save_index`'s (that function is now
+    Members are written uncompressed (``ZIP_STORED``); compressed files
+    from older writers hold the same members and load alike. The disk
+    layout is exactly :func:`save_index`'s (that function is now
     a ``to_state`` + ``save_state`` composition); callers that hold state
     dicts rather than live index objects (cluster workers ship dicts) use
     this entry point directly.
@@ -144,8 +152,8 @@ def save_state(state: Dict[str, Any], path: str, *, sync: bool = False) -> None:
     state:
         A ``PagedIndexBase.to_state`` snapshot dict.
     path:
-        Destination file. Unlike ``np.savez``, no ``.npz`` suffix is
-        appended — the name is used verbatim.
+        Destination file. Unlike ``np.savez`` given a name, no ``.npz``
+        suffix is appended — the name is used verbatim.
     sync:
         When True, ``fsync`` the file before returning (durability
         snapshots need the bytes on disk before the manifest flips).
@@ -157,7 +165,7 @@ def save_state(state: Dict[str, Any], path: str, *, sync: bool = False) -> None:
     }
     meta.update({k: state[k] for k in _META_FIELDS})
     with open(path, "wb") as fh:
-        np.savez_compressed(
+        np.savez(
             fh,
             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
             **{k: state[k] for k in _ARRAY_FIELDS},

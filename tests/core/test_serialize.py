@@ -1,11 +1,13 @@
 """Save/load round trips for the FITing-Tree."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
-from repro.core.serialize import load_index, save_index
+from repro.core.serialize import load_index, load_state, save_index
 
 
 def roundtrip(index, tmp_path):
@@ -112,3 +114,52 @@ class TestErrors:
         np.savez(path, **data)
         with pytest.raises(InvalidParameterError, match="version"):
             load_index(path)
+
+
+class TestFormat:
+    """The archive is stored; compressed files from older writers load."""
+
+    def _mutated(self, keys, rng):
+        index = FITingTree(keys, error=32, buffer_capacity=8)
+        for i, k in enumerate(rng.uniform(0, 1e6, 300)):
+            index.insert(k, 100_000 + i)
+        for k in keys[::400]:
+            index.delete(k)
+        return index
+
+    def test_every_member_is_stored(self, uniform_keys, tmp_path, rng):
+        path = str(tmp_path / "index.npz")
+        save_index(self._mutated(uniform_keys, rng), path)
+        with zipfile.ZipFile(path) as zf:
+            members = zf.infolist()
+        assert {m.filename for m in members} >= {"meta.npy", "data_keys.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+
+    def test_compressed_file_loads_bit_identically(
+        self, uniform_keys, tmp_path, rng
+    ):
+        index = self._mutated(uniform_keys, rng)
+        stored = str(tmp_path / "stored.npz")
+        compressed = str(tmp_path / "compressed.npz")
+        save_index(index, stored)
+        # The old writer: np.savez_compressed over the same members.
+        with np.load(stored) as archive:
+            np.savez_compressed(
+                compressed, **{k: archive[k] for k in archive.files}
+            )
+        with zipfile.ZipFile(compressed) as zf:
+            assert all(
+                m.compress_type == zipfile.ZIP_DEFLATED for m in zf.infolist()
+            )
+        new, old = load_state(stored), load_state(compressed)
+        assert new.keys() == old.keys()
+        for field, value in new.items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == old[field].dtype, field
+                assert value.shape == old[field].shape, field
+                assert value.tobytes() == old[field].tobytes(), field
+            else:
+                assert value == old[field], field
+        loaded = load_index(compressed)
+        loaded.validate()
+        assert list(loaded.items()) == list(index.items())

@@ -1,13 +1,17 @@
 """WalStore lifecycle: initialize/recover, rotation, tail handling."""
 
+import errno
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
+from repro.api import open_engine
 from repro.core.errors import InvalidParameterError
 from repro.engine import ShardedEngine
 from repro.wal import WalStore, load_manifest, replay_ops
+from repro.wal import store as store_mod
 
 KEYS = np.sort(np.random.default_rng(0).uniform(0, 1e6, 4_000))
 
@@ -182,3 +186,130 @@ def test_stats_schema(tmp_path):
     # mirror, so nothing to count.
     assert "tail_ops" not in stats
     store.close()
+
+
+def _members(path):
+    with zipfile.ZipFile(path) as zf:
+        return [m.compress_type for m in zf.infolist()]
+
+
+def _assert_only_manifest_files(root):
+    manifest = load_manifest(root)
+    assert set(os.listdir(root)) == {
+        "MANIFEST.json", manifest["wal"], *manifest["snapshots"]
+    }
+
+
+def _assert_same_rows(got, want):
+    for a, b in zip(got.range_arrays(None, None),
+                    want.range_arrays(None, None)):
+        assert np.array_equal(a, b)
+
+
+def _assert_recovers_to(root, engine):
+    rec = WalStore(root).recover()
+    twin = ShardedEngine.from_states(rec.states)
+    replay_ops(twin, rec.ops)
+    _assert_same_rows(twin, engine)
+
+
+def test_rotation_writes_stored_members(tmp_path):
+    engine = _engine()
+    store = _fresh(tmp_path, engine)
+    engine.attach_wal(store)
+    engine.insert_batch(np.array([1.5, 2.5]), None)
+    store.snapshot()
+    root = str(tmp_path)
+    names = load_manifest(root)["snapshots"]
+    assert len(names) == 2
+    for name in names:
+        assert set(_members(os.path.join(root, name))) == {zipfile.ZIP_STORED}
+    engine.close()
+
+
+def test_compressed_generation_recovers_and_rotates_stored(tmp_path):
+    """A data_dir whose generation-1 snapshots the old writer compressed
+    still recovers, takes writes and rotates to a stored generation 2."""
+    root = str(tmp_path)
+    engine = _engine()
+    _fresh(tmp_path, engine).close()
+    for name in load_manifest(root)["snapshots"]:
+        path = os.path.join(root, name)
+        with np.load(path) as archive:
+            members = {k: archive[k] for k in archive.files}
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **members)
+        assert set(_members(path)) == {zipfile.ZIP_DEFLATED}
+
+    reopened = open_engine(data_dir=root, executor="sharded", n_shards=2,
+                           error=64.0, durability="wal")
+    try:
+        inserts = np.random.default_rng(5).uniform(0, 1e6, 200)
+        for target in (reopened, engine):
+            target.insert_batch(np.array([1.5, 2.5]), None)
+            target.delete_batch(KEYS[10:40].copy())
+            target.insert_batch(inserts, None)
+        _assert_same_rows(reopened, engine)
+        reopened._wal.snapshot()
+        assert reopened._wal.generation == 2
+        manifest = load_manifest(root)
+        for name in manifest["snapshots"]:
+            assert name.startswith("shard-000002-")
+            assert set(_members(os.path.join(root, name))) == {
+                zipfile.ZIP_STORED
+            }
+        _assert_only_manifest_files(root)
+        _assert_same_rows(reopened, engine)
+    finally:
+        reopened.close()
+    _assert_recovers_to(root, engine)
+
+
+@pytest.mark.parametrize("failing_sid", [0, 1])
+@pytest.mark.parametrize("background", [False, True],
+                         ids=["inline", "background"])
+def test_failed_snapshot_write_leaves_no_orphan(
+    tmp_path, monkeypatch, background, failing_sid
+):
+    """A snapshot write that dies partway (ENOSPC) leaves only the
+    manifest's files, and the old generation still recovers."""
+    root = str(tmp_path)
+    engine = _engine()
+    store = _fresh(tmp_path, engine, durability="wal+snapshot",
+                   snapshot_interval_bytes=1,
+                   background_snapshots=background)
+    engine.attach_wal(store)
+    real = store_mod.save_state
+    calls = []
+
+    def save_then_fail(state, path, *, sync=False):
+        calls.append(path)
+        if len(calls) <= failing_sid:
+            return real(state, path, sync=sync)
+        with open(path, "wb") as fh:
+            fh.write(b"PK\x03\x04" + bytes(4096))  # a torn archive
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(store_mod, "save_state", save_then_fail)
+    if background:
+        # The write starts the job; the next safe point finds it failed.
+        engine.insert_batch(np.array([1.5, 2.5]), None)
+        store._bg_job.thread.join()
+        with pytest.raises(OSError):
+            engine.insert_batch(np.array([3.5]), None)
+    else:
+        with pytest.raises(OSError):
+            engine.insert_batch(np.array([1.5, 2.5]), None)
+    assert len(calls) == failing_sid + 1
+    assert store.generation == 1
+    assert not store.stats()["snapshot_in_flight"]
+    _assert_only_manifest_files(root)
+    _assert_recovers_to(root, engine)
+
+    # The store keeps working: the next rotation writes generation 2.
+    monkeypatch.undo()
+    store.snapshot()
+    assert store.generation == 2
+    _assert_only_manifest_files(root)
+    engine.close()
+    _assert_recovers_to(root, engine)

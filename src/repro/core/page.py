@@ -207,6 +207,28 @@ def export_buffers(
     )
 
 
+def _splice_slots(pos: np.ndarray, n_old: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Where ``np.insert`` puts ``new``'s rows into ``old`` at nondecreasing
+    ``pos`` (a ``searchsorted`` of sorted new keys): ``new[i]`` lands in
+    slot ``pos[i] + i``, and ``old`` fills the slots the mask keeps, in
+    order. One placement serves every aligned array (:func:`_spliced`),
+    where each ``np.insert`` would sort the positions again."""
+    slots = pos + np.arange(pos.size)
+    keep = np.ones(n_old + pos.size, dtype=bool)
+    keep[slots] = False
+    return slots, keep
+
+
+def _spliced(
+    old: np.ndarray, new: np.ndarray, slots: np.ndarray, keep: np.ndarray
+) -> np.ndarray:
+    """``old`` with ``new`` placed by :func:`_splice_slots`: two scatters."""
+    out = np.empty(keep.size, dtype=old.dtype)
+    out[keep] = old
+    out[slots] = new
+    return out
+
+
 class SegmentPage:
     """One variable-sized table page: sorted data + sorted insert buffer."""
 
@@ -576,16 +598,14 @@ class SegmentPage:
         else:
             buf_k = np.asarray(self.buf_keys, dtype=np.float64)
             pos = np.searchsorted(buf_k, keys, side="left")
-            self.buf_keys = np.insert(buf_k, pos, keys).tolist()
+            slots, keep = _splice_slots(pos, b0)
+            self.buf_keys = _spliced(buf_k, keys, slots, keep).tolist()
             # Scatter values around the splice points; buffers are bounded
             # by the owner's capacity, so these list passes stay tiny.
-            tgt = pos + idx
             merged: List[Any] = [None] * (b0 + n_new)
-            keep = np.ones(b0 + n_new, dtype=bool)
-            keep[tgt] = False
             for p, v in zip(np.flatnonzero(keep).tolist(), self.buf_values):
                 merged[p] = v
-            for p, v in zip(tgt.tolist(), reordered):
+            for p, v in zip(slots.tolist(), reordered):
                 merged[p] = v
             self.buf_values = merged
 
@@ -736,10 +756,13 @@ class SegmentPage:
         if not self.buf_keys:
             return keys, values
         buf_k, buf_v, _ = export_buffers([self], self.values.dtype)
-        positions = np.searchsorted(keys, buf_k, side="left")
+        # A buffered key lands before the data rows equal to it.
+        slots, keep = _splice_slots(
+            np.searchsorted(keys, buf_k, side="left"), keys.size
+        )
         return (
-            np.insert(keys, positions, buf_k),
-            np.insert(values, positions, buf_v),
+            _spliced(keys, buf_k, slots, keep),
+            _spliced(values, buf_v, slots, keep),
         )
 
     # ------------------------------------------------------------------
@@ -804,8 +827,13 @@ class SegmentPage:
             return data_keys, data_values
         bk = np.asarray(buf_keys[c:d], dtype=np.float64)
         bv = np.fromiter(self.buf_values[c:d], self.values.dtype, d - c)
-        at = data_keys.searchsorted(bk, side="right")
-        return np.insert(data_keys, at, bk), np.insert(data_values, at, bv)
+        slots, keep = _splice_slots(
+            data_keys.searchsorted(bk, side="right"), data_keys.size
+        )
+        return (
+            _spliced(data_keys, bk, slots, keep),
+            _spliced(data_values, bv, slots, keep),
+        )
 
     def validate(self, search_error: float, buffer_capacity: int) -> None:
         """Check page invariants; raise :class:`InvariantViolationError`."""

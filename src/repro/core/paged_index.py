@@ -160,7 +160,7 @@ class PagedIndexBase:
             keys = np.empty(0, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
         check_finite(keys)
-        if keys.size > 1 and np.any(np.diff(keys) < 0):
+        if keys.size > 1 and np.any(keys[1:] < keys[:-1]):
             raise NotSortedError("build keys must be sorted ascending")
 
         self._auto_rowid = values is None

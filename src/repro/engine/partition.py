@@ -40,7 +40,7 @@ def partition_cuts(keys, n_shards: int) -> np.ndarray:
     if n_shards < 1:
         raise InvalidParameterError(f"n_shards must be >= 1, got {n_shards}")
     keys = np.asarray(keys, dtype=np.float64)
-    if keys.size > 1 and np.any(np.diff(keys) < 0):
+    if keys.size > 1 and np.any(keys[1:] < keys[:-1]):
         raise NotSortedError("partition keys must be sorted ascending")
     if n_shards == 1 or keys.size == 0:
         return np.empty(0, dtype=np.float64)

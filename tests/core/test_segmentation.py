@@ -167,6 +167,16 @@ class TestReferenceEquivalence:
         baseline = shrinking_cone(periodic_keys, 8, chunk=4096)
         for chunk in (2, 3, 17, 100):
             assert shrinking_cone(periodic_keys, 8, chunk=chunk) == baseline
+        # Longer than the largest pass. Segments run ~90 keys at error 8
+        # (inside the first pass), 3-6 k at error 64 (past the 4096 cap) and
+        # the whole input at error 1000.
+        long_keys = np.sort(np.random.default_rng(11).uniform(0, 1e6, 12_000))
+        for error in (8, 64, 1000):
+            baseline = shrinking_cone(long_keys, error)
+            assert baseline == shrinking_cone_reference(long_keys, error)
+            for chunk in (255, 256, 257, 1000, 4096):
+                assert shrinking_cone(long_keys, error, chunk=chunk) == baseline
+        assert max(s.length for s in shrinking_cone(long_keys, 64)) > 4096
 
 
 class TestExactAccept:

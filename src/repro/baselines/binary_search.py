@@ -39,7 +39,7 @@ class BinarySearchIndex:
         if keys is None:
             keys = np.empty(0, dtype=np.float64)
         self._keys = np.asarray(keys, dtype=np.float64).copy()
-        if self._keys.size > 1 and np.any(np.diff(self._keys) < 0):
+        if np.any(self._keys[1:] < self._keys[:-1]):
             raise NotSortedError("build keys must be sorted ascending")
         self._auto_rowid = values is None
         if values is None:
@@ -168,7 +168,7 @@ class BinarySearchIndex:
     def validate(self) -> None:
         if len(self._keys) != len(self._values):
             raise InvalidParameterError("keys/values length mismatch")
-        if len(self._keys) > 1 and np.any(np.diff(self._keys) < 0):
+        if np.any(self._keys[1:] < self._keys[:-1]):
             raise InvalidParameterError("keys not sorted")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -53,7 +53,7 @@ class FullIndex:
         if keys is None:
             keys = np.empty(0, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
-        if keys.size > 1 and np.any(np.diff(keys) < 0):
+        if np.any(keys[1:] < keys[:-1]):
             raise NotSortedError("build keys must be sorted ascending")
         self._auto_rowid = values is None
         if values is None:

@@ -105,26 +105,6 @@ class _ShardServer:
 
     # -- verbs ---------------------------------------------------------
 
-    def range_batch(self, los, his, include_lo: bool, include_hi: bool):
-        """Per-bound (keys, values) contributions from this shard.
-
-        Parameters
-        ----------
-        los, his:
-            Aligned per-bound lower/upper keys (float64, may alias the
-            request lane).
-
-        Returns
-        -------
-        list of (numpy.ndarray, numpy.ndarray)
-            This shard's matching rows per bound, in key order.
-        """
-        view = flat_view(self.index)
-        out = []
-        for lo, hi in zip(los, his):
-            out.append(view.range_arrays(float(lo), float(hi), include_lo, include_hi))
-        return out
-
     def validate(self) -> None:
         """Shard validation plus the engine routing invariant, vectorized."""
         self.index.validate()
@@ -254,8 +234,10 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
                 )
             ]
     elif verb == "range_batch":
-        pairs = server.range_batch(
-            keys, arrays[1], meta["include_lo"], meta["include_hi"]
+        pairs = flat_view(server.index).range_batch(
+            np.column_stack((keys, arrays[1])),
+            meta["include_lo"],
+            meta["include_hi"],
         )
         packed = codec.join_pairs(pairs)  # None: object or mixed dtypes
         need = None if packed is None else codec.packed_size(packed)

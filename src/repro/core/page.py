@@ -846,7 +846,7 @@ class SegmentPage:
             or int(self.dead.sum()) != self.n_dead
         ):
             raise InvariantViolationError("tombstones out of step with data")
-        if len(self.keys) and np.any(np.diff(self.keys) < 0):
+        if np.any(self.keys[1:] < self.keys[:-1]):
             raise InvariantViolationError("page data not sorted")
         if any(a > b for a, b in zip(self.buf_keys, self.buf_keys[1:])):
             raise InvariantViolationError("page buffer not sorted")
@@ -858,7 +858,8 @@ class SegmentPage:
                 np.max(np.abs(predicted - np.arange(len(self.keys))))
             )
             allowed = search_error + self.deletions + 1e-6
-            if deviation > allowed:
+            # A NaN deviation (an infinite slope) fails too.
+            if not deviation <= allowed:
                 raise InvariantViolationError(
                     f"page deviation {deviation} exceeds {allowed}"
                 )

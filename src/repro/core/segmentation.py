@@ -104,10 +104,15 @@ def _slope_from_cone(lo: float, hi: float) -> float:
 
     Any slope in ``[lo, hi]`` honours the error bound; we store the midpoint
     (or ``lo`` — i.e. 0 — when no finite upper bound was ever set, which
-    happens only for segments whose elements all share one key).
+    happens only for segments whose elements all share one key). Bounds
+    near the float64 maximum (keys ~1e-308 apart) overflow ``lo + hi``;
+    only then is the midpoint taken as ``0.5 * lo + 0.5 * hi``, so every
+    slope that fits keeps its bits.
     """
     if hi == _INF:
         return lo
+    if math.isinf(float(lo) + float(hi)):  # Python floats: no overflow warning
+        return 0.5 * lo + 0.5 * hi
     return 0.5 * (lo + hi)
 
 

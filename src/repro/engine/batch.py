@@ -11,7 +11,12 @@ too: a page buffers only keys routed to it). Values and buffered values
 share the index's one values dtype, which refuses any payload it cannot
 hold exactly, so a view never needs an object fallback. A batch of K point
 lookups then costs a handful of whole-batch array passes instead of K
-independent B+-tree descents:
+independent B+-tree descents. The queries are argsorted once, steps 1-4
+run on the sorted needles — each search then walks its array front to
+back, so consecutive probes share cache lines instead of each missing
+(``get_batch`` of 1 024 random keys over 1 M: 686-710 µs in request
+order, 421-436 µs sorted, 2-core x86 box) — and ``(values, found)`` is
+scattered back to request order:
 
 1. **route** — one ``np.searchsorted`` over the page start keys finds every
    query's owning page (the predecessor pass);
@@ -23,6 +28,12 @@ independent B+-tree descents:
 4. **walk back** — a query that misses on a page starting at its own key
    retries on the page before, as scalar ``get`` does: a duplicate run
    split across pages keeps there the copies its last page lost.
+
+A batch of range scans is found in one pass too
+(:meth:`FlatView.range_batch`): one ``searchsorted`` per bound side over
+the data and one over the buffers find every row's slices, one gather
+copies every row's live data out, and one placement merges every row's
+buffered keys into it. A scalar range is the one-row case.
 
 This is not the paper's Alg. 2 vectorised. Interpolating every query into
 its ±error window and resolving the windows in lock step is ``O(K log
@@ -73,7 +84,7 @@ view keeps answering the state it was taken at.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,11 +211,12 @@ class FlatView:
 
         The hits are exactly per-key ``index.get``'s answers (a
         non-finite query misses — see module doc); a miss's
-        value slot is unspecified. Cost for K queries: O(K log n_pages)
-        routing, one O(K log n) predecessor search over the globally
-        sorted data and one over the buffers for the misses, all
-        whole-batch NumPy operations. No access counter is charged (see
-        module doc).
+        value slot is unspecified. Cost for K queries: one O(K log K)
+        argsort, then O(K log n_pages) routing, one O(K log n) predecessor
+        search over the globally sorted data and one over the buffers for
+        the misses, all whole-batch NumPy operations on the sorted
+        needles, and one scatter back to request order. No access counter
+        is charged (see module doc).
         """
         q = np.ascontiguousarray(queries, dtype=np.float64)
         if self.n_pages == 0:
@@ -212,6 +224,18 @@ class FlatView:
                 np.empty(q.size, dtype=self.values.dtype),
                 np.zeros(q.size, dtype=bool),
             )
+        # Sorted needles walk every array below front to back, so each
+        # search and gather touches the cache lines its predecessor did.
+        order = q.argsort()
+        out, found = self._lookup_sorted(q[order])
+        values = np.empty_like(out)
+        hit = np.empty_like(found)
+        values[order] = out
+        hit[order] = found
+        return values, hit
+
+    def _lookup_sorted(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`lookup_batch` over ascending queries, in their order."""
         pi = self.route_starts.searchsorted(q, side="right") - 1
         np.maximum(pi, 0, out=pi)
         slot, found = self._search_data(q, pi)
@@ -290,64 +314,103 @@ class FlatView:
         include_lo: bool = True,
         include_hi: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """All live ``(keys, values)`` with ``lo <= key <= hi``, in exactly
-        the order ``PagedIndexBase.range_items`` yields them.
+        """All live ``(keys, values)`` with ``lo <= key <= hi`` (``None`` is
+        open): :meth:`range_batch`'s one-row case."""
+        lo = -np.inf if lo is None else lo
+        hi = np.inf if hi is None else hi
+        return self.range_batch([(lo, hi)], include_lo, include_hi)[0]
 
-        Data rows come from one slice of the globally sorted concatenated
-        array, tombstones dropped. Buffers concatenated in page order are
-        globally sorted too (a page buffers only keys routed to it), so
-        the in-range buffered rows are one slice as well; each is placed
-        after the data rows with a smaller key and those with its key on
-        its own page or an earlier one — the scalar page-by-page merge
-        order, including duplicate runs that span pages. A NaN bound
-        raises :class:`InvalidParameterError`.
+    def range_batch(
+        self, bounds, include_lo: bool = True, include_hi: bool = True
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Every live row inside each ``[lo, hi]`` row of ``bounds``.
+
+        Every bound is found at once: one ``searchsorted`` per side over
+        the globally sorted data and one over the buffers, which
+        concatenated in page order are globally sorted too (a page buffers
+        only keys routed to it). Every row's data then comes from one
+        gather, tombstones dropped. A buffered row is placed after the
+        data rows with a smaller key and those with its key on its own
+        page or an earlier one — the scalar page-by-page merge order,
+        including duplicate runs that span pages.
+
+        Parameters
+        ----------
+        bounds:
+            ``(n, 2)`` array-like of ``[lo, hi]`` key bounds; ``±inf`` is
+            open. A NaN bound raises :class:`InvalidParameterError`.
+        include_lo, include_hi:
+            Bound inclusivity, applied to every row.
+
+        Returns
+        -------
+        list of (numpy.ndarray, numpy.ndarray)
+            Per bounds row, its live ``(keys, values)`` in exactly the
+            order ``PagedIndexBase.range_items`` yields them, as writeable
+            arrays that share no memory with the view.
         """
-        if lo != lo or hi != hi:
+        bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
+        if np.isnan(bounds).any():
             raise InvalidParameterError("a range bound cannot be NaN")
-        span = (lo, hi, include_lo, include_hi)
-        a, b = _span(self.keys, *span)
-        keys, values = self.keys[a:b], self.values[a:b]
-        dead = np.flatnonzero(self.dead[a:b])
-        if dead.size:
-            live = np.ones(b - a, dtype=bool)
-            live[dead] = False
-            keys, values = keys[live], values[live]
-        c, d = _span(self.buf_keys, *span)
-        if c == d:
-            return keys, values
-        bk, bv = self.buf_keys[c:d], self.buf_values[c:d]
-        next_page = self.buf_offsets.searchsorted(np.arange(c, d), side="right")
-        at = np.minimum(
-            self.offsets[next_page], self.keys.searchsorted(bk, "right")
+        sides = (
+            "left" if include_lo else "right",
+            "right" if include_hi else "left",
         )
-        np.maximum(at, self.keys.searchsorted(bk, "left"), out=at)
-        at -= a
-        at -= dead.searchsorted(at)  # ranks among the live rows
-        at += np.arange(at.size)  # slots in the merged output
-        is_data = np.ones(keys.size + at.size, dtype=bool)
-        is_data[at] = False
-        out_keys = np.empty(is_data.size, dtype=keys.dtype)
-        out_values = np.empty(is_data.size, dtype=np.result_type(values, bv))
-        out_keys[is_data], out_keys[at] = keys, bk
-        out_values[is_data], out_values[at] = values, bv
-        return out_keys, out_values
+        a, b = _spans(self.keys, bounds, *sides)
+        rows, ends = _runs(a, b)
+        live = ~self.dead[rows]
+        rank = None  # live data rows before each gathered one
+        if not live.all():
+            rank = np.zeros(rows.size + 1, dtype=np.int64)
+            np.cumsum(live, out=rank[1:])
+            rows = rows[live]
+        keys, values = self.keys[rows], self.values[rows]
+        c, d = _spans(self.buf_keys, bounds, *sides)
+        brows, bends = _runs(c, d)
+        if brows.size:
+            bk = self.buf_keys[brows]
+            next_page = self.buf_offsets.searchsorted(brows, side="right")
+            at = np.minimum(
+                self.offsets[next_page], self.keys.searchsorted(bk, "right")
+            )
+            np.maximum(at, self.keys.searchsorted(bk, "left"), out=at)
+            at += np.repeat(ends - b, d - c)  # into the gathered rows
+            if rank is not None:
+                at = rank[at]  # ranks among the live rows
+            at += np.arange(at.size)  # slots in the merged output
+            is_data = np.ones(keys.size + at.size, dtype=bool)
+            is_data[at] = False
+            out_keys = np.empty(is_data.size, dtype=keys.dtype)
+            out_values = np.empty(is_data.size, dtype=values.dtype)
+            out_keys[is_data], out_keys[at] = keys, bk
+            out_values[is_data] = values
+            out_values[at] = self.buf_values[brows]
+            keys, values = out_keys, out_values
+        if rank is not None:
+            ends = rank[ends]
+        cuts = (ends + bends).tolist()
+        return [
+            (keys[i:j], values[i:j]) for i, j in zip([0] + cuts[:-1], cuts)
+        ]
 
 
-def _span(
-    arr: np.ndarray,
-    lo: Optional[float],
-    hi: Optional[float],
-    include_lo: bool,
-    include_hi: bool,
-) -> Tuple[int, int]:
-    """The ``[a, b)`` slice of sorted ``arr`` inside the range bounds."""
-    a = 0
-    b = arr.size
-    if lo is not None:
-        a = int(arr.searchsorted(lo, side="left" if include_lo else "right"))
-    if hi is not None:
-        b = int(arr.searchsorted(hi, side="right" if include_hi else "left"))
-    return a, max(a, b)
+def _spans(
+    arr: np.ndarray, bounds: np.ndarray, lo_side: str, hi_side: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per bounds row, the ``[a, b)`` slice of sorted ``arr`` inside it."""
+    a = arr.searchsorted(bounds[:, 0], side=lo_side)
+    return a, np.maximum(arr.searchsorted(bounds[:, 1], side=hi_side), a)
+
+
+def _runs(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions ``a[i]:b[i]`` concatenated, and where each run ends."""
+    n = b - a
+    if n.size == 1:  # a scalar range: skip the NumPy calls that splice runs
+        return np.arange(a[0], b[0]), n
+    ends = n.cumsum()
+    rows = np.repeat(a - ends + n, n)
+    rows += np.arange(rows.size)
+    return rows, ends
 
 
 def _plan(src: np.ndarray, exported: Sequence[int], n: int) -> list:

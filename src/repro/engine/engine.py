@@ -18,7 +18,8 @@ in-process shards are reached:
   and leaves the view stale. Every other read goes whole through that one
   view, which spans every shard's pages in key order (shard ranges are
   disjoint and ordered), so no batch is split or regrouped per shard; a
-  range bound takes one contiguous slice of it;
+  get batch is searched in key order and a range batch finds every bound
+  in one pass (:meth:`~repro.engine.batch.FlatView.range_batch`);
 * writes — each owning shard gets its whole contiguous sub-batch and
   applies it page by page, key by key where the batch touches a page
   sparsely and with one vectorized splice where densely
@@ -55,16 +56,6 @@ __all__ = ["ShardedEngine"]
 
 #: Sentinel for a shard ``get`` miss on the page read path.
 _MISS = object()
-
-
-def _owned(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """A view's range answer as arrays the caller owns: slices of the
-    view's read-only arrays are copied, arrays it built fresh are not."""
-    keys, values = pair
-    return (
-        keys if keys.flags.writeable else keys.copy(),
-        values if values.flags.writeable else values.copy(),
-    )
 
 
 class ShardedEngine(EngineFront):
@@ -125,7 +116,7 @@ class ShardedEngine(EngineFront):
         if keys is None:
             keys = np.empty(0, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
-        if keys.size > 1 and np.any(np.diff(keys) < 0):
+        if np.any(keys[1:] < keys[:-1]):
             raise NotSortedError("build keys must be sorted ascending")
 
         auto_rowid = values is None
@@ -447,8 +438,8 @@ class ShardedEngine(EngineFront):
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         # A batch touching few pages reads them (see _pages_spanned).
         # Otherwise every scan reads the one view, so a batch of B scans
-        # pays any snapshot update once; each is then O(log n)
-        # searchsorted bounds plus an O(m) copy of its m rows.
+        # pays any snapshot update once, finds all its bounds in one
+        # searchsorted per side and gathers its m rows in one pass.
         spans: List[List[Any]] = []
 
         def touched() -> int:
@@ -459,10 +450,7 @@ class ShardedEngine(EngineFront):
 
         view = read_view(self, touched, self._view_stats)
         if view is not None:
-            return [
-                _owned(view.range_arrays(lo, hi, include_lo, include_hi))
-                for lo, hi in rows
-            ]
+            return view.range_batch(rows, include_lo, include_hi)
         out = []
         for (lo, hi), pages in zip(rows, spans):
             parts = [

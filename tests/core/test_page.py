@@ -182,6 +182,15 @@ class TestValidate:
         with pytest.raises(InvariantViolationError):
             page.validate(search_error=1, buffer_capacity=10)
 
+    def test_infinite_slope_fails(self):
+        """An infinite slope predicts NaN at the origin: a NaN deviation
+        must fail the bound, not slip past a ``>`` test."""
+        keys = 1e-308 * np.arange(5.0)
+        page = SegmentPage(0.0, math.inf, keys, np.arange(5))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(InvariantViolationError, match="deviation"):
+                page.validate(search_error=16, buffer_capacity=10)
+
     def test_length_mismatch_fails(self):
         page = linear_page(5)
         page.values = page.values[:-1]

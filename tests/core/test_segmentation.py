@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError, NotSortedError
+from repro.core.fiting_tree import FITingTree
 from repro.core.segment import verify_segments
 from repro.core.segmentation import (
     cone_reach,
@@ -117,6 +118,28 @@ class TestDuplicates:
         assert all(s.length >= 11 for s in below[:-1])
         above = shrinking_cone(keys, 100)
         assert len(above) == 1
+
+
+class TestSlopeOverflow:
+    """Keys ~1e-308 apart from a 0.0 origin push both cone bounds near the
+    float64 maximum, where ``lo + hi`` overflows."""
+
+    KEYS = np.concatenate([1e-308 * np.arange(40.0), 1 + np.arange(300.0)])
+
+    def test_stored_slope_is_finite_and_every_key_found(self):
+        segs = shrinking_cone(self.KEYS, 16)
+        assert all(np.isfinite(s.slope) for s in segs)
+        verify_segments(self.KEYS, segs, 16)
+        tree = FITingTree(self.KEYS, error=16)
+        tree.validate()
+        assert [tree.get(k) for k in self.KEYS] == list(range(self.KEYS.size))
+
+    def test_finite_midpoints_keep_their_bits(self):
+        from repro.core.segmentation import _slope_from_cone
+
+        for lo, hi in ((0.0, 1.0), (0.1, 0.7), (3.0, 1e300)):
+            assert _slope_from_cone(lo, hi) == 0.5 * (lo + hi)
+        assert _slope_from_cone(1e308, 1.5e308) == 1.25e308
 
 
 class TestTheorem31:

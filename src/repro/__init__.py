@@ -56,7 +56,6 @@ from repro.core import (
     FITingTree,
     SecondaryFITingTree,
     Segment,
-    StringFITingTree,
     exact_cone,
     load_index,
     optimal_segment_count,
@@ -97,7 +96,6 @@ __all__ = [
     "ShardedEngine",
     "SecondaryFITingTree",
     "Segment",
-    "StringFITingTree",
     "TcpCluster",
     "Telemetry",
     "connect",

@@ -15,15 +15,15 @@ Two protocols, smaller first:
 
 * :class:`BatchEngine` — what the serving layer strictly requires: the
   batch verbs (the micro-batched hot path; every get goes through
-  ``lookup_batch``, which answers ``(values, found)``), the scalar
-  ``insert`` / ``range_arrays`` that answer one-op chunks and per-op
-  retries, and the monotonic ``version`` stamp the read-your-writes
-  barrier records;
+  ``lookup_batch``, which answers ``(values, found)``, and a one-op chunk
+  or a per-op retry is a one-element batch) and the monotonic
+  ``version`` stamp the read-your-writes barrier records;
 * :class:`EngineProtocol` — the complete CRUD surface: everything above
-  plus ``get`` / ``get_batch`` (the public reads, which the serving
-  layer never calls), ``delete`` / ``delete_batch``, ``stats()``,
-  ``warm()`` and ``validate()``. Both shipped engines satisfy it; new
-  backends should target it.
+  plus the scalar verbs ``get`` / ``insert`` / ``range_arrays`` /
+  ``delete`` and ``get_batch`` / ``delete_batch`` (the serving layer
+  calls none of them but ``delete_batch``), ``stats()``, ``warm()`` and
+  ``validate()``. Both shipped engines satisfy it; new backends should
+  target it.
 
 ``warm()`` remains feature-detected by the serve layer, so a minimal
 :class:`BatchEngine` still serves.
@@ -42,25 +42,10 @@ __all__ = ["BatchEngine", "EngineProtocol"]
 class BatchEngine(Protocol):
     """Structural interface the :class:`~repro.serve.Server` dispatches on.
 
-    Batch verbs serve the micro-batched hot path; the scalar verbs answer
-    the batcher's one-op range and insert chunks and its per-op retries;
-    ``version`` is the monotonic mutation stamp the read-your-writes
-    barrier records.
+    Batch verbs serve the micro-batched hot path, one-op chunks and
+    per-op retries included; ``version`` is the monotonic mutation stamp
+    the read-your-writes barrier records.
     """
-
-    def insert(self, key: float, value: Any = None) -> None:
-        """Scalar insert of ``key -> value``."""
-        ...
-
-    def range_arrays(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One range scan as ``(keys, values)`` arrays."""
-        ...
 
     def lookup_batch(self, queries) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized point lookups as ``(values, found)``: what the
@@ -118,7 +103,8 @@ class EngineProtocol(BatchEngine, Protocol):
     """The complete CRUD engine contract every shipped backend satisfies.
 
     Extends :class:`BatchEngine` with the public point reads ``get`` /
-    ``get_batch`` (``default`` applied by the engine), the delete verbs
+    ``get_batch`` (``default`` applied by the engine), the scalar
+    ``insert`` and ``range_arrays``, the delete verbs
     (completing the create/read/update/delete batch surface the paper's
     Section 4.3 delete discussion calls for), plus the operational verbs —
     ``stats()``, ``warm()``, ``validate()`` — that production harnesses
@@ -142,6 +128,20 @@ class EngineProtocol(BatchEngine, Protocol):
         numpy.ndarray
             One value per query.
         """
+        ...
+
+    def insert(self, key: float, value: Any = None) -> None:
+        """Scalar insert of ``key -> value``."""
+        ...
+
+    def range_arrays(
+        self,
+        lo: Optional[float] = None,
+        hi: Optional[float] = None,
+        include_lo: bool = True,
+        include_hi: bool = True,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One range scan as ``(keys, values)`` arrays."""
         ...
 
     def delete(self, key: float) -> Any:

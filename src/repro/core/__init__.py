@@ -45,7 +45,6 @@ from repro.core.segmentation import (
     shrinking_cone_reference,
 )
 from repro.core.serialize import load_index, save_index
-from repro.core.strings import StringFITingTree, encode_prefix
 
 __all__ = [
     "CostModel",
@@ -62,9 +61,7 @@ __all__ = [
     "Segment",
     "SegmentPage",
     "SegmentationError",
-    "StringFITingTree",
     "cone_reach",
-    "encode_prefix",
     "exact_cone",
     "fixed_segments",
     "load_index",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from math import ceil, floor, isfinite
+from math import ceil, floor, inf, isfinite
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
     "aligned_value_array",
     "as_value_array",
     "check_finite",
+    "check_sorted_finite",
     "exact_typed_array",
     "export_buffers",
     "finite_key",
@@ -138,6 +139,13 @@ def check_finite(keys: np.ndarray) -> None:
     is unordered, an infinite key's prediction is not finite), so every
     build and insert verb refuses it before it logs or applies anything."""
     if not np.isfinite(keys).all():
+        raise InvalidParameterError(_NOT_FINITE)
+
+
+def check_sorted_finite(keys: np.ndarray) -> None:
+    """:func:`check_finite` for a sorted, non-empty key array in two
+    scalar comparisons: a sort puts -inf first and +inf, then NaN, last."""
+    if not (-inf < keys[0] and keys[-1] < inf):
         raise InvalidParameterError(_NOT_FINITE)
 
 

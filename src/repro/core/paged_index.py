@@ -52,6 +52,7 @@ from repro.core.page import (
     SegmentPage,
     aligned_value_array,
     check_finite,
+    check_sorted_finite,
     export_buffers,
     finite_key,
     held_value,
@@ -750,11 +751,10 @@ class PagedIndexBase:
         n = keys.size
         if n == 0:
             return
-        check_finite(keys)
-        values = self._resolve_batch_values(keys, values)
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         keys = keys[order]
-        values = values[order]
+        check_sorted_finite(keys)
+        values = self._resolve_batch_values(keys, values)[order]
         # The scalars bulk_insert stores too (list() of an array).
         klist, vlist = keys.tolist(), list(values)
         i = 0
@@ -917,7 +917,7 @@ class PagedIndexBase:
         n = keys.size
         if n == 0:
             return np.empty(0, dtype=self._values_dtype), np.ones(0, dtype=bool)
-        order = np.argsort(keys, kind="stable")
+        order = keys.argsort(kind="stable")
         skeys = keys[order]
         klist = skeys.tolist()
         # Answers in sorted request order, typed from the start.
@@ -988,9 +988,8 @@ class PagedIndexBase:
     def delete_value(self, key: float, value: Any) -> bool:
         """Remove the occurrence of ``key`` whose payload equals ``value``.
 
-        Needed when duplicates carry distinct payloads (e.g. row ids in a
-        secondary index, or distinct strings sharing an encoded prefix in
-        :class:`repro.core.strings.StringFITingTree`). Returns True if an
+        Needed when duplicates carry distinct payloads (row ids in a
+        secondary index). Returns True if an
         occurrence was removed, False if no (key, value) match exists.
         """
         self._check_writable()

@@ -27,30 +27,26 @@ in-process shards are reached:
   its chunk before the first failure re-raises. The next read that goes
   through the view re-exports only the pages written to or brought in by
   a rebuild since it was last brought up to date
-  (:func:`~repro.engine.batch.flat_view`), whichever shards they are in;
-* scalar ``insert`` / ``delete`` / ``range_arrays`` that go straight to
-  one shard, or read as above (the serve batcher's one-op write and range
-  chunks), with equivalence to the batch verbs pinned by tests. A scalar
-  ``get`` is the front's one-key ``lookup_batch``: no get chunk is
-  answered by anything else.
+  (:func:`~repro.engine.batch.flat_view`), whichever shards they are in.
+
+Every scalar verb (``get``, ``insert``, ``delete``, ``range_arrays``) is
+the front's one-element batch: one key or one range takes the same path,
+refusals, log records and counters as a batch of many.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.errors import InvalidParameterError, NotSortedError
+from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
-from repro.core.page import aligned_value_array, finite_key, held_value
 from repro.core.paged_index import export_pages
 from repro.engine.batch import flat_view, read_view
 from repro.engine.front import EngineFront
 from repro.engine.partition import partition_cuts, route, shard_bounds
-from repro.engine.scatter import values_required
 
 __all__ = ["ShardedEngine"]
 
@@ -116,8 +112,7 @@ class ShardedEngine(EngineFront):
         if keys is None:
             keys = np.empty(0, dtype=np.float64)
         keys = np.asarray(keys, dtype=np.float64)
-        if np.any(keys[1:] < keys[:-1]):
-            raise NotSortedError("build keys must be sorted ascending")
+        cuts = partition_cuts(keys, n_shards)  # refuses unsorted keys
 
         auto_rowid = values is None
         if values is None:
@@ -139,7 +134,6 @@ class ShardedEngine(EngineFront):
                     **index_kwargs,
                 )
 
-        cuts = partition_cuts(keys, n_shards)
         self._shards: List[Any] = [
             index_factory(keys[a:b], values[a:b])
             for a, b in shard_bounds(keys, cuts)
@@ -409,37 +403,14 @@ class ShardedEngine(EngineFront):
                 found[i] = True
         return values, found
 
-    def range_arrays(
-        self,
-        lo: Optional[float] = None,
-        hi: Optional[float] = None,
-        include_lo: bool = True,
-        include_hi: bool = True,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One range query, answered as ``(keys, values)`` arrays.
-
-        Overrides the front's one-row :meth:`range_batch` (a bounds array
-        and a list per call) to skip its bounds array; counted the same.
-        """
-        flo = -math.inf if lo is None else float(lo)
-        fhi = math.inf if hi is None else float(hi)
-        out = self._ranges([(flo, fhi)], include_lo, include_hi)[0]
-        if self._telemetry is not None:
-            self._count("range_batch", np.asarray([flo]))
-        return out
-
     def _range(
         self, bounds: np.ndarray, include_lo: bool, include_hi: bool
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return self._ranges(bounds.tolist(), include_lo, include_hi)
-
-    def _ranges(
-        self, rows: List[Any], include_lo: bool, include_hi: bool
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         # A batch touching few pages reads them (see _pages_spanned).
         # Otherwise every scan reads the one view, so a batch of B scans
         # pays any snapshot update once, finds all its bounds in one
         # searchsorted per side and gathers its m rows in one pass.
+        rows = bounds.tolist()
         spans: List[List[Any]] = []
 
         def touched() -> int:
@@ -518,52 +489,6 @@ class ShardedEngine(EngineFront):
                 *self._shards[sid].pop_batch(keys[a:b], missing=missing),
             ),
         )
-
-    def insert(self, key: float, value: Any = None) -> None:
-        """Scalar insert (engine-level row id when built without values);
-        a NaN or infinite key, a ``value`` the values dtype cannot hold
-        exactly, or a missing one on an engine built with explicit values,
-        is refused before it is logged, with the front's refusal.
-
-        Overrides the front's one-key :meth:`insert_batch`, which costs
-        about five times as much (value resolution, a stable sort, a shard
-        split: ~40 against ~8 us on a 2-core x86 box, 250 k keys, 4
-        shards); counted the same.
-        """
-        key = finite_key(key)
-        if value is not None:
-            value = held_value(value, self._values_dtype)
-        elif self._auto_rowid:
-            value = self._next_rowid
-            self._next_rowid += 1
-        else:
-            raise values_required()
-        keys = np.asarray([key], dtype=np.float64)
-        sid = int(route(self.cuts, keys)[0])
-        if self._wal is not None:
-            self._commit(keys, [(sid, 0, 1)], aligned_value_array(1, [value]))
-        self._shards[sid].insert(key, value)
-        self._maybe_snapshot()
-        if self._telemetry is not None:
-            self._count("insert_batch", keys)
-
-    def delete(self, key: float) -> Any:
-        """Scalar delete: remove one occurrence of ``key``, return its value.
-
-        Routes to the owning shard's ``delete``; raises
-        :class:`~repro.core.errors.KeyNotFoundError` when absent. Overrides
-        the front's one-key :meth:`delete_batch`, which costs about three
-        and a half times as much (``pop_batch`` and a gather: ~55 against
-        ~15 us, same box as :meth:`insert`); counted the same.
-        """
-        keys = np.asarray([key], dtype=np.float64)
-        sid = int(route(self.cuts, keys)[0])
-        self._commit(keys, [(sid, 0, 1)])
-        value = self._shards[sid].delete(key)
-        self._maybe_snapshot()
-        if self._telemetry is not None:
-            self._count("delete_batch", keys)
-        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

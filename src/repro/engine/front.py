@@ -6,18 +6,19 @@ to the moment a shard is reached both answer every verb the same way. This
 base class is that shared half, written once:
 
 * **writes** — coerce the keys, treat an empty batch as a strict no-op,
-  refuse a NaN or infinite key (:func:`~repro.core.page.check_finite`),
-  draw row ids or cast the payloads to the engine's one values dtype,
-  refusing any it cannot hold (:func:`~repro.engine.scatter.resolve_values`),
   stable-sort and cut the batch per shard
-  (:func:`~repro.engine.scatter.split_sorted`),
-  refuse a plan a read-only shard owns, log every chunk under one group
-  commit before any shard applies (``docs/ARCHITECTURE.md``, the write
-  protocol), hand the plan to the backend, roll a snapshot when the log is
-  due, count;
+  (:func:`~repro.engine.scatter.split_sorted`), refuse a NaN or infinite
+  key (:func:`~repro.core.page.check_sorted_finite`), draw row ids or cast
+  the payloads to the engine's one values dtype, refusing any it cannot
+  hold (:func:`~repro.engine.scatter.resolve_values`), refuse a plan a
+  read-only shard owns, log every chunk under one group commit before any
+  shard applies (``docs/ARCHITECTURE.md``, the write protocol), hand the
+  plan to the backend, roll a snapshot when the log is due, count;
 * **reads** — ``get_batch`` is :meth:`EngineFront.lookup_batch` with the
-  caller's ``default`` filled in on this side of any process boundary, and
-  the scalar verbs are one-row batches;
+  caller's ``default`` filled in on this side of any process boundary;
+* **scalar verbs** — ``get``, ``insert``, ``delete`` and ``range_arrays``
+  are one-element batches, so one key pays the batch path's fixed cost
+  and nothing else;
 * **telemetry** — each batch verb bumps the ``repro_engine_*`` counters and
   folds its keys into the engine's one
   :class:`~repro.obs.WorkloadProfiler`, so the same traffic gives the same
@@ -43,7 +44,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
-from repro.core.page import check_finite
+from repro.core.page import check_sorted_finite
 from repro.engine.scatter import (
     check_bounds,
     fill_default,
@@ -415,12 +416,12 @@ class EngineFront:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return
-        check_finite(keys)
+        order, skeys, slices = split_sorted(self.cuts, keys)
+        check_sorted_finite(skeys)
         values, self._next_rowid = resolve_values(
             keys.size, values, self._auto_rowid, self._next_rowid,
             self._values_dtype,
         )
-        order, skeys, slices = split_sorted(self.cuts, keys)
         values = values[order]
         self._commit(skeys, slices, values)
         self._insert_sorted(skeys, values, slices)

@@ -65,7 +65,5 @@ def shard_bounds(keys, cuts: np.ndarray) -> List[Tuple[int, int]]:
     in the shard that starts at the cut — consistent with :func:`route`.
     """
     keys = np.asarray(keys, dtype=np.float64)
-    edges = np.searchsorted(keys, cuts, side="left")
-    starts = np.concatenate(([0], edges))
-    ends = np.concatenate((edges, [keys.size]))
-    return list(zip(starts.tolist(), ends.tolist()))
+    edges = keys.searchsorted(cuts, side="left").tolist()
+    return list(zip([0] + edges, edges + [keys.size]))

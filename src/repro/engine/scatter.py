@@ -78,7 +78,7 @@ def split_sorted(
         that ``sorted_keys[a:b]`` is that shard's chunk and ``order[a:b]``
         its request positions.
     """
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     skeys = keys[order]
     slices = [
         (sid, a, b)

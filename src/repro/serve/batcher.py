@@ -38,13 +38,12 @@ Ordering guarantees (read-your-writes):
 * A read submitted *after* a flush started waits on the lock, so it always
   sees any write dispatched in that cycle.
 
-Dispatch: every kind goes through one chunk loop. A chunk makes one engine
-call; a range, insert or delete chunk of one op calls the scalar verb
-(``range_arrays`` / ``insert`` / ``delete``), which is several times
-cheaper than a one-row batch call. Failure isolation: when that call
-raises, a chunk of several ops whose call provably applied nothing (a
-read, or a write that left the engine's version stamp unchanged) retries
-each op alone, so only the offending request gets the exception and its
+Dispatch: every kind goes through one chunk loop, and a chunk makes
+exactly one engine call, its kind's batch verb, whatever its size.
+Failure isolation: when that call raises, a chunk of several ops whose
+call provably applied nothing (a read, or a write that left the engine's
+version stamp unchanged) retries each op alone, as a one-op chunk through
+the same call, so only the offending request gets the exception and its
 batch-mates still succeed. Any other failure — a one-op chunk, or a write
 that may have applied a prefix — rejects every op in the chunk with that
 exception rather than risk double-applying anything.
@@ -96,13 +95,12 @@ class RequestBatcher:
     Parameters
     ----------
     engine:
-        Anything exposing the verbs the dispatch calls — batch
-        ``lookup_batch`` / ``range_batch`` / ``insert_batch`` plus the
-        scalar ``insert`` / ``range_arrays`` that answer one-op chunks and
-        per-op retries (see :class:`~repro.api.protocol.BatchEngine`),
+        Anything exposing the batch verbs the dispatch calls —
+        ``lookup_batch`` / ``range_batch`` / ``insert_batch`` and the
+        ``version`` stamp (see :class:`~repro.api.protocol.BatchEngine`),
         e.g. a :class:`~repro.engine.ShardedEngine` or
         :class:`~repro.cluster.ClusterEngine`. ``submit_delete`` further
-        requires the ``delete`` / ``delete_batch`` verbs of the full
+        requires ``delete_batch``, from the full
         :class:`~repro.api.protocol.EngineProtocol`.
     max_batch:
         Dispatch granularity: a flush cuts pending requests into chunks of
@@ -565,8 +563,6 @@ class RequestBatcher:
 
     def _get(self, chunk: List[Tuple]) -> List[Any]:
         """Each get op's ``(values, found)`` slice of one ``lookup_batch``."""
-        if len(chunk) == 1:
-            return [self.engine.lookup_batch(chunk[0][0])]
         values, found = self.engine.lookup_batch(
             np.concatenate([op[0] for op in chunk])
         )
@@ -576,20 +572,15 @@ class RequestBatcher:
         ]
 
     def _range(self, chunk: List[Tuple]) -> List[Any]:
-        """Each range op's ``(keys, values)``."""
-        if len(chunk) == 1:
-            lo, hi, _fut, _t0 = chunk[0]
-            return [self.engine.range_arrays(lo, hi)]
-        return self.engine.range_batch(
-            np.asarray([op[:2] for op in chunk], dtype=np.float64)
-        )
+        """Each range op's ``(keys, values)``; a ``None`` bound is open."""
+        rows = [
+            (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+            for lo, hi, _fut, _t0 in chunk
+        ]
+        return self.engine.range_batch(np.asarray(rows, dtype=np.float64))
 
     def _insert(self, chunk: List[Tuple]) -> List[Any]:
         """Apply every insert op; each answers ``None``."""
-        if len(chunk) == 1:
-            key, value, _fut, _t0 = chunk[0]
-            self.engine.insert(key, value)
-            return [None]
         values = [op[1] for op in chunk]
         n_none = sum(1 for v in values if v is None)
         if 0 < n_none < len(values):
@@ -603,9 +594,7 @@ class RequestBatcher:
 
     def _delete(self, chunk: List[Tuple]) -> List[Any]:
         """Each delete op's removed value; an absent key fails only its
-        own op, with the engine's ``KeyNotFoundError``."""
-        if len(chunk) == 1:
-            return [self.engine.delete(chunk[0][0])]
+        own op, with a ``KeyNotFoundError``."""
         results = self.engine.delete_batch(
             np.asarray([op[0] for op in chunk], dtype=np.float64),
             missing="ignore",

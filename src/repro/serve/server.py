@@ -61,9 +61,8 @@ class Server:
     max_batch, max_delay, eager_flush:
         Batching knobs, passed to
         :class:`~repro.serve.batcher.RequestBatcher`; ``max_batch=1``
-        dispatches every request alone (a get still through
-        ``lookup_batch``; a range, insert or delete through its scalar
-        verb).
+        dispatches every request alone, as a one-element batch of its
+        kind's verb.
     max_pending:
         Backpressure bound on concurrently admitted requests (``None`` =
         unbounded).

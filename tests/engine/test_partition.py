@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import InvalidParameterError, NotSortedError
+from repro.core.fiting_tree import FITingTree
+from repro.engine import ShardedEngine
 from repro.engine.partition import partition_cuts, route, shard_bounds
 from repro.engine.scatter import (
     gather_points,
@@ -63,6 +65,20 @@ class TestPartitionCuts:
     def test_unsorted_rejected(self):
         with pytest.raises(NotSortedError):
             partition_cuts(np.asarray([3.0, 1.0, 2.0]), 2)
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_engine_refuses_unsorted_build_keys_before_any_shard(self, n_shards):
+        built = []
+
+        def factory(keys, values):
+            built.append(keys)
+            return FITingTree(keys, values)
+
+        keys = np.arange(100.0)
+        keys[[10, 60]] = keys[[60, 10]]
+        with pytest.raises(NotSortedError):
+            ShardedEngine(keys, n_shards=n_shards, index_factory=factory)
+        assert built == []
 
 
 class TestRoute:

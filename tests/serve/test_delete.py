@@ -162,13 +162,16 @@ class TestBatcherDirect:
         keys, engine = make_engine()
 
         class ExplodingBatch:
-            """delete_batch always fails; scalar delete works."""
+            """delete_batch fails, applying nothing, on more than one key;
+            a per-key retry (a one-key batch) works."""
 
             def __getattr__(self, name):
                 return getattr(engine, name)
 
-            def delete_batch(self, *a, **kw):
-                raise RuntimeError("boom")
+            def delete_batch(self, keys, **kw):
+                if len(keys) > 1:
+                    raise RuntimeError("boom")
+                return engine.delete_batch(keys, **kw)
 
         async def main():
             batcher = RequestBatcher(ExplodingBatch(), max_batch=8)

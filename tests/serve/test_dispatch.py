@@ -34,26 +34,26 @@ class Wrapped:
         return getattr(self.inner, name)
 
 
-class ScalarsRaise(Wrapped):
-    """Every scalar write and range verb fails without applying."""
+class BatchesRaise(Wrapped):
+    """Every batch write and range verb fails without applying."""
 
     def _fail(self, verb):
         self.calls[verb] += 1
         raise RuntimeError(verb)
 
-    def insert(self, key, value=None):
-        self._fail("insert")
+    def insert_batch(self, keys, values=None):
+        self._fail("insert_batch")
 
-    def delete(self, key):
-        self._fail("delete")
+    def delete_batch(self, keys, **kwargs):
+        self._fail("delete_batch")
 
-    def range_arrays(self, lo=None, hi=None, include_lo=True, include_hi=True):
-        self._fail("range_arrays")
+    def range_batch(self, bounds, include_lo=True, include_hi=True):
+        self._fail("range_batch")
 
 
 class AppliesThenRaises(Wrapped):
-    """The batch writes apply every key, then fail; the scalar writes
-    are counted (a retry would show up there)."""
+    """The batch writes apply every key, then fail, and count each call
+    (a per-op retry would show up as a second one)."""
 
     def insert_batch(self, keys, values=None):
         self.calls["insert_batch"] += 1
@@ -65,14 +65,6 @@ class AppliesThenRaises(Wrapped):
         self.inner.delete_batch(keys, **kwargs)
         raise RuntimeError("delete_batch failed after applying")
 
-    def insert(self, key, value=None):
-        self.calls["insert"] += 1
-        return self.inner.insert(key, value)
-
-    def delete(self, key):
-        self.calls["delete"] += 1
-        return self.inner.delete(key)
-
 
 def build_engine():
     return ShardedEngine(np.arange(10_000.0), n_shards=2)
@@ -81,14 +73,14 @@ def build_engine():
 @pytest.mark.parametrize(
     "submit, verb",
     [
-        (lambda b: b.submit_insert(123.5, 7), "insert"),
-        (lambda b: b.submit_range(10.0, 20.0), "range_arrays"),
-        (lambda b: b.submit_delete(42.0), "delete"),
+        (lambda b: b.submit_insert(123.5, 7), "insert_batch"),
+        (lambda b: b.submit_range(10.0, 20.0), "range_batch"),
+        (lambda b: b.submit_delete(42.0), "delete_batch"),
     ],
     ids=["insert", "range", "delete"],
 )
 def test_a_failing_one_op_chunk_calls_the_engine_once(submit, verb):
-    engine = ScalarsRaise(build_engine())
+    engine = BatchesRaise(build_engine())
 
     async def main():
         batcher = RequestBatcher(engine)
@@ -141,6 +133,25 @@ def test_a_failing_read_chunk_retries_each_op_alone():
     assert good[0].tolist() == [10.0, 11.0, 12.0]
     assert isinstance(bad, ValueError)
     assert stats["scalar_fallbacks"] == 1
+
+
+def test_a_none_range_bound_is_open_in_one_batch_call():
+    engine = build_engine()
+
+    async def main():
+        batcher = RequestBatcher(engine)
+        alone = await batcher.submit_range(None, 2.0)
+        both = await asyncio.gather(
+            batcher.submit_range(9_997.0, None), batcher.submit_range(5.0, 6.0)
+        )
+        return alone, both, batcher.stats()
+
+    alone, (top, mid), stats = run(main())
+    assert alone[0].tolist() == [0.0, 1.0, 2.0]
+    assert top[0].tolist() == [9_997.0, 9_998.0, 9_999.0]
+    assert mid[0].tolist() == [5.0, 6.0]
+    assert stats["batches"]["range"] == 2
+    assert stats["scalar_fallbacks"] == 0
 
 
 def test_get_batch_waits_for_a_pending_insert():

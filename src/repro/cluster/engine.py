@@ -23,10 +23,18 @@ Consistency across the process hop:
 * **Version barrier** — every worker reply carries its shard's monotonic
   ``version`` stamp; the engine-wide :attr:`ClusterEngine.version` (their
   sum) therefore moves exactly as the in-process engine's would.
+* **Length** — every reply also carries its shard's ``len()``;
+  ``len(engine)`` is the sum of the last ones heard, so a partly applied
+  round is counted as the shards applied it.
 * **Bit-identical results** — workers answer through the same
   ``FlatView`` read path and ``insert_batch`` write path the in-process
   engine uses, so results and post-write state match ``ShardedEngine``
   exactly (pinned by ``tests/cluster``).
+
+One round rule: every verb is one :meth:`ClusterEngine._round` — attempt
+every send, drain every reply that left (a reply left in a pipe would
+answer the *next* round), settle crashed shards, then re-raise the first
+unsettled failure in shard order.
 
 Failure model: a worker that exits or stops responding surfaces as a typed
 :class:`~repro.cluster.errors.ClusterError`
@@ -41,10 +49,11 @@ failure model upgrades from fail-stop to **restart-on-crash**: every
 write chunk is logged and group-committed *before* dispatch, so a dead
 worker is respawned from one shard state the parent computes from disk —
 the latest snapshot plus the shard's committed WAL records, replayed as a
-reopen replays them (:meth:`repro.wal.WalStore.shard_state`) — and the
-round re-fences. Reads retry transparently; an insert whose worker died
-is applied by that replay; a delete whose reply died with the worker
-answers from the replay of its own record. A timed-out (poisoned) worker
+reopen replays them (:meth:`repro.wal.WalStore.shard_state`) — inside the
+round that found it dead. Each verb says how a restored shard answers: a
+read re-sends once; an insert whose worker died is applied by that
+replay; a delete whose reply died with the worker answers from the replay
+of its own record. A timed-out (poisoned) worker
 becomes recoverable the same way: its process is killed and restored
 instead of being permanently fenced off.
 """
@@ -54,7 +63,8 @@ from __future__ import annotations
 import contextlib
 import multiprocessing as mp
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +77,7 @@ from repro.cluster.shm import (
     teardown_errors,
 )
 from repro.cluster.worker import shard_worker_main
-from repro.core.errors import InvalidParameterError, KeyNotFoundError
+from repro.core.errors import InvalidParameterError
 from repro.core.serialize import _registry
 from repro.engine.engine import ShardedEngine
 from repro.engine.front import EngineFront
@@ -278,12 +288,9 @@ class ClusterEngine(EngineFront):
             ctx = mp_context
         self._ctx = ctx
         self._lane_capacity = int(lane_capacity)
-        #: Last-known element count per shard, refreshed from every
-        #: worker ``stats`` reply and worker restore — lets a failed
-        #: round resync ``_n`` per *live* shard instead of requiring a
-        #: full all-shards round (which a single dead worker would veto).
+        #: Last-known element count per shard: the ``n`` of its worker's
+        #: latest reply (a dead shard keeps the last one it sent).
         self._shard_ns: List[int] = [int(s["n"]) for s in shard_states]
-        self._n = sum(self._shard_ns)
         #: Shards built read-only (``buffer_capacity=0``): a write they
         #: own is refused before it is logged, as the worker would after.
         self._read_only: List[bool] = [
@@ -438,8 +445,6 @@ class ClusterEngine(EngineFront):
         self._workers[sid] = handle
         self._poisoned.discard(sid)
         self._await_ready(sid)
-        self._shard_ns[sid] = int(state["n"])
-        self._n = sum(self._shard_ns)
         return answer
 
     def _register_sources(self, reg: Any) -> None:
@@ -465,7 +470,7 @@ class ClusterEngine(EngineFront):
 
     def _collect_size(self) -> Dict[str, float]:
         return {
-            "n": self._n,
+            "n": len(self),
             "n_shards": self.n_shards,
             "version": self.version,
             "workers_alive": sum(
@@ -544,7 +549,8 @@ class ClusterEngine(EngineFront):
 
     def _recv(self, sid: int) -> Tuple:
         """One reply from shard ``sid`` as ``(meta, descriptors)``; its
-        version stamp is recorded and an ``"err"`` reply re-raised here."""
+        version stamp and length are recorded and an ``"err"`` reply
+        re-raised here."""
         self._check_in_step(sid)
         conn = self._workers[sid].conn
         try:
@@ -560,106 +566,73 @@ class ClusterEngine(EngineFront):
             reply = conn.recv()
         except (BrokenPipeError, EOFError, OSError) as exc:
             raise self._crash(sid, str(exc)) from exc
-        status, version, meta, descriptors = reply
+        status, version, meta, descriptors, n = reply
+        self._versions[sid] = max(self._versions[sid], int(version))
+        if n is not None:  # None: a worker that failed to build its shard
+            self._shard_ns[sid] = n
         if status == "err":
-            self._versions[sid] = max(self._versions[sid], int(version))
             raise meta["error"]
-        self._versions[sid] = int(version)
         return meta, descriptors
 
-    def _gather(
-        self, sids, errors: Optional[Dict[int, BaseException]] = None
-    ) -> Dict[int, Tuple]:
-        """Collect one reply per shard in ``sids``, draining every pipe.
-
-        Never stops at the first failure: a reply left in flight would be
-        mistaken for the *next* operation's answer (one round behind —
-        worse than an exception, it acknowledges fences that did not
-        happen). All pipes are drained, then the first failure re-raises —
-        unless ``errors`` is given, in which case failures are recorded
-        per shard there and nothing raises (write rounds and durable
-        reads, which settle failed shards themselves).
-        """
-        replies: Dict[int, Tuple] = {}
-        first_exc: Optional[BaseException] = None
-        for sid in sids:
-            try:
-                replies[sid] = self._recv(sid)
-            except BaseException as exc:
-                if errors is not None:
-                    errors[sid] = exc
-                elif first_exc is None:
-                    first_exc = exc
-        if errors is None and first_exc is not None:
-            raise first_exc
-        return replies
-
     def _round(
-        self, jobs, errors: Optional[Dict[int, BaseException]] = None
-    ) -> Dict[int, Tuple]:
-        """One fenced dispatch round: run every send thunk, drain every
-        reply.
+        self,
+        thunks: Dict[int, Callable[[], None]],
+        recover: Optional[Callable[[int], Any]] = None,
+    ) -> Dict[int, Any]:
+        """One fenced round: the only code that sends, drains and settles.
 
-        ``jobs`` is a list of ``(sid, send_thunk)`` pairs. A failure in
-        any thunk stops further sends, but replies for frames already on
-        the wire are still drained (:meth:`_gather`) before the first
-        failure re-raises — the invariant that keeps every worker's pipe
-        exactly one request/one reply in step.
+        ``thunks`` maps shard id → send thunk. Every send is *attempted*
+        (a failed one must not strand its siblings: a write's chunks are
+        already logged), then every reply that left is drained — a reply
+        left in a pipe would be taken for the *next* round's answer, one
+        round behind, acknowledging fences that did not happen.
 
-        With an ``errors`` dict, the round never raises: every send is
-        *attempted* (a crashed shard must not abort its siblings' sends —
-        their chunks are already logged and will be fenced), every live
-        reply is drained, and per-shard failures land in ``errors``.
+        On a durable engine, each shard that failed with a
+        :class:`ClusterError` (dead, or poisoned by a timeout) is handed to
+        ``recover(sid)``, which restores its worker; what ``recover``
+        returns stands in for that shard's reply, or is the exception the
+        verb must raise. Then the first unsettled failure re-raises, in
+        shard order.
+
+        Returns
+        -------
+        dict
+            Shard id → ``(meta, descriptors)`` (or ``recover``'s answer).
         """
+        errors: Dict[int, BaseException] = {}
         sent: List[int] = []
-        send_exc: Optional[BaseException] = None
-        for sid, send in jobs:
+        for sid, send in thunks.items():
             try:
                 send()
                 sent.append(sid)
             except BaseException as exc:
-                if errors is not None:
-                    errors[sid] = exc
-                    continue
-                send_exc = exc
-                break
-        try:
-            replies = self._gather(sent, errors)
-        except BaseException:
-            if send_exc is None:
-                raise
-            replies = {}
-        if send_exc is not None:
-            raise send_exc
+                errors[sid] = exc
+        replies: Dict[int, Any] = {}
+        for sid in sent:
+            try:
+                replies[sid] = self._recv(sid)
+            except BaseException as exc:
+                errors[sid] = exc
+        if recover is not None and self._wal is not None:
+            for sid in sorted(errors):
+                if isinstance(errors[sid], ClusterError):
+                    answer = recover(sid)
+                    if isinstance(answer, BaseException):
+                        errors[sid] = answer
+                    else:
+                        replies[sid] = answer
+                        del errors[sid]
+        if errors:
+            raise errors[min(errors)]
         return replies
 
-    def _round_durable(self, thunks: Dict[int, Any]) -> Dict[int, Tuple]:
-        """A read round that restores crashed workers and retries once.
-
-        ``thunks`` maps shard id → send thunk. Without a WAL this is a
-        plain :meth:`_round`. With one, transport failures
-        (:class:`ClusterError`) trigger a worker restore from
-        snapshot + tail, then the restored shards' thunks re-run in one
-        plain retry round — a second failure propagates. Worker-side
-        application errors re-raise as themselves either way.
-        """
-        jobs = sorted(thunks.items())
-        if self._wal is None:
-            return self._round(jobs)
-        errors: Dict[int, BaseException] = {}
-        replies = self._round(jobs, errors)
-        if not errors:
-            return replies
-        retry: List[int] = []
-        for sid in sorted(errors):
-            exc = errors[sid]
-            if isinstance(exc, ClusterError):
-                self._restore_worker(sid)
-                retry.append(sid)
-            else:
-                raise exc
-        replies.update(self._round([(sid, thunks[sid]) for sid in retry]))
-        return replies
+    def _resend(self, thunks: Dict[int, Callable[[], None]], sid: int) -> Tuple:
+        """A read round's ``recover``: restore shard ``sid``'s worker and
+        send it the same request once more (a second failure
+        propagates)."""
+        self._restore_worker(sid)
+        thunks[sid]()
+        return self._recv(sid)
 
     def _post(
         self, sid: int, verb: str, meta: Dict[str, Any], arrays,
@@ -695,13 +668,10 @@ class ClusterEngine(EngineFront):
         return tuple(self._versions)
 
     def __len__(self) -> int:
-        return self._n
+        return sum(self._shard_ns)
 
     def _stats_parts(self) -> Tuple[List[Dict[str, Any]], list, dict, dict]:
-        # Live per-worker shard stats, which also refresh the cached sizes.
-        per_shard = self._broadcast("stats")
-        self._shard_ns = [int(s["n"]) for s in per_shard]
-        self._n = sum(self._shard_ns)
+        per_shard = self._broadcast("stats")  # live, from the workers
         workers = [
             {"pid": w.process.pid, "alive": w.process.is_alive()}
             for w in self._workers
@@ -725,10 +695,8 @@ class ClusterEngine(EngineFront):
         self._acquire_all()
         try:
             replies = self._round(
-                [
-                    (sid, lambda sid=sid: self._send(sid, (verb, {}, ())))
-                    for sid in range(self.n_shards)
-                ]
+                {sid: partial(self._send, sid, (verb, {}, ()))
+                 for sid in range(self.n_shards)}
             )
             return [
                 replies[sid][0].get("result") for sid in range(self.n_shards)
@@ -767,19 +735,14 @@ class ClusterEngine(EngineFront):
         groups = split_points(self.cuts, q)
         tracer = None if span is None else self._telemetry.tracer
         meta = {} if span is None else {"trace": (span.trace_id, span.span_id)}
+        thunks = {
+            i: partial(self._post, i, "get_batch", meta, [q[idx]],
+                       self._points_bytes(idx.size))
+            for i, idx in groups
+        }
         self._acquire_all()
         try:
-            replies = self._round_durable(
-                {
-                    i: (
-                        lambda i=i, idx=idx: self._post(
-                            i, "get_batch", meta, [q[idx]],
-                            self._points_bytes(idx.size),
-                        )
-                    )
-                    for i, idx in groups
-                }
-            )
+            replies = self._round(thunks, partial(self._resend, thunks))
             gather_span = contextlib.nullcontext()
             if tracer is not None:
                 for i, _idx in groups:
@@ -823,19 +786,14 @@ class ClusterEngine(EngineFront):
         if bounds.shape[0] == 0:
             return []
         meta = {"include_lo": include_lo, "include_hi": include_hi}
+        thunks = {
+            sid: partial(self._post, sid, "range_batch", meta,
+                         [bounds[idx, 0], bounds[idx, 1]])
+            for sid, idx in jobs
+        }
         self._acquire_all()
         try:
-            raw = self._round_durable(
-                {
-                    sid: (
-                        lambda sid=sid, idx=idx: self._post(
-                            sid, "range_batch", meta,
-                            [bounds[idx, 0], bounds[idx, 1]],
-                        )
-                    )
-                    for sid, idx in jobs
-                }
-            )
+            raw = self._round(thunks, partial(self._resend, thunks))
             parts = [
                 (idx, self._read_ranges(sid, raw[sid])) for sid, idx in jobs
             ]
@@ -877,67 +835,19 @@ class ClusterEngine(EngineFront):
     ) -> None:
         """Dispatch and fence one committed :func:`split_sorted` insert plan."""
         thunks = {
-            sid: (
-                lambda sid=sid, a=a, b=b: self._post(
-                    sid, "insert_batch", {}, [keys[a:b], values[a:b]]
-                )
-            )
+            sid: partial(self._post, sid, "insert_batch", {},
+                         [keys[a:b], values[a:b]])
             for sid, a, b in jobs
         }
         self._acquire_all()
         try:
             # The fence: every owning worker has replied (i.e. applied its
-            # chunk) before this returns — and every reply is drained even
-            # on failure, so the pipes never fall a round behind.
-            errors: Dict[int, BaseException] = {}
-            self._round(sorted(thunks.items()), errors)
-            if errors:
-                first: Optional[BaseException] = None
-                for sid in sorted(errors):
-                    exc = errors[sid]
-                    if self._wal is not None and isinstance(exc, ClusterError):
-                        # The restore replays the shard's committed
-                        # records — this round's chunk included, so the
-                        # insert is applied, not lost.
-                        self._restore_worker(sid)
-                    elif first is None:
-                        first = exc
-                # Other chunks applied around the failure (ShardedEngine
-                # counts partial applies too — len() must agree).
-                self._resync_len()
-                if first is not None:
-                    raise first
-            else:
-                for sid, a, b in jobs:
-                    self._shard_ns[sid] += b - a
-                self._n = sum(self._shard_ns)
+            # chunk) before this returns. A crashed worker's restore
+            # replays the shard's committed records — this round's chunk
+            # included, so the insert is applied, not lost.
+            self._round(thunks, self._restore_worker)
         finally:
             self._release_all()
-
-    def _resync_len(self) -> None:
-        """Recount ``_n`` from every *live* worker (caller holds every
-        worker lock involved in the failed round).
-
-        Queries each live, unpoisoned shard independently so one dead
-        worker cannot veto the whole recount (the bug that used to leave
-        ``len(engine)`` desynced after a partially-applied round: the
-        all-shards round raised on the dead shard and the old count
-        survived). Dead/poisoned shards keep their last-known
-        ``_shard_ns`` entry — refreshed on restore or the next
-        successful :meth:`stats` call."""
-        errors: Dict[int, BaseException] = {}
-        replies = self._round(
-            [
-                (sid, lambda sid=sid: self._send(sid, ("stats", {}, ())))
-                for sid in range(self.n_shards)
-                if sid not in self._poisoned
-                and self._workers[sid].process.is_alive()
-            ],
-            errors,
-        )
-        for sid, (meta, _) in replies.items():
-            self._shard_ns[sid] = int(meta["result"]["n"])
-        self._n = sum(self._shard_ns)
 
     def _delete_sorted(
         self, order: np.ndarray, keys: np.ndarray,
@@ -947,61 +857,36 @@ class ClusterEngine(EngineFront):
         ``(positions, values, found)`` part of each owning worker's reply,
         copied out of its response lane (a worker whose crash took the
         reply answers from the parent-side replay of record
-        ``lsns[sid]`` that restores it)."""
+        ``lsns[sid]`` that restores it — its deleted values, or the
+        strict delete's miss)."""
         thunks = {
-            sid: (
-                lambda sid=sid, a=a, b=b: self._post(
-                    sid, "delete_batch", {"missing": missing},
-                    [keys[a:b]], self._points_bytes(b - a),
-                )
-            )
+            sid: partial(self._post, sid, "delete_batch", {"missing": missing},
+                         [keys[a:b]], self._points_bytes(b - a))
             for sid, a, b in jobs
         }
-        errors: Dict[int, BaseException] = {}
-        answers: Dict[int, Tuple] = {}
         self._acquire_all()
         try:
-            replies = self._round(sorted(thunks.items()), errors)
-            first: Optional[BaseException] = None
-            for sid in sorted(errors):
-                exc = errors[sid]
-                if self._wal is not None and isinstance(exc, ClusterError):
-                    # The crashed worker took the deleted values with it;
-                    # the restore replays this round's record and hands
-                    # back its answer (or the strict delete's miss).
-                    answer = self._restore_worker(sid, lsns[sid])
-                    if not isinstance(answer, KeyNotFoundError):
-                        answers[sid] = answer
-                        continue
-                    exc = answer
-                if first is None:
-                    first = exc
-            if errors:
-                # Chunks applied around the failures (their replies were
-                # drained); recount from the live workers.
-                self._resync_len()
-                if first is not None:
-                    raise first
+            replies = self._round(
+                thunks, lambda sid: self._restore_worker(sid, lsns[sid])
+            )
             parts = []
             for sid, a, b in jobs:
+                reply = replies[sid]
+                # A replayed answer is already ``(values, found)`` arrays.
                 values, found = (
-                    answers[sid] if sid in answers
-                    else self._read_points(sid, replies[sid])
+                    reply if isinstance(reply[0], np.ndarray)
+                    else self._read_points(sid, reply)
                 )
                 if found is not None:
                     found = found.copy()
                 parts.append((order[a:b], values.copy(), found))
         finally:
             self._release_all()
-        if not errors:
-            for (sid, a, b), (_idx, _values, found) in zip(jobs, parts):
-                self._shard_ns[sid] -= b - a if found is None else int(found.sum())
-            self._n = sum(self._shard_ns)
         return parts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
         return (
-            f"ClusterEngine(n={self._n}, workers={len(self._workers)}, "
+            f"ClusterEngine(n={len(self)}, workers={len(self._workers)}, "
             f"{state})"
         )

@@ -8,11 +8,13 @@ parent-owned shared-memory lanes (:mod:`repro.cluster.shm`); the pipe
 carries only control frames.
 
 Protocol: a request is ``(verb, meta, descriptors)`` and its one reply
-``("ok" | "err", version, meta, descriptors)`` — the message shape of the
-socket tier's ``Frame(kind, meta, arrays)``, with the arrays left in a
-lane and their :mod:`repro.codec` descriptors sent in their place.
-``meta`` is a dict on both sides; ``docs/ARCHITECTURE.md`` ("In-flight
-encoding") lists its keys per verb.
+``(status, version, meta, descriptors, n)`` with ``status`` one of
+``"ok"``/``"err"``/``"bye"`` — the message shape of the socket tier's
+``Frame(kind, meta, arrays)``, with the arrays left in a lane and their
+:mod:`repro.codec` descriptors sent in their place. ``meta`` is a dict on
+both sides; ``docs/ARCHITECTURE.md`` ("In-flight encoding") lists its keys
+per verb. :func:`_dispatch` builds the first four fields; the reply loop
+appends ``n``, the shard's ``len()`` after the verb ran.
 
 ==============  ====================================================
 ``get_batch``   answer a key batch from the shard's ``FlatView``:
@@ -35,12 +37,14 @@ A traced ``get_batch`` (``meta["trace"]``) gets ``meta["spans"]`` back
 (:func:`repro.obs.trace.span_record` dicts); nothing else about telemetry
 crosses the pipe — the parent profiles the keys it routes.
 
-Every reply carries the shard's monotonic ``version`` stamp, so the
-parent-side engine can maintain the engine-wide version barrier the serve
-layer's read-your-writes logic depends on. Per-op exceptions are caught
-and shipped back pickled (an invalid parameter is the same error on either
-side of the process boundary); the loop itself only exits on ``shutdown``
-or when the parent disappears (pipe EOF).
+Every reply — ready, ok, err and bye alike — carries the shard's
+monotonic ``version`` stamp, so the parent-side engine can maintain the
+engine-wide version barrier the serve layer's read-your-writes logic
+depends on, and its length ``n``, so the parent's ``len()`` is whatever
+the shards last said, a partly applied write included. Per-op exceptions
+are caught and shipped back pickled (an invalid parameter is the same
+error on either side of the process boundary); the loop itself only exits
+on ``shutdown`` or when the parent disappears (pipe EOF).
 """
 
 from __future__ import annotations
@@ -159,11 +163,17 @@ def shard_worker_main(
         server = _ShardServer(state, lo, hi, shard_id)
     except BaseException as exc:  # surface rebuild failures to the parent
         try:
-            conn.send(("err", 0, {"error": exc}, ()))
+            # No shard was built, so no length: ``None`` keeps the
+            # parent's last-known count.
+            conn.send(("err", 0, {"error": exc}, (), None))
         finally:
             conn.close()
         return
-    conn.send(("ok", server.index.version, {"ready": True}, ()))
+
+    def send(reply: Tuple) -> None:
+        conn.send((*reply, len(server.index)))
+
+    send(("ok", server.index.version, {"ready": True}, ()))
     try:
         while True:
             try:
@@ -172,17 +182,17 @@ def shard_worker_main(
                 break
             verb = frame[0]
             if verb == "shutdown":
-                conn.send(("bye", server.index.version, {}, ()))
+                send(("bye", server.index.version, {}, ()))
                 break
             try:
                 reply = _dispatch(server, frame)
             except BaseException as exc:
                 reply = ("err", server.index.version, {"error": exc}, ())
             try:
-                conn.send(reply)
+                send(reply)
             except Exception:  # unpicklable reply payload
                 exc = RuntimeError(f"unpicklable {verb} reply")
-                conn.send(("err", server.index.version, {"error": exc}, ()))
+                send(("err", server.index.version, {"error": exc}, ()))
     finally:
         server.close_lanes()
         conn.close()

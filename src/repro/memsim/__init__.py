@@ -8,7 +8,7 @@ cost model, or cache-hierarchy-aware — and :class:`CacheSim` replays real
 address traces for the detailed ablation.
 """
 
-from repro.memsim.cache import CacheSim, CacheStats, MultiLevelCache
+from repro.memsim.cache import CacheSim, CacheStats
 from repro.memsim.counter import (
     AccessCounter,
     binary_search_line_misses,
@@ -20,7 +20,7 @@ from repro.memsim.latency import (
     XEON_E5_2660_HIERARCHY,
 )
 from repro.memsim.memory import AddressSpace
-from repro.memsim.trace import array_binary_search_trace, lookup_trace
+from repro.memsim.trace import lookup_trace
 
 __all__ = [
     "AccessCounter",
@@ -29,9 +29,7 @@ __all__ = [
     "CacheSim",
     "CacheStats",
     "LatencyModel",
-    "MultiLevelCache",
     "XEON_E5_2660_HIERARCHY",
-    "array_binary_search_trace",
     "binary_search_line_misses",
     "binary_search_probes",
     "lookup_trace",

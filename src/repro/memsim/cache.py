@@ -9,19 +9,18 @@ paper attributes to falling out of L2: the tree's hot upper levels stay
 cached while ever more leaf accesses miss.
 
 Addresses are plain integers (byte addresses); traces are any iterable of
-``(address, size_bytes)`` pairs. A multi-level hierarchy can be simulated by
-chaining: feed the misses of one level into the next.
+``(address, size_bytes)`` pairs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.core.errors import InvalidParameterError
 
-__all__ = ["CacheSim", "CacheStats", "MultiLevelCache"]
+__all__ = ["CacheSim", "CacheStats"]
 
 
 @dataclass
@@ -109,43 +108,3 @@ class CacheSim:
         self._sets = [OrderedDict() for _ in range(self.n_sets)]
         self.stats = CacheStats()
 
-
-class MultiLevelCache:
-    """Chain of caches: an access missing level i is tried at level i+1.
-
-    ``latency_ns`` prices a full replay given per-level hit latencies plus a
-    memory latency for accesses missing every level.
-    """
-
-    def __init__(self, levels: List[CacheSim], latencies_ns: List[float],
-                 memory_ns: float = 100.0) -> None:
-        if len(levels) != len(latencies_ns):
-            raise InvalidParameterError("one latency per cache level required")
-        if not levels:
-            raise InvalidParameterError("need at least one cache level")
-        self.levels = levels
-        self.latencies_ns = latencies_ns
-        self.memory_ns = memory_ns
-
-    def access(self, address: int, size: int = 8) -> float:
-        """Access and return the modeled latency in ns."""
-        total = 0.0
-        first = address // self.levels[0].line_size
-        last = (address + size - 1) // self.levels[0].line_size
-        for line in range(first, last + 1):
-            addr = line * self.levels[0].line_size
-            for latency, level in zip(self.latencies_ns, self.levels):
-                hit = level.access(addr, 1) == 0
-                total += latency
-                if hit:
-                    break
-            else:
-                total += self.memory_ns
-        return total
-
-    def replay(self, trace: Iterable[Tuple[int, int]]) -> float:
-        """Replay a trace, returning total modeled latency in ns."""
-        return sum(self.access(a, s) for a, s in trace)
-
-    def per_level_stats(self) -> Dict[str, CacheStats]:
-        return {f"L{i + 1}": lvl.stats for i, lvl in enumerate(self.levels)}

@@ -16,7 +16,7 @@ from typing import Any, Iterator, List, Tuple
 from repro.btree import BPlusTree
 from repro.memsim.memory import AddressSpace
 
-__all__ = ["lookup_trace", "array_binary_search_trace"]
+__all__ = ["lookup_trace"]
 
 _ENTRY_BYTES = 16  # 8-byte key + 8-byte pointer/value, as in node sizing.
 
@@ -67,25 +67,3 @@ def _binary_probe_positions(n: int, keys: List[Any], key: Any) -> Iterator[int]:
     if n:
         yield min(lo, n - 1)
 
-
-def array_binary_search_trace(
-    base_addr: int, n: int, target_index: int, element_bytes: int = 8
-) -> List[Tuple[int, int]]:
-    """Address trace of binary search over a flat array for a known position.
-
-    Used to model searching inside a segment/page: the probe sequence of a
-    binary search that converges on ``target_index`` within an ``n``-element
-    array starting at ``base_addr``.
-    """
-    trace: List[Tuple[int, int]] = []
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        trace.append((base_addr + mid * element_bytes, element_bytes))
-        if mid < target_index:
-            lo = mid + 1
-        elif mid > target_index:
-            hi = mid
-        else:
-            break
-    return trace

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import InvalidParameterError
-from repro.memsim import AddressSpace, CacheSim, MultiLevelCache
+from repro.memsim import AddressSpace, CacheSim
 
 
 class TestCacheSim:
@@ -81,42 +81,6 @@ class TestCacheSim:
         thrashing = [(i * 64, 8) for i in range(32)] * 10
         stats = cache.replay(thrashing)
         assert stats.miss_ratio > 0.9
-
-
-class TestMultiLevelCache:
-    def make(self):
-        l1 = CacheSim(capacity_bytes=128, line_size=64, ways=2)
-        l2 = CacheSim(capacity_bytes=512, line_size=64, ways=8)
-        return MultiLevelCache([l1, l2], [1.0, 10.0], memory_ns=100.0)
-
-    def test_miss_goes_to_memory(self):
-        mlc = self.make()
-        assert mlc.access(0) == 111.0  # L1 miss + L2 miss + memory
-
-    def test_hit_in_l1(self):
-        mlc = self.make()
-        mlc.access(0)
-        assert mlc.access(0) == 1.0
-
-    def test_hit_in_l2_after_l1_eviction(self):
-        mlc = self.make()
-        mlc.access(0)
-        mlc.access(64)
-        mlc.access(128)  # evicts line 0 from tiny L1; L2 keeps it
-        assert mlc.access(0) == 11.0
-
-    def test_replay_totals(self):
-        mlc = self.make()
-        total = mlc.replay([(0, 8), (0, 8)])
-        assert total == 112.0
-        stats = mlc.per_level_stats()
-        assert stats["L1"].accesses == 2
-
-    def test_mismatched_latencies_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            MultiLevelCache([CacheSim(128)], [1.0, 2.0])
-        with pytest.raises(InvalidParameterError):
-            MultiLevelCache([], [])
 
 
 class TestAddressSpace:

@@ -3,12 +3,7 @@
 import numpy as np
 
 from repro.btree import BPlusTree
-from repro.memsim import (
-    AddressSpace,
-    CacheSim,
-    array_binary_search_trace,
-    lookup_trace,
-)
+from repro.memsim import AddressSpace, CacheSim, lookup_trace
 
 
 def build_tree(n=2_000, branching=8):
@@ -64,22 +59,3 @@ class TestLookupTrace:
         # A 4KB cache cannot hold a 5k-entry tree: most lookups miss.
         assert misses > 200
 
-
-class TestArrayTrace:
-    def test_probe_count_logarithmic(self):
-        trace = array_binary_search_trace(0, 1024, target_index=500)
-        assert 1 <= len(trace) <= 11
-
-    def test_probes_converge_to_target(self):
-        trace = array_binary_search_trace(0, 100, target_index=42,
-                                          element_bytes=8)
-        assert trace[-1][0] == 42 * 8
-
-    def test_empty_array(self):
-        assert array_binary_search_trace(0, 0, 0) == []
-
-    def test_small_window_fits_one_line(self):
-        # All probes of a 8-element window land within one cache line.
-        trace = array_binary_search_trace(0, 8, target_index=3)
-        lines = {addr // 64 for addr, _ in trace}
-        assert len(lines) == 1

@@ -146,6 +146,36 @@ def test_strict_delete_failing_in_one_shard_replays_to_live_state(tmp_path):
         reopened.close()
 
 
+@pytest.mark.parametrize("sid", [0, 1])
+def test_worker_sigkill_before_range_batch_restores_and_answers(tmp_path, sid):
+    engine = _durable_cluster(tmp_path, durability="wal")
+    twin = ShardedEngine(BASE, n_shards=2, error=64.0)
+    try:
+        # A committed tail for the restore to replay, on both sides.
+        _write(engine, twin, np.random.default_rng(9))
+        cut = float(engine.cuts[0])
+        bounds = np.asarray([
+            [cut - 5e4, cut + 5e4],  # straddles the cut
+            [BASE[0], cut / 2],  # shard 0 only
+            [cut * 1.5, BASE[-1]],  # shard 1 only
+            [BASE[0], BASE[-1]],  # everything
+        ])
+        old_pid = engine._workers[sid].process.pid
+        _kill_worker(engine, sid)
+        got = engine.range_batch(bounds)
+        want = twin.range_batch(bounds)
+        assert len(got) == len(want)
+        for (gk, gv), (wk, wv) in zip(got, want):
+            assert gv.dtype == wv.dtype
+            assert np.array_equal(gk, wk) and np.array_equal(gv, wv)
+        worker = engine.stats()["workers"][sid]
+        assert worker["alive"] and worker["pid"] != old_pid
+        assert len(engine) == len(twin)
+        _assert_states_match(engine.to_states(), twin.to_states())
+    finally:
+        engine.close()
+
+
 def test_worker_sigkill_mid_snapshot_keeps_old_generation(tmp_path):
     engine = _durable_cluster(
         tmp_path, durability="wal+snapshot", snapshot_interval_bytes=1

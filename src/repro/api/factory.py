@@ -103,9 +103,11 @@ class EngineConfig:
     index_kwargs:
         Extra keyword arguments forwarded to the index constructor
         (e.g. ``search="linear"``, ``branching=...``).
-    mp_context, lane_capacity, op_timeout:
-        Cluster transport knobs (``executor="cluster"`` only); ``None``
-        keeps the cluster defaults.
+    mp_context, op_timeout:
+        Cluster transport knobs (``executor="cluster"`` only): the
+        ``multiprocessing`` start method (``None`` keeps the cluster's
+        default) and the seconds to wait for a worker's reply. Every
+        shared-memory lane sizes itself to what is written into it.
     durability:
         ``"off"`` (default — purely in-memory), ``"wal"`` (every write
         group-committed to a write-ahead log before it is acknowledged)
@@ -168,7 +170,6 @@ class EngineConfig:
     index_kwargs: Dict[str, Any] = field(default_factory=dict)
     # -- cluster transport --
     mp_context: Any = None
-    lane_capacity: Optional[int] = None
     op_timeout: float = 120.0
     # -- durability --
     durability: str = "off"
@@ -434,7 +435,6 @@ def _build_engine(keys, values, config, n_shards, telemetry):
             telemetry=telemetry,
         )
     from repro.cluster import ClusterEngine
-    from repro.cluster.shm import DEFAULT_LANE_CAPACITY
 
     return ClusterEngine(
         keys,
@@ -443,7 +443,6 @@ def _build_engine(keys, values, config, n_shards, telemetry):
         error=config.error,
         buffer_capacity=config.buffer_capacity,
         mp_context=config.mp_context,
-        lane_capacity=config.lane_capacity or DEFAULT_LANE_CAPACITY,
         op_timeout=config.op_timeout,
         index_factory=config.index_factory(),
         telemetry=telemetry,
@@ -453,12 +452,10 @@ def _build_engine(keys, values, config, n_shards, telemetry):
 def _cluster_from_states(states, config, telemetry):
     """Boot a :class:`~repro.cluster.ClusterEngine` from recovered states."""
     from repro.cluster import ClusterEngine
-    from repro.cluster.shm import DEFAULT_LANE_CAPACITY
 
     return ClusterEngine.from_states(
         states,
         mp_context=config.mp_context,
-        lane_capacity=config.lane_capacity or DEFAULT_LANE_CAPACITY,
         op_timeout=config.op_timeout,
         telemetry=telemetry,
     )

@@ -13,14 +13,17 @@ machine:
   the one registry the on-disk format uses (``register_index_class``);
 * :mod:`~repro.cluster.shm` — the zero-copy transport: named
   shared-memory lanes batch keys and numeric results cross process
-  boundaries through (only a range reply outgrowing its lane is pickled);
+  boundaries through, each created, grown and unlinked by the process
+  that writes into it (the parent's request lanes, each worker's reply
+  lane); no payload is pickled;
 * :mod:`~repro.cluster.worker` — the per-shard worker loop dispatching
   the engine's vectorized batch verbs with per-batch fences;
 * :mod:`~repro.cluster.engine` — :class:`ClusterEngine`, the parent-side
   facade with the full :class:`~repro.engine.ShardedEngine` surface
   (``get_batch`` / ``range_batch`` / ``insert_batch`` / ``stats`` /
   ``warm`` / ``version`` + scalar mirrors), so
-  :class:`repro.serve.Server` runs over it unchanged;
+  :class:`repro.serve.Server` runs over it unchanged; it runs one fenced
+  round at a time, under one engine lock;
 * :mod:`~repro.cluster.errors` — :class:`ClusterError` /
   :class:`WorkerCrashedError`, the typed transport failures.
 

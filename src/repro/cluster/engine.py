@@ -11,8 +11,10 @@ its own worker process (:mod:`repro.cluster.worker`), rebuilt from a
 re-segmentation. What this class keeps is how those shards are reached:
 boot, spawn and restore of workers, the transport and its fenced
 rounds. Batch keys and numeric results cross the process boundary through
-shared-memory lanes (:mod:`repro.cluster.shm`); the pipes carry only small
-control frames.
+shared-memory lanes (:mod:`repro.cluster.shm`), each owned by the process
+that writes it: this class owns every worker's request lane and attaches
+the reply lane each worker names in its replies; the pipes carry only
+small control frames.
 
 Consistency across the process hop:
 
@@ -31,10 +33,10 @@ Consistency across the process hop:
   engine uses, so results and post-write state match ``ShardedEngine``
   exactly (pinned by ``tests/cluster``).
 
-One round rule: every verb is one :meth:`ClusterEngine._round` — attempt
-every send, drain every reply that left (a reply left in a pipe would
-answer the *next* round), settle crashed shards, then re-raise the first
-unsettled failure in shard order.
+One round rule: every verb is one :meth:`ClusterEngine._round`, under the
+engine's one lock — attempt every send, drain every reply that left (a
+reply left in a pipe would answer the *next* round), settle crashed
+shards, then re-raise the first unsettled failure in shard order.
 
 Failure model: a worker that exits or stops responding surfaces as a typed
 :class:`~repro.cluster.errors.ClusterError`
@@ -42,7 +44,8 @@ Failure model: a worker that exits or stops responding surfaces as a typed
 errors *inside* a live worker — invalid parameters and friends — are
 pickled back and re-raised as themselves. :meth:`close` shuts workers
 down cleanly (shutdown frame, join, terminate stragglers) and releases
-every shared-memory block.
+every shared-memory block: its own request lanes, and the last reply lane
+each worker named (a worker that exits cleanly unlinks it first).
 
 With a :class:`repro.wal.WalStore` attached (:meth:`attach_wal`), the
 failure model upgrades from fail-stop to **restart-on-crash**: every
@@ -71,10 +74,11 @@ import numpy as np
 from repro import codec
 from repro.cluster.errors import ClusterError, WorkerCrashedError
 from repro.cluster.shm import (
-    DEFAULT_LANE_CAPACITY,
+    LaneCache,
     ShmLane,
     note_teardown_error,
     teardown_errors,
+    unlink_lane,
 )
 from repro.cluster.worker import shard_worker_main
 from repro.core.errors import InvalidParameterError
@@ -101,19 +105,14 @@ _NO_VIEWS = dict.fromkeys(
 class _WorkerHandle:
     """Parent-side bookkeeping for one shard worker."""
 
-    __slots__ = ("process", "conn", "req", "resp", "lock", "lo", "hi", "ipc")
+    __slots__ = ("process", "conn", "req", "resp")
 
-    def __init__(self, process, conn, req: ShmLane, resp: ShmLane, lo, hi):
+    def __init__(self, process, conn, req: ShmLane):
         self.process = process
         self.conn = conn
         self.req = req
-        self.resp = resp
-        self.lock = threading.Lock()
-        self.lo = lo
-        self.hi = hi
-        #: Transport counters; only ever mutated under ``lock`` (engine
-        #: stats sum across workers).
-        self.ipc = {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0}
+        #: The last reply-lane name the worker sent (``None`` until ready).
+        self.resp: Optional[str] = None
 
 
 class ClusterEngine(EngineFront):
@@ -133,9 +132,6 @@ class ClusterEngine(EngineFront):
         ``multiprocessing`` start method (``"fork"``/``"spawn"``/ a
         context object). Default: ``"fork"`` where available (cheap
         worker startup), else ``"spawn"``.
-    lane_capacity:
-        Initial bytes per shared-memory lane (two per worker); lanes
-        grow geometrically on demand.
     op_timeout:
         Seconds to wait for a worker's reply before declaring it hung
         (raises :class:`~repro.cluster.errors.ClusterError`).
@@ -169,7 +165,6 @@ class ClusterEngine(EngineFront):
         buffer_capacity: Optional[int] = None,
         index_factory: Any = None,
         mp_context: Any = None,
-        lane_capacity: int = DEFAULT_LANE_CAPACITY,
         op_timeout: float = 120.0,
         telemetry: Any = None,
         **index_kwargs: Any,
@@ -186,7 +181,6 @@ class ClusterEngine(EngineFront):
         self._boot(
             proto.to_states(),
             mp_context=mp_context,
-            lane_capacity=lane_capacity,
             op_timeout=op_timeout,
             telemetry=telemetry,
         )
@@ -197,7 +191,6 @@ class ClusterEngine(EngineFront):
         engine: ShardedEngine,
         *,
         mp_context: Any = None,
-        lane_capacity: int = DEFAULT_LANE_CAPACITY,
         op_timeout: float = 120.0,
         telemetry: Any = None,
     ) -> "ClusterEngine":
@@ -210,7 +203,7 @@ class ClusterEngine(EngineFront):
         ----------
         engine:
             The :class:`~repro.engine.ShardedEngine` to snapshot.
-        mp_context, lane_capacity, op_timeout, telemetry:
+        mp_context, op_timeout, telemetry:
             As for the constructor (the source engine's own telemetry, if
             any, is not adopted).
 
@@ -222,7 +215,6 @@ class ClusterEngine(EngineFront):
         return cls.from_states(
             engine.to_states(),
             mp_context=mp_context,
-            lane_capacity=lane_capacity,
             op_timeout=op_timeout,
             telemetry=telemetry,
         )
@@ -233,7 +225,6 @@ class ClusterEngine(EngineFront):
         states: Dict[str, Any],
         *,
         mp_context: Any = None,
-        lane_capacity: int = DEFAULT_LANE_CAPACITY,
         op_timeout: float = 120.0,
         telemetry: Any = None,
     ) -> "ClusterEngine":
@@ -250,7 +241,7 @@ class ClusterEngine(EngineFront):
             A whole-engine snapshot as produced by either engine's
             ``to_states`` — ``cuts``, ``auto_rowid``, ``next_rowid`` and
             one ``to_state`` dict per shard.
-        mp_context, lane_capacity, op_timeout, telemetry:
+        mp_context, op_timeout, telemetry:
             As for the constructor.
 
         Returns
@@ -262,7 +253,6 @@ class ClusterEngine(EngineFront):
         obj._boot(
             states,
             mp_context=mp_context,
-            lane_capacity=lane_capacity,
             op_timeout=op_timeout,
             telemetry=telemetry,
         )
@@ -272,8 +262,8 @@ class ClusterEngine(EngineFront):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _boot(self, states: Dict[str, Any], *, mp_context, lane_capacity,
-              op_timeout, telemetry=None) -> None:
+    def _boot(self, states: Dict[str, Any], *, mp_context, op_timeout,
+              telemetry=None) -> None:
         shard_states = states["shards"]
         self._init_front(
             states["cuts"], states["auto_rowid"], states["next_rowid"],
@@ -287,7 +277,6 @@ class ClusterEngine(EngineFront):
         else:
             ctx = mp_context
         self._ctx = ctx
-        self._lane_capacity = int(lane_capacity)
         #: Last-known element count per shard: the ``n`` of its worker's
         #: latest reply (a dead shard keeps the last one it sent).
         self._shard_ns: List[int] = [int(s["n"]) for s in shard_states]
@@ -303,6 +292,12 @@ class ClusterEngine(EngineFront):
         #: restore (durable engines) replaces the process outright.
         self._poisoned: set = set()
         self._versions: List[int] = [int(s["version"]) for s in shard_states]
+        #: Held around every round: one round at a time on every pipe.
+        self._lock = threading.Lock()
+        #: Transport counters, mutated under ``_lock``.
+        self._ipc = {"batches": 0, "pickle_fallbacks": 0, "lane_growths": 0}
+        #: The parent's attachments of the workers' reply lanes, by shard.
+        self._lanes = LaneCache()
         self._workers: List[_WorkerHandle] = []
         try:
             for sid, state in enumerate(shard_states):
@@ -314,9 +309,9 @@ class ClusterEngine(EngineFront):
             raise
 
     def _spawn_worker(self, sid: int, state: Dict[str, Any]) -> _WorkerHandle:
-        """Create one shard worker (pipe, two lanes, process).
+        """Create one shard worker (pipe, request lane, process).
 
-        On any failure every resource this call created — lanes, pipe
+        On any failure every resource this call created — the lane, pipe
         ends, a started process — is released before re-raising, so a
         partial spawn can never leak (the caller's cleanup only covers
         fully-constructed handles).
@@ -324,11 +319,10 @@ class ClusterEngine(EngineFront):
         cuts = self.cuts
         lo = float(cuts[sid - 1]) if sid > 0 else None
         hi = float(cuts[sid]) if sid < cuts.size else None
-        parent_conn = child_conn = req = resp = process = None
+        parent_conn = child_conn = req = process = None
         try:
             parent_conn, child_conn = self._ctx.Pipe()
-            req = ShmLane(self._lane_capacity)
-            resp = ShmLane(self._lane_capacity)
+            req = ShmLane()
             # Resolve the shard's class here and ship it with the
             # snapshot: a spawn-context child re-imports with a fresh
             # registry, so parent-side register_index_class calls
@@ -342,11 +336,10 @@ class ClusterEngine(EngineFront):
             )
             process.start()
             child_conn.close()
-            return _WorkerHandle(process, parent_conn, req, resp, lo, hi)
+            return _WorkerHandle(process, parent_conn, req)
         except BaseException:
-            for lane in (req, resp):
-                if lane is not None:
-                    lane.close()
+            if req is not None:
+                req.close()
             for conn in (parent_conn, child_conn):
                 if conn is not None:
                     try:
@@ -375,7 +368,7 @@ class ClusterEngine(EngineFront):
 
     def _maybe_snapshot(self) -> None:
         """Roll a snapshot when the WAL is due (called at safe points,
-        after a verb completed and with no worker locks held)."""
+        after a verb completed and without the engine lock held)."""
         if self._wal is None:
             return
         try:
@@ -387,25 +380,24 @@ class ClusterEngine(EngineFront):
             # is always safe — the tail just stays longer.
             pass
 
-    def _reap_worker(self, sid: int) -> None:
-        """Tear down shard ``sid``'s dead/poisoned worker's resources."""
+    def _release_worker(self, sid: int) -> None:
+        """Release shard ``sid``'s joined worker's pipe, its request lane
+        and the last reply lane it named (already unlinked if it exited
+        cleanly)."""
         worker = self._workers[sid]
-        process = worker.process
-        if process.is_alive():
-            process.terminate()
-        process.join(5.0)
         try:
             worker.conn.close()
         except OSError:
             note_teardown_error()
         worker.req.close()
-        worker.resp.close()
+        if worker.resp is not None:
+            unlink_lane(worker.resp)
 
     def _restore_worker(self, sid: int, answer_lsn: Optional[int] = None) -> Any:
         """Respawn shard ``sid``'s worker from the shard's committed state.
 
-        The caller holds the worker's lock (or all locks). The dead
-        process and its lanes are reaped, and a fresh worker boots from
+        The caller holds the engine lock. The dead process is killed and
+        joined, its pipe and lanes released, and a fresh worker boots from
         :meth:`~repro.wal.WalStore.shard_state` — the shard's snapshot
         plus its committed records, replayed in the parent — so it holds
         exactly what the crashed one durably held, this round's logged
@@ -429,20 +421,17 @@ class ClusterEngine(EngineFront):
             raise self._crash(
                 sid, "no durability store attached; cannot restore"
             )
-        old = self._workers[sid]
-        self._reap_worker(sid)
+        process = self._workers[sid].process
+        if process.is_alive():
+            process.terminate()
+        process.join(5.0)
+        self._release_worker(sid)
         # The snapshot's version stamp may trail the versions the parent
         # already acknowledged; keep the engine-wide barrier monotonic.
         state, answer = self._wal.shard_state(
             sid, version=self._versions[sid], answer_lsn=answer_lsn
         )
-        handle = self._spawn_worker(sid, state)
-        # Callers hold the *old* handle's lock across this restore; the
-        # new handle must keep the same lock object so that hold (and
-        # every queued waiter) stays meaningful.
-        handle.lock = old.lock
-        handle.ipc = old.ipc
-        self._workers[sid] = handle
+        self._workers[sid] = self._spawn_worker(sid, state)
         self._poisoned.discard(sid)
         self._await_ready(sid)
         return answer
@@ -450,7 +439,7 @@ class ClusterEngine(EngineFront):
     def _register_sources(self, reg: Any) -> None:
         reg.register_callback(
             "repro_cluster_ipc", self._collect_ipc,
-            "Cluster transport counters summed across workers.",
+            "Cluster transport counters.",
             labels=("counter",),
         )
         reg.register_callback(
@@ -461,12 +450,9 @@ class ClusterEngine(EngineFront):
         )
 
     def _collect_ipc(self) -> Dict[str, float]:
-        out = {
-            key: sum(w.ipc[key] for w in self._workers)
-            for key in ("batches", "pickle_fallbacks", "lane_growths")
-        }
-        out["teardown_errors"] = teardown_errors()
-        return out
+        # ``pickle_fallbacks`` stays in the stats schema and reads 0: no
+        # payload is pickled.
+        return {**self._ipc, "teardown_errors": teardown_errors()}
 
     def _collect_size(self) -> Dict[str, float]:
         return {
@@ -488,8 +474,8 @@ class ClusterEngine(EngineFront):
 
         Sends each worker a shutdown frame, joins it for up to
         ``timeout`` seconds, terminates stragglers, then closes pipes and
-        closes+unlinks the shared-memory lanes. Idempotent; the engine is
-        unusable afterwards (operations raise
+        releases every lane (:meth:`_release_worker`). Idempotent; the
+        engine is unusable afterwards (operations raise
         :class:`~repro.cluster.errors.ClusterError`).
         """
         if self._closed:
@@ -501,18 +487,14 @@ class ClusterEngine(EngineFront):
             except (BrokenPipeError, OSError):
                 # Expected for already-dead workers; recorded, not silent.
                 note_teardown_error()
-        for worker in self._workers:
+        for sid, worker in enumerate(self._workers):
             process = worker.process
             process.join(timeout)
             if process.is_alive():  # pragma: no cover - hung worker path
                 process.terminate()
                 process.join(timeout)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                note_teardown_error()
-            worker.req.close()
-            worker.resp.close()
+            self._release_worker(sid)
+        self._lanes.close_lanes()
         super().close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
@@ -570,6 +552,12 @@ class ClusterEngine(EngineFront):
         self._versions[sid] = max(self._versions[sid], int(version))
         if n is not None:  # None: a worker that failed to build its shard
             self._shard_ns[sid] = n
+        name = meta.get("resp")
+        if name is not None:
+            worker = self._workers[sid]
+            if worker.resp not in (None, name):  # the worker grew its lane
+                self._ipc["lane_growths"] += 1
+            worker.resp = name
         if status == "err":
             raise meta["error"]
         return meta, descriptors
@@ -634,27 +622,22 @@ class ClusterEngine(EngineFront):
         thunks[sid]()
         return self._recv(sid)
 
-    def _post(
-        self, sid: int, verb: str, meta: Dict[str, Any], arrays,
-        resp_bytes: int = 0,
-    ) -> None:
-        """Send one batch request: ``arrays`` into the request lane (both
-        lanes grown first when too small), ``(verb, meta, descriptors)``
-        down the pipe with the lane names added to ``meta``."""
+    def _post(self, sid: int, verb: str, meta: Dict[str, Any], arrays) -> None:
+        """Send one batch request: ``arrays`` into the request lane (grown
+        first when too small), ``(verb, meta, descriptors)`` down the pipe
+        with the lane's name added to ``meta``."""
         worker = self._workers[sid]
         if worker.req.ensure(codec.packed_size(arrays)):
-            worker.ipc["lane_growths"] += 1
-        if worker.resp.ensure(resp_bytes):
-            worker.ipc["lane_growths"] += 1
+            self._ipc["lane_growths"] += 1
         descriptors = worker.req.write(arrays)
-        worker.ipc["batches"] += 1
-        meta = {"req": worker.req.name, "resp": worker.resp.name, **meta}
-        self._send(sid, (verb, meta, descriptors))
+        self._ipc["batches"] += 1
+        self._send(sid, (verb, {"req": worker.req.name, **meta}, descriptors))
 
-    def _points_bytes(self, n: int) -> int:
-        """Response-lane bytes a get/delete answer for ``n`` keys can need
-        (values + one mask byte each + alignment slack)."""
-        return n * (self._values_dtype.itemsize + 1) + 64
+    def _reply_arrays(self, sid: int, reply: Tuple) -> List[np.ndarray]:
+        """Zero-copy views of one reply's arrays in the reply lane it
+        names; consume them before the next round reuses the lane."""
+        meta, descriptors = reply
+        return self._lanes.lane(sid, meta["resp"]).read(descriptors)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -692,26 +675,12 @@ class ClusterEngine(EngineFront):
     def _broadcast(self, verb: str) -> List[Any]:
         """Send one control verb to every worker; gather each reply's
         ``meta["result"]`` (``None`` for warm/validate) in shard order."""
-        self._acquire_all()
-        try:
+        with self._lock:
             replies = self._round(
                 {sid: partial(self._send, sid, (verb, {}, ()))
                  for sid in range(self.n_shards)}
             )
-            return [
-                replies[sid][0].get("result") for sid in range(self.n_shards)
-            ]
-        finally:
-            self._release_all()
-
-    def _acquire_all(self) -> None:
-        for worker in self._workers:
-            worker.lock.acquire()
-
-    def _release_all(self) -> None:
-        for worker in self._workers:
-            if worker.lock.locked():
-                worker.lock.release()
+        return [replies[sid][0].get("result") for sid in range(self.n_shards)]
 
     # ------------------------------------------------------------------
     # Reads
@@ -736,39 +705,34 @@ class ClusterEngine(EngineFront):
         tracer = None if span is None else self._telemetry.tracer
         meta = {} if span is None else {"trace": (span.trace_id, span.span_id)}
         thunks = {
-            i: partial(self._post, i, "get_batch", meta, [q[idx]],
-                       self._points_bytes(idx.size))
+            i: partial(self._post, i, "get_batch", meta, [q[idx]])
             for i, idx in groups
         }
-        self._acquire_all()
-        try:
+        with self._lock:
             replies = self._round(thunks, partial(self._resend, thunks))
             gather_span = contextlib.nullcontext()
             if tracer is not None:
                 for i, _idx in groups:
                     tracer.ingest(replies[i][0].get("spans", ()))
                 gather_span = tracer.span("cluster.gather", shards=len(groups))
-            # Gather while the locks pin the response lanes (the parts
-            # hold zero-copy lane views).
+            # Gather while the lock pins the reply lanes (the parts hold
+            # zero-copy lane views).
             with gather_span:
                 parts = [
                     (idx, *self._read_points(i, replies[i])) for i, idx in groups
                 ]
                 return gather_lookups(q.size, parts)
-        finally:
-            self._release_all()
 
     def _read_points(
         self, sid: int, reply: Tuple
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """``(values, found)`` of one get/delete reply (``found`` is
         ``None`` when every key hit)."""
-        # Returned arrays are zero-copy views of the response lane; the
+        # Returned arrays are zero-copy views of the reply lane; the
         # gather into the caller's output array is the one copy they get
         # and happens before the lane is ever reused (ops are strict
-        # request/reply rounds under the worker's lock).
-        _meta, descriptors = reply
-        values, *mask = self._workers[sid].resp.read(descriptors)
+        # request/reply rounds under the engine lock).
+        values, *mask = self._reply_arrays(sid, reply)
         return values, (mask[0].view(np.bool_) if mask else None)
 
     # ------------------------------------------------------------------
@@ -791,34 +755,16 @@ class ClusterEngine(EngineFront):
                          [bounds[idx, 0], bounds[idx, 1]])
             for sid, idx in jobs
         }
-        self._acquire_all()
-        try:
+        with self._lock:
             raw = self._round(thunks, partial(self._resend, thunks))
-            parts = [
-                (idx, self._read_ranges(sid, raw[sid])) for sid, idx in jobs
-            ]
-        finally:
-            self._release_all()
-        return stitch_ranges(bounds.shape[0], parts, self._values_dtype)
-
-    def _read_ranges(
-        self, sid: int, reply: Tuple
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """The per-bound ``(keys, values)`` rows of one range reply."""
-        meta, descriptors = reply
-        worker = self._workers[sid]
-        if meta["via"] == "shm":
             # Copied once out of the lane: the rows outlive the round.
-            return codec.split_pairs(
-                *(np.array(a) for a in worker.resp.read(descriptors))
-            )
-        worker.ipc["pickle_fallbacks"] += 1
-        # The reply outgrew the response lane — the common case for wide
-        # scans — and ``need`` is what would have fit: grow now (the worker
-        # re-attaches by name from the next request).
-        if meta["need"] is not None and worker.resp.ensure(meta["need"]):
-            worker.ipc["lane_growths"] += 1
-        return meta["pairs"]
+            parts = [
+                (idx, codec.split_pairs(
+                    *(np.array(a) for a in self._reply_arrays(sid, raw[sid]))
+                ))
+                for sid, idx in jobs
+            ]
+        return stitch_ranges(bounds.shape[0], parts, self._values_dtype)
 
     # ------------------------------------------------------------------
     # Writes
@@ -839,15 +785,12 @@ class ClusterEngine(EngineFront):
                          [keys[a:b], values[a:b]])
             for sid, a, b in jobs
         }
-        self._acquire_all()
-        try:
-            # The fence: every owning worker has replied (i.e. applied its
-            # chunk) before this returns. A crashed worker's restore
-            # replays the shard's committed records — this round's chunk
-            # included, so the insert is applied, not lost.
+        # The fence: every owning worker has replied (i.e. applied its
+        # chunk) before this returns. A crashed worker's restore replays
+        # the shard's committed records — this round's chunk included, so
+        # the insert is applied, not lost.
+        with self._lock:
             self._round(thunks, self._restore_worker)
-        finally:
-            self._release_all()
 
     def _delete_sorted(
         self, order: np.ndarray, keys: np.ndarray,
@@ -855,17 +798,16 @@ class ClusterEngine(EngineFront):
     ) -> List[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
         """Dispatch and fence one committed delete plan: the
         ``(positions, values, found)`` part of each owning worker's reply,
-        copied out of its response lane (a worker whose crash took the
+        copied out of its reply lane (a worker whose crash took the
         reply answers from the parent-side replay of record
         ``lsns[sid]`` that restores it — its deleted values, or the
         strict delete's miss)."""
         thunks = {
             sid: partial(self._post, sid, "delete_batch", {"missing": missing},
-                         [keys[a:b]], self._points_bytes(b - a))
+                         [keys[a:b]])
             for sid, a, b in jobs
         }
-        self._acquire_all()
-        try:
+        with self._lock:
             replies = self._round(
                 thunks, lambda sid: self._restore_worker(sid, lsns[sid])
             )
@@ -880,8 +822,6 @@ class ClusterEngine(EngineFront):
                 if found is not None:
                     found = found.copy()
                 parts.append((order[a:b], values.copy(), found))
-        finally:
-            self._release_all()
         return parts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,42 +9,47 @@ values — crosses the process boundary as one ``memcpy`` in, zero copies
 across, and one gather out.
 
 :class:`ShmLane` is one direction of that channel: a named shared-memory
-arena the owning side packs arrays into (the :mod:`repro.codec` layout)
-and the peer reads as NumPy views. Lanes are single-flight by protocol —
-the writer never reuses a lane until the peer's reply frame arrives — so
-no ring indices or locks are needed; "ring" behavior falls out of the
-strict request/reply alternation. When a payload outgrows a lane the
-*owner* reallocates a bigger block and the next control frame carries the
-new name (:meth:`ShmLane.ensure`); the peer re-attaches lazily by name.
-Payloads that have no flat numeric representation (object dtypes, oversized
-worker replies) fall back to pickling inside the control frame — slower,
-never wrong.
+arena the process that writes into it creates, grows and unlinks (the
+parent owns each worker's request lane, each worker its own reply lane),
+packed in the :mod:`repro.codec` layout and read by the peer as NumPy
+views. Lanes are single-flight by protocol — the writer never reuses a
+lane until the peer's next frame arrives — so no ring indices or locks
+are needed. Before each write the owner grows the lane to the payload's
+packed size (:meth:`ShmLane.ensure`); the frame names the block, and the
+peer re-attaches when the name changes (:class:`LaneCache`). No payload
+is pickled. When an owner dies, the peer unlinks the last name it was
+sent (:func:`unlink_lane`); a block created after that is left to the
+resource tracker's cleanup at exit.
 
 CPython < 3.13 registers *attached* segments with the per-process
 ``resource_tracker`` as if it owned them, which makes a worker's exit
 unlink memory the parent still maps (and spams leak warnings).
 :func:`attach_lane` therefore unregisters the segment right after
-attaching — only the creating side may unlink.
+attaching when this process runs its own tracker — only the creating
+side may unlink.
 """
 
 from __future__ import annotations
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import codec
 
 __all__ = [
+    "LaneCache",
     "ShmLane",
     "attach_lane",
     "DEFAULT_LANE_CAPACITY",
     "note_teardown_error",
     "teardown_errors",
+    "unlink_lane",
 ]
 
-#: Default lane size: comfortably holds a 64k-key float64 batch plus masks.
+#: A lane's first size: comfortably holds a 64k-key float64 batch plus
+#: masks; a bigger payload grows it.
 DEFAULT_LANE_CAPACITY = 1 << 20
 
 class ShmLane:
@@ -83,8 +88,8 @@ class ShmLane:
         """Grow the lane to hold ``nbytes`` (owner side only).
 
         Reallocates a fresh block (old one unlinked) when the current one
-        is too small; the caller must ship the new :attr:`name` to the
-        peer in the next control frame. Growth doubles, so a traffic
+        is too small; the caller ships the new :attr:`name` to the peer in
+        the frame that carries the payload. Growth doubles, so a traffic
         spike costs O(log spike) reallocations, not one per batch.
 
         Returns
@@ -111,16 +116,15 @@ class ShmLane:
         The descriptors are what the control frame carries so :meth:`read`
         on the other side can rebuild zero-copy views. Raises
         ``ValueError`` for an array :mod:`repro.codec` cannot pack or when
-        the lane is too small (callers :meth:`ensure` first, or fall back
-        to pickling).
+        the lane is too small (callers :meth:`ensure` first).
         """
         return codec.pack_into(self._shm.buf, arrays)
 
     def read(self, descriptors: Sequence[codec.Descriptor]) -> List[np.ndarray]:
         """Zero-copy NumPy views over arrays previously :meth:`write`-ten.
 
-        The views alias shared memory owned by the peer's current batch:
-        consume them before sending the reply frame (or copy), never after.
+        The views alias the peer's lane: consume them (or copy) before the
+        next frame to that peer, which lets it write the lane again.
         """
         return codec.unpack(self._shm.buf, descriptors)
 
@@ -203,10 +207,10 @@ def _dispose(shm, unlink: bool) -> None:
 
 
 def attach_lane(name: str) -> ShmLane:
-    """Attach to a peer-owned lane by name (worker side).
+    """Attach to a peer-owned lane by name.
 
     CPython < 3.13 registers the attachment with the ``resource_tracker``
-    as if this process owned it. Worker processes share the parent's
+    as if this process owned it. The parent and its workers share one
     tracker (the fd is inherited at fork/spawn), so the duplicate
     registration is a set no-op there and needs no correction; but if
     this process runs its *own* tracker — attaching from an unrelated
@@ -223,10 +227,50 @@ def attach_lane(name: str) -> ShmLane:
     return ShmLane(shm=shm)
 
 
+def unlink_lane(name: str) -> None:
+    """Unlink a lane whose owner is gone (joined), by the name it last sent.
+
+    A ``FileNotFoundError`` means the owner unlinked it on its way out;
+    either way a shared resource tracker sees exactly one unregister.
+    """
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    _dispose(shm, unlink=True)
+
+
+class LaneCache:
+    """Peer-owned lanes, attached by the name the latest frame carried:
+    one per ``side`` (a worker's request lane, the parent's reply lane of
+    each shard). The owner reallocates a lane to grow it, so a changed
+    name means the old block is gone: the stale attachment is dropped."""
+
+    def __init__(self) -> None:
+        self._lanes: Dict[Any, Tuple[str, ShmLane]] = {}
+
+    def lane(self, side: Any, name: str) -> ShmLane:
+        """The lane ``name`` for ``side``, (re-)attached lazily."""
+        cached = self._lanes.get(side)
+        if cached is not None and cached[0] == name:
+            return cached[1]
+        if cached is not None:
+            cached[1].close()
+        lane = attach_lane(name)
+        self._lanes[side] = (name, lane)
+        return lane
+
+    def close_lanes(self) -> None:
+        """Drop every cached attachment."""
+        for _, lane in self._lanes.values():
+            lane.close()
+        self._lanes.clear()
+
+
 def _tracker_running() -> bool:
-    """Whether a resource tracker connection already exists here — i.e.
-    one was inherited from the lane's owner (the normal worker case: both
-    fork and spawn children share the parent's tracker fd). Must be
-    checked *before* attaching, which would spawn a fresh tracker."""
+    """Whether a resource tracker connection already exists here — the
+    normal case: the parent started it creating its first request lane,
+    and both fork and spawn children share its fd. Must be checked
+    *before* attaching, which would spawn a fresh tracker."""
     tracker = getattr(resource_tracker, "_resource_tracker", None)
     return tracker is not None and getattr(tracker, "_fd", None) is not None

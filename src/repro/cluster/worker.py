@@ -3,9 +3,16 @@
 Each worker owns exactly one range shard — a paged index rebuilt from the
 parent's :meth:`~repro.core.paged_index.PagedIndexBase.to_state` snapshot
 (one bulk pass, no re-segmentation) — and runs a blocking request/reply
-loop over a ``multiprocessing`` pipe. Bulk payloads travel through the
-parent-owned shared-memory lanes (:mod:`repro.cluster.shm`); the pipe
-carries only control frames.
+loop over a ``multiprocessing`` pipe. Bulk payloads travel through
+shared-memory lanes (:mod:`repro.cluster.shm`), each owned by the process
+that writes it: a request arrives in the parent's request lane, named in
+the request's ``meta["req"]``; the worker creates its own reply lane once
+its shard is built, grows it to each answer's packed size before writing,
+and names it in its ready reply and in every reply that carries arrays
+(``meta["resp"]``). The pipe carries only control frames. A clean exit
+unlinks the reply lane here; after a crash the parent unlinks the last
+name it was sent, and a block created after that (a growth whose reply
+never left) is left to the resource tracker's cleanup at exit.
 
 Protocol: a request is ``(verb, meta, descriptors)`` and its one reply
 ``(status, version, meta, descriptors, n)`` with ``status`` one of
@@ -20,7 +27,8 @@ appends ``n``, the shard's ``len()`` after the verb ran.
 ``get_batch``   answer a key batch from the shard's ``FlatView``:
                 values, plus a found mask as a second array unless
                 every key hit
-``range_batch`` answer ``[lo, hi]`` scans: ``codec.join_pairs`` rows
+``range_batch`` answer ``[lo, hi]`` scans: ``[counts, keys, values]``,
+                the rows ``FlatView.range_rows`` gathered
 ``insert_batch``  apply a sorted per-shard chunk (the write fence:
                 the reply is not sent until the mutation is applied)
 ``delete_batch``  remove a sorted per-shard chunk under the same fence
@@ -56,7 +64,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro import codec
-from repro.cluster.shm import ShmLane, attach_lane
+from repro.cluster.shm import LaneCache, ShmLane
 from repro.core.errors import InvalidParameterError
 from repro.core.serialize import index_from_state, register_index_class
 from repro.engine.batch import flat_view
@@ -68,8 +76,9 @@ __all__ = ["shard_worker_main"]
 _BATCH_VERBS = ("get_batch", "range_batch", "delete_batch", "insert_batch")
 
 
-class _ShardServer:
-    """One worker's state: the rebuilt shard index plus cached lanes."""
+class _ShardServer(LaneCache):
+    """One worker's state: the rebuilt shard index, its reply lane and
+    the attached request lane (the inherited :class:`LaneCache`)."""
 
     def __init__(
         self,
@@ -78,34 +87,27 @@ class _ShardServer:
         hi: Optional[float],
         shard_id: int = -1,
     ):
+        super().__init__()
         self.index = index_from_state(state)
         self.lo = lo  # owning cut range, for validate()
         self.hi = hi
         self.shard_id = shard_id  # stamped into traced-reply spans
-        self._lanes: Dict[str, Tuple[str, ShmLane]] = {}
+        #: This worker's reply lane: created, grown and unlinked here.
+        self.resp = ShmLane()
 
     # -- lanes ---------------------------------------------------------
 
-    def lane(self, side: str, name: str) -> ShmLane:
-        """The request/response lane named in a frame, (re-)attached lazily.
-
-        The parent may reallocate a lane to grow it; a changed name means
-        the old block is gone, so the stale attachment is dropped.
-        """
-        cached = self._lanes.get(side)
-        if cached is not None and cached[0] == name:
-            return cached[1]
-        if cached is not None:
-            cached[1].close()
-        lane = attach_lane(name)
-        self._lanes[side] = (name, lane)
-        return lane
+    def reply(self, arrays) -> Tuple[Dict[str, Any], Any]:
+        """``arrays`` as a reply's ``(meta, descriptors)``: written to the
+        reply lane, grown to their packed size first, and named."""
+        self.resp.ensure(codec.packed_size(arrays))
+        return {"resp": self.resp.name}, self.resp.write(arrays)
 
     def close_lanes(self) -> None:
-        """Drop every cached lane attachment (worker-exit cleanup)."""
-        for _, lane in self._lanes.values():
-            lane.close()
-        self._lanes.clear()
+        """Drop every attachment and unlink the reply lane (worker-exit
+        cleanup)."""
+        super().close_lanes()
+        self.resp.close()
 
     # -- verbs ---------------------------------------------------------
 
@@ -173,8 +175,9 @@ def shard_worker_main(
     def send(reply: Tuple) -> None:
         conn.send((*reply, len(server.index)))
 
-    send(("ok", server.index.version, {"ready": True}, ()))
     try:
+        ready = {"ready": True, "resp": server.resp.name}
+        send(("ok", server.index.version, ready, ()))
         while True:
             try:
                 frame = conn.recv()
@@ -198,14 +201,11 @@ def shard_worker_main(
         conn.close()
 
 
-def _encode_points(resp: ShmLane, values: np.ndarray, found: np.ndarray):
-    """A get/delete ``(values, found)`` answer as the reply's
-    ``(meta, descriptors)``: the values (the shard's numeric dtype) go
-    through the response lane, then the found mask as ``uint8`` unless
-    every key hit."""
-    if found.all():
-        return {"via": "shm"}, resp.write([values])
-    return {"via": "shm"}, resp.write([values, found.view(np.uint8)])
+def _points(values: np.ndarray, found: np.ndarray) -> list:
+    """A get/delete ``(values, found)`` answer's arrays: the values (the
+    shard's numeric dtype), then the found mask as ``uint8`` unless every
+    key hit."""
+    return [values] if found.all() else [values, found.view(np.uint8)]
 
 
 def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
@@ -224,13 +224,12 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
             raise ValueError(f"unknown verb {verb!r}")
         return ("ok", server.index.version, out, reply_descriptors)
     arrays = server.lane("req", meta["req"]).read(descriptors)
-    resp = server.lane("resp", meta["resp"])
     keys = arrays[0]
     if verb == "get_batch":
         t0 = time.perf_counter()
         values, found = flat_view(server.index).lookup_batch(keys)
         compute_s = time.perf_counter() - t0
-        out, reply_descriptors = _encode_points(resp, values, found)
+        out, reply_descriptors = server.reply(_points(values, found))
         if meta.get("trace") is not None:
             out["spans"] = [
                 span_record(
@@ -244,24 +243,19 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
                 )
             ]
     elif verb == "range_batch":
-        pairs = flat_view(server.index).range_batch(
+        ends, rows_keys, rows_values = flat_view(server.index).range_rows(
             np.column_stack((keys, arrays[1])),
             meta["include_lo"],
             meta["include_hi"],
         )
-        packed = codec.join_pairs(pairs)  # None: object or mixed dtypes
-        need = None if packed is None else codec.packed_size(packed)
-        if need is not None and need <= resp.capacity:
-            out, reply_descriptors = {"via": "shm"}, resp.write(packed)
-        else:
-            # ``need`` tells the parent what would have fit, so it grows
-            # the lane and the next comparable reply goes zero-copy.
-            out = {"via": "pickle", "pairs": pairs, "need": need}
+        out, reply_descriptors = server.reply(
+            [np.diff(ends, prepend=0), rows_keys, rows_values]
+        )
     else:
         keys = np.array(keys)  # own the memory before mutating state
         if verb == "delete_batch":
-            out, reply_descriptors = _encode_points(
-                resp, *server.index.pop_batch(keys, missing=meta["missing"])
+            out, reply_descriptors = server.reply(
+                _points(*server.index.pop_batch(keys, missing=meta["missing"]))
             )
         else:
             server.index.insert_batch(keys, np.array(arrays[1]))

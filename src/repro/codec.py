@@ -11,8 +11,10 @@ module and by nothing else. The rule, stated once:
   the buffer (a control frame on the pipe), or are rebuilt by
   :func:`layout` from the dtypes and counts alone (a frame body's table);
 * only flat data has this form: an ``object`` dtype or an array that is
-  not 1-D is refused with ``ValueError``: the socket refuses it; a cluster
-  range reply that outgrows its lane is pickled over the worker pipe.
+  not 1-D is refused with ``ValueError``. The socket refuses it, and a
+  cluster lane never sees one (a cluster shard's values are numeric); a
+  lane is grown to any payload by the process that writes it, so no
+  payload is ever pickled.
 
 The at-rest formats (``repro.wal.format`` records, the npz of
 ``repro.core.serialize``) are deliberately not built on this: each already

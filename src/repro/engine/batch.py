@@ -325,6 +325,32 @@ class FlatView:
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Every live row inside each ``[lo, hi]`` row of ``bounds``.
 
+        :meth:`range_rows`' rows, split per bounds row.
+
+        Parameters
+        ----------
+        bounds, include_lo, include_hi:
+            As for :meth:`range_rows`.
+
+        Returns
+        -------
+        list of (numpy.ndarray, numpy.ndarray)
+            Per bounds row, its live ``(keys, values)`` in exactly the
+            order ``PagedIndexBase.range_items`` yields them, as writeable
+            arrays that share no memory with the view.
+        """
+        ends, keys, values = self.range_rows(bounds, include_lo, include_hi)
+        cuts = ends.tolist()
+        return [
+            (keys[i:j], values[i:j]) for i, j in zip([0] + cuts[:-1], cuts)
+        ]
+
+    def range_rows(
+        self, bounds, include_lo: bool = True, include_hi: bool = True
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every live row inside each ``[lo, hi]`` row of ``bounds``, as
+        one keys array and one values array with each bounds row's end.
+
         Every bound is found at once: one ``searchsorted`` per side over
         the globally sorted data and one over the buffers, which
         concatenated in page order are globally sorted too (a page buffers
@@ -344,10 +370,12 @@ class FlatView:
 
         Returns
         -------
-        list of (numpy.ndarray, numpy.ndarray)
-            Per bounds row, its live ``(keys, values)`` in exactly the
-            order ``PagedIndexBase.range_items`` yields them, as writeable
-            arrays that share no memory with the view.
+        (numpy.ndarray, numpy.ndarray, numpy.ndarray)
+            ``(ends, keys, values)``: bounds row ``i``'s live rows are
+            ``keys[ends[i-1]:ends[i]]`` (from 0 for the first), in exactly
+            the order ``PagedIndexBase.range_items`` yields them;
+            ``keys`` and ``values`` are writeable arrays that share no
+            memory with the view.
         """
         bounds = np.asarray(bounds, dtype=np.float64).reshape(-1, 2)
         if np.isnan(bounds).any():
@@ -388,10 +416,7 @@ class FlatView:
             keys, values = out_keys, out_values
         if rank is not None:
             ends = rank[ends]
-        cuts = (ends + bends).tolist()
-        return [
-            (keys[i:j], values[i:j]) for i, j in zip([0] + cuts[:-1], cuts)
-        ]
+        return ends + bends, keys, values
 
 
 def _spans(

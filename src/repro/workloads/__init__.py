@@ -1,16 +1,10 @@
 """Workload generation and execution for the evaluation harness.
 
-Three families: seeded stream generators (:mod:`~repro.workloads.generators`),
-the synchronous scalar runners (:mod:`~repro.workloads.runner`), and
-async closed-/open-loop traffic drivers for the serving layer
-(:mod:`~repro.workloads.async_traffic`).
+Two families: seeded stream generators (:mod:`~repro.workloads.generators`)
+and the synchronous scalar runners (:mod:`~repro.workloads.runner`). The
+serving tiers' traffic drivers live in ``stackbench/load.py``.
 """
 
-from repro.workloads.async_traffic import (
-    TrafficResult,
-    run_closed_loop,
-    run_open_loop,
-)
 from repro.workloads.generators import (
     insert_stream,
     missing_lookups,
@@ -26,15 +20,12 @@ from repro.workloads.runner import (
 )
 
 __all__ = [
-    "TrafficResult",
     "WorkloadResult",
     "insert_stream",
     "missing_lookups",
     "mixed_lookups",
-    "run_closed_loop",
     "run_inserts",
     "run_lookups",
-    "run_open_loop",
     "run_range_scans",
     "uniform_lookups",
     "zipf_lookups",

@@ -20,7 +20,6 @@ def test_non_default_fields_round_trip():
         page_size=128,
         buffer_capacity=8,
         index_kwargs={"search": "linear"},
-        lane_capacity=1 << 20,
         op_timeout=5.0,
         max_batch=64,
         max_delay=0.01,

@@ -18,6 +18,7 @@ import pytest
 
 from helpers import assert_batches_equal, cluster
 from repro.cluster import ClusterEngine, ClusterError, WorkerCrashedError
+from repro.cluster.shm import DEFAULT_LANE_CAPACITY
 from repro.core.errors import InvalidParameterError
 from repro.datasets import get
 from repro.engine import ShardedEngine
@@ -207,20 +208,23 @@ class TestRangeEquivalence:
                 assert gk.tolist() == wk.tolist()
                 assert gv.tolist() == wv.tolist()
 
-    def test_wide_range_grows_lane_out_of_pickle_fallback(self):
-        """A range reply that outgrows the response lane pickles once,
-        then the lane is grown so the repeat takes the zero-copy path."""
-        keys = np.arange(40_000, dtype=np.float64)
-        with cluster(keys, n_shards=2, error=64, lane_capacity=4096) as eng:
-            bounds = np.asarray([[0.0, 30_000.0]])
-            first = eng.range_batch(bounds)
-            fallbacks = eng.stats()["ipc"]["pickle_fallbacks"]
-            assert fallbacks >= 1
-            second = eng.range_batch(bounds)
-            assert eng.stats()["ipc"]["pickle_fallbacks"] == fallbacks
-            assert first[0][0].tolist() == second[0][0].tolist()
-            assert first[0][1].tolist() == second[0][1].tolist()
-            assert first[0][0].size == 30_001
+    def test_wide_range_grows_the_reply_lane(self):
+        """A range reply wider than a lane's first size travels through
+        the worker's reply lane, grown to fit: never pickled, and
+        bit-equal to the in-process twin."""
+        keys = np.arange(200_000, dtype=np.float64)
+        inproc, clustered = twin_pair(keys, n_shards=2, error=64)
+        bounds = np.asarray([[-np.inf, np.inf]])  # one full-span bound
+        with clustered:
+            assert keys.size // 2 * 16 > DEFAULT_LANE_CAPACITY  # per shard
+            for _ in range(2):  # grown once, then reused
+                (gk, gv), = clustered.range_batch(bounds)
+                (wk, wv), = inproc.range_batch(bounds)
+                assert gk.dtype == wk.dtype and gv.dtype == wv.dtype
+                assert np.array_equal(gk, wk) and np.array_equal(gv, wv)
+            ipc = clustered.stats()["ipc"]
+            assert ipc["pickle_fallbacks"] == 0
+            assert ipc["lane_growths"] >= 1
 
     def test_range_arrays_and_items_with_open_bounds(self):
         keys = np.arange(1000, dtype=np.float64)

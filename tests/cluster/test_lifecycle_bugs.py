@@ -7,7 +7,9 @@ Three previously-silent failure modes, now pinned:
 * worker-spawn failure during ``__init__`` leaking already-started
   processes and shared-memory lanes;
 * teardown failures being swallowed by blanket ``except: pass`` blocks
-  with no trace (now narrowed and counted).
+  with no trace (now narrowed and counted);
+* a SIGKILLed worker's reply lane outliving it (the worker owns the
+  lane, so the parent unlinks the last name it was sent).
 """
 
 import multiprocessing
@@ -21,6 +23,7 @@ import pytest
 import repro.cluster.engine as cluster_engine
 from repro.cluster import ClusterEngine, ClusterError, teardown_errors
 from repro.cluster.shm import ShmLane
+from repro.wal import WalStore
 
 KEYS = np.sort(np.random.default_rng(5).uniform(0, 1e6, 4_000))
 
@@ -90,11 +93,11 @@ def test_failed_spawn_leaks_no_processes_or_lanes(monkeypatch):
     real_lane = cluster_engine.ShmLane
     calls = {"n": 0}
 
-    def flaky_lane(capacity):
+    def flaky_lane():
         calls["n"] += 1
-        if calls["n"] == 4:  # second worker's response lane
+        if calls["n"] == 2:  # second worker's request lane
             raise OSError("synthetic shm exhaustion")
-        lane = real_lane(capacity)
+        lane = real_lane()
         created.append(lane.name)
         return lane
 
@@ -102,7 +105,7 @@ def test_failed_spawn_leaks_no_processes_or_lanes(monkeypatch):
     with pytest.raises(OSError, match="synthetic shm exhaustion"):
         ClusterEngine(KEYS, n_shards=2, error=64.0)
 
-    assert created  # the first worker's lanes really were allocated
+    assert len(created) == 1  # the first worker's lane really was allocated
     for name in created:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -123,8 +126,8 @@ def test_failed_worker_start_cleans_up_partial_spawn(monkeypatch):
         created = []
         real_lane = cluster_engine.ShmLane
 
-        def tracking_lane(capacity):
-            lane = real_lane(capacity)
+        def tracking_lane():
+            lane = real_lane()
             created.append(lane.name)
             return lane
 
@@ -136,7 +139,7 @@ def test_failed_worker_start_cleans_up_partial_spawn(monkeypatch):
         monkeypatch.setattr(engine._ctx, "Process", ExplodingProcess)
         with pytest.raises(RuntimeError, match="no more processes"):
             engine._spawn_worker(0, {"index_cls": "unused"})
-        assert len(created) == 2
+        assert len(created) == 1
         for name in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
@@ -167,3 +170,43 @@ def test_teardown_errors_surface_in_stats():
         assert stats["ipc"]["teardown_errors"] == teardown_errors()
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# A dead worker's reply lane is unlinked by the parent
+# ----------------------------------------------------------------------
+
+
+def _lane_exists(name):
+    try:
+        shared_memory.SharedMemory(name=name).close()
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def test_sigkilled_worker_reply_lane_is_unlinked_by_restore(tmp_path):
+    engine = ClusterEngine(KEYS, n_shards=2, error=64.0)
+    try:
+        store = WalStore(str(tmp_path))
+        store.initialize(engine.to_states())
+        engine.attach_wal(store)
+        dead = engine._workers[1].resp
+        assert _lane_exists(dead)
+        _kill_worker(engine, 1)
+        # The read restores the worker, which names a new reply lane.
+        assert engine.get_batch(KEYS).tolist() == list(range(KEYS.size))
+        assert not _lane_exists(dead)
+        assert _lane_exists(engine._workers[1].resp)
+    finally:
+        engine.close()
+
+
+def test_sigkilled_worker_reply_lane_is_unlinked_by_close():
+    engine = ClusterEngine(KEYS, n_shards=2, error=64.0)
+    names = [w.resp for w in engine._workers]
+    _kill_worker(engine, 1)
+    with pytest.raises(ClusterError):
+        engine.get_batch(KEYS)
+    engine.close()
+    assert not any(_lane_exists(name) for name in names)

@@ -2,67 +2,79 @@
 
 The subprocess suites prove the end-to-end behavior; this file exercises
 ``_ShardServer`` / ``_dispatch`` directly (no fork) so the protocol's
-branches — shm replies, pickle fallbacks, lane re-attachment, per-verb
-errors — are pinned at unit granularity.
+branches — replies in the worker's own reply lane, its growth, lane
+re-attachment, per-verb errors — are pinned at unit granularity.
 """
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.cluster.shm import ShmLane
+from repro.cluster.shm import ShmLane, attach_lane
 from repro.cluster.worker import _dispatch, _ShardServer
 from repro.core.errors import InvalidParameterError
 from repro.core.fiting_tree import FITingTree
 
+_SERVERS = []
+
+
+@pytest.fixture(autouse=True)
+def close_servers():
+    """Unlink every server's reply lane after each test."""
+    yield
+    while _SERVERS:
+        _SERVERS.pop().close_lanes()
+
 
 @pytest.fixture
-def lanes():
-    req, resp = ShmLane(capacity=1 << 16), ShmLane(capacity=1 << 16)
-    yield req, resp
-    req.close()
-    resp.close()
+def req():
+    """The parent's request lane (a worker owns its reply lane)."""
+    lane = ShmLane(capacity=1 << 16)
+    yield lane
+    lane.close()
 
 
-def lanes_meta(req, resp, **meta):
-    """A batch request's ``meta``: the lane names plus the verb's keys."""
-    return {"req": req.name, "resp": resp.name, **meta}
+def lanes_meta(req, **meta):
+    """A batch request's ``meta``: the request lane's name plus the
+    verb's keys."""
+    return {"req": req.name, **meta}
 
 
 def make_server(keys=None, lo=None, hi=None, **kwargs):
     kwargs.setdefault("error", 32)
     kwargs.setdefault("buffer_capacity", 8)
     index = FITingTree(keys, **kwargs)
-    return _ShardServer(index.to_state(), lo, hi)
+    server = _ShardServer(index.to_state(), lo, hi)
+    _SERVERS.append(server)
+    return server
 
 
 class TestVerbs:
-    def test_get_batch_all_hits_skips_mask(self, lanes):
-        req, resp = lanes
+    def test_get_batch_all_hits_skips_mask(self, req):
         server = make_server(np.arange(100, dtype=np.float64))
         descrs = req.write([np.asarray([3.0, 7.0])])
-        frame = ("get_batch", lanes_meta(req, resp), descrs)
+        frame = ("get_batch", lanes_meta(req), descrs)
         kind, version, meta, reply_descrs = _dispatch(server, frame)
         assert kind == "ok" and version == server.index.version
-        assert meta == {"via": "shm"}  # no spans unless traced
-        (values,) = resp.read(reply_descrs)  # all-hit fast shape: no mask
+        assert meta == {"resp": server.resp.name}  # no spans unless traced
+        (values,) = server.resp.read(reply_descrs)  # all-hit fast shape: no mask
         assert values.tolist() == [3, 7]
 
-    def test_get_batch_misses_carry_mask(self, lanes):
-        req, resp = lanes
+    def test_get_batch_misses_carry_mask(self, req):
         server = make_server(np.arange(100, dtype=np.float64))
         descrs = req.write([np.asarray([3.0, 1e9])])
         _, _, meta, reply_descrs = _dispatch(
-            server, ("get_batch", lanes_meta(req, resp), descrs)
+            server, ("get_batch", lanes_meta(req), descrs)
         )
-        assert meta["via"] == "shm"
-        _values, mask = resp.read(reply_descrs)
+        assert meta == {"resp": server.resp.name}
+        _values, mask = server.resp.read(reply_descrs)
         assert mask.view(np.bool_).tolist() == [True, False]
 
-    def test_get_batch_object_payload_pickle_fallback(self, lanes):
+    def test_get_batch_object_payload_pickle_fallback(self, req):
         """There is none: the shard refuses a payload its dtype cannot
         hold, so a get always answers through the lane — from an emptied
         shard too."""
-        req, resp = lanes
         server = make_server(np.arange(20, dtype=np.float64))
         with pytest.raises(InvalidParameterError):
             server.index.insert(3.5, ("not", "numeric"))
@@ -70,60 +82,63 @@ class TestVerbs:
         assert server.index.n_pages == 0
         descrs = req.write([np.asarray([3.5, 4.0])])
         _, _, meta, reply_descrs = _dispatch(
-            server, ("get_batch", lanes_meta(req, resp), descrs)
+            server, ("get_batch", lanes_meta(req), descrs)
         )
-        assert meta == {"via": "shm"}
-        values, mask = resp.read(reply_descrs)
+        assert meta == {"resp": server.resp.name}
+        values, mask = server.resp.read(reply_descrs)
         assert values.dtype == np.int64
         assert mask.view(np.bool_).tolist() == [False, False]
 
-    def test_insert_then_read_roundtrip(self, lanes):
-        req, resp = lanes
+    def test_insert_then_read_roundtrip(self, req):
         server = make_server(np.arange(10, dtype=np.float64))
         keys = np.asarray([2.5, 7.5])
         values = np.asarray([100, 101], dtype=np.int64)
         kind, version, meta, _ = _dispatch(
             server,
-            ("insert_batch", lanes_meta(req, resp), req.write([keys, values])),
+            ("insert_batch", lanes_meta(req), req.write([keys, values])),
         )
         assert kind == "ok" and version == server.index.version
         assert meta == {}
         assert server.index.get(2.5) == 100
 
-    def test_range_batch_shm_and_counts(self, lanes):
-        req, resp = lanes
+    def test_range_batch_shm_and_counts(self, req):
         server = make_server(np.arange(100, dtype=np.float64))
         los = np.asarray([10.0, 90.0])
         his = np.asarray([12.0, 200.0])
         descrs = req.write([los, his])
-        meta = lanes_meta(req, resp, include_lo=True, include_hi=True)
+        meta = lanes_meta(req, include_lo=True, include_hi=True)
         _, _, meta, reply_descrs = _dispatch(
             server, ("range_batch", meta, descrs)
         )
-        assert meta == {"via": "shm"}
-        counts, all_keys, _values = resp.read(reply_descrs)
+        assert meta == {"resp": server.resp.name}
+        counts, all_keys, _values = server.resp.read(reply_descrs)
         assert counts.tolist() == [3, 10]
         assert all_keys[:3].tolist() == [10.0, 11.0, 12.0]
 
-    def test_range_overflow_pickle_fallback(self):
-        req = ShmLane(capacity=1 << 16)
-        resp = ShmLane(capacity=256)  # too small for the reply rows
+    def test_range_reply_grows_the_reply_lane(self, req):
+        server = make_server(np.arange(2_000, dtype=np.float64))
+        server.resp.close()
+        server.resp = ShmLane(capacity=256)  # too small for the reply rows
+        old = server.resp.name
+        descrs = req.write([np.asarray([0.0]), np.asarray([1_999.0])])
+        meta = lanes_meta(req, include_lo=True, include_hi=True)
+        _, _, meta, reply_descrs = _dispatch(server, ("range_batch", meta, descrs))
+        # The worker grew its lane to the reply and names the new block;
+        # the old one is unlinked, so the parent re-attaches by name.
+        assert meta == {"resp": server.resp.name} and meta["resp"] != old
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=old)
+        peer = attach_lane(meta["resp"])
         try:
-            server = make_server(np.arange(2_000, dtype=np.float64))
-            descrs = req.write([np.asarray([0.0]), np.asarray([1_999.0])])
-            meta = lanes_meta(req, resp, include_lo=True, include_hi=True)
-            _, _, meta, _ = _dispatch(server, ("range_batch", meta, descrs))
-            assert meta["via"] == "pickle"
-            (keys, values), = meta["pairs"]
-            assert keys.size == 2_000
-            # What would have fit: the parent grows the lane to this.
-            assert meta["need"] > resp.capacity
+            counts, keys, values = peer.read(reply_descrs)
+            assert counts.tolist() == [2_000]
+            assert np.array_equal(keys, np.arange(2_000, dtype=np.float64))
+            assert np.array_equal(values, np.arange(2_000))
+            del counts, keys, values
         finally:
-            req.close()
-            resp.close()
+            peer.close()
 
-    def test_stats_warm_and_unknown_verb(self, lanes):
-        req, resp = lanes
+    def test_stats_warm_and_unknown_verb(self, req):
         server = make_server(np.arange(50, dtype=np.float64))
         kind, _, meta, _ = _dispatch(server, ("stats", {}, ()))
         assert kind == "ok" and meta["result"]["n"] == 50
@@ -132,26 +147,24 @@ class TestVerbs:
         with pytest.raises(ValueError, match="unknown verb"):
             _dispatch(server, ("explode", {}, ()))
 
-    def test_traced_get_batch_carries_spans(self, lanes):
-        req, resp = lanes
+    def test_traced_get_batch_carries_spans(self, req):
         server = make_server(np.arange(100, dtype=np.float64), lo=0.0, hi=100.0)
         descrs = req.write([np.asarray([3.0, 7.0, 1e9])])
-        meta = lanes_meta(req, resp, trace=(11, 22))
+        meta = lanes_meta(req, trace=(11, 22))
         _, _, meta, reply_descrs = _dispatch(server, ("get_batch", meta, descrs))
-        assert set(meta) == {"via", "spans"}
+        assert set(meta) == {"resp", "spans"}
         (span,) = meta["spans"]
         assert span["name"] == "worker.compute"
         assert (span["trace_id"], span["parent_id"]) == (11, 22)
         assert span["attrs"]["n"] == 3
-        values, mask = resp.read(reply_descrs)  # the answer is unchanged
+        values, mask = server.resp.read(reply_descrs)  # the answer is unchanged
         assert mask.view(np.bool_).tolist() == [True, True, False]
 
-    def test_traced_write_replies_carry_no_spans(self, lanes):
-        req, resp = lanes
+    def test_traced_write_replies_carry_no_spans(self, req):
         server = make_server(np.arange(10, dtype=np.float64), lo=0.0, hi=10.0)
         descrs = req.write([np.asarray([2.5]), np.asarray([7], dtype=np.int64)])
         _, _, meta, _ = _dispatch(
-            server, ("insert_batch", lanes_meta(req, resp, trace=(1, 2)), descrs)
+            server, ("insert_batch", lanes_meta(req, trace=(1, 2)), descrs)
         )
         assert meta == {}
         assert server.index.get(2.5) == 7
@@ -163,8 +176,7 @@ class TestVerbs:
         ok = make_server(np.arange(50, dtype=np.float64), lo=0.0, hi=60.0)
         ok.validate()
 
-    def test_lane_reattach_on_rename(self, lanes):
-        req, resp = lanes
+    def test_lane_reattach_on_rename(self, req):
         server = make_server(np.arange(10, dtype=np.float64))
         first = server.lane("req", req.name)
         assert server.lane("req", req.name) is first  # cached by name
@@ -176,14 +188,13 @@ class TestVerbs:
             replacement.close()
         server.close_lanes()
 
-    def test_delete_misses_answer_values_and_found(self, lanes):
-        req, resp = lanes
+    def test_delete_misses_answer_values_and_found(self, req):
         server = make_server(np.arange(5, dtype=np.float64))
         descrs = req.write([np.asarray([4.0, 77.0, 0.0])])
-        meta = lanes_meta(req, resp, missing="ignore")
+        meta = lanes_meta(req, missing="ignore")
         _, _, meta, reply_descrs = _dispatch(server, ("delete_batch", meta, descrs))
-        assert meta == {"via": "shm"}  # a miss is a mask bit, never a value
-        values, found = resp.read(reply_descrs)
+        assert meta == {"resp": server.resp.name}  # a miss is a mask bit
+        values, found = server.resp.read(reply_descrs)
         assert values.dtype == np.int64
         assert found.view(np.bool_).tolist() == [True, False, True]
         assert values[[0, 2]].tolist() == [4, 0]

@@ -14,7 +14,7 @@ from repro.core.errors import InvalidParameterError
 from repro.datasets import get
 from repro.engine import ShardedEngine
 from repro.serve import Server
-from repro.workloads import run_closed_loop, run_open_loop, uniform_lookups
+from repro.workloads import uniform_lookups
 
 
 def run(coro):
@@ -90,12 +90,19 @@ class TestEquivalence:
         expected = np.asarray([engine.get(k) for k in queries])
 
         async def main():
-            async with Server(engine) as server:
-                return await run_closed_loop(server, queries, concurrency=32)
+            # 32 closed-loop callers: caller c awaits keys c, c+32, ...
+            # one at a time.
+            results = [None] * queries.size
 
-        res = run(main())
-        assert res.errors == 0
-        assert np.array_equal(np.asarray(res.results), expected)
+            async def caller(c):
+                for i in range(c, queries.size, 32):
+                    results[i] = await server.get(float(queries[i]))
+
+            async with Server(engine) as server:
+                await asyncio.gather(*(caller(c) for c in range(32)))
+            return results
+
+        assert np.array_equal(np.asarray(run(main())), expected)
 
     def test_open_loop_matches_scalar(self):
         engine, keys = build_engine(buffer_capacity=0)
@@ -103,14 +110,23 @@ class TestEquivalence:
         expected = np.asarray([engine.get(k) for k in queries])
 
         async def main():
+            # Seeded Poisson arrivals at 50 k/s, each get its own task.
+            arrivals = np.cumsum(
+                np.random.default_rng(4).exponential(1 / 50_000.0, queries.size)
+            )
+            loop = asyncio.get_running_loop()
+
+            async def arrive(i, start):
+                await asyncio.sleep(max(0.0, start + arrivals[i] - loop.time()))
+                return await server.get(float(queries[i]))
+
             async with Server(engine) as server:
-                return await run_open_loop(
-                    server, queries, rate=50_000.0, seed=4
+                start = loop.time()
+                return await asyncio.gather(
+                    *(arrive(i, start) for i in range(queries.size))
                 )
 
-        res = run(main())
-        assert res.errors == 0
-        assert np.array_equal(np.asarray(res.results), expected)
+        assert np.array_equal(np.asarray(run(main())), expected)
 
 
 class TestReadYourWrites:

@@ -41,15 +41,26 @@ to identical output.
 Passes sized to the segment
 ---------------------------
 The paper's algorithm is one greedy pass that touches each key once. The
-vectorized scan gets close to that by growing its passes: the first covers
-``_FIRST_PASS`` = 256 keys, each later one doubles, up to ``chunk``. A pass
-costs ~15 NumPy calls whatever its length until it reaches a few hundred
-keys, so 256 keys is about where per-key work starts to show; and a segment
-at the small errors that dominate build time (``FITingTree`` segments at
-``error - buffer_capacity``, 8 at error 16) is ~40-150 keys long on the
-``iot`` and uniform datasets, so one first pass usually closes it. Long
-segments reach the ``chunk`` cap in four doublings. A pass whose smallest gap
-cannot make a slope overflow float64 skips the overflow masking.
+vectorized scan gets close to that by growing its passes: a segment's first
+pass covers ``_FIRST_PASS`` = 256 keys, each later one doubles, up to
+``chunk``. A pass costs ~15 NumPy calls whatever its length until it reaches
+a few hundred keys, so 256 keys is about where per-key work starts to show;
+and a segment at the small errors that dominate build time (``FITingTree``
+segments at ``error - buffer_capacity``, 8 at error 16) is ~40-150 keys long
+on the ``iot`` and uniform datasets, so one first pass usually closes it.
+Long segments reach the ``chunk`` cap in four doublings.
+
+One exception: when the whole input fits in one ``chunk`` the call's very
+first pass covers all of it. That is the page rebuild of the insert path
+(paper Algorithm 4), whose merged page of ~1 000-3 000 keys is usually one
+segment and would otherwise take three or four growing passes. Only the
+first segment gets the whole-input pass; every later one starts again at
+``_FIRST_PASS``, so an input of many short segments is not rescanned whole
+per segment. Builds (inputs longer than ``chunk``) are unaffected.
+
+A pass opens with a duplicate probe only when its first key equals the
+origin, and a pass whose smallest gap cannot make a slope overflow float64
+skips the overflow masking.
 """
 
 from __future__ import annotations
@@ -188,30 +199,37 @@ def shrinking_cone_reference(
 # ----------------------------------------------------------------------
 
 def _scan_segment_vector(
-    keys: np.ndarray, i0: int, error: float, exact: bool, chunk: int
+    keys: np.ndarray,
+    i0: int,
+    error: float,
+    exact: bool,
+    chunk: int,
+    width: int = _FIRST_PASS,
 ) -> Tuple[int, float, float]:
     """Vectorized equivalent of :func:`_scan_segment_scalar`.
 
-    Scans in passes of ``_FIRST_PASS`` elements, doubling up to ``chunk``.
-    Each pass writes its candidate bounds behind the incoming cone bound
-    (slot 0) and prefix-scans them in place, so slot ``k`` holds the cone
-    *before* element ``k`` and slot ``k + 1`` the cone after it; the first
-    violating element is located with ``argmax`` on the violation mask.
+    Scans in passes of ``width`` elements (at most ``chunk``), doubling up
+    to ``chunk``. Each pass writes its candidate bounds behind the incoming
+    cone bound (slot 0) and prefix-scans them in place, so slot ``k`` holds
+    the cone *before* element ``k`` and slot ``k + 1`` the cone after it;
+    the first violating element is located with ``argmax`` on the
+    violation mask.
     """
     n = len(keys)
     x0 = keys[i0]
     lo, hi = 0.0, _INF
     j = i0 + 1
-    width = min(chunk, _FIRST_PASS)
+    width = min(chunk, width)
     with np.errstate(over="ignore", invalid="ignore"):
         while j < n:
             stop = min(j + width, n)
             width = min(2 * width, chunk)
             x = keys[j:stop]
 
-            # Duplicates of the origin key form a prefix of the sorted pass.
-            n_dup = int(np.searchsorted(x, x0, side="right"))
-            if n_dup > 0:
+            # Duplicates of the origin key form a prefix of the sorted pass,
+            # so only a pass that opens on one has any.
+            if x[0] == x0:
+                n_dup = int(np.searchsorted(x, x0, side="right"))
                 last_dup_pos = j + n_dup - 1
                 if last_dup_pos - i0 > error:
                     # First duplicate too far from the origin position.
@@ -278,9 +296,11 @@ def shrinking_cone(
         ``"exact"`` for the non-empty-intersection test (never produces
         more segments; see module docstring).
     chunk:
-        Largest vectorized pass, in elements; affects speed only. Passes
-        start at ``min(chunk, 256)`` elements and double up to ``chunk``
-        (see "Passes sized to the segment" in the module docstring).
+        Largest vectorized pass, in elements; affects speed only. A
+        segment's passes start at ``min(chunk, 256)`` elements and double
+        up to ``chunk``, except that an input of at most ``chunk`` keys is
+        scanned whole by the call's first pass (see "Passes sized to the
+        segment" in the module docstring).
 
     Returns
     -------
@@ -297,12 +317,17 @@ def shrinking_cone(
     segments: List[Segment] = []
     i0 = 0
     n = len(keys)
+    # An input that fits in one chunk (every page rebuild) is scanned whole
+    # by the first pass, every key after the origin; later segments grow
+    # from _FIRST_PASS as usual.
+    width = n - 1 if n <= chunk else _FIRST_PASS
     while i0 < n:
-        end, lo, hi = _scan_segment_vector(keys, i0, error, exact, chunk)
+        end, lo, hi = _scan_segment_vector(keys, i0, error, exact, chunk, width)
         segments.append(
             Segment(float(keys[i0]), i0, _slope_from_cone(lo, hi), end - i0)
         )
         i0 = end
+        width = _FIRST_PASS
     return segments
 
 

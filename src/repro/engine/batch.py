@@ -243,7 +243,7 @@ class FlatView:
             out = self.values[slot]
         else:
             out = np.empty(q.size, dtype=self.values.dtype)
-        if bool(found.all()):
+        if np.count_nonzero(found) == found.size:
             return out, found
 
         miss = np.flatnonzero(~found)

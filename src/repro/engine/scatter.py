@@ -181,7 +181,7 @@ def fill_default(values: np.ndarray, found: np.ndarray, default: Any = None):
     """The ``get_batch`` answer for a ``(values, found)`` lookup:
     ``values`` itself when every query hit, else an ``object`` copy with
     ``default`` in the misses."""
-    if bool(found.all()):
+    if np.count_nonzero(found) == found.size:
         return values
     out = values.astype(object)
     out[~found] = default

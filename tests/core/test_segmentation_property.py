@@ -1,9 +1,12 @@
 """Hypothesis property tests for the segmentation algorithms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import segmentation
+from repro.core.fiting_tree import FITingTree
 from repro.core.segment import verify_segments
 from repro.core.segmentation import (
     _FIRST_PASS,
@@ -161,24 +164,33 @@ def test_vectorized_equals_reference_across_pass_edges(tiny, pieces, error, acce
     assert fast == shrinking_cone_reference(keys, error, accept=accept)
 
 
+# An input of at most ``chunk`` keys is scanned whole by its first pass, so
+# the cases below put the segment under test second, behind a short lead
+# segment: its passes then grow from ``_FIRST_PASS``.
+_LEAD = ("linear", 50)
+
+
 def test_segments_end_on_every_pass_edge():
     for length in _EDGE_LENGTHS:
-        keys = _piecewise_keys(None, [("linear", length), ("linear", 300)])
+        keys = _piecewise_keys(None, [_LEAD, ("linear", length), ("linear", 300)])
         for accept in ("paper", "exact"):
             fast = shrinking_cone(keys, 4.0, accept=accept)
-            assert fast[0].length == length  # the case really is on the edge
+            assert fast[1].length == length  # the case really is on the edge
             assert fast == shrinking_cone_reference(keys, 4.0, accept=accept)
 
 
 def test_origin_duplicates_straddling_pass_edges():
     # Runs longer than the first pass, accepted whole (error above the run)
-    # or split at error + 1 in a later pass.
+    # or split at error + 1 in a later pass; led by a short segment (a
+    # later segment's passes) or not (the whole-input first pass).
     for run in (_FIRST_PASS, _FIRST_PASS + 1, 300, 800, 1_900):
-        keys = _piecewise_keys(None, [("dups", run), ("linear", 500)])
-        for error in (4.0, 280.0, 1_000.0, 2_000.0):
-            for accept in ("paper", "exact"):
-                fast = shrinking_cone(keys, error, accept=accept)
-                assert fast == shrinking_cone_reference(keys, error, accept=accept)
+        for lead in ([_LEAD], []):
+            keys = _piecewise_keys(None, lead + [("dups", run), ("linear", 500)])
+            for error in (4.0, 280.0, 1_000.0, 2_000.0):
+                for accept in ("paper", "exact"):
+                    fast = shrinking_cone(keys, error, accept=accept)
+                    ref = shrinking_cone_reference(keys, error, accept=accept)
+                    assert fast == ref
 
 
 def test_overflowing_slopes_take_the_masking_branch():
@@ -193,3 +205,145 @@ def test_overflowing_slopes_take_the_masking_branch():
             for accept in ("paper", "exact"):
                 fast = shrinking_cone(keys, error, accept=accept)
                 assert fast == shrinking_cone_reference(keys, error, accept=accept)
+
+
+# ----------------------------------------------------------------------
+# Inputs around one chunk: the whole-input first pass
+# ----------------------------------------------------------------------
+
+_CHUNK = 4096  # shrinking_cone's default ``chunk``
+
+# Each shape is padded past ``_CHUNK + 1`` keys and cut to the size tested.
+_CHUNK_SHAPES = {
+    # One long first segment, then many short ones.
+    "long_then_short": (None, [("linear", 3_000)] + [("linear", 23)] * 60),
+    # Origin duplicate runs of >= 256 keys, first and mid-input.
+    "dup_runs": (
+        None,
+        [("dups", 300), ("linear", 1_200), ("dups", 400), ("linear", 900),
+         ("dups", _FIRST_PASS), ("linear", 1_500)],
+    ),
+    # Keys ~1e-310 apart from 0.0, whose slopes overflow float64.
+    "overflow_prefix": ((1e-310, 400), [("linear", 2_000), ("linear", 2_000)]),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no divide-by-zero on duplicates
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("shape", sorted(_CHUNK_SHAPES))
+@pytest.mark.parametrize("accept", ["paper", "exact"])
+def test_vectorized_equals_reference_around_one_chunk(n, shape, accept):
+    tiny, pieces = _CHUNK_SHAPES[shape]
+    keys = _piecewise_keys(tiny, pieces, max_keys=n)
+    assert keys.size == n
+    for error in (1.0, 8.0, 64.0, 300.0):
+        fast = shrinking_cone(keys, error, accept=accept)
+        assert fast == shrinking_cone_reference(keys, error, accept=accept)
+
+
+class _ScanLog:
+    """Stands in for the segmentation module's ``np``: records the length
+    of every scan pass (each builds one ``arange`` of positions) and counts
+    the origin-duplicate probes (each is one ``searchsorted``)."""
+
+    def __init__(self):
+        self.passes = []
+        self.probes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arange(self, start, stop, **kwargs):
+        self.passes.append(stop - start)
+        return np.arange(start, stop, **kwargs)
+
+    def searchsorted(self, *args, **kwargs):
+        self.probes += 1
+        return np.searchsorted(*args, **kwargs)
+
+
+def _scan_log(monkeypatch, keys, error):
+    log = _ScanLog()
+    monkeypatch.setattr(segmentation, "np", log)
+    segs = shrinking_cone(keys, error)
+    monkeypatch.undo()
+    assert segs == shrinking_cone_reference(keys, error)
+    return segs, log
+
+
+@pytest.mark.parametrize("n", [2, 1_000, _CHUNK - 1, _CHUNK])
+def test_input_within_one_chunk_is_one_pass(monkeypatch, n):
+    keys = np.arange(float(n))
+    segs, log = _scan_log(monkeypatch, keys, 8.0)
+    assert len(segs) == 1
+    assert log.passes == [n - 1]
+    assert log.probes == 0
+
+
+def test_input_over_one_chunk_grows_from_first_pass(monkeypatch):
+    keys = np.arange(float(_CHUNK + 1))
+    segs, log = _scan_log(monkeypatch, keys, 8.0)
+    assert len(segs) == 1
+    grown = [_FIRST_PASS << p for p in range(4)]  # 256 doubled to 2 048
+    assert log.passes == grown + [_CHUNK - sum(grown)]
+
+
+def test_later_segments_start_at_first_pass(monkeypatch):
+    # 60 short segments behind a long one, 4 050 keys in all: the long one
+    # takes the whole-input pass, every short one a single pass of
+    # _FIRST_PASS keys (or of what is left of the input).
+    keys = _piecewise_keys(None, [("linear", 2_670)] + [("linear", 23)] * 60)
+    segs, log = _scan_log(monkeypatch, keys, 4.0)
+    assert len(segs) == 61
+    assert log.passes[0] == keys.size - 1
+    rest = [min(_FIRST_PASS, keys.size - 1 - seg.start_pos) for seg in segs[1:]]
+    assert log.passes[1:] == rest
+
+
+def test_only_a_duplicate_led_pass_probes(monkeypatch):
+    keys = _piecewise_keys(None, [("dups", 300), ("linear", 500)])
+    segs, log = _scan_log(monkeypatch, keys, 1_000.0)
+    assert len(segs) == 1
+    assert log.probes == 1  # the first pass opens on the origin's duplicates
+    assert log.passes == [500]  # its doubled successor covers the rest
+    keys = _piecewise_keys(None, [("linear", 300), ("dups", 300)])
+    segs, log = _scan_log(monkeypatch, keys, 1_000.0)
+    assert log.probes == 0  # a duplicate run that is not the origin's
+
+
+# ----------------------------------------------------------------------
+# A FITingTree's pages are the segments ShrinkingCone makes of them
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+@pytest.mark.parametrize("accept", ["paper", "exact"])
+def test_settled_pages_are_their_own_segment(seed, accept):
+    """After insert and delete batches (duplicates and keys under the
+    minimum included), every page with an empty buffer and no tombstones
+    re-segments, alone, into one segment with its own start key and slope."""
+    rng = np.random.default_rng(seed)
+    keys = np.sort(np.concatenate([rng.uniform(0, 1e6, 20_000),
+                                   np.full(40, 5e5)]))
+    tree = FITingTree(keys, error=32.0, accept=accept)
+    built = {id(page): page for page in tree._pages}  # held: ids stay unique
+    live = keys
+    for _ in range(30):
+        fresh = rng.uniform(-1e3, 1e6, 400)
+        fresh[:20] = rng.choice(keys, 20)  # duplicates of resident keys
+        tree.insert_batch(fresh)
+        live = np.concatenate([live, fresh])
+        pick = rng.choice(live.size, 150, replace=False)
+        tree.delete_batch(live[pick])
+        live = np.delete(live, pick)
+    assert tree.stats()["page_rebuilds"] > 50
+    checked = rebuilt = 0
+    for page in tree._pages:
+        if page.n_buffer or page.n_dead:
+            continue
+        segs = shrinking_cone_reference(page.keys, tree.seg_error, accept=accept)
+        assert len(segs) == 1
+        assert (segs[0].start_key, segs[0].slope) == (page.start_key, page.slope)
+        checked += 1
+        rebuilt += id(page) not in built
+    assert checked >= 20 and rebuilt >= 10

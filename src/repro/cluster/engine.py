@@ -105,14 +105,17 @@ _NO_VIEWS = dict.fromkeys(
 class _WorkerHandle:
     """Parent-side bookkeeping for one shard worker."""
 
-    __slots__ = ("process", "conn", "req", "resp")
+    __slots__ = ("process", "conn", "req", "resp", "boot")
 
-    def __init__(self, process, conn, req: ShmLane):
+    def __init__(self, process, conn, req: ShmLane, boot=None):
         self.process = process
         self.conn = conn
         self.req = req
         #: The last reply-lane name the worker sent (``None`` until ready).
         self.resp: Optional[str] = None
+        #: The boot state still to send over the pipe (``None`` once sent,
+        #: or when the worker inherited it by fork).
+        self.boot: Optional[Dict[str, Any]] = boot
 
 
 class ClusterEngine(EngineFront):
@@ -303,6 +306,8 @@ class ClusterEngine(EngineFront):
             for sid, state in enumerate(shard_states):
                 self._workers.append(self._spawn_worker(sid, state))
             for sid in range(len(self._workers)):
+                self._send_boot(sid)
+            for sid in range(len(self._workers)):
                 self._await_ready(sid)
         except BaseException:
             self.close()
@@ -310,6 +315,14 @@ class ClusterEngine(EngineFront):
 
     def _spawn_worker(self, sid: int, state: Dict[str, Any]) -> _WorkerHandle:
         """Create one shard worker (pipe, request lane, process).
+
+        A forked worker inherits its boot state (``state`` and its index
+        class). Under a start method that pickles the process object
+        (``spawn``, ``forkserver``) the state is kept on the handle for
+        :meth:`_send_boot`: ``Process.start`` writes the process object
+        into the child and blocks until the child reads it, so a
+        snapshot of megabytes in the args would serialize the boot, and
+        hang it for good if the child died first.
 
         On any failure every resource this call created — the lane, pipe
         ends, a started process — is released before re-raising, so a
@@ -327,16 +340,22 @@ class ClusterEngine(EngineFront):
             # snapshot: a spawn-context child re-imports with a fresh
             # registry, so parent-side register_index_class calls
             # would otherwise be invisible to it.
-            index_cls = _registry().get(state["index_cls"])
+            boot = {
+                "state": state,
+                "index_cls": _registry().get(state["index_cls"]),
+            }
+            forked = self._ctx.get_start_method() == "fork"
             process = self._ctx.Process(
                 target=shard_worker_main,
-                args=(child_conn, state, sid, lo, hi, index_cls),
+                args=(child_conn, boot if forked else None, sid, lo, hi),
                 daemon=True,
                 name=f"repro-shard-{sid}",
             )
             process.start()
             child_conn.close()
-            return _WorkerHandle(process, parent_conn, req)
+            return _WorkerHandle(
+                process, parent_conn, req, None if forked else boot
+            )
         except BaseException:
             if req is not None:
                 req.close()
@@ -350,6 +369,16 @@ class ClusterEngine(EngineFront):
                 process.terminate()
                 process.join(1.0)
             raise
+
+    def _send_boot(self, sid: int) -> None:
+        """Send shard ``sid``'s worker its boot state once it says hello
+        (a no-op for a forked worker); each wait is bounded by
+        ``op_timeout``."""
+        worker = self._workers[sid]
+        if worker.boot is not None:
+            self._recv(sid)  # the hello: the child has imported
+            self._send(sid, ("boot", worker.boot, ()))
+            worker.boot = None
 
     def _await_ready(self, sid: int) -> None:
         """Block until shard ``sid``'s worker reports ready."""
@@ -433,6 +462,7 @@ class ClusterEngine(EngineFront):
         )
         self._workers[sid] = self._spawn_worker(sid, state)
         self._poisoned.discard(sid)
+        self._send_boot(sid)
         self._await_ready(sid)
         return answer
 

@@ -9,10 +9,15 @@ that writes it: a request arrives in the parent's request lane, named in
 the request's ``meta["req"]``; the worker creates its own reply lane once
 its shard is built, grows it to each answer's packed size before writing,
 and names it in its ready reply and in every reply that carries arrays
-(``meta["resp"]``). The pipe carries only control frames. A clean exit
-unlinks the reply lane here; after a crash the parent unlinks the last
-name it was sent, and a block created after that (a growth whose reply
-never left) is left to the resource tracker's cleanup at exit.
+(``meta["resp"]``). The pipe carries only control frames, and the
+shard's boot state: a worker forked from the parent inherits it, while
+a worker under a start method that pickles the process object
+(``spawn``, ``forkserver``) sends a hello reply once imported and reads
+its state from the parent's ``("boot", {"state", "index_cls"}, ())``
+answer. A clean exit unlinks the reply lane here; after a crash the
+parent unlinks the last name it was sent, and a block created after that
+(a growth whose reply never left) is left to the resource tracker's
+cleanup at exit.
 
 Protocol: a request is ``(verb, meta, descriptors)`` and its one reply
 ``(status, version, meta, descriptors, n)`` with ``status`` one of
@@ -134,11 +139,10 @@ class _ShardServer(LaneCache):
 
 def shard_worker_main(
     conn: Any,
-    state: Dict[str, Any],
+    boot: Optional[Dict[str, Any]],
     shard_id: int,
     lo: Optional[float],
     hi: Optional[float],
-    index_cls: Any = None,
 ) -> None:
     """Entry point of one shard worker process (the ``Process`` target).
 
@@ -146,23 +150,31 @@ def shard_worker_main(
     ----------
     conn:
         The worker end of the control pipe.
-    state:
-        The shard's ``to_state`` snapshot to rebuild from.
+    boot:
+        ``{"state": ..., "index_cls": ...}``: the shard's ``to_state``
+        snapshot to rebuild from, and its index class, resolved
+        parent-side and registered here before the rebuild so downstream
+        classes work under ``spawn`` too (a spawned child re-imports with
+        a freshly seeded registry; the parent's ``register_index_class``
+        calls are not inherited). ``None`` under a start method that
+        pickles the process object: the worker then sends a hello reply
+        and reads the dict from a ``("boot", boot, ())`` frame.
     shard_id:
         This shard's id (error reporting only).
     lo, hi:
         The shard's owning cut range (``None`` = unbounded), checked by
         the ``validate`` verb.
-    index_cls:
-        The shard's index class, resolved parent-side. Registered here
-        before the rebuild so downstream classes work under ``spawn``
-        too (a spawned child re-imports with a freshly seeded registry;
-        the parent's ``register_index_class`` calls are not inherited).
     """
     try:
-        if index_cls is not None:
-            register_index_class(index_cls)
-        server = _ShardServer(state, lo, hi, shard_id)
+        if boot is None:
+            conn.send(("ok", 0, {"hello": True}, (), None))
+            boot = conn.recv()[1]
+        if boot["index_cls"] is not None:
+            register_index_class(boot["index_cls"])
+        server = _ShardServer(boot["state"], lo, hi, shard_id)
+    except EOFError:  # the parent gave up before sending the state
+        conn.close()
+        return
     except BaseException as exc:  # surface rebuild failures to the parent
         try:
             # No shard was built, so no length: ``None`` keeps the

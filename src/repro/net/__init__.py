@@ -29,6 +29,7 @@ The usual entry points are config-driven:
 from repro.net.boot import TcpCluster, run_backend
 from repro.net.client import AsyncNetClient, NetClient, connect
 from repro.net.errors import (
+    BackendBootError,
     BackendDownError,
     ConnectionLostError,
     FrameCorruptError,
@@ -48,6 +49,7 @@ from repro.net.server import NetServer, serve_tcp
 
 __all__ = [
     "AsyncNetClient",
+    "BackendBootError",
     "BackendDownError",
     "ConnectionLostError",
     "Frame",

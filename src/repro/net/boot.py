@@ -7,6 +7,24 @@ range (each running a full engine + serve + :mod:`repro.net` stack via
 :func:`~repro.net.server.serve_tcp`), and records the addresses and cut
 keys a :class:`~repro.net.router.Router` needs to fan traffic back out.
 
+Boot handshake, over each backend's pipe:
+
+1. The parent starts every backend process, passing each only its pipe
+   end (:func:`run_backend`'s one argument).
+2. Each child sends ``("hello", pid)`` once it has imported.
+3. The parent answers each hello with that backend's spec: ``{"config",
+   "keys", "values", "port"}``.
+4. Each child builds its engine, listens, and sends ``("ready", port,
+   pid)`` — or ``("err", exception)`` if the build failed.
+
+The spec stays out of the process args on purpose: under ``spawn``,
+``Process.start`` writes the pickled process object into the child and
+returns only once the child has imported and read it, so a spec of
+megabytes there makes the fleet boot one backend after the other. Every
+wait on a child shares one deadline, ``_READY_TIMEOUT`` after the call
+began; a failed boot stops every backend the call started and raises
+:class:`~repro.net.errors.BackendBootError`.
+
 Tests get two extra levers: :meth:`TcpCluster.kill` SIGKILLs a backend
 (for ejection tests — no goodbye frame, the socket just dies) and
 :meth:`TcpCluster.restart` respawns it on its recorded port so the
@@ -18,28 +36,36 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import InvalidParameterError
 from repro.engine.partition import partition_cuts, shard_bounds
+from repro.net.errors import BackendBootError
 
 __all__ = ["TcpCluster", "run_backend"]
 
 _READY_TIMEOUT = 30.0
 
 
-def run_backend(conn, spec: Dict[str, Any]) -> None:
+def run_backend(conn) -> None:
     """Child-process entry point: serve one key range over TCP.
 
-    Builds the engine from ``spec`` (``{"config": dict, "keys", "values",
-    "port"}``, port 0 = OS-picked), reports ``("ready", port, pid)`` over
-    the pipe end ``conn``, and drains and exits once the parent sends
-    anything.
+    Sends ``("hello", pid)`` over the pipe end ``conn``, receives its
+    spec (``{"config": dict, "keys", "values", "port"}``, port 0 =
+    OS-picked), builds the engine and reports ``("ready", port, pid)``
+    (``("err", exception)`` if the build raised), then drains and exits
+    once the parent sends anything.
     """
     import asyncio
 
+    try:
+        conn.send(("hello", os.getpid()))
+        spec = conn.recv()
+    except (EOFError, OSError):  # the parent gave up before the spec
+        return
     try:
         asyncio.run(_backend_main(conn, spec))
     except KeyboardInterrupt:  # pragma: no cover - parent teardown race
@@ -52,13 +78,16 @@ async def _backend_main(conn, spec: Dict[str, Any]) -> None:
     from repro.api.factory import EngineConfig
     from repro.net.server import serve_tcp
 
-    config = EngineConfig.from_dict(spec["config"])
-    net = await serve_tcp(
-        spec["keys"],
-        spec.get("values"),
-        config=config,
-        listen=f"127.0.0.1:{int(spec.get('port', 0))}",
-    )
+    try:
+        net = await serve_tcp(
+            spec["keys"],
+            spec.get("values"),
+            config=EngineConfig.from_dict(spec["config"]),
+            listen=f"127.0.0.1:{int(spec.get('port', 0))}",
+        )
+    except Exception as exc:  # the parent raises it as BackendBootError
+        conn.send(("err", exc))
+        return
     try:
         conn.send(("ready", net.port, os.getpid()))
         loop = asyncio.get_running_loop()
@@ -147,49 +176,95 @@ class TcpCluster:
     # ------------------------------------------------------------------
 
     def start(self) -> "TcpCluster":
-        """Spawn every backend and wait for all of them to listen.
+        """Boot every backend at once and wait for all of them to listen.
+
+        Every process is started first, with only its pipe end; each
+        child says hello once it has imported, and is sent its spec
+        (config, key and value slices, port) in answer; last, every
+        ``("ready", port, pid)`` is collected. The backends therefore
+        import and build side by side. Every wait shares one deadline,
+        ``_READY_TIMEOUT`` after the call.
 
         Returns
         -------
         TcpCluster
             ``self``, with ``addresses``/``pids`` populated.
+
+        Raises
+        ------
+        BackendBootError
+            A backend died, raised while building, or missed the
+            deadline. Every backend this call started is stopped first.
         """
         if self._started:
             return self
-        for idx in range(self.n_backends):
-            self._spawn(idx, port=0)
+        self._boot(list(range(self.n_backends)))
         self._started = True
         return self
 
-    def _spawn(self, idx: int, port: int) -> None:
-        parent, child = self._ctx.Pipe()
-        keys, values = self._slices[idx]
-        spec = {
-            "config": self.config.to_dict(),
-            "keys": keys,
-            "values": values,
-            "port": port,
-        }
-        proc = self._ctx.Process(
-            target=run_backend,
-            args=(child, spec),
-            name=f"repro-net-backend-{idx}",
-            daemon=True,
+    def _boot(self, indices: List[int]) -> None:
+        """Run the hello -> spec -> ready handshake for ``indices`` at once;
+        each listens on its recorded port (0 = OS-picked)."""
+        deadline = time.monotonic() + _READY_TIMEOUT
+        try:
+            for idx in indices:
+                parent, child = self._ctx.Pipe()
+                self._pipes[idx] = parent
+                self._procs[idx] = self._ctx.Process(
+                    target=run_backend,
+                    args=(child,),
+                    name=f"repro-net-backend-{idx}",
+                    daemon=True,
+                )
+                self._procs[idx].start()
+                child.close()
+            for idx in indices:
+                self._expect(idx, "hello", deadline)
+                keys, values = self._slices[idx]
+                spec = {
+                    "config": self.config.to_dict(),
+                    "keys": keys,
+                    "values": values,
+                    "port": self.addresses[idx][1],
+                }
+                try:
+                    self._pipes[idx].send(spec)
+                except OSError as exc:  # died between hello and spec
+                    raise self._lost(idx, "its spec") from exc
+            ready = [self._expect(idx, "ready", deadline) for idx in indices]
+        except BaseException:
+            for idx in indices:
+                self.kill(idx)
+                self.stop_one(idx)  # closes the pipe
+            raise
+        for idx, (_, port, pid) in zip(indices, ready):
+            self.addresses[idx] = ("127.0.0.1", int(port))
+            self.pids[idx] = int(pid)
+
+    def _expect(self, idx: int, kind: str, deadline: float) -> Tuple:
+        """Backend ``idx``'s next message, which must be a ``kind``."""
+        pipe = self._pipes[idx]
+        try:
+            if not pipe.poll(max(0.0, deadline - time.monotonic())):
+                raise BackendBootError(
+                    idx, detail=f"no {kind} within {_READY_TIMEOUT}s"
+                )
+            msg = pipe.recv()
+        except (EOFError, OSError) as exc:
+            raise self._lost(idx, f"its {kind}") from exc
+        if msg[0] == "err":
+            raise BackendBootError(idx, error=msg[1]) from msg[1]
+        if msg[0] != kind:  # pragma: no cover - protocol guard
+            raise BackendBootError(idx, detail=f"sent {msg!r} for {kind}")
+        return msg
+
+    def _lost(self, idx: int, what: str) -> BackendBootError:
+        """The error for backend ``idx`` dying before ``what``."""
+        proc = self._procs[idx]
+        proc.join(1.0)
+        return BackendBootError(
+            idx, exitcode=proc.exitcode, detail=f"exited before {what}"
         )
-        proc.start()
-        child.close()
-        if not parent.poll(_READY_TIMEOUT):
-            proc.terminate()
-            raise InvalidParameterError(
-                f"backend {idx} did not come up within {_READY_TIMEOUT}s"
-            )
-        msg = parent.recv()
-        if msg[0] != "ready":  # pragma: no cover - protocol guard
-            raise InvalidParameterError(f"backend {idx} sent {msg!r}")
-        self._procs[idx] = proc
-        self._pipes[idx] = parent
-        self.addresses[idx] = ("127.0.0.1", int(msg[1]))
-        self.pids[idx] = int(msg[2])
 
     def kill(self, idx: int) -> None:
         """SIGKILL backend ``idx`` — no drain, the socket just dies."""
@@ -200,10 +275,11 @@ class TcpCluster:
         self._procs[idx] = None
 
     def restart(self, idx: int) -> None:
-        """Respawn backend ``idx`` on its previously recorded port."""
-        if self._procs[idx] is not None:
-            self.stop_one(idx)
-        self._spawn(idx, port=self.addresses[idx][1])
+        """Respawn backend ``idx`` on its previously recorded port, by the
+        same handshake as :meth:`start` (and its
+        :class:`~repro.net.errors.BackendBootError`)."""
+        self.stop_one(idx)  # also closes a killed backend's pipe
+        self._boot([idx])
 
     def stop_one(self, idx: int) -> None:
         """Gracefully stop backend ``idx`` (drain, then exit)."""

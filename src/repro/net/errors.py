@@ -12,6 +12,9 @@ The wire protocol distinguishes three failure families:
 * **Routing errors** — a :class:`~repro.net.router.Router` could not reach
   the backend owning a key range (:class:`BackendDownError`).
 
+Off the wire, a :class:`~repro.net.boot.TcpCluster` backend process that
+never came up raises :class:`BackendBootError`.
+
 All derive from :class:`repro.core.errors.ReproError` so package-wide
 ``except ReproError`` handlers keep working.
 """
@@ -27,6 +30,7 @@ __all__ = [
     "ConnectionLostError",
     "RequestTimeoutError",
     "BackendDownError",
+    "BackendBootError",
     "RemoteError",
 ]
 
@@ -86,6 +90,33 @@ class BackendDownError(NetError):
         self.backend = backend
         self.address = tuple(address)
         message = f"backend {backend} at {self.address} is down"
+        if detail:
+            message += f": {detail}"
+        super().__init__(message)
+
+
+class BackendBootError(NetError):
+    """A backend process of a :class:`~repro.net.boot.TcpCluster` failed
+    to boot.
+
+    Carries ``backend`` (its index in the fleet), ``error`` (the exception
+    the child raised while building its engine, else ``None``) and
+    ``exitcode`` (the child's exit code when it died before answering,
+    else ``None``). Every backend the failed ``start``/``restart`` call
+    started is stopped before this is raised.
+    """
+
+    def __init__(
+        self, backend: int, *, error=None, exitcode=None, detail: str = ""
+    ) -> None:
+        self.backend = backend
+        self.error = error
+        self.exitcode = exitcode
+        message = f"backend {backend} failed to boot"
+        if error is not None:
+            message += f": {type(error).__name__}: {error}"
+        if exitcode is not None:
+            message += f" (exitcode={exitcode})"
         if detail:
             message += f": {detail}"
         super().__init__(message)

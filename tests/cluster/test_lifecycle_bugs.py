@@ -6,6 +6,8 @@ Three previously-silent failure modes, now pinned:
   old recount did an all-shards round a single dead worker would veto);
 * worker-spawn failure during ``__init__`` leaking already-started
   processes and shared-memory lanes;
+* a ``spawn`` boot hanging in ``Process.start`` when a worker died
+  before reading its shard state (the state now follows over the pipe);
 * teardown failures being swallowed by blanket ``except: pass`` blocks
   with no trace (now narrowed and counted);
 * a SIGKILLed worker's reply lane outliving it (the worker owns the
@@ -15,11 +17,15 @@ Three previously-silent failure modes, now pinned:
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 import repro.cluster.engine as cluster_engine
 from repro.cluster import ClusterEngine, ClusterError, teardown_errors
 from repro.cluster.shm import ShmLane
@@ -145,6 +151,43 @@ def test_failed_worker_start_cleans_up_partial_spawn(monkeypatch):
                 shared_memory.SharedMemory(name=name)
     finally:
         engine.close()
+
+
+_SPAWN_DIES_SCRIPT = """
+import os, time
+if __name__ == "__mp_main__":  # each spawned worker re-runs this file
+    os._exit(3)                # ... and dies before it reads anything
+import numpy as np
+from repro.cluster import ClusterEngine, ClusterError
+keys = np.linspace(0.0, 1e6, 60_000)  # ~0.5 MB of state per shard
+t0 = time.monotonic()
+try:
+    ClusterEngine(keys, n_shards=2, mp_context="spawn", op_timeout=20.0)
+except ClusterError as exc:
+    print(type(exc).__name__, time.monotonic() - t0)
+"""
+
+
+def test_spawn_worker_dead_before_its_state_fails_the_boot(tmp_path):
+    """Under ``spawn`` a worker that dies before its state arrives fails
+    the boot with a ClusterError within ``op_timeout``. With the state in
+    the process args, ``Process.start`` blocks for good writing it into
+    the dead child's pipe; the subprocess timeout turns that hang into a
+    failure instead of a stalled suite."""
+    script = tmp_path / "spawn_dies.py"
+    script.write_text(_SPAWN_DIES_SCRIPT)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kind, elapsed = proc.stdout.split()
+    assert kind == "WorkerCrashedError"
+    assert float(elapsed) < 20.0
 
 
 # ----------------------------------------------------------------------

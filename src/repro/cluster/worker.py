@@ -267,8 +267,8 @@ def _dispatch(server: _ShardServer, frame: Tuple) -> Tuple:
         keys = np.array(keys)  # own the memory before mutating state
         if verb == "delete_batch":
             out, reply_descriptors = server.reply(
-                _points(*server.index.pop_batch(keys, missing=meta["missing"]))
+                _points(*server.index._pop_sorted(keys, meta["missing"]))
             )
         else:
-            server.index.insert_batch(keys, np.array(arrays[1]))
+            server.index._insert_sorted(keys, np.array(arrays[1]))
     return ("ok", server.index.version, out, reply_descriptors)

@@ -26,11 +26,28 @@ are read the same way, through :attr:`SegmentPage.dead_view`. Keys are
 finite: every build and insert verb refuses NaN and ±inf
 (:func:`check_finite`), and the window of a non-finite prediction is
 empty, so a read or delete of such a key misses.
+
+The insert buffer is two C arrays, not two lists of boxed scalars:
+``buf_keys`` is an ``array.array("d")``, and ``buf_values`` is an
+``array.array`` in the page's values dtype whenever ``array`` holds that
+dtype exactly — a native-order integer or float dtype whose ``char`` is an
+``array`` typecode of the same itemsize (int64, uint64, int32, float64,
+float32, …; :func:`buffer_typecode` decides). Any other dtype (object,
+bool, str, datetime, float16, complex, a non-native byte order) keeps its
+values in a list. The scalar verbs ``bisect``, insert and delete on the
+arrays as they did on lists, and a typed buffer refuses a payload its
+typecode cannot take at insert time. Every bulk reader copies: a NumPy
+view of a buffer would make the page's next insert or delete raise
+``BufferError`` (an ``array.array`` cannot resize while it exports its
+memory), so buffers are read through ``np.array`` copies and
+:func:`export_buffers`' joins only.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import chain
 from math import ceil, floor, inf, isfinite
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
@@ -43,6 +60,7 @@ __all__ = [
     "SegmentPage",
     "aligned_value_array",
     "as_value_array",
+    "buffer_typecode",
     "check_finite",
     "check_sorted_finite",
     "exact_typed_array",
@@ -191,28 +209,54 @@ def aligned_value_array(n_keys: int, values) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=None)
+def buffer_typecode(dtype: np.dtype) -> Optional[str]:
+    """The ``array`` typecode a ``dtype`` page buffers its values in, or
+    ``None`` for a list: a native-order integer or float dtype whose
+    ``char`` is a typecode of the same itemsize is held exactly by
+    ``array``; object, bool, str, datetime, float16, complex and swapped
+    byte orders are not."""
+    code = dtype.char
+    if (
+        dtype.kind in "iuf"
+        and dtype.isnative
+        and code in _EMPTY
+        and _EMPTY[code].itemsize == dtype.itemsize
+    ):
+        return code
+    return None
+
+
+#: One empty array per numeric typecode: a page copies its empty buffers
+#: from these (a copy costs less than a constructor call, and a build
+#: makes two per page).
+_EMPTY = {code: array(code) for code in "bBhHiIlLqQfd"}
+
+
 def export_buffers(
     pages: Sequence[SegmentPage], values_dtype: Any
 ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """The insert buffers of ``pages``, concatenated in order, as aligned
     ``(keys, values)`` arrays, plus each page's buffer length.
 
-    One C-level pass per array over every page's buffer list: the read
-    snapshot's buffer export (``paged_index.export_pages`` and the view
-    update in :mod:`repro.engine.batch`) and a rebuild's merge. Keys are
-    float64; values are ``values_dtype``, which holds every buffered
-    payload exactly (:func:`held_value`), and an object array keeps each
-    payload verbatim.
+    The read snapshot's buffer export (``paged_index.export_pages`` and
+    the view update in :mod:`repro.engine.batch`), ``to_state`` and a
+    rebuild's merge. Each page's keys are a C array of float64, so the
+    keys export as one ``b"".join`` of every page's buffer and one copy
+    into an array that owns its memory; values whose dtype the pages
+    buffer in C arrays (:func:`buffer_typecode`) do the same, and list
+    buffers (object, bool, str, …) take one ``np.fromiter`` pass, which
+    keeps each object payload verbatim. Values are ``values_dtype``,
+    which holds every buffered payload exactly (:func:`held_value`).
     """
     keys = [p.buf_keys for p in pages]
     lengths = list(map(len, keys))
-    n = sum(lengths)
-    values = chain.from_iterable(p.buf_values for p in pages)
-    return (
-        np.fromiter(chain.from_iterable(keys), np.float64, n),
-        np.fromiter(values, values_dtype, n),
-        lengths,
-    )
+    values = [p.buf_values for p in pages]
+    if buffer_typecode(values_dtype) is None:
+        out = np.fromiter(chain.from_iterable(values), values_dtype, sum(lengths))
+    else:
+        out = np.frombuffer(b"".join(values), values_dtype).copy()
+    return np.frombuffer(b"".join(keys), np.float64).copy(), out, lengths
 
 
 def _splice_slots(pos: np.ndarray, n_old: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,8 +316,10 @@ class SegmentPage:
         #: makes new pages).
         self.key_view = memoryview(keys)
         self.values = values
-        self.buf_keys: List[float] = []
-        self.buf_values: List[Any] = []
+        #: The sorted insert buffer: C arrays (see the module doc).
+        self.buf_keys: array = _EMPTY["d"].__copy__()
+        code = buffer_typecode(values.dtype)
+        self.buf_values = _EMPTY[code].__copy__() if code else []
         #: Data deletions since the last (re)build: the owning index
         #: rebuilds the page once they reach its buffer capacity, and each
         #: widens the search window by one slot (see the module doc).
@@ -333,12 +379,12 @@ class SegmentPage:
     def min_key(self) -> float:
         """Smallest key on the page (data or buffer)."""
         keys, _ = self.live_arrays()
-        return min(keys[:1].tolist() + self.buf_keys[:1])
+        return min(keys[:1].tolist() + self.buf_keys[:1].tolist())
 
     def max_key(self) -> float:
         """Largest key on the page (data or buffer)."""
         keys, _ = self.live_arrays()
-        return max(keys[-1:].tolist() + self.buf_keys[-1:])
+        return max(keys[-1:].tolist() + self.buf_keys[-1:].tolist())
 
     # ------------------------------------------------------------------
     # Search
@@ -560,8 +606,10 @@ class SegmentPage:
         if counter is not None:
             counter.buffer_binary_search(len(self.buf_keys))
             counter.data_move(len(self.buf_keys) - i)
-        self.buf_keys.insert(i, key)
+        # The value first: a typed buffer refuses what its typecode cannot
+        # take, and then neither array has moved.
         self.buf_values.insert(i, value)
+        self.buf_keys.insert(i, key)
         self.stamp += 1
 
     def bulk_insert(self, keys, values) -> None:
@@ -597,25 +645,52 @@ class SegmentPage:
             order = bounds[run_id] + bounds[run_id + 1] - 1 - idx
         else:
             order = np.zeros(1, dtype=np.int64)
-        reordered = list(values[order])
+        reordered = values[order]
 
-        b0 = len(self.buf_keys)
-        if b0 == 0:
-            self.buf_keys = keys.tolist()
-            self.buf_values = reordered
-        else:
-            buf_k = np.asarray(self.buf_keys, dtype=np.float64)
-            pos = np.searchsorted(buf_k, keys, side="left")
-            slots, keep = _splice_slots(pos, b0)
-            self.buf_keys = _spliced(buf_k, keys, slots, keep).tolist()
+        if not self.buf_keys:
+            self.fill_buffer(keys, reordered)
+            return
+        buf_k = np.array(self.buf_keys)
+        slots, keep = _splice_slots(buf_k.searchsorted(keys), buf_k.size)
+        if self.buf_values_typecode is None:
             # Scatter values around the splice points; buffers are bounded
             # by the owner's capacity, so these list passes stay tiny.
-            merged: List[Any] = [None] * (b0 + n_new)
+            merged: Any = [None] * keep.size
             for p, v in zip(np.flatnonzero(keep).tolist(), self.buf_values):
                 merged[p] = v
             for p, v in zip(slots.tolist(), reordered):
                 merged[p] = v
-            self.buf_values = merged
+        else:
+            merged = _spliced(
+                np.array(self.buf_values), self._typed(reordered), slots, keep
+            )
+        self.fill_buffer(_spliced(buf_k, keys, slots, keep), merged)
+
+    @property
+    def buf_values_typecode(self) -> Optional[str]:
+        """``buf_values``' typecode, ``None`` while it is a list."""
+        buf = self.buf_values
+        return None if type(buf) is list else buf.typecode
+
+    def _typed(self, values: np.ndarray) -> np.ndarray:
+        """``values`` in the dtype of this page's typed buffer. A payload
+        of another dtype passes through ``array`` first, which refuses
+        what its typecode cannot take, as a scalar insert does."""
+        dtype = self.values.dtype
+        if values.dtype == dtype:
+            return values
+        return np.array(array(self.buf_values.typecode, values.tolist()), dtype)
+
+    def fill_buffer(self, keys: np.ndarray, values) -> None:
+        """Replace the buffer with sorted ``keys`` (float64) and aligned
+        ``values``: an array, or a list for a list buffer. A typed buffer
+        takes each array's bytes."""
+        self.buf_keys = array("d", np.asarray(keys, np.float64).tobytes())
+        code = self.buf_values_typecode
+        if code is None:
+            self.buf_values = list(values)
+        else:
+            self.buf_values = array(code, self._typed(values).tobytes())
 
     def delete_at_data(self, i: int) -> Any:
         """Tombstone live data row ``i`` and return its value.
@@ -663,7 +738,7 @@ class SegmentPage:
         multi-page fallback — or once ``max_data`` data deletions have been
         applied (the index's rebuild-budget chunking, mirroring
         ``insert_batch``'s capacity-aware chunking). All surviving removals
-        are applied with one list rebuild (buffer) plus one tombstone pass
+        are applied with one buffer rebuild plus one tombstone pass
         (data) instead of one shift per key. Like :meth:`bulk_insert` this
         costs per call, not per key, so the owning index uses it for dense
         chunks only. No access counter is charged (see :meth:`bulk_insert`).
@@ -703,7 +778,7 @@ class SegmentPage:
         uk = keys[bounds[:-1]]
         counts = np.diff(bounds)
 
-        buf_k = np.asarray(self.buf_keys, dtype=np.float64)
+        buf_k = np.array(self.buf_keys)
         b_lo = np.searchsorted(buf_k, uk, side="left")
         b_avail = np.searchsorted(buf_k, uk, side="right") - b_lo
         # Data positions are ranks among the live rows, mapped back to
@@ -749,10 +824,13 @@ class SegmentPage:
             values[t] = self.values[p]
 
         if buf_pos.size:
-            keep = np.ones(len(self.buf_keys), dtype=bool)
+            keep = np.ones(buf_k.size, dtype=bool)
             keep[buf_pos] = False
-            self.buf_keys = [k for k, f in zip(self.buf_keys, keep) if f]
-            self.buf_values = [v for v, f in zip(self.buf_values, keep) if f]
+            if self.buf_values_typecode is None:
+                left: Any = [v for v, f in zip(self.buf_values, keep) if f]
+            else:
+                left = np.array(self.buf_values)[keep]
+            self.fill_buffer(buf_k[keep], left)
         if data_pos.size:
             self._kill(data_pos, data_pos.size)
         return n_applied, values
@@ -833,8 +911,13 @@ class SegmentPage:
             data_keys, data_values = data_keys[live], data_values[live]
         if c == d:
             return data_keys, data_values
-        bk = np.asarray(buf_keys[c:d], dtype=np.float64)
-        bv = np.fromiter(self.buf_values[c:d], self.values.dtype, d - c)
+        # The slices are copies, so the views below pin no page buffer.
+        bk = np.frombuffer(buf_keys[c:d], np.float64)
+        dtype, bv = self.values.dtype, self.buf_values[c:d]
+        if type(bv) is list:
+            bv = np.fromiter(bv, dtype, d - c)
+        else:
+            bv = np.frombuffer(bv, dtype)
         slots, keep = _splice_slots(
             data_keys.searchsorted(bk, side="right"), data_keys.size
         )

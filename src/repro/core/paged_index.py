@@ -51,6 +51,7 @@ from repro.core.errors import (
 from repro.core.page import (
     SegmentPage,
     aligned_value_array,
+    buffer_typecode,
     check_finite,
     check_sorted_finite,
     export_buffers,
@@ -59,19 +60,28 @@ from repro.core.page import (
     typed_values,
 )
 
-__all__ = ["PagedIndexBase", "export_pages"]
+__all__ = ["PagedIndexBase", "check_missing", "export_pages"]
 
 #: Sentinel for "no occurrence" from page probes and ``_delete_one``.
 _MISS = object()
 
 #: A page's share of a write batch below this many keys goes through the
-#: scalar verbs' list primitives (per-key cost), at or above it through
+#: scalar verbs' primitives (per-key cost), at or above it through
 #: ``SegmentPage.bulk_insert``/``bulk_delete`` (per-call cost). Measured on
 #: a 2-core x86 box (Python 3.11, NumPy 2.4), one 1 225-key page (error 64,
 #: buffer 32), best of 5 x 300, three runs: deletes cost ~4-5 us a key
 #: against ~50-90 us a ``bulk_delete`` call, crossing near 16 keys; inserts
 #: cost ~0.3-0.5 us a key against ~20-35 us a ``bulk_insert`` call.
 BATCH_CROSSOVER = 16
+
+
+def check_missing(missing: str) -> None:
+    """Refuse a delete policy other than ``"raise"`` or ``"ignore"`` with
+    :class:`InvalidParameterError`, before anything is logged or applied."""
+    if missing not in ("raise", "ignore"):
+        raise InvalidParameterError(
+            f"missing must be 'raise' or 'ignore', got {missing!r}"
+        )
 
 
 def export_pages(pages: List[SegmentPage], values_dtype: Any) -> Dict[str, Any]:
@@ -516,8 +526,7 @@ class PagedIndexBase:
                 float(start), float(slope), keys.copy(), values.copy()
             )
             page.deletions = int(deletions)
-            page.buf_keys = [float(k) for k in bkeys]
-            page.buf_values = list(bvalues)
+            page.fill_buffer(bkeys, bvalues)
             pages.append(page)
         index._set_pages(pages)
         index._n = int(state["n"])
@@ -748,15 +757,23 @@ class PagedIndexBase:
         """
         self._check_writable()
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        n = keys.size
-        if n == 0:
+        if keys.size == 0:
             return
         order = keys.argsort(kind="stable")
         keys = keys[order]
         check_sorted_finite(keys)
         values = self._resolve_batch_values(keys, values)[order]
-        # The scalars bulk_insert stores too (list() of an array).
-        klist, vlist = keys.tolist(), list(values)
+        self._insert_sorted(keys, values)
+
+    def _insert_sorted(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`insert_batch`'s body for a batch already sorted (stable),
+        checked finite and resolved to the values dtype, aligned: the entry
+        an engine or worker calls with the chunk it sorted itself."""
+        n = keys.size
+        # A typed buffer takes Python numbers fastest; a list buffer keeps
+        # the array's own scalars, as bulk_insert stores them.
+        klist = keys.tolist()
+        vlist = values.tolist() if buffer_typecode(values.dtype) else list(values)
         i = 0
         while i < n:
             if not self._pages:
@@ -909,16 +926,23 @@ class PagedIndexBase:
         slot is unspecified; a sparse chunk costs per key, a dense one per
         page (see :meth:`delete_batch`)."""
         self._check_writable()
-        if missing not in ("raise", "ignore"):
-            raise InvalidParameterError(
-                f"missing must be 'raise' or 'ignore', got {missing!r}"
-            )
+        check_missing(missing)
         keys = np.ascontiguousarray(keys, dtype=np.float64)
-        n = keys.size
-        if n == 0:
-            return np.empty(0, dtype=self._values_dtype), np.ones(0, dtype=bool)
         order = keys.argsort(kind="stable")
-        skeys = keys[order]
+        answer, found = self._pop_sorted(keys[order], missing)
+        out = np.empty_like(answer)
+        out[order] = answer
+        hit = np.empty(keys.size, dtype=bool)
+        hit[order] = found
+        return out, hit
+
+    def _pop_sorted(
+        self, skeys: np.ndarray, missing: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`pop_batch`'s body for keys already sorted (stable) and a
+        checked ``missing``, answered in that sorted order: the entry an
+        engine or worker calls with the chunk it sorted itself."""
+        n = skeys.size
         klist = skeys.tolist()
         # Answers in sorted request order, typed from the start.
         answer = np.zeros(n, dtype=self._values_dtype)
@@ -954,12 +978,7 @@ class PagedIndexBase:
             elif missing == "raise":
                 raise KeyNotFoundError(klist[i])
             i += 1
-
-        out = np.empty_like(answer)
-        out[order] = answer
-        hit = np.empty(n, dtype=bool)
-        hit[order] = found
-        return out, hit
+        return answer, found
 
     def _pop_run(
         self, page: SegmentPage, keys: List[float], i: int, j: int,

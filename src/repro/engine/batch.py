@@ -64,8 +64,10 @@ the engine reads one view. Every ``SegmentPage`` mutator bumps its page's
 ``stamp``, and a view records the page list and the stamps it was cut
 from, so the next read derives the new view from the old one and
 re-exports only the pages whose stamp moved: their buffers in one bulk
-pass (:func:`~repro.core.page.export_buffers`), placed among the old rows
-by one gather. Under an unchanged directory no data row moves — inserts go
+pass (:func:`~repro.core.page.export_buffers`: a page buffers its keys,
+and numeric values, in C arrays, so the export is one ``b"".join`` of
+their bytes per array, not a Python step per row), placed among the old
+rows by one gather. Under an unchanged directory no data row moves — inserts go
 to buffers and data deletes set tombstones — so the new view shares
 ``keys``/``values``/``offsets`` and the per-page routing arrays with the
 old one by identity, and its gather spans only the pages from the first

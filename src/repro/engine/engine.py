@@ -476,7 +476,7 @@ class ShardedEngine(EngineFront):
     def _insert_sorted(self, keys, values, slices) -> None:
         self._apply(
             slices,
-            lambda sid, a, b: self._shards[sid].insert_batch(
+            lambda sid, a, b: self._shards[sid]._insert_sorted(
                 keys[a:b], values[a:b]
             ),
         )
@@ -486,7 +486,7 @@ class ShardedEngine(EngineFront):
             slices,
             lambda sid, a, b: (
                 order[a:b],
-                *self._shards[sid].pop_batch(keys[a:b], missing=missing),
+                *self._shards[sid]._pop_sorted(keys[a:b], missing),
             ),
         )
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError
 from repro.core.page import check_sorted_finite
+from repro.core.paged_index import check_missing
 from repro.engine.scatter import (
     check_bounds,
     fill_default,
@@ -476,6 +477,7 @@ class EngineFront:
         keys = np.ascontiguousarray(keys, dtype=np.float64)
         if keys.size == 0:
             return np.empty(0, dtype=self._values_dtype)
+        check_missing(missing)
         order, skeys, slices = split_sorted(self.cuts, keys)
         lsns = self._commit(skeys, slices, missing=missing)
         parts = self._delete_sorted(order, skeys, slices, missing, lsns)

@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.errors import InvalidParameterError, KeyNotFoundError
+from repro.core.paged_index import check_missing
 from repro.core.serialize import index_from_state, load_state, save_state
 from repro.wal import format as wf
 from repro.wal.format import WalRecord
@@ -553,10 +554,8 @@ def log_chunks(
         return {}
     if values is not None:
         values = wf.check_values(values)
-    elif missing not in ("raise", "ignore"):
-        raise InvalidParameterError(
-            f"missing must be 'raise' or 'ignore', got {missing!r}"
-        )
+    else:
+        check_missing(missing)
     lsns = {}
     for sid, a, b in slices:
         if values is None:

@@ -91,7 +91,7 @@ class TestBuffer:
         page = linear_page(10)
         for k in (5.5, 1.5, 9.5, 0.5):
             page.insert_into_buffer(k, int(k))
-        assert page.buf_keys == sorted(page.buf_keys)
+        assert list(page.buf_keys) == sorted(page.buf_keys)
         assert page.n_buffer == 4
         assert page.n_total == 14
 

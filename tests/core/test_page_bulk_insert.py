@@ -24,13 +24,13 @@ key_st = st.integers(min_value=0, max_value=60).map(float)
 batch_st = st.lists(st.tuples(key_st, st.integers(0, 10**6)), max_size=80)
 
 
-def make_page(data_keys):
+def make_page(data_keys, dtype=np.int64):
     keys = np.asarray(sorted(data_keys), dtype=np.float64)
     return SegmentPage(
         keys[0] if keys.size else 0.0,
         0.0,
         keys,
-        np.arange(keys.size, dtype=np.int64),
+        np.arange(keys.size).astype(dtype),
     )
 
 
@@ -68,7 +68,8 @@ class TestPageLevel:
     def test_tie_order_matches_bisect_left(self):
         """Batch ties land reversed, ahead of previously buffered equals —
         exactly what repeated bisect_left insertion does."""
-        scalar, bulk = make_page([1.0, 9.0]), make_page([1.0, 9.0])
+        # str payloads need an object-valued page, as an index holds them.
+        scalar, bulk = (make_page([1.0, 9.0], object) for _ in range(2))
         for page in (scalar, bulk):
             page.insert_into_buffer(5.0, "old")
         for k, v in ((5.0, "a"), (5.0, "b")):

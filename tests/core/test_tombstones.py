@@ -29,8 +29,8 @@ def compacted_twin(tree):
     for page in tree.pages():
         copy = SegmentPage(page.start_key, page.slope, *page.live_arrays())
         copy.deletions = page.deletions
-        copy.buf_keys = list(page.buf_keys)
-        copy.buf_values = list(page.buf_values)
+        copy.buf_keys = page.buf_keys[:]
+        copy.buf_values = page.buf_values[:]
         copies.append(copy)
     twin._set_pages(copies)
     twin._n = len(tree)
